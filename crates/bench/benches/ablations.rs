@@ -8,7 +8,9 @@ use std::hint::black_box;
 use oa_platform::presets::reference_cluster;
 use oa_sched::heuristics::Heuristic;
 use oa_sched::params::Instance;
-use oa_sim::executor::{execute, ExecConfig, ScenarioPolicy};
+use oa_sched::policy::{CampaignConfig, FaultPlan, ScenarioPolicy};
+use oa_sim::engine::simulate_campaign;
+use oa_trace::NullTracer;
 
 fn bench_policies(c: &mut Criterion) {
     let table = reference_cluster(53).timing;
@@ -24,8 +26,13 @@ fn bench_policies(c: &mut Criterion) {
             BenchmarkId::new("execute", format!("{policy:?}")),
             &policy,
             |b, &policy| {
+                let config = CampaignConfig::fused(policy);
+                let plan = FaultPlan::none();
                 b.iter(|| {
-                    black_box(execute(inst, &table, &grouping, ExecConfig { policy }).unwrap())
+                    black_box(
+                        simulate_campaign(inst, &table, &grouping, &config, &plan, &mut NullTracer)
+                            .unwrap(),
+                    )
                 });
             },
         );

@@ -8,7 +8,7 @@ use oa_platform::presets::reference_cluster;
 use oa_sched::estimate::estimate;
 use oa_sched::heuristics::Heuristic;
 use oa_sched::params::Instance;
-use oa_sim::executor::execute_default;
+use oa_sim::engine::execute_default;
 use oa_sim::gantt::{render, GanttOptions};
 use oa_sim::metrics::metrics;
 

@@ -10,7 +10,7 @@ use oa_platform::presets::{benchmark_grid, reference_cluster, DEFAULT_RESOURCES}
 use oa_platform::timing::TimingTable;
 use oa_sched::heuristics::Heuristic;
 use oa_sched::params::Instance;
-use oa_sim::executor::execute_default;
+use oa_sim::engine::execute_default;
 
 fn bench_single_campaign(c: &mut Criterion) {
     let table = reference_cluster(53).timing;

@@ -33,7 +33,18 @@ fn main() {
                 .grouping(inst, &table)
                 .expect("feasible");
             let run = |policy| {
-                let s = execute(inst, &table, &grouping, ExecConfig { policy }).expect("valid");
+                let config = CampaignConfig::fused(policy);
+                let s = simulate_campaign(
+                    inst,
+                    &table,
+                    &grouping,
+                    &config,
+                    &FaultPlan::none(),
+                    &mut oa_trace::NullTracer,
+                )
+                .expect("valid")
+                .into_schedule()
+                .expect("fused fault-free runs record a schedule");
                 let m = metrics(&s);
                 (s.makespan, m.fairness_stddev)
             };

@@ -75,8 +75,16 @@ fn main() {
             .grouping(inst, &table)
             .expect("feasible");
         let mut sink = VecTracer::new();
-        execute_traced(inst, &table, &grouping, ExecConfig::default(), &mut sink)
-            .expect("valid grouping");
+        let config = CampaignConfig::default();
+        simulate_campaign(
+            inst,
+            &table,
+            &grouping,
+            &config,
+            &FaultPlan::none(),
+            &mut sink,
+        )
+        .expect("valid grouping");
         write_trace(&path, &sink.into_events());
     }
 }

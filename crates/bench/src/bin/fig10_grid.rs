@@ -11,6 +11,7 @@ use oa_bench::{fast_mode, jobs, par_sweep, row, write_json, SweepRecorder};
 use oa_platform::prelude::*;
 use oa_sched::prelude::*;
 use oa_sim::prelude::*;
+use oa_trace::{NullTracer, VecTracer};
 
 #[derive(serde::Serialize)]
 struct Point {
@@ -50,7 +51,7 @@ fn main() {
         par_sweep(configs, jobs(), |&(n, r)| {
             let grid = base_grid.take(n).with_uniform_resources(r);
             let run = |h: Heuristic| -> f64 {
-                run_grid(&grid, h, ns, nm, ExecConfig::default())
+                run_grid(&grid, h, ns, nm, &GridConfig::default(), &mut NullTracer)
                     .expect("R ≥ 11 fits groups")
                     .makespan
             };
@@ -132,13 +133,13 @@ fn main() {
     // Chrome export shows one process lane per cluster.
     if let Some(path) = oa_bench::trace_path() {
         let grid = base_grid.take(5).with_uniform_resources(30);
-        let mut sink = oa_trace::VecTracer::new();
-        run_grid_traced(
+        let mut sink = VecTracer::new();
+        run_grid(
             &grid,
             Heuristic::Knapsack,
             ns,
             nm,
-            ExecConfig::default(),
+            &GridConfig::default(),
             &mut sink,
         )
         .expect("R = 30 fits groups");

@@ -47,7 +47,18 @@ fn main() {
                 .grouping(inst, &table)
                 .expect("feasible");
             let fused = estimate(inst, &table, &g).expect("valid").makespan;
-            let unfused = estimate_unfused(inst, &table, &g).expect("valid").makespan;
+            let config = CampaignConfig::unfused(ScenarioPolicy::LeastAdvanced);
+            let unfused = simulate_campaign(
+                inst,
+                &table,
+                &g,
+                &config,
+                &FaultPlan::none(),
+                &mut oa_trace::NullTracer,
+            )
+            .expect("valid")
+            .makespan()
+            .expect("fault-free runs complete");
             Point {
                 r,
                 fused_secs: fused,

@@ -20,10 +20,18 @@ fn show(title: &str, inst: Instance, table: &TimingTable, grouping: &Grouping) {
         "instance: NS = {}, NM = {}, R = {}; grouping: {grouping}",
         inst.ns, inst.nm, inst.r
     );
-    let config = ExecConfig {
-        policy: oa_bench::policy_flag(),
-    };
-    let schedule = execute(inst, table, grouping, config).expect("valid grouping");
+    let config = CampaignConfig::fused(oa_bench::policy_flag());
+    let schedule = simulate_campaign(
+        inst,
+        table,
+        grouping,
+        &config,
+        &FaultPlan::none(),
+        &mut oa_trace::NullTracer,
+    )
+    .expect("valid grouping")
+    .into_schedule()
+    .expect("fused fault-free runs record a schedule");
     // Full schedule-layer analysis instead of the bare fail-fast
     // validate: advisory diagnostics (idle gaps, post starvation) are
     // part of what these figures illustrate, so print them too.
@@ -53,13 +61,12 @@ fn main() {
     // structured event trace for `oa trace export`/`summarize`.
     if let Some(path) = oa_bench::trace_path() {
         let mut sink = oa_trace::VecTracer::new();
-        execute_traced(
+        simulate_campaign(
             Instance::new(10, 6, 53),
             &t,
             &Grouping::new(vec![8, 8, 8, 7, 7, 7, 7], 1),
-            ExecConfig {
-                policy: oa_bench::policy_flag(),
-            },
+            &CampaignConfig::fused(oa_bench::policy_flag()),
+            &FaultPlan::none(),
             &mut sink,
         )
         .expect("valid grouping");

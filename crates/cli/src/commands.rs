@@ -919,21 +919,15 @@ fn grid_cmd(args: &Args) -> Result<String, CliError> {
     let h = heuristic_of(&args.str_or("heuristic", "knapsack"))?;
     let grid = preset_grid(clusters, resources)?;
 
-    let outcome = if args.switch("staging") {
-        let links = vec![Link::gigabit(); grid.len()];
-        run_grid_with_staging(
-            &grid,
-            h,
-            ns,
-            nm,
-            ExecConfig::default(),
-            &links,
-            &StagingModel::default(),
-        )
-    } else {
-        run_grid(&grid, h, ns, nm, ExecConfig::default())
-    }
-    .map_err(|e| CliError::Domain(e.to_string()))?;
+    let config = GridConfig {
+        staging: args.switch("staging").then(|| Staging {
+            links: vec![Link::gigabit(); grid.len()],
+            model: StagingModel::default(),
+        }),
+        ..GridConfig::default()
+    };
+    let outcome = run_grid(&grid, h, ns, nm, &config, &mut NullTracer)
+        .map_err(|e| CliError::Domain(e.to_string()))?;
 
     let mut out = format!(
         "grid of {clusters} × {resources} processors · {} · NS = {ns} · NM = {nm}\n",
@@ -1012,7 +1006,7 @@ fn import(args: &Args) -> Result<String, CliError> {
             c.timing.main_secs(11)
         ));
     }
-    let outcome = run_grid(&grid, h, ns, nm, ExecConfig::default())
+    let outcome = run_grid(&grid, h, ns, nm, &GridConfig::default(), &mut NullTracer)
         .map_err(|e| CliError::Domain(e.to_string()))?;
     out.push_str(&format!(
         "campaign NS = {ns}, NM = {nm} via {}: makespan {:.1} h\n",
@@ -1082,13 +1076,12 @@ fn trace_campaign(args: &Args) -> Result<(String, Vec<TraceEvent>), CliError> {
         .grouping_with(inst, &cluster.timing, &pool)
         .map_err(|e| CliError::Domain(e.to_string()))?;
     let mut sink = VecTracer::new();
-    execute_traced(
+    simulate_campaign(
         inst,
         &cluster.timing,
         &grouping,
-        ExecConfig {
-            policy: policy_of(args)?,
-        },
+        &CampaignConfig::fused(policy_of(args)?),
+        &FaultPlan::none(),
         &mut sink,
     )
     .map_err(|e| CliError::Domain(e.to_string()))?;

@@ -4,10 +4,9 @@
 //! These are the *configuration* half of the discrete-event campaign
 //! engine (`oa-sim::engine`): pure data, next to [`crate::estimate`]
 //! which implements the same least-advanced-first policy in its fast
-//! aggregate form. Every event loop in the workspace — the fast
-//! estimator, the recording executor, the unfused ablation and the
-//! failure replayer — draws its scenario-selection behaviour from
-//! [`ScenarioQueue`] so the policies cannot drift apart.
+//! aggregate form. Both event loops — the fast estimator and the
+//! engine, in every configuration — draw their scenario-selection
+//! behaviour from [`ScenarioQueue`] so the policies cannot drift apart.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};

@@ -1,7 +1,7 @@
 //! The totally ordered `f64` heap key shared by every executor.
 //!
 //! All the discrete-event loops in the workspace — the fast estimator
-//! here, the full executor / failure / unfused simulators in `oa-sim`,
+//! here, the campaign engine in `oa-sim`,
 //! the generic-workload estimator, and the moldable list scheduler in
 //! `oa-baselines` — keep min-heaps of event times. `f64` is not `Ord`,
 //! so each of them used to carry its own newtype; this is the single

@@ -4,14 +4,15 @@
 //! performance queries and execution requests. Ours holds the cluster
 //! description, a [`SchedulerPlugin`], and a receive loop running on
 //! its own thread. Execution is simulated in virtual time with the
-//! `oa-sim` executor; the SeD reports the resulting makespan.
+//! `oa-sim` engine; the SeD reports the resulting makespan.
 
 use crossbeam::channel::{Receiver, Sender};
 
 use oa_platform::cluster::{Cluster, ClusterId};
 use oa_sched::hetero::PerformanceVector;
 use oa_sched::params::Instance;
-use oa_sim::executor::{execute_traced, ExecConfig};
+use oa_sched::policy::{CampaignConfig, FaultPlan};
+use oa_sim::engine::simulate_campaign;
 use oa_sim::tracing::ClusterTag;
 use oa_trace::{EventKind, NullTracer, TraceEvent, Tracer};
 
@@ -69,17 +70,12 @@ impl Sed {
     }
 
     /// Handles one execution order (step 6): schedules the assigned
-    /// scenarios locally (virtual time) and reports the makespan.
-    pub fn handle_exec(&self, req: &ExecRequest) -> ExecReport {
-        self.handle_exec_traced(req, &mut NullTracer)
-    }
-
-    /// [`Sed::handle_exec`] with observability: the plugin's grouping
-    /// decision and the full executor event stream flow into `tracer`,
-    /// every event stamped with this SeD's cluster id — the same
-    /// cluster-tagged shape `oa_sim::grid_exec` emits, so middleware
-    /// campaigns feed the same registries and exporters.
-    pub fn handle_exec_traced<T: Tracer>(&self, req: &ExecRequest, tracer: &mut T) -> ExecReport {
+    /// scenarios locally (virtual time) and reports the makespan. The
+    /// plugin's grouping decision and the engine's full event stream
+    /// flow into `tracer`, every event stamped with this SeD's cluster
+    /// id — the same cluster-tagged shape `oa_sim::grid_exec` emits, so
+    /// middleware campaigns feed the same registries and exporters.
+    pub fn handle_exec<T: Tracer>(&self, req: &ExecRequest, tracer: &mut T) -> ExecReport {
         if req.scenarios.is_empty() {
             return ExecReport {
                 request: req.request,
@@ -105,20 +101,20 @@ impl Sed {
                 },
             ));
         }
-        let schedule = execute_traced(
+        let outcome = simulate_campaign(
             inst,
             &self.cluster.timing,
             &grouping,
-            ExecConfig::default(),
+            &CampaignConfig::default(),
+            &FaultPlan::none(),
             &mut tag,
         )
         .expect("plugin groupings are valid");
-        debug_assert!(schedule.validate().is_ok());
         ExecReport {
             request: req.request,
             cluster: self.id,
             scenarios: req.scenarios.clone(),
-            makespan: schedule.makespan,
+            makespan: outcome.makespan().expect("fault-free runs complete"),
             grouping: grouping.to_string(),
         }
     }
@@ -134,7 +130,7 @@ impl Sed {
                     }
                 }
                 SedMsg::Exec(req) => {
-                    let report = self.handle_exec(&req);
+                    let report = self.handle_exec(&req, &mut NullTracer);
                     if agent.send(AgentMsg::Report(report)).is_err() {
                         break;
                     }
@@ -176,11 +172,12 @@ mod tests {
     #[test]
     fn exec_reports_makespan_and_grouping() {
         let s = sed();
-        let r = s.handle_exec(&ExecRequest {
+        let req = ExecRequest {
             request: 2,
             scenarios: vec![3, 5, 8],
             nm: 12,
-        });
+        };
+        let r = s.handle_exec(&req, &mut NullTracer);
         assert_eq!(r.scenarios, vec![3, 5, 8]);
         assert!(r.makespan > 0.0);
         assert!(r.grouping.contains("post"));
@@ -189,11 +186,12 @@ mod tests {
     #[test]
     fn empty_assignment_reports_zero() {
         let s = sed();
-        let r = s.handle_exec(&ExecRequest {
+        let req = ExecRequest {
             request: 3,
             scenarios: vec![],
             nm: 12,
-        });
+        };
+        let r = s.handle_exec(&req, &mut NullTracer);
         assert_eq!(r.makespan, 0.0);
         assert_eq!(r.grouping, "(none)");
     }
@@ -208,11 +206,12 @@ mod tests {
             ns: 5,
             nm: 10,
         });
-        let exec = s.handle_exec(&ExecRequest {
+        let req = ExecRequest {
             request: 4,
             scenarios: vec![0, 1, 2],
             nm: 10,
-        });
+        };
+        let exec = s.handle_exec(&req, &mut NullTracer);
         assert!((perf.vector.of(3) - exec.makespan).abs() < 1e-6);
     }
 
@@ -221,15 +220,13 @@ mod tests {
         use oa_trace::metrics::keys;
         use oa_trace::{Metered, VecTracer};
         let s = sed();
+        let req = ExecRequest {
+            request: 5,
+            scenarios: vec![0, 1, 2],
+            nm: 4,
+        };
         let mut sink = Metered::new(VecTracer::new());
-        let r = s.handle_exec_traced(
-            &ExecRequest {
-                request: 5,
-                scenarios: vec![0, 1, 2],
-                nm: 4,
-            },
-            &mut sink,
-        );
+        let r = s.handle_exec(&req, &mut sink);
         // Every event carries this SeD's cluster id.
         assert!(sink.inner.events().all(|e| e.cluster == Some(0)));
         // The decision point names the plugin and its grouping.
@@ -246,13 +243,8 @@ mod tests {
         let snap = sink.registry.snapshot();
         assert_eq!(snap.gauge(keys::MAKESPAN), Some(r.makespan));
         assert_eq!(snap.counter(keys::TASKS_MAIN), Some(3 * 4));
-        // The untraced path reports identically.
-        let plain = s.handle_exec(&ExecRequest {
-            request: 5,
-            scenarios: vec![0, 1, 2],
-            nm: 4,
-        });
-        assert_eq!(plain, r);
+        // An untraced run reports identically.
+        assert_eq!(s.handle_exec(&req, &mut NullTracer), r);
     }
 
     #[test]

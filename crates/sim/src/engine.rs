@@ -1,22 +1,31 @@
-//! The generic discrete-event campaign engine: one loop, four configs.
+//! The generic discrete-event campaign engine: one loop, one call.
 //!
-//! Historically `oa-sim` carried four hand-rolled event loops — the
-//! recording executor, the unfused ablation, the failure replayer and
-//! the per-cluster grid runner — each duplicating the same
-//! least-advanced-first policy with its own waiting queue. This module
-//! is the single loop they all delegate to, generic over the
-//! orthogonal knobs of [`CampaignConfig`]:
+//! Every campaign execution in the workspace is one
+//! [`simulate_campaign`] call, generic over the orthogonal knobs of
+//! [`CampaignConfig`]:
 //!
 //! * **policy** — a [`ScenarioQueue`] object (least-advanced,
 //!   round-robin, most-advanced) consulted at every assignment;
 //! * **granularity** — fused one-shot posts (Figure 2) or the unfused
-//!   `cof → emf → cd` chain of Figure 1;
+//!   `cof → emf → cd` chain of Figure 1. Unfused, a group holds its
+//!   scenario through `caif + mp + pcr` exactly as fusion assumes, but
+//!   each post step re-enters the post pool on its own, so it may land
+//!   on another processor or wait behind other scenarios' steps; the
+//!   Figure 1 constants are rescaled by the table's post/180
+//!   cluster-speed ratio;
 //! * **recovery** — what a scenario crashed by a [`FaultPlan`] resumes
-//!   from (monthly checkpoint or full restart);
+//!   from: its last completed month (the application's restart files)
+//!   or month 0 (a counterfactual without them). Dead groups never
+//!   return and their processors never join the post pool; a failure
+//!   addressed to a group that already disbanded is ignored;
 //!
 //! plus a [`Tracer`] sink for the full event story and the thread-local
-//! scratch arenas that keep repeat runs allocation-free (the PR-3
-//! discipline, now shared by every path instead of only the fused one).
+//! scratch arenas that keep repeat runs allocation-free. The
+//! [`CampaignOutcome`] carries everything a caller projects from a run:
+//! makespan and phase finishes, the damage a fault plan did, and — for
+//! fused fault-free runs — the full [`Schedule`]
+//! ([`CampaignOutcome::into_schedule`]; [`execute_default`] is the
+//! paper's default run with that projection).
 //!
 //! # The simulation kernel
 //!
@@ -46,15 +55,13 @@
 //!
 //! # Equivalence guarantees
 //!
-//! The refactor that introduced this engine is pinned by byte-identity:
-//! with an empty fault plan the engine replays *exactly* the decision
-//! sequence of the legacy executor (same floats, same record order,
-//! same event stream), and the unfused chain reproduces the legacy
-//! `estimate_unfused` bitwise. The kernel keeps the same contract in
-//! both directions: fast-forwarded runs are bitwise identical to
-//! event-by-event runs. `tests/engine_equivalence.rs`,
-//! `tests/kernel_equivalence.rs` and the tracked `results/*.json`
-//! enforce this.
+//! A knob that does not apply changes no bit: with an empty fault plan
+//! both recovery models give the same floats, record order and event
+//! stream, and any tracer, including none, leaves every output
+//! unchanged. The kernel keeps the same contract in both directions:
+//! fast-forwarded runs are bitwise identical to event-by-event runs.
+//! `tests/engine_equivalence.rs`, `tests/kernel_equivalence.rs` and the
+//! tracked `results/*.json` enforce this.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -228,6 +235,15 @@ impl CampaignOutcome {
     /// Makespan of a completed run (`None` when stranded).
     pub fn makespan(&self) -> Option<f64> {
         self.completed().map(|r| r.makespan)
+    }
+
+    /// The recorded schedule: present exactly when the run was fused
+    /// and fault-free (see [`CampaignRun::schedule`]).
+    pub fn into_schedule(self) -> Option<Schedule> {
+        match self {
+            CampaignOutcome::Completed(run) => run.schedule,
+            CampaignOutcome::Stranded { .. } => None,
+        }
     }
 }
 
@@ -572,12 +588,12 @@ thread_local! {
 /// Runs one campaign under `config`, injecting the failures of `plan`,
 /// streaming the full event story into `tracer`.
 ///
-/// This is the single event loop behind `execute_traced`,
-/// `estimate_unfused`, `estimate_with_failures_traced` and the grid
-/// runners; combinations none of the legacy entry points offered
-/// (unfused + tracing, unfused + policy ablations, faults at unfused
-/// granularity) are reached by passing the corresponding
-/// [`CampaignConfig`] directly.
+/// This is the one engine call: recorded schedules, the seven-task
+/// ablation, failure replays, the clusters of a grid run
+/// ([`crate::grid_exec`]), service sessions ([`crate::driver`]) and
+/// preset workflow meshes ([`crate::ir_exec`]) all run through it and
+/// differ only in `config`, `plan` and `tracer`. Callers project what
+/// they need from the [`CampaignOutcome`].
 ///
 /// Runs with the default [`KernelOpts`] (fast-forward and calendar
 /// queue on — both bitwise-neutral); use
@@ -587,8 +603,8 @@ thread_local! {
 /// # Panics
 ///
 /// Panics if the plan targets a group outside the grouping or gives a
-/// non-finite/negative failure time (same contract as the legacy
-/// failure executor).
+/// non-finite/negative failure time; the OA018 lint
+/// (`oa_analyze::scheduling::check_campaign`) pre-flights both.
 pub fn simulate_campaign<T: Tracer>(
     inst: Instance,
     table: &TimingTable,
@@ -607,6 +623,28 @@ pub fn simulate_campaign<T: Tracer>(
         tracer,
     )
     .map(|(outcome, _)| outcome)
+}
+
+/// The paper's default run — fused tasks, least-advanced-first, no
+/// faults, no tracer — returning its recorded schedule. Fails exactly
+/// when `grouping` does not fit `inst`.
+pub fn execute_default(
+    inst: Instance,
+    table: &TimingTable,
+    grouping: &Grouping,
+) -> Result<Schedule, GroupingError> {
+    let config = CampaignConfig::default();
+    let outcome = simulate_campaign(
+        inst,
+        table,
+        grouping,
+        &config,
+        &FaultPlan::none(),
+        &mut oa_trace::NullTracer,
+    )?;
+    Ok(outcome
+        .into_schedule()
+        .expect("fused fault-free runs record a schedule"))
 }
 
 /// [`simulate_campaign`] with explicit kernel options, returning what

@@ -29,7 +29,7 @@ pub fn render_default(schedule: &Schedule) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::execute_default;
+    use crate::engine::execute_default;
     use oa_platform::timing::TimingTable;
     use oa_sched::grouping::Grouping;
     use oa_sched::params::Instance;

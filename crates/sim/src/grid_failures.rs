@@ -24,11 +24,9 @@ use oa_platform::cluster::ClusterId;
 use oa_platform::grid::Grid;
 use oa_sched::heuristics::{Heuristic, HeuristicError};
 use oa_sched::params::Instance;
+use oa_trace::NullTracer;
 
-use oa_sched::policy::{CampaignConfig, FaultPlan, Granularity, Recovery, ScenarioPolicy};
-
-use crate::executor::ExecConfig;
-use crate::grid_exec::{run_grid, ClusterCampaign, ConfiguredGridOutcome, GridOutcome};
+use crate::grid_exec::{run_grid, GridConfig};
 use crate::transfer::{migration_secs, Link};
 
 /// What happens to the victim cluster's scenarios.
@@ -99,7 +97,14 @@ pub fn run_grid_with_cluster_failure(
         "at_fraction must be in [0, 1]"
     );
 
-    let base: GridOutcome = run_grid(grid, heuristic, ns, nm, ExecConfig::default())?;
+    let base = run_grid(
+        grid,
+        heuristic,
+        ns,
+        nm,
+        &GridConfig::default(),
+        &mut NullTracer,
+    )?;
     let failed_at = base.makespan * at_fraction;
 
     // Progress of the dead cluster's scenarios at the failure instant.
@@ -107,7 +112,7 @@ pub fn run_grid_with_cluster_failure(
     let mut victim_scenarios = Vec::new();
     let mut checkpointed = 0u64;
     let mut remaining = 0u64;
-    if let Some(schedule) = &victim.schedule {
+    if let Some(schedule) = victim.schedule() {
         let local_ns = schedule.instance.ns;
         let mut done = vec![0u32; local_ns as usize];
         for r in schedule.mains() {
@@ -227,39 +232,6 @@ pub fn run_grid_with_cluster_failure(
     }
 }
 
-/// Grid execution with *group-level* failures: each cluster keeps
-/// running, but individual groups inside it may crash, replayed by the
-/// shared campaign engine under `recovery`. This sits between the
-/// failure-free grid of [`run_grid`] and the whole-cluster loss of
-/// [`run_grid_with_cluster_failure`] — a granularity the pre-engine
-/// executors could not express, because the grid loop only knew how to
-/// call the fused fault-free path.
-///
-/// `faults[i]` holds cluster `i`'s failures (local group ids). Panics
-/// if `faults.len() != grid.len()`.
-pub fn run_grid_with_group_failures(
-    grid: &Grid,
-    heuristic: Heuristic,
-    ns: u32,
-    nm: u32,
-    recovery: Recovery,
-    faults: &[FaultPlan],
-) -> Result<ConfiguredGridOutcome, HeuristicError> {
-    assert_eq!(faults.len(), grid.len(), "one fault plan per cluster");
-    let campaigns: Vec<ClusterCampaign> = faults
-        .iter()
-        .map(|plan| ClusterCampaign {
-            config: CampaignConfig {
-                policy: ScenarioPolicy::LeastAdvanced,
-                granularity: Granularity::Fused,
-                recovery,
-            },
-            faults: plan.clone(),
-        })
-        .collect();
-    crate::grid_exec::run_grid_configured(grid, heuristic, ns, nm, &campaigns)
-}
-
 /// Completion time of survivor `i` adopting `k` scenarios of
 /// `months_left` months after its own assignment and one migration.
 fn adoption_completion(
@@ -312,7 +284,8 @@ mod tests {
     #[test]
     fn replan_completes_and_never_beats_the_clean_run() {
         let grid = setup();
-        let clean = run_grid(&grid, Heuristic::Knapsack, 10, 24, ExecConfig::default())
+        let config = GridConfig::default();
+        let clean = run_grid(&grid, Heuristic::Knapsack, 10, 24, &config, &mut NullTracer)
             .unwrap()
             .makespan;
         // Losing the *fastest* cluster: its victims re-home onto other
@@ -402,57 +375,6 @@ mod tests {
         .unwrap();
         assert!(out.complete);
         assert!(out.victim_scenarios.is_empty());
-    }
-
-    #[test]
-    fn group_failures_degrade_one_cluster_without_stranding_the_grid() {
-        let grid = setup();
-        let clean = run_grid(&grid, Heuristic::Knapsack, 10, 24, ExecConfig::default()).unwrap();
-        // No failures anywhere: bitwise-identical to the plain grid run.
-        let none = vec![FaultPlan::none(); grid.len()];
-        let base = run_grid_with_group_failures(
-            &grid,
-            Heuristic::Knapsack,
-            10,
-            24,
-            Recovery::MonthlyCheckpoint,
-            &none,
-        )
-        .unwrap();
-        assert!(base.complete);
-        assert_eq!(base.makespan.to_bits(), clean.makespan.to_bits());
-        // Kill one group on cluster 2 mid-campaign: that cluster loses
-        // at most a month per its checkpoints; the others are untouched.
-        let mut faults = none;
-        faults[2] = FaultPlan::none().kill(0, clean.makespan * 0.3);
-        let hurt = run_grid_with_group_failures(
-            &grid,
-            Heuristic::Knapsack,
-            10,
-            24,
-            Recovery::MonthlyCheckpoint,
-            &faults,
-        )
-        .unwrap();
-        assert!(hurt.complete, "one group loss cannot strand a cluster");
-        assert!(hurt.clusters[2].makespan() > base.clusters[2].makespan());
-        for i in [0usize, 1, 3, 4] {
-            assert_eq!(
-                hurt.clusters[i].makespan().to_bits(),
-                base.clusters[i].makespan().to_bits()
-            );
-        }
-        // Restart-from-scratch recovery can only be worse on the victim.
-        let restart = run_grid_with_group_failures(
-            &grid,
-            Heuristic::Knapsack,
-            10,
-            24,
-            Recovery::RestartScenario,
-            &faults,
-        )
-        .unwrap();
-        assert!(restart.clusters[2].makespan() + 1e-9 >= hurt.clusters[2].makespan());
     }
 
     #[test]

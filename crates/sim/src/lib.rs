@@ -7,12 +7,14 @@
 //!   dependences, processor exclusivity, moldable group sizes;
 //! * [`engine`] — the one generic discrete-event campaign loop, driven
 //!   by an `oa_sched::policy::CampaignConfig` (scenario policy × task
-//!   granularity × recovery model) plus a fault plan and a tracer; the
-//!   modules below are thin configurations of it. The loop carries a
-//!   two-part simulation kernel (steady-state fast-forward + the
-//!   integer-time [`calendar`] queue), bitwise identical to
-//!   event-by-event execution and controlled via
-//!   `engine::KernelOpts`;
+//!   granularity × recovery model) plus a fault plan and a tracer.
+//!   Every execution below is one `simulate_campaign` call; fused
+//!   fault-free runs record the full schedule (`execute_default` is the
+//!   paper's default run, least-advanced-first with surplus-group
+//!   disbanding and FIFO posts). The loop carries a two-part simulation
+//!   kernel (steady-state fast-forward + the integer-time [`calendar`]
+//!   queue), bitwise identical to event-by-event execution and
+//!   controlled via `engine::KernelOpts`;
 //! * [`calendar`] — the O(1) integer-tick bucket queue backing the
 //!   kernel's busy set;
 //! * [`batch`] — the mass-batch variant engine: 10⁵–10⁶ Monte Carlo /
@@ -23,16 +25,17 @@
 //!   simulation pinned to a virtual start instant, with any later
 //!   instant resolvable to a session state (the per-session backend
 //!   of the `oa-service` daemon);
-//! * [`executor`] — fused fault-free execution under the paper's
-//!   least-advanced-first policy (plus round-robin and most-advanced
-//!   ablations), producing full schedules;
 //! * [`gantt`] — ASCII Gantt rendering (the paper's Figures 3–6);
 //! * [`metrics`] — utilization, fairness, phase-split accounting;
 //! * [`tracing`] — bridges to the `oa-trace` observability layer:
 //!   schedule → event-stream conversion and the cluster-tagging
 //!   adapter for grid timelines;
 //! * [`grid_exec`] — multi-cluster execution of an Algorithm 1
-//!   repartition (the simulation behind Figure 10);
+//!   repartition (the simulation behind Figure 10): one loop, one engine
+//!   call per used cluster, with per-cluster knobs and wide-area
+//!   staging;
+//! * [`grid_failures`] — whole-cluster loss, and what the paper's "no
+//!   migration" rule costs;
 //! * [`ir_exec`] — execution of the generalized workflow IR: a ready-
 //!   set list scheduler driven purely by IR precedence for arbitrary
 //!   DAGs, and a router that sends recognized ocean-atmosphere preset
@@ -65,8 +68,6 @@ pub mod batch;
 pub mod calendar;
 pub mod driver;
 pub mod engine;
-pub mod executor;
-pub mod failures;
 pub(crate) mod ffwd;
 pub mod gantt;
 pub mod grid_exec;
@@ -78,7 +79,6 @@ pub mod profile;
 pub mod schedule;
 pub mod tracing;
 pub mod transfer;
-pub mod unfused;
 
 /// One-stop imports for downstream crates.
 pub mod prelude {
@@ -88,25 +88,16 @@ pub mod prelude {
     };
     pub use crate::driver::{SessionDriver, SessionState};
     pub use crate::engine::{
-        kernel_eligibility, simulate_campaign, simulate_campaign_kernel, CampaignOutcome,
-        CampaignRun, KernelOpts, KernelReport,
-    };
-    pub use crate::executor::{
-        execute, execute_default, execute_traced, ExecConfig, ScenarioPolicy,
-    };
-    pub use crate::failures::{
-        estimate_with_failures, estimate_with_failures_traced, FaultPlan, FaultyOutcome, Recovery,
+        execute_default, kernel_eligibility, simulate_campaign, simulate_campaign_kernel,
+        CampaignOutcome, CampaignRun, KernelOpts, KernelReport,
     };
     pub use crate::gantt::{render, render_default, GanttOptions};
     pub use crate::grid_exec::{
-        execute_repartition, execute_repartition_configured_traced, execute_repartition_traced,
-        run_grid, run_grid_configured, run_grid_traced, run_grid_with_staging,
-        run_grid_with_staging_traced, ClusterCampaign, ClusterOutcome, ConfiguredClusterOutcome,
-        ConfiguredGridOutcome, GridOutcome,
+        execute_repartition, run_grid, ClusterCampaign, ClusterOutcome, GridConfig, GridOutcome,
+        Staging,
     };
     pub use crate::grid_failures::{
-        run_grid_with_cluster_failure, run_grid_with_group_failures, ClusterFailurePolicy,
-        ClusterFailureSpec, GridFailureOutcome,
+        run_grid_with_cluster_failure, ClusterFailurePolicy, ClusterFailureSpec, GridFailureOutcome,
     };
     pub use crate::ir_exec::{
         execute_ir, simulate_ir, IrExecError, IrOutcome, IrRecord, IrSchedule, IrSimError,
@@ -117,17 +108,20 @@ pub mod prelude {
     pub use crate::schedule::{ProcRange, Schedule, ScheduleError, TaskRecord};
     pub use crate::tracing::{events_of, ClusterTag};
     pub use crate::transfer::{migration_secs, staging_delays, Link, StagingModel};
-    pub use crate::unfused::{estimate_unfused, estimate_unfused_traced, UnfusedEstimate};
-    pub use oa_sched::policy::{CampaignConfig, Granularity};
+    pub use oa_sched::policy::{CampaignConfig, FaultPlan, Granularity, Recovery, ScenarioPolicy};
 }
 
 #[cfg(test)]
 mod proptests {
-    use crate::executor::{execute, ExecConfig, ScenarioPolicy};
+    use crate::engine::{execute_default, simulate_campaign, CampaignOutcome};
+    use crate::schedule::Schedule;
     use oa_platform::timing::TimingTable;
     use oa_sched::estimate::estimate;
+    use oa_sched::grouping::Grouping;
     use oa_sched::heuristics::Heuristic;
     use oa_sched::params::Instance;
+    use oa_sched::policy::{CampaignConfig, FaultPlan, ScenarioPolicy};
+    use oa_trace::{NullTracer, Tracer};
     use proptest::prelude::*;
 
     fn arb_table() -> impl Strategy<Value = TimingTable> {
@@ -151,6 +145,21 @@ mod proptests {
         (1u32..=10, 1u32..=25, 4u32..=130).prop_map(|(ns, nm, r)| Instance::new(ns, nm, r))
     }
 
+    /// The recorded schedule of a fused fault-free run under `policy`.
+    fn schedule_under<T: Tracer>(
+        inst: Instance,
+        table: &TimingTable,
+        grouping: &Grouping,
+        policy: ScenarioPolicy,
+        tracer: &mut T,
+    ) -> Schedule {
+        let config = CampaignConfig::fused(policy);
+        simulate_campaign(inst, table, grouping, &config, &FaultPlan::none(), tracer)
+            .unwrap()
+            .into_schedule()
+            .expect("fused fault-free runs record a schedule")
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -158,7 +167,7 @@ mod proptests {
         fn schedules_validate_and_match_estimator((inst, table) in (arb_instance(), arb_table())) {
             for h in Heuristic::PAPER {
                 let Ok(grouping) = h.grouping(inst, &table) else { continue };
-                let sched = execute(inst, &table, &grouping, ExecConfig::default()).unwrap();
+                let sched = execute_default(inst, &table, &grouping).unwrap();
                 prop_assert!(sched.validate().is_ok(), "{h:?}: invalid schedule");
                 let est = estimate(inst, &table, &grouping).unwrap();
                 prop_assert!((sched.makespan - est.makespan).abs() < 1e-6,
@@ -171,7 +180,6 @@ mod proptests {
             (inst, table) in (arb_instance(), arb_table()),
             kills in proptest::collection::vec((0usize..4, 0.0f64..1.5), 0..4),
         ) {
-            use crate::failures::{estimate_with_failures, FaultPlan, FaultyOutcome, Recovery};
             let Ok(grouping) = Heuristic::Knapsack.grouping(inst, &table) else { return Ok(()) };
             let clean = estimate(inst, &table, &grouping).unwrap().makespan;
             let plan = FaultPlan {
@@ -180,10 +188,13 @@ mod proptests {
                     .map(|&(g, f)| (g % grouping.group_count().max(1), f * clean))
                     .collect(),
             };
-            let out = estimate_with_failures(inst, &table, &grouping, &plan, Recovery::MonthlyCheckpoint)
+            let config = CampaignConfig::default();
+            let out = simulate_campaign(inst, &table, &grouping, &config, &plan, &mut NullTracer)
                 .unwrap();
             match out {
-                FaultyOutcome::Completed { makespan, lost_proc_secs, months_lost } => {
+                CampaignOutcome::Completed(run) => {
+                    let (makespan, lost_proc_secs, months_lost) =
+                        (run.makespan, run.lost_proc_secs, run.months_lost);
                     // NOTE: failures can legitimately *shorten* the
                     // campaign when groups are heterogeneous — killing a
                     // slow group re-homes its month onto a faster one,
@@ -202,7 +213,7 @@ mod proptests {
                     prop_assert!(lost_proc_secs <= bound + 1e-6);
                     prop_assert!(months_lost as usize <= plan.failures.len());
                 }
-                FaultyOutcome::Stranded { completed_months } => {
+                CampaignOutcome::Stranded { completed_months } => {
                     prop_assert!(completed_months < inst.nbtasks());
                 }
             }
@@ -211,15 +222,15 @@ mod proptests {
         #[test]
         fn traced_registry_agrees_with_post_hoc_metrics((inst, table) in (arb_instance(), arb_table())) {
             // The live metrics fold (a `Metered` sink observing the
-            // executor's event stream) and the post-hoc `metrics()`
+            // engine's event stream) and the post-hoc `metrics()`
             // aggregation must agree exactly — same fold, same order,
             // same bits.
             use oa_trace::metrics::keys;
             use oa_trace::Metered;
             let Ok(grouping) = Heuristic::Knapsack.grouping(inst, &table) else { return Ok(()) };
             let mut sink = Metered::null();
-            let sched = crate::executor::execute_traced(
-                inst, &table, &grouping, ExecConfig::default(), &mut sink).unwrap();
+            let sched = schedule_under(
+                inst, &table, &grouping, ScenarioPolicy::LeastAdvanced, &mut sink);
             let m = crate::metrics::metrics(&sched);
             let snap = sink.registry.snapshot();
             prop_assert_eq!(snap.gauge(keys::PROC_SECS_MAIN), Some(m.main_proc_secs));
@@ -255,8 +266,8 @@ mod proptests {
         #[test]
         fn all_policies_produce_valid_schedules((inst, table) in (arb_instance(), arb_table())) {
             let Ok(grouping) = Heuristic::Knapsack.grouping(inst, &table) else { return Ok(()) };
-            for policy in [ScenarioPolicy::LeastAdvanced, ScenarioPolicy::RoundRobin, ScenarioPolicy::MostAdvanced] {
-                let sched = execute(inst, &table, &grouping, ExecConfig { policy }).unwrap();
+            for policy in ScenarioPolicy::ALL {
+                let sched = schedule_under(inst, &table, &grouping, policy, &mut NullTracer);
                 prop_assert!(sched.validate().is_ok(), "{policy:?}: invalid schedule");
                 prop_assert_eq!(sched.records.len() as u64, inst.nbtasks() * 2);
             }

@@ -100,7 +100,7 @@ pub fn metrics_from_events(ns: u32, r: u32, events: &[TraceEvent]) -> Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::execute_default;
+    use crate::engine::{execute_default, simulate_campaign};
     use oa_platform::speedup::PcrModel;
     use oa_platform::timing::TimingTable;
     use oa_sched::grouping::Grouping;
@@ -134,32 +134,18 @@ mod tests {
 
     #[test]
     fn least_advanced_is_fairer_than_most_advanced() {
-        use crate::executor::{execute, ExecConfig, ScenarioPolicy};
+        use oa_sched::policy::{CampaignConfig, FaultPlan, ScenarioPolicy};
         let inst = Instance::new(6, 10, 26);
         let t = PcrModel::reference().table(1.0).unwrap();
         let g = Heuristic::Knapsack.grouping(inst, &t).unwrap();
-        let fair = metrics(
-            &execute(
-                inst,
-                &t,
-                &g,
-                ExecConfig {
-                    policy: ScenarioPolicy::LeastAdvanced,
-                },
-            )
-            .unwrap(),
-        );
-        let unfair = metrics(
-            &execute(
-                inst,
-                &t,
-                &g,
-                ExecConfig {
-                    policy: ScenarioPolicy::MostAdvanced,
-                },
-            )
-            .unwrap(),
-        );
+        let metrics_under = |policy| {
+            let config = CampaignConfig::fused(policy);
+            let plan = FaultPlan::none();
+            let out = simulate_campaign(inst, &t, &g, &config, &plan, &mut oa_trace::NullTracer);
+            metrics(&out.unwrap().into_schedule().unwrap())
+        };
+        let fair = metrics_under(ScenarioPolicy::LeastAdvanced);
+        let unfair = metrics_under(ScenarioPolicy::MostAdvanced);
         assert!(
             fair.fairness_stddev <= unfair.fairness_stddev + 1e-9,
             "fair {} vs unfair {}",

@@ -144,7 +144,7 @@ pub fn compare(a: &Schedule, b: &Schedule) -> ScheduleDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::execute_default;
+    use crate::engine::execute_default;
     use oa_platform::presets::reference_cluster;
     use oa_sched::heuristics::Heuristic;
     use oa_sched::params::Instance;

@@ -132,7 +132,7 @@ impl Profile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::execute_default;
+    use crate::engine::execute_default;
     use crate::metrics::metrics;
     use oa_platform::presets::reference_cluster;
     use oa_platform::timing::TimingTable;

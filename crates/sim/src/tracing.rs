@@ -1,9 +1,9 @@
 //! Bridges between schedules and the `oa-trace` event layer.
 //!
 //! Two directions: [`events_of`] converts a finished [`Schedule`] into
-//! the exact event stream the traced executor would have emitted for
+//! the exact event stream a traced engine run would have emitted for
 //! it (so post-hoc exports need no re-execution), and [`ClusterTag`]
-//! adapts a [`Tracer`] so a per-cluster executor run lands on the grid
+//! adapts a [`Tracer`] so a per-cluster engine run lands on the grid
 //! timeline — stamped with its cluster id and shifted by the cluster's
 //! staging offset.
 
@@ -76,17 +76,32 @@ impl<T: Tracer> Tracer for ClusterTag<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{execute_default, execute_traced, ExecConfig};
+    use crate::engine::{execute_default, simulate_campaign};
     use crate::metrics::metrics;
     use oa_platform::timing::TimingTable;
     use oa_sched::grouping::Grouping;
     use oa_sched::params::Instance;
+    use oa_sched::policy::{CampaignConfig, FaultPlan};
     use oa_trace::metrics::keys;
 
     fn small_schedule() -> Schedule {
         let inst = Instance::new(2, 3, 9);
         let t = TimingTable::new([100.0; 8], 30.0).unwrap();
         execute_default(inst, &t, &Grouping::uniform(4, 2, 1)).unwrap()
+    }
+
+    /// The paper's default run, streaming its events into `tracer`.
+    fn traced_schedule<T: Tracer>(
+        inst: Instance,
+        t: &TimingTable,
+        g: &Grouping,
+        tracer: &mut T,
+    ) -> Schedule {
+        let config = CampaignConfig::default();
+        simulate_campaign(inst, t, g, &config, &FaultPlan::none(), tracer)
+            .unwrap()
+            .into_schedule()
+            .unwrap()
     }
 
     #[test]
@@ -107,7 +122,7 @@ mod tests {
         let t = TimingTable::new([100.0; 8], 30.0).unwrap();
         let g = Grouping::uniform(4, 2, 1);
         let mut sink = VecTracer::new();
-        let s = execute_traced(inst, &t, &g, ExecConfig::default(), &mut sink).unwrap();
+        let s = traced_schedule(inst, &t, &g, &mut sink);
         let live: Vec<TraceEvent> = sink
             .into_events()
             .into_iter()
@@ -131,7 +146,7 @@ mod tests {
         .unwrap();
         let g = Grouping::uniform(7, 3, 2);
         let mut sink = Metered::null();
-        let s = execute_traced(inst, &t, &g, ExecConfig::default(), &mut sink).unwrap();
+        let s = traced_schedule(inst, &t, &g, &mut sink);
         let snap = sink.registry.snapshot();
         let m = metrics(&s);
         assert_eq!(snap.gauge(keys::PROC_SECS_MAIN), Some(m.main_proc_secs));

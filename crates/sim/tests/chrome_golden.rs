@@ -8,7 +8,8 @@
 use oa_platform::presets::reference_cluster;
 use oa_sched::grouping::Grouping;
 use oa_sched::params::Instance;
-use oa_sim::executor::{execute_traced, ExecConfig};
+use oa_sched::policy::{CampaignConfig, FaultPlan};
+use oa_sim::engine::simulate_campaign;
 use oa_trace::chrome::chrome_trace_string;
 use oa_trace::VecTracer;
 
@@ -18,9 +19,17 @@ fn example_trace() -> String {
     let inst = Instance::new(10, 2, 53);
     let table = reference_cluster(53).timing;
     let grouping = Grouping::new(vec![8, 8, 8, 7, 7, 7, 7], 1);
+    let config = CampaignConfig::default();
     let mut sink = VecTracer::new();
-    execute_traced(inst, &table, &grouping, ExecConfig::default(), &mut sink)
-        .expect("valid grouping");
+    simulate_campaign(
+        inst,
+        &table,
+        &grouping,
+        &config,
+        &FaultPlan::none(),
+        &mut sink,
+    )
+    .expect("valid grouping");
     chrome_trace_string(&sink.into_events())
 }
 

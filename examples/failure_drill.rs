@@ -4,7 +4,6 @@
 //! Run: `cargo run --release --example failure_drill`
 
 use ocean_atmosphere::prelude::*;
-use ocean_atmosphere::sim::failures::{estimate_with_failures, FaultPlan, FaultyOutcome, Recovery};
 
 fn main() {
     let (ns, nm, r) = (10u32, 240u32, 53u32);
@@ -19,23 +18,31 @@ fn main() {
     println!("campaign: NS = {ns}, NM = {nm}, R = {r}, grouping {grouping}");
     println!("failure-free makespan: {:.1} h\n", clean / 3600.0);
 
+    let run = |plan: &FaultPlan, recovery| {
+        let config = CampaignConfig {
+            recovery,
+            ..CampaignConfig::default()
+        };
+        simulate_campaign(inst, &table, &grouping, &config, plan, &mut NullTracer)
+            .expect("valid grouping")
+    };
+
     for frac in [0.25f64, 0.5, 0.75] {
         let plan = FaultPlan::none().kill(0, clean * frac);
         for (label, recovery) in [
             ("monthly checkpoint", Recovery::MonthlyCheckpoint),
             ("no checkpoints    ", Recovery::RestartScenario),
         ] {
-            match estimate_with_failures(inst, &table, &grouping, &plan, recovery)
-                .expect("valid grouping")
-            {
-                FaultyOutcome::Completed { makespan, lost_proc_secs, months_lost } => println!(
-                    "crash at {:>3.0}% · {label}: makespan {:.1} h (+{:.1}%), {months_lost} month(s) lost in flight, {:.0} proc·s destroyed",
+            match run(&plan, recovery) {
+                CampaignOutcome::Completed(done) => println!(
+                    "crash at {:>3.0}% · {label}: makespan {:.1} h (+{:.1}%), {} month(s) lost in flight, {:.0} proc·s destroyed",
                     frac * 100.0,
-                    makespan / 3600.0,
-                    (makespan - clean) / clean * 100.0,
-                    lost_proc_secs,
+                    done.makespan / 3600.0,
+                    (done.makespan - clean) / clean * 100.0,
+                    done.months_lost,
+                    done.lost_proc_secs,
                 ),
-                FaultyOutcome::Stranded { completed_months } => println!(
+                CampaignOutcome::Stranded { completed_months } => println!(
                     "crash at {:>3.0}% · {label}: STRANDED after {completed_months} months",
                     frac * 100.0
                 ),
@@ -49,16 +56,8 @@ fn main() {
     for g in 0..grouping.group_count() {
         blackout = blackout.kill(g, clean * 0.4);
     }
-    match estimate_with_failures(
-        inst,
-        &table,
-        &grouping,
-        &blackout,
-        Recovery::MonthlyCheckpoint,
-    )
-    .expect("valid grouping")
-    {
-        FaultyOutcome::Stranded { completed_months } => println!(
+    match run(&blackout, Recovery::MonthlyCheckpoint) {
+        CampaignOutcome::Stranded { completed_months } => println!(
             "full blackout at 40%: stranded with {completed_months}/{} months completed",
             inst.nbtasks()
         ),

@@ -2,7 +2,7 @@
 //! ASCII Gantt chart, with and without dedicated post processors.
 //!
 //! Since the observability layer landed, the chart is drawn from the
-//! campaign's *event trace*: the executor records structured
+//! campaign's *event trace*: the engine records structured
 //! [`TraceEvent`]s into a sink while it runs, the metrics registry
 //! folds the same stream live, and the renderer consumes the recorded
 //! events — the very stream `oa trace export` replays from disk.
@@ -21,14 +21,17 @@ fn main() {
         // Execute with a metered buffering sink: the events feed the
         // Gantt renderer, the registry answers summary questions.
         let mut sink = Metered::new(VecTracer::new());
-        let schedule = execute_traced(
+        let schedule = simulate_campaign(
             inst,
             &cluster.timing,
             &grouping,
-            ExecConfig::default(),
+            &CampaignConfig::default(),
+            &FaultPlan::none(),
             &mut sink,
         )
-        .expect("valid");
+        .expect("valid")
+        .into_schedule()
+        .expect("fused fault-free runs record a schedule");
         schedule.validate().expect("valid schedule");
 
         let snap = sink.registry.snapshot();

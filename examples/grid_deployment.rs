@@ -43,8 +43,16 @@ fn main() {
     );
 
     // Steps 5-6: execute on every cluster.
-    let outcome = execute_repartition(&grid, &plan, Heuristic::Knapsack, nm, ExecConfig::default())
-        .expect("plan is feasible");
+    let config = GridConfig::default();
+    let outcome = execute_repartition(
+        &grid,
+        &plan,
+        Heuristic::Knapsack,
+        nm,
+        &config,
+        &mut NullTracer,
+    )
+    .expect("plan is feasible");
     println!("executed grid makespan: {:.1} h", outcome.makespan / 3600.0);
     for c in &outcome.clusters {
         println!(

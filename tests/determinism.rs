@@ -35,8 +35,10 @@ fn schedules_serialize_identically() {
 #[test]
 fn grid_planning_is_deterministic() {
     let grid = benchmark_grid(31);
-    let a = run_grid(&grid, Heuristic::Knapsack, 10, 24, ExecConfig::default()).expect("ok");
-    let b = run_grid(&grid, Heuristic::Knapsack, 10, 24, ExecConfig::default()).expect("ok");
+    let config = GridConfig::default();
+    let run = || run_grid(&grid, Heuristic::Knapsack, 10, 24, &config, &mut NullTracer);
+    let a = run().expect("ok");
+    let b = run().expect("ok");
     assert_eq!(a.repartition, b.repartition);
     assert_eq!(a.makespan, b.makespan);
 }

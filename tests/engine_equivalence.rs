@@ -1,9 +1,7 @@
-//! Bit-identity of the generic campaign engine with the four legacy
-//! executor surfaces: the "one loop, four configs" invariant of
-//! DESIGN.md §3. A degenerate configuration (empty fault plan, default
-//! recovery) fed to `simulate_campaign` must reproduce the plain
-//! executors byte-for-byte — the refactor is an architecture change,
-//! never an observable behavior change — and the newly unlocked knob
+//! Bit-identity across the generic campaign engine's configurations:
+//! the "one loop, one call" invariant of DESIGN.md §3. A knob that does
+//! not apply (recovery without faults, a tracer) must change no bit of
+//! what the plain executor (`execute_default`) records, and the knob
 //! combinations (unfused + tracing, unfused + policy ablation,
 //! unfused + faults) must stay deterministic under parallel sweeps.
 //!
@@ -12,6 +10,7 @@
 
 use ocean_atmosphere::par::Pool;
 use ocean_atmosphere::prelude::*;
+use ocean_atmosphere::trace::metrics::keys;
 use proptest::prelude::*;
 
 /// Worker counts under test: the serial short-circuit, a typical small
@@ -46,9 +45,17 @@ fn arb_instance() -> impl Strategy<Value = Instance> {
 }
 
 /// The engine under a fused, fault-free, least-advanced configuration
-/// — the degenerate config every legacy surface reduces to.
-fn degenerate_run(inst: Instance, table: &TimingTable, grouping: &Grouping) -> CampaignRun {
-    let config = CampaignConfig::fused(ScenarioPolicy::LeastAdvanced);
+/// with the given recovery model.
+fn degenerate_run(
+    inst: Instance,
+    table: &TimingTable,
+    grouping: &Grouping,
+    recovery: Recovery,
+) -> CampaignRun {
+    let config = CampaignConfig {
+        recovery,
+        ..CampaignConfig::fused(ScenarioPolicy::LeastAdvanced)
+    };
     let out = simulate_campaign(
         inst,
         table,
@@ -68,71 +75,70 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Empty fault plan through the failure-configured engine ==
-    /// plain executor, bitwise: schedule records, makespan bits, and
-    /// the `estimate_with_failures` wrapper all agree.
+    /// plain executor, bitwise, under either recovery model: schedule
+    /// records, makespan bits, and no damage.
     #[test]
     fn empty_fault_plan_is_bitwise_the_plain_executor(
         (inst, table) in (arb_instance(), arb_table()),
     ) {
         let Ok(grouping) = Heuristic::Knapsack.grouping(inst, &table) else { return Ok(()) };
         let sched = execute_default(inst, &table, &grouping).expect("valid grouping");
-        let run = degenerate_run(inst, &table, &grouping);
-        let engine_sched = run.schedule.as_ref().expect("fused fault-free runs record");
-        prop_assert_eq!(run.makespan.to_bits(), sched.makespan.to_bits());
-        prop_assert_eq!(&engine_sched.records, &sched.records);
-        prop_assert_eq!(run.lost_proc_secs.to_bits(), 0f64.to_bits());
-        prop_assert_eq!(run.months_lost, 0);
-
-        let faulty = estimate_with_failures(
-            inst, &table, &grouping, &FaultPlan::none(), Recovery::MonthlyCheckpoint,
-        ).expect("valid grouping");
-        match faulty {
-            FaultyOutcome::Completed { makespan, lost_proc_secs, months_lost } => {
-                prop_assert_eq!(makespan.to_bits(), sched.makespan.to_bits());
-                prop_assert_eq!(lost_proc_secs.to_bits(), 0f64.to_bits());
-                prop_assert_eq!(months_lost, 0);
-            }
-            FaultyOutcome::Stranded { .. } => prop_assert!(false, "no failures, no stranding"),
+        for recovery in [Recovery::MonthlyCheckpoint, Recovery::RestartScenario] {
+            let run = degenerate_run(inst, &table, &grouping, recovery);
+            let engine_sched = run.schedule.as_ref().expect("fused fault-free runs record");
+            prop_assert_eq!(run.makespan.to_bits(), sched.makespan.to_bits());
+            prop_assert_eq!(&engine_sched.records, &sched.records);
+            prop_assert_eq!(run.lost_proc_secs.to_bits(), 0f64.to_bits());
+            prop_assert_eq!(run.months_lost, 0);
         }
     }
 
-    /// The unfused path through the engine == the `estimate_unfused`
-    /// wrapper, bitwise, under every scenario policy — the policy ×
-    /// granularity cross the pre-refactor executors could not express.
+    /// Unfused runs under every scenario policy: the live metrics fold
+    /// (a `Metered` sink) agrees with the engine's own outcome — the
+    /// makespan bit for bit, one main and three chained post steps per
+    /// month — and observing the run changes none of its bits.
     #[test]
-    fn unfused_engine_matches_the_wrapper_under_every_policy(
+    fn unfused_metrics_fold_matches_the_outcome_under_every_policy(
         (inst, table) in (arb_instance(), arb_table()),
     ) {
         let Ok(grouping) = Heuristic::Knapsack.grouping(inst, &table) else { return Ok(()) };
         for policy in POLICIES {
-            let est = estimate_unfused_traced(
-                inst, &table, &grouping, ExecConfig { policy }, &mut NullTracer,
-            ).expect("valid grouping");
             let config = CampaignConfig::unfused(policy);
+            let mut sink = Metered::null();
             let out = simulate_campaign(
-                inst, &table, &grouping, &config, &FaultPlan::none(), &mut NullTracer,
+                inst, &table, &grouping, &config, &FaultPlan::none(), &mut sink,
             ).expect("valid grouping");
             let run = out.completed().expect("fault-free runs never strand");
-            prop_assert_eq!(run.makespan.to_bits(), est.makespan.to_bits(), "{:?}", policy);
-            prop_assert_eq!(run.main_finish.to_bits(), est.main_finish.to_bits(), "{:?}", policy);
-            prop_assert_eq!(run.post_finish.to_bits(), est.post_finish.to_bits(), "{:?}", policy);
+            let snap = sink.registry.snapshot();
+            prop_assert_eq!(
+                snap.gauge(keys::MAKESPAN).map(f64::to_bits), Some(run.makespan.to_bits()),
+                "{:?}", policy
+            );
+            prop_assert_eq!(snap.counter(keys::TASKS_MAIN), Some(inst.nbtasks()), "{:?}", policy);
+            prop_assert_eq!(snap.counter(keys::TASKS_POST), Some(3 * inst.nbtasks()), "{:?}", policy);
+            let silent = simulate_campaign(
+                inst, &table, &grouping, &config, &FaultPlan::none(), &mut NullTracer,
+            ).expect("valid grouping");
+            prop_assert_eq!(&silent, &out, "{:?}", policy);
         }
     }
 
-    /// Unfused + tracing (a combination new to this engine): the
-    /// traced run tells a non-empty event story and leaves the
-    /// estimate bits untouched.
+    /// Unfused + tracing: the traced run tells a non-empty event story
+    /// and leaves every outcome bit untouched.
     #[test]
     fn unfused_tracing_is_an_observer_not_a_participant(
         (inst, table) in (arb_instance(), arb_table()),
     ) {
         let Ok(grouping) = Heuristic::Knapsack.grouping(inst, &table) else { return Ok(()) };
-        let silent = estimate_unfused(inst, &table, &grouping).expect("valid grouping");
-        let mut sink = VecTracer::new();
-        let traced = estimate_unfused_traced(
-            inst, &table, &grouping, ExecConfig::default(), &mut sink,
+        let config = CampaignConfig::unfused(ScenarioPolicy::LeastAdvanced);
+        let silent = simulate_campaign(
+            inst, &table, &grouping, &config, &FaultPlan::none(), &mut NullTracer,
         ).expect("valid grouping");
-        prop_assert_eq!(traced.makespan.to_bits(), silent.makespan.to_bits());
+        let mut sink = VecTracer::new();
+        let traced = simulate_campaign(
+            inst, &table, &grouping, &config, &FaultPlan::none(), &mut sink,
+        ).expect("valid grouping");
+        prop_assert_eq!(&traced, &silent);
         prop_assert!(!sink.into_events().is_empty(), "traced runs must emit events");
     }
 
@@ -175,7 +181,7 @@ proptest! {
         frac in 0.05f64..0.95,
     ) {
         let Ok(grouping) = Heuristic::Knapsack.grouping(inst, &table) else { return Ok(()) };
-        let clean = degenerate_run(inst, &table, &grouping).makespan;
+        let clean = degenerate_run(inst, &table, &grouping, Recovery::MonthlyCheckpoint).makespan;
         let plan = FaultPlan::none().kill(0, frac * clean);
         let config = CampaignConfig::unfused(ScenarioPolicy::LeastAdvanced);
         let run = |_: &()| {

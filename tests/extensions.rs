@@ -7,7 +7,12 @@ use ocean_atmosphere::prelude::*;
 use ocean_atmosphere::sched::generic::{
     balanced_generic, estimate_generic, knapsack_generic, Workload,
 };
-use ocean_atmosphere::sim::unfused::estimate_unfused;
+
+/// The paper's grid run, untraced.
+fn plain_grid(grid: &Grid, ns: u32, nm: u32) -> GridOutcome {
+    let config = GridConfig::default();
+    run_grid(grid, Heuristic::Knapsack, ns, nm, &config, &mut NullTracer).expect("ok")
+}
 
 /// The generic path specializes exactly to the Ocean-Atmosphere path.
 #[test]
@@ -73,7 +78,18 @@ fn fusion_is_safe_at_scale() {
         .grouping(inst, &table)
         .expect("feasible");
     let fused = estimate(inst, &table, &g).expect("valid").makespan;
-    let unfused = estimate_unfused(inst, &table, &g).expect("valid").makespan;
+    let config = CampaignConfig::unfused(ScenarioPolicy::LeastAdvanced);
+    let unfused = simulate_campaign(
+        inst,
+        &table,
+        &g,
+        &config,
+        &FaultPlan::none(),
+        &mut NullTracer,
+    )
+    .expect("valid")
+    .makespan()
+    .expect("fault-free runs complete");
     assert!((fused - unfused).abs() / fused < 0.005);
 }
 
@@ -81,18 +97,16 @@ fn fusion_is_safe_at_scale() {
 #[test]
 fn staging_preserves_placement_and_ordering() {
     let grid = benchmark_grid(28);
-    let links = vec![Link::gigabit(); grid.len()];
-    let plain = run_grid(&grid, Heuristic::Knapsack, 10, 24, ExecConfig::default()).expect("ok");
-    let staged = run_grid_with_staging(
-        &grid,
-        Heuristic::Knapsack,
-        10,
-        24,
-        ExecConfig::default(),
-        &links,
-        &StagingModel::default(),
-    )
-    .expect("ok");
+    let plain = plain_grid(&grid, 10, 24);
+    let config = GridConfig {
+        staging: Some(Staging {
+            links: vec![Link::gigabit(); grid.len()],
+            model: StagingModel::default(),
+        }),
+        ..GridConfig::default()
+    };
+    let staged =
+        run_grid(&grid, Heuristic::Knapsack, 10, 24, &config, &mut NullTracer).expect("ok");
     assert_eq!(plain.repartition, staged.repartition);
     assert!(staged.makespan >= plain.makespan);
     assert!(staged.makespan <= plain.makespan + 120.0);
@@ -106,7 +120,7 @@ fn import_round_trip() {
     let back = parse_grid(&text).expect("rendered grids parse");
     assert_eq!(back.len(), 5);
     // Scheduling on the re-imported grid gives identical results.
-    let a = run_grid(&grid, Heuristic::Knapsack, 6, 12, ExecConfig::default()).expect("ok");
-    let b = run_grid(&back, Heuristic::Knapsack, 6, 12, ExecConfig::default()).expect("ok");
+    let a = plain_grid(&grid, 6, 12);
+    let b = plain_grid(&back, 6, 12);
     assert!((a.makespan - b.makespan).abs() < 1e-9);
 }

@@ -13,8 +13,9 @@ fn protocol_refines_direct_planning_for_every_heuristic() {
 
         let vectors = grid_performance(&grid, h, 9, 24);
         let plan = repartition(&vectors);
-        let outcome =
-            execute_repartition(&grid, &plan, h, 24, ExecConfig::default()).expect("plan feasible");
+        let config = GridConfig::default();
+        let outcome = execute_repartition(&grid, &plan, h, 24, &config, &mut NullTracer)
+            .expect("plan feasible");
         assert!(
             (report.makespan - outcome.makespan).abs() < 1e-6,
             "{h:?}: middleware {} vs direct {}",

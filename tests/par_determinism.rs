@@ -112,8 +112,18 @@ fn artifacts(
 ) -> Option<(String, String, String, String)> {
     let grouping = grouping?;
     let mut sink = VecTracer::new();
-    let schedule =
-        execute_traced(inst, table, grouping, ExecConfig::default(), &mut sink).expect("valid");
+    let config = CampaignConfig::default();
+    let schedule = simulate_campaign(
+        inst,
+        table,
+        grouping,
+        &config,
+        &FaultPlan::none(),
+        &mut sink,
+    )
+    .expect("valid")
+    .into_schedule()
+    .expect("fused fault-free runs record a schedule");
     let events = sink.into_events();
     Some((
         grouping.to_string(),
