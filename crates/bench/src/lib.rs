@@ -130,10 +130,11 @@ pub fn default_workers() -> usize {
 
 /// Wall-clock recorder behind `results/BENCH_sweeps.json`: each figure
 /// binary wraps its sweep phases in [`SweepRecorder::phase`] and calls
-/// [`SweepRecorder::finish`], which merges one `{jobs, phases,
+/// [`SweepRecorder::finish`], which merges one `{jobs, nproc, phases,
 /// total_secs}` entry into the per-binary history (replacing any prior
 /// entry recorded at the same worker count, so a `--jobs 1` baseline
-/// and a `--jobs N` run coexist for before/after comparison).
+/// and a `--jobs N` run coexist for before/after comparison). `nproc`
+/// is the recording host's available parallelism.
 pub struct SweepRecorder {
     binary: &'static str,
     jobs: usize,
@@ -167,6 +168,7 @@ impl SweepRecorder {
     pub fn finish(self) {
         let entry = Value::Object(vec![
             ("jobs".into(), Value::U64(self.jobs as u64)),
+            ("nproc".into(), Value::U64(oa_par::available_jobs() as u64)),
             (
                 "phases".into(),
                 Value::Array(

@@ -26,10 +26,38 @@
 //!   disbanded group processors; with identical durations FIFO is
 //!   optimal, and assigning each post to the earliest-available
 //!   processor minimizes its start time.
+//!
+//! # The event loop
+//!
+//! Groups never outnumber scenarios, so at `t = 0` every group takes a
+//! scenario and none idles. From then on every live group is busy
+//! until it frees, and the freed group is the only idle one: it takes
+//! the least advanced waiting scenario (its own, unless one is further
+//! behind), or — when its scenario finished and none waits — it is the
+//! surplus group and disbands. Two invariants make each step cheap:
+//!
+//! * **Distinct keys.** Busy groups are keyed `(finish, group)` and
+//!   waiting scenarios `(months, scenario)`; no two entries of a heap
+//!   share a key. A binary heap's pop sequence is then fixed by its
+//!   key set alone, so the freed group is re-keyed in place on the
+//!   busy heap's top, and its scenario is swapped with the waiting
+//!   heap's top, instead of a pop, a push and another pop.
+//! * **Two sorted queues.** The post pool starts as the dedicated
+//!   processors (free at 0) followed by the disbanded processors in
+//!   disband order — non-decreasing. Posts are ready in completion
+//!   order, so each post's finish, `max(free, ready) + TP`, is
+//!   non-decreasing too. The pool is therefore the merge of the
+//!   unused initial processors and a FIFO of post finish times, and
+//!   the earliest-free processor is the smaller of the two fronts.
+//!
+//! Both steps choose exactly what a full heap would, and every float
+//! operation happens in the same order, so the five [`Estimate`]
+//! fields are bitwise those of the textbook loop (pinned by
+//! `tests/estimate_equivalence.rs`).
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use serde::{Deserialize, Serialize};
 
@@ -50,20 +78,22 @@ use crate::time::{time_key, Time, TimeKey};
 struct Scratch {
     /// Per-group main duration, `T[sizes[i]]`.
     durs: Vec<f64>,
+    /// Group indices in first-assignment order: largest size first,
+    /// ties to the higher index.
+    order: Vec<usize>,
     /// Busy groups: (finish time, group). Min-heap on the shared key.
     busy: BinaryHeap<TimeKey<usize>>,
     /// Which scenario each busy group is running.
-    running: Vec<Option<u32>>,
+    running: Vec<u32>,
     /// Waiting scenarios: least months first. Min-heap via `Reverse`.
     waiting: BinaryHeap<Reverse<(u32, u32)>>,
     /// Months completed per scenario.
     months_done: Vec<u32>,
-    /// Idle groups, sorted ascending by (size, index).
-    idle: Vec<usize>,
-    /// Main-task finish times, in completion order.
+    /// Main-task finish times in completion order; during the post
+    /// phase, entry `i` becomes post `i`'s finish once read.
     post_ready: Vec<f64>,
-    /// Post-processor availability times.
-    post_pool: BinaryHeap<Reverse<Time>>,
+    /// Initial post pool: when each processor first serves posts.
+    pool: Vec<f64>,
 }
 
 thread_local! {
@@ -115,153 +145,147 @@ pub fn estimate(
     grouping: &Grouping,
 ) -> Result<Estimate, GroupingError> {
     grouping.validate(inst)?;
-    Ok(SCRATCH.with(|cell| run(inst, table, grouping, &mut cell.borrow_mut())))
-}
-
-/// The event loop proper, on pre-validated input and reusable state.
-fn run(
-    inst: Instance,
-    table: &TimingTable,
-    grouping: &Grouping,
-    scratch: &mut Scratch,
-) -> Estimate {
-    let sizes: &[u32] = grouping.groups();
     // The `T[G]` row, indexed by `G - 4` — one array load per group
     // instead of a spec lookup per `main_secs` call.
     let trow = table.main_array();
-    let tp = table.post_secs();
-    let nm = inst.nm;
+    let campaign = Campaign {
+        sizes: grouping.groups(),
+        post_procs: grouping.post_procs,
+        tp: table.post_secs(),
+        chains: inst.ns,
+        units: inst.nm,
+    };
+    Ok(simulate(&campaign, |g| trow[(g - MIN_PROCS) as usize]))
+}
 
+/// A validated campaign as the event loop sees it: `chains` scenarios
+/// of `units` months, at most `chains` groups, positive main durations
+/// and a non-negative post duration.
+pub(crate) struct Campaign<'a> {
+    /// Group sizes.
+    pub(crate) sizes: &'a [u32],
+    /// Processors dedicated to posts from `t = 0`.
+    pub(crate) post_procs: u32,
+    /// Duration of one post task on one processor.
+    pub(crate) tp: f64,
+    /// Number of scenarios.
+    pub(crate) chains: u32,
+    /// Months per scenario.
+    pub(crate) units: u32,
+}
+
+/// Runs the event loop on `campaign`, a group of `g` processors taking
+/// `dur(g)` per main task.
+pub(crate) fn simulate(campaign: &Campaign<'_>, dur: impl Fn(u32) -> f64) -> Estimate {
+    SCRATCH.with(|cell| {
+        let scratch = &mut *cell.borrow_mut();
+        scratch.durs.clear();
+        scratch.durs.extend(campaign.sizes.iter().map(|&g| dur(g)));
+        run(campaign, scratch)
+    })
+}
+
+/// The event loop proper, on pre-validated input and reusable state.
+fn run(campaign: &Campaign<'_>, scratch: &mut Scratch) -> Estimate {
+    let Campaign {
+        sizes,
+        post_procs,
+        tp,
+        chains,
+        units,
+    } = *campaign;
     let Scratch {
         durs,
+        order,
         busy,
         running,
         waiting,
         months_done,
-        idle,
         post_ready,
-        post_pool,
+        pool,
     } = scratch;
-    durs.clear();
-    durs.extend(sizes.iter().map(|&g| trow[(g - MIN_PROCS) as usize]));
     let durs: &[f64] = durs;
-    busy.clear();
-    busy.reserve(sizes.len());
-    running.clear();
-    running.resize(sizes.len(), None);
-    waiting.clear();
-    waiting.reserve(inst.ns as usize);
-    for s in 0..inst.ns {
-        waiting.push(Reverse((0, s)));
-    }
-    months_done.clear();
-    months_done.resize(inst.ns as usize, 0);
-    let mut unfinished = inst.ns as usize;
-    // Idle groups, kept sorted ascending by (size, index) — the largest
-    // is at the back for O(1) pop, the smallest at the front to disband.
-    idle.clear();
-    idle.extend(0..sizes.len());
-    idle.sort_unstable_by_key(|&g| (sizes[g], g));
-    let mut alive = sizes.len();
+    debug_assert!(!sizes.is_empty() && sizes.len() <= chains as usize);
 
-    // Post bookkeeping.
-    post_ready.clear();
-    post_ready.reserve(inst.nbtasks() as usize);
-    // Processor pool for posts: avail times (dedicated start at 0).
-    post_pool.clear();
-    post_pool.reserve(inst.r as usize);
-    for _ in 0..grouping.post_procs {
-        post_pool.push(Reverse(Time(0.0)));
+    // t = 0: groups take scenarios 0, 1, … largest group first (ties to
+    // the higher index); the remaining scenarios wait.
+    order.clear();
+    order.extend(0..sizes.len());
+    order.sort_unstable_by_key(|&g| Reverse((sizes[g], g)));
+    busy.clear();
+    running.clear();
+    running.resize(sizes.len(), 0);
+    for (s, &g) in (0u32..).zip(order.iter()) {
+        running[g] = s;
+        busy.push(time_key(durs[g], g));
     }
+    waiting.clear();
+    waiting.extend((sizes.len() as u32..chains).map(|s| Reverse((0, s))));
+    months_done.clear();
+    months_done.resize(chains as usize, 0);
+    post_ready.clear();
+    post_ready.reserve(chains as usize * units as usize);
+    pool.clear();
+    pool.resize(post_procs as usize, 0.0);
 
     let mut main_finish = 0.0f64;
     let mut main_busy = 0.0f64;
-
-    // Assignment + disband pass at time `now`.
-    let assign = |now: f64,
-                  idle: &mut Vec<usize>,
-                  waiting: &mut BinaryHeap<Reverse<(u32, u32)>>,
-                  busy: &mut BinaryHeap<TimeKey<usize>>,
-                  running: &mut Vec<Option<u32>>,
-                  alive: &mut usize,
-                  unfinished: usize,
-                  post_pool: &mut BinaryHeap<Reverse<Time>>| {
-        while !idle.is_empty() {
-            if let Some(&Reverse((_, s))) = waiting.peek() {
-                let g = idle.pop().expect("checked non-empty"); // largest idle group
-                waiting.pop();
-                running[g] = Some(s);
-                busy.push(time_key(now + durs[g], g));
-            } else {
-                break;
-            }
-        }
-        // Disband surplus: a group beyond the number of unfinished
-        // scenarios can never receive another main task.
-        while !idle.is_empty() && *alive > unfinished {
-            let g = idle.remove(0); // smallest idle group
-            *alive -= 1;
-            for _ in 0..sizes[g] {
-                post_pool.push(Reverse(Time(now)));
-            }
-        }
-    };
-
-    assign(
-        0.0,
-        &mut *idle,
-        &mut *waiting,
-        &mut *busy,
-        &mut *running,
-        &mut alive,
-        unfinished,
-        &mut *post_pool,
-    );
-
-    while let Some(Reverse((Time(t), g))) = busy.pop() {
-        let s = running[g].take().expect("busy group has a scenario");
+    while let Some(mut top) = busy.peek_mut() {
+        let Reverse((Time(t), g)) = *top;
+        let s = running[g];
         months_done[s as usize] += 1;
+        let m = months_done[s as usize];
         main_finish = t;
         main_busy += durs[g] * sizes[g] as f64;
         post_ready.push(t);
-        if months_done[s as usize] == nm {
-            unfinished -= 1;
+        let next = if m < units {
+            // `s` waits again; the least advanced waiting scenario is
+            // `s` itself unless the waiting top is further behind.
+            match waiting.peek_mut() {
+                Some(mut w) if w.0 < (m, s) => {
+                    let Reverse((_, behind)) = std::mem::replace(&mut *w, Reverse((m, s)));
+                    Some(behind)
+                }
+                _ => Some(s),
+            }
         } else {
-            waiting.push(Reverse((months_done[s as usize], s)));
+            waiting.pop().map(|Reverse((_, s))| s)
+        };
+        if let Some(next) = next {
+            running[g] = next;
+            *top = time_key(t + durs[g], g);
+        } else {
+            // Scenario done and none waits: `g` is the surplus group.
+            PeekMut::pop(top);
+            pool.extend(std::iter::repeat_n(t, sizes[g] as usize));
         }
-        // Re-insert g as idle, keeping the (size, index) order.
-        let pos = idle
-            .binary_search_by_key(&(sizes[g], g), |&x| (sizes[x], x))
-            .unwrap_err();
-        idle.insert(pos, g);
-        assign(
-            t,
-            &mut *idle,
-            &mut *waiting,
-            &mut *busy,
-            &mut *running,
-            &mut alive,
-            unfinished,
-            &mut *post_pool,
-        );
     }
-    debug_assert_eq!(unfinished, 0);
-    debug_assert_eq!(post_ready.len(), inst.nbtasks() as usize);
+    debug_assert!(waiting.is_empty());
+    debug_assert_eq!(post_ready.len(), chains as usize * units as usize);
     debug_assert!(post_ready.windows(2).all(|w| w[0] <= w[1]));
+    debug_assert!(!pool.is_empty(), "groups always disband eventually");
 
-    // Post phase: FIFO on the pool (dedicated + disbanded processors).
-    debug_assert!(!post_pool.is_empty(), "groups always disband eventually");
+    // Post phase: FIFO on the pool, each post on the earliest-free
+    // processor — the smaller front of the unused initial processors
+    // `pool[used..]` and the finished posts `post_ready[head..i]`.
     let mut post_finish = 0.0f64;
     let mut post_busy = 0.0f64;
-    for &ready in post_ready.iter() {
-        let Reverse(Time(avail)) = post_pool.pop().expect("pool is non-empty");
+    let (mut used, mut head) = (0, 0);
+    for i in 0..post_ready.len() {
+        let ready = post_ready[i];
+        let avail = if used < pool.len() && (head == i || pool[used] <= post_ready[head]) {
+            used += 1;
+            pool[used - 1]
+        } else {
+            head += 1;
+            post_ready[head - 1]
+        };
         let start = if avail > ready { avail } else { ready };
         let fin = start + tp;
         post_busy += tp;
-        if fin > post_finish {
-            post_finish = fin;
-        }
-        post_pool.push(Reverse(Time(fin)));
+        debug_assert!(fin >= post_finish);
+        post_finish = fin;
+        post_ready[i] = fin;
     }
 
     Estimate {
@@ -294,12 +318,9 @@ mod tests {
         let g = Grouping::uniform(11, 1, 0);
         let t = flat(100.0, 10.0);
         let e = estimate(inst, &t, &g).unwrap();
-        // 5 mains back to back; the 5th post starts at 500.
+        // Five chained mains end at 500, then all five posts run at once on the disbanded group.
         assert_eq!(e.main_finish, 500.0);
         assert_eq!(e.makespan, 510.0);
-        // Posts of months 0..3 complete during the run on the disbanded…
-        // no: the group never idles until the end, and no dedicated
-        // posts exist, so posts 0..4 all run at the end on 11 procs.
         assert_eq!(e.post_finish, 510.0);
     }
 
@@ -355,11 +376,7 @@ mod tests {
 
     #[test]
     fn fairness_least_advanced_first() {
-        // 3 scenarios, 2 groups, 2 months each: after the first two
-        // completions the waiting scenario 2 (0 months) must run before
-        // scenario 0/1's second month… all finish by 3·T with fairness,
-        // 4·T without it would not happen here either, so check precise
-        // makespan: 6 months on 2 groups in lockstep = 3 waves.
+        // 6 months of 3 scenarios on 2 equal groups end after 3 waves.
         let inst = Instance::new(3, 2, 8);
         let t = flat(100.0, 10.0);
         let e = estimate(inst, &t, &Grouping::uniform(4, 2, 0)).unwrap();

@@ -1,20 +1,16 @@
 //! Event-driven makespan estimation for generic workloads.
 //!
-//! The same policy as [`crate::estimate`] — least-advanced-first
+//! The policy of [`crate::estimate`] — least-advanced-first
 //! assignment, largest idle group first, surplus-group disbanding,
-//! FIFO trailing tasks — generalized to arbitrary allocation ranges,
-//! arbitrary per-unit blocking time `unit_secs(g)` and arbitrary
-//! trailing work. On an Ocean-Atmosphere-shaped workload it returns
-//! exactly what `crate::estimate` returns (property-tested in
-//! `generic::tests`).
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! FIFO trailing tasks — over arbitrary allocation ranges, arbitrary
+//! per-unit blocking time `unit_secs(g)` and arbitrary trailing work.
+//! It runs that module's event loop, so on an Ocean-Atmosphere-shaped
+//! workload it returns exactly what `crate::estimate` returns.
 
 use serde::{Deserialize, Serialize};
 
 use super::workload::Workload;
-use crate::time::{time_key, Time, TimeKey};
+use crate::estimate::{simulate, Campaign};
 
 /// A processor division for a generic workload.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -127,109 +123,20 @@ pub fn estimate_generic(
     groups: &Groups,
 ) -> Result<GenericEstimate, GroupsError> {
     groups.validate(w, r)?;
-    let sizes: Vec<u32> = groups.sizes().to_vec();
-    let durs: Vec<f64> = sizes.iter().map(|&g| w.unit_secs(g)).collect();
-    let tp = w.trailing_secs();
-    let units = w.units;
-
-    let mut busy: BinaryHeap<TimeKey<usize>> = BinaryHeap::with_capacity(sizes.len());
-    let mut running: Vec<Option<u32>> = vec![None; sizes.len()];
-    let mut waiting: BinaryHeap<Reverse<(u32, u32)>> =
-        (0..w.chains).map(|c| Reverse((0, c))).collect();
-    let mut done: Vec<u32> = vec![0; w.chains as usize];
-    let mut unfinished = w.chains as usize;
-    let mut idle: Vec<usize> = (0..sizes.len()).collect();
-    idle.sort_unstable_by_key(|&g| (sizes[g], g));
-    let mut alive = sizes.len();
-
-    let mut trailing_ready: Vec<f64> = Vec::with_capacity(w.nbtasks() as usize);
-    let mut pool: BinaryHeap<Reverse<Time>> = BinaryHeap::new();
-    for _ in 0..groups.pool {
-        pool.push(Reverse(Time(0.0)));
-    }
-
-    let assign = |now: f64,
-                  idle: &mut Vec<usize>,
-                  waiting: &mut BinaryHeap<Reverse<(u32, u32)>>,
-                  busy: &mut BinaryHeap<TimeKey<usize>>,
-                  running: &mut Vec<Option<u32>>,
-                  alive: &mut usize,
-                  unfinished: usize,
-                  pool: &mut BinaryHeap<Reverse<Time>>| {
-        while !idle.is_empty() {
-            let Some(&Reverse((_, c))) = waiting.peek() else {
-                break;
-            };
-            let g = idle.pop().expect("non-empty");
-            waiting.pop();
-            running[g] = Some(c);
-            busy.push(time_key(now + durs[g], g));
-        }
-        while !idle.is_empty() && *alive > unfinished {
-            let g = idle.remove(0);
-            *alive -= 1;
-            for _ in 0..sizes[g] {
-                pool.push(Reverse(Time(now)));
-            }
-        }
+    let campaign = Campaign {
+        sizes: groups.sizes(),
+        post_procs: groups.pool,
+        tp: w.trailing_secs(),
+        chains: w.chains,
+        units: w.units,
     };
-
-    assign(
-        0.0,
-        &mut idle,
-        &mut waiting,
-        &mut busy,
-        &mut running,
-        &mut alive,
-        unfinished,
-        &mut pool,
-    );
-
-    let mut main_finish = 0.0f64;
-    while let Some(Reverse((Time(t), g))) = busy.pop() {
-        let c = running[g].take().expect("busy group runs a chain");
-        done[c as usize] += 1;
-        main_finish = t;
-        trailing_ready.push(t);
-        if done[c as usize] == units {
-            unfinished -= 1;
-        } else {
-            waiting.push(Reverse((done[c as usize], c)));
-        }
-        let pos = idle
-            .binary_search_by_key(&(sizes[g], g), |&x| (sizes[x], x))
-            .unwrap_err();
-        idle.insert(pos, g);
-        assign(
-            t,
-            &mut idle,
-            &mut waiting,
-            &mut busy,
-            &mut running,
-            &mut alive,
-            unfinished,
-            &mut pool,
-        );
-    }
-
-    let mut trailing_finish = main_finish;
-    if tp > 0.0 {
-        debug_assert!(!pool.is_empty(), "groups disband eventually");
-        for ready in trailing_ready {
-            let Reverse(Time(avail)) = pool.pop().expect("pool non-empty");
-            let start = if avail > ready { avail } else { ready };
-            let fin = start + tp;
-            if fin > trailing_finish {
-                trailing_finish = fin;
-            }
-            pool.push(Reverse(Time(fin)));
-        }
-    }
-
+    let e = simulate(&campaign, |g| w.unit_secs(g));
+    // With no trailing work each post ends where it became ready, so
+    // the last one ends at `main_finish`.
     Ok(GenericEstimate {
-        makespan: main_finish.max(trailing_finish),
-        main_finish,
-        trailing_finish,
+        makespan: e.makespan,
+        main_finish: e.main_finish,
+        trailing_finish: e.post_finish,
     })
 }
 
@@ -342,11 +249,10 @@ mod tests {
                 let gen = Groups::new(sizes, pool);
                 let a = estimate(inst, &table, &oa).unwrap();
                 let b = estimate_generic(&w, r, &gen).unwrap();
-                assert!(
-                    (a.makespan - b.makespan).abs() < 1e-9,
-                    "ns={ns} nm={nm} r={r}: {} vs {}",
-                    a.makespan,
-                    b.makespan
+                assert_eq!(
+                    (a.makespan, a.main_finish, a.post_finish),
+                    (b.makespan, b.main_finish, b.trailing_finish),
+                    "ns={ns} nm={nm} r={r}"
                 );
             }
         }

@@ -124,10 +124,10 @@ impl Heuristic {
         match self {
             Heuristic::Basic => basic(inst, table, pool),
             Heuristic::RedistributeIdle => redistribute_idle(inst, table, pool),
-            Heuristic::NoPostReservation => no_post_reservation(inst, table, pool),
+            Heuristic::NoPostReservation => no_post_reservation(inst, table, pool).map(|(g, _)| g),
             Heuristic::Knapsack => knapsack(inst, table, Solver::Exact),
             Heuristic::KnapsackGreedy => knapsack(inst, table, Solver::Greedy),
-            Heuristic::Balanced => balanced(inst, table, pool),
+            Heuristic::Balanced => balanced(inst, table, pool).map(|(g, _)| g),
         }
     }
 
@@ -137,16 +137,27 @@ impl Heuristic {
     }
 
     /// [`Heuristic::makespan`] on top of [`Heuristic::grouping_with`].
+    /// The estimator-scored searches ([`Heuristic::NoPostReservation`],
+    /// [`Heuristic::Balanced`]) return their winner's score instead of
+    /// simulating the winner again.
     pub fn makespan_with(
         self,
         inst: Instance,
         table: &TimingTable,
         pool: &Pool,
     ) -> Result<f64, HeuristicError> {
-        let g = self.grouping_with(inst, table, pool)?;
-        Ok(estimate(inst, table, &g)
-            .expect("heuristics construct valid groupings")
-            .makespan)
+        match self {
+            Heuristic::NoPostReservation => {
+                no_post_reservation(inst, table, pool).map(|(_, ms)| ms)
+            }
+            Heuristic::Balanced => balanced(inst, table, pool).map(|(_, ms)| ms),
+            _ => {
+                let g = self.grouping_with(inst, table, pool)?;
+                Ok(estimate(inst, table, &g)
+                    .expect("heuristics construct valid groupings")
+                    .makespan)
+            }
+        }
     }
 }
 
@@ -211,15 +222,15 @@ fn redistribute_idle(
 }
 
 /// Scores `cands` with the event estimator (fanned out on `pool`) and
-/// returns the first strict-makespan minimizer — exactly the fold the
-/// serial loops performed, so ties keep resolving toward the earlier
-/// candidate regardless of the job count.
+/// returns the first strict-makespan minimizer with its makespan —
+/// exactly the fold the serial loops performed, so ties keep resolving
+/// toward the earlier candidate regardless of the job count.
 fn pick_best(
     inst: Instance,
     table: &TimingTable,
     pool: &Pool,
     cands: Vec<Grouping>,
-) -> Option<Grouping> {
+) -> Option<(Grouping, f64)> {
     let scores = pool.par_map(&cands, |cand| {
         estimate(inst, table, cand)
             .expect("constructed grouping is valid")
@@ -231,17 +242,16 @@ fn pick_best(
             best = Some((ms, i));
         }
     }
-    best.map(|(_, i)| {
+    best.map(|(ms, i)| {
         let mut cands = cands;
-        cands.swap_remove(i)
+        (cands.swap_remove(i), ms)
     })
 }
 
-fn no_post_reservation(
-    inst: Instance,
-    table: &TimingTable,
-    pool: &Pool,
-) -> Result<Grouping, HeuristicError> {
+/// The candidates Improvement 2 scores: for each `G` with
+/// `nbmax(G) > 0`, `nbmax` groups of `G` enlarged evenly (capped at 11)
+/// by every leftover processor.
+pub fn no_post_candidates(inst: Instance) -> Vec<Grouping> {
     let mut cands: Vec<Grouping> = Vec::new();
     for g in MoldableSpec::pcr().allocations() {
         let nbmax = inst.nbmax(g);
@@ -272,10 +282,23 @@ fn no_post_reservation(
         // post-processing rather than waste.
         cands.push(Grouping::new(groups, spare));
     }
-    pick_best(inst, table, pool, cands).ok_or(HeuristicError::ClusterTooSmall { resources: inst.r })
+    cands
 }
 
-fn balanced(inst: Instance, table: &TimingTable, pool: &Pool) -> Result<Grouping, HeuristicError> {
+fn no_post_reservation(
+    inst: Instance,
+    table: &TimingTable,
+    pool: &Pool,
+) -> Result<(Grouping, f64), HeuristicError> {
+    pick_best(inst, table, pool, no_post_candidates(inst))
+        .ok_or(HeuristicError::ClusterTooSmall { resources: inst.r })
+}
+
+fn balanced(
+    inst: Instance,
+    table: &TimingTable,
+    pool: &Pool,
+) -> Result<(Grouping, f64), HeuristicError> {
     let spec = MoldableSpec::pcr();
     let items: Vec<oa_knapsack::Item> = spec
         .allocations()
@@ -514,6 +537,19 @@ mod tests {
             repaired > 0,
             "balanced never improved on the raw knapsack at NS = 2"
         );
+    }
+
+    #[test]
+    fn scored_searches_return_their_winners_makespan() {
+        let t = table();
+        for (ns, r) in [(10u32, 53u32), (2, 30), (10, 120), (7, 11)] {
+            let inst = Instance::new(ns, 60, r);
+            for h in [Heuristic::NoPostReservation, Heuristic::Balanced] {
+                let g = h.grouping(inst, &t).unwrap();
+                let again = estimate(inst, &t, &g).unwrap().makespan;
+                assert_eq!(h.makespan(inst, &t).unwrap().to_bits(), again.to_bits());
+            }
+        }
     }
 
     #[test]
