@@ -8,7 +8,8 @@
 //!
 //! Results merge by configuration key into `results/BENCH_engine.json`
 //! (wall-clock history, like `BENCH_sweeps.json`: re-running a
-//! configuration replaces its entry and leaves the others).
+//! configuration replaces its entry and leaves the others). Every
+//! entry carries `nproc`, the recording host's available parallelism.
 //!
 //! Run: `cargo run --release -p oa-bench --bin engine_kernel [--smoke]`
 //!
@@ -199,11 +200,11 @@ fn main() {
             );
             let speedup = base / fast;
             // The post-skip column only exists at fused granularity:
-            // the unfused drain replays the recorded chain with no
-            // fast-forward wiring, so its counter is structurally
-            // zero — printing (or recording) it would read as "the
-            // kernel found nothing to skip" when there is nothing to
-            // look for (see DESIGN.md, "Unfused post phase").
+            // the unfused drain merges its step queues event by event
+            // with no fast-forward wiring, so its counter is
+            // structurally zero — printing (or recording) it would
+            // read as "the kernel found nothing to skip" when there is
+            // nothing to look for (see DESIGN.md, "Unfused post phase").
             let fused = granularity == Granularity::Fused;
             println!(
                 "{:>8} {:>9} {:>13.5}s {:>11.5}s {:>8.2}x {:>13} {:>13}",
@@ -345,8 +346,12 @@ fn main() {
         .and_then(|s| serde_json::from_str::<Value>(&s).ok())
         .filter(|v| matches!(v, Value::Object(_)))
         .unwrap_or(Value::Object(Vec::new()));
+    let nproc = Value::U64(oa_par::available_jobs() as u64);
     if let Value::Object(fields) = &mut root {
-        for (key, entry) in entries {
+        for (key, mut entry) in entries {
+            if let Value::Object(entry_fields) = &mut entry {
+                entry_fields.push(("nproc".into(), nproc.clone()));
+            }
             match fields.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, slot)) => *slot = entry,
                 None => fields.push((key, entry)),

@@ -53,6 +53,25 @@
 //!    and both are sound only in integer-time mode, where the stamped
 //!    additions are exact.
 //!
+//! # The post drain
+//!
+//! Ready post work is held as one FIFO queue per chain step. Main
+//! completions push `(t, scenario, month)` onto queue 0 in completion
+//! order, which is chronological. The fused drain reads queue 0 in
+//! order. The unfused drain pops the earliest queue front, ties going
+//! to the lower step, and pushes the next step onto the following
+//! queue. Each pop takes the earliest-available pool processor and
+//! re-keys it in place at the top of the pool heap.
+//!
+//! This is exactly the earliest-ready order of one chain heap keyed
+//! `(ready, step, insertion)`. Every key pushed (onto a queue or the
+//! pool) is at least the key just popped, so both pop sequences are
+//! non-decreasing, and so is `start = max(avail, ready)`. Each queue
+//! therefore receives `start + d_step` in its own `(time, insertion)`
+//! order, and comparing the fronts by `(time, step)` picks what the
+//! heap would pop. Pool keys `(avail, proc)` are distinct, so an
+//! in-place re-key pops in the same order as a pop and a push.
+//!
 //! # Equivalence guarantees
 //!
 //! A knob that does not apply changes no bit: with an empty fault plan
@@ -61,11 +80,12 @@
 //! unchanged. The kernel keeps the same contract in both directions:
 //! fast-forwarded runs are bitwise identical to event-by-event runs.
 //! `tests/engine_equivalence.rs`, `tests/kernel_equivalence.rs` and the
-//! tracked `results/*.json` enforce this.
+//! tracked `results/*.json` enforce this; `tests/drain_equivalence.rs`
+//! pins both post drains to a heap-drain oracle.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
 
@@ -95,7 +115,7 @@ const STEP_KINDS: [TaskKind; 3] = [TaskKind::Cof, TaskKind::Emf, TaskKind::Cd];
 /// folded into the group span, and the index of the last chain step.
 /// Fused runs one `tp` step; unfused runs the Figure 1 chain with the
 /// constants rescaled by the table's post/180 cluster-speed ratio.
-fn post_model(granularity: Granularity, tp: f64) -> ([f64; 3], f64, u8) {
+fn post_model(granularity: Granularity, tp: f64) -> ([f64; 3], f64, usize) {
     match granularity {
         Granularity::Fused => ([tp, 0.0, 0.0], 0.0, 0),
         Granularity::Unfused => {
@@ -288,12 +308,6 @@ fn emit_failure<T: Tracer>(tracer: &mut T, failure: (usize, f64), impact: Option
     }
 }
 
-/// One ready post-chain step at unfused granularity, min-heap keyed:
-/// the ready instant, then `(step index within the month's chain,
-/// insertion sequence, scenario, month)` as the deterministic
-/// tie-break.
-type ChainKey = TimeKey<(u8, u64, u32, u32)>;
-
 /// The busy set — `(finish time, group)` in pop order — in either of
 /// its two representations. The calendar queue is used whenever the
 /// run qualifies for integer time; the pop sequence is identical
@@ -347,26 +361,20 @@ impl Busy<'_> {
     }
 }
 
-/// The ready post work, in the representation its pop order allows.
-/// Fused main completions are chronological and the legacy heap key
-/// broke ties by insertion sequence, so the fused drain is exactly a
-/// FIFO — a ring buffer replaces the heap bitwise-identically. The
-/// unfused chain re-enters steps at out-of-order ready times and keeps
-/// the heap.
-enum Chain<'a> {
-    /// Fused: `(finish time, scenario, month)` in push order.
-    Fifo(&'a mut VecDeque<(f64, u32, u32)>),
-    /// Unfused: ready steps keyed for earliest-ready-first.
-    Heap(&'a mut BinaryHeap<ChainKey>),
-}
-
-impl Chain<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Chain::Fifo(f) => f.len(),
-            Chain::Heap(h) => h.len(),
-        }
-    }
+/// Takes the earliest-available post processor for a step ready at
+/// `ready` lasting `dur`, re-keying the pool's top in place: returns
+/// `(avail, proc, start, end)`.
+fn take_post_proc(
+    pool: &mut BinaryHeap<TimeKey<u32>>,
+    ready: f64,
+    dur: f64,
+) -> (f64, u32, f64, f64) {
+    let mut top = pool.peek_mut().expect("pool non-empty");
+    let Reverse((Time(avail), proc)) = *top;
+    let start = if avail > ready { avail } else { ready };
+    let end = start + dur;
+    *top = time_key(end, proc);
+    (avail, proc, start, end)
 }
 
 /// The fused drain's view of the completion chain: an optional
@@ -519,11 +527,11 @@ struct Scratch {
     idle: Vec<usize>,
     /// `dead[g]`: group `g` crashed and never returns.
     dead: Vec<bool>,
-    /// Ready post work, unfused representation. The insertion counter
-    /// `seq` makes heap order deterministic.
-    chain_heap: BinaryHeap<ChainKey>,
-    /// Ready post work, fused representation (push order == pop order).
-    chain_fifo: VecDeque<(f64, u32, u32)>,
+    /// Ready post work: one FIFO queue of `(ready, scenario, month)`
+    /// per chain step, read through cursors. Mains fill queue 0; the
+    /// unfused drain feeds queues 1 and 2 (module docs, "The post
+    /// drain").
+    chain: [Vec<(f64, u32, u32)>; 3],
     /// Post-processor pool: (availability, processor id).
     post_pool: BinaryHeap<TimeKey<u32>>,
     /// Steady-state cycle detector (snapshots + event journal).
@@ -563,8 +571,7 @@ impl Default for Scratch {
             months_done: Vec::new(),
             idle: Vec::new(),
             dead: Vec::new(),
-            chain_heap: BinaryHeap::new(),
-            chain_fifo: VecDeque::new(),
+            chain: Default::default(),
             post_pool: BinaryHeap::new(),
             det: Detector::default(),
             snap_busy: Vec::new(),
@@ -816,8 +823,7 @@ fn run<T: Tracer>(
         months_done,
         idle,
         dead,
-        chain_heap,
-        chain_fifo,
+        chain,
         post_pool,
         det,
         snap_busy,
@@ -919,19 +925,13 @@ fn run<T: Tracer>(
     dead.clear();
     dead.resize(sizes.len(), false);
 
-    let mut seq: u64 = 0;
-    let mut chain = match config.granularity {
-        Granularity::Fused => {
-            chain_fifo.clear();
-            chain_fifo.reserve(inst.nbtasks() as usize);
-            Chain::Fifo(chain_fifo)
+    // Each queue in use receives one entry per main completion.
+    for (step, q) in chain.iter_mut().enumerate() {
+        q.clear();
+        if step <= last_step {
+            q.reserve(inst.nbtasks() as usize);
         }
-        Granularity::Unfused => {
-            chain_heap.clear();
-            chain_heap.reserve(inst.nbtasks() as usize);
-            Chain::Heap(chain_heap)
-        }
-    };
+    }
     post_pool.clear();
     post_pool.reserve(inst.r as usize);
     for p in 0..grouping.post_procs {
@@ -1191,13 +1191,7 @@ fn run<T: Tracer>(
                         group: Some(g as u32),
                     });
                 }
-                match &mut chain {
-                    Chain::Fifo(f) => f.push_back((t, s, month)),
-                    Chain::Heap(h) => {
-                        h.push(time_key(t, (0, seq, s, month)));
-                        seq += 1;
-                    }
-                }
+                chain[0].push((t, s, month));
                 if ff_on && det.armed() {
                     det.log.push(LogEv::Finish {
                         t,
@@ -1263,7 +1257,7 @@ fn run<T: Tracer>(
                     let view = SnapView {
                         t,
                         completions,
-                        chain_len: head_prefix.len() + chain.len(),
+                        chain_len: head_prefix.len() + chain[0].len(),
                         months: months_done,
                         busy: snap_busy,
                         running: snap_running,
@@ -1302,13 +1296,7 @@ fn run<T: Tracer>(
                                                 group: Some(eg as u32),
                                             });
                                         }
-                                        match &mut chain {
-                                            Chain::Fifo(f) => f.push_back((t2, es, m2)),
-                                            Chain::Heap(h) => {
-                                                h.push(time_key(t2, (0, seq, es, m2)));
-                                                seq += 1;
-                                            }
-                                        }
+                                        chain[0].push((t2, es, m2));
                                         if tracer.enabled() {
                                             tracer.record(TraceEvent::at(
                                                 t2,
@@ -1402,22 +1390,22 @@ fn run<T: Tracer>(
     }
 
     // Posts: the ready chain drains through the pool, earliest-ready
-    // first (FIFO for fused — completions are chronological), each
-    // taking the earliest-available processor. If the pool is empty
-    // every group died without disbanding: no post capacity exists.
+    // first, each step taking the earliest-available processor (module
+    // docs, "The post drain"). If the pool is empty every group died
+    // without disbanding: no post capacity exists.
     if post_pool.is_empty() {
         stranded!();
     }
     let mut post_finish = 0.0f64;
-    match chain {
-        Chain::Fifo(fifo) => {
+    match config.granularity {
+        Granularity::Fused => {
             // Fused drain, with its own steady-state fast-forward: the
             // main-phase replay hands over the periodic chain region,
             // and once the pool shape recurs at a cycle boundary
             // (relative to the boundary instant, bitwise), the drain
             // stamps whole cycles from the template. Sound only when
             // the post duration is integral too.
-            let tail: &[(f64, u32, u32)] = fifo.make_contiguous();
+            let tail: &[(f64, u32, u32)] = &chain[0];
             if let Some(head) = capture.as_deref_mut() {
                 head.chain.clear();
                 head.chain.extend_from_slice(tail);
@@ -1656,7 +1644,7 @@ fn run<T: Tracer>(
                     }
                 }
                 let (ready, s, month) = entries.at(i);
-                let Reverse((Time(avail), proc)) = post_pool.pop().expect("pool non-empty");
+                let (avail, proc, start, end) = take_post_proc(post_pool, ready, steps[0]);
                 if capture.is_some() {
                     if avail > dck_maxpop {
                         dck_maxpop = avail;
@@ -1665,9 +1653,6 @@ fn run<T: Tracer>(
                         dck_valid = false;
                     }
                 }
-                let start = if avail > ready { avail } else { ready };
-                let end = start + steps[0];
-                post_pool.push(time_key(end, proc));
                 if let Some(p) = pd {
                     if i >= p.start_idx {
                         tmpl.push((proc, start, end));
@@ -1712,19 +1697,33 @@ fn run<T: Tracer>(
             // The final checkpoint sits at the end of the chain.
             capture_dck!();
         }
-        Chain::Heap(heap) => {
-            // Unfused drain: steps re-enter the chain at out-of-order
-            // ready times, so the heap (and event-by-event processing)
-            // stays.
-            while let Some(Reverse((Time(ready), (step, _, s, month)))) = heap.pop() {
-                let Reverse((Time(avail), proc)) = post_pool.pop().expect("pool non-empty");
-                let start = if avail > ready { avail } else { ready };
-                let end = start + steps[step as usize];
-                post_pool.push(time_key(end, proc));
+        Granularity::Unfused => {
+            // Unfused drain, event by event: a merge of the per-step
+            // queues. The earliest front goes first, ties to the lower
+            // step; its next step joins the following queue.
+            debug_assert!(head_prefix.is_empty(), "batch heads are fused");
+            let mut next = [0usize; 3];
+            loop {
+                let mut step = usize::MAX;
+                let mut ready = 0.0f64;
+                for (k, q) in chain.iter().enumerate() {
+                    if let Some(&(r, _, _)) = q.get(next[k]) {
+                        if step == usize::MAX || r < ready {
+                            step = k;
+                            ready = r;
+                        }
+                    }
+                }
+                if step == usize::MAX {
+                    break;
+                }
+                let (_, s, month) = chain[step][next[step]];
+                next[step] += 1;
+                let (_, proc, start, end) = take_post_proc(post_pool, ready, steps[step]);
                 let task = FusedTask {
                     scenario: s,
                     month,
-                    kind: STEP_KINDS[step as usize],
+                    kind: STEP_KINDS[step],
                 };
                 if tracer.enabled() {
                     tracer.record(TraceEvent::at(
@@ -1748,8 +1747,7 @@ fn run<T: Tracer>(
                     ));
                 }
                 if step < last_step {
-                    heap.push(time_key(end, (step + 1, seq, s, month)));
-                    seq += 1;
+                    chain[step + 1].push((end, s, month));
                 } else {
                     post_finish = post_finish.max(end);
                 }

@@ -154,8 +154,8 @@ proptest! {
         }
     }
 
-    /// Random fault plans on integral tables: failures disturb the
-    /// detector, never the bits.
+    /// Random fault plans on integral tables, at both granularities:
+    /// failures disturb the detector, never the bits.
     #[test]
     fn kernel_is_bitwise_under_fault_plans(
         (inst, table) in (arb_instance(), arb_integral_table()),
@@ -169,12 +169,14 @@ proptest! {
                 .map(|&(g, f)| (g % grouping.group_count().max(1), (f * clean).floor()))
                 .collect(),
         };
-        let config = CampaignConfig {
-            policy: ScenarioPolicy::LeastAdvanced,
-            granularity: Granularity::Fused,
-            recovery: Recovery::MonthlyCheckpoint,
-        };
-        assert_bitwise(inst, &table, &grouping, &config, &plan)?;
+        for granularity in [Granularity::Fused, Granularity::Unfused] {
+            let config = CampaignConfig {
+                policy: ScenarioPolicy::LeastAdvanced,
+                granularity,
+                recovery: Recovery::MonthlyCheckpoint,
+            };
+            assert_bitwise(inst, &table, &grouping, &config, &plan)?;
+        }
     }
 
     /// Tracing and metrics see the same story either way: identical
