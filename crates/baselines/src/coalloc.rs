@@ -19,25 +19,15 @@
 //! avoids. Comparing its makespan against the knapsack heuristic and
 //! HEFT quantifies that gap.
 
+use oa_sim::ir_exec::{check_input, IrExecError, IrRecord, IrSchedule};
 use oa_workflow::dag::NodeId;
 use oa_workflow::ir::{Durations, WorkflowIr};
 
-use crate::dag_sched::{DagRecord, DagSchedError, DagSchedule};
-
 /// Schedules a workflow as level-synchronized co-allocated waves on
 /// `r` processors.
-pub fn coalloc(ir: &WorkflowIr, d: &impl Durations, r: u32) -> Result<DagSchedule, DagSchedError> {
-    ir.validate().map_err(DagSchedError::Invalid)?;
+pub fn coalloc(ir: &WorkflowIr, d: &impl Durations, r: u32) -> Result<IrSchedule, IrExecError> {
+    check_input(ir, r)?;
     let n = ir.node_count();
-    for (id, node) in ir.dag.iter() {
-        if node.kind.min_procs() > r {
-            return Err(DagSchedError::DoesNotFit {
-                node: id,
-                needs: node.kind.min_procs(),
-                resources: r,
-            });
-        }
-    }
 
     // Hop levels: the wave index of the synchronized execution.
     let order = ir.dag.topo_sort().expect("validated");
@@ -108,7 +98,7 @@ pub fn coalloc(ir: &WorkflowIr, d: &impl Durations, r: u32) -> Result<DagSchedul
                 let dur = ir.dag.node(v).secs(alloc[i], d);
                 let end = now + dur;
                 wave_end = wave_end.max(end);
-                records.push(DagRecord {
+                records.push(IrRecord {
                     node: v,
                     procs: alloc[i],
                     start: now,
@@ -119,7 +109,7 @@ pub fn coalloc(ir: &WorkflowIr, d: &impl Durations, r: u32) -> Result<DagSchedul
         }
     }
 
-    Ok(DagSchedule {
+    Ok(IrSchedule {
         resources: r,
         records,
         makespan: now,
@@ -129,7 +119,6 @@ pub fn coalloc(ir: &WorkflowIr, d: &impl Durations, r: u32) -> Result<DagSchedul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dag_sched::validate_dag;
     use oa_platform::speedup::PcrModel;
     use oa_platform::timing::TimingTable;
     use oa_workflow::chain::ExperimentShape;
@@ -146,7 +135,8 @@ mod tests {
         for (ns, nm, r) in [(1u32, 3u32, 11u32), (4, 6, 30), (6, 10, 53), (3, 8, 9)] {
             let ir = lower_fused(ExperimentShape::new(ns, nm));
             let s = coalloc(&ir, &t, r).unwrap();
-            validate_dag(&s, &ir).unwrap_or_else(|e| panic!("{ns}x{nm} R={r}: {e}"));
+            s.validate(&ir)
+                .unwrap_or_else(|e| panic!("{ns}x{nm} R={r}: {e}"));
         }
     }
 
@@ -163,7 +153,7 @@ mod tests {
             );
         }
         let s = coalloc(&ir, &t, 16).unwrap();
-        validate_dag(&s, &ir).unwrap();
+        s.validate(&ir).unwrap();
         assert_eq!(
             s.records.iter().map(|r| r.procs).collect::<Vec<_>>(),
             vec![8, 8]
@@ -180,7 +170,7 @@ mod tests {
             ir.add_task(name, IrTaskKind::Rigid(4), DurationModel::Fixed(10.0));
         }
         let s = coalloc(&ir, &t, 8).unwrap();
-        validate_dag(&s, &ir).unwrap();
+        s.validate(&ir).unwrap();
         assert_eq!(s.makespan, 20.0, "{s:?}");
     }
 
@@ -203,7 +193,7 @@ mod tests {
         let ir = lower_fused(ExperimentShape::new(1, 1));
         assert!(matches!(
             coalloc(&ir, &t, 3),
-            Err(DagSchedError::DoesNotFit { .. })
+            Err(IrExecError::DoesNotFit { .. })
         ));
     }
 }

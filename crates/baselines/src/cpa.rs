@@ -14,13 +14,15 @@
 //! added processor. With identical chains the critical path rotates
 //! across scenarios, so allocations grow in a round-robin fashion —
 //! exactly what the general algorithm would do, computed directly.
-//! Scheduling phase: the list scheduler of [`crate::list_sched`].
+//! Scheduling phase: [`crate::schedule_pinned`] on the fused mesh.
 
 use oa_platform::timing::TimingTable;
 use oa_sched::params::Instance;
+use oa_sim::ir_exec::{IrExecError, IrSchedule};
+use oa_workflow::ir::lower_fused;
 use oa_workflow::moldable::MoldableSpec;
 
-use crate::list_sched::{list_schedule, Allocations, ListError, ListSchedule};
+use crate::schedule_pinned;
 
 /// Per-scenario chain length (the scenario's critical path).
 fn chain_secs(inst: Instance, table: &TimingTable, alloc: u32) -> f64 {
@@ -39,10 +41,9 @@ fn area(inst: Instance, table: &TimingTable, allocs: &[u32]) -> f64 {
 }
 
 /// The CPA allocation phase: returns per-scenario allocations.
-pub fn cpa_allocations(inst: Instance, table: &TimingTable) -> Allocations {
+pub fn cpa_allocations(inst: Instance, table: &TimingTable) -> Vec<u32> {
     let spec = MoldableSpec::pcr();
-    let min = spec.min_procs.min(inst.r).max(spec.min_procs);
-    let mut allocs = vec![min; inst.ns as usize];
+    let mut allocs = vec![spec.min_procs; inst.ns as usize];
     loop {
         // Critical path: the longest chain.
         let (cp_scenario, cp) = allocs
@@ -62,18 +63,18 @@ pub fn cpa_allocations(inst: Instance, table: &TimingTable) -> Allocations {
         }
         allocs[cp_scenario] = a + 1;
     }
-    Allocations(allocs)
+    allocs
 }
 
 /// Full CPA: allocation phase + list scheduling.
-pub fn cpa(inst: Instance, table: &TimingTable) -> Result<ListSchedule, ListError> {
-    list_schedule(inst, table, &cpa_allocations(inst, table))
+pub fn cpa(inst: Instance, table: &TimingTable) -> Result<IrSchedule, IrExecError> {
+    let allocs = cpa_allocations(inst, table);
+    schedule_pinned(&mut lower_fused(inst.shape()), table, inst.r, &allocs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::list_sched::validate;
     use oa_platform::speedup::PcrModel;
 
     fn reference() -> TimingTable {
@@ -85,8 +86,8 @@ mod tests {
         let t = reference();
         let small = cpa_allocations(Instance::new(4, 24, 16), &t);
         let big = cpa_allocations(Instance::new(4, 24, 120), &t);
-        let sum_small: u32 = small.0.iter().sum();
-        let sum_big: u32 = big.0.iter().sum();
+        let sum_small: u32 = small.iter().sum();
+        let sum_big: u32 = big.iter().sum();
         assert!(sum_big > sum_small, "{small:?} vs {big:?}");
     }
 
@@ -94,8 +95,8 @@ mod tests {
     fn allocations_balanced_across_identical_chains() {
         let t = reference();
         let a = cpa_allocations(Instance::new(5, 24, 60), &t);
-        let min = a.0.iter().min().unwrap();
-        let max = a.0.iter().max().unwrap();
+        let min = a.iter().min().unwrap();
+        let max = a.iter().max().unwrap();
         assert!(
             max - min <= 1,
             "round-robin growth should stay balanced: {a:?}"
@@ -108,7 +109,8 @@ mod tests {
         for r in [13u32, 30, 53, 90] {
             let inst = Instance::new(6, 12, r);
             let s = cpa(inst, &t).unwrap();
-            validate(&s).unwrap_or_else(|e| panic!("R={r}: {e}"));
+            s.validate(&lower_fused(inst.shape()))
+                .unwrap_or_else(|e| panic!("R={r}: {e}"));
             assert!(s.makespan > 0.0);
         }
     }

@@ -10,7 +10,8 @@
 //!
 //! Unlike CPA, CPR's stopping rule consults the actual schedule, which
 //! makes it stronger but much more expensive (one full list-scheduling
-//! pass per trial).
+//! pass per trial; the fused mesh is lowered once and re-pinned for
+//! each trial).
 //!
 //! **The plateau the paper predicts.** Section 3.2 dismisses CPR
 //! because "our application does not contain a single critical path
@@ -25,30 +26,46 @@
 
 use oa_platform::timing::TimingTable;
 use oa_sched::params::Instance;
+use oa_sim::ir_exec::{IrExecError, IrSchedule};
+use oa_workflow::ir::{lower_fused, WorkflowIr};
 use oa_workflow::moldable::MoldableSpec;
 
-use crate::list_sched::{list_schedule, Allocations, ListError, ListSchedule};
+use crate::schedule_pinned;
 
 /// Outcome of the CPR loop.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CprResult {
     /// Final per-scenario allocations.
-    pub allocations: Allocations,
-    /// The final schedule.
-    pub schedule: ListSchedule,
+    pub allocations: Vec<u32>,
+    /// The final schedule, over the instance's fused mesh.
+    pub schedule: IrSchedule,
     /// Number of accepted enlargements.
     pub accepted_steps: u32,
     /// Number of rejected trials.
     pub rejected_steps: u32,
 }
 
+/// Latest record end per scenario, read from the mesh's node origins.
+fn scenario_finish(ir: &WorkflowIr, ns: u32, schedule: &IrSchedule) -> Vec<f64> {
+    let mut finish = vec![0.0f64; ns as usize];
+    for rec in &schedule.records {
+        let origin = ir.dag.node(rec.node).origin.expect("lowered mesh");
+        let f = &mut finish[origin.scenario as usize];
+        if rec.end > *f {
+            *f = rec.end;
+        }
+    }
+    finish
+}
+
 /// Runs CPR. The trial budget is bounded by `NS × range` (every
 /// scenario can grow at most `max − min` times) plus one rejected trial
 /// per scenario, so termination is structural.
-pub fn cpr(inst: Instance, table: &TimingTable) -> Result<CprResult, ListError> {
+pub fn cpr(inst: Instance, table: &TimingTable) -> Result<CprResult, IrExecError> {
     let spec = MoldableSpec::pcr();
-    let mut allocs = Allocations::uniform(inst.ns, spec.min_procs);
-    let mut schedule = list_schedule(inst, table, &allocs)?;
+    let mut ir = lower_fused(inst.shape());
+    let mut allocs = vec![spec.min_procs; inst.ns as usize];
+    let mut schedule = schedule_pinned(&mut ir, table, inst.r, &allocs)?;
     let mut accepted = 0u32;
     let mut rejected = 0u32;
     // Scenarios whose enlargement has been rejected at the current
@@ -56,22 +73,16 @@ pub fn cpr(inst: Instance, table: &TimingTable) -> Result<CprResult, ListError> 
     let mut frozen = vec![false; inst.ns as usize];
 
     loop {
-        // Critical scenario: last main completion per scenario.
-        let mut finish = vec![0.0f64; inst.ns as usize];
-        for r in &schedule.records {
-            let f = &mut finish[r.scenario as usize];
-            if r.end > *f {
-                *f = r.end;
-            }
-        }
+        // Critical scenario: the one whose chain finishes last.
+        let finish = scenario_finish(&ir, inst.ns, &schedule);
         let candidate = (0..inst.ns as usize)
-            .filter(|&s| !frozen[s] && allocs.0[s] < spec.max_procs && allocs.0[s] < inst.r)
+            .filter(|&s| !frozen[s] && allocs[s] < spec.max_procs && allocs[s] < inst.r)
             .max_by(|&a, &b| finish[a].total_cmp(&finish[b]));
         let Some(s) = candidate else { break };
 
         let mut trial = allocs.clone();
-        trial.0[s] += 1;
-        let trial_schedule = list_schedule(inst, table, &trial)?;
+        trial[s] += 1;
+        let trial_schedule = schedule_pinned(&mut ir, table, inst.r, &trial)?;
         if trial_schedule.makespan < schedule.makespan - 1e-9 {
             allocs = trial;
             schedule = trial_schedule;
@@ -96,45 +107,29 @@ pub fn cpr(inst: Instance, table: &TimingTable) -> Result<CprResult, ListError> 
 /// post-task of the makespan), keeping the step only if the measured
 /// makespan improves. This is the natural adaptation to workloads with
 /// `NS` simultaneous critical paths.
-pub fn cpr_batched(inst: Instance, table: &TimingTable) -> Result<CprResult, ListError> {
+pub fn cpr_batched(inst: Instance, table: &TimingTable) -> Result<CprResult, IrExecError> {
     let spec = MoldableSpec::pcr();
-    let mut allocs = Allocations::uniform(inst.ns, spec.min_procs.min(inst.r));
-    if allocs.0.iter().any(|&a| !spec.accepts(a)) {
-        // Machine smaller than the minimum allocation.
-        return list_schedule(inst, table, &Allocations::uniform(inst.ns, spec.min_procs)).map(
-            |schedule| CprResult {
-                allocations: Allocations::uniform(inst.ns, spec.min_procs),
-                schedule,
-                accepted_steps: 0,
-                rejected_steps: 0,
-            },
-        );
-    }
-    let mut schedule = list_schedule(inst, table, &allocs)?;
+    let mut ir = lower_fused(inst.shape());
+    let mut allocs = vec![spec.min_procs; inst.ns as usize];
+    let mut schedule = schedule_pinned(&mut ir, table, inst.r, &allocs)?;
     let mut accepted = 0u32;
     let mut rejected = 0u32;
 
     loop {
-        let mut finish = vec![0.0f64; inst.ns as usize];
-        for r in &schedule.records {
-            let f = &mut finish[r.scenario as usize];
-            if r.end > *f {
-                *f = r.end;
-            }
-        }
+        let finish = scenario_finish(&ir, inst.ns, &schedule);
         let front = schedule.makespan - table.post_secs() - 1e-9;
         let mut trial = allocs.clone();
         let mut grew = false;
         for (s, &fin) in finish.iter().enumerate() {
-            if fin >= front && trial.0[s] < spec.max_procs && trial.0[s] < inst.r {
-                trial.0[s] += 1;
+            if fin >= front && trial[s] < spec.max_procs && trial[s] < inst.r {
+                trial[s] += 1;
                 grew = true;
             }
         }
         if !grew {
             break;
         }
-        let trial_schedule = list_schedule(inst, table, &trial)?;
+        let trial_schedule = schedule_pinned(&mut ir, table, inst.r, &trial)?;
         if trial_schedule.makespan < schedule.makespan - 1e-9 {
             allocs = trial;
             schedule = trial_schedule;
@@ -156,7 +151,6 @@ pub fn cpr_batched(inst: Instance, table: &TimingTable) -> Result<CprResult, Lis
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::list_sched::validate;
     use oa_platform::speedup::PcrModel;
 
     fn reference() -> TimingTable {
@@ -172,9 +166,9 @@ mod tests {
         let t = reference();
         let inst = Instance::new(4, 12, 40);
         let r = cpr(inst, &t).unwrap();
-        validate(&r.schedule).unwrap();
+        r.schedule.validate(&lower_fused(inst.shape())).unwrap();
         assert_eq!(r.accepted_steps, 0);
-        assert_eq!(r.allocations.0, vec![4; 4]);
+        assert_eq!(r.allocations, vec![4; 4]);
     }
 
     #[test]
@@ -183,7 +177,10 @@ mod tests {
         let inst = Instance::new(4, 12, 40);
         let single = cpr(inst, &t).unwrap();
         let batched = cpr_batched(inst, &t).unwrap();
-        validate(&batched.schedule).unwrap();
+        batched
+            .schedule
+            .validate(&lower_fused(inst.shape()))
+            .unwrap();
         assert!(batched.accepted_steps > 0);
         assert!(
             batched.schedule.makespan < single.schedule.makespan * 0.8,
@@ -198,9 +195,10 @@ mod tests {
         let t = reference();
         for r in [12u32, 23, 47, 88] {
             let inst = Instance::new(5, 8, r);
-            let start = list_schedule(inst, &t, &Allocations::uniform(5, 4)).unwrap();
+            let mut ir = lower_fused(inst.shape());
+            let start = schedule_pinned(&mut ir, &t, r, &[4; 5]).unwrap();
             let out = cpr(inst, &t).unwrap();
-            validate(&out.schedule).unwrap();
+            out.schedule.validate(&ir).unwrap();
             assert!(out.schedule.makespan <= start.makespan + 1e-9, "R={r}");
         }
     }
@@ -220,7 +218,7 @@ mod tests {
         let t = reference();
         let inst = Instance::new(3, 4, 4);
         let out = cpr(inst, &t).unwrap();
-        assert_eq!(out.allocations.0, vec![4, 4, 4]);
+        assert_eq!(out.allocations, vec![4, 4, 4]);
         assert_eq!(out.accepted_steps, 0);
     }
 }

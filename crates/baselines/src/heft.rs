@@ -16,10 +16,9 @@
 //! *count* selection — how many chains run at once — is exactly what
 //! rank-ordered per-task placement cannot see.
 
+use oa_sim::ir_exec::{check_input, IrExecError, IrRecord, IrSchedule};
 use oa_workflow::dag::NodeId;
 use oa_workflow::ir::{Durations, WorkflowIr};
-
-use crate::dag_sched::{DagRecord, DagSchedError, DagSchedule};
 
 /// Free-capacity step profile: `points[i] = (t, free)` means `free`
 /// processors are available from `t` until `points[i+1].0` (the last
@@ -110,18 +109,9 @@ fn upward_ranks(ir: &WorkflowIr, d: &impl Durations) -> Vec<f64> {
 }
 
 /// Schedules a workflow with moldable HEFT on `r` processors.
-pub fn heft(ir: &WorkflowIr, d: &impl Durations, r: u32) -> Result<DagSchedule, DagSchedError> {
-    ir.validate().map_err(DagSchedError::Invalid)?;
+pub fn heft(ir: &WorkflowIr, d: &impl Durations, r: u32) -> Result<IrSchedule, IrExecError> {
+    check_input(ir, r)?;
     let n = ir.node_count();
-    for (id, node) in ir.dag.iter() {
-        if node.kind.min_procs() > r {
-            return Err(DagSchedError::DoesNotFit {
-                node: id,
-                needs: node.kind.min_procs(),
-                resources: r,
-            });
-        }
-    }
 
     let rank = upward_ranks(ir, d);
     let mut order: Vec<NodeId> = ir.dag.node_ids().collect();
@@ -163,14 +153,14 @@ pub fn heft(ir: &WorkflowIr, d: &impl Durations, r: u32) -> Result<DagSchedule, 
         profile.take(start, dur, procs);
         finish[v.index()] = end;
         makespan = makespan.max(end);
-        records.push(DagRecord {
+        records.push(IrRecord {
             node: v,
             procs,
             start,
             end,
         });
     }
-    Ok(DagSchedule {
+    Ok(IrSchedule {
         resources: r,
         records,
         makespan,
@@ -180,7 +170,6 @@ pub fn heft(ir: &WorkflowIr, d: &impl Durations, r: u32) -> Result<DagSchedule, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dag_sched::validate_dag;
     use oa_platform::speedup::PcrModel;
     use oa_platform::timing::TimingTable;
     use oa_workflow::chain::ExperimentShape;
@@ -197,7 +186,8 @@ mod tests {
         for (ns, nm, r) in [(1u32, 3u32, 11u32), (4, 6, 30), (6, 10, 53), (3, 8, 9)] {
             let ir = lower_fused(ExperimentShape::new(ns, nm));
             let s = heft(&ir, &t, r).unwrap();
-            validate_dag(&s, &ir).unwrap_or_else(|e| panic!("{ns}x{nm} R={r}: {e}"));
+            s.validate(&ir)
+                .unwrap_or_else(|e| panic!("{ns}x{nm} R={r}: {e}"));
             // Never beats the critical path at the fastest allocation.
             let cp = nm as f64 * t.main_secs(11.min(r).max(4)) + t.post_secs();
             assert!(s.makespan + 1e-9 >= cp.min(s.makespan + 1.0));
@@ -221,7 +211,7 @@ mod tests {
         ir.add_task("n1", IrTaskKind::Rigid(2), DurationModel::Fixed(10.0));
         ir.add_task("n2", IrTaskKind::Rigid(2), DurationModel::Fixed(10.0));
         let s = heft(&ir, &t, 10).unwrap();
-        validate_dag(&s, &ir).unwrap();
+        s.validate(&ir).unwrap();
         assert_eq!(s.makespan, 100.0, "{s:?}");
     }
 
@@ -245,7 +235,7 @@ mod tests {
             ir.add_dep(a, b).unwrap();
         }
         let s = heft(&ir, &t, 22).unwrap();
-        validate_dag(&s, &ir).unwrap();
+        s.validate(&ir).unwrap();
         assert!((s.makespan - 2.0 * t.main_secs(11)).abs() < 1e-9, "{s:?}");
     }
 
@@ -255,7 +245,7 @@ mod tests {
         let ir = lower_fused(ExperimentShape::new(1, 1));
         assert!(matches!(
             heft(&ir, &t, 3),
-            Err(DagSchedError::DoesNotFit { .. })
+            Err(IrExecError::DoesNotFit { .. })
         ));
     }
 }

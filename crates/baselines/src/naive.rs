@@ -8,9 +8,12 @@
 
 use oa_platform::timing::TimingTable;
 use oa_sched::params::Instance;
+use oa_sim::ir_exec::{IrExecError, IrSchedule};
+use oa_workflow::chain::ExperimentShape;
+use oa_workflow::ir::lower_fused;
 use oa_workflow::moldable::MoldableSpec;
 
-use crate::list_sched::{list_schedule, Allocations, ListError, ListSchedule};
+use crate::schedule_pinned;
 
 /// Best single allocation for a lone chain on `r` processors: the one
 /// minimizing `T[G]` among those that fit.
@@ -23,45 +26,23 @@ pub fn best_single_allocation(table: &TimingTable, r: u32) -> Option<u32> {
 
 /// One-DAG-at-a-time: scenarios run strictly sequentially, each month
 /// on the fastest allocation that fits. Implemented by scheduling a
-/// single synthetic chain of `NS × NM` months and relabeling, so posts
-/// still backfill as they would in reality.
-pub fn one_dag_at_a_time(inst: Instance, table: &TimingTable) -> Result<ListSchedule, ListError> {
-    let alloc = best_single_allocation(table, inst.r).ok_or(ListError::DoesNotFit {
-        scenario: 0,
-        alloc: 4,
-        resources: inst.r,
-    })?;
-    let total_months = inst
+/// single synthetic chain of `NS × NM` months, so posts still backfill
+/// as they would in reality; the schedule is that chain's (month `m`
+/// of scenario `s` is its month `s × NM + m`). A machine below the
+/// minimum allocation reports [`IrExecError::DoesNotFit`].
+pub fn one_dag_at_a_time(inst: Instance, table: &TimingTable) -> Result<IrSchedule, IrExecError> {
+    let alloc = best_single_allocation(table, inst.r).unwrap_or(MoldableSpec::pcr().min_procs);
+    let months = inst
         .nbtasks()
         .try_into()
         .expect("campaign sizes fit u32 in this reproduction");
-    let chain = Instance::new(1, total_months, inst.r);
-    let s = list_schedule(chain, table, &Allocations::uniform(1, alloc))?;
-    // Relabel the synthetic chain back to (scenario, month) pairs.
-    let records = s
-        .records
-        .iter()
-        .map(|r| {
-            let scenario = r.month / inst.nm;
-            let month = r.month % inst.nm;
-            crate::list_sched::ListRecord {
-                scenario,
-                month,
-                ..*r
-            }
-        })
-        .collect();
-    Ok(ListSchedule {
-        instance: inst,
-        records,
-        makespan: s.makespan,
-    })
+    let mut chain = lower_fused(ExperimentShape::new(1, months));
+    schedule_pinned(&mut chain, table, inst.r, &[alloc])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::list_sched::validate;
     use oa_platform::speedup::PcrModel;
 
     fn reference() -> TimingTable {
@@ -81,19 +62,30 @@ mod tests {
         let t = reference();
         let inst = Instance::new(4, 6, 40);
         let s = one_dag_at_a_time(inst, &t).unwrap();
-        validate(&s).unwrap();
+        s.validate(&lower_fused(ExperimentShape::new(1, 24)))
+            .unwrap();
         let expect = 24.0 * t.main_secs(11);
         assert!(s.makespan >= expect);
         assert!(s.makespan <= expect + t.post_secs() + 1.0);
     }
 
     #[test]
-    fn relabeled_records_cover_every_task() {
+    fn chain_records_cover_every_task() {
         let t = reference();
         let inst = Instance::new(3, 5, 20);
         let s = one_dag_at_a_time(inst, &t).unwrap();
-        validate(&s).unwrap();
+        s.validate(&lower_fused(ExperimentShape::new(1, 15)))
+            .unwrap();
         assert_eq!(s.records.len(), 30);
+    }
+
+    #[test]
+    fn too_small_machines_do_not_fit() {
+        let inst = Instance::new(2, 3, 3);
+        assert!(matches!(
+            one_dag_at_a_time(inst, &reference()),
+            Err(IrExecError::DoesNotFit { needs: 4, .. })
+        ));
     }
 
     #[test]

@@ -1,21 +1,24 @@
-//! Cost of the related-work baselines: the list scheduler's event loop,
-//! CPA's allocation phase, and the full CPR loops.
+//! Cost of the related-work baselines: one list-scheduling pass over
+//! the pinned fused mesh (the `execute_ir` loop CPA, CPR and
+//! one-DAG-at-a-time share), CPA's allocation phase, and the full CPR
+//! loops.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use oa_baselines::{cpa, cpr, cpr_batched, list_schedule, Allocations};
+use oa_baselines::{cpa, cpr, cpr_batched, schedule_pinned};
 use oa_platform::presets::reference_cluster;
 use oa_sched::params::Instance;
+use oa_workflow::ir::lower_fused;
 
 fn bench_list_scheduler(c: &mut Criterion) {
     let table = reference_cluster(53).timing;
-    let mut group = c.benchmark_group("list_sched");
+    let mut group = c.benchmark_group("pinned_mesh");
     for nm in [60u32, 240, 600] {
         let inst = Instance::new(10, nm, 53);
-        let allocs = Allocations::uniform(10, 5);
+        let mut ir = lower_fused(inst.shape());
         group.bench_with_input(BenchmarkId::new("nm", nm), &inst, |b, &inst| {
-            b.iter(|| black_box(list_schedule(inst, &table, &allocs).unwrap()));
+            b.iter(|| black_box(schedule_pinned(&mut ir, &table, inst.r, &[5; 10]).unwrap()));
         });
     }
     group.finish();

@@ -2,15 +2,19 @@
 //!
 //! Two entry points:
 //!
-//! * [`execute_ir`] — a generic moldable list scheduler whose ready
-//!   set is driven purely by IR precedence: moldable tasks start in
-//!   strict bottom-level priority order (head-of-line blocking, no
-//!   lower-priority task jumps the queue), rigid tasks backfill FIFO,
-//!   and events pop in `(time, node)` order. On the ocean-atmosphere
-//!   fused mesh this loop makes *exactly* the decisions of
-//!   `oa_baselines::list_sched::list_schedule` with uniform
-//!   allocations — pinned by a differential proptest — so the generic
-//!   path is validated against an independently-written scheduler.
+//! * [`execute_ir`] — the workspace's one moldable list scheduler over
+//!   a flat pool, its ready set driven purely by IR precedence:
+//!   moldable tasks start in strict bottom-level priority order
+//!   (head-of-line blocking, no lower-priority task jumps the queue),
+//!   rigid tasks backfill FIFO, and events pop in `(time, lineage,
+//!   kind, node)` order. Every flat-pool baseline runs on it: CPA, CPR
+//!   and one-DAG-at-a-time (`oa-baselines`) pin each scenario's main
+//!   to its allocation on the lowered fused mesh and call it.
+//!   `tests/ir_equivalence.rs` keeps the seed moldable list scheduler
+//!   as its oracle, record for record and bit for bit. [`IrSchedule`]
+//!   is the one flat-pool schedule shape and [`IrSchedule::validate`]
+//!   the one flat-pool validator; HEFT and co-allocation return them
+//!   too, behind the same [`check_input`].
 //! * [`simulate_ir`] — the campaign router: recognized preset meshes
 //!   go through the legacy [`crate::engine`] (grouped processors,
 //!   scenario policies, fault plans, the integer-time kernel —
@@ -47,18 +51,19 @@ pub struct IrRecord {
     pub end: f64,
 }
 
-/// Outcome of a generic IR execution.
+/// A schedule on a flat processor pool: what [`execute_ir`] and the
+/// IR baselines of `oa-baselines` return.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IrSchedule {
     /// Processors of the flat pool.
     pub resources: u32,
-    /// All task records, in start order.
+    /// All task records ([`execute_ir`] emits them in start order).
     pub records: Vec<IrRecord>,
     /// Workflow makespan, seconds.
     pub makespan: f64,
 }
 
-/// Errors from generic IR execution.
+/// Errors from flat-pool scheduling ([`check_input`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum IrExecError {
     /// The workflow failed structural validation.
@@ -93,6 +98,21 @@ impl std::fmt::Display for IrExecError {
 
 impl std::error::Error for IrExecError {}
 
+/// The input check every flat-pool scheduler runs first: the workflow
+/// validates, and every task fits a pool of `r` processors at its
+/// minimum allocation (the first task that does not is reported).
+pub fn check_input(ir: &WorkflowIr, r: u32) -> Result<(), IrExecError> {
+    ir.validate().map_err(IrExecError::Invalid)?;
+    match ir.dag.iter().find(|(_, node)| node.kind.min_procs() > r) {
+        Some((node, n)) => Err(IrExecError::DoesNotFit {
+            node,
+            needs: n.kind.min_procs(),
+            resources: r,
+        }),
+        None => Ok(()),
+    }
+}
+
 /// Executes a workflow on a flat pool of `r` processors.
 ///
 /// Allocation rule: a moldable task takes `min(max_procs, r)`
@@ -103,24 +123,13 @@ impl std::error::Error for IrExecError {}
 /// id, and event completions pop in `(time, lineage, kind, node)`
 /// order, so the schedule is a pure function of the workflow.
 pub fn execute_ir(ir: &WorkflowIr, d: &impl Durations, r: u32) -> Result<IrSchedule, IrExecError> {
-    ir.validate().map_err(IrExecError::Invalid)?;
+    check_input(ir, r)?;
 
     let n = ir.node_count();
     let mut alloc = vec![0u32; n];
     let mut dur = vec![0.0f64; n];
     for (id, node) in ir.dag.iter() {
-        let a = if node.kind.is_moldable() {
-            node.kind.max_procs().min(r).max(node.kind.min_procs())
-        } else {
-            node.kind.min_procs()
-        };
-        if a > r {
-            return Err(IrExecError::DoesNotFit {
-                node: id,
-                needs: node.kind.min_procs(),
-                resources: r,
-            });
-        }
+        let a = node.kind.max_procs().min(r).max(node.kind.min_procs());
         alloc[id.index()] = a;
         dur[id.index()] = node.secs(a, d);
     }
@@ -249,9 +258,12 @@ pub fn execute_ir(ir: &WorkflowIr, d: &impl Durations, r: u32) -> Result<IrSched
 }
 
 impl IrSchedule {
-    /// Validates the execution against its workflow: every task runs
-    /// exactly once, no task starts before a predecessor finishes, and
-    /// processor usage never exceeds the pool.
+    /// Validates the schedule against its workflow: every record names
+    /// a task of the workflow with a finite, non-empty interval, every
+    /// task runs exactly once, no task starts before a predecessor
+    /// finishes, and processor usage never exceeds the pool. Only the
+    /// records' `procs` count, not the nodes' allocation ranges, so a
+    /// schedule of a pinned mesh validates against the unpinned one.
     pub fn validate(&self, ir: &WorkflowIr) -> Result<(), String> {
         let n = ir.node_count();
         if self.records.len() != n {
@@ -259,10 +271,13 @@ impl IrSchedule {
         }
         let mut iv = vec![None; n];
         for rec in &self.records {
-            if rec.end <= rec.start {
-                return Err(format!("empty interval for node {}", rec.node.0));
+            let Some(slot) = iv.get_mut(rec.node.index()) else {
+                return Err(format!("node {} is not in the workflow", rec.node.0));
+            };
+            if !(rec.start.is_finite() && rec.end.is_finite() && rec.end > rec.start) {
+                return Err(format!("bad interval for node {}", rec.node.0));
             }
-            if iv[rec.node.index()].replace((rec.start, rec.end)).is_some() {
+            if slot.replace((rec.start, rec.end)).is_some() {
                 return Err(format!("node {} ran twice", rec.node.0));
             }
         }
@@ -391,35 +406,6 @@ mod tests {
 
     fn table() -> TimingTable {
         PcrModel::reference().table(1.0).unwrap()
-    }
-
-    #[test]
-    fn fused_mesh_matches_the_independent_list_scheduler() {
-        use oa_baselines::list_sched::{list_schedule, Allocations};
-        let table = table();
-        for (ns, nm, r) in [(1, 4, 10), (3, 5, 24), (4, 7, 11), (2, 9, 53)] {
-            let shape = ExperimentShape::new(ns, nm);
-            let ir = lower_fused(shape);
-            let got = execute_ir(&ir, &table, r).unwrap();
-            got.validate(&ir).unwrap();
-            let want = list_schedule(
-                Instance::new(ns, nm, r),
-                &table,
-                &Allocations::uniform(ns, 11.min(r)),
-            )
-            .unwrap();
-            assert_eq!(got.makespan, want.makespan, "ns={ns} nm={nm} r={r}");
-            assert_eq!(got.records.len(), want.records.len());
-            for (a, b) in got.records.iter().zip(&want.records) {
-                let node = ir.dag.node(a.node);
-                let origin = node.origin.unwrap();
-                assert_eq!(origin.scenario, b.scenario);
-                assert_eq!(origin.month, b.month);
-                assert_eq!(a.procs, b.procs);
-                assert_eq!(a.start, b.start);
-                assert_eq!(a.end, b.end);
-            }
-        }
     }
 
     #[test]

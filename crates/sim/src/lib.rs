@@ -36,11 +36,13 @@
 //!   staging;
 //! * [`grid_failures`] — whole-cluster loss, and what the paper's "no
 //!   migration" rule costs;
-//! * [`ir_exec`] — execution of the generalized workflow IR: a ready-
-//!   set list scheduler driven purely by IR precedence for arbitrary
-//!   DAGs, and a router that sends recognized ocean-atmosphere preset
-//!   meshes through the legacy [`engine`] unchanged (byte-identical
-//!   outputs, integer-time kernel gate preserved).
+//! * [`ir_exec`] — execution of the generalized workflow IR: the one
+//!   flat-pool list scheduler, a ready-set loop driven purely by IR
+//!   precedence that every flat-pool baseline of `oa-baselines` runs
+//!   on, with the one flat-pool schedule type and validator; and a
+//!   router that sends recognized ocean-atmosphere preset meshes
+//!   through the legacy [`engine`] unchanged (byte-identical outputs,
+//!   integer-time kernel gate preserved).
 //!
 //! The makespans produced here agree (to float tolerance) with the
 //! fast aggregate estimator `oa_sched::estimate` — property-tested in
@@ -238,29 +240,6 @@ mod proptests {
             prop_assert_eq!(snap.gauge(keys::MAKESPAN), Some(sched.makespan));
             prop_assert_eq!(snap.counter(keys::TASKS_MAIN), Some(inst.nbtasks()));
             prop_assert_eq!(snap.counter(keys::TASKS_POST), Some(inst.nbtasks()));
-        }
-
-        #[test]
-        fn ir_execution_matches_the_list_scheduler((inst, table) in (arb_instance(), arb_table())) {
-            // The generic IR executor, fed the lowered fused mesh, must
-            // make exactly the decisions of the independently-written
-            // moldable list scheduler with uniform max allocations —
-            // bitwise times, identical record order.
-            use crate::ir_exec::execute_ir;
-            use oa_baselines::list_sched::{list_schedule, Allocations};
-            use oa_workflow::ir::lower_fused;
-            let ir = lower_fused(inst.shape());
-            let got = execute_ir(&ir, &table, inst.r).unwrap();
-            let want =
-                list_schedule(inst, &table, &Allocations::uniform(inst.ns, 11.min(inst.r))).unwrap();
-            prop_assert_eq!(got.makespan, want.makespan);
-            prop_assert_eq!(got.records.len(), want.records.len());
-            for (a, b) in got.records.iter().zip(&want.records) {
-                let origin = ir.dag.node(a.node).origin.unwrap();
-                prop_assert_eq!(origin.scenario, b.scenario);
-                prop_assert_eq!(origin.month, b.month);
-                prop_assert_eq!((a.procs, a.start, a.end), (b.procs, b.start, b.end));
-            }
         }
 
         #[test]

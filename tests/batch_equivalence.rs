@@ -6,13 +6,15 @@
 //! optimizations; if any of them moves a single output bit, these
 //! properties fail.
 //!
-//! `PROPTEST_CASES` raises the case count in CI's release-mode
-//! differential job.
+//! Debug builds run 16 random cases; release builds (CI's differential
+//! job) run 256.
 
 use ocean_atmosphere::par::Pool;
 use ocean_atmosphere::prelude::*;
 use ocean_atmosphere::service::daemon::{run_script, Service, ServiceConfig};
 use proptest::prelude::*;
+
+const CASES: u32 = if cfg!(debug_assertions) { 16 } else { 256 };
 
 /// Worker counts under test: the serial short-circuit, a typical small
 /// pool, and an oversubscribed one.
@@ -120,7 +122,7 @@ fn individual_rows(spec: &BatchSpec) -> Vec<VariantOut> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     /// The hard invariant: batch == naive == one-at-a-time engine
     /// runs, row for row, at every worker count.

@@ -7,11 +7,14 @@
 //! (`kernel_eligibility`) and the runtime decision the engine actually
 //! reports (`KernelReport::integer_time`).
 //!
-//! `PROPTEST_CASES` raises the case count in CI's differential job.
+//! Debug builds run 24 random cases; release builds (CI's differential
+//! job) run 256.
 
 use ocean_atmosphere::analyze::certify::{certify, check_bounds, check_kernel_verdict, verify};
 use ocean_atmosphere::prelude::*;
 use proptest::prelude::*;
+
+const CASES: u32 = if cfg!(debug_assertions) { 24 } else { 256 };
 
 const POLICIES: [ScenarioPolicy; 3] = [
     ScenarioPolicy::LeastAdvanced,
@@ -112,7 +115,7 @@ fn assert_certified(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     /// Integral tables, both paper heuristics, every policy ×
     /// granularity: the bracket holds and every verdict agrees (the

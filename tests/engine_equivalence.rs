@@ -5,13 +5,15 @@
 //! combinations (unfused + tracing, unfused + policy ablation,
 //! unfused + faults) must stay deterministic under parallel sweeps.
 //!
-//! `PROPTEST_CASES` raises the case count in CI's release-mode
-//! differential job.
+//! Debug builds run 24 random cases; release builds (CI's differential
+//! job) run 256.
 
 use ocean_atmosphere::par::Pool;
 use ocean_atmosphere::prelude::*;
 use ocean_atmosphere::trace::metrics::keys;
 use proptest::prelude::*;
+
+const CASES: u32 = if cfg!(debug_assertions) { 24 } else { 256 };
 
 /// Worker counts under test: the serial short-circuit, a typical small
 /// pool, and an oversubscribed one.
@@ -72,7 +74,7 @@ fn degenerate_run(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     /// Empty fault plan through the failure-configured engine ==
     /// plain executor, bitwise, under either recovery model: schedule

@@ -3,21 +3,178 @@
 //! and running every downstream layer off it must be *observationally
 //! invisible*: topological orders and critical paths match the legacy
 //! `chain`/`fusion` builders exactly, campaign outcomes through
-//! `simulate_ir` are bitwise the legacy engine's, the generic IR
-//! executor reproduces the independent list scheduler record for
-//! record, and a service `SubmitWorkflow` transcript is byte-identical
-//! to the equivalent `Submit`.
+//! `simulate_ir` are bitwise the legacy engine's, the IR executor
+//! reproduces the seed moldable list scheduler (kept below verbatim as
+//! the oracle) record for record on unpinned and pinned meshes, and a
+//! service `SubmitWorkflow` transcript is byte-identical to the
+//! equivalent `Submit`.
 //!
 //! Case counts scale with the build profile: the release-mode CI
 //! differential job runs the full 256 cases, a debug `cargo test`
 //! keeps the quick count (the vendored proptest is deterministic, so
 //! the release run strictly extends the debug one).
 
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
+
+use ocean_atmosphere::baselines::schedule_pinned;
 use ocean_atmosphere::prelude::*;
+use ocean_atmosphere::sched::time::{time_key, Time, TimeKey};
 use ocean_atmosphere::service::daemon::{run_script, Service, ServiceConfig};
 use proptest::prelude::*;
 
 const CASES: u32 = if cfg!(debug_assertions) { 32 } else { 256 };
+
+// ---- Oracle: the seed moldable list scheduler, verbatim ----
+
+/// One scheduled task of the seed list scheduler.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ListRecord {
+    scenario: u32,
+    month: u32,
+    main: bool,
+    procs: u32,
+    start: f64,
+    end: f64,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Done {
+    Main(u32),
+    Post,
+}
+
+/// The seed list scheduler: every main of scenario `s` on `allocs[s]`
+/// processors of a flat pool (each inside 4..=11 and at most `R`),
+/// mains in strict remaining-work order with head-of-line blocking,
+/// posts backfilling FIFO. Returns the records and the makespan.
+fn list_schedule(inst: Instance, table: &TimingTable, allocs: &[u32]) -> (Vec<ListRecord>, f64) {
+    let tp = table.post_secs();
+    let dur: Vec<f64> = allocs.iter().map(|&a| table.main_secs(a)).collect();
+
+    // Scenario state.
+    let mut months_done = vec![0u32; inst.ns as usize];
+    let mut running = vec![false; inst.ns as usize];
+    let mut free = inst.r;
+    // Completion events.
+    let mut events: BinaryHeap<TimeKey<(u32, Done)>> = BinaryHeap::new();
+    let mut posts: VecDeque<(f64, u32, u32)> = VecDeque::new(); // (ready, scenario, month)
+    let mut records = Vec::with_capacity(inst.nbtasks() as usize * 2);
+    let mut makespan = 0.0f64;
+
+    // Remaining-work priority: (nm − done) × dur; recomputed on demand
+    // since allocations are per-scenario constants.
+    let remaining = |s: usize, months_done: &[u32]| (inst.nm - months_done[s]) as f64 * dur[s] + tp;
+
+    let mut now = 0.0f64;
+    loop {
+        // Start mains in strict priority order.
+        loop {
+            let mut best: Option<usize> = None;
+            for s in 0..inst.ns as usize {
+                if running[s] || months_done[s] >= inst.nm {
+                    continue;
+                }
+                let better = match best {
+                    None => true,
+                    Some(b) => {
+                        let (rb, rs) = (remaining(b, &months_done), remaining(s, &months_done));
+                        rs > rb + 1e-12 || (rs > rb - 1e-12 && s < b)
+                    }
+                };
+                if better {
+                    best = Some(s);
+                }
+            }
+            let Some(s) = best else { break };
+            if allocs[s] > free {
+                break; // strict order: the head blocks
+            }
+            free -= allocs[s];
+            running[s] = true;
+            let end = now + dur[s];
+            records.push(ListRecord {
+                scenario: s as u32,
+                month: months_done[s],
+                main: true,
+                procs: allocs[s],
+                start: now,
+                end,
+            });
+            events.push(time_key(end, (s as u32, Done::Main(months_done[s]))));
+        }
+        // Backfill posts on whatever is left.
+        while free > 0 {
+            let Some(&(ready, s, m)) = posts.front() else {
+                break;
+            };
+            debug_assert!(ready <= now + 1e-9);
+            posts.pop_front();
+            free -= 1;
+            let end = now + tp;
+            records.push(ListRecord {
+                scenario: s,
+                month: m,
+                main: false,
+                procs: 1,
+                start: now,
+                end,
+            });
+            events.push(time_key(end, (s, Done::Post)));
+        }
+
+        // Advance time.
+        let Some(Reverse((Time(t), (s, done)))) = events.pop() else {
+            break;
+        };
+        now = t;
+        makespan = makespan.max(t);
+        match done {
+            Done::Main(m) => {
+                let s = s as usize;
+                free += allocs[s];
+                running[s] = false;
+                months_done[s] += 1;
+                posts.push_back((t, s as u32, m));
+            }
+            Done::Post => free += 1,
+        }
+    }
+
+    (records, makespan)
+}
+
+/// An IR schedule of the fused mesh `ir` against the oracle's: record
+/// order, `(scenario, month, main)`, processors, and the bits of every
+/// start, end and the makespan.
+fn assert_matches_oracle(
+    ir: &WorkflowIr,
+    got: &IrSchedule,
+    (records, makespan): &(Vec<ListRecord>, f64),
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.records.len(), records.len());
+    prop_assert_eq!(got.makespan.to_bits(), makespan.to_bits());
+    for (a, b) in got.records.iter().zip(records) {
+        let origin = ir
+            .dag
+            .node(a.node)
+            .origin
+            .expect("lowered nodes are annotated");
+        prop_assert_eq!(
+            (
+                origin.scenario,
+                origin.month,
+                origin.kind == TaskKind::FusedMain
+            ),
+            (b.scenario, b.month, b.main)
+        );
+        prop_assert_eq!(
+            (a.procs, a.start.to_bits(), a.end.to_bits()),
+            (b.procs, b.start.to_bits(), b.end.to_bits())
+        );
+    }
+    Ok(())
+}
 
 fn arb_table() -> impl Strategy<Value = TimingTable> {
     (
@@ -33,6 +190,36 @@ fn arb_table() -> impl Strategy<Value = TimingTable> {
                 acc += bumps[i];
             }
             TimingTable::new(main, tp).expect("non-increasing by construction")
+        })
+}
+
+/// Fractional tables, the same floored to whole seconds, or small
+/// integral tables (a few seconds per entry) on which completions
+/// often coincide.
+fn arb_any_table() -> impl Strategy<Value = TimingTable> {
+    (
+        0u32..3,
+        arb_table(),
+        1.0f64..5.0,
+        1.0f64..4.0,
+        proptest::collection::vec(0u32..=2, 8),
+    )
+        .prop_map(|(kind, table, t11, tp, bumps)| match kind {
+            0 => table,
+            1 => TimingTable::new(
+                std::array::from_fn(|i| table.main_secs(4 + i as u32).floor()),
+                table.post_secs().floor(),
+            )
+            .expect("flooring keeps entries positive and non-increasing"),
+            _ => {
+                let mut main = [0.0f64; 8];
+                let mut acc = t11.floor();
+                for i in (0..8).rev() {
+                    main[i] = acc;
+                    acc += f64::from(bumps[i]);
+                }
+                TimingTable::new(main, tp.floor()).expect("non-increasing by construction")
+            }
         })
 }
 
@@ -174,31 +361,27 @@ proptest! {
         }
     }
 
-    /// The generic IR executor against the independently written list
-    /// scheduler: identical record order, bitwise start/end times and
-    /// makespan on lowered fused meshes at the paper's uniform
-    /// allocation.
+    /// The IR executor against the seed list scheduler, on lowered
+    /// fused meshes: unpinned at the paper's uniform allocation
+    /// `min(11, R)`, and with every scenario's mains pinned to an
+    /// allocation in 4..=min(11, R) — uniform or per scenario.
     #[test]
     fn ir_executor_matches_the_list_scheduler_bitwise(
-        (inst, table) in (arb_instance(), arb_table()),
+        inst in arb_instance(),
+        table in arb_any_table(),
+        uniform in 0u32..2,
+        picks in proptest::collection::vec(4u32..=11, 8),
     ) {
-        use oa_baselines::list_sched::{list_schedule, Allocations};
         let ir = oa_workflow::ir::lower_fused(inst.shape());
-        let s = execute_ir(&ir, &table, inst.r).unwrap();
-        let l = list_schedule(inst, &table, &Allocations::uniform(inst.ns, 11.min(inst.r))).unwrap();
-        prop_assert_eq!(s.records.len(), l.records.len());
-        prop_assert_eq!(s.makespan.to_bits(), l.makespan.to_bits());
-        for (a, b) in s.records.iter().zip(&l.records) {
-            let origin = ir.dag.node(a.node).origin.expect("lowered nodes are annotated");
-            prop_assert_eq!(
-                (origin.scenario, origin.month, origin.kind == TaskKind::FusedMain),
-                (b.scenario, b.month, b.main)
-            );
-            prop_assert_eq!(
-                (a.procs, a.start.to_bits(), a.end.to_bits()),
-                (b.procs, b.start.to_bits(), b.end.to_bits())
-            );
-        }
+        let generic = execute_ir(&ir, &table, inst.r).unwrap();
+        let paper = vec![11.min(inst.r); inst.ns as usize];
+        assert_matches_oracle(&ir, &generic, &list_schedule(inst, &table, &paper))?;
+
+        let allocs: Vec<u32> = (0..inst.ns as usize)
+            .map(|s| picks[if uniform == 1 { 0 } else { s }].min(inst.r))
+            .collect();
+        let pinned = schedule_pinned(&mut ir.clone(), &table, inst.r, &allocs).unwrap();
+        assert_matches_oracle(&ir, &pinned, &list_schedule(inst, &table, &allocs))?;
     }
 
     /// Shape-level equivalence at every mesh size the sweep covers:

@@ -7,12 +7,14 @@
 //! integral-second timing tables (where the kernel engages) and on
 //! fractional ones (where it must stand down cleanly).
 //!
-//! `PROPTEST_CASES` raises the case count in CI's release-mode
-//! differential job.
+//! Debug builds run 24 random cases; release builds (CI's differential
+//! job) run 256.
 
 use ocean_atmosphere::par::Pool;
 use ocean_atmosphere::prelude::*;
 use proptest::prelude::*;
+
+const CASES: u32 = if cfg!(debug_assertions) { 24 } else { 256 };
 
 /// Worker counts under test: the serial short-circuit, a typical small
 /// pool, and an oversubscribed one.
@@ -110,7 +112,7 @@ fn assert_bitwise(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     /// Integral tables, every policy × granularity, homogeneous and
     /// knapsack groupings: kernel on == kernel off, bitwise.
