@@ -69,7 +69,7 @@ impl std::fmt::Display for Layer {
 pub enum RuleCode {
     /// OA001: the fused DAG contains a cycle.
     DagCycle,
-    /// OA002: the monthly chain is incomplete (missing nodes/handles).
+    /// OA002: the mesh is incomplete (a `(scenario, month)` has no task).
     IncompleteChain,
     /// OA003: fusion invariants broken (wrong edges or degrees).
     FusionInconsistent,

@@ -8,7 +8,7 @@
 //!
 //! | Layer      | Rules               | What they verify                                  |
 //! |------------|---------------------|---------------------------------------------------|
-//! | workflow   | OA001–OA003, OA019–OA021 | fused-DAG acyclicity, chain completeness, fusion; IR validity, preset drift, data-flow payloads ([`ir`]) |
+//! | workflow   | OA001–OA003, OA019–OA021 | workflow IRs: fused-mesh acyclicity, chain completeness, fusion edges; IR validity, preset drift, data-flow payloads ([`ir`]) |
 //! | scheduling | OA004–OA007, OA018  | group sizes, accounting, estimator cross-checks, campaign configs |
 //! | schedule   | OA008–OA015         | multiplicity, dependences, exclusivity, idleness  |
 //! | platform   | OA016–OA017         | cluster sanity, inter-month bandwidth feasibility |
@@ -17,8 +17,10 @@
 //!
 //! The simulator (`oa-sim`) rebuilds its `Schedule::validate` API on
 //! top of [`schedule::check_schedule`]; the `oa analyze` CLI subcommand
-//! runs the data layers over a planned campaign, and `oa audit` runs
-//! the [`audit`] source scan and the [`certify`] pass. Both exit
+//! runs the platform, scheduling and schedule layers over a planned
+//! campaign (its mesh is the preset lowering, which the workflow rules
+//! pass by construction — [`ir`]'s tests pin that), and `oa audit`
+//! runs the [`audit`] source scan and the [`certify`] pass. Both exit
 //! nonzero when any error-severity diagnostic fires.
 //!
 //! # Examples
@@ -52,7 +54,6 @@ pub mod ir;
 pub mod platform;
 pub mod schedule;
 pub mod scheduling;
-pub mod workflow;
 
 pub use diag::{Diagnostic, Layer, Location, Quantity, Report, RuleCode, Severity};
 

@@ -8,7 +8,7 @@
 //! the critical path is the *longest remaining chain over all
 //! scenarios*, and the area is the total work over `R` processors.
 //!
-//! Allocation phase (classic CPA): start every moldable task at its
+//! The allocation phase (classic CPA): start every moldable task at its
 //! minimum allocation; while `CP > Area`, give one more processor to
 //! the critical-path task whose enlargement most reduces `CP` per
 //! added processor. With identical chains the critical path rotates

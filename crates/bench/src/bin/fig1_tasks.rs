@@ -7,8 +7,8 @@
 
 use oa_bench::{row, write_json, SweepRecorder};
 use oa_platform::prelude::*;
-use oa_workflow::monthly::month_reference_work;
 use oa_workflow::prelude::*;
+use oa_workflow::task::month_reference_work;
 
 fn main() {
     let mut rec = SweepRecorder::start("fig1_tasks");
@@ -26,20 +26,23 @@ fn main() {
             &widths
         )
     );
-    for kind in TaskKind::CONCRETE {
-        let t = Task::from_id(TaskId::new(0, 0, kind));
+    // One month of the unfused preset lowering: Figure 1's task chain.
+    let month = lower_experiment(ExperimentShape::new(1, 1));
+    for (_, task) in month.dag.iter() {
+        let kind = task.origin.expect("preset tasks carry their origin").kind;
+        let (lo, hi) = (task.kind.min_procs(), task.kind.max_procs());
         println!(
             "{}",
             row(
                 &[
                     kind.mnemonic().into(),
                     format!("{:?}", kind.phase()),
-                    if t.min_procs == t.max_procs {
-                        format!("{}", t.min_procs)
+                    if lo == hi {
+                        format!("{lo}")
                     } else {
-                        format!("{}-{}", t.min_procs, t.max_procs)
+                        format!("{lo}-{hi}")
                     },
-                    format!("{:.0}", t.reference_secs),
+                    format!("{:.0}", task.best_secs(&ReferenceDurations)),
                 ],
                 &widths
             )

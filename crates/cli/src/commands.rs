@@ -7,6 +7,9 @@ use oa_sched::prelude::*;
 use oa_sim::prelude::*;
 use oa_trace::prelude::*;
 
+use oa_workflow::chain::ExperimentShape;
+use oa_workflow::task::MIN_PROCS;
+
 use crate::args::{ArgError, Args};
 
 /// Command-level errors.
@@ -94,8 +97,11 @@ COMMANDS
             --naive disables the sharing (baseline); every field of
             the spec is optional (defaults: the 10^4-variant
             reference sweep)
-  analyze   statically verify a campaign: DAG, grouping, schedule and
-            platform rules (OA001..OA018); exits nonzero on errors
+  analyze   statically verify a planned campaign: platform, grouping and
+            schedule rules; its mesh is the preset lowering, clean under
+            the workflow rules by construction (tests pin it); exits
+            nonzero on errors; --rules prints all 30 rules (OA001..OA021,
+            ND001..ND007, CT001..CT002)
             --ns N --nm N --r N --cluster NAME --heuristic H [--json]
             [--file SCHEDULE.json] [--bandwidth MB/s --latency S] [--rules]
             [--jobs N]
@@ -207,12 +213,33 @@ fn pool_of(args: &Args) -> Result<oa_par::Pool, CliError> {
     Ok(oa_par::Pool::new(oa_par::resolve_jobs(args.jobs_opt()?)))
 }
 
-fn cluster_of(name: &str, resources: u32) -> Result<Cluster, CliError> {
-    if resources < 4 {
+/// Reads the campaign shape `--ns`/`--nm` (defaulting to `ns`/`nm`).
+/// Every subcommand reads it here, so a zero is answered the way the
+/// service's admission answers it (OA002), before any command builds a
+/// mesh or an instance from it.
+fn shape_of(args: &Args, ns: u32, nm: u32) -> Result<(u32, u32), CliError> {
+    let (ns, nm) = (args.u32_or("ns", ns)?, args.u32_or("nm", nm)?);
+    if ns == 0 || nm == 0 {
         return Err(CliError::Domain(format!(
-            "a cluster needs at least 4 processors to run any pcr, got {resources}"
+            "empty campaign shape: ns={ns}, nm={nm}"
         )));
     }
+    Ok((ns, nm))
+}
+
+/// Reads a processor-count flag (`--r`, `--resources`): a cluster
+/// needs at least [`MIN_PROCS`] processors to run any `pcr`.
+fn procs_of(args: &Args, flag: &str, default: u32) -> Result<u32, CliError> {
+    let procs = args.u32_or(flag, default)?;
+    if procs < MIN_PROCS {
+        return Err(CliError::Domain(format!(
+            "a cluster needs at least {MIN_PROCS} processors to run any pcr, got {procs}"
+        )));
+    }
+    Ok(procs)
+}
+
+fn cluster_of(name: &str, resources: u32) -> Result<Cluster, CliError> {
     if name == "reference" {
         return Ok(reference_cluster(resources));
     }
@@ -226,9 +253,8 @@ fn cluster_of(name: &str, resources: u32) -> Result<Cluster, CliError> {
 
 fn plan(args: &Args) -> Result<String, CliError> {
     args.check_known(&["ns", "nm", "r", "cluster", "heuristic", "all", "json"])?;
-    let ns = args.u32_or("ns", 10)?;
-    let nm = args.u32_or("nm", 1800)?;
-    let r = args.u32_or("r", 53)?;
+    let (ns, nm) = shape_of(args, 10, 1800)?;
+    let r = procs_of(args, "r", 53)?;
     let cluster = cluster_of(&args.str_or("cluster", "reference"), r)?;
     let inst = Instance::new(ns, nm, r);
 
@@ -272,19 +298,15 @@ fn plan(args: &Args) -> Result<String, CliError> {
 }
 
 /// Builds the workflow IR behind `oa sim --workflow SPEC`: the literal
-/// `preset` lowers the ocean-atmosphere mesh of the `--ns`/`--nm`
-/// shape (fused unless `--unfused`); anything else is a path to a JSON
-/// workflow spec in the `oa_workflow::ir::from_value` format.
-fn workflow_of(args: &Args, spec: &str) -> Result<oa_workflow::ir::WorkflowIr, CliError> {
+/// `preset` lowers the ocean-atmosphere mesh of `shape` (fused unless
+/// `--unfused`); anything else is a path to a JSON workflow spec in
+/// the `oa_workflow::ir::from_value` format.
+fn workflow_of(
+    args: &Args,
+    spec: &str,
+    shape: ExperimentShape,
+) -> Result<oa_workflow::ir::WorkflowIr, CliError> {
     if spec == "preset" {
-        let ns = args.u32_or("ns", 10)?;
-        let nm = args.u32_or("nm", 120)?;
-        if ns == 0 || nm == 0 {
-            return Err(CliError::Domain(format!(
-                "empty workflow shape: ns={ns}, nm={nm}"
-            )));
-        }
-        let shape = oa_workflow::chain::ExperimentShape::new(ns, nm);
         return Ok(if args.switch("unfused") {
             oa_workflow::ir::lower_experiment(shape)
         } else {
@@ -429,9 +451,8 @@ fn sim_cmd(args: &Args) -> Result<String, CliError> {
     if let Some(path) = args.str_opt("batch") {
         return sim_batch(args, path);
     }
-    let mut ns = args.u32_or("ns", 10)?;
-    let mut nm = args.u32_or("nm", 120)?;
-    let r = args.u32_or("r", 53)?;
+    let (mut ns, mut nm) = shape_of(args, 10, 120)?;
+    let r = procs_of(args, "r", 53)?;
     let cluster = cluster_of(&args.str_or("cluster", "reference"), r)?;
     let h = heuristic_of(&args.str_or("heuristic", "knapsack"))?;
     let pool = pool_of(args)?;
@@ -448,7 +469,8 @@ fn sim_cmd(args: &Args) -> Result<String, CliError> {
     // shape read off the mesh — byte-identical output by construction
     // — while general DAGs run on the IR engine.
     if args.str_opt("workflow").is_some() || args.switch("dot") {
-        let ir = workflow_of(args, args.str_opt("workflow").unwrap_or("preset"))?;
+        let spec = args.str_opt("workflow").unwrap_or("preset");
+        let ir = workflow_of(args, spec, ExperimentShape::new(ns, nm))?;
         if args.switch("dot") {
             return Ok(oa_workflow::dot::ir_dot(&ir, "workflow"));
         }
@@ -583,9 +605,11 @@ fn analyze_cmd(args: &Args) -> Result<String, CliError> {
         report.extend(schedule.analyze().diagnostics);
     } else {
         // Analyze a planned campaign end to end, one layer at a time.
-        let ns = args.u32_or("ns", 10)?;
-        let nm = args.u32_or("nm", 1800)?;
-        let r = args.u32_or("r", 53)?;
+        // Its mesh is the preset lowering of the shape, clean under the
+        // workflow rules by construction (`oa_analyze::ir`'s tests pin
+        // it), so the layers start at the platform.
+        let (ns, nm) = shape_of(args, 10, 1800)?;
+        let r = procs_of(args, "r", 53)?;
         let cluster = cluster_of(&args.str_or("cluster", "reference"), r)?;
         let h = heuristic_of(&args.str_or("heuristic", "knapsack"))?;
         let pool = pool_of(args)?;
@@ -596,8 +620,6 @@ fn analyze_cmd(args: &Args) -> Result<String, CliError> {
             h.label()
         );
 
-        let fused = oa_workflow::fusion::build_fused(inst.shape());
-        report.extend(oa_analyze::workflow::check_experiment(&fused));
         report.extend(oa_analyze::platform::check_cluster(&cluster));
 
         let grouping = h
@@ -782,9 +804,8 @@ fn audit_certify(args: &Args) -> Result<String, CliError> {
         "json",
         "matrix",
     ])?;
-    let ns = args.u32_or("ns", 10)?;
-    let nm = args.u32_or("nm", 120)?;
-    let r = args.u32_or("r", 53)?;
+    let (ns, nm) = shape_of(args, 10, 120)?;
+    let r = procs_of(args, "r", 53)?;
     let h = heuristic_of(&args.str_or("heuristic", "knapsack"))?;
     let inst = Instance::new(ns, nm, r);
     let plan = fault_plan_of(args)?;
@@ -860,9 +881,8 @@ fn audit_certify(args: &Args) -> Result<String, CliError> {
 
 fn gantt(args: &Args) -> Result<String, CliError> {
     args.check_known(&["ns", "nm", "r", "cluster", "heuristic", "width", "per-proc"])?;
-    let ns = args.u32_or("ns", 4)?;
-    let nm = args.u32_or("nm", 12)?;
-    let r = args.u32_or("r", 26)?;
+    let (ns, nm) = shape_of(args, 4, 12)?;
+    let r = procs_of(args, "r", 26)?;
     let width = args.u32_or("width", 76)? as usize;
     let cluster = cluster_of(&args.str_or("cluster", "reference"), r)?;
     let h = heuristic_of(&args.str_or("heuristic", "knapsack"))?;
@@ -912,10 +932,9 @@ fn preset_grid(clusters: u32, resources: u32) -> Result<Grid, CliError> {
 
 fn grid_cmd(args: &Args) -> Result<String, CliError> {
     args.check_known(&["ns", "nm", "clusters", "resources", "heuristic", "staging"])?;
-    let ns = args.u32_or("ns", 10)?;
-    let nm = args.u32_or("nm", 1800)?;
+    let (ns, nm) = shape_of(args, 10, 1800)?;
     let clusters = args.u32_or("clusters", 5)?;
-    let resources = args.u32_or("resources", 30)?;
+    let resources = procs_of(args, "resources", 30)?;
     let h = heuristic_of(&args.str_or("heuristic", "knapsack"))?;
     let grid = preset_grid(clusters, resources)?;
 
@@ -951,10 +970,9 @@ fn grid_cmd(args: &Args) -> Result<String, CliError> {
 
 fn campaign(args: &Args) -> Result<String, CliError> {
     args.check_known(&["ns", "nm", "clusters", "resources", "heuristic"])?;
-    let ns = args.u32_or("ns", 10)?;
-    let nm = args.u32_or("nm", 120)?;
+    let (ns, nm) = shape_of(args, 10, 120)?;
     let clusters = args.u32_or("clusters", 5)?;
-    let resources = args.u32_or("resources", 30)?;
+    let resources = procs_of(args, "resources", 30)?;
     let h = heuristic_of(&args.str_or("heuristic", "knapsack"))?;
     let grid = preset_grid(clusters, resources)?;
 
@@ -990,8 +1008,7 @@ fn import(args: &Args) -> Result<String, CliError> {
     if path.is_empty() {
         return Err(CliError::Domain("--file is required".into()));
     }
-    let ns = args.u32_or("ns", 10)?;
-    let nm = args.u32_or("nm", 120)?;
+    let (ns, nm) = shape_of(args, 10, 120)?;
     let h = heuristic_of(&args.str_or("heuristic", "knapsack"))?;
     let text = std::fs::read_to_string(&path)
         .map_err(|e| CliError::Domain(format!("cannot read {path:?}: {e}")))?;
@@ -1018,9 +1035,8 @@ fn import(args: &Args) -> Result<String, CliError> {
 
 fn profile_cmd(args: &Args) -> Result<String, CliError> {
     args.check_known(&["ns", "nm", "r", "cluster", "heuristic"])?;
-    let ns = args.u32_or("ns", 10)?;
-    let nm = args.u32_or("nm", 24)?;
-    let r = args.u32_or("r", 53)?;
+    let (ns, nm) = shape_of(args, 10, 24)?;
+    let r = procs_of(args, "r", 53)?;
     let cluster = cluster_of(&args.str_or("cluster", "reference"), r)?;
     let h = heuristic_of(&args.str_or("heuristic", "knapsack"))?;
     let inst = Instance::new(ns, nm, r);
@@ -1065,9 +1081,8 @@ const TRACE_CAMPAIGN_FLAGS: &[&str] = &["ns", "nm", "r", "cluster", "heuristic",
 /// Runs the campaign described by the flags with a buffering tracer
 /// and returns a scope line plus the recorded event stream.
 fn trace_campaign(args: &Args) -> Result<(String, Vec<TraceEvent>), CliError> {
-    let ns = args.u32_or("ns", 10)?;
-    let nm = args.u32_or("nm", 120)?;
-    let r = args.u32_or("r", 53)?;
+    let (ns, nm) = shape_of(args, 10, 120)?;
+    let r = procs_of(args, "r", 53)?;
     let cluster = cluster_of(&args.str_or("cluster", "reference"), r)?;
     let h = heuristic_of(&args.str_or("heuristic", "knapsack"))?;
     let pool = pool_of(args)?;
@@ -1178,13 +1193,12 @@ fn trace_summarize(args: &Args) -> Result<String, CliError> {
 
 fn dot_cmd(args: &Args) -> Result<String, CliError> {
     args.check_known(&["ns", "nm", "fused"])?;
-    let ns = args.u32_or("ns", 2)?;
-    let nm = args.u32_or("nm", 2)?;
-    let shape = oa_workflow::chain::ExperimentShape::new(ns, nm);
+    let (ns, nm) = shape_of(args, 2, 2)?;
+    let shape = ExperimentShape::new(ns, nm);
     Ok(if args.switch("fused") {
-        oa_workflow::dot::fused_dot(&oa_workflow::fusion::build_fused(shape))
+        oa_workflow::dot::ir_dot(&oa_workflow::ir::lower_fused(shape), "fused")
     } else {
-        oa_workflow::dot::experiment_dot(&oa_workflow::chain::build_experiment(shape))
+        oa_workflow::dot::ir_dot(&oa_workflow::ir::lower_experiment(shape), "experiment")
     })
 }
 
@@ -1252,8 +1266,7 @@ fn submit_cmd(args: &Args) -> Result<String, CliError> {
         .str_opt("session")
         .ok_or_else(|| CliError::Domain("submit needs --session NAME".to_string()))?
         .to_string();
-    let ns = args.u32_or("ns", 10)?;
-    let nm = args.u32_or("nm", 1800)?;
+    let (ns, nm) = shape_of(args, 10, 1800)?;
     let heuristic = args.str_or("heuristic", "knapsack");
     let policy = args.str_or("policy", "least-advanced");
     let granularity = if args.switch("unfused") {
@@ -1536,6 +1549,16 @@ mod tests {
         let out = oa(&["analyze", "--ns", "4", "--nm", "24", "--r", "26"]).unwrap();
         assert!(!out.contains("error["), "{out}");
         assert!(out.contains("campaign on reference"), "{out}");
+        // The report, as text and as JSON, is pinned byte for byte.
+        assert_eq!(
+            out,
+            include_str!("../../../tests/golden/analyze_4x24_r26.txt")
+        );
+        let json = oa(&["analyze", "--ns", "4", "--nm", "24", "--r", "26", "--json"]).unwrap();
+        assert_eq!(
+            json,
+            include_str!("../../../tests/golden/analyze_4x24_r26.json")
+        );
     }
 
     #[test]
@@ -1547,6 +1570,9 @@ mod tests {
         for layer in ["workflow", "scheduling", "schedule", "platform"] {
             assert!(out.contains(layer), "{out}");
         }
+        // All 30 rules, one line each under the header.
+        assert_eq!(out.lines().count(), 1 + 30, "{out}");
+        assert_eq!(out, include_str!("../../../tests/golden/analyze_rules.txt"));
     }
 
     #[test]
@@ -1780,6 +1806,15 @@ mod tests {
         assert!(plain.contains("s0m0:caif"));
         let fused = oa(&["dot", "--ns", "1", "--nm", "2", "--fused"]).unwrap();
         assert!(fused.contains("s0m1:post"));
+        // Both granularities, pinned byte for byte at the default 2 × 2.
+        assert_eq!(
+            oa(&["dot", "--ns", "2", "--nm", "2"]).unwrap(),
+            include_str!("../../../tests/golden/dot_2x2.dot")
+        );
+        assert_eq!(
+            oa(&["dot", "--ns", "2", "--nm", "2", "--fused"]).unwrap(),
+            include_str!("../../../tests/golden/dot_2x2_fused.dot")
+        );
     }
 
     /// The workspace root, two levels above this crate.
@@ -1962,6 +1997,54 @@ mod tests {
         }
         // No transport is an invocation error.
         assert!(matches!(oa(&["serve"]), Err(CliError::Domain(_))));
+    }
+
+    /// No flag value can panic `oa`. Most rows once aborted the process
+    /// (a zero shape reached `Instance::new` or `ExperimentShape::new`,
+    /// a cluster under 4 processors reached `Cluster::new`); the rest
+    /// pin that every subcommand answers the same way. Each row must be
+    /// a domain error carrying the shape or processor reader's message.
+    #[test]
+    fn zero_and_tiny_flags_are_errors_not_panics() {
+        let empty = |ns: u32, nm: u32| format!("empty campaign shape: ns={ns}, nm={nm}");
+        let small =
+            |r: u32| format!("a cluster needs at least 4 processors to run any pcr, got {r}");
+        let probes: Vec<(&[&str], String)> = vec![
+            (&["plan", "--ns", "0"], empty(0, 1800)),
+            (&["plan", "--nm", "0"], empty(10, 0)),
+            (&["sim", "--ns", "0"], empty(0, 120)),
+            (&["sim", "--nm", "0"], empty(10, 0)),
+            (&["sim", "--ns", "0", "--workflow", "preset"], empty(0, 120)),
+            (&["analyze", "--ns", "0"], empty(0, 1800)),
+            (&["analyze", "--nm", "0"], empty(10, 0)),
+            (&["gantt", "--ns", "0"], empty(0, 12)),
+            (&["gantt", "--nm", "0"], empty(4, 0)),
+            (&["profile", "--ns", "0"], empty(0, 24)),
+            (&["profile", "--nm", "0"], empty(10, 0)),
+            (&["audit", "certify", "--ns", "0"], empty(0, 120)),
+            (&["audit", "certify", "--nm", "0"], empty(10, 0)),
+            (&["dot", "--ns", "0"], empty(0, 2)),
+            (&["dot", "--nm", "0"], empty(2, 0)),
+            (&["trace", "export", "--ns", "0"], empty(0, 120)),
+            (&["trace", "summarize", "--nm", "0"], empty(10, 0)),
+            (&["trace", "record", "--ns", "0"], empty(0, 120)),
+            (&["grid", "--ns", "0"], empty(0, 1800)),
+            (&["grid", "--nm", "0"], empty(10, 0)),
+            (&["campaign", "--nm", "0"], empty(10, 0)),
+            (&["import", "--file", "x.bench", "--ns", "0"], empty(0, 120)),
+            (&["submit", "--session", "s", "--nm", "0"], empty(10, 0)),
+            (&["audit", "certify", "--r", "0"], small(0)),
+            (&["grid", "--resources", "3"], small(3)),
+            (&["campaign", "--resources", "0"], small(0)),
+            (&["plan", "--r", "3"], small(3)),
+        ];
+        for (words, want) in probes {
+            match std::panic::catch_unwind(|| oa(words)) {
+                Ok(Err(CliError::Domain(msg))) => assert_eq!(msg, want, "{words:?}"),
+                Ok(other) => panic!("{words:?}: expected a domain error, got {other:?}"),
+                Err(_) => panic!("{words:?} panicked"),
+            }
+        }
     }
 
     #[test]

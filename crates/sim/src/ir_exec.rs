@@ -115,7 +115,7 @@ pub fn check_input(ir: &WorkflowIr, r: u32) -> Result<(), IrExecError> {
 
 /// Executes a workflow on a flat pool of `r` processors.
 ///
-/// Allocation rule: a moldable task takes `min(max_procs, r)`
+/// The allocation rule: a moldable task takes `min(max_procs, r)`
 /// processors (never below its minimum — [`IrExecError::DoesNotFit`]
 /// otherwise); rigid tasks take exactly their requirement. Priority is
 /// the bottom level (longest downstream chain including the task

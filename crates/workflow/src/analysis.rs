@@ -119,9 +119,8 @@ impl Levels {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chain::build_experiment;
     use crate::chain::ExperimentShape;
-    use crate::fusion::build_fused;
+    use crate::ir::{lower_experiment, lower_fused, ReferenceDurations};
     use crate::task::TaskKind;
 
     #[test]
@@ -160,22 +159,23 @@ mod tests {
     fn oa_experiment_structure() {
         // 3 scenarios × 4 months, unfused: every pcr is critical, every
         // post-chain task has slack, max parallelism tracks NS.
-        let e = build_experiment(ExperimentShape::new(3, 4));
-        let l = levels(&e.dag, |_, t| t.reference_secs).unwrap();
-        for (node, task) in e.dag.iter() {
-            match task.id.kind {
+        let ir = lower_experiment(ExperimentShape::new(3, 4));
+        let l = ir.levels(&ReferenceDurations).unwrap();
+        for (node, n) in ir.dag.iter() {
+            let id = n.origin.unwrap();
+            match id.kind {
                 TaskKind::Pcr => {
                     // pcr of the last month sits before the post chain,
                     // still zero slack only if the post chain is the
                     // tail... every pcr is on the spine: slack 0 except
                     // possibly the last month's, whose successor chain
                     // (cof-emf-cd, 180 s) is what ends the scenario.
-                    assert!(l.slack[node.index()] < 1e-9, "pcr {:?}", task.id);
+                    assert!(l.slack[node.index()] < 1e-9, "pcr {id:?}");
                 }
                 TaskKind::Cof | TaskKind::Emf | TaskKind::Cd => {
-                    let last_month = task.id.month == 3;
+                    let last_month = id.month == 3;
                     if !last_month {
-                        assert!(l.slack[node.index()] > 0.0, "post {:?}", task.id);
+                        assert!(l.slack[node.index()] > 0.0, "post {id:?}");
                     }
                 }
                 _ => {}
@@ -187,19 +187,9 @@ mod tests {
 
     #[test]
     fn fused_experiment_span_matches_critical_path() {
-        let f = build_fused(ExperimentShape::new(2, 5));
-        let l = levels(&f.dag, |_, t| match t.kind {
-            TaskKind::FusedMain => 1262.0,
-            _ => 180.0,
-        })
-        .unwrap();
-        let cp = f
-            .dag
-            .critical_path(|_, t| match t.kind {
-                TaskKind::FusedMain => 1262.0,
-                _ => 180.0,
-            })
-            .unwrap();
+        let ir = lower_fused(ExperimentShape::new(2, 5));
+        let l = ir.levels(&ReferenceDurations).unwrap();
+        let cp = ir.critical_path(&ReferenceDurations).unwrap();
         assert!((l.span - cp).abs() < 1e-9);
     }
 

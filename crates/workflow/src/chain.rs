@@ -1,16 +1,13 @@
-//! Scenario chains and whole experiments.
+//! The experiment shape: `NS` scenarios of `NM` chained months.
 //!
 //! A *scenario* models 150 years of climate as `NM = 1800` chained
 //! monthly simulations: the results of month *n* are the starting point
 //! of month *n + 1*, so `pcr(n) → caif(n + 1)`. An *experiment* runs
 //! `NS` independent scenarios simultaneously — there is no edge between
-//! scenarios.
+//! scenarios. [`crate::ir::lower_experiment`] and
+//! [`crate::ir::lower_fused`] build the graph of a shape.
 
 use serde::{Deserialize, Serialize};
-
-use crate::dag::{Dag, NodeId};
-use crate::monthly::{add_month, MonthNodes};
-use crate::task::Task;
 
 /// The paper's canonical scenario length: 150 years of monthly runs.
 pub const CANONICAL_MONTHS: u32 = 150 * 12;
@@ -46,78 +43,11 @@ impl ExperimentShape {
     }
 }
 
-/// A built scenario: the DAG region belonging to one ensemble member.
-#[derive(Debug, Clone)]
-pub struct ScenarioNodes {
-    /// Scenario index.
-    pub scenario: u32,
-    /// Per-month task handles, length `NM`.
-    pub months: Vec<MonthNodes>,
-}
-
-/// A whole experiment DAG: `NS` disconnected scenario chains.
-#[derive(Debug, Clone)]
-pub struct ExperimentDag {
-    /// The shape this DAG was built from.
-    pub shape: ExperimentShape,
-    /// The task graph (7-task months, unfused).
-    pub dag: Dag<Task>,
-    /// Handles per scenario.
-    pub scenarios: Vec<ScenarioNodes>,
-}
-
-/// Builds the chain of `months` monthly DAGs for one scenario inside
-/// `dag`, wiring `pcr(n) → caif(n + 1)`.
-pub fn add_scenario(dag: &mut Dag<Task>, scenario: u32, months: u32) -> ScenarioNodes {
-    let mut nodes = Vec::with_capacity(months as usize);
-    for m in 0..months {
-        let month = add_month(dag, scenario, m).expect("chain construction cannot cycle");
-        if let Some(prev) = nodes.last() {
-            let prev: &MonthNodes = prev;
-            dag.add_edge(prev.pcr, month.caif)
-                .expect("forward edge cannot cycle");
-        }
-        nodes.push(month);
-    }
-    ScenarioNodes {
-        scenario,
-        months: nodes,
-    }
-}
-
-/// Builds the full experiment DAG for `shape`.
-pub fn build_experiment(shape: ExperimentShape) -> ExperimentDag {
-    let mut dag = Dag::with_capacity(shape.total_months() as usize * 6);
-    let scenarios = (0..shape.scenarios)
-        .map(|s| add_scenario(&mut dag, s, shape.months))
-        .collect();
-    ExperimentDag {
-        shape,
-        dag,
-        scenarios,
-    }
-}
-
-impl ExperimentDag {
-    /// The `pcr` node of `(scenario, month)`.
-    pub fn pcr(&self, scenario: u32, month: u32) -> NodeId {
-        self.scenarios[scenario as usize].months[month as usize].pcr
-    }
-
-    /// Critical-path length using reference durations: one scenario's
-    /// chain (scenarios are independent and identical).
-    pub fn reference_critical_path(&self) -> f64 {
-        self.dag
-            .critical_path(|_, t| t.reference_secs)
-            .expect("experiment DAGs are acyclic by construction")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monthly::month_reference_work;
-    use crate::task::TaskKind;
+    use crate::ir::{lower_experiment, node_of, ReferenceDurations};
+    use crate::task::{month_reference_work, TaskId, TaskKind};
 
     #[test]
     fn shape_counts() {
@@ -140,66 +70,56 @@ mod tests {
 
     #[test]
     fn experiment_node_and_edge_counts() {
-        let e = build_experiment(ExperimentShape::new(3, 5));
+        let ir = lower_experiment(ExperimentShape::new(3, 5));
         // 3 × 5 months × 6 tasks.
-        assert_eq!(e.dag.node_count(), 90);
+        assert_eq!(ir.node_count(), 90);
         // Per month 5 intra edges, plus 4 cross-month edges per scenario.
-        assert_eq!(e.dag.edge_count(), 3 * (5 * 5 + 4));
-        e.dag.validate().unwrap();
+        assert_eq!(ir.edge_count(), 3 * (5 * 5 + 4));
+        ir.validate().unwrap();
     }
 
     #[test]
     fn scenarios_are_disconnected() {
-        let e = build_experiment(ExperimentShape::new(2, 3));
-        let a = e.scenarios[0].months[0].caif;
-        let b = e.scenarios[1].months[2].cd;
-        assert!(!e.dag.reaches(a, b));
-        assert!(!e.dag.reaches(b, a));
+        let ir = lower_experiment(ExperimentShape::new(2, 3));
+        let a = node_of(&ir, TaskId::new(0, 0, TaskKind::Caif));
+        let b = node_of(&ir, TaskId::new(1, 2, TaskKind::Cd));
+        assert!(!ir.dag.reaches(a, b));
+        assert!(!ir.dag.reaches(b, a));
     }
 
     #[test]
     fn cross_month_edge_goes_pcr_to_caif() {
-        let e = build_experiment(ExperimentShape::new(1, 2));
-        let m0 = &e.scenarios[0].months[0];
-        let m1 = &e.scenarios[0].months[1];
-        assert!(e.dag.successors(m0.pcr).contains(&m1.caif));
+        let ir = lower_experiment(ExperimentShape::new(1, 2));
+        let pcr0 = node_of(&ir, TaskId::new(0, 0, TaskKind::Pcr));
+        let cof0 = node_of(&ir, TaskId::new(0, 0, TaskKind::Cof));
+        let caif1 = node_of(&ir, TaskId::new(0, 1, TaskKind::Caif));
+        assert!(ir.dag.successors(pcr0).contains(&caif1));
         // Post-processing of month 0 does not gate month 1.
-        assert!(!e.dag.reaches(m0.cof, m1.caif));
+        assert!(!ir.dag.reaches(cof0, caif1));
     }
 
     #[test]
     fn sources_and_sinks_are_per_scenario() {
-        let e = build_experiment(ExperimentShape::new(4, 6));
+        let ir = lower_experiment(ExperimentShape::new(4, 6));
         // One source per scenario: month 0's caif.
-        assert_eq!(e.dag.sources().len(), 4);
+        assert_eq!(ir.dag.sources().len(), 4);
         // Sinks: last month's cd per scenario... plus each month's cd is
         // a sink! cd has no successors in any month.
-        let sinks = e.dag.sinks();
+        let sinks = ir.dag.sinks();
         assert_eq!(sinks.len(), 4 * 6);
         for s in sinks {
-            assert_eq!(e.dag.node(s).id.kind, TaskKind::Cd);
+            assert_eq!(ir.dag.node(s).origin.unwrap().kind, TaskKind::Cd);
         }
     }
 
     #[test]
     fn critical_path_is_one_chain() {
-        let e = build_experiment(ExperimentShape::new(3, 4));
+        let ir = lower_experiment(ExperimentShape::new(3, 4));
         // Per month the path through pcr + posts, chained via pcr:
         // months 0..2 contribute caif+mp+pcr (1262), last month the full
         // 1442, and the first three months' post tails (180) are off the
         // spine... the longest path is 3×1262 + 1442.
         let expected = 3.0 * 1262.0 + month_reference_work();
-        assert_eq!(e.reference_critical_path(), expected);
-    }
-
-    #[test]
-    fn pcr_lookup() {
-        let e = build_experiment(ExperimentShape::new(2, 2));
-        let n = e.pcr(1, 1);
-        let t = e.dag.node(n);
-        assert_eq!(
-            (t.id.scenario, t.id.month, t.id.kind),
-            (1, 1, TaskKind::Pcr)
-        );
+        assert_eq!(ir.critical_path(&ReferenceDurations).unwrap(), expected);
     }
 }

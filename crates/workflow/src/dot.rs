@@ -8,37 +8,16 @@
 //! There is one renderer, [`ir_dot`], which draws any [`WorkflowIr`]:
 //! nodes are colour-coded by phase (preset lowerings) or by task shape
 //! (hand-written workflows), and precedence edges that carry a data
-//! flow are labelled with the volume. The legacy `experiment_dot` /
-//! `fused_dot` entry points are thin wrappers that lower the preset
-//! and delegate.
+//! flow are labelled with the volume. `oa dot` renders the preset
+//! lowerings, [`crate::ir::lower_experiment`] and
+//! [`crate::ir::lower_fused`].
 
-use crate::chain::ExperimentDag;
-use crate::dag::Dag;
-use crate::fusion::FusedExperiment;
-use crate::ir::{lower_experiment, lower_fused, IrNode, WorkflowIr};
+use crate::ir::{IrNode, WorkflowIr};
 use crate::task::Phase;
 
 /// Escapes a DOT identifier/label.
 fn esc(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Renders any DAG as DOT; `label` names each node.
-pub fn to_dot<N>(dag: &Dag<N>, name: &str, mut label: impl FnMut(&N) -> String) -> String {
-    let mut out = format!(
-        "digraph \"{}\" {{\n  rankdir=LR;\n  node [shape=box];\n",
-        esc(name)
-    );
-    for (id, n) in dag.iter() {
-        out.push_str(&format!("  n{} [label=\"{}\"];\n", id.0, esc(&label(n))));
-    }
-    for from in dag.node_ids() {
-        for &to in dag.successors(from) {
-            out.push_str(&format!("  n{} -> n{};\n", from.0, to.0));
-        }
-    }
-    out.push_str("}\n");
-    out
 }
 
 /// Renders a workflow IR as DOT: phase/shape colour-coding plus
@@ -73,17 +52,6 @@ pub fn ir_dot(ir: &WorkflowIr, name: &str) -> String {
     out
 }
 
-/// DOT for an unfused experiment, phases colour-coded as in the paper's
-/// figures (main tasks hatched ⇒ filled here).
-pub fn experiment_dot(e: &ExperimentDag) -> String {
-    ir_dot(&lower_experiment(e.shape), "experiment")
-}
-
-/// DOT for a fused experiment.
-pub fn fused_dot(f: &FusedExperiment) -> String {
-    ir_dot(&lower_fused(f.shape), "fused")
-}
-
 fn node_color(n: &IrNode) -> &'static str {
     match n.origin.map(|id| id.kind.phase()) {
         Some(Phase::Pre) => "lightyellow",
@@ -98,17 +66,16 @@ fn node_color(n: &IrNode) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chain::{build_experiment, ExperimentShape};
-    use crate::fusion::build_fused;
-    use crate::ir::{DurationModel, IrTaskKind};
+    use crate::chain::ExperimentShape;
+    use crate::ir::{lower_experiment, lower_fused, DurationModel, IrTaskKind};
     use crate::task::TaskKind;
 
     #[test]
     fn dot_contains_every_node_and_edge() {
-        let e = build_experiment(ExperimentShape::new(2, 2));
-        let dot = experiment_dot(&e);
-        assert_eq!(dot.matches("fillcolor").count(), e.dag.node_count());
-        assert_eq!(dot.matches(" -> ").count(), e.dag.edge_count());
+        let ir = lower_experiment(ExperimentShape::new(2, 2));
+        let dot = ir_dot(&ir, "experiment");
+        assert_eq!(dot.matches("fillcolor").count(), ir.node_count());
+        assert_eq!(dot.matches(" -> ").count(), ir.edge_count());
         assert!(dot.contains("s0m0:caif"));
         assert!(dot.contains("s1m1:cd"));
         // The cross-month hand-off is drawn with its volume.
@@ -116,9 +83,8 @@ mod tests {
     }
 
     #[test]
-    fn fused_dot_mentions_mains_and_posts() {
-        let f = build_fused(ExperimentShape::new(1, 2));
-        let dot = fused_dot(&f);
+    fn fused_mesh_dot_mentions_mains_and_posts() {
+        let dot = ir_dot(&lower_fused(ExperimentShape::new(1, 2)), "fused");
         assert!(dot.contains("s0m0:main"));
         assert!(dot.contains("s0m1:post"));
         assert!(dot.starts_with("digraph"));
@@ -128,24 +94,18 @@ mod tests {
 
     #[test]
     fn labels_are_escaped() {
-        let mut dag = Dag::new();
-        dag.add_node(String::from("weird \"label\" \\ here"));
-        let dot = to_dot(&dag, "esc", std::clone::Clone::clone);
-        assert!(dot.contains("weird \\\"label\\\" \\\\ here"));
-
         let mut ir = WorkflowIr::new();
         ir.add_task(
-            "odd \"name\"",
+            "odd \"name\" \\ here",
             IrTaskKind::Rigid(1),
             DurationModel::Fixed(1.0),
         );
-        assert!(ir_dot(&ir, "esc").contains("odd \\\"name\\\""));
+        assert!(ir_dot(&ir, "esc").contains("odd \\\"name\\\" \\\\ here"));
     }
 
     #[test]
     fn phases_are_color_coded() {
-        let e = build_experiment(ExperimentShape::new(1, 1));
-        let dot = experiment_dot(&e);
+        let dot = ir_dot(&lower_experiment(ExperimentShape::new(1, 1)), "experiment");
         assert!(dot.contains("lightyellow")); // pre
         assert!(dot.contains("lightblue")); // main
         assert!(dot.contains("lightgrey")); // post

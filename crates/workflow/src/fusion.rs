@@ -9,12 +9,11 @@
 //! After fusion a month is a *main* multiprocessor task (pre-processing
 //! plus `pcr`) and a *post* sequential task, with dependencies
 //! `main(n) → main(n + 1)` and `main(n) → post(n)`. Post-processing
-//! never gates the next month.
+//! never gates the next month. [`crate::ir::lower_fused`] builds that
+//! mesh; this module names its tasks and their durations.
 
 use serde::{Deserialize, Serialize};
 
-use crate::chain::{ExperimentDag, ExperimentShape};
-use crate::dag::{Dag, NodeId};
 use crate::task::{TaskId, TaskKind, FUSED_POST_SECS, FUSED_PRE_SECS};
 
 /// Identity of a fused task: `(scenario, month, main-or-post)`.
@@ -53,64 +52,6 @@ impl FusedTask {
     }
 }
 
-/// A fused experiment: two tasks per month.
-#[derive(Debug, Clone)]
-pub struct FusedExperiment {
-    /// Shape of the experiment.
-    pub shape: ExperimentShape,
-    /// The fused DAG.
-    pub dag: Dag<FusedTask>,
-    /// `mains[s][m]` is the handle of main task of scenario `s`, month `m`.
-    pub mains: Vec<Vec<NodeId>>,
-    /// `posts[s][m]` likewise for post tasks.
-    pub posts: Vec<Vec<NodeId>>,
-}
-
-/// Builds the fused two-task-per-month experiment DAG directly from a
-/// shape (the common path: the scheduler never needs the unfused graph).
-pub fn build_fused(shape: ExperimentShape) -> FusedExperiment {
-    let mut dag = Dag::with_capacity(shape.total_months() as usize * 2);
-    let mut mains = Vec::with_capacity(shape.scenarios as usize);
-    let mut posts = Vec::with_capacity(shape.scenarios as usize);
-    for s in 0..shape.scenarios {
-        let mut ms = Vec::with_capacity(shape.months as usize);
-        let mut ps = Vec::with_capacity(shape.months as usize);
-        for m in 0..shape.months {
-            let main = dag.add_node(FusedTask::main(s, m));
-            let post = dag.add_node(FusedTask::post(s, m));
-            dag.add_edge(main, post).expect("fresh nodes");
-            if m > 0 {
-                let prev = ms[m as usize - 1];
-                dag.add_edge(prev, main).expect("forward edge");
-            }
-            ms.push(main);
-            ps.push(post);
-        }
-        mains.push(ms);
-        posts.push(ps);
-    }
-    FusedExperiment {
-        shape,
-        dag,
-        mains,
-        posts,
-    }
-}
-
-/// Fuses an already-built seven-task experiment DAG, checking that the
-/// fine-grained graph really has the Figure 1 structure.
-pub fn fuse(e: &ExperimentDag) -> FusedExperiment {
-    for sc in &e.scenarios {
-        for (m, month) in sc.months.iter().enumerate() {
-            debug_assert!(e.dag.successors(month.pcr).contains(&month.cof));
-            if m + 1 < sc.months.len() {
-                debug_assert!(e.dag.successors(month.pcr).contains(&sc.months[m + 1].caif));
-            }
-        }
-    }
-    build_fused(e.shape)
-}
-
 /// Duration of the fused main task given the duration of the `pcr` part.
 ///
 /// The paper's `TG` includes data access and redistribution time
@@ -125,59 +66,33 @@ pub fn fused_post_secs() -> f64 {
     FUSED_POST_SECS
 }
 
-impl FusedExperiment {
-    /// Handle of main task `(scenario, month)`.
-    pub fn main(&self, scenario: u32, month: u32) -> NodeId {
-        self.mains[scenario as usize][month as usize]
-    }
-
-    /// Handle of post task `(scenario, month)`.
-    pub fn post(&self, scenario: u32, month: u32) -> NodeId {
-        self.posts[scenario as usize][month as usize]
-    }
-
-    /// Number of main (equivalently post) tasks, `nbtasks = NS × NM`.
-    pub fn nbtasks(&self) -> u64 {
-        self.shape.total_months()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chain::build_experiment;
+    use crate::chain::ExperimentShape;
+    use crate::ir::{lower_fused, node_of};
 
     #[test]
     fn fused_counts() {
-        let f = build_fused(ExperimentShape::new(3, 4));
-        assert_eq!(f.dag.node_count(), 24);
+        let ir = lower_fused(ExperimentShape::new(3, 4));
+        assert_eq!(ir.node_count(), 24);
         // Per month: main→post; per scenario 3 chain edges.
-        assert_eq!(f.dag.edge_count(), 3 * (4 + 3));
-        assert_eq!(f.nbtasks(), 12);
-        f.dag.validate().unwrap();
+        assert_eq!(ir.edge_count(), 3 * (4 + 3));
+        ir.validate().unwrap();
     }
 
     #[test]
     fn figure_2_dependencies() {
-        let f = build_fused(ExperimentShape::new(1, 2));
-        let m0 = f.main(0, 0);
-        let m1 = f.main(0, 1);
-        let p0 = f.post(0, 0);
-        let p1 = f.post(0, 1);
-        assert!(f.dag.successors(m0).contains(&p0));
-        assert!(f.dag.successors(m0).contains(&m1));
-        assert!(f.dag.successors(m1).contains(&p1));
+        let ir = lower_fused(ExperimentShape::new(1, 2));
+        let m0 = node_of(&ir, FusedTask::main(0, 0).task_id());
+        let m1 = node_of(&ir, FusedTask::main(0, 1).task_id());
+        let p0 = node_of(&ir, FusedTask::post(0, 0).task_id());
+        let p1 = node_of(&ir, FusedTask::post(0, 1).task_id());
+        assert!(ir.dag.successors(m0).contains(&p0));
+        assert!(ir.dag.successors(m0).contains(&m1));
+        assert!(ir.dag.successors(m1).contains(&p1));
         // post1 does not gate main2.
-        assert!(!f.dag.reaches(p0, m1));
-    }
-
-    #[test]
-    fn fuse_agrees_with_direct_build() {
-        let e = build_experiment(ExperimentShape::new(2, 3));
-        let f = fuse(&e);
-        let g = build_fused(e.shape);
-        assert_eq!(f.dag.node_count(), g.dag.node_count());
-        assert_eq!(f.dag.edge_count(), g.dag.edge_count());
+        assert!(!ir.dag.reaches(p0, m1));
     }
 
     #[test]

@@ -5,21 +5,20 @@
 //! Chis, Desprez, Maisonnave — INRIA RR-6695 / ICPP 2008):
 //!
 //! * the task vocabulary and the benchmarked durations of Figure 1
-//!   ([`task`]);
+//!   ([`task`]), and the fused task identities and durations of
+//!   Figure 2 ([`fusion`]);
+//! * the experiment shape, `NS` scenarios of `NM` chained months
+//!   ([`chain`]);
 //! * a generic DAG container with topological sorting and critical-path
 //!   queries ([`dag`]);
-//! * the seven-task monthly simulation DAG ([`monthly`]);
-//! * scenario chains (`pcr(n) → caif(n+1)`) and whole experiments of
-//!   `NS` independent scenarios ([`chain`]);
-//! * the fused two-task-per-month model of Figure 2 on which the
-//!   scheduling heuristics operate ([`fusion`]);
 //! * moldable-task allocation ranges ([`moldable`]);
 //! * data volumes — the 120 MB inter-month hand-off ([`data`]);
 //! * static analysis: ASAP/ALAP levels, slack, parallelism width
 //!   ([`analysis`]);
-//! * the typed workflow IR — arbitrary DAGs of moldable/rigid tasks
-//!   with duration models and data-flow edge payloads, plus the
-//!   lowering of the ocean-atmosphere presets into it ([`ir`]).
+//! * the typed workflow IR, the one graph model every layer reads —
+//!   arbitrary DAGs of moldable/rigid tasks with duration models and
+//!   data-flow edge payloads, plus the lowering of the ocean-atmosphere
+//!   presets into it ([`ir`]) and its Graphviz rendering ([`dot`]).
 //!
 //! The crate is deliberately free of scheduling policy: it describes
 //! *what* must run and in which order, nothing about *where* or *when*.
@@ -33,10 +32,11 @@
 //! let shape = ExperimentShape::canonical();
 //! assert_eq!(shape.total_months(), 18_000);
 //!
-//! // The fused DAG the scheduler consumes.
-//! let fused = build_fused(ExperimentShape::new(2, 3));
-//! assert_eq!(fused.nbtasks(), 6);
-//! fused.dag.validate().unwrap();
+//! // The fused mesh the scheduler consumes: a main and a post a month.
+//! let fused = lower_fused(ExperimentShape::new(2, 3));
+//! assert_eq!(fused.node_count(), 12);
+//! fused.validate().unwrap();
+//! assert_eq!(recognize(&fused), IrClass::FusedMesh(ExperimentShape::new(2, 3)));
 //! ```
 
 #![warn(missing_docs)]
@@ -49,26 +49,20 @@ pub mod dot;
 pub mod fusion;
 pub mod ir;
 pub mod moldable;
-pub mod monthly;
 pub mod task;
 
 /// One-stop imports for downstream crates.
 pub mod prelude {
     pub use crate::analysis::{levels, Levels};
-    pub use crate::chain::{
-        build_experiment, ExperimentDag, ExperimentShape, CANONICAL_MONTHS, CANONICAL_SCENARIOS,
-    };
+    pub use crate::chain::{ExperimentShape, CANONICAL_MONTHS, CANONICAL_SCENARIOS};
     pub use crate::dag::{Dag, DagError, NodeId};
     pub use crate::data::{DataVolume, INTER_MONTH_TRANSFER};
-    pub use crate::dot::{experiment_dot, fused_dot, ir_dot, to_dot};
-    pub use crate::fusion::{
-        build_fused, fused_main_secs, fused_post_secs, FusedExperiment, FusedTask,
-    };
+    pub use crate::dot::ir_dot;
+    pub use crate::fusion::{fused_main_secs, fused_post_secs, FusedTask};
     pub use crate::ir::{
         lower_experiment, lower_fused, recognize, DataFlow, DurationModel, Durations, IrClass,
         IrError, IrNode, IrProfile, IrTaskKind, ReferenceDurations, SpecError, WorkflowIr,
     };
-    pub use crate::moldable::{Allocation, MoldableSpec};
-    pub use crate::monthly::{add_month, monthly_dag, MonthNodes};
-    pub use crate::task::{Phase, Task, TaskId, TaskKind, MAX_PROCS, MIN_PROCS, NUM_GROUP_SIZES};
+    pub use crate::moldable::MoldableSpec;
+    pub use crate::task::{Phase, TaskId, TaskKind, MAX_PROCS, MIN_PROCS, NUM_GROUP_SIZES};
 }

@@ -62,27 +62,10 @@ impl MoldableSpec {
             .then(|| (procs - self.min_procs) as usize)
     }
 
-    /// Allocation for dense-table index `i`.
+    /// The allocation at dense-table index `i`.
     pub fn allocation_at(&self, i: usize) -> Option<u32> {
         let g = self.min_procs + i as u32;
         self.accepts(g).then_some(g)
-    }
-}
-
-/// A chosen allocation for one moldable task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Allocation(pub u32);
-
-impl Allocation {
-    /// Validates the allocation against a spec.
-    pub fn checked(procs: u32, spec: MoldableSpec) -> Option<Self> {
-        spec.accepts(procs).then_some(Self(procs))
-    }
-
-    /// Processors devoted to the parallel atmosphere component
-    /// (`G − 3`: OPA, TRIP and OASIS take one each).
-    pub fn atmosphere_procs(self) -> u32 {
-        self.0.saturating_sub(3)
     }
 }
 
@@ -112,18 +95,5 @@ mod tests {
         assert_eq!(s.index_of(3), None);
         assert_eq!(s.index_of(12), None);
         assert_eq!(s.allocation_at(8), None);
-    }
-
-    #[test]
-    fn atmosphere_share() {
-        assert_eq!(Allocation(4).atmosphere_procs(), 1);
-        assert_eq!(Allocation(11).atmosphere_procs(), 8);
-    }
-
-    #[test]
-    fn checked_allocation() {
-        let s = MoldableSpec::pcr();
-        assert_eq!(Allocation::checked(7, s), Some(Allocation(7)));
-        assert_eq!(Allocation::checked(2, s), None);
     }
 }

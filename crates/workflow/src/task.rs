@@ -111,11 +111,6 @@ impl TaskKind {
         }
     }
 
-    /// Whether the task is moldable (runs on 4..=11 processors).
-    pub fn is_moldable(self) -> bool {
-        matches!(self, TaskKind::Pcr | TaskKind::FusedMain)
-    }
-
     /// Which phase of the monthly simulation the task belongs to.
     pub fn phase(self) -> Phase {
         match self {
@@ -172,46 +167,18 @@ impl std::fmt::Display for TaskId {
     }
 }
 
-/// A task instance: identity plus its sequential reference duration and
-/// processor requirements.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Task {
-    /// Identity of the task.
-    pub id: TaskId,
-    /// Reference duration in seconds (see [`TaskKind::reference_secs`]).
-    pub reference_secs: f64,
-    /// Minimum processors required.
-    pub min_procs: u32,
-    /// Maximum processors the task can exploit.
-    pub max_procs: u32,
-}
-
-impl Task {
-    /// Builds the task instance for `id` with the paper's reference
-    /// durations and processor ranges.
-    pub fn from_id(id: TaskId) -> Self {
-        let (min_procs, max_procs) = if id.kind.is_moldable() {
-            (MIN_PROCS, MAX_PROCS)
-        } else {
-            (1, 1)
-        };
-        Self {
-            id,
-            reference_secs: id.kind.reference_secs(),
-            min_procs,
-            max_procs,
-        }
-    }
-
-    /// Whether the task may run on `procs` processors.
-    pub fn accepts(&self, procs: u32) -> bool {
-        (self.min_procs..=self.max_procs).contains(&procs)
-    }
+/// Sum of the sequential reference durations of one month
+/// (1 + 1 + 1260 + 60 + 60 + 60 = 1442 s on the reference cluster).
+pub fn month_reference_work() -> f64 {
+    TaskKind::CONCRETE.iter().map(|k| k.reference_secs()).sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain::ExperimentShape;
+    use crate::ir::{lower_experiment, node_of, IrTaskKind, ReferenceDurations, WorkflowIr};
+    use crate::moldable::MoldableSpec;
 
     #[test]
     fn fused_durations_match_figure_1() {
@@ -221,30 +188,83 @@ mod tests {
         assert_eq!(TaskKind::Pcr.reference_secs(), 1260.0);
     }
 
+    /// One month of the unfused lowering: Figure 1's task chain.
+    fn month() -> WorkflowIr {
+        lower_experiment(ExperimentShape::new(1, 1))
+    }
+
     #[test]
     fn moldable_range_is_4_to_11() {
-        let t = Task::from_id(TaskId::new(0, 0, TaskKind::Pcr));
-        assert!(t.accepts(4));
-        assert!(t.accepts(11));
-        assert!(!t.accepts(3));
-        assert!(!t.accepts(12));
+        let ir = month();
+        let pcr = ir.dag.node(node_of(&ir, TaskId::new(0, 0, TaskKind::Pcr)));
+        assert_eq!(pcr.kind, IrTaskKind::Moldable(MoldableSpec::pcr()));
+        assert_eq!((pcr.kind.min_procs(), pcr.kind.max_procs()), (4, 11));
         assert_eq!(NUM_GROUP_SIZES, 8);
     }
 
     #[test]
     fn sequential_tasks_take_one_processor() {
-        for kind in [
-            TaskKind::Caif,
-            TaskKind::Mp,
-            TaskKind::Cof,
-            TaskKind::Emf,
-            TaskKind::Cd,
-        ] {
-            let t = Task::from_id(TaskId::new(1, 2, kind));
-            assert!(t.accepts(1), "{kind:?}");
-            assert!(!t.accepts(2), "{kind:?}");
-            assert!(!kind.is_moldable());
+        let ir = month();
+        for (_, n) in ir.dag.iter() {
+            let kind = n.origin.unwrap().kind;
+            if kind != TaskKind::Pcr {
+                assert_eq!(n.kind, IrTaskKind::Rigid(1), "{kind:?}");
+            }
         }
+    }
+
+    #[test]
+    fn month_has_seven_minus_one_tasks_and_five_edges() {
+        // Seven tasks in the paper's prose count the DAG *plus* the data
+        // node; the task DAG itself has six task nodes and five edges.
+        let ir = month();
+        assert_eq!(ir.node_count(), 6);
+        assert_eq!(ir.edge_count(), 5);
+        ir.validate().unwrap();
+    }
+
+    #[test]
+    fn month_is_a_chain() {
+        let ir = month();
+        let caif = node_of(&ir, TaskId::new(0, 0, TaskKind::Caif));
+        let cd = node_of(&ir, TaskId::new(0, 0, TaskKind::Cd));
+        assert_eq!(ir.dag.sources(), vec![caif]);
+        assert_eq!(ir.dag.sinks(), vec![cd]);
+        for n in ir.dag.node_ids() {
+            assert!(ir.dag.in_degree(n) <= 1);
+            assert!(ir.dag.out_degree(n) <= 1);
+        }
+    }
+
+    #[test]
+    fn phases_ordered_pre_main_post() {
+        let ir = month();
+        let order = ir.dag.topo_sort().unwrap();
+        let phases: Vec<Phase> = order
+            .iter()
+            .map(|&n| ir.dag.node(n).origin.unwrap().kind.phase())
+            .collect();
+        let mut sorted = phases.clone();
+        sorted.sort();
+        assert_eq!(phases, sorted);
+    }
+
+    #[test]
+    fn identities_carry_scenario_and_month() {
+        let ir = lower_experiment(ExperimentShape::new(5, 18));
+        let t = ir.dag.node(node_of(&ir, TaskId::new(4, 17, TaskKind::Pcr)));
+        assert_eq!(t.name, "s4m17:pcr");
+    }
+
+    #[test]
+    fn reference_work_matches_figure_1_sum() {
+        assert_eq!(month_reference_work(), 1442.0);
+    }
+
+    #[test]
+    fn critical_path_equals_total_work_for_a_chain() {
+        let cp = month().critical_path(&ReferenceDurations).unwrap();
+        assert_eq!(cp, month_reference_work());
     }
 
     #[test]

@@ -15,14 +15,14 @@ fn main() {
 
     // The application structure (Figure 1): 10 scenarios of 1800 months.
     let shape = ExperimentShape::canonical();
-    let experiment = build_fused(shape);
-    experiment.dag.validate().expect("chains are acyclic");
+    let experiment = lower_fused(shape);
+    experiment.validate().expect("chains are acyclic");
     println!(
         "campaign: {} scenarios × {} months = {} monthly simulations ({} fused tasks)",
         shape.scenarios,
         shape.months,
         shape.total_months(),
-        experiment.dag.node_count()
+        experiment.node_count()
     );
     println!(
         "data handed between consecutive months: {} MB; per scenario: {} MB",

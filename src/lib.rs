@@ -11,17 +11,17 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`workflow`] | tasks, DAGs, monthly simulations, scenario chains, fusion |
+//! | [`workflow`] | tasks, DAGs, and the typed workflow IR with the paper's mesh as its preset lowering |
 //! | [`platform`] | timing tables, moldable speedup model, clusters, grids, presets |
 //! | [`knapsack`] | exact bounded knapsack with cardinality constraint (+ greedy, B&B) |
 //! | [`sched`] | Equations 1–5, the basic heuristic and Improvements 1–3, Algorithm 1 |
 //! | [`par`] | deterministic scoped worker pool: order-preserving `par_map` / `par_sweep` |
-//! | [`analyze`] | rule-based static diagnostics (OA001–OA018) over all four layers |
+//! | [`analyze`] | rule-based static diagnostics: OA001–OA021 over the workflow, scheduling, schedule and platform layers, ND001–ND007 over sources, CT001–CT002 certifying campaigns |
 //! | [`sim`] | discrete-event executor, schedule validation, Gantt, metrics, grid runs |
 //! | [`trace`] | structured event tracing, metrics registry, Chrome/Gantt exporters |
 //! | [`middleware`] | DIET-like client / agent / SeD protocol over threads |
 //! | [`service`] | campaign-as-a-service daemon: line-delimited JSON protocol, admission, virtual time |
-//! | [`baselines`] | the related work implemented: list scheduler, CPA, CPR, one-DAG-at-a-time |
+//! | [`baselines`] | the related work implemented: CPA, CPR, one-DAG-at-a-time, HEFT, co-allocation |
 //!
 //! ## Quickstart
 //!

@@ -10,10 +10,11 @@ use ocean_atmosphere::prelude::*;
 #[test]
 fn dag_to_schedule_pipeline() {
     let shape = ExperimentShape::new(4, 6);
-    let full = build_experiment(shape);
-    full.dag.validate().expect("chains are acyclic");
-    let fused = build_fused(shape);
-    assert_eq!(fused.nbtasks(), shape.total_months());
+    let full = lower_experiment(shape);
+    full.validate().expect("chains are acyclic");
+    let fused = lower_fused(shape);
+    fused.validate().expect("chains are acyclic");
+    assert_eq!(fused.node_count() as u64, 2 * shape.total_months());
 
     let cluster = reference_cluster(20);
     let inst = Instance::for_shape(shape, 20);
@@ -24,7 +25,7 @@ fn dag_to_schedule_pipeline() {
     schedule.validate().expect("schedule respects the DAG");
 
     // Every fused task of the DAG is placed exactly once.
-    assert_eq!(schedule.records.len() as u64, fused.nbtasks() * 2);
+    assert_eq!(schedule.records.len(), fused.node_count());
 }
 
 /// The synthetic benchmark campaign must produce a table on which the

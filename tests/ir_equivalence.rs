@@ -1,11 +1,13 @@
 //! IR-vs-legacy equivalence: the workflow-IR tentpole's hard
 //! invariant. Lowering the ocean-atmosphere presets into the typed IR
 //! and running every downstream layer off it must be *observationally
-//! invisible*: topological orders and critical paths match the legacy
-//! `chain`/`fusion` builders exactly, campaign outcomes through
-//! `simulate_ir` are bitwise the legacy engine's, the IR executor
+//! invisible*: the lowerings are the seed `build_fused` /
+//! `build_experiment` meshes (their loops kept below as the oracle)
+//! node for node, edge for edge and flow for flow, so topological
+//! orders and critical paths match; campaign outcomes through
+//! `simulate_ir` are bitwise the legacy engine's; the IR executor
 //! reproduces the seed moldable list scheduler (kept below verbatim as
-//! the oracle) record for record on unpinned and pinned meshes, and a
+//! the oracle) record for record on unpinned and pinned meshes; and a
 //! service `SubmitWorkflow` transcript is byte-identical to the
 //! equivalent `Submit`.
 //!
@@ -15,7 +17,7 @@
 //! the release run strictly extends the debug one).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use ocean_atmosphere::baselines::schedule_pinned;
 use ocean_atmosphere::prelude::*;
@@ -24,6 +26,96 @@ use ocean_atmosphere::service::daemon::{run_script, Service, ServiceConfig};
 use proptest::prelude::*;
 
 const CASES: u32 = if cfg!(debug_assertions) { 32 } else { 256 };
+
+// ---- Oracle: the seed mesh builders, insertion order verbatim ----
+
+/// The seed `build_fused` loop: per scenario and month, the main, then
+/// the post, then `main → post`, then `main(m − 1) → main(m)`.
+fn seed_fused(shape: ExperimentShape) -> Dag<FusedTask> {
+    let mut dag = Dag::with_capacity(shape.total_months() as usize * 2);
+    for s in 0..shape.scenarios {
+        let mut ms: Vec<NodeId> = Vec::with_capacity(shape.months as usize);
+        for m in 0..shape.months {
+            let main = dag.add_node(FusedTask::main(s, m));
+            let post = dag.add_node(FusedTask::post(s, m));
+            dag.add_edge(main, post).expect("fresh nodes");
+            if m > 0 {
+                let prev = ms[m as usize - 1];
+                dag.add_edge(prev, main).expect("forward edge");
+            }
+            ms.push(main);
+        }
+    }
+    dag
+}
+
+/// The seed `build_experiment` loop (`add_scenario` over `add_month`):
+/// per scenario and month, the six Figure 1 tasks in phase order, the
+/// five intra-month edges, then `pcr(m − 1) → caif(m)`.
+fn seed_experiment(shape: ExperimentShape) -> Dag<TaskId> {
+    let mut dag = Dag::with_capacity(shape.total_months() as usize * 6);
+    for s in 0..shape.scenarios {
+        let mut prev_pcr: Option<NodeId> = None;
+        for m in 0..shape.months {
+            let node = |dag: &mut Dag<TaskId>, kind| dag.add_node(TaskId::new(s, m, kind));
+            let caif = node(&mut dag, TaskKind::Caif);
+            let mp = node(&mut dag, TaskKind::Mp);
+            let pcr = node(&mut dag, TaskKind::Pcr);
+            let cof = node(&mut dag, TaskKind::Cof);
+            let emf = node(&mut dag, TaskKind::Emf);
+            let cd = node(&mut dag, TaskKind::Cd);
+            for (from, to) in [(caif, mp), (mp, pcr), (pcr, cof), (cof, emf), (emf, cd)] {
+                dag.add_edge(from, to)
+                    .expect("chain construction cannot cycle");
+            }
+            if let Some(prev) = prev_pcr {
+                dag.add_edge(prev, caif).expect("forward edge cannot cycle");
+            }
+            prev_pcr = Some(pcr);
+        }
+    }
+    dag
+}
+
+/// A lowering against its seed mesh, node for node: the same origin
+/// (and the `TaskId` display as name) at every id, the same successor
+/// and predecessor lists in insertion order, and the 120 MB hand-off on
+/// exactly the cross-month edges.
+fn assert_same_mesh<N>(
+    ir: &WorkflowIr,
+    seed: &Dag<N>,
+    id_of: impl Fn(&N) -> TaskId,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(ir.node_count(), seed.node_count());
+    prop_assert_eq!(ir.edge_count(), seed.edge_count());
+    let flows: BTreeMap<(NodeId, NodeId), DataVolume> = ir
+        .flows
+        .iter()
+        .map(|f| ((f.from, f.to), f.volume))
+        .collect();
+    prop_assert_eq!(flows.len(), ir.flows.len(), "duplicate flows");
+    let mut cross = 0;
+    for (node, n) in ir.dag.iter() {
+        let id = id_of(seed.node(node));
+        prop_assert_eq!(n.origin, Some(id));
+        prop_assert_eq!(&n.name, &id.to_string());
+        prop_assert_eq!(ir.dag.successors(node), seed.successors(node));
+        prop_assert_eq!(ir.dag.predecessors(node), seed.predecessors(node));
+        for &to in seed.successors(node) {
+            let hand_off = id_of(seed.node(to)).month != id.month;
+            cross += usize::from(hand_off);
+            prop_assert_eq!(
+                flows.get(&(node, to)).copied(),
+                hand_off.then_some(INTER_MONTH_TRANSFER),
+                "flow on {} -> {}",
+                id,
+                id_of(seed.node(to))
+            );
+        }
+    }
+    prop_assert_eq!(ir.flows.len(), cross);
+    Ok(())
+}
 
 // ---- Oracle: the seed moldable list scheduler, verbatim ----
 
@@ -227,43 +319,40 @@ fn arb_instance() -> impl Strategy<Value = Instance> {
     (1u32..=8, 1u32..=20, 4u32..=120).prop_map(|(ns, nm, r)| Instance::new(ns, nm, r))
 }
 
-/// Satellite invariant: the canonical 10×1800 preset lowers into an IR
-/// whose node ids, topological order and critical path are exactly the
-/// legacy builders' — at full paper scale, not just toy shapes.
+/// Satellite invariant: the canonical 10×1800 preset lowers into the
+/// seed builders' mesh — node ids, edges, flows, topological order and
+/// critical path — at full paper scale, not just toy shapes.
 #[test]
 fn canonical_preset_lowering_matches_the_legacy_builders() {
     let shape = ExperimentShape::new(CANONICAL_SCENARIOS, CANONICAL_MONTHS);
 
     let ir = oa_workflow::ir::lower_fused(shape);
-    let legacy = build_fused(shape);
-    assert_eq!(ir.node_count(), legacy.dag.node_count());
-    assert_eq!(ir.edge_count(), legacy.dag.edge_count());
+    let seed = seed_fused(shape);
+    assert_same_mesh(&ir, &seed, FusedTask::task_id).unwrap();
     assert_eq!(
         ir.dag.topo_sort().unwrap(),
-        legacy.dag.topo_sort().unwrap(),
+        seed.topo_sort().unwrap(),
         "fused topological order drifted"
     );
     let cp = ir.critical_path(&ReferenceDurations).unwrap();
-    let legacy_cp = legacy
-        .dag
-        .critical_path(|_, t| t.kind.reference_secs())
-        .unwrap();
-    assert_eq!(cp.to_bits(), legacy_cp.to_bits(), "fused critical path");
+    let seed_cp = seed.critical_path(|_, t| t.kind.reference_secs()).unwrap();
+    assert_eq!(cp.to_bits(), seed_cp.to_bits(), "fused critical path");
 
     let ir = oa_workflow::ir::lower_experiment(shape);
-    let legacy = build_experiment(shape);
-    assert_eq!(ir.node_count(), legacy.dag.node_count());
-    assert_eq!(ir.edge_count(), legacy.dag.edge_count());
+    let seed = seed_experiment(shape);
+    assert_same_mesh(&ir, &seed, |&id| id).unwrap();
     assert_eq!(
         ir.dag.topo_sort().unwrap(),
-        legacy.dag.topo_sort().unwrap(),
+        seed.topo_sort().unwrap(),
         "unfused topological order drifted"
     );
     let cp = ir.critical_path(&ReferenceDurations).unwrap();
+    let seed_cp = seed
+        .critical_path(|_, id| id.kind.reference_secs())
+        .unwrap();
     assert!(
-        (cp - legacy.reference_critical_path()).abs() < 1e-9,
-        "unfused critical path: {cp} vs {}",
-        legacy.reference_critical_path()
+        (cp - seed_cp).abs() < 1e-9,
+        "unfused critical path: {cp} vs {seed_cp}"
     );
 
     // The 120 MB inter-month hand-off is one flow instance per
@@ -384,25 +473,32 @@ proptest! {
         assert_matches_oracle(&ir, &pinned, &list_schedule(inst, &table, &allocs))?;
     }
 
-    /// Shape-level equivalence at every mesh size the sweep covers:
-    /// topological order and critical path of the lowering match the
-    /// legacy builders (the canonical-shape test above pins 10×1800).
+    /// Shape-level equivalence at every mesh size the sweep covers: the
+    /// lowerings are the seed meshes node for node (names, origins,
+    /// edges in insertion order, flow placement), with the same
+    /// topological order and critical path (the canonical-shape test
+    /// above pins 10×1800).
     #[test]
     fn lowerings_match_legacy_structure_at_every_shape(
         ns in 1u32..=10, nm in 1u32..=40,
     ) {
         let shape = ExperimentShape::new(ns, nm);
         let ir = oa_workflow::ir::lower_fused(shape);
-        let legacy = build_fused(shape);
-        prop_assert_eq!(ir.dag.topo_sort().unwrap(), legacy.dag.topo_sort().unwrap());
+        ir.validate().unwrap();
+        let seed = seed_fused(shape);
+        assert_same_mesh(&ir, &seed, FusedTask::task_id)?;
+        prop_assert_eq!(ir.dag.topo_sort().unwrap(), seed.topo_sort().unwrap());
         let cp = ir.critical_path(&ReferenceDurations).unwrap();
-        let lcp = legacy.dag.critical_path(|_, t| t.kind.reference_secs()).unwrap();
-        prop_assert_eq!(cp.to_bits(), lcp.to_bits());
+        let scp = seed.critical_path(|_, t| t.kind.reference_secs()).unwrap();
+        prop_assert_eq!(cp.to_bits(), scp.to_bits());
 
         let ir = oa_workflow::ir::lower_experiment(shape);
-        let legacy = build_experiment(shape);
-        prop_assert_eq!(ir.dag.topo_sort().unwrap(), legacy.dag.topo_sort().unwrap());
+        ir.validate().unwrap();
+        let seed = seed_experiment(shape);
+        assert_same_mesh(&ir, &seed, |&id| id)?;
+        prop_assert_eq!(ir.dag.topo_sort().unwrap(), seed.topo_sort().unwrap());
         let cp = ir.critical_path(&ReferenceDurations).unwrap();
-        prop_assert!((cp - legacy.reference_critical_path()).abs() < 1e-9);
+        let scp = seed.critical_path(|_, id| id.kind.reference_secs()).unwrap();
+        prop_assert!((cp - scp).abs() < 1e-9);
     }
 }

@@ -31,7 +31,20 @@ fn section_2_campaign_shape() {
 fn section_2_moldable_range() {
     let spec = MoldableSpec::pcr();
     assert_eq!((spec.min_procs, spec.max_procs), (4, 11));
-    assert_eq!(Allocation(11).atmosphere_procs(), 8);
+    // The largest allocation leaves ARPEGE its 8 processors once OPA,
+    // TRIP and OASIS have taken one each.
+    assert_eq!(spec.max_procs - 3, 8);
+    // Every main of the preset mesh carries exactly this range.
+    let mesh = lower_fused(ExperimentShape::new(2, 3));
+    let mains: Vec<_> = mesh
+        .dag
+        .iter()
+        .filter(|(_, n)| n.kind.is_moldable())
+        .collect();
+    assert_eq!(mains.len(), 6);
+    assert!(mains
+        .iter()
+        .all(|(_, n)| n.kind == IrTaskKind::Moldable(spec)));
 }
 
 /// Section 4.2 example: "for R = 53 resources, and 10 scenario

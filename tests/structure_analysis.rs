@@ -4,7 +4,6 @@
 
 use ocean_atmosphere::prelude::*;
 use ocean_atmosphere::sim::profile::profile;
-use ocean_atmosphere::workflow::analysis::levels;
 
 /// "There are as many critical paths as simulations" (Section 3.2):
 /// every scenario's spine is critical; the independent chains give the
@@ -12,18 +11,18 @@ use ocean_atmosphere::workflow::analysis::levels;
 #[test]
 fn as_many_critical_paths_as_simulations() {
     let shape = ExperimentShape::new(5, 6);
-    let e = build_experiment(shape);
-    let l = levels(&e.dag, |_, t| t.reference_secs).unwrap();
+    let ir = lower_experiment(shape);
+    let l = ir.levels(&ReferenceDurations).unwrap();
     // Critical nodes include every pcr of every scenario.
     let criticals = l.critical_nodes();
     let critical_pcrs = criticals
         .iter()
-        .filter(|n| e.dag.node(**n).id.kind == TaskKind::Pcr)
+        .filter(|n| ir.dag.node(**n).origin.unwrap().kind == TaskKind::Pcr)
         .count();
     assert_eq!(critical_pcrs, 5 * 6, "every pcr on every chain is critical");
     // The span equals one scenario's chain (scenarios are identical).
-    let single = build_experiment(ExperimentShape::new(1, 6));
-    let sl = levels(&single.dag, |_, t| t.reference_secs).unwrap();
+    let single = lower_experiment(ExperimentShape::new(1, 6));
+    let sl = single.levels(&ReferenceDurations).unwrap();
     assert!((l.span - sl.span).abs() < 1e-9);
 }
 
@@ -33,12 +32,8 @@ fn as_many_critical_paths_as_simulations() {
 #[test]
 fn useful_parallelism_is_bounded_by_ns() {
     for ns in [2u32, 4, 8] {
-        let f = build_fused(ExperimentShape::new(ns, 5));
-        let l = levels(&f.dag, |_, t| match t.kind {
-            TaskKind::FusedMain => 1262.0,
-            _ => 180.0,
-        })
-        .unwrap();
+        let ir = lower_fused(ExperimentShape::new(ns, 5));
+        let l = ir.levels(&ReferenceDurations).unwrap();
         let p = l.max_parallelism();
         // NS mains can run at once; posts of the previous month overlap
         // the next main, adding at most NS more.
