@@ -13,15 +13,25 @@
 //! Run: `cargo run --release -p oa-bench --bin service_load [--fast]`
 //!
 //! The full run keeps > 1000 sessions concurrently admitted before the
-//! first clock advance; `--fast` shrinks everything for CI smoke.
+//! first clock advance; `--fast` shrinks everything for CI smoke. A
+//! second phase then admits 30 preset `SubmitWorkflow`s at the paper's
+//! `NM = 1800` (half fused, half unfused, `NS` 1–3) into the capacity
+//! the storm left, timed as `workflow_admit_latency_secs`. The record
+//! carries the host's `nproc` and the checked-out `commit`.
 
 use std::time::Instant;
 
-use oa_bench::write_json;
+use oa_bench::{commit, write_json};
 use oa_service::daemon::{Service, ServiceConfig};
 use oa_service::wire::{Request, Response};
 use oa_trace::metrics::keys;
+use oa_workflow::chain::ExperimentShape;
+use oa_workflow::ir::preset_value;
 use serde::Value;
+
+/// Preset `SubmitWorkflow`s admitted after the storm, and their shape.
+const WORKFLOWS: u32 = 30;
+const WORKFLOW_NM: u32 = 1800;
 
 /// Exact quantile over a sorted sample set (nearest-rank).
 fn quantile(sorted: &[f64], q: f64) -> f64 {
@@ -131,6 +141,31 @@ fn main() {
         admitted as f64 / submit_wall
     );
 
+    // Phase 1b: preset workflow admissions at the paper's campaign
+    // length. Their 60 scenarios fit the capacity the storm left
+    // (136 full, 106 fast).
+    let mut workflow_admit = Vec::with_capacity(WORKFLOWS as usize);
+    for i in 0..WORKFLOWS {
+        let shape = ExperimentShape::new(1 + i % 3, WORKFLOW_NM);
+        let req = Request::SubmitWorkflow {
+            session: format!("w{i:02}"),
+            workflow: preset_value(shape, i % 2 == 0),
+            heuristic: "knapsack".to_string(),
+            policy: "least-advanced".to_string(),
+            recovery: "checkpoint".to_string(),
+            kills: String::new(),
+            deadline: 0.0,
+        };
+        let t = Instant::now();
+        let responses = service.handle(req);
+        workflow_admit.push(t.elapsed().as_secs_f64());
+        assert!(
+            matches!(responses[0], Response::Admitted { .. }),
+            "workflow {i} not admitted: {responses:?}"
+        );
+    }
+    println!("  admitted {WORKFLOWS} preset workflows at nm={WORKFLOW_NM}");
+
     // Phase 2: scheduling decisions. Advance the virtual clock in
     // steps; each step releases finished portions, rebalances the
     // plan and emits completion reports.
@@ -158,7 +193,11 @@ fn main() {
         .iter()
         .filter(|r| matches!(r, Response::Completed { .. }))
         .count() as u64;
-    assert_eq!(completed, admitted, "every admitted session completes");
+    assert_eq!(
+        completed,
+        admitted + u64::from(WORKFLOWS),
+        "every admitted session completes"
+    );
     println!(
         "  completed {completed} sessions over {} advances; \
          final virtual clock {:.0}h",
@@ -176,6 +215,8 @@ fn main() {
 
     let record = Value::Object(vec![
         ("fast".into(), Value::Bool(fast)),
+        ("nproc".into(), Value::U64(oa_par::available_jobs() as u64)),
+        ("commit".into(), Value::Str(commit())),
         ("clusters".into(), Value::U64(presets.len() as u64)),
         ("capacity".into(), Value::U64(u64::from(capacity))),
         ("submissions".into(), Value::U64(submissions as u64)),
@@ -187,15 +228,23 @@ fn main() {
             Value::F64(admitted as f64 / submit_wall),
         ),
         ("admit_latency_secs".into(), summary(&mut admit)),
+        ("workflows".into(), Value::U64(u64::from(WORKFLOWS))),
+        (
+            "workflow_admit_latency_secs".into(),
+            summary(&mut workflow_admit),
+        ),
         ("decision_latency_secs".into(), summary(&mut decide)),
         ("admit_p99_histogram_secs".into(), Value::F64(hist_p99)),
         ("virtual_horizon_secs".into(), Value::F64(service.now())),
     ]);
     write_json("BENCH_service", &record);
     println!(
-        "  admit p50 {:.0}us / p99 {:.0}us; decision p50 {:.0}us / p99 {:.0}us",
+        "  admit p50 {:.0}us / p99 {:.0}us; workflow admit p50 {:.0}us / max {:.0}us; \
+         decision p50 {:.0}us / p99 {:.0}us",
         quantile(&admit, 0.5) * 1e6,
         quantile(&admit, 0.99) * 1e6,
+        quantile(&workflow_admit, 0.5) * 1e6,
+        quantile(&workflow_admit, 1.0) * 1e6,
         quantile(&decide, 0.5) * 1e6,
         quantile(&decide, 0.99) * 1e6,
     );

@@ -259,6 +259,31 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
     }
 }
 
+/// The checked-out commit, read from `.git` in the working directory
+/// (a loose ref or `packed-refs`); `"unknown"` outside a git checkout.
+/// BENCH files record it next to `nproc`.
+pub fn commit() -> String {
+    let read = |path: &str| {
+        std::fs::read_to_string(path)
+            .ok()
+            .map(|s| s.trim().to_string())
+    };
+    let Some(head) = read(".git/HEAD") else {
+        return "unknown".into();
+    };
+    let Some(reference) = head.strip_prefix("ref: ") else {
+        return head;
+    };
+    read(&format!(".git/{reference}"))
+        .or_else(|| {
+            read(".git/packed-refs")?
+                .lines()
+                .find_map(|l| l.strip_suffix(reference)?.split_whitespace().next())
+                .map(str::to_string)
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
 /// True when the binary got the `--fast` flag: shrink sweeps for smoke
 /// runs (CI, `cargo run` without release).
 pub fn fast_mode() -> bool {

@@ -3,7 +3,8 @@
 //! The daemon admits nothing it has not statically checked. A
 //! submission passes through, in order:
 //!
-//! 1. **shape** — `ns`/`nm` positive (`OA002`) and every enum label
+//! 1. **shape** — `ns`/`nm` positive (`OA002`), `ns × nm` within
+//!    [`MAX_CAMPAIGN_MONTHS`] (`PROTO011`), and every enum label
 //!    parsable (`PROTO003`);
 //! 2. **placement** — the incremental Algorithm 1 must find a slot for
 //!    every scenario (`OA005` when the grid is full or priced out);
@@ -46,6 +47,13 @@ use oa_sched::policy::{CampaignConfig, FaultPlan, Granularity, Recovery, Scenari
 
 use crate::wire::codes;
 
+/// The most months (`ns × nm`) one campaign may ask for: 2^20 =
+/// 1,048,576, above a capacity-512 request at the paper's `NM = 1800`
+/// (921,600 months). The cap is checked before anything that grows
+/// with the request is allocated; the engine sizes its record arena by
+/// the month count.
+pub const MAX_CAMPAIGN_MONTHS: u64 = 1 << 20;
+
 /// Why a submission was refused: a stable code and the reason.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Refusal {
@@ -84,8 +92,9 @@ pub struct Submission {
 }
 
 /// Parses the wire-level `Submit` fields into a [`Submission`],
-/// classifying each failure: empty shape is `OA002`, everything else
-/// malformed is `PROTO003`.
+/// classifying each failure: empty shape is `OA002`, a shape over
+/// [`MAX_CAMPAIGN_MONTHS`] is `PROTO011`, everything else malformed is
+/// `PROTO003`.
 #[allow(clippy::too_many_arguments)]
 pub fn parse_submission(
     session: &str,
@@ -105,6 +114,16 @@ pub fn parse_submission(
         return Err(Refusal::new(
             codes::EMPTY_CAMPAIGN,
             format!("empty campaign shape: ns={ns}, nm={nm}"),
+        ));
+    }
+    let months = u64::from(ns) * u64::from(nm);
+    if months > MAX_CAMPAIGN_MONTHS {
+        return Err(Refusal::new(
+            codes::OVER_SIZE_CAP,
+            format!(
+                "campaign exceeds the size cap: ns={ns}, nm={nm} is {months} months, \
+                 over {MAX_CAMPAIGN_MONTHS}"
+            ),
         ));
     }
     let heuristic = heuristic_of(heuristic)?;
@@ -330,6 +349,29 @@ mod tests {
         for (s, ns, nm, h, p, g, r, k, d) in cases {
             let err = parse_submission(s, ns, nm, h, p, g, r, k, d).unwrap_err();
             assert_eq!(err.code, codes::BAD_FIELD, "case {h}/{p}/{g}/{r}/{k}/{d}");
+        }
+    }
+
+    #[test]
+    fn the_size_cap_admits_exactly_its_month_count() {
+        let parse = |ns, nm| {
+            parse_submission(
+                "s",
+                ns,
+                nm,
+                "knapsack",
+                "least-advanced",
+                "fused",
+                "checkpoint",
+                "",
+                0.0,
+            )
+        };
+        let cap = u32::try_from(MAX_CAMPAIGN_MONTHS).unwrap();
+        assert_eq!(parse(1, cap).unwrap().nm, cap);
+        assert_eq!(parse(1 << 10, 1 << 10).unwrap().ns, 1 << 10);
+        for (ns, nm) in [(1, cap + 1), (2, cap / 2 + 1), (u32::MAX, u32::MAX)] {
+            assert_eq!(parse(ns, nm).unwrap_err().code, codes::OVER_SIZE_CAP);
         }
     }
 

@@ -38,7 +38,7 @@ use oa_sched::policy::FaultPlan;
 use oa_sim::batch::{run_batch_with, BatchSpec};
 use oa_sim::driver::{SessionDriver, SessionState};
 use oa_trace::metrics::{self, MetricsRegistry};
-use oa_workflow::ir::{recognize, IrClass, SpecError};
+use oa_workflow::ir::{classify_spec, IrClass, SpecError};
 
 use crate::admission::{admit_portion, parse_submission, Refusal, Submission};
 use crate::wire::{codes, parse_request, render_response, ClusterLoad, PortionInfo, Response};
@@ -516,10 +516,11 @@ impl Service {
     /// Admits a workflow-spec submission. Recognized ocean-atmosphere
     /// preset meshes route through exactly the legacy [`Self::submit`]
     /// path — same placement, same admission pipeline, byte-identical
-    /// responses — with the granularity read off the mesh class.
-    /// Structurally malformed DAGs are `PROTO009`; well-formed general
-    /// DAGs are outside the service's admission scope and answer
-    /// `PROTO003`.
+    /// responses — with the granularity read off the mesh class. A
+    /// preset-form spec is classified from its header alone, so no
+    /// mesh is built for it. Structurally malformed DAGs are
+    /// `PROTO009`; well-formed general DAGs are outside the service's
+    /// admission scope and answer `PROTO003`.
     #[allow(clippy::too_many_arguments)]
     fn submit_workflow(
         &mut self,
@@ -538,21 +539,10 @@ impl Service {
                 message,
             }]
         };
-        let ir = match oa_workflow::ir::from_value(workflow) {
-            Ok(ir) => ir,
-            Err(e) => {
-                self.metrics.inc(metrics::keys::SESSIONS_REJECTED, 1);
-                let code = match &e {
-                    SpecError::Malformed(_) => codes::MALFORMED_WORKFLOW,
-                    SpecError::BadField(_) => codes::BAD_FIELD,
-                };
-                return reject(code, e.to_string());
-            }
-        };
-        let (shape, granularity) = match recognize(&ir) {
-            IrClass::FusedMesh(shape) => (shape, "fused"),
-            IrClass::UnfusedMesh(shape) => (shape, "unfused"),
-            IrClass::General => {
+        let (shape, granularity) = match classify_spec(workflow) {
+            Ok(IrClass::FusedMesh(shape)) => (shape, "fused"),
+            Ok(IrClass::UnfusedMesh(shape)) => (shape, "unfused"),
+            Ok(IrClass::General) => {
                 self.metrics.inc(metrics::keys::SESSIONS_REJECTED, 1);
                 return reject(
                     codes::BAD_FIELD,
@@ -560,6 +550,14 @@ impl Service {
                      run general workflows through `oa sim --workflow`"
                         .to_string(),
                 );
+            }
+            Err(e) => {
+                self.metrics.inc(metrics::keys::SESSIONS_REJECTED, 1);
+                let code = match &e {
+                    SpecError::Malformed(_) => codes::MALFORMED_WORKFLOW,
+                    SpecError::BadField(_) => codes::BAD_FIELD,
+                };
+                return reject(code, e.to_string());
             }
         };
         self.submit(
@@ -887,8 +885,7 @@ impl Service {
                 + self.sessions[i]
                     .portions
                     .iter()
-                    .filter_map(|p| p.driver.run())
-                    .map(|r| r.months_lost)
+                    .filter_map(|p| p.driver.months_lost())
                     .sum::<u32>();
             out.push(Response::Completed {
                 session: self.sessions[i].name.clone(),

@@ -54,6 +54,10 @@ pub mod codes {
     /// `VariantSweep` carried an invalid batch spec: unknown label,
     /// empty axis, zero variant count, or an infeasible shape.
     pub const BAD_SWEEP: &str = "PROTO010";
+    /// `Submit`/`SubmitWorkflow`: the campaign exceeds the size cap,
+    /// `ns × nm` above
+    /// [`MAX_CAMPAIGN_MONTHS`](crate::admission::MAX_CAMPAIGN_MONTHS).
+    pub const OVER_SIZE_CAP: &str = "PROTO011";
 
     /// Admission: the campaign shape is empty (`ns` or `nm` is zero).
     pub const EMPTY_CAMPAIGN: &str = "OA002";

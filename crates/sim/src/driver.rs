@@ -6,9 +6,17 @@
 //! session *now*?" as the clock advances. The engine itself answers
 //! only the batch question (one full run, one outcome), so this module
 //! wraps [`simulate_campaign`] in a [`SessionDriver`]: simulate once
-//! at admission, pin the outcome to a virtual start instant, and
-//! resolve any later instant to a [`SessionState`] from the recorded
-//! schedule — no re-simulation, no drift between queries.
+//! at admission, pin the result to a virtual start instant, and
+//! resolve any later instant to a [`SessionState`] — no re-simulation,
+//! no drift between queries.
+//!
+//! A driver keeps only what a query reads, so a live session costs
+//! memory per month, not per recorded task: the makespan, the months
+//! lost, the stranded count, and — for a run that recorded its
+//! schedule (fused, fault-free) — the sorted finish offsets of its
+//! main tasks, 8 bytes per month. A month-progress query counts the
+//! offsets `end <= t − start` by binary search, the same comparisons a
+//! scan of the recorded schedule makes.
 //!
 //! Everything here is virtual-time arithmetic over the engine's
 //! deterministic output, so a driver query is itself deterministic:
@@ -22,7 +30,7 @@ use oa_sched::policy::{CampaignConfig, FaultPlan};
 use oa_trace::prelude::NullTracer;
 use oa_workflow::task::TaskKind;
 
-use crate::engine::{simulate_campaign, CampaignOutcome, CampaignRun};
+use crate::engine::{simulate_campaign, CampaignOutcome};
 
 /// Where a session stands at a queried virtual instant.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,8 +38,9 @@ pub enum SessionState {
     /// The query instant precedes the session's start.
     Pending,
     /// Running: months whose fused main task has completed by the
-    /// instant, when the engine recorded a schedule (`None` for
-    /// faulted or unfused runs, which record no replayable schedule).
+    /// instant, counted from the main finish offsets the driver kept
+    /// (`None` for faulted or unfused runs, which record no
+    /// replayable schedule).
     Running {
         /// Completed months, when resolvable.
         months_done: Option<u32>,
@@ -44,6 +53,21 @@ pub enum SessionState {
     /// Every group died with months still unscheduled.
     Stranded {
         /// Months completed before the grid went dark.
+        completed_months: u64,
+    },
+}
+
+/// What a driver keeps of the engine's outcome.
+#[derive(Debug, Clone)]
+enum Kept {
+    Completed {
+        makespan: f64,
+        months_lost: u32,
+        /// Main-task finish offsets in ascending order, when the run
+        /// recorded its schedule.
+        main_ends: Option<Box<[f64]>>,
+    },
+    Stranded {
         completed_months: u64,
     },
 }
@@ -74,12 +98,12 @@ pub enum SessionState {
 #[derive(Debug, Clone)]
 pub struct SessionDriver {
     start: f64,
-    outcome: CampaignOutcome,
+    kept: Kept,
 }
 
 impl SessionDriver {
     /// Simulates the campaign once through the generic engine and pins
-    /// the outcome to virtual instant `start`.
+    /// the result to virtual instant `start`.
     pub fn new(
         start: f64,
         inst: Instance,
@@ -88,8 +112,27 @@ impl SessionDriver {
         config: &CampaignConfig,
         plan: &FaultPlan,
     ) -> Result<Self, GroupingError> {
-        let outcome = simulate_campaign(inst, table, grouping, config, plan, &mut NullTracer)?;
-        Ok(Self { start, outcome })
+        let kept = match simulate_campaign(inst, table, grouping, config, plan, &mut NullTracer)? {
+            CampaignOutcome::Completed(run) => Kept::Completed {
+                makespan: run.makespan,
+                months_lost: run.months_lost,
+                main_ends: run.schedule.map(|schedule| {
+                    // One main per month, so the slice is exact.
+                    let mut ends = Vec::with_capacity(inst.shape().total_months() as usize);
+                    ends.extend(
+                        schedule
+                            .records
+                            .iter()
+                            .filter(|r| r.task.kind == TaskKind::FusedMain)
+                            .map(|r| r.end),
+                    );
+                    ends.sort_unstable_by(f64::total_cmp);
+                    ends.into_boxed_slice()
+                }),
+            },
+            CampaignOutcome::Stranded { completed_months } => Kept::Stranded { completed_months },
+        };
+        Ok(Self { start, kept })
     }
 
     /// The virtual instant the session's work begins.
@@ -98,66 +141,62 @@ impl SessionDriver {
         self.start
     }
 
-    /// The engine outcome backing this driver.
-    #[must_use]
-    pub fn outcome(&self) -> &CampaignOutcome {
-        &self.outcome
-    }
-
-    /// The completed run, if the campaign was not stranded.
-    #[must_use]
-    pub fn run(&self) -> Option<&CampaignRun> {
-        self.outcome.completed()
-    }
-
     /// Simulated makespan, `None` when stranded.
     #[must_use]
     pub fn makespan(&self) -> Option<f64> {
-        self.run().map(|r| r.makespan)
+        match self.kept {
+            Kept::Completed { makespan, .. } => Some(makespan),
+            Kept::Stranded { .. } => None,
+        }
     }
 
     /// Absolute virtual finish instant (`start + makespan`), `None`
     /// when stranded.
     #[must_use]
     pub fn finish(&self) -> Option<f64> {
-        self.run().map(|r| self.start + r.makespan)
+        self.makespan().map(|m| self.start + m)
     }
 
-    /// Resolves a virtual instant to the session's state, using the
-    /// recorded schedule for month-level progress when one exists.
+    /// Months whose in-flight run was lost and re-executed, `None`
+    /// when stranded.
+    #[must_use]
+    pub fn months_lost(&self) -> Option<u32> {
+        match self.kept {
+            Kept::Completed { months_lost, .. } => Some(months_lost),
+            Kept::Stranded { .. } => None,
+        }
+    }
+
+    /// Resolves a virtual instant to the session's state, counting
+    /// month-level progress from the kept main finish offsets when the
+    /// run recorded them.
     #[must_use]
     pub fn state_at(&self, t: f64) -> SessionState {
         if t < self.start {
             return SessionState::Pending;
         }
-        match &self.outcome {
-            CampaignOutcome::Stranded { completed_months } => SessionState::Stranded {
+        match &self.kept {
+            Kept::Stranded { completed_months } => SessionState::Stranded {
                 completed_months: *completed_months,
             },
-            CampaignOutcome::Completed(run) => {
-                let finish = self.start + run.makespan;
+            Kept::Completed {
+                makespan,
+                main_ends,
+                ..
+            } => {
+                let finish = self.start + makespan;
                 if t >= finish {
                     SessionState::Completed { finish }
                 } else {
+                    let elapsed = t - self.start;
                     SessionState::Running {
-                        months_done: self.months_done_at(t),
+                        months_done: main_ends
+                            .as_ref()
+                            .map(|ends| ends.partition_point(|&end| end <= elapsed) as u32),
                     }
                 }
             }
         }
-    }
-
-    /// Months whose fused main task completed by instant `t`, when the
-    /// run recorded a schedule.
-    fn months_done_at(&self, t: f64) -> Option<u32> {
-        let schedule = self.run()?.schedule.as_ref()?;
-        let elapsed = t - self.start;
-        let done = schedule
-            .records
-            .iter()
-            .filter(|r| r.task.kind == TaskKind::FusedMain && r.end <= elapsed)
-            .count();
-        Some(done as u32)
     }
 }
 

@@ -18,12 +18,15 @@
 //! as their oracle. [`recognize`] classifies an IR back into the preset
 //! mesh shapes — downstream schedulers use it to route recognized
 //! meshes through the campaign engine and everything else through the
-//! generic IR executor.
+//! generic IR executor. [`classify_spec`] gives the same class straight
+//! from a JSON spec, without lowering a preset.
 //!
 //! Durations that depend on the platform resolve through the
 //! [`Durations`] trait (implemented by `oa-platform`'s `TimingTable`
 //! and by [`ReferenceDurations`] for the paper's Figure 1 constants),
 //! keeping this crate platform-free.
+
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize, Value};
 
@@ -658,46 +661,86 @@ fn spec_duration(node: &Value, kind: IrTaskKind) -> Result<DurationModel, SpecEr
 /// name) come back as [`SpecError::Malformed`]; everything else as
 /// [`SpecError::BadField`].
 pub fn from_value(doc: &Value) -> Result<WorkflowIr, SpecError> {
+    match preset_header(doc)? {
+        Some((shape, true)) => Ok(lower_fused(shape)),
+        Some((shape, false)) => Ok(lower_experiment(shape)),
+        None => explicit_spec(doc),
+    }
+}
+
+/// Classifies a JSON workflow spec: exactly
+/// `from_value(doc).map(|ir| recognize(&ir))`, errors included, but a
+/// preset-form spec is read as its shape and granularity without
+/// building its mesh. Only an explicit spec is lifted into the IR and
+/// recognized.
+///
+/// # Examples
+///
+/// ```
+/// use oa_workflow::chain::ExperimentShape;
+/// use oa_workflow::ir::{classify_spec, preset_value, IrClass};
+///
+/// let shape = ExperimentShape::new(10, 1800);
+/// let class = classify_spec(&preset_value(shape, true)).unwrap();
+/// assert_eq!(class, IrClass::FusedMesh(shape));
+/// ```
+pub fn classify_spec(doc: &Value) -> Result<IrClass, SpecError> {
+    Ok(match preset_header(doc)? {
+        Some((shape, true)) => IrClass::FusedMesh(shape),
+        Some((shape, false)) => IrClass::UnfusedMesh(shape),
+        None => recognize(&explicit_spec(doc)?),
+    })
+}
+
+/// Reads the preset header of a spec: `Some((shape, fused))` for the
+/// preset form, `None` for the explicit form, with every check of the
+/// preset form in [`from_value`]'s order.
+fn preset_header(doc: &Value) -> Result<Option<(ExperimentShape, bool)>, SpecError> {
     let Value::Object(fields) = doc else {
         return Err(SpecError::BadField(
             "workflow spec must be an object".into(),
         ));
     };
-    if let Some(preset) = doc.get("preset") {
-        if fields.len() != 1 {
-            return Err(SpecError::BadField(
-                "a preset spec has exactly one key".into(),
-            ));
-        }
-        let ns = spec_u32(
-            preset
-                .get("ns")
-                .ok_or_else(|| SpecError::BadField("preset needs an \"ns\" field".into()))?,
-            "ns",
-        )?;
-        let nm = spec_u32(
-            preset
-                .get("nm")
-                .ok_or_else(|| SpecError::BadField("preset needs an \"nm\" field".into()))?,
-            "nm",
-        )?;
-        if ns == 0 || nm == 0 {
-            return Err(SpecError::Malformed(IrError::Empty));
-        }
-        let shape = ExperimentShape::new(ns, nm);
-        let ir = match preset.get("granularity") {
-            None => lower_fused(shape),
-            Some(Value::Str(g)) if g == "fused" => lower_fused(shape),
-            Some(Value::Str(g)) if g == "unfused" => lower_experiment(shape),
-            Some(_) => {
-                return Err(SpecError::BadField(
-                    "preset granularity must be \"fused\" or \"unfused\"".into(),
-                ))
-            }
-        };
-        return Ok(ir);
+    let Some(preset) = doc.get("preset") else {
+        return Ok(None);
+    };
+    if fields.len() != 1 {
+        return Err(SpecError::BadField(
+            "a preset spec has exactly one key".into(),
+        ));
     }
+    let ns = spec_u32(
+        preset
+            .get("ns")
+            .ok_or_else(|| SpecError::BadField("preset needs an \"ns\" field".into()))?,
+        "ns",
+    )?;
+    let nm = spec_u32(
+        preset
+            .get("nm")
+            .ok_or_else(|| SpecError::BadField("preset needs an \"nm\" field".into()))?,
+        "nm",
+    )?;
+    if ns == 0 || nm == 0 {
+        return Err(SpecError::Malformed(IrError::Empty));
+    }
+    let fused = match preset.get("granularity") {
+        None => true,
+        Some(Value::Str(g)) if g == "fused" => true,
+        Some(Value::Str(g)) if g == "unfused" => false,
+        Some(_) => {
+            return Err(SpecError::BadField(
+                "preset granularity must be \"fused\" or \"unfused\"".into(),
+            ))
+        }
+    };
+    Ok(Some((ExperimentShape::new(ns, nm), fused)))
+}
 
+/// Lifts an explicit-form spec into a validated [`WorkflowIr`]. Names
+/// are indexed in an ordered map, so duplicate detection and endpoint
+/// lookup stay linear-logarithmic in the spec size.
+fn explicit_spec(doc: &Value) -> Result<WorkflowIr, SpecError> {
     let Some(Value::Array(nodes)) = doc.get("nodes") else {
         return Err(SpecError::BadField(
             "spec needs a \"nodes\" array (or a \"preset\" object)".into(),
@@ -707,12 +750,12 @@ pub fn from_value(doc: &Value) -> Result<WorkflowIr, SpecError> {
         return Err(SpecError::Malformed(IrError::Empty));
     }
     let mut ir = WorkflowIr::with_capacity(nodes.len());
-    let mut names: Vec<(String, NodeId)> = Vec::with_capacity(nodes.len());
+    let mut names: BTreeMap<&str, NodeId> = BTreeMap::new();
     for node in nodes {
         let Some(Value::Str(name)) = node.get("name") else {
             return Err(SpecError::BadField("every node needs a \"name\"".into()));
         };
-        if names.iter().any(|(n, _)| n == name) {
+        if names.contains_key(name.as_str()) {
             return Err(SpecError::Malformed(IrError::DuplicateName(name.clone())));
         }
         let kind = match (
@@ -741,7 +784,7 @@ pub fn from_value(doc: &Value) -> Result<WorkflowIr, SpecError> {
         };
         let duration = spec_duration(node, kind)?;
         let id = ir.add_task(name, kind, duration);
-        names.push((name.clone(), id));
+        names.insert(name.as_str(), id);
     }
     if let Some(edges) = doc.get("edges") {
         let Value::Array(edges) = edges else {
@@ -755,9 +798,8 @@ pub fn from_value(doc: &Value) -> Result<WorkflowIr, SpecError> {
                     )));
                 };
                 names
-                    .iter()
-                    .find(|(name, _)| name == n)
-                    .map(|(_, id)| *id)
+                    .get(n.as_str())
+                    .copied()
                     .ok_or_else(|| SpecError::Malformed(IrError::UnknownEndpoint(n.clone())))
             };
             let (from, to) = (endpoint("from")?, endpoint("to")?);
@@ -989,6 +1031,69 @@ mod tests {
             serde_json::from_str::<Value>(r#"{"nodes": [{"name": "a", "procs": 1}], "edges": []}"#)
                 .unwrap();
         assert!(matches!(from_value(&bad), Err(SpecError::BadField(_))));
+    }
+
+    /// An explicit chain spec `t0 → t1 → … → t{n−1}` of rigid
+    /// one-processor tasks.
+    fn chain_spec(n: usize) -> (Vec<Value>, Vec<Value>) {
+        let name = |i: usize| Value::Str(format!("t{i}"));
+        let nodes = (0..n)
+            .map(|i| {
+                Value::Object(vec![
+                    ("name".into(), name(i)),
+                    ("procs".into(), Value::U64(1)),
+                    ("secs".into(), Value::F64(1.0)),
+                ])
+            })
+            .collect();
+        let edges = (1..n)
+            .map(|i| Value::Object(vec![("from".into(), name(i - 1)), ("to".into(), name(i))]))
+            .collect();
+        (nodes, edges)
+    }
+
+    fn spec_of(nodes: Vec<Value>, edges: Vec<Value>) -> Value {
+        Value::Object(vec![
+            ("nodes".into(), Value::Array(nodes)),
+            ("edges".into(), Value::Array(edges)),
+        ])
+    }
+
+    #[test]
+    fn a_40k_node_chain_spec_parses() {
+        let (nodes, edges) = chain_spec(40_000);
+        let ir = from_value(&spec_of(nodes, edges)).unwrap();
+        assert_eq!(ir.node_count(), 40_000);
+        assert_eq!(ir.edge_count(), 39_999);
+        assert_eq!(ir.dag.node(NodeId(39_999)).name, "t39999");
+    }
+
+    #[test]
+    fn a_renamed_last_node_is_a_duplicate_of_the_first() {
+        let (mut nodes, edges) = chain_spec(40_000);
+        let Some(Value::Object(last)) = nodes.last_mut() else {
+            unreachable!("chain nodes are objects");
+        };
+        last[0].1 = Value::Str("t0".into());
+        assert_eq!(
+            from_value(&spec_of(nodes, edges)),
+            Err(SpecError::Malformed(IrError::DuplicateName("t0".into())))
+        );
+    }
+
+    #[test]
+    fn an_edge_to_a_missing_name_is_an_unknown_endpoint() {
+        let (nodes, mut edges) = chain_spec(40_000);
+        edges.push(Value::Object(vec![
+            ("from".into(), Value::Str("t7".into())),
+            ("to".into(), Value::Str("ghost".into())),
+        ]));
+        assert_eq!(
+            from_value(&spec_of(nodes, edges)),
+            Err(SpecError::Malformed(IrError::UnknownEndpoint(
+                "ghost".into()
+            )))
+        );
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! orders and critical paths match; campaign outcomes through
 //! `simulate_ir` are bitwise the legacy engine's; the IR executor
 //! reproduces the seed moldable list scheduler (kept below verbatim as
-//! the oracle) record for record on unpinned and pinned meshes; and a
+//! the oracle) record for record on unpinned and pinned meshes; a
 //! service `SubmitWorkflow` transcript is byte-identical to the
-//! equivalent `Submit`.
+//! equivalent `Submit`; and `classify_spec`, which reads a preset
+//! spec's header without lowering it, classifies every spec exactly as
+//! `recognize` does the spec's `from_value` lowering, errors included.
 //!
 //! Case counts scale with the build profile: the release-mode CI
 //! differential job runs the full 256 cases, a debug `cargo test`
@@ -23,7 +25,9 @@ use ocean_atmosphere::baselines::schedule_pinned;
 use ocean_atmosphere::prelude::*;
 use ocean_atmosphere::sched::time::{time_key, Time, TimeKey};
 use ocean_atmosphere::service::daemon::{run_script, Service, ServiceConfig};
+use ocean_atmosphere::workflow::ir::{classify_spec, from_value, recognize, IrClass};
 use proptest::prelude::*;
+use serde_json::Value;
 
 const CASES: u32 = if cfg!(debug_assertions) { 32 } else { 256 };
 
@@ -365,7 +369,9 @@ fn canonical_preset_lowering_matches_the_legacy_builders() {
 
 /// A `SubmitWorkflow` carrying the preset spec produces a transcript
 /// byte-identical to the equivalent `Submit` — admission, completion
-/// report, metrics and all — on a grid with queueing and a fault plan.
+/// report, metrics and all — on a grid with queueing and a fault plan,
+/// and, fault-free and fused, with `Status` month progress at four
+/// instants before the drain.
 #[test]
 fn service_workflow_transcripts_match_submit_byte_for_byte() {
     let mk = || {
@@ -381,22 +387,118 @@ fn service_workflow_transcripts_match_submit_byte_for_byte() {
     let setup = "{\"Hello\":{\"version\":1}}\n\
          {\"ClusterJoin\":{\"name\":\"a\",\"preset\":\"reference\",\"resources\":53}}\n\
          {\"ClusterJoin\":{\"name\":\"b\",\"preset\":\"sagittaire\",\"resources\":30}}\n";
-    let tail = "{\"Status\":{\"session\":\"s1\"}}\n{\"Drain\":{}}\n\
-         {\"Metrics\":{}}\n{\"Shutdown\":{}}";
-    for granularity in ["fused", "unfused"] {
+    let status = "{\"Status\":{\"session\":\"s1\"}}\n";
+    let progress: String = [2500.0, 5000.0, 7500.0, 10000.0]
+        .iter()
+        .map(|t| format!("{{\"Advance\":{{\"to\":{t:.1}}}}}\n{status}"))
+        .collect();
+    let tail = "{\"Drain\":{}}\n{\"Metrics\":{}}\n{\"Shutdown\":{}}";
+    for (granularity, kills, middle) in [
+        ("fused", "0@4000", status),
+        ("unfused", "0@4000", status),
+        ("fused", "", progress.as_str()),
+    ] {
         let submit = format!(
-            r#"{{"Submit":{{"session":"s1","ns":5,"nm":12,"heuristic":"knapsack","policy":"least-advanced","granularity":"{granularity}","recovery":"checkpoint","kills":"0@4000","deadline":0.0}}}}"#
+            r#"{{"Submit":{{"session":"s1","ns":5,"nm":12,"heuristic":"knapsack","policy":"least-advanced","granularity":"{granularity}","recovery":"checkpoint","kills":"{kills}","deadline":0.0}}}}"#
         );
         let workflow = format!(
-            r#"{{"SubmitWorkflow":{{"session":"s1","workflow":{{"preset":{{"ns":5,"nm":12,"granularity":"{granularity}"}}}},"heuristic":"knapsack","policy":"least-advanced","recovery":"checkpoint","kills":"0@4000","deadline":0.0}}}}"#
+            r#"{{"SubmitWorkflow":{{"session":"s1","workflow":{{"preset":{{"ns":5,"nm":12,"granularity":"{granularity}"}}}},"heuristic":"knapsack","policy":"least-advanced","recovery":"checkpoint","kills":"{kills}","deadline":0.0}}}}"#
         );
         let mut a = mk();
-        let legacy = run_script(&mut a, &format!("{setup}{submit}\n{tail}"));
+        let legacy = run_script(&mut a, &format!("{setup}{submit}\n{middle}{tail}"));
         let mut b = mk();
-        let lifted = run_script(&mut b, &format!("{setup}{workflow}\n{tail}"));
+        let lifted = run_script(&mut b, &format!("{setup}{workflow}\n{middle}{tail}"));
         assert!(legacy.contains("\"Admitted\""), "setup broke: {legacy}");
-        assert_eq!(lifted, legacy, "{granularity} transcript drifted");
+        assert_eq!(lifted, legacy, "{granularity} {kills:?} transcript drifted");
+        if kills.is_empty() {
+            // Month progress resolves at every instant, and moves.
+            let done: Vec<&str> = legacy
+                .lines()
+                .filter(|l| l.contains("\"lifecycle\":\"running\""))
+                .filter_map(|l| l.split("\"months_done\":").nth(1)?.split(',').next())
+                .collect();
+            assert_eq!(done.len(), 4, "four running Status answers: {legacy}");
+            assert!(done.iter().all(|m| m.parse::<u32>().is_ok()), "{done:?}");
+            assert!(done.windows(2).all(|w| w[0] != w[1]), "{done:?}");
+        }
     }
+}
+
+/// A workflow spec document and, for a well-formed preset, the class
+/// its header names (an absent granularity is fused). `kind` picks a
+/// well-formed preset (0), one of seven malformed specs (1–7: ns 0,
+/// missing nm, float ns, an extra key, a bad granularity, a non-object
+/// document, a non-object preset), or an explicit spec rendered from a
+/// lowered mesh (8).
+fn arb_spec() -> impl Strategy<Value = (Value, Option<IrClass>)> {
+    (0u32..9, 1u32..=6, 1u32..=40, 0u32..3).prop_map(|(kind, ns, nm, g)| {
+        let shape = ExperimentShape::new(ns, nm);
+        let granularity = match g {
+            0 => None,
+            1 => Some("fused"),
+            _ => Some("unfused"),
+        };
+        let preset = |fields: Vec<(&str, Value)>| {
+            let fields = fields.into_iter().map(|(k, v)| (k.to_string(), v));
+            Value::Object(vec![("preset".into(), Value::Object(fields.collect()))])
+        };
+        let mut header = vec![("ns", Value::U64(ns.into())), ("nm", Value::U64(nm.into()))];
+        if let Some(g) = granularity {
+            header.push(("granularity", Value::Str(g.into())));
+        }
+        match kind {
+            0 => {
+                let class = if g == 2 {
+                    IrClass::UnfusedMesh(shape)
+                } else {
+                    IrClass::FusedMesh(shape)
+                };
+                (preset(header), Some(class))
+            }
+            1 => {
+                header[0].1 = Value::U64(0);
+                (preset(header), None)
+            }
+            2 => {
+                header.remove(1);
+                (preset(header), None)
+            }
+            3 => {
+                header[0].1 = Value::F64(f64::from(ns));
+                (preset(header), None)
+            }
+            4 => {
+                let Value::Object(mut fields) = preset(header) else {
+                    unreachable!("presets are objects")
+                };
+                fields.push(("nodes".into(), Value::Array(Vec::new())));
+                (Value::Object(fields), None)
+            }
+            5 => {
+                header.truncate(2);
+                let bad = match g {
+                    0 => Value::Str("blended".into()),
+                    1 => Value::U64(1),
+                    _ => Value::Null,
+                };
+                header.push(("granularity", bad));
+                (preset(header), None)
+            }
+            6 => (Value::Array(vec![preset(header)]), None),
+            7 => (
+                Value::Object(vec![("preset".into(), Value::U64(ns.into()))]),
+                None,
+            ),
+            _ => {
+                let ir = if g == 2 {
+                    oa_workflow::ir::lower_experiment(shape)
+                } else {
+                    oa_workflow::ir::lower_fused(shape)
+                };
+                (oa_workflow::ir::to_spec_value(&ir), None)
+            }
+        }
+    })
 }
 
 proptest! {
@@ -471,6 +573,23 @@ proptest! {
             .collect();
         let pinned = schedule_pinned(&mut ir.clone(), &table, inst.r, &allocs).unwrap();
         assert_matches_oracle(&ir, &pinned, &list_schedule(inst, &table, &allocs))?;
+    }
+
+    /// `classify_spec` reads a preset spec's header without building
+    /// its mesh, and must still classify every document, errors
+    /// included, exactly as lowering it and recognizing the result.
+    #[test]
+    fn classify_spec_is_recognize_of_from_value((doc, header) in arb_spec()) {
+        let classified = classify_spec(&doc);
+        prop_assert_eq!(
+            &classified,
+            &from_value(&doc).map(|ir| recognize(&ir)),
+            "{:?}",
+            doc
+        );
+        if let Some(class) = header {
+            prop_assert_eq!(classified, Ok(class));
+        }
     }
 
     /// Shape-level equivalence at every mesh size the sweep covers: the

@@ -134,3 +134,30 @@ fn golden_transcript_replays_byte_identically() {
         );
     }
 }
+
+/// The workflow golden: preset `SubmitWorkflow`s (fused, unfused, and
+/// one without a granularity), an explicit general spec (`PROTO003`),
+/// a malformed preset (`PROTO009`), a fault-free fused `Submit`, and
+/// `Status` for every admitted session at many instants between its
+/// admission and its completion, so `months_done` is pinned at every
+/// stage of the fused sessions' progress. CI replays it through
+/// `oa serve --script tests/fixtures/service_workflow.jsonl
+/// --capacity 32 --jobs 1` (and `--jobs 2`).
+#[test]
+fn workflow_golden_replays_byte_identically() {
+    let script = include_str!("fixtures/service_workflow.jsonl");
+    let golden = include_str!("golden/service_workflow.log");
+    let cfg = ServiceConfig {
+        capacity: 32,
+        ..Default::default()
+    };
+    for jobs in [1, 2] {
+        let got = run_script(&mut Service::new(cfg, jobs), script);
+        assert_eq!(
+            got, golden,
+            "workflow golden diverged at jobs={jobs}; regenerate with \
+             `oa serve --script tests/fixtures/service_workflow.jsonl --capacity 32 --jobs 1` \
+             only for deliberate protocol changes"
+        );
+    }
+}

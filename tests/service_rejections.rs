@@ -36,6 +36,22 @@ fn submit_workflow(session: &str, workflow: &str) -> String {
     )
 }
 
+/// An explicit chain spec `t0 → t1 → … → t{n−1}` of rigid
+/// one-processor tasks, as JSON.
+fn chain_spec(n: usize) -> String {
+    let nodes: Vec<String> = (0..n)
+        .map(|i| format!(r#"{{"name":"t{i}","procs":1,"secs":1.0}}"#))
+        .collect();
+    let edges: Vec<String> = (1..n)
+        .map(|i| format!(r#"{{"from":"t{}","to":"t{i}"}}"#, i - 1))
+        .collect();
+    format!(
+        r#"{{"nodes":[{}],"edges":[{}]}}"#,
+        nodes.join(","),
+        edges.join(",")
+    )
+}
+
 /// Every rejection row: (label, request line, expected stable code).
 /// The table mirrors the error-code table in `docs/PROTOCOL.md`.
 fn rejection_table() -> Vec<(&'static str, String, &'static str)> {
@@ -159,6 +175,36 @@ fn rejection_table() -> Vec<(&'static str, String, &'static str)> {
                 "x",
                 r#"{"nodes":[{"name":"a","min_procs":4,"max_procs":11,"secs":"main"},{"name":"b","min_procs":4,"max_procs":11,"secs":"main"}],"edges":[{"from":"a","to":"b"}]}"#,
             ),
+            "PROTO003",
+        ),
+        // Size caps: a campaign over MAX_CAMPAIGN_MONTHS is refused
+        // before anything is sized by it. Each probe asks for an
+        // allocation of tens to hundreds of gigabytes when uncapped.
+        (
+            "submit over the size cap",
+            submit("x", 1, 2_000_000_000, "knapsack", "", 0.0),
+            "PROTO011",
+        ),
+        (
+            "preset over the size cap",
+            submit_workflow("x", r#"{"preset":{"ns":1000,"nm":1000000}}"#),
+            "PROTO011",
+        ),
+        (
+            "one-scenario preset over the size cap",
+            submit_workflow("x", r#"{"preset":{"ns":1,"nm":2000000000}}"#),
+            "PROTO011",
+        ),
+        (
+            "one month over the size cap",
+            submit("x", 1, 1_048_577, "knapsack", "", 0.0),
+            "PROTO011",
+        ),
+        // A 2.8 MB line: reading it and lifting its 40,000 nodes must
+        // stay linear, or the single-threaded daemon stalls.
+        (
+            "40,000-node general workflow",
+            submit_workflow("x", &chain_spec(40_000)),
             "PROTO003",
         ),
         // Admission-layer rejections (OA.../CT...): the request is
