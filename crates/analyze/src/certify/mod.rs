@@ -12,11 +12,12 @@
 //!    outside the interval is rule `CT001` — one of the two models is
 //!    wrong, and either way the result cannot be trusted.
 //! 2. **Integer-kernel eligibility.** Whether the run qualifies for the
-//!    engine's integer-time fast path, decided from the same inputs the
-//!    engine inspects (tick-exact durations and failure instants, a
-//!    bounded horizon, a calendar ring that fits). A verdict that
-//!    disagrees with the engine's own `KernelReport::integer_time` is
-//!    rule `CT002` — the static model and the engine have drifted.
+//!    engine's integer-time fast-forward, decided from the same inputs
+//!    the engine inspects (tick-exact durations and failure instants, a
+//!    bounded horizon). A verdict that disagrees with the engine's own
+//!    `KernelReport::integer_time`, from a run with default
+//!    `KernelOpts`, is rule `CT002` — the static model and the engine
+//!    have drifted.
 //!
 //! The certifier deliberately does **not** call into `oa-sim` (the
 //! simulator depends on this crate for its debug-mode oracles, so the
@@ -59,12 +60,6 @@ use oa_workflow::task::{CD_SECS, COF_SECS, EMF_SECS, FUSED_POST_SECS, FUSED_PRE_
 
 use crate::diag::{Diagnostic, Report, RuleCode};
 
-/// Mirror of `oa-sim`'s `calendar::MAX_RING` (2^16 buckets). The
-/// engine's queue refuses horizons at or above this width;
-/// `tests/certify_properties.rs` pins the two constants together by
-/// checking the verdict against the engine at the boundary.
-const MAX_RING_MIRROR: u64 = 1 << 16;
-
 /// Relative slack the bracket check grants the engine's accumulated
 /// float arithmetic: the interval is analytic (products), the simulated
 /// clock is a long sum, and the two may disagree in the last few ulps.
@@ -77,10 +72,11 @@ pub struct Certificate {
     /// non-empty (no upper bound survives a kill).
     pub bounds: TimeInterval,
     /// Whether the run qualifies for the integer-time kernel, assuming
-    /// the caller requests it (`KernelOpts` calendar or fast-forward).
+    /// the caller requests it (`KernelOpts::fast_forward`, on by
+    /// default).
     pub integer_kernel: bool,
     /// Largest per-group duration in exact ticks, when every duration
-    /// is tick-exact (the calendar ring is sized from this).
+    /// is tick-exact (the horizon bound is computed from this).
     pub max_dur_ticks: Option<u64>,
     /// Failures in the certified plan.
     pub fault_count: usize,
@@ -176,8 +172,8 @@ pub fn certify(
     };
 
     // The kernel gate, mirrored from the engine: integral durations,
-    // integral failure instants, a serial-work horizon comfortably
-    // below 2^53, and a calendar ring that fits MAX_RING.
+    // integral failure instants, and a serial-work horizon comfortably
+    // below 2^53.
     let mut max_dur_ticks = 0u64;
     let mut durs_ticky = true;
     for &d in &durs {
@@ -195,10 +191,7 @@ pub fn certify(
         + (nm + 1.0)
             * (f64::from(inst.ns) + plan.failures.len() as f64 + 1.0)
             * (max_dur_ticks as f64 + w + 1.0);
-    let integer_kernel = durs_ticky
-        && faults_ticky
-        && horizon < MAX_EXACT_SECS / 2.0
-        && max_dur_ticks < MAX_RING_MIRROR;
+    let integer_kernel = durs_ticky && faults_ticky && horizon < MAX_EXACT_SECS / 2.0;
 
     Certificate {
         bounds,
@@ -234,16 +227,12 @@ pub fn check_bounds(cert: &Certificate, makespan: f64) -> Option<Diagnostic> {
 }
 
 /// `CT002`: the engine's `KernelReport::integer_time` must equal the
-/// static verdict. `kernel_requested` is `opts.calendar ||
-/// opts.fast_forward` — with neither knob on, the engine never enters
-/// integer time regardless of eligibility.
+/// static verdict. The report must come from a run with default
+/// `KernelOpts` (fast-forward requested); with fast-forward off the
+/// engine never enters integer time, whatever the verdict.
 #[must_use]
-pub fn check_kernel_verdict(
-    cert: &Certificate,
-    kernel_requested: bool,
-    engine_integer_time: bool,
-) -> Option<Diagnostic> {
-    let expected = kernel_requested && cert.integer_kernel;
+pub fn check_kernel_verdict(cert: &Certificate, engine_integer_time: bool) -> Option<Diagnostic> {
+    let expected = cert.integer_kernel;
     if engine_integer_time == expected {
         return None;
     }
@@ -261,22 +250,18 @@ pub fn check_kernel_verdict(
     )
 }
 
-/// Runs both certifier cross-checks against one engine run and
-/// collects the findings. `makespan` is `None` for stranded outcomes
-/// (no bracket check applies — the lower bound certifies completions).
+/// Runs both certifier cross-checks against one engine run with
+/// default `KernelOpts` and collects the findings. `makespan` is
+/// `None` for stranded outcomes (no bracket check applies — the lower
+/// bound certifies completions).
 #[must_use]
-pub fn verify(
-    cert: &Certificate,
-    makespan: Option<f64>,
-    kernel_requested: bool,
-    engine_integer_time: bool,
-) -> Report {
+pub fn verify(cert: &Certificate, makespan: Option<f64>, engine_integer_time: bool) -> Report {
     let mut report = Report::new();
     if let Some(ms) = makespan {
         report.extend(check_bounds(cert, ms).into_iter().collect());
     }
     report.extend(
-        check_kernel_verdict(cert, kernel_requested, engine_integer_time)
+        check_kernel_verdict(cert, engine_integer_time)
             .into_iter()
             .collect(),
     );
@@ -351,8 +336,10 @@ mod tests {
             &FaultPlan::none(),
         );
         assert!(cert.integer_kernel, "{cert:?}");
+        // The basic grouping's one duration, T[7], is the largest.
         let ticks = cert.max_dur_ticks.unwrap();
-        assert!(0 < ticks && ticks < MAX_RING_MIRROR);
+        assert!(0 < ticks);
+        assert_eq!(ticks as f64, table.main_secs(grouping.groups()[0]));
     }
 
     #[test]
@@ -384,20 +371,17 @@ mod tests {
     }
 
     #[test]
-    fn kernel_verdict_check_honours_the_request_flag() {
+    fn kernel_verdict_check_compares_against_the_certificate() {
         let (inst, table, grouping) = reference();
-        let cert = certify(
-            inst,
-            &table,
-            &grouping,
-            &CampaignConfig::default(),
-            &FaultPlan::none(),
-        );
-        assert!(check_kernel_verdict(&cert, true, true).is_none());
-        assert!(check_kernel_verdict(&cert, false, false).is_none());
-        let d = check_kernel_verdict(&cert, true, false).unwrap();
+        let config = CampaignConfig::default();
+        let eligible = certify(inst, &table, &grouping, &config, &FaultPlan::none());
+        assert!(check_kernel_verdict(&eligible, true).is_none());
+        let d = check_kernel_verdict(&eligible, false).unwrap();
         assert_eq!(d.rule.code(), "CT002");
-        assert!(check_kernel_verdict(&cert, false, true).is_some());
+        let plan = FaultPlan::none().kill(0, 1234.5);
+        let ineligible = certify(inst, &table, &grouping, &config, &plan);
+        assert!(check_kernel_verdict(&ineligible, false).is_none());
+        assert!(check_kernel_verdict(&ineligible, true).is_some());
     }
 
     #[test]
@@ -433,12 +417,12 @@ mod tests {
             &CampaignConfig::default(),
             &FaultPlan::none(),
         );
-        let clean = verify(&cert, Some(cert.bounds.lo), true, true);
+        let clean = verify(&cert, Some(cert.bounds.lo), true);
         assert!(clean.is_clean(), "{}", clean.render_text());
-        let bad = verify(&cert, Some(1.0), true, false);
+        let bad = verify(&cert, Some(1.0), false);
         assert_eq!(bad.error_count(), 2);
         // Stranded outcomes skip the bracket, not the verdict.
-        let stranded = verify(&cert, None, true, false);
+        let stranded = verify(&cert, None, false);
         assert_eq!(stranded.error_count(), 1);
     }
 }

@@ -1,6 +1,6 @@
 //! Criterion benchmarks for the campaign-engine simulation kernel:
-//! event-by-event execution versus the steady-state fast-forward +
-//! integer-time calendar queue, on the NM = 1800 reference campaign
+//! event-by-event execution versus the steady-state fast-forward
+//! (integer-time runs only), on the NM = 1800 reference campaign
 //! whose outputs are pinned bitwise identical by
 //! `tests/kernel_equivalence.rs`, plus the workflow-IR front-end
 //! (preset lowering, topological sort, critical path) at the full

@@ -1,7 +1,7 @@
 //! Kernel speedup matrix: wall-clock of the campaign engine with the
-//! simulation kernel (steady-state fast-forward + integer-time
-//! calendar queue) on versus plain event-by-event execution, at fused
-//! and unfused granularity over growing campaign lengths. The outputs
+//! simulation kernel (the steady-state fast-forward, gated on integer
+//! time) on versus plain event-by-event execution, at fused and
+//! unfused granularity over growing campaign lengths. The outputs
 //! of the two modes are bitwise identical (pinned by
 //! `tests/kernel_equivalence.rs`); this binary records what the
 //! identity costs — or rather, what it saves.
@@ -10,6 +10,10 @@
 //! (wall-clock history, like `BENCH_sweeps.json`: re-running a
 //! configuration replaces its entry and leaves the others). Every
 //! entry carries `nproc`, the recording host's available parallelism.
+//! The deterministic fields — `integer_time`, the skipped-cycle
+//! counts, batch `heads` and `checksum`, and the IR's `nodes` — are a
+//! regression signal of their own: CI re-runs this binary without
+//! `--big` and diffs them against the committed file.
 //!
 //! Run: `cargo run --release -p oa-bench --bin engine_kernel [--smoke]`
 //!
@@ -157,7 +161,7 @@ fn main() {
         return;
     }
 
-    println!("== Engine kernel speedup: fast-forward + calendar queue vs event-by-event ==");
+    println!("== Engine kernel speedup: fast-forward vs event-by-event ==");
     println!(
         "instance: NS = {NS}, R = {R} (reference cluster, integral seconds); basic 7×7 grouping\n"
     );

@@ -749,9 +749,7 @@ fn certify_one(
     )
     .map_err(|e| CliError::Domain(e.to_string()))?;
     let makespan = outcome.completed().map(|run| run.makespan);
-    report.extend(
-        oa_analyze::certify::verify(&cert, makespan, true, kernel.integer_time).diagnostics,
-    );
+    report.extend(oa_analyze::certify::verify(&cert, makespan, kernel.integer_time).diagnostics);
     if static_eligible != cert.integer_kernel {
         report.extend(vec![oa_analyze::Diagnostic::new(
             oa_analyze::RuleCode::KernelVerdictMismatch,

@@ -12,6 +12,14 @@
 
 use serde::{Deserialize, Serialize};
 
+/// The most months (`NS × NM`) one requested campaign may ask for:
+/// 2^20 = 1,048,576, above a capacity-512 request at the paper's
+/// `NM = 1800` (921,600 months). The engine sizes its record arena and
+/// completion chain by the month count, so `oa-service` admission and
+/// `oa-sim` batch specs both check this before anything is sized by
+/// the request.
+pub const MAX_CAMPAIGN_MONTHS: u64 = 1 << 20;
+
 use oa_workflow::chain::ExperimentShape;
 
 /// One homogeneous scheduling instance.

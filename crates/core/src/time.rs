@@ -7,9 +7,10 @@
 //! so each of them used to carry its own newtype; this is the single
 //! shared copy. [`TimeKey`] extends it to the `(instant, payload)`
 //! min-heap keys those loops actually store, and the tick helpers
-//! ([`exact_ticks`], [`is_tick_exact`]) decide when a clock value can
-//! move to the integer-second representation of `oa-sim`'s calendar
-//! queue and fast-forward kernel without changing a single output bit.
+//! ([`exact_ticks`], [`is_tick_exact`]) decide when every clock value
+//! of a run is an exact integer, the gate of `oa-sim`'s fast-forward
+//! kernel: only then can it stamp replayed cycles without changing a
+//! single output bit.
 
 use std::cmp::Reverse;
 

@@ -47,12 +47,7 @@ use oa_sched::policy::{CampaignConfig, FaultPlan, Granularity, Recovery, Scenari
 
 use crate::wire::codes;
 
-/// The most months (`ns × nm`) one campaign may ask for: 2^20 =
-/// 1,048,576, above a capacity-512 request at the paper's `NM = 1800`
-/// (921,600 months). The cap is checked before anything that grows
-/// with the request is allocated; the engine sizes its record arena by
-/// the month count.
-pub const MAX_CAMPAIGN_MONTHS: u64 = 1 << 20;
+pub use oa_sched::params::MAX_CAMPAIGN_MONTHS;
 
 /// Why a submission was refused: a stable code and the reason.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -35,7 +35,7 @@ use oa_sched::incremental::IncrementalRepartition;
 use oa_sched::memo::PlanMemo;
 use oa_sched::params::Instance;
 use oa_sched::policy::FaultPlan;
-use oa_sim::batch::{run_batch_with, BatchSpec};
+use oa_sim::batch::{run_batch_with, BatchError, BatchSpec};
 use oa_sim::driver::{SessionDriver, SessionState};
 use oa_trace::metrics::{self, MetricsRegistry};
 use oa_workflow::ir::{classify_spec, IrClass, SpecError};
@@ -748,6 +748,9 @@ impl Service {
     fn variant_sweep(&mut self, spec: &serde::Value) -> Vec<Response> {
         let spec = match BatchSpec::from_json(spec) {
             Ok(spec) => spec,
+            Err(e @ BatchError::OverSizeCap(_)) => {
+                return Self::error(codes::OVER_SIZE_CAP, e.to_string())
+            }
             Err(e) => return Self::error(codes::BAD_SWEEP, e.to_string()),
         };
         let report = match run_batch_with(&spec, &self.pool, &mut self.memo) {

@@ -52,11 +52,15 @@ pub mod codes {
     /// graph, cycle, dangling edge, or duplicate node name.
     pub const MALFORMED_WORKFLOW: &str = "PROTO009";
     /// `VariantSweep` carried an invalid batch spec: unknown label,
-    /// empty axis, zero variant count, or an infeasible shape.
+    /// empty axis, zero axis entry or variant count, or an infeasible
+    /// shape.
     pub const BAD_SWEEP: &str = "PROTO010";
     /// `Submit`/`SubmitWorkflow`: the campaign exceeds the size cap,
     /// `ns × nm` above
-    /// [`MAX_CAMPAIGN_MONTHS`](crate::admission::MAX_CAMPAIGN_MONTHS).
+    /// [`MAX_CAMPAIGN_MONTHS`](crate::admission::MAX_CAMPAIGN_MONTHS);
+    /// `VariantSweep`: the spec has such a shape, or enumerates more
+    /// than [`MAX_BATCH_VARIANTS`](oa_sim::batch::MAX_BATCH_VARIANTS)
+    /// variants.
     pub const OVER_SIZE_CAP: &str = "PROTO011";
 
     /// Admission: the campaign shape is empty (`ns` or `nm` is zero).

@@ -38,7 +38,7 @@ use oa_sched::estimate::estimate;
 use oa_sched::grouping::Grouping;
 use oa_sched::heuristics::Heuristic;
 use oa_sched::memo::{MemoStats, PlanMemo};
-use oa_sched::params::Instance;
+use oa_sched::params::{Instance, MAX_CAMPAIGN_MONTHS};
 use oa_sched::policy::{CampaignConfig, FaultPlan, Granularity, Recovery, ScenarioPolicy};
 use oa_trace::NullTracer;
 
@@ -76,8 +76,8 @@ pub struct BatchSpec {
     /// Base seed of the deterministic splitmix64 stream.
     pub seed: u64,
     /// Fault-time granularity in seconds. `1.0` keeps times integral
-    /// (the calendar kernel stays engaged on resume); finer values
-    /// produce fractional times and exercise the heap path.
+    /// (resumed variants stay in integer time and may fast-forward);
+    /// finer values produce fractional times and run event by event.
     pub fault_resolution: f64,
 }
 
@@ -86,6 +86,9 @@ pub struct BatchSpec {
 pub enum BatchError {
     /// Malformed or out-of-range JSON.
     Parse(String),
+    /// The spec enumerates more than [`MAX_BATCH_VARIANTS`] variants,
+    /// or one of its shapes more than [`MAX_CAMPAIGN_MONTHS`] months.
+    OverSizeCap(String),
     /// A grid shape cannot be planned at all.
     InfeasibleShape {
         /// Processors of the failing shape.
@@ -101,6 +104,7 @@ impl fmt::Display for BatchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BatchError::Parse(why) => write!(f, "bad batch spec: {why}"),
+            BatchError::OverSizeCap(why) => write!(f, "batch spec exceeds the size cap: {why}"),
             BatchError::InfeasibleShape { r, ns, why } => {
                 write!(f, "infeasible shape (r={r}, ns={ns}): {why}")
             }
@@ -109,6 +113,10 @@ impl fmt::Display for BatchError {
 }
 
 impl std::error::Error for BatchError {}
+
+/// The most variants one spec may enumerate: 2^20 result rows, about
+/// 47 MB of [`BatchSoA`] columns.
+pub const MAX_BATCH_VARIANTS: u64 = 1 << 20;
 
 const HEURISTICS: [Heuristic; 6] = [
     Heuristic::Basic,
@@ -157,7 +165,8 @@ fn u32_axis(v: &Value, key: &str, default: u32) -> Result<Vec<u32>, BatchError> 
     let one = |x: &Value| {
         val_u64(x)
             .and_then(|n| u32::try_from(n).ok())
-            .ok_or_else(|| parse_err(format!("{key} entries must be u32")))
+            .filter(|&n| n > 0)
+            .ok_or_else(|| parse_err(format!("{key} entries must be positive u32")))
     };
     let axis = match field {
         Value::Array(items) => items.iter().map(one).collect::<Result<Vec<_>, _>>()?,
@@ -226,7 +235,10 @@ impl BatchSpec {
     }
 
     /// Parses the JSON form. Every field is optional; the defaults are
-    /// [`BatchSpec::reference_mc`] with 10⁴ variants and seed 42.
+    /// [`BatchSpec::reference_mc`] with 10⁴ variants and seed 42. A
+    /// spec over [`MAX_BATCH_VARIANTS`] variants or with a shape over
+    /// [`MAX_CAMPAIGN_MONTHS`] months is [`BatchError::OverSizeCap`],
+    /// refused before anything is planned or allocated for it.
     pub fn from_json(v: &Value) -> Result<Self, BatchError> {
         if !matches!(v, Value::Object(_)) {
             return Err(parse_err("spec must be a JSON object"));
@@ -306,13 +318,43 @@ impl BatchSpec {
                 .filter(|&x| x > 0.0 && x.is_finite())
                 .ok_or_else(|| parse_err("fault_resolution must be a positive number"))?;
         }
+        spec.check_size_caps()?;
         Ok(spec)
     }
 
-    /// Total variants the spec enumerates.
+    /// Refuses a spec whose enumeration or whose largest shape is over
+    /// its cap.
+    fn check_size_caps(&self) -> Result<(), BatchError> {
+        if self.variant_count() > MAX_BATCH_VARIANTS {
+            return Err(BatchError::OverSizeCap(format!(
+                "more than {MAX_BATCH_VARIANTS} variants"
+            )));
+        }
+        let ns = self.nss.iter().copied().max().unwrap_or(0);
+        let nm = self.nms.iter().copied().max().unwrap_or(0);
+        let months = u64::from(ns) * u64::from(nm);
+        if months > MAX_CAMPAIGN_MONTHS {
+            return Err(BatchError::OverSizeCap(format!(
+                "ns={ns}, nm={nm} is {months} months, over {MAX_CAMPAIGN_MONTHS}"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Total variants the spec enumerates, saturating at `u64::MAX`.
     #[must_use]
     pub fn variant_count(&self) -> u64 {
-        self.shape_count() as u64 * self.variants_per_shape
+        [
+            self.rs.len(),
+            self.nss.len(),
+            self.nms.len(),
+            self.policies.len(),
+            self.granularities.len(),
+        ]
+        .into_iter()
+        .fold(self.variants_per_shape, |acc, n| {
+            acc.saturating_mul(n as u64)
+        })
     }
 
     /// Grid shapes the spec enumerates.
@@ -835,11 +877,31 @@ mod tests {
             r#"{"heuristic": "nope"}"#,
             r#"{"policies": []}"#,
             r#"{"fault_resolution": -1.0}"#,
+            r#"{"ns": [0]}"#,
+            r#"{"r": [53, 0]}"#,
             r#"[1, 2]"#,
         ] {
             let v: Value = serde_json::from_str(bad).unwrap();
             assert!(BatchSpec::from_json(&v).is_err(), "{bad} should fail");
         }
+    }
+
+    #[test]
+    fn specs_exactly_at_the_size_caps_parse() {
+        let parse = |text: &str| BatchSpec::from_json(&serde_json::from_str(text).unwrap());
+        let over = |text: &str| matches!(parse(text), Err(BatchError::OverSizeCap(_)));
+        // Two shapes of 2^19 variants each.
+        let spec = parse(r#"{"r": [30, 31], "variants": 524288}"#).unwrap();
+        assert_eq!(spec.variant_count(), MAX_BATCH_VARIANTS);
+        assert!(over(r#"{"r": [30, 31], "variants": 524289}"#));
+        assert!(over(r#"{"r": [30, 31], "variants": 18446744073709551615}"#));
+        // The largest shape, 16 × 65,536, is exactly 2^20 months.
+        let spec = parse(r#"{"ns": [1, 16], "nm": [65536, 2], "variants": 1}"#).unwrap();
+        assert_eq!(spec.shape_count(), 4);
+        assert!(over(r#"{"ns": [1, 16], "nm": [65537, 2], "variants": 1}"#));
+        assert!(over(
+            r#"{"ns": [2000000000], "nm": [2000000000], "variants": 1}"#
+        ));
     }
 
     #[test]

@@ -29,29 +29,27 @@
 //!
 //! # The simulation kernel
 //!
-//! On top of the generic loop sits a two-part kernel optimisation,
-//! controlled by [`KernelOpts`] and reported by [`KernelReport`]:
+//! The busy set is one `BinaryHeap` of [`TimeKey`]s, `(finish time,
+//! group)` in pop order, with at most one entry per group. On top of
+//! the generic loop sits the steady-state fast-forward, controlled by
+//! [`KernelOpts`] and reported by [`KernelReport`]. A fault-free
+//! campaign repeats the same event pattern every cycle once the
+//! pipeline fills. The detector in the private `ffwd` module spots the
+//! recurrence (same busy/running/idle/waiting shape modulo a constant
+//! time offset and a uniform month shift), and the engine then
+//! *replays* the cycle's journal arithmetically — records, chain
+//! entries and trace events stamped from the template with `t + j·D` —
+//! instead of re-simulating it. The fused post drain runs the same
+//! trick over the processor pool. Both fall back to event-by-event
+//! execution around faults, cluster transitions and the campaign
+//! head/tail.
 //!
-//! 1. **Integer-time calendar queue.** When every task duration (and
-//!    every failure instant) is an exact integral second
-//!    ([`oa_sched::time::exact_ticks`]), every clock value in the run
-//!    is an exactly-represented integer, and the busy set moves from a
-//!    `BinaryHeap` of [`TimeKey`]s onto the O(1) bucket ring of
-//!    [`crate::calendar::CalendarQueue`]. Pop order is identical by
-//!    construction (ascending tick, then ascending group), so the swap
-//!    cannot change one bit of output.
-//! 2. **Steady-state fast-forward.** A fault-free campaign repeats the
-//!    same event pattern every cycle once the pipeline fills. The
-//!    detector in the private `ffwd` module spots the recurrence (same
-//!    busy/running/idle/waiting shape modulo a constant time offset and
-//!    a uniform month shift), and the engine then *replays* the cycle's
-//!    journal arithmetically — records, chain entries and trace events
-//!    stamped from the template with `t + j·D` — instead of
-//!    re-simulating it. The fused post drain runs the same trick over
-//!    the processor pool. Both fall back to event-by-event execution
-//!    around faults, cluster transitions and the campaign head/tail,
-//!    and both are sound only in integer-time mode, where the stamped
-//!    additions are exact.
+//! Integer time is the fast-forward's gate and nothing else: the
+//! stamped additions are exact only when every task duration and every
+//! failure instant is an integral second ([`oa_sched::time::exact_ticks`])
+//! and the horizon stays far below 2^53, so that every clock value in
+//! the run is an exactly-represented integer. The detector reads the
+//! heap's entries sorted by `(tick, group)`, which is its pop order.
 //!
 //! # The post drain
 //!
@@ -77,7 +75,7 @@
 //! A knob that does not apply changes no bit: with an empty fault plan
 //! both recovery models give the same floats, record order and event
 //! stream, and any tracer, including none, leaves every output
-//! unchanged. The kernel keeps the same contract in both directions:
+//! unchanged. The fast-forward keeps the same contract:
 //! fast-forwarded runs are bitwise identical to event-by-event runs.
 //! `tests/engine_equivalence.rs`, `tests/kernel_equivalence.rs` and the
 //! tracked `results/*.json` enforce this; `tests/drain_equivalence.rs`
@@ -100,7 +98,6 @@ use oa_workflow::task::{
     TaskKind, CD_SECS, COF_SECS, EMF_SECS, FUSED_POST_SECS, FUSED_PRE_SECS, MIN_PROCS,
 };
 
-use crate::calendar::CalendarQueue;
 use crate::ffwd::{
     pool_match, pool_snapshot, Detector, LogEv, PoolSnap, PostPeriodic, SnapView, MAX_POOL_SNAPS,
 };
@@ -146,30 +143,21 @@ fn push_durs(durs: &mut Vec<f64>, sizes: &[u32], trow: &[f64], granularity: Gran
 }
 
 /// The integer-time gate: whether a run over `durs` and `failures`
-/// wants the tick representation, and the largest duration in ticks
-/// (the calendar ring's required span). Integer time is sound when
-/// every clock value the run can produce is an exactly-represented
-/// integer: integral task durations, integral failure instants, and a
-/// total horizon with comfortable headroom below 2^53.
-fn kernel_gate(
-    durs: &[f64],
-    failures: &[(usize, f64)],
-    inst: Instance,
-    steps_sum: f64,
-    requested: bool,
-) -> (bool, u64) {
+/// may fast-forward. Integer time is sound when every clock value the
+/// run can produce is an exactly-represented integer: integral task
+/// durations, integral failure instants, and a total horizon with
+/// comfortable headroom below 2^53.
+fn kernel_gate(durs: &[f64], failures: &[(usize, f64)], inst: Instance, steps_sum: f64) -> bool {
     let mut max_dur_ticks = 0u64;
-    let mut durs_ticky = true;
     for &d in durs {
         match exact_ticks(d) {
             Some(ticks) if ticks > 0 => max_dur_ticks = max_dur_ticks.max(ticks),
-            _ => {
-                durs_ticky = false;
-                break;
-            }
+            _ => return false,
         }
     }
-    let faults_ticky = failures.iter().all(|&(_, t)| is_tick_exact(t));
+    if !failures.iter().all(|&(_, t)| is_tick_exact(t)) {
+        return false;
+    }
     let max_fault = failures.iter().fold(0.0f64, |a, &(_, t)| a.max(t));
     // Loose serial-work bound on the final clock value; restarts can
     // re-execute at most one campaign's worth of months per failure.
@@ -177,15 +165,14 @@ fn kernel_gate(
         + (f64::from(inst.nm) + 1.0)
             * (f64::from(inst.ns) + failures.len() as f64 + 1.0)
             * (max_dur_ticks as f64 + steps_sum + 1.0);
-    let want_ticks = requested && durs_ticky && faults_ticky && horizon < MAX_EXACT_SECS / 2.0;
-    (want_ticks, max_dur_ticks)
+    horizon < MAX_EXACT_SECS / 2.0
 }
 
 /// Whether a campaign qualifies for the integer-time kernel — the
 /// engine's gate, decided without running the event loop. This is the
 /// value [`KernelReport::integer_time`] will report whenever `opts`
-/// requests the kernel (calendar or fast-forward on); with neither
-/// knob set the engine stays on the heap regardless of eligibility.
+/// requests fast-forward; with it off the engine never enters integer
+/// time.
 ///
 /// `oa-analyze`'s static certifier mirrors this decision independently
 /// (it cannot depend on this crate); rule `CT002` cross-checks the two
@@ -207,9 +194,7 @@ pub fn kernel_eligibility(
         config.granularity,
         pre,
     );
-    let (want_ticks, max_dur_ticks) =
-        kernel_gate(&durs, &plan.failures, inst, steps.iter().sum(), true);
-    want_ticks && CalendarQueue::<u32>::ring_fits(max_dur_ticks)
+    kernel_gate(&durs, &plan.failures, inst, steps.iter().sum())
 }
 
 /// Aggregates of a completed campaign run.
@@ -308,57 +293,17 @@ fn emit_failure<T: Tracer>(tracer: &mut T, failure: (usize, f64), impact: Option
     }
 }
 
-/// The busy set — `(finish time, group)` in pop order — in either of
-/// its two representations. The calendar queue is used whenever the
-/// run qualifies for integer time; the pop sequence is identical
-/// either way (unique group payloads, ascending tie-break).
-enum Busy<'a> {
-    /// `f64` binary heap: the always-correct fallback.
-    Heap(&'a mut BinaryHeap<TimeKey<usize>>),
-    /// Integer-tick bucket ring.
-    Cal(&'a mut CalendarQueue<usize>),
-}
-
-impl Busy<'_> {
-    fn push(&mut self, t: f64, g: usize) {
-        match self {
-            Busy::Heap(h) => h.push(time_key(t, g)),
-            Busy::Cal(c) => {
-                debug_assert!(t >= 0.0 && t.fract() == 0.0, "non-integral tick {t}");
-                c.push(t as u64, g);
-            }
-        }
-    }
-
-    fn peek_time(&mut self) -> Option<f64> {
-        match self {
-            Busy::Heap(h) => h.peek().map(|Reverse((Time(t), _))| *t),
-            Busy::Cal(c) => c.peek().map(|(t, _)| t as f64),
-        }
-    }
-
-    fn pop(&mut self) -> Option<(f64, usize)> {
-        match self {
-            Busy::Heap(h) => h.pop().map(|Reverse((Time(t), g))| (t, g)),
-            Busy::Cal(c) => c.pop().map(|(t, g)| (t as f64, g)),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        match self {
-            Busy::Heap(h) => h.is_empty(),
-            Busy::Cal(c) => c.is_empty(),
-        }
-    }
-
-    /// Keeps the calendar's push window in step with simulated time
-    /// when an event other than a pop advances the clock.
-    fn advance_to(&mut self, now: f64) {
-        if let Busy::Cal(c) = self {
-            debug_assert!(now >= 0.0 && now.fract() == 0.0, "non-integral tick {now}");
-            c.advance_to(now as u64);
-        }
-    }
+/// Writes the busy set's content into `out` in pop order: `(finish
+/// tick, group)` ascending. Only called in integer time, where every
+/// finish is an exact integral second; the heap holds at most one entry
+/// per group, so the sort is over a handful of distinct keys.
+fn busy_ticks(busy: &BinaryHeap<TimeKey<usize>>, out: &mut Vec<(u64, usize)>) {
+    out.clear();
+    out.extend(busy.iter().map(|&Reverse((Time(t), g))| {
+        debug_assert!(t >= 0.0 && t.fract() == 0.0, "non-integral tick {t}");
+        (t as u64, g)
+    }));
+    out.sort_unstable();
 }
 
 /// Takes the earliest-available post processor for a step ready at
@@ -455,16 +400,13 @@ pub(crate) struct DrainCk {
 }
 
 /// Everything a fault-free head run captures for later resumes: the
-/// per-boundary checkpoints (main phase and drain), the full completion
-/// chain, and the head's own outcome (reused verbatim for fault-free
-/// variants).
+/// per-boundary checkpoints (main phase and drain) and the full
+/// completion chain.
 #[derive(Debug, Default)]
 pub(crate) struct BatchHead {
     checkpoints: Vec<Checkpoint>,
     drain_cks: Vec<DrainCk>,
     chain: Vec<(f64, u32, u32)>,
-    /// The head's own result, filled by [`run_batch_head`].
-    pub outcome: Option<(CampaignOutcome, KernelReport)>,
 }
 
 impl BatchHead {
@@ -487,8 +429,9 @@ pub(crate) enum Batch<'a> {
     /// Plain single run.
     Off,
     /// Fault-free head run: capture checkpoints into the given head.
-    /// Requires fused granularity, integer time and fast-forward off
-    /// (every boundary must be visited to be captured).
+    /// Requires fused granularity, an integer-time eligible run and
+    /// fast-forward off (every boundary must be visited to be
+    /// captured). Records nothing.
     Capture(&'a mut BatchHead),
     /// Variant run: restore the `ck`-th checkpoint of `head` and
     /// simulate onward under `failures` (pre-sorted by time, ties in
@@ -513,10 +456,8 @@ struct Scratch {
     durs: Vec<f64>,
     /// First processor id of each group.
     bases: Vec<u32>,
-    /// Busy groups, heap representation.
-    busy_heap: BinaryHeap<TimeKey<usize>>,
-    /// Busy groups, integer-tick representation.
-    busy_cal: CalendarQueue<usize>,
+    /// Busy groups: `(finish time, group)`, at most one per group.
+    busy: BinaryHeap<TimeKey<usize>>,
     /// Per-group (scenario, start time) while running.
     running: Vec<Option<(u32, f64)>>,
     /// Waiting scenarios under the configured policy.
@@ -546,8 +487,8 @@ struct Scratch {
     snap_wait: Vec<u32>,
     /// Waiting-queue canonical content buffer.
     wait_buf: Vec<(u32, u32)>,
-    /// Calendar drain/rebuild buffer (snapshots and cycle shifts).
-    cal_buf: Vec<(u64, usize)>,
+    /// Busy-set content in pop order (snapshots and checkpoints).
+    busy_buf: Vec<(u64, usize)>,
     /// Post-drain boundary snapshots of the pool shape.
     pool_snaps: Vec<PoolSnap>,
     /// Pool snapshot / rebuild sort buffer.
@@ -564,8 +505,7 @@ impl Default for Scratch {
         Self {
             durs: Vec::new(),
             bases: Vec::new(),
-            busy_heap: BinaryHeap::new(),
-            busy_cal: CalendarQueue::new(),
+            busy: BinaryHeap::new(),
             running: Vec::new(),
             waiting: ScenarioQueue::Least(BinaryHeap::new()),
             months_done: Vec::new(),
@@ -579,7 +519,7 @@ impl Default for Scratch {
             snap_idle: Vec::new(),
             snap_wait: Vec::new(),
             wait_buf: Vec::new(),
-            cal_buf: Vec::new(),
+            busy_buf: Vec::new(),
             pool_snaps: Vec::new(),
             pool_buf: Vec::new(),
             tmpl: Vec::new(),
@@ -602,8 +542,8 @@ thread_local! {
 /// differ only in `config`, `plan` and `tracer`. Callers project what
 /// they need from the [`CampaignOutcome`].
 ///
-/// Runs with the default [`KernelOpts`] (fast-forward and calendar
-/// queue on — both bitwise-neutral); use
+/// Runs with the default [`KernelOpts`] (fast-forward on, which is
+/// bitwise-neutral); use
 /// [`simulate_campaign_kernel`] to pick kernel options or observe what
 /// the kernel did.
 ///
@@ -656,8 +596,8 @@ pub fn execute_default(
 
 /// [`simulate_campaign`] with explicit kernel options, returning what
 /// the kernel did alongside the outcome. The outcome is bitwise
-/// independent of `opts` — fast-forward and the calendar queue are
-/// pure performance knobs, pinned by `tests/kernel_equivalence.rs`.
+/// independent of `opts` — fast-forward is a pure performance knob,
+/// pinned by `tests/kernel_equivalence.rs`.
 ///
 /// # Panics
 ///
@@ -698,13 +638,11 @@ pub fn simulate_campaign_kernel<T: Tracer>(
     })
 }
 
-/// Runs the fault-free head of a batch: fused granularity, calendar on,
-/// fast-forward off (every `NS`-completion boundary must be visited to
-/// be captured). Returns `None` when the shape does not qualify for
-/// integer time — callers fall back to plain per-variant runs.
-///
-/// The head records (`record == true`), so fault-free variants reuse
-/// its outcome — schedule included — verbatim.
+/// Runs the fault-free head of a batch: fused granularity, integer
+/// time, fast-forward off (every `NS`-completion boundary must be
+/// visited to be captured), nothing recorded. Returns `None` when the
+/// shape does not qualify for integer time — callers fall back to
+/// plain per-variant runs.
 pub(crate) fn run_batch_head(
     inst: Instance,
     table: &TimingTable,
@@ -718,32 +656,23 @@ pub(crate) fn run_batch_head(
     {
         return Ok(None);
     }
-    let opts = KernelOpts {
-        fast_forward: false,
-        calendar: true,
-    };
     let mut head = Box::new(BatchHead::default());
-    let mut tracer = oa_trace::NullTracer;
-    let (outcome, report) = SCRATCH.with(|cell| {
+    let (outcome, _) = SCRATCH.with(|cell| {
         run(
             inst,
             table,
             grouping,
             config,
             &plan,
-            opts,
-            &mut tracer,
+            KernelOpts::event_by_event(),
+            &mut oa_trace::NullTracer,
             &mut cell.borrow_mut(),
             Batch::Capture(&mut head),
         )
     });
-    if !matches!(outcome, CampaignOutcome::Completed(_)) {
-        // A fault-free run can strand only on degenerate groupings
-        // (no post processors); nothing to resume from.
-        return Ok(None);
-    }
-    head.outcome = Some((outcome, report));
-    Ok(Some(head))
+    // A fault-free run can strand only on degenerate groupings (no post
+    // processors); nothing to resume from.
+    Ok(matches!(outcome, CampaignOutcome::Completed(_)).then_some(head))
 }
 
 /// Runs one variant by resuming `head` at the last checkpoint strictly
@@ -760,7 +689,7 @@ pub(crate) fn run_batch_variant(
     head: &BatchHead,
     failures: &[(usize, f64)],
 ) -> (CampaignOutcome, KernelReport) {
-    debug_assert!(!failures.is_empty(), "fault-free variants reuse the head");
+    debug_assert!(!failures.is_empty(), "variants carry at least one fault");
     debug_assert!(failures.windows(2).all(|w| w[0].1 <= w[1].1));
     let ck = head.checkpoint_before(failures[0].1);
     let plan = FaultPlan::none();
@@ -816,8 +745,7 @@ fn run<T: Tracer>(
     let Scratch {
         durs,
         bases,
-        busy_heap,
-        busy_cal,
+        busy,
         running,
         waiting,
         months_done,
@@ -831,7 +759,7 @@ fn run<T: Tracer>(
         snap_idle,
         snap_wait,
         wait_buf,
-        cal_buf,
+        busy_buf,
         pool_snaps,
         pool_buf,
         tmpl,
@@ -865,20 +793,18 @@ fn run<T: Tracer>(
     };
     let mut next_failure = 0usize;
 
-    // Kernel mode selection — see [`kernel_gate`] / [`kernel_eligibility`].
+    // Integer time gates the fast-forward, and a capture run's
+    // tick-valued checkpoints — see [`kernel_gate`].
     let mut report = KernelReport::default();
-    let (want_ticks, max_dur_ticks) = kernel_gate(
-        durs,
-        failures,
-        inst,
-        steps.iter().sum(),
-        opts.calendar || opts.fast_forward,
-    );
-    let use_cal = want_ticks && busy_cal.configure(max_dur_ticks);
-    report.integer_time = use_cal;
-    let ff_on = opts.fast_forward && use_cal;
+    let integer_time = (opts.fast_forward || capture.is_some())
+        && kernel_gate(durs, failures, inst, steps.iter().sum());
+    report.integer_time = integer_time;
+    let ff_on = opts.fast_forward && integer_time;
     det.reset_run();
-    debug_assert!(capture.is_none() || use_cal, "capture implies integer time");
+    debug_assert!(
+        capture.is_none() || integer_time,
+        "capture implies integer time"
+    );
 
     if tracer.enabled() {
         tracer.record(TraceEvent::at(
@@ -896,22 +822,19 @@ fn run<T: Tracer>(
     // Records become a `Schedule` only when every task provably runs
     // exactly once: fused granularity, nothing to inject. The arena is
     // then the one allocation of the run, pre-sized to its exact final
-    // length.
-    let record =
-        config.granularity == Granularity::Fused && failures.is_empty() && resume_ck.is_none();
+    // length. A batch head keeps checkpoints, not records.
+    let record = config.granularity == Granularity::Fused
+        && failures.is_empty()
+        && resume_ck.is_none()
+        && capture.is_none();
     let mut records: Vec<TaskRecord> = if record {
         Vec::with_capacity(inst.nbtasks() as usize * 2)
     } else {
         Vec::new()
     };
 
-    let mut busy = if use_cal {
-        Busy::Cal(busy_cal)
-    } else {
-        busy_heap.clear();
-        busy_heap.reserve(sizes.len());
-        Busy::Heap(busy_heap)
-    };
+    busy.clear();
+    busy.reserve(sizes.len());
     running.clear();
     running.resize(sizes.len(), None); // (scenario, start)
     waiting.reset(config.policy, inst.ns);
@@ -950,9 +873,8 @@ fn run<T: Tracer>(
     // bitwise the fault-free head's — losses stay zero and the skipped
     // prefix of the completion chain is `head_prefix`.
     if let Some((ck, _)) = resume_ck {
-        busy.advance_to(ck.t);
         for &(tick, bg) in &ck.busy {
-            busy.push(tick as f64, bg as usize);
+            busy.push(time_key(tick as f64, bg as usize));
         }
         running.clear();
         running.extend_from_slice(&ck.running);
@@ -982,7 +904,7 @@ fn run<T: Tracer>(
                 let g = idle.pop().expect("non-empty"); // largest idle group
                 let s = waiting.pop().expect("non-empty");
                 running[g] = Some((s, now));
-                busy.push(now + durs[g], g);
+                busy.push(time_key(now + durs[g], g));
                 if ff_on && det.armed() && tracer.enabled() {
                     det.log.push(LogEv::Dispatch {
                         t: now,
@@ -1033,7 +955,7 @@ fn run<T: Tracer>(
     }
 
     // Records the loop state in canonical form for later batch resumes.
-    // Only reached in capture runs (fused, calendar on, fault-free), at
+    // Only reached in capture runs (fused, integer time, fault-free), at
     // instants where `completions` is a multiple of `NS` — the offsets
     // batch variants look up by their first fault time. Every container
     // is stored in an order that makes its pop sequence a pure function
@@ -1042,11 +964,7 @@ fn run<T: Tracer>(
         ($now:expr) => {{
             if let Some(head) = capture.as_deref_mut() {
                 let now: f64 = $now;
-                let Busy::Cal(cal) = &busy else {
-                    unreachable!("capture implies integer time")
-                };
-                cal_buf.clear();
-                cal.sorted_content(cal_buf);
+                busy_ticks(busy, busy_buf);
                 waiting.canonical_content_into(wait_buf);
                 pool_buf.clear();
                 pool_buf.extend(post_pool.iter().map(|&Reverse((Time(a), pp))| (a, pp)));
@@ -1055,7 +973,7 @@ fn run<T: Tracer>(
                     t: now,
                     main_finish,
                     completions,
-                    busy: cal_buf
+                    busy: busy_buf
                         .iter()
                         .map(|&(tick, bg)| (tick, bg as u32))
                         .collect(),
@@ -1139,12 +1057,11 @@ fn run<T: Tracer>(
 
     loop {
         // Choose the next event: completion or failure.
-        let completion_time = busy.peek_time();
+        let completion_time = busy.peek().map(|&Reverse((Time(t), _))| t);
         let failure_time = failures.get(next_failure).map(|&(_, t)| t);
         match (completion_time, failure_time) {
             (None, None) => break,
             (Some(tc), Some(tf)) if tf <= tc => {
-                busy.advance_to(tf);
                 let failure = failures[next_failure];
                 let impact = process_failure!(failure.0, failure.1);
                 if tracer.enabled() {
@@ -1155,7 +1072,6 @@ fn run<T: Tracer>(
                 assign!(tf);
             }
             (None, Some(tf)) => {
-                busy.advance_to(tf);
                 let failure = failures[next_failure];
                 let impact = process_failure!(failure.0, failure.1);
                 if tracer.enabled() {
@@ -1170,7 +1086,7 @@ fn run<T: Tracer>(
                 assign!(tf);
             }
             (Some(_), _) => {
-                let (t, g) = busy.pop().expect("peeked");
+                let Reverse((Time(t), g)) = busy.pop().expect("peeked");
                 if dead[g] {
                     continue; // stale completion of a crashed group
                 }
@@ -1235,14 +1151,14 @@ fn run<T: Tracer>(
                     && next_failure == failures.len()
                     && completions.is_multiple_of(u64::from(inst.ns))
                 {
-                    let Busy::Cal(cal) = &busy else {
-                        unreachable!("fast-forward implies integer time")
-                    };
-                    cal_buf.clear();
-                    cal.sorted_content(cal_buf);
+                    busy_ticks(busy, busy_buf);
                     let t_tick = t as u64;
                     snap_busy.clear();
-                    snap_busy.extend(cal_buf.iter().map(|&(tick, bg)| (tick - t_tick, bg as u32)));
+                    snap_busy.extend(
+                        busy_buf
+                            .iter()
+                            .map(|&(tick, bg)| (tick - t_tick, bg as u32)),
+                    );
                     snap_running.clear();
                     for (rg, slot) in running.iter().enumerate() {
                         if let Some((rs, start)) = slot {
@@ -1341,19 +1257,14 @@ fn run<T: Tracer>(
                                 }
                             }
                         }
-                        // Shift the live state k cycles forward.
+                        // Shift the live state k cycles forward. One exact
+                        // addition to every key keeps the heap order.
                         let total = (m.k as f64) * m.d;
-                        let total_ticks = total as u64;
-                        let Busy::Cal(cal) = &mut busy else {
-                            unreachable!("fast-forward implies integer time")
-                        };
-                        cal_buf.clear();
-                        while let Some(entry) = cal.pop() {
-                            cal_buf.push(entry);
+                        let mut keys = std::mem::take(busy).into_vec();
+                        for Reverse((Time(tb), _)) in &mut keys {
+                            *tb += total;
                         }
-                        for &(tick, bg) in cal_buf.iter() {
-                            cal.push(tick + total_ticks, bg);
-                        }
+                        *busy = BinaryHeap::from(keys);
                         for slot in running.iter_mut().flatten() {
                             slot.1 += total;
                         }

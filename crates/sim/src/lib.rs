@@ -11,12 +11,10 @@
 //!   Every execution below is one `simulate_campaign` call; fused
 //!   fault-free runs record the full schedule (`execute_default` is the
 //!   paper's default run, least-advanced-first with surplus-group
-//!   disbanding and FIFO posts). The loop carries a two-part simulation
-//!   kernel (steady-state fast-forward + the integer-time [`calendar`]
-//!   queue), bitwise identical to event-by-event execution and
+//!   disbanding and FIFO posts). Its busy set is one binary heap, and
+//!   on integer-time runs a steady-state fast-forward replays whole
+//!   cycles, bitwise identical to event-by-event execution and
 //!   controlled via `engine::KernelOpts`;
-//! * [`calendar`] — the O(1) integer-tick bucket queue backing the
-//!   kernel's busy set;
 //! * [`batch`] — the mass-batch variant engine: 10⁵–10⁶ Monte Carlo /
 //!   grid variants per run with cross-variant sharing (planning memo,
 //!   checkpoint-resume kernel heads, SoA result streaming), bitwise
@@ -67,7 +65,6 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod calendar;
 pub mod driver;
 pub mod engine;
 pub(crate) mod ffwd;

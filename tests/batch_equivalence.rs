@@ -195,3 +195,28 @@ proptest! {
         prop_assert_eq!(&logs[0], &logs[2], "jobs 1 vs 8 transcripts differ");
     }
 }
+
+/// A long-month shape (every main duration at least 65,536 s) takes
+/// integer time like any integral one, so it captures a shared head,
+/// and its resumed variants still equal the naive loop and the
+/// one-at-a-time engine runs bit for bit.
+#[test]
+fn long_month_shapes_capture_heads() {
+    let mut main = [0.0f64; 8];
+    for (i, slot) in main.iter_mut().enumerate() {
+        *slot = 80_000.0 - 1_500.0 * i as f64;
+    }
+    let mut spec = BatchSpec::reference_mc(32, 11);
+    spec.table = TimingTable::new(main, 600.0).expect("non-increasing");
+    spec.nss = vec![6];
+    spec.nms = vec![120];
+    spec.max_faults = 2;
+    let pool = Pool::serial();
+    let batch = run_batch(&spec, &pool).expect("feasible");
+    assert_eq!(batch.heads, 1, "the long-month shape must share a head");
+    let naive = run_naive(&spec, &pool).expect("feasible");
+    assert_eq!(batch.summary().checksum, naive.summary().checksum);
+    for (i, want) in individual_rows(&spec).iter().enumerate() {
+        assert_eq!(batch.outs.at(i), *want, "batch row {i} diverged");
+    }
+}

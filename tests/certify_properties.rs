@@ -24,16 +24,24 @@ const POLICIES: [ScenarioPolicy; 3] = [
 
 const GRANULARITIES: [Granularity; 2] = [Granularity::Fused, Granularity::Unfused];
 
-/// Integral-second timing tables (the integer kernel's home turf).
+/// Shortest month of a long-month table: 2^16 s. Month length alone
+/// must never stand the certifier's verdict down.
+const LONG_MONTH: f64 = 65_536.0;
+
+/// Integral-second timing tables (the integer kernel's home turf). One
+/// table in four is a long-month table, every main duration at least
+/// [`LONG_MONTH`].
 fn arb_integral_table() -> impl Strategy<Value = TimingTable> {
     (
         50u32..3000,
         1u32..400,
         proptest::collection::vec(0u32..400, 8),
+        0u32..4,
     )
-        .prop_map(|(t11, tp, bumps)| {
+        .prop_map(|(t11, tp, bumps, branch)| {
             let mut main = [0.0f64; 8];
-            let mut acc = f64::from(t11);
+            let long = if branch == 0 { LONG_MONTH } else { 0.0 };
+            let mut acc = f64::from(t11) + long;
             for i in (0..8).rev() {
                 main[i] = acc;
                 acc += f64::from(bumps[i]);
@@ -108,7 +116,7 @@ fn assert_certified(
             cert.bounds
         )));
     }
-    if let Some(d) = check_kernel_verdict(&cert, true, rep.integer_time) {
+    if let Some(d) = check_kernel_verdict(&cert, rep.integer_time) {
         return Err(TestCaseError::fail(format!("CT002: {}", d.render())));
     }
     Ok(())
@@ -200,7 +208,7 @@ proptest! {
         // Stranded campaigns have no makespan to bracket; the verdict
         // cross-check applies either way.
         let makespan = out.completed().map(|c| c.makespan);
-        let report = verify(&cert, makespan, true, rep.integer_time);
+        let report = verify(&cert, makespan, rep.integer_time);
         prop_assert!(
             report.is_clean(),
             "certifier cross-check failed:\n{}",
@@ -267,7 +275,7 @@ fn preset_clusters_certify_cleanly() {
                 )
                 .expect("valid grouping");
                 let makespan = out.completed().expect("fault-free").makespan;
-                let report = verify(&cert, Some(makespan), true, rep.integer_time);
+                let report = verify(&cert, Some(makespan), rep.integer_time);
                 assert!(
                     report.is_clean(),
                     "{name}/{policy:?}/{granularity:?}: {}",

@@ -1,5 +1,5 @@
-//! Bit-identity of the simulation kernel (steady-state fast-forward +
-//! integer-time calendar queue) with plain event-by-event execution:
+//! Bit-identity of the simulation kernel (the steady-state fast-forward
+//! over the integer-time gate) with plain event-by-event execution:
 //! the hard invariant of DESIGN.md §"Cycle detection". The kernel is a
 //! pure wall-clock optimization — schedule records, makespan bits, the
 //! live metrics fold, and the Chrome export must not move by a single
@@ -26,18 +26,25 @@ const POLICIES: [ScenarioPolicy; 3] = [
     ScenarioPolicy::MostAdvanced,
 ];
 
+/// Shortest month of a long-month table: 2^16 s. Month length alone
+/// must never stand integer time down.
+const LONG_MONTH: f64 = 65_536.0;
+
 /// Integral-second timing tables: the precondition of the integer-time
 /// kernel. Whole-second base duration and bumps keep every `T[G]` (and
-/// the post duration) on the tick lattice.
+/// the post duration) on the tick lattice. One table in four is a
+/// long-month table, every main duration at least [`LONG_MONTH`].
 fn arb_integral_table() -> impl Strategy<Value = TimingTable> {
     (
         50u32..3000,
         1u32..400,
         proptest::collection::vec(0u32..400, 8),
+        0u32..4,
     )
-        .prop_map(|(t11, tp, bumps)| {
+        .prop_map(|(t11, tp, bumps, branch)| {
             let mut main = [0.0f64; 8];
-            let mut acc = f64::from(t11);
+            let long = if branch == 0 { LONG_MONTH } else { 0.0 };
+            let mut acc = f64::from(t11) + long;
             for i in (0..8).rev() {
                 main[i] = acc;
                 acc += f64::from(bumps[i]);
@@ -243,6 +250,31 @@ proptest! {
             prop_assert_eq!(&par, &serial, "jobs = {}", jobs);
         }
     }
+}
+
+/// Long months fast-forward like short ones. Six scenarios on six
+/// groups of 7, months of 68,000–80,000 s: the run takes integer time
+/// and skips 117 of its 120 one-month cycles, bitwise equal to
+/// event-by-event runs; the static gate and the certifier agree.
+#[test]
+fn long_months_take_integer_time_and_fast_forward() {
+    let mut main = [0.0f64; 8];
+    for (i, slot) in main.iter_mut().enumerate() {
+        *slot = 80_000.0 - 1_500.0 * i as f64;
+    }
+    let table = TimingTable::new(main, 600.0).expect("non-increasing");
+    let inst = Instance::new(6, 120, 53);
+    let grouping = Grouping::uniform(7, 6, 11);
+    let config = CampaignConfig::default();
+    let plan = FaultPlan::none();
+    assert!(table.main_secs(11) > LONG_MONTH);
+    let rep = assert_bitwise(inst, &table, &grouping, &config, &plan).expect("bitwise");
+    assert!(rep.integer_time, "long months must take the integer path");
+    assert_eq!(rep.main_cycles_skipped, 117);
+    assert!(rep.post_cycles_skipped > 0, "{rep:?}");
+    assert!(kernel_eligibility(inst, &table, &grouping, &config, &plan));
+    let cert = ocean_atmosphere::analyze::certify::certify(inst, &table, &grouping, &config, &plan);
+    assert!(cert.integer_kernel);
 }
 
 /// A pending failure must hold the fast-forward off: replaying cycles

@@ -200,6 +200,27 @@ fn rejection_table() -> Vec<(&'static str, String, &'static str)> {
             submit("x", 1, 1_048_577, "knapsack", "", 0.0),
             "PROTO011",
         ),
+        // A sweep spec is checked before it is planned: a zero axis
+        // entry panicked in `Instance::new`, and the two capped lines
+        // aborted the daemon sizing 10^15 result rows and planning one
+        // 2·10^9-month shape.
+        (
+            "variant sweep with a zero-scenario shape",
+            r#"{"VariantSweep":{"spec":{"variants":1,"nm":[12],"ns":[0],"r":[20]}}}"#.into(),
+            "PROTO010",
+        ),
+        (
+            "variant sweep over the variant cap",
+            r#"{"VariantSweep":{"spec":{"variants":1000000000000000,"nm":[12],"ns":[2],"r":[20]}}}"#
+                .into(),
+            "PROTO011",
+        ),
+        (
+            "variant sweep shape over the size cap",
+            r#"{"VariantSweep":{"spec":{"variants":1,"nm":[2000000000],"ns":[1],"r":[20]}}}"#
+                .into(),
+            "PROTO011",
+        ),
         // A 2.8 MB line: reading it and lifting its 40,000 nodes must
         // stay linear, or the single-threaded daemon stalls.
         (
