@@ -20,6 +20,16 @@ use serde::{Deserialize, Serialize};
 /// the request.
 pub const MAX_CAMPAIGN_MONTHS: u64 = 1 << 20;
 
+/// The most processors one requested cluster may have: 1,024, well
+/// above the paper's largest `R` of 120. Planners and engines size
+/// tables and pools by `R`: the knapsack DP's cardinality saturates at
+/// `R/4`, so a cluster at the cap builds a table of at most 1,025 ×
+/// 257 cells per group size whatever the requested scenario count,
+/// and the engine's post pool holds at most `R` entries. `oa-service`
+/// refuses a larger `ClusterJoin` and `oa-sim` batch specs a larger
+/// `r` entry, before anything is sized by them.
+pub const MAX_CLUSTER_PROCS: u32 = 1024;
+
 use oa_workflow::chain::ExperimentShape;
 
 /// One homogeneous scheduling instance.

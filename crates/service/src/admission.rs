@@ -47,7 +47,7 @@ use oa_sched::policy::{CampaignConfig, FaultPlan, Granularity, Recovery, Scenari
 
 use crate::wire::codes;
 
-pub use oa_sched::params::MAX_CAMPAIGN_MONTHS;
+pub use oa_sched::params::{MAX_CAMPAIGN_MONTHS, MAX_CLUSTER_PROCS};
 
 /// Why a submission was refused: a stable code and the reason.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -40,7 +40,7 @@ use oa_sim::driver::{SessionDriver, SessionState};
 use oa_trace::metrics::{self, MetricsRegistry};
 use oa_workflow::ir::{classify_spec, IrClass, SpecError};
 
-use crate::admission::{admit_portion, parse_submission, Refusal, Submission};
+use crate::admission::{admit_portion, parse_submission, Refusal, Submission, MAX_CLUSTER_PROCS};
 use crate::wire::{codes, parse_request, render_response, ClusterLoad, PortionInfo, Response};
 
 /// Tunables fixed at service start.
@@ -360,6 +360,14 @@ impl Service {
             return Self::error(
                 codes::CLUSTER_INSANE,
                 format!("cluster {name:?} has {resources} processors; the smallest group needs 4"),
+            );
+        }
+        if resources > MAX_CLUSTER_PROCS {
+            return Self::error(
+                codes::OVER_SIZE_CAP,
+                format!(
+                    "cluster {name:?} has {resources} processors, over the cap of {MAX_CLUSTER_PROCS}"
+                ),
             );
         }
         let known = PRESET_CLUSTERS.iter().any(|(n, ..)| *n == preset);

@@ -58,9 +58,12 @@ pub mod codes {
     /// `Submit`/`SubmitWorkflow`: the campaign exceeds the size cap,
     /// `ns × nm` above
     /// [`MAX_CAMPAIGN_MONTHS`](crate::admission::MAX_CAMPAIGN_MONTHS);
-    /// `VariantSweep`: the spec has such a shape, or enumerates more
-    /// than [`MAX_BATCH_VARIANTS`](oa_sim::batch::MAX_BATCH_VARIANTS)
-    /// variants.
+    /// `VariantSweep`: the spec has such a shape, an `r` entry above
+    /// [`MAX_CLUSTER_PROCS`](crate::admission::MAX_CLUSTER_PROCS), or
+    /// enumerates more than
+    /// [`MAX_BATCH_VARIANTS`](oa_sim::batch::MAX_BATCH_VARIANTS)
+    /// variants; `ClusterJoin`: `resources` above
+    /// [`MAX_CLUSTER_PROCS`](crate::admission::MAX_CLUSTER_PROCS).
     pub const OVER_SIZE_CAP: &str = "PROTO011";
 
     /// Admission: the campaign shape is empty (`ns` or `nm` is zero).

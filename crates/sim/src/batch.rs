@@ -38,7 +38,7 @@ use oa_sched::estimate::estimate;
 use oa_sched::grouping::Grouping;
 use oa_sched::heuristics::Heuristic;
 use oa_sched::memo::{MemoStats, PlanMemo};
-use oa_sched::params::{Instance, MAX_CAMPAIGN_MONTHS};
+use oa_sched::params::{Instance, MAX_CAMPAIGN_MONTHS, MAX_CLUSTER_PROCS};
 use oa_sched::policy::{CampaignConfig, FaultPlan, Granularity, Recovery, ScenarioPolicy};
 use oa_trace::NullTracer;
 
@@ -87,7 +87,8 @@ pub enum BatchError {
     /// Malformed or out-of-range JSON.
     Parse(String),
     /// The spec enumerates more than [`MAX_BATCH_VARIANTS`] variants,
-    /// or one of its shapes more than [`MAX_CAMPAIGN_MONTHS`] months.
+    /// one of its shapes more than [`MAX_CAMPAIGN_MONTHS`] months, or
+    /// an `r` entry above [`MAX_CLUSTER_PROCS`] processors.
     OverSizeCap(String),
     /// A grid shape cannot be planned at all.
     InfeasibleShape {
@@ -236,9 +237,10 @@ impl BatchSpec {
 
     /// Parses the JSON form. Every field is optional; the defaults are
     /// [`BatchSpec::reference_mc`] with 10⁴ variants and seed 42. A
-    /// spec over [`MAX_BATCH_VARIANTS`] variants or with a shape over
-    /// [`MAX_CAMPAIGN_MONTHS`] months is [`BatchError::OverSizeCap`],
-    /// refused before anything is planned or allocated for it.
+    /// spec over [`MAX_BATCH_VARIANTS`] variants, with a shape over
+    /// [`MAX_CAMPAIGN_MONTHS`] months or with an `r` entry over
+    /// [`MAX_CLUSTER_PROCS`] is [`BatchError::OverSizeCap`], refused
+    /// before anything is planned or allocated for it.
     pub fn from_json(v: &Value) -> Result<Self, BatchError> {
         if !matches!(v, Value::Object(_)) {
             return Err(parse_err("spec must be a JSON object"));
@@ -322,8 +324,8 @@ impl BatchSpec {
         Ok(spec)
     }
 
-    /// Refuses a spec whose enumeration or whose largest shape is over
-    /// its cap.
+    /// Refuses a spec whose enumeration, largest shape or largest
+    /// cluster is over its cap.
     fn check_size_caps(&self) -> Result<(), BatchError> {
         if self.variant_count() > MAX_BATCH_VARIANTS {
             return Err(BatchError::OverSizeCap(format!(
@@ -336,6 +338,12 @@ impl BatchSpec {
         if months > MAX_CAMPAIGN_MONTHS {
             return Err(BatchError::OverSizeCap(format!(
                 "ns={ns}, nm={nm} is {months} months, over {MAX_CAMPAIGN_MONTHS}"
+            )));
+        }
+        let r = self.rs.iter().copied().max().unwrap_or(0);
+        if r > MAX_CLUSTER_PROCS {
+            return Err(BatchError::OverSizeCap(format!(
+                "r={r} processors, over {MAX_CLUSTER_PROCS}"
             )));
         }
         Ok(())
@@ -902,6 +910,11 @@ mod tests {
         assert!(over(
             r#"{"ns": [2000000000], "nm": [2000000000], "variants": 1}"#
         ));
+        // The largest cluster is exactly 1,024 processors.
+        let spec = parse(r#"{"r": [53, 1024], "variants": 1}"#).unwrap();
+        assert_eq!(spec.rs, vec![53, 1024]);
+        assert!(over(r#"{"r": [53, 1025], "variants": 1}"#));
+        assert!(over(r#"{"r": [4000000000], "variants": 1}"#));
     }
 
     #[test]

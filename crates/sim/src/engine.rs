@@ -58,17 +58,31 @@
 //! order, which is chronological. The fused drain reads queue 0 in
 //! order. The unfused drain pops the earliest queue front, ties going
 //! to the lower step, and pushes the next step onto the following
-//! queue. Each pop takes the earliest-available pool processor and
-//! re-keys it in place at the top of the pool heap.
+//! queue.
 //!
-//! This is exactly the earliest-ready order of one chain heap keyed
-//! `(ready, step, insertion)`. Every key pushed (onto a queue or the
-//! pool) is at least the key just popped, so both pop sequences are
-//! non-decreasing, and so is `start = max(avail, ready)`. Each queue
-//! therefore receives `start + d_step` in its own `(time, insertion)`
-//! order, and comparing the fronts by `(time, step)` picks what the
-//! heap would pop. Pool keys `(avail, proc)` are distinct, so an
-//! in-place re-key pops in the same order as a pop and a push.
+//! Each pop takes the earliest-available processor from the post pool,
+//! which is two sorted queues of `(avail, proc)`, as in the planning
+//! estimator (the private `post_pool` module). The start queue holds
+//! the entries present when the drain starts: dedicated processors at
+//! 0 and disbanded groups' processors at their disband instants,
+//! sorted once. The re-entry queue is a FIFO of `(end, proc)`. A take
+//! pops the smaller front, appends its processor with `push_back`, and
+//! swaps it back past any entry that sorts after it.
+//!
+//! This is exactly what one chain heap keyed `(ready, step, insertion)`
+//! and one pool heap keyed `(avail, proc)` would pop. Every key pushed
+//! (onto a queue or the pool) is at least the key just popped, so both
+//! pop sequences are non-decreasing, and so is `start = max(avail,
+//! ready)`. Each chain queue therefore receives `start + d_step` in its
+//! own `(time, insertion)` order, and comparing the fronts by `(time,
+//! step)` picks what the chain heap would pop. Pool keys are distinct
+//! and both pool queues stay sorted, so their smaller front is the pool
+//! heap's top. One drain's steps share one duration (fused `TP`, or
+//! unfused `COF = EMF = CD` at one speed), so every end is at least
+//! every end already queued, and the back-swap passes only equal-end
+//! entries. The post-phase fast-forward's cycle shift and the batch
+//! resume's prefix adoption change pool entries in place, then re-sort
+//! the pool into its start queue.
 //!
 //! # Equivalence guarantees
 //!
@@ -79,7 +93,8 @@
 //! fast-forwarded runs are bitwise identical to event-by-event runs.
 //! `tests/engine_equivalence.rs`, `tests/kernel_equivalence.rs` and the
 //! tracked `results/*.json` enforce this; `tests/drain_equivalence.rs`
-//! pins both post drains to a heap-drain oracle.
+//! pins both post drains to a heap-drain oracle, and a proptest of the
+//! pool pins every take to a `BinaryHeap` pool's.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -101,6 +116,7 @@ use oa_workflow::task::{
 use crate::ffwd::{
     pool_match, pool_snapshot, Detector, LogEv, PoolSnap, PostPeriodic, SnapView, MAX_POOL_SNAPS,
 };
+use crate::post_pool::PostPool;
 use crate::schedule::{ProcRange, Schedule, TaskRecord};
 
 pub use crate::ffwd::{KernelOpts, KernelReport};
@@ -306,22 +322,6 @@ fn busy_ticks(busy: &BinaryHeap<TimeKey<usize>>, out: &mut Vec<(u64, usize)>) {
     out.sort_unstable();
 }
 
-/// Takes the earliest-available post processor for a step ready at
-/// `ready` lasting `dur`, re-keying the pool's top in place: returns
-/// `(avail, proc, start, end)`.
-fn take_post_proc(
-    pool: &mut BinaryHeap<TimeKey<u32>>,
-    ready: f64,
-    dur: f64,
-) -> (f64, u32, f64, f64) {
-    let mut top = pool.peek_mut().expect("pool non-empty");
-    let Reverse((Time(avail), proc)) = *top;
-    let start = if avail > ready { avail } else { ready };
-    let end = start + dur;
-    *top = time_key(end, proc);
-    (avail, proc, start, end)
-}
-
 /// The fused drain's view of the completion chain: an optional
 /// borrowed prefix (the shared head chain of a batch resume) followed
 /// by this run's own completions. Indexing is chain-absolute, so the
@@ -409,6 +409,24 @@ pub(crate) struct BatchHead {
     chain: Vec<(f64, u32, u32)>,
 }
 
+/// The most entries one batch head may capture, 2^22 (about 64 MB).
+/// The paper's shapes capture well under a tenth of that: `NS = 10`,
+/// `NM = 1800`, `R = 80` is about 400k entries.
+const MAX_HEAD_ENTRIES: u64 = 1 << 22;
+
+/// An upper bound on the entries a head of `inst` under `grouping`
+/// captures. Each of the `NM + 1` boundaries keeps a [`Checkpoint`]
+/// (busy, running and idle groups, per-scenario months, waiting
+/// scenarios, the pool) and a [`DrainCk`] (the pool); the completion
+/// chain adds `NS × NM` entries.
+fn head_entries(inst: Instance, grouping: &Grouping) -> u64 {
+    let per_boundary =
+        3 * grouping.group_count() as u64 + 2 * u64::from(inst.ns) + 2 * grouping.total_procs();
+    (u64::from(inst.nm) + 1)
+        .saturating_mul(per_boundary)
+        .saturating_add(inst.nbtasks())
+}
+
 impl BatchHead {
     /// Index of the last checkpoint strictly before `t`, i.e. the
     /// furthest state a variant whose first fault hits at `t` can adopt
@@ -473,8 +491,9 @@ struct Scratch {
     /// unfused drain feeds queues 1 and 2 (module docs, "The post
     /// drain").
     chain: [Vec<(f64, u32, u32)>; 3],
-    /// Post-processor pool: (availability, processor id).
-    post_pool: BinaryHeap<TimeKey<u32>>,
+    /// Post-processor pool: two sorted queues of (availability,
+    /// processor id) (module docs, "The post drain").
+    post_pool: PostPool,
     /// Steady-state cycle detector (snapshots + event journal).
     det: Detector,
     /// Snapshot build buffer: busy as (tick offset, group).
@@ -491,8 +510,6 @@ struct Scratch {
     busy_buf: Vec<(u64, usize)>,
     /// Post-drain boundary snapshots of the pool shape.
     pool_snaps: Vec<PoolSnap>,
-    /// Pool snapshot / rebuild sort buffer.
-    pool_buf: Vec<(f64, u32)>,
     /// Post-drain replay template: (processor, start, end) per entry
     /// of the periodic chain region.
     tmpl: Vec<(u32, f64, f64)>,
@@ -512,7 +529,7 @@ impl Default for Scratch {
             idle: Vec::new(),
             dead: Vec::new(),
             chain: Default::default(),
-            post_pool: BinaryHeap::new(),
+            post_pool: PostPool::default(),
             det: Detector::default(),
             snap_busy: Vec::new(),
             snap_running: Vec::new(),
@@ -521,7 +538,6 @@ impl Default for Scratch {
             wait_buf: Vec::new(),
             busy_buf: Vec::new(),
             pool_snaps: Vec::new(),
-            pool_buf: Vec::new(),
             tmpl: Vec::new(),
             fail_buf: Vec::new(),
         }
@@ -641,8 +657,9 @@ pub fn simulate_campaign_kernel<T: Tracer>(
 /// Runs the fault-free head of a batch: fused granularity, integer
 /// time, fast-forward off (every `NS`-completion boundary must be
 /// visited to be captured), nothing recorded. Returns `None` when the
-/// shape does not qualify for integer time — callers fall back to
-/// plain per-variant runs.
+/// shape does not qualify for integer time, or when its capture could
+/// exceed [`MAX_HEAD_ENTRIES`]; callers fall back to plain per-variant
+/// runs.
 pub(crate) fn run_batch_head(
     inst: Instance,
     table: &TimingTable,
@@ -652,6 +669,7 @@ pub(crate) fn run_batch_head(
     grouping.validate(inst)?;
     let plan = FaultPlan::none();
     if config.granularity != Granularity::Fused
+        || head_entries(inst, grouping) > MAX_HEAD_ENTRIES
         || !kernel_eligibility(inst, table, grouping, config, &plan)
     {
         return Ok(None);
@@ -761,7 +779,6 @@ fn run<T: Tracer>(
         wait_buf,
         busy_buf,
         pool_snaps,
-        pool_buf,
         tmpl,
         fail_buf,
     } = scratch;
@@ -855,10 +872,11 @@ fn run<T: Tracer>(
             q.reserve(inst.nbtasks() as usize);
         }
     }
-    post_pool.clear();
-    post_pool.reserve(inst.r as usize);
+    // Every processor of a group or of the reserve may enter the pool.
+    let pool_procs = (post_base + grouping.post_procs) as usize;
+    post_pool.clear(pool_procs);
     for p in 0..grouping.post_procs {
-        post_pool.push(time_key(0.0, post_base + p));
+        post_pool.push(0.0, post_base + p);
     }
 
     let mut lost_proc_secs = 0.0f64;
@@ -888,9 +906,9 @@ fn run<T: Tracer>(
         for &ws in &ck.waiting {
             waiting.push(months_done[ws as usize], ws);
         }
-        post_pool.clear();
+        post_pool.clear(pool_procs);
         for &(a, pp) in &ck.pool {
-            post_pool.push(time_key(a, pp));
+            post_pool.push(a, pp);
         }
         completions = ck.completions;
         main_finish = ck.main_finish;
@@ -939,7 +957,7 @@ fn run<T: Tracer>(
                 let g = idle.remove(0); // smallest idle group disbands
                 alive -= 1;
                 for p in 0..sizes[g] {
-                    post_pool.push(time_key(now, bases[g] + p));
+                    post_pool.push(now, bases[g] + p);
                 }
                 if tracer.enabled() {
                     tracer.record(TraceEvent::at(
@@ -966,9 +984,6 @@ fn run<T: Tracer>(
                 let now: f64 = $now;
                 busy_ticks(busy, busy_buf);
                 waiting.canonical_content_into(wait_buf);
-                pool_buf.clear();
-                pool_buf.extend(post_pool.iter().map(|&Reverse((Time(a), pp))| (a, pp)));
-                pool_buf.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
                 head.checkpoints.push(Checkpoint {
                     t: now,
                     main_finish,
@@ -981,7 +996,7 @@ fn run<T: Tracer>(
                     months_done: months_done.clone(),
                     idle: idle.iter().map(|&g| g as u32).collect(),
                     waiting: wait_buf.iter().map(|&(_, ws)| ws).collect(),
-                    pool: pool_buf.clone(),
+                    pool: post_pool.sorted(|_| true),
                     alive,
                     unfinished,
                 });
@@ -1342,28 +1357,19 @@ fn run<T: Tracer>(
             if let Some((_, dck)) = resume_ck {
                 let min_disband = post_pool
                     .iter()
-                    .filter(|&&Reverse((_, pp))| pp < post_base)
-                    .map(|&Reverse((Time(a), _))| a)
+                    .filter(|&(_, pp)| pp < post_base)
+                    .map(|(a, _)| a)
                     .fold(f64::INFINITY, f64::min);
                 if dck.valid && !head_prefix.is_empty() && min_disband > dck.maxpop {
-                    pool_buf.clear();
-                    pool_buf.extend(
-                        post_pool
-                            .iter()
-                            .filter(|&&Reverse((_, pp))| pp < post_base)
-                            .map(|&Reverse((Time(a), pp))| (a, pp)),
-                    );
-                    post_pool.clear();
-                    for &(a, pp) in pool_buf.iter() {
-                        post_pool.push(time_key(a, pp));
-                    }
+                    post_pool.retain(|pp| pp < post_base);
                     for &(a, pp) in &dck.pool {
-                        post_pool.push(time_key(a, pp));
+                        post_pool.push(a, pp);
                     }
                     post_finish = dck.post_finish;
                     i = head_prefix.len();
                 }
             }
+            post_pool.sort();
             // Capture-side drain bookkeeping: one `DrainCk` per main
             // checkpoint, recorded when the drain reaches that
             // checkpoint's chain offset.
@@ -1376,20 +1382,11 @@ fn run<T: Tracer>(
                         while next_dck < head.checkpoints.len()
                             && head.checkpoints[next_dck].completions as usize == i
                         {
-                            pool_buf.clear();
-                            pool_buf.extend(
-                                post_pool
-                                    .iter()
-                                    .filter(|&&Reverse((_, pp))| pp >= post_base)
-                                    .map(|&Reverse((Time(a), pp))| (a, pp)),
-                            );
-                            pool_buf
-                                .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
                             head.drain_cks.push(DrainCk {
                                 valid: dck_valid,
                                 maxpop: dck_maxpop,
                                 post_finish,
-                                pool: pool_buf.clone(),
+                                pool: post_pool.sorted(|pp| pp >= post_base),
                             });
                             next_dck += 1;
                         }
@@ -1410,12 +1407,7 @@ fn run<T: Tracer>(
                             }
                             let (prev, slot) = pool_snaps.split_at_mut(n_pool_snaps);
                             let snap = &mut slot[0];
-                            pool_snapshot(
-                                snap,
-                                c,
-                                t_b,
-                                post_pool.iter().map(|&Reverse((Time(a), pp))| (a, pp)),
-                            );
+                            pool_snapshot(snap, c, t_b, post_pool.iter());
                             let hit = prev[..n_pool_snaps]
                                 .iter()
                                 .rev()
@@ -1530,15 +1522,7 @@ fn run<T: Tracer>(
                                     // absolute availabilities throughout.
                                     let total = ((n * q) as f64) * p.d;
                                     let cutoff = sh.min_stable.unwrap_or(f64::INFINITY);
-                                    pool_buf.clear();
-                                    pool_buf.extend(
-                                        post_pool.iter().map(|&Reverse((Time(a), pp))| (a, pp)),
-                                    );
-                                    post_pool.clear();
-                                    for &(a, pp) in pool_buf.iter() {
-                                        let a2 = if a < cutoff { a + total } else { a };
-                                        post_pool.push(time_key(a2, pp));
-                                    }
+                                    post_pool.shift_below(cutoff, total);
                                     report.post_cycles_skipped = n * q;
                                     i += usize::try_from(n * q).expect("cycle stride") * p.len;
                                     pd = None;
@@ -1555,7 +1539,7 @@ fn run<T: Tracer>(
                     }
                 }
                 let (ready, s, month) = entries.at(i);
-                let (avail, proc, start, end) = take_post_proc(post_pool, ready, steps[0]);
+                let (avail, proc, start, end) = post_pool.take(ready, steps[0]);
                 if capture.is_some() {
                     if avail > dck_maxpop {
                         dck_maxpop = avail;
@@ -1613,6 +1597,7 @@ fn run<T: Tracer>(
             // queues. The earliest front goes first, ties to the lower
             // step; its next step joins the following queue.
             debug_assert!(head_prefix.is_empty(), "batch heads are fused");
+            post_pool.sort();
             let mut next = [0usize; 3];
             loop {
                 let mut step = usize::MAX;
@@ -1630,7 +1615,7 @@ fn run<T: Tracer>(
                 }
                 let (_, s, month) = chain[step][next[step]];
                 next[step] += 1;
-                let (_, proc, start, end) = take_post_proc(post_pool, ready, steps[step]);
+                let (_, proc, start, end) = post_pool.take(ready, steps[step]);
                 let task = FusedTask {
                     scenario: s,
                     month,

@@ -74,6 +74,7 @@ pub mod grid_failures;
 pub mod ir_exec;
 pub mod metrics;
 pub mod persist;
+pub(crate) mod post_pool;
 pub mod profile;
 pub mod schedule;
 pub mod tracing;

@@ -196,6 +196,25 @@ proptest! {
     }
 }
 
+/// A shape whose head would capture more than the head budget runs
+/// its variants one at a time, bitwise as the naive loop; the same
+/// shape at a quarter of the months is under budget and shares a head.
+#[test]
+fn over_budget_shapes_run_without_a_head() {
+    let mut spec = BatchSpec::reference_mc(8, 5);
+    spec.nss = vec![1];
+    spec.rs = vec![1024];
+    spec.max_faults = 2;
+    let pool = Pool::serial();
+    for (nm, heads) in [(1024, 1), (4096, 0)] {
+        spec.nms = vec![nm];
+        let batch = run_batch(&spec, &pool).expect("feasible");
+        assert_eq!(batch.heads, heads, "nm = {nm}");
+        let naive = run_naive(&spec, &pool).expect("feasible");
+        assert_eq!(batch.summary().checksum, naive.summary().checksum);
+    }
+}
+
 /// A long-month shape (every main duration at least 65,536 s) takes
 /// integer time like any integral one, so it captures a shared head,
 /// and its resumed variants still equal the naive loop and the

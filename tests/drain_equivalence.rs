@@ -1,10 +1,12 @@
 //! Bit-identity of the engine's post drain with the heap drain it
 //! replaced. The engine holds the ready post chain as one FIFO queue
-//! per chain step and merges the queue fronts, re-keying the pool's
-//! top in place (`oa_sim::engine` module docs, "The post drain"). The
-//! heap drain kept below verbatim as the oracle pops one chain heap
-//! keyed `(ready, step, seq, scenario, month)` against a pool heap
-//! keyed `(avail, proc)`, with a pop and a push per step.
+//! per chain step and merges the queue fronts, and it takes each
+//! step's processor from a two-queue pool: the entries present when
+//! the drain starts, sorted once, and a sorted FIFO of re-entries
+//! (`oa_sim::engine` module docs, "The post drain"). The heap drain
+//! kept below verbatim as the oracle pops one chain heap keyed
+//! `(ready, step, seq, scenario, month)` against a pool heap keyed
+//! `(avail, proc)`, with a pop and a push per step.
 //!
 //! The oracle reads its input back from a `VecTracer` recording of the
 //! engine's own run: the groups and post processors of
@@ -19,7 +21,9 @@
 //! `NM` 1–48, basic, knapsack and random groupings (the random ones
 //! with 0–3 post processors), every policy, both recoveries, 0–3
 //! kills, and both granularities. Fixed cases replay unfused
-//! `NM = 1800` campaigns on the reference cluster and on each preset.
+//! `NM = 1800` campaigns on the reference cluster and on each preset,
+//! and fused ones with no dedicated post processor, whose pool is
+//! every group's processors at their disband instants.
 //!
 //! Debug builds run 32 random cases; release builds (CI's differential
 //! job) run 256.
@@ -373,11 +377,8 @@ proptest! {
     }
 }
 
-/// Unfused `NM = 1800` campaigns, the runs whose drain dominated their
-/// cost, on the reference cluster and on each preset, under the basic
-/// and knapsack groupings.
-#[test]
-fn unfused_reference_campaigns_are_bitwise_the_heap_drain() {
+/// The reference cluster's table, then each preset's.
+fn reference_and_preset_tables() -> Vec<TimingTable> {
     let mut tables = vec![reference_cluster(53).timing];
     tables.extend(
         benchmark_grid(DEFAULT_RESOURCES)
@@ -385,6 +386,15 @@ fn unfused_reference_campaigns_are_bitwise_the_heap_drain() {
             .iter()
             .map(|c| c.timing.clone()),
     );
+    tables
+}
+
+/// Unfused `NM = 1800` campaigns, the runs whose drain dominated their
+/// cost, on the reference cluster and on each preset, under the basic
+/// and knapsack groupings.
+#[test]
+fn unfused_reference_campaigns_are_bitwise_the_heap_drain() {
+    let tables = reference_and_preset_tables();
     let inst = Instance::new(10, 1800, 53);
     let config = CampaignConfig {
         policy: ScenarioPolicy::LeastAdvanced,
@@ -397,5 +407,25 @@ fn unfused_reference_campaigns_are_bitwise_the_heap_drain() {
             check(inst, table, &grouping, &config, &FaultPlan::none())
                 .unwrap_or_else(|e| panic!("{e}"));
         }
+    }
+}
+
+/// Fused `NM = 1800` campaigns with no dedicated post processor: the
+/// knapsack groups at `R = 53` on the reference cluster (`4×8 + 3×7`,
+/// all 53 processors) and on each preset, with any post reserve
+/// dropped, so every processor enters the pool at its group's disband
+/// and the whole drain runs on disbanded processors.
+#[test]
+fn fused_campaigns_without_post_processors_are_bitwise_the_heap_drain() {
+    let config = CampaignConfig::default();
+    for table in &reference_and_preset_tables() {
+        let knapsack = Heuristic::Knapsack
+            .grouping(Instance::new(10, 1800, 53), table)
+            .expect("R = 53 fits");
+        let grouping = Grouping::new(knapsack.groups().to_vec(), 0);
+        let r = u32::try_from(grouping.total_procs()).expect("at most 53");
+        let inst = Instance::new(10, 1800, r);
+        check(inst, table, &grouping, &config, &FaultPlan::none())
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 }

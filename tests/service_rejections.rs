@@ -221,6 +221,19 @@ fn rejection_table() -> Vec<(&'static str, String, &'static str)> {
                 .into(),
             "PROTO011",
         ),
+        // A cluster over MAX_CLUSTER_PROCS is refused before pricing:
+        // uncapped, the join panicked sizing the knapsack DP table and
+        // the sweep aborted sizing the estimator's post pool (32 GB).
+        (
+            "cluster join over the processor cap",
+            r#"{"ClusterJoin":{"name":"big","preset":"reference","resources":4000000000}}"#.into(),
+            "PROTO011",
+        ),
+        (
+            "variant sweep cluster over the processor cap",
+            r#"{"VariantSweep":{"spec":{"r":[4000000000],"variants":1}}}"#.into(),
+            "PROTO011",
+        ),
         // A 2.8 MB line: reading it and lifting its 40,000 nodes must
         // stay linear, or the single-threaded daemon stalls.
         (
@@ -311,6 +324,36 @@ fn busy_cluster_leave_is_proto007() {
         "{\"Drain\":{}}\n{\"ClusterLeave\":{\"name\":\"ref\"}}",
     );
     assert!(drained.contains("\"ClusterGone\""), "{drained}");
+}
+
+/// A cluster of exactly `MAX_CLUSTER_PROCS` processors joins, and the
+/// daemon goes on answering.
+#[test]
+fn cluster_join_at_the_processor_cap_is_admitted() {
+    let mut s = with_cluster();
+    let log = run_script(
+        &mut s,
+        "{\"ClusterJoin\":{\"name\":\"cap\",\"preset\":\"reference\",\"resources\":1024}}\n\
+         {\"ClusterJoin\":{\"name\":\"over\",\"preset\":\"reference\",\"resources\":1025}}",
+    );
+    assert!(log.contains("\"ClusterUp\""), "{log}");
+    assert!(log.contains("\"PROTO011\""), "{log}");
+    let after = run_script(&mut s, &submit("after-cap", 2, 12, "knapsack", "", 0.0));
+    assert!(after.contains("\"Admitted\""), "{after}");
+}
+
+/// A sweep whose batch head would capture more than the head budget
+/// (one pool copy per month: 4,097 boundaries × 1,024 processors)
+/// runs its variants one at a time and still answers a report.
+#[test]
+fn over_budget_sweep_answers_a_report() {
+    let mut s = with_cluster();
+    let log = run_script(
+        &mut s,
+        r#"{"VariantSweep":{"spec":{"ns":[1],"nm":[4096],"r":[1024],"variants":2}}}"#,
+    );
+    assert!(log.contains("\"SweepReport\""), "{log}");
+    assert!(log.contains("\"heads\":0"), "{log}");
 }
 
 /// Sanity checks on grid-shape rejections that need their own setup:
