@@ -63,36 +63,55 @@ pub fn check_ir(ir: &WorkflowIr) -> Vec<Diagnostic> {
 
     let annotated = ir.dag.iter().all(|(_, n)| n.origin.is_some());
     if annotated {
-        // The shape the annotations claim.
-        let (mut ns, mut nm) = (0u32, 0u32);
+        // The shape the annotations claim, in `u64`: one node can claim
+        // any `u32` scenario and month.
+        let (mut ns, mut nm) = (0u64, 0u64);
         for (_, n) in ir.dag.iter() {
             let o = n.origin.expect("all annotated");
-            ns = ns.max(o.scenario + 1);
-            nm = nm.max(o.month + 1);
+            ns = ns.max(u64::from(o.scenario) + 1);
+            nm = nm.max(u64::from(o.month) + 1);
         }
+        let months = ns.saturating_mul(nm);
+        let nodes = ir.node_count() as u64;
 
-        // OA002 generalized: full mesh coverage. Count distinct months
-        // present per scenario; a hole means an incomplete chain.
-        let mut seen = vec![false; (ns * nm) as usize];
-        for (_, n) in ir.dag.iter() {
-            let o = n.origin.expect("all annotated");
-            seen[(o.scenario * nm + o.month) as usize] = true;
-        }
-        for s in 0..ns {
-            for m in 0..nm {
-                if !seen[(s * nm + m) as usize] {
-                    out.push(
-                        Diagnostic::new(
-                            RuleCode::IncompleteChain,
-                            format!("annotated {ns}x{nm} mesh has no task for month {m} of scenario {s}"),
-                        )
-                        .at(Location {
-                            scenario: Some(s),
-                            month: Some(m),
-                            ..Location::default()
-                        }),
-                    );
-                }
+        // OA002 generalized: full mesh coverage. A covering mesh has at
+        // least one node per month, so a claim of more months than
+        // nodes is one finding rather than a walk over the claim.
+        if months > nodes {
+            out.push(
+                Diagnostic::new(
+                    RuleCode::IncompleteChain,
+                    format!(
+                        "annotated {ns}x{nm} mesh claims {months} months but has only {nodes} nodes"
+                    ),
+                )
+                .with("scenarios", ns as f64)
+                .with("months", nm as f64)
+                .with("nodes", nodes as f64),
+            );
+        } else {
+            // Mark the months present; a hole means an incomplete chain.
+            let mut seen = vec![false; months as usize];
+            for (_, n) in ir.dag.iter() {
+                let o = n.origin.expect("all annotated");
+                seen[(u64::from(o.scenario) * nm + u64::from(o.month)) as usize] = true;
+            }
+            for (i, _) in seen.iter().enumerate().filter(|&(_, &hit)| !hit) {
+                // Below the claim, so both fit the `u32` origins.
+                let (s, m) = ((i as u64 / nm) as u32, (i as u64 % nm) as u32);
+                out.push(
+                    Diagnostic::new(
+                        RuleCode::IncompleteChain,
+                        format!(
+                            "annotated {ns}x{nm} mesh has no task for month {m} of scenario {s}"
+                        ),
+                    )
+                    .at(Location {
+                        scenario: Some(s),
+                        month: Some(m),
+                        ..Location::default()
+                    }),
+                );
             }
         }
 
@@ -108,11 +127,12 @@ pub fn check_ir(ir: &WorkflowIr) -> Vec<Diagnostic> {
         // fused, six unfused), and only a graph of a preset's node
         // count is handed to `recognize`, so no mesh of the claimed
         // shape is ever built for a graph that cannot be it.
-        let months = u64::from(ns) * u64::from(nm);
-        let which = match ir.node_count() as u64 {
-            n if n == 2 * months => "fused",
-            n if n == 6 * months => "unfused",
-            _ => "any",
+        let which = if Some(nodes) == months.checked_mul(2) {
+            "fused"
+        } else if Some(nodes) == months.checked_mul(6) {
+            "unfused"
+        } else {
+            "any"
         };
         if which == "any" || recognize(ir) == IrClass::General {
             out.push(
@@ -129,7 +149,10 @@ pub fn check_ir(ir: &WorkflowIr) -> Vec<Diagnostic> {
 
         // OA021: the mesh hand-off budget. NS scenarios with NM months
         // carry exactly NS · (NM − 1) inter-month transfers.
-        let expected = INTER_MONTH_TRANSFER.0 * (ns as u64) * (nm as u64).saturating_sub(1);
+        let expected = INTER_MONTH_TRANSFER
+            .0
+            .saturating_mul(ns)
+            .saturating_mul(nm.saturating_sub(1));
         let actual = ir.total_flow().0;
         if actual != expected {
             out.push(
@@ -194,7 +217,7 @@ pub fn check_ir(ir: &WorkflowIr) -> Vec<Diagnostic> {
 /// `(s, m)` has exactly the successors `post(s, m)` and, before the
 /// last month, `main(s, m + 1)`; each post has its main as only
 /// predecessor and gates nothing. Tasks are found by origin.
-fn check_fusion_edges(ir: &WorkflowIr, nm: u32, out: &mut Vec<Diagnostic>) {
+fn check_fusion_edges(ir: &WorkflowIr, nm: u64, out: &mut Vec<Diagnostic>) {
     let origin = |n: NodeId| ir.dag.node(n).origin.expect("fused graph");
     for node in ir.dag.node_ids() {
         let o = origin(node);
@@ -238,7 +261,7 @@ fn check_fusion_edges(ir: &WorkflowIr, nm: u32, out: &mut Vec<Diagnostic>) {
                 .related_to(Location::post(s, m)),
             );
         }
-        let last = m + 1 == nm;
+        let last = u64::from(m) + 1 == nm;
         if !last && !gates(TaskId::new(s, m + 1, TaskKind::FusedMain)) {
             out.push(
                 Diagnostic::new(
@@ -382,6 +405,30 @@ mod tests {
             .find(|d| d.rule == RuleCode::IrPresetDrift)
             .expect("drift");
         assert!(drift.message.contains("not the any lowering"), "{drift:?}");
+    }
+
+    #[test]
+    fn a_claim_larger_than_the_graph_fires_one_oa002() {
+        // Two nodes claiming scenario and month 70,000: the claimed
+        // 70,001 × 70,001 mesh would need 4.9 · 10^9 coverage cells.
+        let mut ir = lower_fused(ExperimentShape::new(1, 1));
+        for (id, kind) in [
+            (node(&ir, main(0, 0)), TaskKind::FusedMain),
+            (node(&ir, post(0, 0)), TaskKind::FusedPost),
+        ] {
+            ir.dag.node_mut(id).origin = Some(TaskId::new(70_000, 70_000, kind));
+        }
+        let ds = check_ir(&ir);
+        let holes: Vec<_> = ds
+            .iter()
+            .filter(|d| d.rule == RuleCode::IncompleteChain)
+            .collect();
+        assert_eq!(holes.len(), 1, "{ds:?}");
+        assert_eq!(
+            holes[0].message,
+            "annotated 70001x70001 mesh claims 4900140001 months but has only 2 nodes"
+        );
+        assert_eq!(holes[0].quantity("nodes"), Some(2.0));
     }
 
     #[test]

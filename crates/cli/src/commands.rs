@@ -1448,6 +1448,20 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A spec nested past the JSON reader's limit is an error exit for
+    /// both spec readers, not a stack overflow.
+    #[test]
+    fn deeply_nested_specs_are_domain_errors() {
+        let path = std::env::temp_dir().join("oa-cli-deep-spec.json");
+        std::fs::write(&path, "[".repeat(50_000)).unwrap();
+        let p = path.to_str().unwrap();
+        for flag in ["--workflow", "--batch"] {
+            let err = oa(&["sim", flag, p]).unwrap_err();
+            assert!(matches!(err, CliError::Domain(_)), "{flag}: {err:?}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn sim_dot_renders_the_workflow_ir() {
         let out = oa(&["sim", "--ns", "2", "--nm", "3", "--dot"]).unwrap();

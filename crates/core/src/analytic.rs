@@ -15,7 +15,9 @@
 
 use serde::{Deserialize, Serialize};
 
+use oa_par::Pool;
 use oa_platform::timing::TimingTable;
+use oa_workflow::moldable::MoldableSpec;
 
 use crate::params::{div_ceil_u64, Instance};
 
@@ -124,28 +126,15 @@ pub fn makespan(inst: Instance, table: &TimingTable, g: u32) -> Option<Breakdown
 /// assert_eq!(best.g, 7); // "the optimal grouping is G = 7"
 /// ```
 pub fn best_group(inst: Instance, table: &TimingTable) -> Option<Breakdown> {
-    oa_workflow::moldable::MoldableSpec::pcr()
-        .allocations()
-        .filter_map(|g| makespan(inst, table, g))
-        .min_by(|a, b| a.makespan.total_cmp(&b.makespan))
+    best_group_with(inst, table, &Pool::serial())
 }
 
 /// [`best_group`] with the `G ∈ {4..11}` evaluations fanned out on
 /// `pool`. The reduction runs on the caller's side in candidate order
 /// (same `min_by`, same tie-breaking toward smaller `G`), so the
-/// result is identical to the serial path for any job count; a
-/// single-job pool short-circuits to [`best_group`] itself.
-pub fn best_group_with(
-    inst: Instance,
-    table: &TimingTable,
-    pool: &oa_par::Pool,
-) -> Option<Breakdown> {
-    if pool.jobs() == 1 {
-        return best_group(inst, table);
-    }
-    let gs: Vec<u32> = oa_workflow::moldable::MoldableSpec::pcr()
-        .allocations()
-        .collect();
+/// result is identical for any job count.
+pub fn best_group_with(inst: Instance, table: &TimingTable, pool: &Pool) -> Option<Breakdown> {
+    let gs: Vec<u32> = MoldableSpec::pcr().allocations().collect();
     pool.par_map(&gs, |&g| makespan(inst, table, g))
         .into_iter()
         .flatten()

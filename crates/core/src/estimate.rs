@@ -9,7 +9,8 @@
 //! aggregates) without materializing a trace — heuristics call it in
 //! inner loops. The full-featured simulator in `oa-sim` implements the
 //! same policy with traces and validation and is property-tested to
-//! agree with this estimator.
+//! agree with this estimator bit for bit (makespan, main finish and
+//! post finish).
 //!
 //! Policy details beyond the quoted sentence (all derivable from the
 //! schedule figures and Equations 3–5):
@@ -62,10 +63,10 @@ use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use serde::{Deserialize, Serialize};
 
 use oa_platform::timing::TimingTable;
-use oa_workflow::task::MIN_PROCS;
 
 use crate::grouping::{Grouping, GroupingError};
 use crate::params::Instance;
+use crate::planner::Planner;
 use crate::time::{time_key, Time, TimeKey};
 
 /// Reusable event-loop state. Heuristic searches call [`estimate`]
@@ -144,56 +145,32 @@ pub fn estimate(
     table: &TimingTable,
     grouping: &Grouping,
 ) -> Result<Estimate, GroupingError> {
-    grouping.validate(inst)?;
-    // The `T[G]` row, indexed by `G - 4` — one array load per group
-    // instead of a spec lookup per `main_secs` call.
-    let trow = table.main_array();
-    let campaign = Campaign {
-        sizes: grouping.groups(),
-        post_procs: grouping.post_procs,
-        tp: table.post_secs(),
-        chains: inst.ns,
-        units: inst.nm,
-    };
-    Ok(simulate(&campaign, |g| trow[(g - MIN_PROCS) as usize]))
+    Planner::pcr(table).estimate(inst, grouping)
 }
 
-/// A validated campaign as the event loop sees it: `chains` scenarios
-/// of `units` months, at most `chains` groups, positive main durations
-/// and a non-negative post duration.
-pub(crate) struct Campaign<'a> {
-    /// Group sizes.
-    pub(crate) sizes: &'a [u32],
-    /// Processors dedicated to posts from `t = 0`.
-    pub(crate) post_procs: u32,
-    /// Duration of one post task on one processor.
-    pub(crate) tp: f64,
-    /// Number of scenarios.
-    pub(crate) chains: u32,
-    /// Months per scenario.
-    pub(crate) units: u32,
-}
-
-/// Runs the event loop on `campaign`, a group of `g` processors taking
-/// `dur(g)` per main task.
-pub(crate) fn simulate(campaign: &Campaign<'_>, dur: impl Fn(u32) -> f64) -> Estimate {
+/// Runs the event loop on a validated `grouping` of `inst`: a group of
+/// `g` processors takes `dur(g)` per main task, and each post takes
+/// `tp` on one processor.
+pub(crate) fn simulate(
+    inst: Instance,
+    grouping: &Grouping,
+    tp: f64,
+    dur: impl Fn(u32) -> f64,
+) -> Estimate {
     SCRATCH.with(|cell| {
         let scratch = &mut *cell.borrow_mut();
         scratch.durs.clear();
-        scratch.durs.extend(campaign.sizes.iter().map(|&g| dur(g)));
-        run(campaign, scratch)
+        scratch
+            .durs
+            .extend(grouping.groups().iter().map(|&g| dur(g)));
+        run(inst, grouping, tp, scratch)
     })
 }
 
 /// The event loop proper, on pre-validated input and reusable state.
-fn run(campaign: &Campaign<'_>, scratch: &mut Scratch) -> Estimate {
-    let Campaign {
-        sizes,
-        post_procs,
-        tp,
-        chains,
-        units,
-    } = *campaign;
+fn run(inst: Instance, grouping: &Grouping, tp: f64, scratch: &mut Scratch) -> Estimate {
+    let (sizes, post_procs) = (grouping.groups(), grouping.post_procs);
+    let (chains, units) = (inst.ns, inst.nm);
     let Scratch {
         durs,
         order,

@@ -1,10 +1,10 @@
 //! Processor groupings: the object every heuristic produces.
 //!
 //! A grouping divides the `R` processors of a cluster into disjoint
-//! *groups* of 4–11 processors, each running one multiprocessor task at
-//! a time, plus a (possibly empty) pool of processors dedicated to
-//! post-processing. Processors in neither set idle until groups disband
-//! at the end of the campaign.
+//! *groups* of legal sizes (4–11 processors for the paper's `pcr`),
+//! each running one multiprocessor task at a time, plus a (possibly
+//! empty) pool of processors dedicated to post-processing. Processors
+//! in neither set idle until groups disband at the end of the campaign.
 
 use serde::{Deserialize, Serialize};
 
@@ -16,7 +16,7 @@ use crate::params::Instance;
 /// Errors raised when validating a grouping against an instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GroupingError {
-    /// A group size is outside `4..=11`.
+    /// A group size is outside the legal allocation range.
     BadGroupSize(u32),
     /// The grouping uses more processors than the cluster has.
     OverSubscribed {
@@ -40,7 +40,9 @@ pub enum GroupingError {
 impl std::fmt::Display for GroupingError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            GroupingError::BadGroupSize(g) => write!(f, "group size {g} outside 4..=11"),
+            GroupingError::BadGroupSize(g) => {
+                write!(f, "group size {g} outside the allocation range")
+            }
             GroupingError::OverSubscribed { used, available } => {
                 write!(
                     f,
@@ -63,7 +65,7 @@ impl std::error::Error for GroupingError {}
 /// A division of a cluster's processors.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Grouping {
-    /// Sizes of the multiprocessor groups, each in `4..=11`.
+    /// Sizes of the multiprocessor groups, each a legal allocation.
     /// Kept sorted descending so equal groupings compare equal.
     groups: Vec<u32>,
     /// Processors dedicated to post-processing (`R2` in the paper).
@@ -110,14 +112,20 @@ impl Grouping {
         self.groups.iter().map(|&g| 1.0 / table.main_secs(g)).sum()
     }
 
-    /// Validates the grouping against an instance.
+    /// Validates the grouping against an instance, with groups of
+    /// `4..=11` processors.
     pub fn validate(&self, inst: Instance) -> Result<(), GroupingError> {
-        let spec = MoldableSpec::pcr();
+        self.check(MoldableSpec::pcr(), inst)
+    }
+
+    /// Validates the grouping against an instance whose groups may take
+    /// any size in `range`.
+    pub(crate) fn check(&self, range: MoldableSpec, inst: Instance) -> Result<(), GroupingError> {
         if self.groups.is_empty() {
             return Err(GroupingError::NoGroups);
         }
         for &g in &self.groups {
-            if !spec.accepts(g) {
+            if !range.accepts(g) {
                 return Err(GroupingError::BadGroupSize(g));
             }
         }

@@ -59,20 +59,21 @@ pub fn performance_vector(
     ns: u32,
     nm: u32,
 ) -> PerformanceVector {
-    let makespans = (1..=ns)
-        .map(|k| {
-            let inst = Instance::new(k, nm, resources);
-            // Too-small clusters price themselves out of Algorithm 1.
-            heuristic.makespan(inst, table).unwrap_or(f64::INFINITY)
-        })
-        .collect();
-    PerformanceVector { cluster, makespans }
+    performance_vector_with(
+        cluster,
+        resources,
+        table,
+        heuristic,
+        ns,
+        nm,
+        &Pool::serial(),
+    )
 }
 
 /// [`performance_vector`] with the `ns` independent heuristic
 /// evaluations fanned out on `pool`. Each entry is a pure function of
 /// its scenario count and results are stitched back in count order, so
-/// the vector is bit-identical to the serial path — this is the
+/// the vector is bit-identical at any job count — this is the
 /// single-cluster entry point an online scheduler uses when a cluster
 /// joins an already-running grid.
 pub fn performance_vector_with(
@@ -87,31 +88,10 @@ pub fn performance_vector_with(
     let counts: Vec<u32> = (1..=ns).collect();
     let makespans = pool.par_map(&counts, |&k| {
         let inst = Instance::new(k, nm, resources);
+        // Too-small clusters price themselves out of Algorithm 1.
         heuristic.makespan(inst, table).unwrap_or(f64::INFINITY)
     });
     PerformanceVector { cluster, makespans }
-}
-
-/// Extends a performance vector in place to cover `1..=upto` scenarios,
-/// evaluating the heuristic only for the counts not yet covered. The
-/// existing prefix is untouched (each entry is a pure function of its
-/// `(cluster, k)` pair), so growing a vector never perturbs decisions
-/// already taken from it — the incremental counterpart of recomputing
-/// [`performance_vector`] from scratch at the larger `NS`.
-pub fn extend_performance_vector(
-    vector: &mut PerformanceVector,
-    resources: u32,
-    table: &oa_platform::timing::TimingTable,
-    heuristic: Heuristic,
-    upto: u32,
-    nm: u32,
-) {
-    for k in (vector.makespans.len() as u32 + 1)..=upto {
-        let inst = Instance::new(k, nm, resources);
-        vector
-            .makespans
-            .push(heuristic.makespan(inst, table).unwrap_or(f64::INFINITY));
-    }
 }
 
 /// Performance vectors for every cluster of a grid.
@@ -121,9 +101,7 @@ pub fn grid_performance(
     ns: u32,
     nm: u32,
 ) -> Vec<PerformanceVector> {
-    grid.iter()
-        .map(|(id, c)| performance_vector(id, c.resources, &c.timing, heuristic, ns, nm))
-        .collect()
+    grid_performance_with(grid, heuristic, ns, nm, &Pool::serial())
 }
 
 /// [`grid_performance`] with the whole cluster-assignment search —
@@ -131,7 +109,7 @@ pub fn grid_performance(
 /// independent heuristic evaluations — fanned out on `pool`. Each
 /// point is a pure function of its (cluster, k) pair and the results
 /// are stitched back in (cluster, k) order, so the vectors are
-/// bit-identical to the serial path.
+/// bit-identical at any job count.
 pub fn grid_performance_with(
     grid: &Grid,
     heuristic: Heuristic,
@@ -143,8 +121,8 @@ pub fn grid_performance_with(
         .iter()
         .map(|(id, c)| (id, c.resources, &c.timing))
         .collect();
-    // Flatten (cluster, k): k varies fastest, matching the serial
-    // nesting, and uneven per-cluster costs balance across workers.
+    // Flatten (cluster, k) with k varying fastest, so uneven
+    // per-cluster costs balance across workers.
     let pairs: Vec<(usize, u32)> = clusters
         .iter()
         .enumerate()

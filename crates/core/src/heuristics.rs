@@ -20,24 +20,28 @@
 //! * [`Heuristic::Balanced`] — beyond the paper: the per-group-count
 //!   knapsack sweep scored by the event estimator; dominates Basic and
 //!   Knapsack by construction.
+//!
+//! The knapsack, balanced and scored searches run in the crate's one
+//! planner, over the `pcr` range and the table's `T[G]` row;
+//! [`crate::generic`] runs the same searches over its own workloads.
 
 use serde::{Deserialize, Serialize};
 
-use oa_knapsack::{solve_dp, solve_greedy, Item, Problem};
+use oa_knapsack::{solve_dp, solve_greedy};
 use oa_par::Pool;
 use oa_platform::timing::TimingTable;
 use oa_workflow::moldable::MoldableSpec;
 use oa_workflow::task::MAX_PROCS;
 
 use crate::analytic;
-use crate::estimate::estimate;
 use crate::grouping::Grouping;
 use crate::params::{div_ceil_u64, Instance};
+use crate::planner::{uniform, Planner};
 
 /// Errors raised by heuristic construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HeuristicError {
-    /// The cluster cannot fit even one group of 4 processors.
+    /// The cluster cannot fit even one group of the smallest legal size.
     ClusterTooSmall {
         /// Processors available.
         resources: u32,
@@ -50,7 +54,7 @@ impl std::fmt::Display for HeuristicError {
             HeuristicError::ClusterTooSmall { resources } => {
                 write!(
                     f,
-                    "cluster with {resources} processors cannot run any group of 4..=11"
+                    "cluster with {resources} processors cannot fit a group of the smallest legal size"
                 )
             }
         }
@@ -121,13 +125,16 @@ impl Heuristic {
         table: &TimingTable,
         pool: &Pool,
     ) -> Result<Grouping, HeuristicError> {
+        let planner = Planner::pcr(table);
         match self {
             Heuristic::Basic => basic(inst, table, pool),
             Heuristic::RedistributeIdle => redistribute_idle(inst, table, pool),
-            Heuristic::NoPostReservation => no_post_reservation(inst, table, pool).map(|(g, _)| g),
-            Heuristic::Knapsack => knapsack(inst, table, Solver::Exact),
-            Heuristic::KnapsackGreedy => knapsack(inst, table, Solver::Greedy),
-            Heuristic::Balanced => balanced(inst, table, pool).map(|(g, _)| g),
+            Heuristic::NoPostReservation => planner
+                .pick_best(inst, pool, no_post_candidates(inst))
+                .map(|(g, _)| g),
+            Heuristic::Knapsack => planner.knapsack(inst, solve_dp),
+            Heuristic::KnapsackGreedy => planner.knapsack(inst, solve_greedy),
+            Heuristic::Balanced => planner.balanced(inst, pool).map(|(g, _)| g),
         }
     }
 
@@ -146,18 +153,18 @@ impl Heuristic {
         table: &TimingTable,
         pool: &Pool,
     ) -> Result<f64, HeuristicError> {
-        match self {
-            Heuristic::NoPostReservation => {
-                no_post_reservation(inst, table, pool).map(|(_, ms)| ms)
-            }
-            Heuristic::Balanced => balanced(inst, table, pool).map(|(_, ms)| ms),
-            _ => {
-                let g = self.grouping_with(inst, table, pool)?;
-                Ok(estimate(inst, table, &g)
-                    .expect("heuristics construct valid groupings")
-                    .makespan)
-            }
-        }
+        let planner = Planner::pcr(table);
+        let scored = match self {
+            Heuristic::NoPostReservation => planner.pick_best(inst, pool, no_post_candidates(inst)),
+            Heuristic::Balanced => planner.balanced(inst, pool),
+            _ => self.grouping_with(inst, table, pool).map(|g| {
+                let e = planner
+                    .estimate(inst, &g)
+                    .expect("heuristics construct valid groupings");
+                (g, e)
+            }),
+        };
+        scored.map(|(_, e)| e.makespan)
     }
 }
 
@@ -189,6 +196,21 @@ fn posts_needed(table: &TimingTable, g: u32, nbmax: u32) -> u32 {
     }
 }
 
+/// Hands `spare` processors to `groups` one at a time, round-robin,
+/// none past 11 per group, and returns how many are left once every
+/// group is full.
+fn spread(groups: &mut [u32], mut spare: u32) -> u32 {
+    while spare > 0 && groups.iter().any(|&g| g < MAX_PROCS) {
+        for size in groups.iter_mut() {
+            if spare > 0 && *size < MAX_PROCS {
+                *size += 1;
+                spare -= 1;
+            }
+        }
+    }
+    spare
+}
+
 fn redistribute_idle(
     inst: Instance,
     table: &TimingTable,
@@ -197,171 +219,26 @@ fn redistribute_idle(
     let best = analytic::best_group_with(inst, table, pool)
         .ok_or(HeuristicError::ClusterTooSmall { resources: inst.r })?;
     let needed = posts_needed(table, best.g, best.nbmax).min(best.r2);
-    let mut spare = best.r2 - needed;
     let mut groups = vec![best.g; best.nbmax as usize];
-    // Hand spare processors to groups one by one, round-robin, capped
-    // at 11 per group ("redistribute the resources left unoccupied
-    // among the groups").
-    'outer: loop {
-        let mut gave = false;
-        for size in &mut groups {
-            if spare == 0 {
-                break 'outer;
-            }
-            if *size < MAX_PROCS {
-                *size += 1;
-                spare -= 1;
-                gave = true;
-            }
-        }
-        if !gave {
-            break; // every group is at the cap
-        }
-    }
+    // "Redistribute the resources left unoccupied among the groups."
+    let spare = spread(&mut groups, best.r2 - needed);
     Ok(Grouping::new(groups, needed + spare))
-}
-
-/// Scores `cands` with the event estimator (fanned out on `pool`) and
-/// returns the first strict-makespan minimizer with its makespan —
-/// exactly the fold the serial loops performed, so ties keep resolving
-/// toward the earlier candidate regardless of the job count.
-fn pick_best(
-    inst: Instance,
-    table: &TimingTable,
-    pool: &Pool,
-    cands: Vec<Grouping>,
-) -> Option<(Grouping, f64)> {
-    let scores = pool.par_map(&cands, |cand| {
-        estimate(inst, table, cand)
-            .expect("constructed grouping is valid")
-            .makespan
-    });
-    let mut best: Option<(f64, usize)> = None;
-    for (i, &ms) in scores.iter().enumerate() {
-        if best.is_none_or(|(b, _)| ms < b) {
-            best = Some((ms, i));
-        }
-    }
-    best.map(|(ms, i)| {
-        let mut cands = cands;
-        (cands.swap_remove(i), ms)
-    })
 }
 
 /// The candidates Improvement 2 scores: for each `G` with
 /// `nbmax(G) > 0`, `nbmax` groups of `G` enlarged evenly (capped at 11)
 /// by every leftover processor.
 pub fn no_post_candidates(inst: Instance) -> Vec<Grouping> {
-    let mut cands: Vec<Grouping> = Vec::new();
-    for g in MoldableSpec::pcr().allocations() {
-        let nbmax = inst.nbmax(g);
-        if nbmax == 0 {
-            continue;
-        }
-        let mut groups = vec![g; nbmax as usize];
-        let mut spare = inst.r - nbmax * g;
-        // All leftover processors go to the groups, evenly, capped at 11.
-        'outer: loop {
-            let mut gave = false;
-            for size in &mut groups {
-                if spare == 0 {
-                    break 'outer;
-                }
-                if *size < MAX_PROCS {
-                    *size += 1;
-                    spare -= 1;
-                    gave = true;
-                }
-            }
-            if !gave {
-                break;
-            }
-        }
-        // Nothing is *reserved* for posts, but processors stranded by
-        // the 11-per-group cap would otherwise idle — let them serve
-        // post-processing rather than waste.
-        cands.push(Grouping::new(groups, spare));
-    }
-    cands
-}
-
-fn no_post_reservation(
-    inst: Instance,
-    table: &TimingTable,
-    pool: &Pool,
-) -> Result<(Grouping, f64), HeuristicError> {
-    pick_best(inst, table, pool, no_post_candidates(inst))
-        .ok_or(HeuristicError::ClusterTooSmall { resources: inst.r })
-}
-
-fn balanced(
-    inst: Instance,
-    table: &TimingTable,
-    pool: &Pool,
-) -> Result<(Grouping, f64), HeuristicError> {
-    let spec = MoldableSpec::pcr();
-    let items: Vec<oa_knapsack::Item> = spec
-        .allocations()
-        .map(|g| Item::new(g, 1.0 / table.main_secs(g), inst.ns))
-        .collect();
-    // Per-group-count knapsack candidates — the `NS` exact DP solves
-    // are the expensive half of this heuristic, so they fan out too.
-    let ks: Vec<u32> = (1..=inst.ns).collect();
-    let mut cands: Vec<Grouping> = pool
-        .par_map(&ks, |&k| {
-            let sol = solve_dp(&Problem::new(items.clone(), inst.r, k));
-            let mut groups = Vec::with_capacity(sol.copies as usize);
-            for (i, &n) in sol.counts.iter().enumerate() {
-                let g = spec.allocation_at(i).expect("items follow the spec");
-                groups.extend(std::iter::repeat_n(g, n as usize));
-            }
-            (!groups.is_empty()).then(|| Grouping::new(groups, inst.r - sol.cost))
+    uniform(MoldableSpec::pcr(), inst)
+        .map(|cand| {
+            let mut groups = cand.groups().to_vec();
+            // Nothing is *reserved* for posts, but processors stranded
+            // by the 11-per-group cap would otherwise idle — let them
+            // serve post-processing rather than waste.
+            let stranded = spread(&mut groups, cand.post_procs);
+            Grouping::new(groups, stranded)
         })
-        .into_iter()
-        .flatten()
-        .collect();
-    // Uniform candidates of the basic sweep.
-    for g in spec.allocations() {
-        let nbmax = inst.nbmax(g);
-        if nbmax > 0 {
-            cands.push(Grouping::uniform(g, nbmax, inst.r - nbmax * g));
-        }
-    }
-    cands.retain(|c| c.validate(inst).is_ok());
-    pick_best(inst, table, pool, cands).ok_or(HeuristicError::ClusterTooSmall { resources: inst.r })
-}
-
-enum Solver {
-    Exact,
-    Greedy,
-}
-
-fn knapsack(
-    inst: Instance,
-    table: &TimingTable,
-    solver: Solver,
-) -> Result<Grouping, HeuristicError> {
-    let spec = MoldableSpec::pcr();
-    let items: Vec<Item> = spec
-        .allocations()
-        .map(|g| Item::new(g, 1.0 / table.main_secs(g), inst.ns))
-        .collect();
-    let problem = Problem::new(items, inst.r, inst.ns);
-    let sol = match solver {
-        Solver::Exact => solve_dp(&problem),
-        Solver::Greedy => solve_greedy(&problem),
-    };
-    let mut groups = Vec::with_capacity(sol.copies as usize);
-    for (i, &n) in sol.counts.iter().enumerate() {
-        let g = spec.allocation_at(i).expect("items follow the spec");
-        groups.extend(std::iter::repeat_n(g, n as usize));
-    }
-    if groups.is_empty() {
-        return Err(HeuristicError::ClusterTooSmall { resources: inst.r });
-    }
-    // Whatever the knapsack leaves unused serves post-processing.
-    let post = inst.r - sol.cost;
-    Ok(Grouping::new(groups, post))
+        .collect()
 }
 
 #[cfg(test)]
@@ -546,7 +423,7 @@ mod tests {
             let inst = Instance::new(ns, 60, r);
             for h in [Heuristic::NoPostReservation, Heuristic::Balanced] {
                 let g = h.grouping(inst, &t).unwrap();
-                let again = estimate(inst, &t, &g).unwrap().makespan;
+                let again = crate::estimate::estimate(inst, &t, &g).unwrap().makespan;
                 assert_eq!(h.makespan(inst, &t).unwrap().to_bits(), again.to_bits());
             }
         }

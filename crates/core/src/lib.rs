@@ -13,7 +13,9 @@
 //!   groupings under the paper's least-advanced-first policy;
 //! * [`heuristics`] — the basic heuristic and its three improvements
 //!   (idle redistribution, no post reservation, exact knapsack), plus
-//!   a greedy-knapsack ablation;
+//!   a greedy-knapsack ablation and the balanced refinement;
+//! * [`generic`] — the same planner over any workload of independent
+//!   chains of identical moldable units (the paper's future work);
 //! * [`hetero`] — per-cluster performance vectors and the greedy
 //!   scenario repartition of Algorithm 1;
 //! * [`incremental`] — Algorithm 1 as an online scheduler: arrivals,
@@ -64,6 +66,7 @@ pub mod incremental;
 pub mod ir_plan;
 pub mod memo;
 pub mod params;
+mod planner;
 pub mod policy;
 pub mod time;
 
@@ -74,9 +77,8 @@ pub mod prelude {
     pub use crate::generic;
     pub use crate::grouping::{Grouping, GroupingError};
     pub use crate::hetero::{
-        extend_performance_vector, grid_performance, grid_performance_with, performance_vector,
-        performance_vector_with, repartition, repartition_exact, repartition_n, PerformanceVector,
-        Repartition,
+        grid_performance, grid_performance_with, performance_vector, performance_vector_with,
+        repartition, repartition_exact, repartition_n, PerformanceVector, Repartition,
     };
     pub use crate::heuristics::{gain_pct, Heuristic, HeuristicError};
     pub use crate::incremental::{Departure, IncrementalRepartition, Rebalance};

@@ -14,7 +14,8 @@
 //!    sub-instance (±1-delta neighbours included) is then answered by
 //!    O(kinds) reconstruction. The table's equality contract makes the
 //!    reconstructed selection bitwise-identical to the per-instance
-//!    `solve_dp` the heuristic would have run.
+//!    `solve_dp` the heuristic would have run, and the heuristic's own
+//!    reconstruction turns it into the grouping.
 //! 2. **A makespan cache keyed `(fingerprint, heuristic, R, NS, NM)`**
 //!    — each entry is a pure function of its key, so cache hits are
 //!    bitwise replays regardless of query history or job count.
@@ -26,17 +27,16 @@
 
 use std::collections::BTreeMap;
 
-use oa_knapsack::{DpTable, Item};
+use oa_knapsack::DpTable;
 use oa_par::Pool;
 use oa_platform::cluster::ClusterId;
 use oa_platform::timing::TimingTable;
-use oa_workflow::moldable::MoldableSpec;
 
-use crate::estimate::estimate;
 use crate::grouping::Grouping;
 use crate::hetero::PerformanceVector;
 use crate::heuristics::{Heuristic, HeuristicError};
 use crate::params::Instance;
+use crate::planner::Planner;
 
 /// FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -131,13 +131,9 @@ impl PlanMemo {
         };
         if needs_build {
             let cap = resources.max(self.dp.get(&fp).map_or(0, DpTable::capacity));
-            let spec = MoldableSpec::pcr();
-            let min_cost = spec.allocations().min().expect("spec is non-empty");
-            let card = cap / min_cost;
-            let items: Vec<Item> = spec
-                .allocations()
-                .map(|g| Item::new(g, 1.0 / table.main_secs(g), card.max(1)))
-                .collect();
+            let planner = Planner::pcr(table);
+            let card = cap / planner.range.min_procs;
+            let items = planner.items(card.max(1));
             self.dp.insert(fp, DpTable::build(items, cap, card));
             self.stats.dp_builds += 1;
         }
@@ -154,7 +150,7 @@ impl PlanMemo {
         let fp = table_fingerprint(table);
         self.ensure_dp(fp, table, inst.r);
         let dp = self.dp.get(&fp).expect("ensured above");
-        knapsack_grouping_from(dp, inst)
+        knapsack_grouping_from(dp, inst, table)
     }
 
     /// The heuristic's makespan for `inst` (`+∞` when the cluster is
@@ -227,35 +223,26 @@ impl PlanMemo {
     }
 }
 
-/// Grouping reconstruction from a retained DP table — the memoized
-/// mirror of the private `knapsack` heuristic in
-/// [`crate::heuristics`], kept in lockstep with it.
-fn knapsack_grouping_from(dp: &DpTable, inst: Instance) -> Result<Grouping, HeuristicError> {
-    let spec = MoldableSpec::pcr();
-    let sol = dp.solve_clamped(inst.r, inst.ns);
-    let mut groups = Vec::with_capacity(sol.copies as usize);
-    for (i, &n) in sol.counts.iter().enumerate() {
-        let g = spec.allocation_at(i).expect("items follow the spec");
-        groups.extend(std::iter::repeat_n(g, n as usize));
-    }
-    if groups.is_empty() {
-        return Err(HeuristicError::ClusterTooSmall { resources: inst.r });
-    }
-    let post = inst.r - sol.cost;
-    Ok(Grouping::new(groups, post))
+/// `Heuristic::Knapsack.grouping` answered from a retained table.
+fn knapsack_grouping_from(
+    dp: &DpTable,
+    inst: Instance,
+    table: &TimingTable,
+) -> Result<Grouping, HeuristicError> {
+    Planner::pcr(table)
+        .grouping_from(inst.r, &dp.solve_clamped(inst.r, inst.ns))
+        .ok_or(HeuristicError::ClusterTooSmall { resources: inst.r })
 }
 
 /// `Heuristic::Knapsack.makespan` via the retained table (`+∞` when
 /// the cluster is priced out).
 fn knapsack_makespan_from(dp: &DpTable, inst: Instance, table: &TimingTable) -> f64 {
-    match knapsack_grouping_from(dp, inst) {
-        Ok(g) => {
-            estimate(inst, table, &g)
-                .expect("heuristics construct valid groupings")
-                .makespan
-        }
-        Err(_) => f64::INFINITY,
-    }
+    knapsack_grouping_from(dp, inst, table).map_or(f64::INFINITY, |g| {
+        Planner::pcr(table)
+            .estimate(inst, &g)
+            .expect("heuristics construct valid groupings")
+            .makespan
+    })
 }
 
 #[cfg(test)]

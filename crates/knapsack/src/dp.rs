@@ -33,72 +33,18 @@ fn better(value: f64, cost: u32, copies: u32, best: (f64, u32, u32)) -> bool {
 }
 
 /// Solves the instance exactly. Always returns a feasible solution
-/// (the empty selection when nothing fits).
+/// (the empty selection when nothing fits). Builds the [`DpTable`] of
+/// the instance's own rectangle and answers its full-budget cell.
 pub fn solve_dp(p: &Problem) -> Solution {
-    let kinds = p.items.len();
-    let cap = p.capacity as usize;
-    let card = p.max_items as usize;
-    // dp and companion tables indexed [c * (card+1) + k].
-    let cells = (cap + 1) * (card + 1);
-    let idx = |c: usize, k: usize| c * (card + 1) + k;
-    let mut value = vec![0.0f64; cells];
-    let mut cost = vec![0u32; cells];
-    let mut copies = vec![0u32; cells];
-    // choice[i][cell] = copies of item i taken at this cell.
-    let mut choice = vec![vec![0u16; cells]; kinds];
-
-    let mut next_value = vec![0.0f64; cells];
-    let mut next_cost = vec![0u32; cells];
-    let mut next_copies = vec![0u32; cells];
-
-    for (i, it) in p.items.iter().enumerate() {
-        let bound = p.effective_bound(i) as usize;
-        for c in 0..=cap {
-            for k in 0..=card {
-                let mut best = (f64::NEG_INFINITY, u32::MAX, u32::MAX);
-                let mut best_n = 0usize;
-                let n_max = bound.min(c / it.cost as usize).min(k);
-                for n in 0..=n_max {
-                    let pc = c - n * it.cost as usize;
-                    let pk = k - n;
-                    let j = idx(pc, pk);
-                    let v = value[j] + n as f64 * it.value;
-                    let tc = cost[j] + n as u32 * it.cost;
-                    let tk = copies[j] + n as u32;
-                    if better(v, tc, tk, best) {
-                        best = (v, tc, tk);
-                        best_n = n;
-                    }
-                }
-                let j = idx(c, k);
-                next_value[j] = best.0;
-                next_cost[j] = best.1;
-                next_copies[j] = best.2;
-                choice[i][j] = best_n as u16;
-            }
-        }
-        std::mem::swap(&mut value, &mut next_value);
-        std::mem::swap(&mut cost, &mut next_cost);
-        std::mem::swap(&mut copies, &mut next_copies);
-    }
-
-    // Reconstruct from the full-budget cell.
-    let mut counts = vec![0u32; kinds];
-    let (mut c, mut k) = (cap, card);
-    for i in (0..kinds).rev() {
-        let n = choice[i][idx(c, k)] as u32;
-        counts[i] = n;
-        c -= (n * p.items[i].cost) as usize;
-        k -= n as usize;
-    }
-    Solution::from_counts(p, counts).expect("DP reconstruction is feasible by construction")
+    DpTable::build(p.items.clone(), p.capacity, p.max_items).solve_at(p.capacity, p.max_items)
 }
 
-/// A retained DP table: one `solve_dp` sweep over the full
-/// `(capacity, max_items)` rectangle whose per-kind `choice` tables are
-/// kept, so any sub-instance `(c ≤ capacity, k ≤ max_items)` can be
-/// answered by reconstruction alone — O(kinds) per query instead of a
-/// fresh O(kinds × c × k × bound) program.
+/// A retained DP table: one sweep over the full `(capacity, max_items)`
+/// rectangle whose per-kind `choice` tables are kept, so any
+/// sub-instance `(c ≤ capacity, k ≤ max_items)` can be answered by
+/// reconstruction alone — O(kinds) per query instead of a fresh
+/// O(kinds × c × k × bound) program. [`solve_dp`] is this table's
+/// answer at its own full-budget cell.
 ///
 /// Equality contract (the planning memo relies on it): provided every
 /// item's `max_copies` is at least both cardinality bounds involved,
@@ -125,8 +71,8 @@ pub struct DpTable {
 
 impl DpTable {
     /// Runs the DP once over the full rectangle, retaining the choice
-    /// tables. Cost is the same as one `solve_dp` call at
-    /// `(capacity, max_items)`; memory is
+    /// tables. Cost is
+    /// `O(kinds × capacity × max_items × bound)`; memory is
     /// `kinds × (capacity+1) × (max_items+1)` u16 cells.
     #[must_use]
     pub fn build(items: Vec<Item>, capacity: u32, max_items: u32) -> Self {

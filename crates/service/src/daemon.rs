@@ -25,6 +25,7 @@
 //! *how* they run there.
 
 use std::collections::BTreeMap;
+use std::io::{self, BufRead, Write};
 
 use oa_middleware::protocol::{CampaignReport, ExecReport, ProtocolEvent, PROTOCOL_VERSION};
 use oa_par::Pool;
@@ -41,7 +42,10 @@ use oa_trace::metrics::{self, MetricsRegistry};
 use oa_workflow::ir::{classify_spec, IrClass, SpecError};
 
 use crate::admission::{admit_portion, parse_submission, Refusal, Submission, MAX_CLUSTER_PROCS};
-use crate::wire::{codes, parse_request, render_response, ClusterLoad, PortionInfo, Response};
+use crate::wire::{
+    codes, parse_request, render_response, ClusterLoad, ParseError, PortionInfo, Response,
+    MAX_LINE_BYTES,
+};
 
 /// Tunables fixed at service start.
 #[derive(Debug, Clone, Copy)]
@@ -239,14 +243,12 @@ impl Service {
             .observe_in(key, &metrics::LATENCY_BUCKETS, secs);
     }
 
-    /// Parses and handles one request line.
+    /// Parses and handles one request line; a line over
+    /// [`MAX_LINE_BYTES`] is refused with `PROTO011` unparsed.
     pub fn handle_line(&mut self, line: &str) -> Vec<Response> {
         match parse_request(line) {
             Ok(req) => self.handle(req),
-            Err(e) => vec![Response::Error {
-                code: e.code.to_string(),
-                message: e.message,
-            }],
+            Err(e) => vec![refusal(e)],
         }
     }
 
@@ -1091,20 +1093,74 @@ impl Service {
     }
 }
 
+/// The error response to a line the parser refused.
+fn refusal(e: ParseError) -> Response {
+    Response::Error {
+        code: e.code.to_string(),
+        message: e.message,
+    }
+}
+
+/// Reads the next line of `input` into `buf` without its `\n` (or
+/// `\r\n`), buffering at most [`MAX_LINE_BYTES`] of it. Returns `None`
+/// at end of input, `Some(false)` for a line within the cap and
+/// `Some(true)` for a longer one, whose bytes are read and dropped.
+fn read_line_capped<R: BufRead>(input: &mut R, buf: &mut Vec<u8>) -> io::Result<Option<bool>> {
+    buf.clear();
+    let (mut over, mut any) = (false, false);
+    loop {
+        let chunk = match input.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            // End of input: a last line without its newline still counts.
+            return Ok(any.then_some(over));
+        }
+        any = true;
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let text = &chunk[..newline.unwrap_or(chunk.len())];
+        if buf.len() + text.len() > MAX_LINE_BYTES {
+            over = true;
+            buf.clear();
+        } else if !over {
+            buf.extend_from_slice(text);
+        }
+        let used = newline.map_or(chunk.len(), |i| i + 1);
+        input.consume(used);
+        if newline.is_some() {
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+            return Ok(Some(over));
+        }
+    }
+}
+
 /// Runs the service over buffered line I/O until EOF or `Shutdown`.
 /// Every response is written as one JSON line, flushed per request so
-/// a piped client can play request/response lockstep.
-pub fn run_pipe<R: std::io::BufRead, W: std::io::Write>(
+/// a piped client can play request/response lockstep. Each line is
+/// read through [`MAX_LINE_BYTES`]: a longer one is answered
+/// `PROTO011` without being buffered, and the daemon reads on.
+pub fn run_pipe<R: BufRead, W: Write>(
     service: &mut Service,
-    input: R,
+    mut input: R,
     out: &mut W,
-) -> std::io::Result<()> {
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        for resp in service.handle_line(&line) {
+) -> io::Result<()> {
+    let mut buf = Vec::new();
+    while let Some(over) = read_line_capped(&mut input, &mut buf)? {
+        let responses = if over {
+            vec![refusal(ParseError::line_over_cap())]
+        } else {
+            let line = std::str::from_utf8(&buf)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            if line.trim().is_empty() {
+                continue;
+            }
+            service.handle_line(line)
+        };
+        for resp in responses {
             writeln!(out, "{}", render_response(&resp))?;
         }
         out.flush()?;

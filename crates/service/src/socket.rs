@@ -8,17 +8,16 @@
 //! sees the state the previous one left. `Shutdown` ends the loop.
 //!
 //! Pipe mode ([`crate::daemon::run_pipe`]) is the mode every test and
-//! CI job uses; the socket is the same loop over a different byte
-//! stream.
+//! CI job uses; each connection runs that same loop over its stream,
+//! line cap included.
 
 #![cfg(unix)]
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::BufReader;
 use std::os::unix::net::UnixListener;
 use std::path::Path;
 
-use crate::daemon::Service;
-use crate::wire::render_response;
+use crate::daemon::{run_pipe, Service};
 
 /// Binds `path` and serves connections sequentially until a client
 /// sends `Shutdown`. The socket file is removed on exit.
@@ -29,20 +28,7 @@ pub fn run_socket(service: &mut Service, path: &Path) -> std::io::Result<()> {
     while !service.is_shut_down() {
         let (stream, _) = listener.accept()?;
         let mut writer = stream.try_clone()?;
-        let reader = BufReader::new(stream);
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            for resp in service.handle_line(&line) {
-                writeln!(writer, "{}", render_response(&resp))?;
-            }
-            writer.flush()?;
-            if service.is_shut_down() {
-                break;
-            }
-        }
+        run_pipe(service, BufReader::new(stream), &mut writer)?;
     }
     let _ = std::fs::remove_file(path);
     Ok(())

@@ -63,7 +63,9 @@ pub mod codes {
     /// enumerates more than
     /// [`MAX_BATCH_VARIANTS`](oa_sim::batch::MAX_BATCH_VARIANTS)
     /// variants; `ClusterJoin`: `resources` above
-    /// [`MAX_CLUSTER_PROCS`](crate::admission::MAX_CLUSTER_PROCS).
+    /// [`MAX_CLUSTER_PROCS`](crate::admission::MAX_CLUSTER_PROCS); any
+    /// request line longer than
+    /// [`MAX_LINE_BYTES`](crate::wire::MAX_LINE_BYTES).
     pub const OVER_SIZE_CAP: &str = "PROTO011";
 
     /// Admission: the campaign shape is empty (`ns` or `nm` is zero).
@@ -429,20 +431,41 @@ pub enum Response {
     },
 }
 
+/// The longest request line the daemon reads: 2^24 bytes (16 MiB), six
+/// times the longest line any test sends (a 40,000-node workflow spec
+/// of 2.8 MB). A longer line is refused with `PROTO011` before it is
+/// parsed, and the pipe and socket readers never buffer past the cap.
+pub const MAX_LINE_BYTES: usize = 1 << 24;
+
 /// A transport-level parse failure: which [`codes`] entry fired, and
 /// why.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
-    /// `PROTO001`, `PROTO002` or `PROTO003`.
+    /// `PROTO001`, `PROTO002`, `PROTO003` or `PROTO011`.
     pub code: &'static str,
     /// Human-readable reason.
     pub message: String,
 }
 
-/// Parses one request line, classifying failures into the three
-/// transport codes: invalid JSON (`PROTO001`), an unknown message
-/// kind (`PROTO002`), or bad fields inside a known kind (`PROTO003`).
+impl ParseError {
+    /// The refusal of a request line longer than [`MAX_LINE_BYTES`].
+    pub(crate) fn line_over_cap() -> Self {
+        Self {
+            code: codes::OVER_SIZE_CAP,
+            message: format!("request line over the cap of {MAX_LINE_BYTES} bytes"),
+        }
+    }
+}
+
+/// Parses one request line, classifying failures into the transport
+/// codes: a line over [`MAX_LINE_BYTES`] (`PROTO011`), invalid JSON or
+/// JSON nested deeper than the reader's limit of 128 (`PROTO001`), an
+/// unknown message kind (`PROTO002`), or bad fields inside a known
+/// kind (`PROTO003`).
 pub fn parse_request(line: &str) -> Result<Request, ParseError> {
+    if line.len() > MAX_LINE_BYTES {
+        return Err(ParseError::line_over_cap());
+    }
     let value: serde::Value = serde_json::from_str(line).map_err(|e| ParseError {
         code: codes::BAD_JSON,
         message: format!("invalid JSON: {e}"),

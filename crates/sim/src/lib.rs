@@ -113,12 +113,12 @@ pub mod prelude {
 
 #[cfg(test)]
 mod proptests {
-    use crate::engine::{execute_default, simulate_campaign, CampaignOutcome};
+    use crate::engine::{simulate_campaign, CampaignOutcome};
     use crate::schedule::Schedule;
     use oa_platform::timing::TimingTable;
     use oa_sched::estimate::estimate;
     use oa_sched::grouping::Grouping;
-    use oa_sched::heuristics::Heuristic;
+    use oa_sched::heuristics::{no_post_candidates, Heuristic};
     use oa_sched::params::Instance;
     use oa_sched::policy::{CampaignConfig, FaultPlan, ScenarioPolicy};
     use oa_trace::{NullTracer, Tracer};
@@ -141,6 +141,18 @@ mod proptests {
             })
     }
 
+    /// [`arb_table`] rounded down to whole seconds half the time, so
+    /// both the integer-time kernel and the event loop run.
+    fn arb_table_any() -> impl Strategy<Value = TimingTable> {
+        (arb_table(), 0u8..2).prop_map(|(table, integral)| {
+            if integral == 0 {
+                return table;
+            }
+            let main = table.main_array().map(f64::floor);
+            TimingTable::new(main, table.post_secs().floor()).expect("floor keeps the order")
+        })
+    }
+
     fn arb_instance() -> impl Strategy<Value = Instance> {
         (1u32..=10, 1u32..=25, 4u32..=130).prop_map(|(ns, nm, r)| Instance::new(ns, nm, r))
     }
@@ -160,20 +172,42 @@ mod proptests {
             .expect("fused fault-free runs record a schedule")
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+    /// Debug builds run 32 engine-versus-estimator cases; release
+    /// builds (CI's engine-differential job) run 256.
+    const CASES: u32 = if cfg!(debug_assertions) { 32 } else { 256 };
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+        /// Every paper heuristic's grouping and every Improvement-2
+        /// candidate: the schedule validates, and the engine's fault-free
+        /// default run is the estimator's makespan, main finish and
+        /// post finish bit for bit.
         #[test]
-        fn schedules_validate_and_match_estimator((inst, table) in (arb_instance(), arb_table())) {
-            for h in Heuristic::PAPER {
-                let Ok(grouping) = h.grouping(inst, &table) else { continue };
-                let sched = execute_default(inst, &table, &grouping).unwrap();
-                prop_assert!(sched.validate().is_ok(), "{h:?}: invalid schedule");
+        fn schedules_validate_and_match_estimator((inst, table) in (arb_instance(), arb_table_any())) {
+            let paper = Heuristic::PAPER.into_iter().filter_map(|h| h.grouping(inst, &table).ok());
+            for grouping in paper.chain(no_post_candidates(inst)) {
+                let config = CampaignConfig::default();
+                let outcome = simulate_campaign(inst, &table, &grouping, &config, &FaultPlan::none(), &mut NullTracer)
+                    .unwrap();
+                let CampaignOutcome::Completed(run) = outcome else {
+                    return Err(TestCaseError::fail(format!("{grouping}: fault-free run stranded")));
+                };
+                let sched = run.schedule.as_ref().expect("fused fault-free runs record a schedule");
+                prop_assert!(sched.validate().is_ok(), "{grouping}: invalid schedule");
                 let est = estimate(inst, &table, &grouping).unwrap();
-                prop_assert!((sched.makespan - est.makespan).abs() < 1e-6,
-                    "{h:?}: sim {} vs estimate {}", sched.makespan, est.makespan);
+                prop_assert_eq!(
+                    [sched.makespan, run.makespan, run.main_finish, run.post_finish].map(f64::to_bits),
+                    [est.makespan, est.makespan, est.main_finish, est.post_finish].map(f64::to_bits),
+                    "{}: engine ({}, {}, {}) vs estimate {:?}",
+                    grouping, run.makespan, run.main_finish, run.post_finish, est
+                );
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
 
         #[test]
         fn random_fault_plans_behave(

@@ -77,8 +77,8 @@ fn main() {
             bm / 3600.0,
             km / 3600.0,
             bal.makespan / 3600.0,
-            bal_groups.sizes(),
-            bal_groups.pool
+            bal_groups.groups(),
+            bal_groups.post_procs
         );
     }
 

@@ -1,9 +1,15 @@
 //! Cross-crate property tests on *arbitrary* (not heuristic-built)
 //! groupings and platforms.
+//!
+//! The engine-versus-estimator property runs 32 cases in debug builds
+//! and 256 in release builds (CI's engine-differential job).
 
 use ocean_atmosphere::prelude::*;
+use ocean_atmosphere::sched::heuristics::no_post_candidates;
 use proptest::prelude::*;
 use proptest::strategy::ValueTree;
+
+const CASES: u32 = if cfg!(debug_assertions) { 32 } else { 256 };
 
 fn arb_table() -> impl Strategy<Value = TimingTable> {
     (
@@ -20,6 +26,70 @@ fn arb_table() -> impl Strategy<Value = TimingTable> {
             }
             TimingTable::new(main, tp).expect("non-increasing")
         })
+}
+
+/// [`arb_table`] rounded down to whole seconds half the time: integral
+/// tables run the engine's integer-time kernel, fractional ones its
+/// event-by-event loop.
+fn arb_table_any() -> impl Strategy<Value = TimingTable> {
+    (arb_table(), 0u8..2).prop_map(|(table, integral)| {
+        if integral == 0 {
+            return table;
+        }
+        let main = table.main_array().map(f64::floor);
+        TimingTable::new(main, table.post_secs().floor()).expect("floor keeps the order")
+    })
+}
+
+/// The engine's fault-free default run of `grouping` against the
+/// planning estimator: the recorded schedule validates, and makespan,
+/// main finish and post finish are the same bits.
+fn engine_matches_estimator(
+    inst: Instance,
+    table: &TimingTable,
+    grouping: &Grouping,
+) -> Result<(), TestCaseError> {
+    let est = estimate(inst, table, grouping).expect("valid");
+    let outcome = simulate_campaign(
+        inst,
+        table,
+        grouping,
+        &CampaignConfig::default(),
+        &FaultPlan::none(),
+        &mut NullTracer,
+    )
+    .expect("valid");
+    let CampaignOutcome::Completed(run) = outcome else {
+        return Err(TestCaseError::fail(format!(
+            "{grouping}: fault-free run stranded"
+        )));
+    };
+    let schedule = run
+        .schedule
+        .as_ref()
+        .expect("fused fault-free runs record a schedule");
+    prop_assert!(
+        schedule.validate().is_ok(),
+        "invalid schedule for {grouping}"
+    );
+    prop_assert_eq!(
+        [
+            run.makespan,
+            run.main_finish,
+            run.post_finish,
+            schedule.makespan
+        ]
+        .map(f64::to_bits),
+        [est.makespan, est.main_finish, est.post_finish, est.makespan].map(f64::to_bits),
+        "{} on {:?}: engine ({}, {}, {}) vs estimate {:?}",
+        grouping,
+        inst,
+        run.makespan,
+        run.main_finish,
+        run.post_finish,
+        est
+    );
+    Ok(())
 }
 
 /// Random *valid* grouping for an instance: random group sizes that
@@ -51,11 +121,14 @@ fn arb_grouping(ns: u32, r: u32) -> impl Strategy<Value = Grouping> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
 
+    /// The engine and the estimator agree bit for bit on random
+    /// groupings, on every paper heuristic's grouping and on every
+    /// Improvement-2 candidate, on integral and fractional tables.
     #[test]
     fn executor_and_estimator_agree_on_arbitrary_groupings(
-        table in arb_table(),
+        table in arb_table_any(),
         ns in 1u32..=8,
         nm in 1u32..=20,
         r in 12u32..=100,
@@ -63,18 +136,22 @@ proptest! {
         let inst = Instance::new(ns, nm, r);
         let strategy = arb_grouping(ns, r);
         let mut runner = proptest::test_runner::TestRunner::deterministic();
-        for _ in 0..4 {
-            let grouping = strategy.new_tree(&mut runner).expect("tree").current();
-            if grouping.validate(inst).is_err() {
-                continue;
-            }
-            let est = estimate(inst, &table, &grouping).expect("valid").makespan;
-            let schedule = execute_default(inst, &table, &grouping).expect("valid");
-            prop_assert!(schedule.validate().is_ok(), "invalid schedule for {grouping}");
-            prop_assert!((schedule.makespan - est).abs() < 1e-6,
-                "{grouping}: sim {} vs est {est}", schedule.makespan);
+        let mut groupings: Vec<Grouping> = (0..4)
+            .map(|_| strategy.new_tree(&mut runner).expect("tree").current())
+            .filter(|g| g.validate(inst).is_ok())
+            .collect();
+        for h in Heuristic::PAPER {
+            groupings.push(h.grouping(inst, &table).expect("R >= 12 fits a group"));
+        }
+        groupings.extend(no_post_candidates(inst));
+        for grouping in &groupings {
+            engine_matches_estimator(inst, &table, grouping)?;
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
     fn analytic_is_an_upper_bound_modulo_one_wave(

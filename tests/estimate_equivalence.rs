@@ -12,7 +12,9 @@
 //! scenario, uniform and mixed group sizes, and post pools empty or
 //! not. The generic-workload estimator runs the same loop and is
 //! checked against the oracle on every case too. A deterministic
-//! sweep replays every candidate grouping of Figure 8.
+//! sweep replays every candidate grouping of Figure 8, each also run
+//! through the `oa-sim` engine, whose makespan, main finish and post
+//! finish must be the same bits.
 //!
 //! Debug builds run 32 random cases per property; release builds
 //! (CI's differential job) run 256.
@@ -23,7 +25,7 @@ use std::ops::RangeInclusive;
 
 use ocean_atmosphere::platform::presets::{benchmark_grid, DEFAULT_RESOURCES};
 use ocean_atmosphere::prelude::*;
-use ocean_atmosphere::sched::generic::{estimate_generic, Groups, Workload};
+use ocean_atmosphere::sched::generic::{estimate_generic, Workload};
 use ocean_atmosphere::sched::heuristics::no_post_candidates;
 use ocean_atmosphere::sched::time::{time_key, TimeKey};
 use ocean_atmosphere::workflow::task::MIN_PROCS;
@@ -244,16 +246,10 @@ fn check(inst: Instance, table: &TimingTable, grouping: &Grouping) -> Result<(),
         want
     );
     let workload = Workload::ocean_atmosphere(inst.ns, inst.nm, table);
-    let groups = Groups::new(grouping.groups().to_vec(), grouping.post_procs);
-    let generic = estimate_generic(&workload, inst.r, &groups).expect("valid groups");
+    let generic = estimate_generic(&workload, inst.r, grouping).expect("valid grouping");
     prop_assert_eq!(
-        [
-            generic.makespan,
-            generic.main_finish,
-            generic.trailing_finish
-        ]
-        .map(f64::to_bits),
-        [want.makespan, want.main_finish, want.post_finish].map(f64::to_bits),
+        bits(&generic),
+        bits(&want),
         "generic {} on {:?}: {:?}, heap loop {:?}",
         grouping,
         inst,
@@ -355,9 +351,34 @@ proptest! {
     }
 }
 
+/// The engine's fault-free default run of `grouping` against the
+/// oracle: makespan, main finish and post finish, bit for bit.
+fn check_engine(inst: Instance, table: &TimingTable, grouping: &Grouping) {
+    let want = oracle(inst, table, grouping);
+    let outcome = simulate_campaign(
+        inst,
+        table,
+        grouping,
+        &CampaignConfig::default(),
+        &FaultPlan::none(),
+        &mut NullTracer,
+    )
+    .expect("valid grouping");
+    let run = outcome.completed().expect("fault-free runs complete");
+    assert_eq!(
+        [run.makespan, run.main_finish, run.post_finish].map(f64::to_bits),
+        [want.makespan, want.main_finish, want.post_finish].map(f64::to_bits),
+        "engine {grouping} on {inst:?}: ({}, {}, {}), heap loop {want:?}",
+        run.makespan,
+        run.main_finish,
+        run.post_finish
+    );
+}
+
 /// Every grouping Figure 8 scores or plots — the Improvement-2
 /// candidates plus the Basic, RedistributeIdle and Knapsack choices —
-/// at `NS = 10` and every `R` in `11..=120`, on the five presets.
+/// at `NS = 10` and every `R` in `11..=120`, on the five presets,
+/// through the estimator and the engine.
 #[test]
 fn figure8_candidates_are_bitwise_the_heap_loop() {
     let mut checked = 0;
@@ -375,6 +396,7 @@ fn figure8_candidates_are_bitwise_the_heap_loop() {
             let inst = Instance::new(10, FIG8_NM, r);
             for grouping in &cands {
                 check(inst, &table, grouping).unwrap_or_else(|e| panic!("{e}"));
+                check_engine(inst, &table, grouping);
             }
             checked += cands.len();
         }

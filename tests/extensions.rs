@@ -5,7 +5,7 @@
 use ocean_atmosphere::baselines::{cpr, cpr_batched, one_dag_at_a_time};
 use ocean_atmosphere::prelude::*;
 use ocean_atmosphere::sched::generic::{
-    balanced_generic, estimate_generic, knapsack_generic, Workload,
+    balanced_generic, basic_generic, estimate_generic, knapsack_generic, Phase, PhaseTime, Workload,
 };
 
 /// The paper's grid run, untraced.
@@ -25,11 +25,133 @@ fn generic_specializes_to_oa() {
             .grouping(inst, &table)
             .expect("feasible");
         let gen = knapsack_generic(&w, r).expect("feasible");
-        assert_eq!(oa.groups(), gen.sizes());
-        let oa_ms = estimate(inst, &table, &oa).expect("valid").makespan;
-        let gen_ms = estimate_generic(&w, r, &gen).expect("valid").makespan;
-        assert!((oa_ms - gen_ms).abs() < 1e-9);
+        assert_eq!(oa, gen);
+        let oa_e = estimate(inst, &table, &oa).expect("valid");
+        let gen_e = estimate_generic(&w, r, &gen).expect("valid");
+        assert_eq!(
+            [gen_e.makespan, gen_e.main_finish, gen_e.post_finish].map(f64::to_bits),
+            [oa_e.makespan, oa_e.main_finish, oa_e.post_finish].map(f64::to_bits),
+            "ns={ns} nm={nm} r={r}"
+        );
     }
+}
+
+/// The workloads `tests/golden/generic_plans.txt` pins, each with the
+/// processor counts it is planned at.
+fn golden_workloads() -> Vec<(&'static str, Workload, Vec<u32>)> {
+    let moldable = |range: MoldableSpec, unit: &dyn Fn(f64) -> f64| Phase {
+        name: "solve".into(),
+        time: PhaseTime::Moldable {
+            range,
+            table: range.allocations().map(|p| unit(f64::from(p))).collect(),
+        },
+        blocking: true,
+    };
+    let sequential = |secs: f64, blocking: bool| Phase {
+        name: "step".into(),
+        time: PhaseTime::Sequential(secs),
+        blocking,
+    };
+    let wide = MoldableSpec {
+        min_procs: 2,
+        max_procs: 16,
+    };
+    // The `generic_workflow` example's replica-exchange campaign.
+    let exchange = Workload::new(
+        8,
+        500,
+        vec![
+            moldable(wide, &|p| 30.0 + 2500.0 / p + 2.5 * p),
+            sequential(8.0, true),
+            sequential(20.0, false),
+        ],
+    )
+    .expect("well-formed");
+    // A molecular-dynamics chain: near-linear scaling, then saturation.
+    let md = Workload::new(
+        6,
+        200,
+        vec![
+            moldable(wide, &|p| 40.0 + 4000.0 / p + 3.0 * p),
+            sequential(25.0, false),
+        ],
+    )
+    .expect("well-formed");
+    let sequential_only = Workload::new(4, 6, vec![sequential(10.0, true)]).expect("well-formed");
+    let table = PcrModel::reference().table(1.0).expect("reference table");
+    vec![
+        ("exchange", exchange, vec![9, 13, 19, 27, 42, 70, 101, 121]),
+        // R = 1 fits no group of 2, so every heuristic answers `none`.
+        (
+            "md",
+            md,
+            std::iter::once(1).chain((4..=120).step_by(3)).collect(),
+        ),
+        ("sequential", sequential_only, (1..=6).collect()),
+        (
+            "ocean-atmosphere",
+            Workload::ocean_atmosphere(10, 48, &table),
+            (11..=120).step_by(9).collect(),
+        ),
+    ]
+}
+
+/// One golden line: the plan's group sizes, its trailing pool and its
+/// makespan, main finish and trailing finish as `f64` bits, or `none`
+/// when nothing fits.
+fn golden_line(
+    out: &mut String,
+    name: &str,
+    r: u32,
+    heuristic: &str,
+    plan: Option<(&[u32], u32, [f64; 3])>,
+) {
+    use std::fmt::Write as _;
+    let _ = write!(out, "{name} r={r} {heuristic}:");
+    match plan {
+        Some((sizes, pool, times)) => {
+            let [makespan, main, trailing] = times.map(f64::to_bits);
+            let _ = writeln!(
+                out,
+                " sizes {sizes:?} pool {pool} makespan {makespan:016x} main {main:016x} trailing {trailing:016x}"
+            );
+        }
+        None => out.push_str(" none\n"),
+    }
+}
+
+/// Every basic, knapsack and balanced plan of the golden workloads,
+/// byte for byte.
+#[test]
+fn generic_plans_match_the_golden() {
+    let mut got = String::new();
+    for (name, w, rs) in golden_workloads() {
+        for r in rs {
+            let scored = |g: Grouping| {
+                let e = estimate_generic(&w, r, &g).expect("heuristic plans are valid");
+                (g, e)
+            };
+            for (heuristic, plan) in [
+                ("basic", basic_generic(&w, r).ok().map(scored)),
+                ("knapsack", knapsack_generic(&w, r).ok().map(scored)),
+                ("balanced", balanced_generic(&w, r).ok()),
+            ] {
+                let plan = plan.as_ref().map(|(g, e)| {
+                    (
+                        g.groups(),
+                        g.post_procs,
+                        [e.makespan, e.main_finish, e.post_finish],
+                    )
+                });
+                golden_line(&mut got, name, r, heuristic, plan);
+            }
+        }
+    }
+    let golden = include_str!("golden/generic_plans.txt");
+    assert!(
+        got == golden,
+        "generic plans diverged from tests/golden/generic_plans.txt:\n{got}"
+    );
 }
 
 /// The balanced refinement never loses to the paper's knapsack on the

@@ -4,7 +4,8 @@
 //! Clients branch on these codes; changing one is a wire-protocol
 //! break and must bump `PROTOCOL_VERSION`.
 
-use ocean_atmosphere::service::daemon::{run_script, Service, ServiceConfig};
+use ocean_atmosphere::service::daemon::{run_pipe, run_script, Service, ServiceConfig};
+use ocean_atmosphere::service::wire::MAX_LINE_BYTES;
 
 /// A fresh daemon with one 53-processor reference cluster joined —
 /// the smallest grid that can admit work.
@@ -52,6 +53,13 @@ fn chain_spec(n: usize) -> String {
     )
 }
 
+/// A `Hello` padded with trailing blanks to exactly `len` bytes: valid
+/// JSON at any length, so only the line cap can refuse it.
+fn padded_hello(len: usize) -> String {
+    let hello = r#"{"Hello":{"version":1}}"#;
+    format!("{hello}{}", " ".repeat(len - hello.len()))
+}
+
 /// Every rejection row: (label, request line, expected stable code).
 /// The table mirrors the error-code table in `docs/PROTOCOL.md`.
 fn rejection_table() -> Vec<(&'static str, String, &'static str)> {
@@ -59,6 +67,15 @@ fn rejection_table() -> Vec<(&'static str, String, &'static str)> {
         // Protocol-layer errors (PROTO...): the line itself is bad.
         ("malformed JSON", "this is not json".into(), "PROTO001"),
         ("truncated JSON", r#"{"Submit":{"session""#.into(), "PROTO001"),
+        // 50,000 nested arrays overflowed the daemon's stack in the
+        // recursive JSON reader; nesting past 128 is invalid JSON.
+        ("50,000-deep nesting", "[".repeat(50_000), "PROTO001"),
+        // One byte over the line cap is refused before it is parsed.
+        (
+            "request line over the line cap",
+            padded_hello(MAX_LINE_BYTES + 1),
+            "PROTO011",
+        ),
         ("unknown kind", r#"{"Teleport":{}}"#.into(), "PROTO002"),
         (
             "two kinds in one line",
@@ -286,6 +303,36 @@ fn every_rejection_answers_with_its_documented_code() {
             after.contains("\"Admitted\""),
             "{label}: daemon wedged after rejection: {after}"
         );
+    }
+}
+
+/// The pipe reader applies the line cap as it reads: a line at the cap
+/// is served, a longer one is answered `PROTO011` without being
+/// buffered, a line nested past the JSON reader's limit is `PROTO001`,
+/// and the daemon reads on to the next line.
+#[test]
+fn pipe_mode_caps_line_length_and_nesting() {
+    let input = [
+        padded_hello(MAX_LINE_BYTES),
+        padded_hello(MAX_LINE_BYTES + 1),
+        "[".repeat(50_000),
+        r#"{"Hello":{"version":1}}"#.to_string(),
+    ]
+    .join("\n");
+    let mut service = Service::new(ServiceConfig::default(), 1);
+    let mut out = Vec::new();
+    // Small reads, so each long line arrives in many chunks.
+    let reader = std::io::BufReader::with_capacity(1 << 16, input.as_bytes());
+    run_pipe(&mut service, reader, &mut out).expect("in-memory I/O");
+    let out = String::from_utf8(out).expect("responses are UTF-8");
+    let answers: Vec<&str> = out.lines().collect();
+    assert_eq!(answers.len(), 4, "{out}");
+    for (answer, want) in
+        answers
+            .iter()
+            .zip(["\"Welcome\"", "\"PROTO011\"", "\"PROTO001\"", "\"Welcome\""])
+    {
+        assert!(answer.contains(want), "expected {want}: {answer}");
     }
 }
 
