@@ -4,6 +4,68 @@
 
 use ocean_atmosphere::prelude::*;
 
+/// The five heuristics `oa campaign --heuristic` names, by name.
+const HEURISTICS: [(&str, Heuristic); 5] = [
+    ("basic", Heuristic::Basic),
+    ("redistribute", Heuristic::RedistributeIdle),
+    ("nopost", Heuristic::NoPostReservation),
+    ("knapsack", Heuristic::Knapsack),
+    ("knapsack-greedy", Heuristic::KnapsackGreedy),
+];
+
+/// One golden line: a whole campaign report, every float as its bits.
+fn golden_line(head: &str, report: &CampaignReport) -> String {
+    let mut line = format!("{head} | request {} | trace", report.request);
+    for event in &report.trace {
+        line.push(' ');
+        line.push_str(&match event {
+            ProtocolEvent::RequestReceived { request, ns, nm } => format!("1:{request}/{ns}/{nm}"),
+            ProtocolEvent::PerfQueried { cluster } => format!("2:{}", cluster.0),
+            ProtocolEvent::PerfReceived { cluster } => format!("3:{}", cluster.0),
+            ProtocolEvent::PerfMissing { cluster } => format!("3x:{}", cluster.0),
+            ProtocolEvent::RepartitionComputed { nb_dags } => format!("4:{nb_dags:?}"),
+            ProtocolEvent::ExecSent { cluster, scenarios } => format!("5:{}/{scenarios}", cluster.0),
+            ProtocolEvent::ReportReceived { cluster, makespan } => {
+                format!("6:{}/{:016x}", cluster.0, makespan.to_bits())
+            }
+        });
+    }
+    line.push_str(&format!(" | makespan {:016x}", report.makespan.to_bits()));
+    for r in &report.reports {
+        line.push_str(&format!(
+            " ; cluster {} request {} scenarios {:?} grouping {} makespan {:016x}",
+            r.cluster.0,
+            r.request,
+            r.scenarios,
+            r.grouping,
+            r.makespan.to_bits()
+        ));
+    }
+    line.push('\n');
+    line
+}
+
+/// Every report of `tests/golden/grid_protocol.txt`, pinned bit for bit:
+/// five heuristics × R ∈ {25, 40} × 1..=5 preset clusters × three shapes.
+#[test]
+fn grid_protocol_matches_the_golden() {
+    let mut out = String::new();
+    for (name, h) in HEURISTICS {
+        for r in [25, 40] {
+            for clusters in 1..=5 {
+                for (ns, nm) in [(1, 1), (7, 18), (10, 60)] {
+                    let grid = benchmark_grid(r).take(clusters);
+                    let report = Deployment::new(&grid, h).client().submit(ns, nm).unwrap();
+                    let head = format!("{name} r={r} clusters={clusters} ns={ns} nm={nm}");
+                    out.push_str(&golden_line(&head, &report));
+                }
+            }
+        }
+    }
+    let golden = include_str!("golden/grid_protocol.txt");
+    assert!(out == golden, "grid protocol reports drifted from the golden");
+}
+
 #[test]
 fn protocol_refines_direct_planning_for_every_heuristic() {
     let grid = benchmark_grid(35);
