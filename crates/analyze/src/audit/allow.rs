@@ -1,13 +1,13 @@
 //! The per-rule allowlist that keeps justified hazards legal.
 //!
 //! Some findings are correct code: the benchmark harness *must* read
-//! the wall clock, the middleware's deployment pass is genuinely
-//! threaded. Instead of weakening the rules, such uses are recorded in
-//! an allowlist file (one entry per line):
+//! the wall clock, the audit walker must list directories. Instead of
+//! weakening the rules, such uses are recorded in an allowlist file
+//! (one entry per line):
 //!
 //! ```text
 //! # rule  path-prefix                      justification…
-//! ND004   crates/middleware/src/deploy.rs  the SeD servers are real threads
+//! ND005   crates/analyze/src/audit/mod.rs  entries are sorted before use
 //! ```
 //!
 //! An entry suppresses every finding of its rule whose file path

@@ -1,13 +1,13 @@
 //! Grid-level benchmarks: performance-vector pricing, Algorithm 1, and
-//! the full middleware round trip.
+//! the full six-step protocol as a daemon session.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use oa_middleware::deploy::Deployment;
 use oa_platform::presets::benchmark_grid;
 use oa_sched::hetero::{grid_performance, repartition};
 use oa_sched::heuristics::Heuristic;
+use oa_service::protocol::run_protocol;
 
 fn bench_planning(c: &mut Criterion) {
     let mut group = c.benchmark_group("hetero");
@@ -24,12 +24,10 @@ fn bench_planning(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_middleware_round_trip(c: &mut Criterion) {
+fn bench_protocol_round_trip(c: &mut Criterion) {
     let grid = benchmark_grid(30);
-    let deployment = Deployment::new(&grid, Heuristic::Knapsack);
-    c.bench_function("middleware/submit_10x60", |b| {
-        let client = deployment.client();
-        b.iter(|| black_box(client.submit(10, 60).unwrap()));
+    c.bench_function("protocol/submit_10x60", |b| {
+        b.iter(|| black_box(run_protocol(&grid, Heuristic::Knapsack, 10, 60, 1).unwrap()));
     });
 }
 
@@ -38,6 +36,6 @@ criterion_group! {
     config = Criterion::default().sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_millis(1200));
-    targets = bench_planning, bench_middleware_round_trip
+    targets = bench_planning, bench_protocol_round_trip
 }
 criterion_main!(benches);

@@ -1,12 +1,12 @@
 //! Figure 9: the six execution steps of the grid submission protocol,
-//! observed live through the DIET-like middleware deployment.
+//! observed as one session of the campaign daemon.
 //!
 //! Run: `cargo run --release -p oa-bench --bin fig9_protocol [--jobs N]`
 
 use oa_bench::{write_json, SweepRecorder};
-use oa_middleware::prelude::*;
 use oa_platform::prelude::*;
 use oa_sched::prelude::*;
+use oa_service::protocol::{run_protocol, ProtocolEvent};
 
 fn main() {
     let (ns, nm) = (10, 60);
@@ -16,9 +16,9 @@ fn main() {
         grid.len()
     );
     let mut rec = SweepRecorder::start("fig9_protocol");
-    let deployment = Deployment::new(&grid, Heuristic::Knapsack);
+    let jobs = oa_bench::jobs();
     let report = rec.phase("protocol", grid.len(), || {
-        deployment.client().submit(ns, nm).expect("grid is usable")
+        run_protocol(&grid, Heuristic::Knapsack, ns, nm, jobs).expect("grid is usable")
     });
 
     for event in &report.trace {

@@ -1,7 +1,6 @@
 //! The `oa` subcommands. Every command renders to a `String` so the
 //! test suite can assert output without spawning processes.
 
-use oa_middleware::prelude::*;
 use oa_platform::prelude::*;
 use oa_sched::prelude::*;
 use oa_sim::prelude::*;
@@ -117,7 +116,7 @@ COMMANDS
             --cluster NAME
   grid      plan + execute a campaign across the preset grid
             --ns N --nm N --clusters N --resources N --heuristic H [--staging]
-  campaign  run a campaign through the DIET-like middleware
+  campaign  run a campaign through the daemon's six-step grid protocol
             --ns N --nm N --clusters N --resources N --heuristic H
   import    parse a benchmark file and plan on the measured grid
             --file PATH --ns N --nm N --heuristic H
@@ -155,14 +154,7 @@ JOBS:       --jobs N sizes the deterministic worker pool (default: the
 }
 
 fn heuristic_of(name: &str) -> Result<Heuristic, CliError> {
-    Ok(match name {
-        "basic" => Heuristic::Basic,
-        "redistribute" | "gain1" => Heuristic::RedistributeIdle,
-        "nopost" | "gain2" => Heuristic::NoPostReservation,
-        "knapsack" | "gain3" => Heuristic::Knapsack,
-        "knapsack-greedy" => Heuristic::KnapsackGreedy,
-        other => return Err(CliError::Domain(format!("unknown heuristic {other:?}"))),
-    })
+    Heuristic::parse(name).ok_or_else(|| CliError::Domain(format!("unknown heuristic {name:?}")))
 }
 
 fn policy_of(args: &Args) -> Result<ScenarioPolicy, CliError> {
@@ -974,12 +966,10 @@ fn campaign(args: &Args) -> Result<String, CliError> {
     let h = heuristic_of(&args.str_or("heuristic", "knapsack"))?;
     let grid = preset_grid(clusters, resources)?;
 
-    let deployment = Deployment::new(&grid, h);
-    let report = deployment
-        .client()
-        .submit(ns, nm)
-        .map_err(|e| CliError::Domain(e.to_string()))?;
-    let mut out = format!("campaign #{} through the middleware:\n", report.request);
+    let jobs = oa_par::resolve_jobs(None);
+    let report = oa_service::protocol::run_protocol(&grid, h, ns, nm, jobs)
+        .map_err(|r| CliError::Domain(r.to_string()))?;
+    let mut out = format!("campaign #{} through the daemon:\n", report.request);
     for e in &report.trace {
         out.push_str(&format!("  {e:?}\n"));
     }
@@ -2049,6 +2039,27 @@ mod tests {
             (&["grid", "--resources", "3"], small(3)),
             (&["campaign", "--resources", "0"], small(0)),
             (&["plan", "--r", "3"], small(3)),
+            (
+                &[
+                    "campaign",
+                    "--ns",
+                    "1000",
+                    "--nm",
+                    "2000000",
+                    "--clusters",
+                    "3",
+                    "--resources",
+                    "50",
+                ],
+                "PROTO011: campaign exceeds the size cap: ns=1000, nm=2000000 is \
+                 2000000000 months, over 1048576"
+                    .to_string(),
+            ),
+            (
+                &["campaign", "--resources", "2000"],
+                "PROTO011: cluster \"sagittaire\" has 2000 processors, over the cap of 1024"
+                    .to_string(),
+            ),
         ];
         for (words, want) in probes {
             match std::panic::catch_unwind(|| oa(words)) {

@@ -6,7 +6,7 @@
 //! oa plan --r 53 --all            # the paper's §4.2 example
 //! oa gantt --ns 4 --nm 12 --r 26  # ASCII schedule
 //! oa grid --clusters 5 --resources 30
-//! oa campaign --nm 120            # through the DIET-like middleware
+//! oa campaign --nm 120            # the six-step grid protocol, as a daemon session
 //! ```
 //!
 //! The command layer returns strings (tested without process spawns);

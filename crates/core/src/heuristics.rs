@@ -106,6 +106,37 @@ impl Heuristic {
         }
     }
 
+    /// The names `oa` and the service's `Submit` accept: each
+    /// heuristic's canonical name first, then its aliases.
+    /// [`Heuristic::Balanced`] has none.
+    const NAMES: [(&'static str, Heuristic); 8] = [
+        ("basic", Heuristic::Basic),
+        ("redistribute", Heuristic::RedistributeIdle),
+        ("gain1", Heuristic::RedistributeIdle),
+        ("nopost", Heuristic::NoPostReservation),
+        ("gain2", Heuristic::NoPostReservation),
+        ("knapsack", Heuristic::Knapsack),
+        ("gain3", Heuristic::Knapsack),
+        ("knapsack-greedy", Heuristic::KnapsackGreedy),
+    ];
+
+    /// Parses a heuristic name or alias (`knapsack`, `gain3`, …).
+    pub fn parse(s: &str) -> Option<Self> {
+        Self::NAMES
+            .into_iter()
+            .find(|&(n, _)| n == s)
+            .map(|(_, h)| h)
+    }
+
+    /// The canonical name [`Heuristic::parse`] reads back; `None` for
+    /// [`Heuristic::Balanced`].
+    pub fn name(self) -> Option<&'static str> {
+        Self::NAMES
+            .into_iter()
+            .find(|&(_, h)| h == self)
+            .map(|(n, _)| n)
+    }
+
     /// Builds the grouping this heuristic chooses for `inst` on a
     /// cluster with timing `table`.
     pub fn grouping(self, inst: Instance, table: &TimingTable) -> Result<Grouping, HeuristicError> {

@@ -22,9 +22,6 @@
 //!   departures and cluster churn over cached performance vectors,
 //!   bitwise-equal to the batch greedy (the planning core of
 //!   `oa-service`);
-//! * [`ir_plan`] — grouping/G-selection over the generalized workflow
-//!   IR: preset meshes plan exactly like their legacy instance, general
-//!   DAGs reduce to an equivalent `(NS, NM, R)` via moldable width;
 //! * [`memo`] — the cross-variant planning memo: retained knapsack DP
 //!   tables and a makespan cache keyed by timing fingerprint, bitwise
 //!   equal to the uncached heuristics (the pricing core of mass-batch
@@ -63,7 +60,6 @@ pub mod grouping;
 pub mod hetero;
 pub mod heuristics;
 pub mod incremental;
-pub mod ir_plan;
 pub mod memo;
 pub mod params;
 mod planner;
@@ -82,9 +78,6 @@ pub mod prelude {
     };
     pub use crate::heuristics::{gain_pct, Heuristic, HeuristicError};
     pub use crate::incremental::{Departure, IncrementalRepartition, Rebalance};
-    pub use crate::ir_plan::{
-        equivalent_instance, moldable_width, plan_workflow, PlanError, WorkflowPlan,
-    };
     pub use crate::memo::{table_fingerprint, MemoStats, PlanMemo};
     pub use crate::params::Instance;
     pub use crate::policy::{

@@ -53,17 +53,23 @@ pub use oa_sched::params::{MAX_CAMPAIGN_MONTHS, MAX_CLUSTER_PROCS};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Refusal {
     /// Stable code from [`crate::wire::codes`].
-    pub code: &'static str,
+    pub code: String,
     /// Human-readable reason.
     pub message: String,
 }
 
 impl Refusal {
-    fn new(code: &'static str, message: impl Into<String>) -> Self {
+    pub(crate) fn new(code: &str, message: impl Into<String>) -> Self {
         Self {
-            code,
+            code: code.to_string(),
             message: message.into(),
         }
+    }
+}
+
+impl std::fmt::Display for Refusal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}: {}", self.code, self.message)
     }
 }
 
@@ -121,7 +127,9 @@ pub fn parse_submission(
             ),
         ));
     }
-    let heuristic = heuristic_of(heuristic)?;
+    let heuristic = Heuristic::parse(heuristic).ok_or_else(|| {
+        Refusal::new(codes::BAD_FIELD, format!("unknown heuristic {heuristic:?}"))
+    })?;
     let policy = ScenarioPolicy::parse(policy)
         .ok_or_else(|| Refusal::new(codes::BAD_FIELD, format!("unknown policy {policy:?}")))?;
     let granularity = match granularity {
@@ -163,23 +171,6 @@ pub fn parse_submission(
         },
         plan,
         deadline: (deadline > 0.0).then_some(deadline),
-    })
-}
-
-/// Parses a heuristic label, accepting the same aliases as the CLI.
-fn heuristic_of(name: &str) -> Result<Heuristic, Refusal> {
-    Ok(match name {
-        "basic" => Heuristic::Basic,
-        "redistribute" | "gain1" => Heuristic::RedistributeIdle,
-        "nopost" | "gain2" => Heuristic::NoPostReservation,
-        "knapsack" | "gain3" => Heuristic::Knapsack,
-        "knapsack-greedy" => Heuristic::KnapsackGreedy,
-        other => {
-            return Err(Refusal::new(
-                codes::BAD_FIELD,
-                format!("unknown heuristic {other:?}"),
-            ))
-        }
     })
 }
 

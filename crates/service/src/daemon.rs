@@ -27,7 +27,6 @@
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, Write};
 
-use oa_middleware::protocol::{CampaignReport, ExecReport, ProtocolEvent, PROTOCOL_VERSION};
 use oa_par::Pool;
 use oa_platform::cluster::{Cluster, ClusterId};
 use oa_platform::presets::{preset_cluster, reference_cluster, PRESET_CLUSTERS};
@@ -42,6 +41,7 @@ use oa_trace::metrics::{self, MetricsRegistry};
 use oa_workflow::ir::{classify_spec, IrClass, SpecError};
 
 use crate::admission::{admit_portion, parse_submission, Refusal, Submission, MAX_CLUSTER_PROCS};
+use crate::protocol::{CampaignReport, ExecReport, ProtocolEvent, PROTOCOL_VERSION};
 use crate::wire::{
     codes, parse_request, render_response, ClusterLoad, ParseError, PortionInfo, Response,
     MAX_LINE_BYTES,
@@ -132,8 +132,8 @@ enum Lifecycle {
 /// One admitted session.
 struct Session {
     name: String,
-    /// Admission sequence number; doubles as the middleware request
-    /// correlation id in the completion report.
+    /// Admission sequence number; doubles as the request correlation
+    /// id in the completion report.
     seq: u64,
     submission: Submission,
     portions: Vec<Portion>,
@@ -470,7 +470,7 @@ impl Service {
             Ok(sub) => sub,
             Err(Refusal { code, message }) => {
                 self.metrics.inc(metrics::keys::SESSIONS_REJECTED, 1);
-                return reject(code, message);
+                return reject(&code, message);
             }
         };
         if ns > self.cfg.capacity {
@@ -518,7 +518,7 @@ impl Service {
             Err(Refusal { code, message }) => {
                 self.rollback(choices.len());
                 self.metrics.inc(metrics::keys::SESSIONS_REJECTED, 1);
-                reject(code, message)
+                reject(&code, message)
             }
         }
     }
@@ -617,9 +617,11 @@ impl Service {
             let grouping = sub
                 .heuristic
                 .grouping(inst, &cs.cluster.timing)
-                .map_err(|e| Refusal {
-                    code: codes::NO_GROUPING,
-                    message: format!("cluster {:?}: {e}", cs.cluster.name),
+                .map_err(|e| {
+                    Refusal::new(
+                        codes::NO_GROUPING,
+                        format!("cluster {:?}: {e}", cs.cluster.name),
+                    )
                 })?;
             let cert = admit_portion(inst, &cs.cluster.timing, &grouping, &sub.config, plan)?;
             let start = self.now.max(cs.free_at).max(at);
@@ -631,9 +633,11 @@ impl Service {
                 &sub.config,
                 plan,
             )
-            .map_err(|e| Refusal {
-                code: codes::NO_GROUPING,
-                message: format!("cluster {:?}: {e}", cs.cluster.name),
+            .map_err(|e| {
+                Refusal::new(
+                    codes::NO_GROUPING,
+                    format!("cluster {:?}: {e}", cs.cluster.name),
+                )
             })?;
             bound_lo = bound_lo.max(start + cert.bounds.lo);
             bound_hi = match bound_hi {
@@ -911,9 +915,9 @@ impl Service {
         out
     }
 
-    /// Renders a finished session as the middleware's campaign report:
-    /// same types, same aggregation, so a service completion reads
-    /// exactly like an in-process protocol walk.
+    /// Renders a finished session as a campaign report: the busy
+    /// clusters only, with protocol steps 1 and 4–6 (steps 2–3 happened
+    /// at each `ClusterJoin`).
     fn completion_report(s: &Session) -> CampaignReport {
         let mut trace = vec![ProtocolEvent::RequestReceived {
             request: s.seq,
@@ -1279,7 +1283,7 @@ mod tests {
                 "missing {kind} in log"
             );
         }
-        // The completion carries a middleware-shaped campaign report.
+        // The completion carries the protocol's campaign report.
         assert!(log.contains("\"RequestReceived\""));
         assert!(log.contains("\"RepartitionComputed\""));
     }

@@ -14,6 +14,8 @@
 //!   (shape, placement, grouping, campaign checks, certification);
 //! * [`daemon`] — the [`daemon::Service`] state machine and the pipe
 //!   runners;
+//! * [`protocol`] — the paper's six-step grid submission protocol
+//!   (Figure 9) as one daemon session, and its report types;
 //! * [`socket`] — the Unix-socket transport (Unix only; pipe mode is
 //!   the portable, test-facing transport).
 //!
@@ -52,6 +54,7 @@
 
 pub mod admission;
 pub mod daemon;
+pub mod protocol;
 pub mod socket;
 pub mod wire;
 

@@ -5,9 +5,9 @@
 //! (the externally-tagged rendering of the enums below); the protocol
 //! is fully documented in `docs/PROTOCOL.md`, and the error/rejection
 //! codes live in [`codes`]. The execution-level payloads —
-//! [`CampaignReport`] and its `ExecReport`s — are the middleware
-//! protocol types carried verbatim, so a campaign completed over the
-//! wire reads exactly like one completed in process.
+//! [`CampaignReport`] and its `ExecReport`s — are the
+//! [`crate::protocol`] types carried verbatim, so a campaign completed
+//! over the wire reads exactly like one completed in process.
 //!
 //! # Examples
 //!
@@ -23,7 +23,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use oa_middleware::protocol::CampaignReport;
+use crate::protocol::CampaignReport;
 
 /// Stable error and rejection codes of the service protocol.
 ///
@@ -92,7 +92,7 @@ pub mod codes {
 pub enum Request {
     /// Handshake: announce the protocol revision.
     Hello {
-        /// Must equal [`oa_middleware::protocol::PROTOCOL_VERSION`].
+        /// Must equal [`crate::protocol::PROTOCOL_VERSION`].
         version: u32,
     },
     /// A cluster joins the grid.
@@ -379,7 +379,7 @@ pub enum Response {
         finish: f64,
         /// Months lost to failures over the session's lifetime.
         months_lost: u32,
-        /// The middleware campaign report, verbatim.
+        /// The campaign report of the protocol, busy clusters only.
         report: CampaignReport,
         /// Planned load per cluster after the slots freed.
         plan: Vec<ClusterLoad>,

@@ -278,21 +278,12 @@ impl BatchSpec {
         })?;
         if let Some(h) = v.get("heuristic") {
             let name = val_str(h).ok_or_else(|| parse_err("heuristic must be a string"))?;
-            // The `Submit` aliases first, then the canonical labels,
-            // so specs read like wire requests and like `Heuristic`
-            // docs alike.
-            spec.heuristic = match name {
-                "basic" => Heuristic::Basic,
-                "redistribute" | "gain1" => Heuristic::RedistributeIdle,
-                "nopost" | "gain2" => Heuristic::NoPostReservation,
-                "knapsack" | "gain3" => Heuristic::Knapsack,
-                "knapsack-greedy" => Heuristic::KnapsackGreedy,
-                "balanced" => Heuristic::Balanced,
-                other => HEURISTICS
-                    .into_iter()
-                    .find(|c| c.label() == other)
-                    .ok_or_else(|| parse_err(format!("unknown heuristic {other}")))?,
-            };
+            // The `Submit` names first, then the canonical labels, so
+            // specs read like wire requests and like `Heuristic` docs
+            // alike.
+            spec.heuristic = Heuristic::parse(name)
+                .or_else(|| HEURISTICS.into_iter().find(|c| c.label() == name))
+                .ok_or_else(|| parse_err(format!("unknown heuristic {name}")))?;
         }
         if let Some(r) = v.get("recovery") {
             spec.recovery = match val_str(r) {

@@ -1,10 +1,12 @@
 //! Spreading a campaign over a heterogeneous grid (Sections 5–6):
 //! performance vectors, Algorithm 1, per-cluster execution — both
-//! directly through the scheduler and through the DIET-like middleware.
+//! directly through the scheduler and through the daemon's six-step
+//! grid protocol.
 //!
 //! Run: `cargo run --release --example grid_deployment`
 
 use ocean_atmosphere::prelude::*;
+use ocean_atmosphere::service::protocol::run_protocol;
 
 fn main() {
     let (ns, nm) = (10u32, 120u32);
@@ -63,15 +65,14 @@ fn main() {
         );
     }
 
-    // The same campaign through the middleware: identical result.
-    let deployment = Deployment::new(&grid, Heuristic::Knapsack);
-    let report = deployment.client().submit(ns, nm).expect("grid usable");
+    // The same campaign through the grid protocol: identical result.
+    let report = run_protocol(&grid, Heuristic::Knapsack, ns, nm, 1).expect("grid usable");
     println!(
-        "\nvia DIET-like middleware: makespan {:.1} h ({} protocol events)",
+        "\nvia the grid protocol: makespan {:.1} h ({} protocol events)",
         report.makespan / 3600.0,
         report.trace.len()
     );
-    assert!((report.makespan - outcome.makespan).abs() < 1e-6);
+    assert_eq!(report.makespan.to_bits(), outcome.makespan.to_bits());
 
     // How much does the grid buy over the best single cluster?
     let single = vectors

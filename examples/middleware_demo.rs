@@ -1,23 +1,21 @@
-//! The middleware under stress: a campaign submitted while one cluster
-//! is unavailable, then resubmitted with every cluster healthy.
+//! The grid protocol under stress: a campaign submitted while the
+//! fastest cluster is down, then resubmitted with every cluster
+//! healthy. A cluster that is down never joins the daemon, so the
+//! protocol plans over the clusters that did.
 //!
 //! Run: `cargo run --release --example middleware_demo`
 
 use ocean_atmosphere::prelude::*;
+use ocean_atmosphere::service::protocol::run_protocol;
 
 fn main() {
     let grid = benchmark_grid(25);
     let (ns, nm) = (8, 60);
 
-    // Degraded deployment: the fastest cluster is down.
-    let degraded = Deployment::with_plugins(&grid, |id, _| {
-        if id.index() == 0 {
-            Box::new(UnavailablePlugin)
-        } else {
-            Box::new(HeuristicPlugin(Heuristic::Knapsack))
-        }
-    });
-    let degraded_report = degraded.client().submit(ns, nm).expect("4 clusters remain");
+    // Degraded grid: the fastest cluster is down.
+    let survivors = Grid::from_clusters(grid.clusters()[1..].to_vec());
+    let degraded_report =
+        run_protocol(&survivors, Heuristic::Knapsack, ns, nm, 1).expect("4 clusters remain");
     println!(
         "degraded grid (sagittaire down): makespan {:.1} h",
         degraded_report.makespan / 3600.0
@@ -25,21 +23,19 @@ fn main() {
     for r in &degraded_report.reports {
         println!(
             "  {:<12} {} scenario(s)",
-            grid.cluster(r.cluster).name,
+            survivors.cluster(r.cluster).name,
             r.scenarios.len()
         );
     }
-    assert!(degraded_report
+    let placed: usize = degraded_report
         .reports
         .iter()
-        .find(|r| r.cluster.index() == 0)
-        .expect("cluster 0 reports")
-        .scenarios
-        .is_empty());
+        .map(|r| r.scenarios.len())
+        .sum();
+    assert_eq!(placed, ns as usize);
 
-    // Healthy deployment.
-    let healthy = Deployment::new(&grid, Heuristic::Knapsack);
-    let healthy_report = healthy.client().submit(ns, nm).expect("grid usable");
+    // Healthy grid.
+    let healthy_report = run_protocol(&grid, Heuristic::Knapsack, ns, nm, 1).expect("grid usable");
     println!(
         "\nhealthy grid: makespan {:.1} h",
         healthy_report.makespan / 3600.0

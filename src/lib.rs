@@ -19,8 +19,7 @@
 //! | [`analyze`] | rule-based static diagnostics: OA001–OA021 over the workflow, scheduling, schedule and platform layers, ND001–ND007 over sources, CT001–CT002 certifying campaigns |
 //! | [`sim`] | discrete-event executor, schedule validation, Gantt, metrics, grid runs |
 //! | [`trace`] | structured event tracing, metrics registry, Chrome/Gantt exporters |
-//! | [`middleware`] | DIET-like client / agent / SeD protocol over threads |
-//! | [`service`] | campaign-as-a-service daemon: line-delimited JSON protocol, admission, virtual time |
+//! | [`service`] | campaign-as-a-service daemon: line-delimited JSON protocol, admission, virtual time, and the paper's six-step grid protocol as a daemon session |
 //! | [`baselines`] | the related work implemented: CPA, CPR, one-DAG-at-a-time, HEFT, co-allocation |
 //!
 //! ## Quickstart
@@ -44,7 +43,6 @@
 pub use oa_analyze as analyze;
 pub use oa_baselines as baselines;
 pub use oa_knapsack as knapsack;
-pub use oa_middleware as middleware;
 pub use oa_par as par;
 pub use oa_platform as platform;
 pub use oa_sched as sched;
@@ -56,7 +54,6 @@ pub use oa_workflow as workflow;
 /// Everything a typical user needs.
 pub mod prelude {
     pub use oa_analyze::{catalog, Diagnostic, Layer, Location, Report, RuleCode, Severity};
-    pub use oa_middleware::prelude::*;
     pub use oa_platform::prelude::*;
     pub use oa_sched::prelude::*;
     pub use oa_sim::prelude::*;

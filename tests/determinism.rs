@@ -4,6 +4,7 @@
 
 use ocean_atmosphere::platform::benchmarks::{run_campaign, BenchmarkConfig};
 use ocean_atmosphere::prelude::*;
+use ocean_atmosphere::service::protocol::run_protocol;
 
 #[test]
 fn heuristics_are_deterministic() {
@@ -65,22 +66,11 @@ fn benchmark_campaigns_are_seeded() {
 
 #[test]
 fn middleware_reports_are_reproducible_across_deployments() {
+    // The grid protocol as a daemon session: fresh services agree, and
+    // the worker count never changes a bit of the report.
     let grid = benchmark_grid(26).take(3);
-    let report = |_: u32| {
-        let deployment = Deployment::new(&grid, Heuristic::Knapsack);
-        deployment.client().submit(7, 18).expect("usable")
-    };
-    let a = report(0);
-    let b = report(1);
-    assert_eq!(a.makespan, b.makespan);
-    assert_eq!(
-        a.reports
-            .iter()
-            .map(|r| r.scenarios.clone())
-            .collect::<Vec<_>>(),
-        b.reports
-            .iter()
-            .map(|r| r.scenarios.clone())
-            .collect::<Vec<_>>()
-    );
+    let report = |jobs| run_protocol(&grid, Heuristic::Knapsack, 7, 18, jobs).expect("usable");
+    let a = report(1);
+    assert_eq!(report(1), a);
+    assert_eq!(report(2), a);
 }

@@ -1,8 +1,9 @@
-//! Middleware integration: the threaded protocol must be an exact
-//! refinement of the in-process planner, survive faults, and stay
-//! deterministic under concurrency.
+//! The grid protocol of Figure 9, run as a daemon session: an exact
+//! refinement of the in-process planner, deterministic, and tolerant of
+//! clusters that never join.
 
 use ocean_atmosphere::prelude::*;
+use ocean_atmosphere::service::protocol::{run_protocol, CampaignReport, ProtocolEvent};
 
 /// The five heuristics `oa campaign --heuristic` names, by name.
 const HEURISTICS: [(&str, Heuristic); 5] = [
@@ -24,7 +25,9 @@ fn golden_line(head: &str, report: &CampaignReport) -> String {
             ProtocolEvent::PerfReceived { cluster } => format!("3:{}", cluster.0),
             ProtocolEvent::PerfMissing { cluster } => format!("3x:{}", cluster.0),
             ProtocolEvent::RepartitionComputed { nb_dags } => format!("4:{nb_dags:?}"),
-            ProtocolEvent::ExecSent { cluster, scenarios } => format!("5:{}/{scenarios}", cluster.0),
+            ProtocolEvent::ExecSent { cluster, scenarios } => {
+                format!("5:{}/{scenarios}", cluster.0)
+            }
             ProtocolEvent::ReportReceived { cluster, makespan } => {
                 format!("6:{}/{:016x}", cluster.0, makespan.to_bits())
             }
@@ -55,7 +58,7 @@ fn grid_protocol_matches_the_golden() {
             for clusters in 1..=5 {
                 for (ns, nm) in [(1, 1), (7, 18), (10, 60)] {
                     let grid = benchmark_grid(r).take(clusters);
-                    let report = Deployment::new(&grid, h).client().submit(ns, nm).unwrap();
+                    let report = run_protocol(&grid, h, ns, nm, 1).unwrap();
                     let head = format!("{name} r={r} clusters={clusters} ns={ns} nm={nm}");
                     out.push_str(&golden_line(&head, &report));
                 }
@@ -63,24 +66,27 @@ fn grid_protocol_matches_the_golden() {
         }
     }
     let golden = include_str!("golden/grid_protocol.txt");
-    assert!(out == golden, "grid protocol reports drifted from the golden");
+    assert!(
+        out == golden,
+        "grid protocol reports drifted from the golden"
+    );
 }
 
 #[test]
 fn protocol_refines_direct_planning_for_every_heuristic() {
     let grid = benchmark_grid(35);
     for h in Heuristic::PAPER {
-        let deployment = Deployment::new(&grid, h);
-        let report = deployment.client().submit(9, 24).expect("usable grid");
+        let report = run_protocol(&grid, h, 9, 24, 1).expect("usable grid");
 
         let vectors = grid_performance(&grid, h, 9, 24);
         let plan = repartition(&vectors);
         let config = GridConfig::default();
         let outcome = execute_repartition(&grid, &plan, h, 24, &config, &mut NullTracer)
             .expect("plan feasible");
-        assert!(
-            (report.makespan - outcome.makespan).abs() < 1e-6,
-            "{h:?}: middleware {} vs direct {}",
+        assert_eq!(
+            report.makespan.to_bits(),
+            outcome.makespan.to_bits(),
+            "{h:?}: protocol {} vs direct {}",
             report.makespan,
             outcome.makespan
         );
@@ -93,32 +99,17 @@ fn protocol_refines_direct_planning_for_every_heuristic() {
 #[test]
 fn repeated_submissions_are_deterministic() {
     let grid = benchmark_grid(28);
-    let deployment = Deployment::new(&grid, Heuristic::Knapsack);
-    let client = deployment.client();
-    let first = client.submit(10, 36).expect("usable");
+    let first = run_protocol(&grid, Heuristic::Knapsack, 10, 36, 1).expect("usable");
     for _ in 0..3 {
-        let again = client.submit(10, 36).expect("usable");
-        assert_eq!(again.makespan, first.makespan);
-        assert_eq!(
-            again
-                .reports
-                .iter()
-                .map(|r| r.scenarios.clone())
-                .collect::<Vec<_>>(),
-            first
-                .reports
-                .iter()
-                .map(|r| r.scenarios.clone())
-                .collect::<Vec<_>>(),
-        );
+        let again = run_protocol(&grid, Heuristic::Knapsack, 10, 36, 1).expect("usable");
+        assert_eq!(again, first);
     }
 }
 
 #[test]
 fn protocol_trace_has_all_six_steps_in_order() {
     let grid = benchmark_grid(30).take(3);
-    let deployment = Deployment::new(&grid, Heuristic::Knapsack);
-    let report = deployment.client().submit(5, 12).expect("usable");
+    let report = run_protocol(&grid, Heuristic::Knapsack, 5, 12, 1).expect("usable");
     let step = |e: &ProtocolEvent| match e {
         ProtocolEvent::RequestReceived { .. } => 1,
         ProtocolEvent::PerfQueried { .. } => 2,
@@ -139,40 +130,73 @@ fn protocol_trace_has_all_six_steps_in_order() {
     assert_eq!(steps.iter().filter(|&&s| s == 6).count(), 3);
 }
 
+/// Down clusters never join. Matched by name, the survivors' reports
+/// are bitwise those of Algorithm 1 over the whole grid with the down
+/// clusters priced out (infinite vectors), for every proper subset of
+/// the five clusters down.
 #[test]
 fn degraded_grid_still_completes_campaigns() {
     let grid = benchmark_grid(30);
-    // Three of five clusters down.
-    let deployment = Deployment::with_plugins(&grid, |id, _| {
-        if id.index() % 2 == 0 {
-            Box::new(HeuristicPlugin(Heuristic::Knapsack))
-        } else {
-            Box::new(UnavailablePlugin)
+    let (ns, nm) = (7, 12);
+    let h = Heuristic::Knapsack;
+    let full = grid_performance(&grid, h, ns, nm);
+    for down in 1..(1u32 << grid.len()) - 1 {
+        let up = |id: ClusterId| down & (1 << id.0) == 0;
+        let survivors = Grid::from_clusters(
+            grid.iter()
+                .filter(|&(id, _)| up(id))
+                .map(|(_, c)| c.clone())
+                .collect(),
+        );
+        let report = run_protocol(&survivors, h, ns, nm, 1).expect("a cluster remains");
+
+        let mut vectors = full.clone();
+        for v in vectors.iter_mut().filter(|v| !up(v.cluster)) {
+            v.makespans.fill(f64::INFINITY);
         }
-    });
-    let report = deployment
-        .client()
-        .submit(7, 12)
-        .expect("three clusters remain");
-    let total: usize = report.reports.iter().map(|r| r.scenarios.len()).sum();
-    assert_eq!(total, 7);
-    for rep in &report.reports {
-        if rep.cluster.index() % 2 == 1 {
-            assert!(rep.scenarios.is_empty(), "down cluster got work");
+        let plan = repartition(&vectors);
+        let outcome =
+            execute_repartition(&grid, &plan, h, nm, &GridConfig::default(), &mut NullTracer)
+                .expect("plan feasible");
+        assert_eq!(report.reports.len(), survivors.len());
+        for rep in &report.reports {
+            let name = &survivors.cluster(rep.cluster).name;
+            let (id, _) = grid
+                .iter()
+                .find(|(_, c)| &c.name == name)
+                .expect("a grid cluster");
+            assert_eq!(
+                rep.scenarios,
+                plan.scenarios_of(id),
+                "down {down:05b}, {name}"
+            );
+            assert_eq!(
+                rep.makespan.to_bits(),
+                outcome.clusters[id.index()].makespan().to_bits(),
+                "down {down:05b}, {name}"
+            );
         }
+        assert_eq!(report.makespan.to_bits(), outcome.makespan.to_bits());
+        let placed: usize = report.reports.iter().map(|r| r.scenarios.len()).sum();
+        assert_eq!(placed, ns as usize);
     }
+}
+
+#[test]
+fn empty_grid_answers_oa005() {
+    let refusal = run_protocol(&Grid::new(), Heuristic::Knapsack, 3, 12, 1).unwrap_err();
+    assert_eq!(refusal.code, "OA005", "{refusal}");
 }
 
 #[test]
 fn single_cluster_grid_degenerates_to_local_scheduling() {
     let grid = benchmark_grid(53).take(1);
-    let deployment = Deployment::new(&grid, Heuristic::Knapsack);
-    let report = deployment.client().submit(10, 120).expect("usable");
+    let report = run_protocol(&grid, Heuristic::Knapsack, 10, 120, 1).expect("usable");
     let local = Heuristic::Knapsack
         .makespan(
             Instance::new(10, 120, 53),
             &grid.cluster(ClusterId(0)).timing,
         )
         .expect("feasible");
-    assert!((report.makespan - local).abs() < 1e-6);
+    assert_eq!(report.makespan.to_bits(), local.to_bits());
 }
