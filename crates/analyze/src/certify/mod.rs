@@ -52,6 +52,7 @@
 //! further `w` of slack absorbs the phase boundaries.
 
 use oa_platform::timing::TimingTable;
+use oa_sched::estimate::{makespan_floor, FLOOR_SLACK};
 use oa_sched::grouping::Grouping;
 use oa_sched::params::Instance;
 use oa_sched::policy::{CampaignConfig, FaultPlan, Granularity};
@@ -59,11 +60,6 @@ use oa_sched::time::{exact_ticks, is_tick_exact, TimeInterval, MAX_EXACT_SECS};
 use oa_workflow::task::{CD_SECS, COF_SECS, EMF_SECS, FUSED_POST_SECS, FUSED_PRE_SECS, MIN_PROCS};
 
 use crate::diag::{Diagnostic, Report, RuleCode};
-
-/// Relative slack the bracket check grants the engine's accumulated
-/// float arithmetic: the interval is analytic (products), the simulated
-/// clock is a long sum, and the two may disagree in the last few ulps.
-const BRACKET_SLACK: f64 = 1e-9;
 
 /// What the certifier proves about one campaign before it runs.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,18 +87,17 @@ impl Certificate {
     }
 }
 
-/// Per-group main durations and the post-step triple, computed exactly
-/// as the engine computes them (bitwise: the unfused `(t − pre) + pre`
-/// round-trip is deliberate — tick-exactness must be judged on the
-/// *same float* the event loop will add to its clock).
-fn durations(
-    table: &TimingTable,
-    grouping: &Grouping,
+/// The per-size main duration and the post-step triple, computed
+/// exactly as the engine computes them (bitwise: the unfused
+/// `(t − pre) + pre` round-trip is deliberate — tick-exactness must be
+/// judged on the *same float* the event loop will add to its clock).
+fn durations<'a>(
+    table: &'a TimingTable,
     config: &CampaignConfig,
-) -> (Vec<f64>, [f64; 3]) {
-    let trow = table.main_array();
+) -> (impl Fn(u32) -> f64 + 'a, [f64; 3]) {
     let tp = table.post_secs();
-    let (steps, pre) = match config.granularity {
+    let granularity = config.granularity;
+    let (steps, pre) = match granularity {
         Granularity::Fused => ([tp, 0.0, 0.0], 0.0),
         Granularity::Unfused => {
             let speed = tp / FUSED_POST_SECS;
@@ -112,18 +107,14 @@ fn durations(
             )
         }
     };
-    let durs = grouping
-        .groups()
-        .iter()
-        .map(|&g| {
-            let t = trow[(g - MIN_PROCS) as usize];
-            match config.granularity {
-                Granularity::Fused => t,
-                Granularity::Unfused => (t - pre) + pre,
-            }
-        })
-        .collect();
-    (durs, steps)
+    let dur = move |g: u32| {
+        let t = table.main_array()[(g - MIN_PROCS) as usize];
+        match granularity {
+            Granularity::Fused => t,
+            Granularity::Unfused => (t - pre) + pre,
+        }
+    };
+    (dur, steps)
 }
 
 /// Certifies one campaign: static makespan bounds plus the
@@ -144,26 +135,17 @@ pub fn certify(
     grouping
         .validate(inst)
         .expect("certify requires a valid grouping");
-    let (durs, steps) = durations(table, grouping, config);
+    let (dur, steps) = durations(table, config);
+    let durs: Vec<f64> = grouping.groups().iter().map(|&g| dur(g)).collect();
     let k = durs.len() as f64;
     let n = inst.nbtasks() as f64;
     let nm = f64::from(inst.nm);
     let p = grouping.total_procs() as f64;
     let w: f64 = steps.iter().sum();
 
-    let d_min = durs.iter().copied().fold(f64::INFINITY, f64::min);
     let d_max = durs.iter().copied().fold(0.0f64, f64::max);
     let rate: f64 = durs.iter().map(|&d| 1.0 / d).sum();
-    let min_area = grouping
-        .groups()
-        .iter()
-        .zip(&durs)
-        .map(|(&g, &d)| f64::from(g) * d)
-        .fold(f64::INFINITY, f64::min);
-
-    let lo = (nm * d_min + w)
-        .max(n / rate + w)
-        .max((n * min_area + n * w) / p);
+    let lo = makespan_floor(inst, grouping, w, dur);
     let bounds = if plan.is_empty() {
         let hi = (n + k) / rate + nm * d_max + n * w / p + 2.0 * w;
         TimeInterval::new(lo, hi)
@@ -207,8 +189,10 @@ pub fn certify(
 /// makespan to certify.
 #[must_use]
 pub fn check_bounds(cert: &Certificate, makespan: f64) -> Option<Diagnostic> {
-    let lo = cert.bounds.lo * (1.0 - BRACKET_SLACK);
-    let hi = cert.bounds.hi * (1.0 + BRACKET_SLACK);
+    // The interval is analytic (products), the simulated clock a long
+    // sum: both ends grant the floor's relative slack.
+    let lo = cert.bounds.lo * (1.0 - FLOOR_SLACK);
+    let hi = cert.bounds.hi * (1.0 + FLOOR_SLACK);
     if makespan >= lo && makespan <= hi {
         return None;
     }

@@ -130,11 +130,13 @@ pub fn default_workers() -> usize {
 
 /// Wall-clock recorder behind `results/BENCH_sweeps.json`: each figure
 /// binary wraps its sweep phases in [`SweepRecorder::phase`] and calls
-/// [`SweepRecorder::finish`], which merges one `{jobs, nproc, phases,
-/// total_secs}` entry into the per-binary history (replacing any prior
-/// entry recorded at the same worker count, so a `--jobs 1` baseline
-/// and a `--jobs N` run coexist for before/after comparison). `nproc`
-/// is the recording host's available parallelism.
+/// [`SweepRecorder::finish`], which merges one `{jobs, nproc, commit,
+/// phases, total_secs}` entry into the per-binary history, replacing
+/// any prior entry recorded at the same worker count on the same
+/// commit. A `--jobs 1` and a `--jobs N` run coexist, and so do a
+/// commit's run and its parent's, for before/after comparison. `nproc`
+/// is the recording host's available parallelism and `commit` comes
+/// from [`commit`].
 pub struct SweepRecorder {
     binary: &'static str,
     jobs: usize,
@@ -166,9 +168,11 @@ impl SweepRecorder {
 
     /// Writes the recorded entry into `results/BENCH_sweeps.json`.
     pub fn finish(self) {
+        let commit = commit();
         let entry = Value::Object(vec![
             ("jobs".into(), Value::U64(self.jobs as u64)),
             ("nproc".into(), Value::U64(oa_par::available_jobs() as u64)),
+            ("commit".into(), Value::Str(commit.clone())),
             (
                 "phases".into(),
                 Value::Array(
@@ -196,7 +200,7 @@ impl SweepRecorder {
             .and_then(|s| serde_json::from_str::<Value>(&s).ok())
             .filter(|v| matches!(v, Value::Object(_)))
             .unwrap_or(Value::Object(Vec::new()));
-        merge_sweep_entry(&mut root, self.binary, self.jobs, entry);
+        merge_sweep_entry(&mut root, self.binary, self.jobs, &commit, entry);
 
         if let Err(e) = std::fs::create_dir_all("results") {
             eprintln!("warning: cannot create results/: {e}");
@@ -217,8 +221,9 @@ impl SweepRecorder {
 
 /// Inserts one recorded run into the `BENCH_sweeps.json` tree,
 /// replacing any prior entry for the same binary at the same worker
-/// count so repeated runs stay one-entry-per-jobs.
-fn merge_sweep_entry(root: &mut Value, binary: &str, jobs: usize, entry: Value) {
+/// count on the same commit, so repeated runs stay one entry per
+/// (jobs, commit).
+fn merge_sweep_entry(root: &mut Value, binary: &str, jobs: usize, commit: &str, entry: Value) {
     let Value::Object(binaries) = root else {
         unreachable!("sweep root is always an object");
     };
@@ -233,8 +238,8 @@ fn merge_sweep_entry(root: &mut Value, binary: &str, jobs: usize, entry: Value) 
         *runs = Value::Array(Vec::new());
     }
     if let Value::Array(entries) = runs {
-        let same_jobs = Value::U64(jobs as u64);
-        entries.retain(|e| e.get("jobs") != Some(&same_jobs));
+        let same = (Value::U64(jobs as u64), Value::Str(commit.to_string()));
+        entries.retain(|e| (e.get("jobs"), e.get("commit")) != (Some(&same.0), Some(&same.1)));
         entries.push(entry);
     }
 }
@@ -260,9 +265,38 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
 }
 
 /// The checked-out commit, read from `.git` in the working directory
-/// (a loose ref or `packed-refs`); `"unknown"` outside a git checkout.
-/// BENCH files record it next to `nproc`.
+/// (a loose ref or `packed-refs`), with `-dirty` appended when `git
+/// status` lists a tracked file outside `results/` that differs from
+/// it (the `git describe --dirty` convention); `"unknown"` outside a
+/// git checkout. BENCH files record it next to `nproc`.
 pub fn commit() -> String {
+    let head = checked_out();
+    if head != "unknown" && worktree_dirty() {
+        format!("{head}-dirty")
+    } else {
+        head
+    }
+}
+
+/// Whether the measured code differs from the checked-out commit;
+/// `false` when git cannot run. Bench binaries rewrite `results/`, so
+/// that directory does not count.
+fn worktree_dirty() -> bool {
+    std::process::Command::new("git")
+        .args([
+            "status",
+            "--porcelain",
+            "--untracked-files=no",
+            "--",
+            ".",
+            ":!results",
+        ])
+        .output()
+        .is_ok_and(|out| out.status.success() && !out.stdout.is_empty())
+}
+
+/// The commit `.git/HEAD` names, or `"unknown"`.
+fn checked_out() -> String {
     let read = |path: &str| {
         std::fs::read_to_string(path)
             .ok()
@@ -372,28 +406,41 @@ mod tests {
         assert_eq!(row(&["a".into(), "bb".into()], &[3, 4]), "  a   bb");
     }
 
-    fn entry(jobs: u64, secs: f64) -> Value {
+    fn entry(jobs: u64, commit: &str, secs: f64) -> Value {
         Value::Object(vec![
             ("jobs".into(), Value::U64(jobs)),
+            ("commit".into(), Value::Str(commit.into())),
             ("total_secs".into(), Value::F64(secs)),
         ])
     }
 
     #[test]
-    fn merge_replaces_same_jobs_entry() {
+    fn merge_replaces_same_jobs_and_commit_entry() {
         let mut root = Value::Object(Vec::new());
-        merge_sweep_entry(&mut root, "fig8_gains", 1, entry(1, 10.0));
-        merge_sweep_entry(&mut root, "fig8_gains", 4, entry(4, 3.0));
-        merge_sweep_entry(&mut root, "fig8_gains", 4, entry(4, 2.5));
-        merge_sweep_entry(&mut root, "sensitivity", 4, entry(4, 7.0));
+        let mut merge = |binary, jobs, commit, secs| {
+            merge_sweep_entry(
+                &mut root,
+                binary,
+                jobs,
+                commit,
+                entry(jobs as u64, commit, secs),
+            );
+        };
+        merge("fig8_gains", 1, "a", 10.0);
+        merge("fig8_gains", 4, "a", 3.0);
+        merge("fig8_gains", 4, "a", 2.5);
+        merge("fig8_gains", 4, "b", 2.0);
+        merge("sensitivity", 4, "a", 7.0);
 
         let runs = root.get("fig8_gains").expect("binary recorded");
         let Value::Array(entries) = runs else {
             panic!("runs must be an array");
         };
-        assert_eq!(entries.len(), 2, "same-jobs rerun replaces, not appends");
-        assert_eq!(entries[0], entry(1, 10.0));
-        assert_eq!(entries[1], entry(4, 2.5));
+        assert_eq!(
+            entries,
+            &[entry(1, "a", 10.0), entry(4, "a", 2.5), entry(4, "b", 2.0)],
+            "a rerun at the same jobs and commit replaces, another commit appends"
+        );
         assert!(root.get("sensitivity").is_some());
     }
 }

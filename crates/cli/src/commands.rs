@@ -167,14 +167,11 @@ fn policy_of(args: &Args) -> Result<ScenarioPolicy, CliError> {
 }
 
 fn recovery_of(args: &Args) -> Result<Recovery, CliError> {
-    Ok(match args.str_or("recovery", "checkpoint").as_str() {
-        "checkpoint" | "monthly" => Recovery::MonthlyCheckpoint,
-        "restart" => Recovery::RestartScenario,
-        other => {
-            return Err(CliError::Domain(format!(
-                "unknown recovery {other:?}; try checkpoint or restart"
-            )))
-        }
+    let name = args.str_or("recovery", "checkpoint");
+    Recovery::parse(&name).ok_or_else(|| {
+        CliError::Domain(format!(
+            "unknown recovery {name:?}; try checkpoint or restart"
+        ))
     })
 }
 
@@ -2039,6 +2036,14 @@ mod tests {
             (&["grid", "--resources", "3"], small(3)),
             (&["campaign", "--resources", "0"], small(0)),
             (&["plan", "--r", "3"], small(3)),
+            (
+                &["sim", "--recovery", "bogus"],
+                "unknown recovery \"bogus\"; try checkpoint or restart".to_string(),
+            ),
+            (
+                &["submit", "--session", "s", "--recovery", "bogus"],
+                "[PROTO003] unknown recovery \"bogus\"".to_string(),
+            ),
             (
                 &[
                     "campaign",

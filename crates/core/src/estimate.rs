@@ -148,6 +148,64 @@ pub fn estimate(
     Planner::pcr(table).estimate(inst, grouping)
 }
 
+/// Relative slack a floor test grants a simulated makespan: the floor
+/// is a few products, a makespan a long float sum, and the two may
+/// disagree in the last ulps. A makespan below `floor·(1 − FLOOR_SLACK)`
+/// means one of the two models is wrong.
+pub const FLOOR_SLACK: f64 = 1e-9;
+
+/// A floor under every makespan of `inst` on a valid `grouping` whose
+/// groups of `g` processors take `dur(g)` per main task and whose
+/// every month trails `w` seconds of one-processor post work. Write
+/// `N = NS·NM`, `d_i` for group `i`'s duration and `P` for the
+/// grouping's processors. The floor is the largest of three bounds,
+/// each of which holds for any execution, faulty or not, because
+/// faults only destroy work:
+///
+/// * chain: some scenario runs its `NM` months one after another, none
+///   faster than `d_min`, and its last post trails: `NM·d_min + w`;
+/// * throughput: `N` month completions at an aggregate rate of at most
+///   `Σ 1/d_i`: `N/Σ(1/d_i) + w`;
+/// * area: at least `N·min_i(g_i·d_i) + N·w` processor-seconds of work
+///   on `P` processors.
+///
+/// Compare it with a makespan through [`FLOOR_SLACK`]. The certifier's
+/// lower bound and the planner's candidate pruning both read this one
+/// function.
+///
+/// ```
+/// use oa_platform::speedup::PcrModel;
+/// use oa_sched::estimate::{estimate, makespan_floor, FLOOR_SLACK};
+/// use oa_sched::{grouping::Grouping, params::Instance};
+///
+/// let table = PcrModel::reference().table(1.0).unwrap();
+/// let inst = Instance::new(10, 1800, 53);
+/// let grouping = Grouping::new(vec![8, 8, 8, 7, 7, 7, 7], 1);
+/// let floor = makespan_floor(inst, &grouping, table.post_secs(), |g| table.main_secs(g));
+/// let e = estimate(inst, &table, &grouping).unwrap();
+/// assert!(floor * (1.0 - FLOOR_SLACK) <= e.makespan);
+/// ```
+pub fn makespan_floor(
+    inst: Instance,
+    grouping: &Grouping,
+    w: f64,
+    dur: impl Fn(u32) -> f64,
+) -> f64 {
+    let sizes = grouping.groups();
+    let n = inst.nbtasks() as f64;
+    let nm = f64::from(inst.nm);
+    let p = grouping.total_procs() as f64;
+    let d_min = sizes.iter().map(|&g| dur(g)).fold(f64::INFINITY, f64::min);
+    let rate: f64 = sizes.iter().map(|&g| 1.0 / dur(g)).sum();
+    let min_area = sizes
+        .iter()
+        .map(|&g| f64::from(g) * dur(g))
+        .fold(f64::INFINITY, f64::min);
+    (nm * d_min + w)
+        .max(n / rate + w)
+        .max((n * min_area + n * w) / p)
+}
+
 /// Runs the event loop on a validated `grouping` of `inst`: a group of
 /// `g` processors takes `dur(g)` per main task, and each post takes
 /// `tp` on one processor.

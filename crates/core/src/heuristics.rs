@@ -10,7 +10,9 @@
 //! * [`Heuristic::NoPostReservation`] (Improvement 2) — reserve nothing
 //!   for post-processing: for each candidate `G` give *all* leftover
 //!   processors to the groups and run every post task at the end;
-//!   candidates are compared with the event estimator.
+//!   candidates are compared with the event estimator, each distinct
+//!   one at most once, cheapest makespan floor first, none whose floor
+//!   exceeds the best makespan so far.
 //! * [`Heuristic::Knapsack`] (Improvement 3, the paper's best) — pick
 //!   the multiset of group sizes by the exact bounded-knapsack DP
 //!   maximizing `Σ 1/T[G]` under `Σ G·n_G ≤ R` and `Σ n_G ≤ NS`;
@@ -147,8 +149,8 @@ impl Heuristic {
     /// the `G ∈ {4..11}` analytic evaluation, the Improvement-2
     /// estimator sweep and the per-group-count knapsacks of
     /// [`Heuristic::Balanced`] — fanned out on `pool`. Candidates are
-    /// generated and reduced in the same order as the serial path
-    /// (strict-less on the simulated makespan), so the chosen grouping
+    /// generated in the same order as the serial path and reduced to
+    /// the least `(simulated makespan, index)`, so the chosen grouping
     /// is bit-identical for any job count.
     pub fn grouping_with(
         self,
@@ -258,7 +260,9 @@ fn redistribute_idle(
 
 /// The candidates Improvement 2 scores: for each `G` with
 /// `nbmax(G) > 0`, `nbmax` groups of `G` enlarged evenly (capped at 11)
-/// by every leftover processor.
+/// by every leftover processor. The enlargement ends at the same
+/// grouping from every `G` with the same `nbmax`, so the list repeats
+/// itself; the planner scores each distinct grouping at most once.
 pub fn no_post_candidates(inst: Instance) -> Vec<Grouping> {
     uniform(MoldableSpec::pcr(), inst)
         .map(|cand| {

@@ -23,7 +23,7 @@
 //!   bitwise-equal to the batch greedy (the planning core of
 //!   `oa-service`);
 //! * [`memo`] — the cross-variant planning memo: retained knapsack DP
-//!   tables and a makespan cache keyed by timing fingerprint, bitwise
+//!   tables and a makespan cache keyed by timing table, bitwise
 //!   equal to the uncached heuristics (the pricing core of mass-batch
 //!   sweeps and `oa-service` `ClusterJoin`);
 //! * [`policy`] — campaign policy knobs shared by every event loop:
@@ -78,7 +78,7 @@ pub mod prelude {
     };
     pub use crate::heuristics::{gain_pct, Heuristic, HeuristicError};
     pub use crate::incremental::{Departure, IncrementalRepartition, Rebalance};
-    pub use crate::memo::{table_fingerprint, MemoStats, PlanMemo};
+    pub use crate::memo::{MemoStats, PlanMemo};
     pub use crate::params::Instance;
     pub use crate::policy::{
         CampaignConfig, FaultPlan, Granularity, Recovery, ScenarioPolicy, ScenarioQueue,

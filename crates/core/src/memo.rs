@@ -8,7 +8,7 @@
 //! cluster with the same hardware profile repeats all of it. Two layers
 //! of sharing remove the redundancy without changing a single bit:
 //!
-//! 1. **A retained knapsack table per timing fingerprint** —
+//! 1. **A retained knapsack table per timing table** —
 //!    [`oa_knapsack::DpTable`] runs the exact bounded-cardinality DP
 //!    once over the full `(R, saturated-NS)` rectangle; every
 //!    sub-instance (±1-delta neighbours included) is then answered by
@@ -16,11 +16,16 @@
 //!    reconstructed selection bitwise-identical to the per-instance
 //!    `solve_dp` the heuristic would have run, and the heuristic's own
 //!    reconstruction turns it into the grouping.
-//! 2. **A makespan cache keyed `(fingerprint, heuristic, R, NS, NM)`**
-//!    — each entry is a pure function of its key, so cache hits are
+//! 2. **A makespan cache keyed `(table, heuristic, R, NS, NM)`** —
+//!    each entry is a pure function of its key, so cache hits are
 //!    bitwise replays regardless of query history or job count.
 //!
-//! Determinism: both maps are `BTreeMap`s, population order never
+//! Both live in one entry per timing table, keyed by the bit patterns
+//! of its nine durations, not by a hash of them: a hash collision
+//! would silently replay another table's makespan or knapsack
+//! selection.
+//!
+//! Determinism: every map is a `BTreeMap`, population order never
 //! affects values (pure keys), and [`PlanMemo::performance_vector`]
 //! stitches results back in scenario-count order exactly like
 //! [`crate::hetero::performance_vector_with`].
@@ -38,29 +43,18 @@ use crate::heuristics::{Heuristic, HeuristicError};
 use crate::params::Instance;
 use crate::planner::Planner;
 
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// A timing table's memo key: the bit patterns of its eight main
+/// durations and its post duration. Every planning decision reads the
+/// table only through these nine numbers, so tables with equal keys
+/// plan alike, and tables that differ in any bit never share an entry.
+type TableKey = [u64; 9];
 
-/// A collision-free-in-practice identity for a timing table: FNV-1a
-/// over the bit patterns of the eight main durations and the post
-/// duration. Tables that hash alike plan alike — every planning
-/// decision reads the table only through these nine numbers.
-#[must_use]
-pub fn table_fingerprint(table: &TimingTable) -> u64 {
-    let mut h = FNV_OFFSET;
-    let mut eat = |v: f64| {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
-    for &m in table.main_array() {
-        eat(m);
+fn table_key(table: &TimingTable) -> TableKey {
+    let mut key = [table.post_secs().to_bits(); 9];
+    for (k, m) in key.iter_mut().zip(table.main_array()) {
+        *k = m.to_bits();
     }
-    eat(table.post_secs());
-    h
+    key
 }
 
 /// Hit/miss counters of a [`PlanMemo`]; observability only — they
@@ -71,12 +65,12 @@ pub struct MemoStats {
     pub hits: u64,
     /// Makespan queries that had to be computed.
     pub misses: u64,
-    /// Retained DP tables built (one per fingerprint × capacity bump).
+    /// Retained DP tables built (one per timing table × capacity bump).
     pub dp_builds: u64,
 }
 
-/// Cache key: `(table fingerprint, heuristic, R, NS, NM)`.
-type MakespanKey = (u64, u8, u32, u32, u32);
+/// Cache key within one table's entries: `(heuristic, R, NS, NM)`.
+type MakespanKey = (u8, u32, u32, u32);
 
 fn heuristic_tag(h: Heuristic) -> u8 {
     match h {
@@ -89,16 +83,23 @@ fn heuristic_tag(h: Heuristic) -> u8 {
     }
 }
 
+/// What the memo retains for one timing table.
+#[derive(Debug, Default)]
+struct TableMemo {
+    /// The retained knapsack DP table, once a knapsack was asked for.
+    dp: Option<DpTable>,
+    /// Makespan cache; values are `f64` bit patterns (`+∞` encodes
+    /// "priced out": the cluster cannot run that many scenarios).
+    makespans: BTreeMap<MakespanKey, u64>,
+}
+
 /// The planning memo. One instance is typically owned by a service
 /// daemon or a batch executor and shared across every variant/cluster
 /// it plans for.
 #[derive(Debug, Default)]
 pub struct PlanMemo {
-    /// Retained knapsack DP tables, keyed by timing fingerprint.
-    dp: BTreeMap<u64, DpTable>,
-    /// Makespan cache; values are `f64` bit patterns (`+∞` encodes
-    /// "priced out": the cluster cannot run that many scenarios).
-    makespans: BTreeMap<MakespanKey, u64>,
+    /// Everything retained, per timing table.
+    tables: BTreeMap<TableKey, TableMemo>,
     stats: MemoStats,
 }
 
@@ -120,25 +121,6 @@ impl PlanMemo {
         self.stats = MemoStats::default();
     }
 
-    /// Ensures the retained DP table for `table` covers at least
-    /// `resources` capacity, (re)building it if not. The cardinality
-    /// axis is built at its saturation point `capacity / min_cost`, so
-    /// any `NS` can be answered via the clamp.
-    fn ensure_dp(&mut self, fp: u64, table: &TimingTable, resources: u32) {
-        let needs_build = match self.dp.get(&fp) {
-            Some(t) => t.capacity() < resources,
-            None => true,
-        };
-        if needs_build {
-            let cap = resources.max(self.dp.get(&fp).map_or(0, DpTable::capacity));
-            let planner = Planner::pcr(table);
-            let card = cap / planner.range.min_procs;
-            let items = planner.items(card.max(1));
-            self.dp.insert(fp, DpTable::build(items, cap, card));
-            self.stats.dp_builds += 1;
-        }
-    }
-
     /// The knapsack heuristic's grouping for `inst`, answered from the
     /// retained DP table — bitwise-identical to
     /// `Heuristic::Knapsack.grouping(inst, table)`.
@@ -147,9 +129,8 @@ impl PlanMemo {
         inst: Instance,
         table: &TimingTable,
     ) -> Result<Grouping, HeuristicError> {
-        let fp = table_fingerprint(table);
-        self.ensure_dp(fp, table, inst.r);
-        let dp = self.dp.get(&fp).expect("ensured above");
+        let memo = self.tables.entry(table_key(table)).or_default();
+        let dp = retained_dp(&mut memo.dp, table, inst.r, &mut self.stats);
         knapsack_grouping_from(dp, inst, table)
     }
 
@@ -158,21 +139,20 @@ impl PlanMemo {
     /// misses compute exactly what
     /// [`Heuristic::makespan`] would and remember it.
     pub fn makespan(&mut self, heuristic: Heuristic, inst: Instance, table: &TimingTable) -> f64 {
-        let fp = table_fingerprint(table);
-        let key = (fp, heuristic_tag(heuristic), inst.r, inst.ns, inst.nm);
-        if let Some(&bits) = self.makespans.get(&key) {
+        let TableMemo { dp, makespans } = self.tables.entry(table_key(table)).or_default();
+        let key = (heuristic_tag(heuristic), inst.r, inst.ns, inst.nm);
+        if let Some(&bits) = makespans.get(&key) {
             self.stats.hits += 1;
             return f64::from_bits(bits);
         }
         self.stats.misses += 1;
         let ms = if heuristic == Heuristic::Knapsack {
-            self.ensure_dp(fp, table, inst.r);
-            let dp = self.dp.get(&fp).expect("ensured above");
+            let dp = retained_dp(dp, table, inst.r, &mut self.stats);
             knapsack_makespan_from(dp, inst, table)
         } else {
             heuristic.makespan(inst, table).unwrap_or(f64::INFINITY)
         };
-        self.makespans.insert(key, ms.to_bits());
+        makespans.insert(key, ms.to_bits());
         ms
     }
 
@@ -192,18 +172,16 @@ impl PlanMemo {
         nm: u32,
         pool: &Pool,
     ) -> PerformanceVector {
-        let fp = table_fingerprint(table);
-        let tag = heuristic_tag(heuristic);
+        let TableMemo { dp, makespans } = self.tables.entry(table_key(table)).or_default();
+        let key = |k| (heuristic_tag(heuristic), resources, k, nm);
         let misses: Vec<u32> = (1..=ns)
-            .filter(|&k| !self.makespans.contains_key(&(fp, tag, resources, k, nm)))
+            .filter(|&k| !makespans.contains_key(&key(k)))
             .collect();
         self.stats.hits += u64::from(ns) - misses.len() as u64;
         self.stats.misses += misses.len() as u64;
         if !misses.is_empty() {
-            if heuristic == Heuristic::Knapsack {
-                self.ensure_dp(fp, table, resources);
-            }
-            let dp = (heuristic == Heuristic::Knapsack).then(|| &self.dp[&fp]);
+            let dp = (heuristic == Heuristic::Knapsack)
+                .then(|| retained_dp(dp, table, resources, &mut self.stats));
             let computed = pool.par_map(&misses, |&k| {
                 let inst = Instance::new(k, nm, resources);
                 match dp {
@@ -212,15 +190,36 @@ impl PlanMemo {
                 }
             });
             for (&k, &ms) in misses.iter().zip(&computed) {
-                self.makespans
-                    .insert((fp, tag, resources, k, nm), ms.to_bits());
+                makespans.insert(key(k), ms.to_bits());
             }
         }
         let makespans = (1..=ns)
-            .map(|k| f64::from_bits(self.makespans[&(fp, tag, resources, k, nm)]))
+            .map(|k| f64::from_bits(makespans[&key(k)]))
             .collect();
         PerformanceVector { cluster, makespans }
     }
+}
+
+/// The retained DP table in `slot`, (re)built first unless it covers at
+/// least `resources` capacity. The cardinality axis is built at its
+/// saturation point `capacity / min_cost`, so any `NS` can be answered
+/// via the clamp.
+fn retained_dp<'a>(
+    slot: &'a mut Option<DpTable>,
+    table: &TimingTable,
+    resources: u32,
+    stats: &mut MemoStats,
+) -> &'a DpTable {
+    let built = slot.as_ref().map_or(0, DpTable::capacity);
+    if slot.is_none() || built < resources {
+        let cap = resources.max(built);
+        let planner = Planner::pcr(table);
+        let card = cap / planner.range.min_procs;
+        let items = planner.items(card.max(1));
+        stats.dp_builds += 1;
+        return slot.insert(DpTable::build(items, cap, card));
+    }
+    slot.as_ref().expect("covers the request")
 }
 
 /// `Heuristic::Knapsack.grouping` answered from a retained table.
@@ -256,11 +255,23 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_distinguishes_tables() {
+    fn tables_one_bit_apart_miss_separately() {
         let a = table();
-        let b = PcrModel::reference().table(2.0).unwrap();
-        assert_ne!(table_fingerprint(&a), table_fingerprint(&b));
-        assert_eq!(table_fingerprint(&a), table_fingerprint(&table()));
+        let mut main = *a.main_array();
+        main[7] = f64::from_bits(main[7].to_bits() ^ 1);
+        let b = TimingTable::new(main, a.post_secs()).unwrap();
+        let inst = Instance::new(10, 60, 53);
+        let mut memo = PlanMemo::new();
+        for h in [Heuristic::Basic, Heuristic::Knapsack] {
+            let want_a = h.makespan(inst, &a).unwrap();
+            let want_b = h.makespan(inst, &b).unwrap();
+            assert_eq!(memo.makespan(h, inst, &a).to_bits(), want_a.to_bits());
+            assert_eq!(memo.makespan(h, inst, &b).to_bits(), want_b.to_bits());
+            assert_eq!(memo.makespan(h, inst, &table()).to_bits(), want_a.to_bits());
+        }
+        let stats = memo.stats();
+        assert_eq!((stats.misses, stats.hits), (4, 2), "{stats:?}");
+        assert_eq!(stats.dp_builds, 2, "one knapsack table per timing table");
     }
 
     #[test]

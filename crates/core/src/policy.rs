@@ -181,6 +181,26 @@ pub enum Recovery {
     RestartScenario,
 }
 
+impl Recovery {
+    /// The names `oa`, the service's `Submit` and a batch spec accept:
+    /// each model's canonical name first, then its aliases.
+    const NAMES: [(&'static str, Recovery); 5] = [
+        ("checkpoint", Recovery::MonthlyCheckpoint),
+        ("monthly", Recovery::MonthlyCheckpoint),
+        ("monthly-checkpoint", Recovery::MonthlyCheckpoint),
+        ("restart", Recovery::RestartScenario),
+        ("restart-scenario", Recovery::RestartScenario),
+    ];
+
+    /// Parses a recovery name or alias (`checkpoint`, `restart`, …).
+    pub fn parse(s: &str) -> Option<Self> {
+        Self::NAMES
+            .into_iter()
+            .find(|&(n, _)| n == s)
+            .map(|(_, r)| r)
+    }
+}
+
 /// A failure plan: `(group index, time)` pairs. Group indices refer to
 /// the canonical (descending-size) order of the grouping.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -271,6 +291,20 @@ mod tests {
             assert_eq!(ScenarioPolicy::parse(p.label()), Some(p));
         }
         assert_eq!(ScenarioPolicy::parse("bogus"), None);
+    }
+
+    #[test]
+    fn recovery_names_and_aliases_parse() {
+        for (name, want) in Recovery::NAMES {
+            assert_eq!(Recovery::parse(name), Some(want), "{name}");
+        }
+        assert_eq!(
+            Recovery::parse("checkpoint"),
+            Some(Recovery::MonthlyCheckpoint)
+        );
+        assert_eq!(Recovery::parse("restart"), Some(Recovery::RestartScenario));
+        assert_eq!(Recovery::parse("Checkpoint"), None);
+        assert_eq!(Recovery::parse("bogus"), None);
     }
 
     #[test]

@@ -142,16 +142,8 @@ pub fn parse_submission(
             ))
         }
     };
-    let recovery = match recovery {
-        "checkpoint" => Recovery::MonthlyCheckpoint,
-        "restart" => Recovery::RestartScenario,
-        other => {
-            return Err(Refusal::new(
-                codes::BAD_FIELD,
-                format!("unknown recovery {other:?}"),
-            ))
-        }
-    };
+    let recovery = Recovery::parse(recovery)
+        .ok_or_else(|| Refusal::new(codes::BAD_FIELD, format!("unknown recovery {recovery:?}")))?;
     let plan = parse_kills(kills)?;
     if !deadline.is_finite() || deadline < 0.0 {
         return Err(Refusal::new(

@@ -286,11 +286,9 @@ impl BatchSpec {
                 .ok_or_else(|| parse_err(format!("unknown heuristic {name}")))?;
         }
         if let Some(r) = v.get("recovery") {
-            spec.recovery = match val_str(r) {
-                Some("monthly-checkpoint") => Recovery::MonthlyCheckpoint,
-                Some("restart-scenario") => Recovery::RestartScenario,
-                _ => return Err(parse_err(format!("unknown recovery {r:?}"))),
-            };
+            spec.recovery = val_str(r)
+                .and_then(Recovery::parse)
+                .ok_or_else(|| parse_err(format!("unknown recovery {r:?}")))?;
         }
         if let Some(n) = v.get("variants") {
             spec.variants_per_shape = val_u64(n)
@@ -869,11 +867,23 @@ mod tests {
         assert_eq!(spec.shape_count(), 4);
         assert_eq!(spec.variant_count(), 400);
         assert_eq!(spec.heuristic, Heuristic::Basic);
+        // Recovery names are `Submit`'s and `oa`'s, aliases included.
+        for (name, want) in [
+            ("checkpoint", Recovery::MonthlyCheckpoint),
+            ("monthly-checkpoint", Recovery::MonthlyCheckpoint),
+            ("restart", Recovery::RestartScenario),
+            ("restart-scenario", Recovery::RestartScenario),
+        ] {
+            let v: Value = serde_json::from_str(&format!(r#"{{"recovery": "{name}"}}"#)).unwrap();
+            assert_eq!(BatchSpec::from_json(&v).unwrap().recovery, want, "{name}");
+        }
 
         for bad in [
             r#"{"variants": 0}"#,
             r#"{"max_faults": 0}"#,
             r#"{"heuristic": "nope"}"#,
+            r#"{"recovery": "nope"}"#,
+            r#"{"recovery": 1}"#,
             r#"{"policies": []}"#,
             r#"{"fault_resolution": -1.0}"#,
             r#"{"ns": [0]}"#,

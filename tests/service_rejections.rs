@@ -103,6 +103,11 @@ fn rejection_table() -> Vec<(&'static str, String, &'static str)> {
             "PROTO003",
         ),
         (
+            "unknown recovery",
+            r#"{"Submit":{"session":"x","ns":2,"nm":12,"heuristic":"knapsack","policy":"least-advanced","granularity":"fused","recovery":"bogus","kills":"","deadline":0.0}}"#.into(),
+            "PROTO003",
+        ),
+        (
             "malformed kill plan",
             submit("x", 2, 12, "knapsack", "not-a-kill", 0.0),
             "PROTO003",
