@@ -35,14 +35,23 @@
 //! until it frees, and the freed group is the only idle one: it takes
 //! the least advanced waiting scenario (its own, unless one is further
 //! behind), or — when its scenario finished and none waits — it is the
-//! surplus group and disbands. Two invariants make each step cheap:
+//! surplus group and disbands. Three invariants make each step cheap:
 //!
-//! * **Distinct keys.** Busy groups are keyed `(finish, group)` and
-//!   waiting scenarios `(months, scenario)`; no two entries of a heap
-//!   share a key. A binary heap's pop sequence is then fixed by its
-//!   key set alone, so the freed group is re-keyed in place on the
-//!   busy heap's top, and its scenario is swapped with the waiting
-//!   heap's top, instead of a pop, a push and another pop.
+//! * **Size classes.** A live group re-arms at `t + T[g]` the instant
+//!   it frees, and every group starts at 0, so groups of one size add
+//!   the same durations in the same order and share every finish
+//!   instant. The groups split into classes — maximal runs of equal
+//!   adjacent sizes, so each is a contiguous index range, sorted
+//!   grouping or not — with one clock each. The class with the least
+//!   `(clock, class index)` steps: its live groups, in index order,
+//!   take a scenario or disband, and its clock then advances once. A
+//!   re-armed group lands strictly later, so this is exactly the
+//!   `(finish, group)` order a heap of busy groups would pop.
+//! * **Distinct keys.** Waiting scenarios are keyed `(months,
+//!   scenario)`, and no two share a key. A binary heap's pop sequence
+//!   is then fixed by its key set alone, so a freed group's scenario is
+//!   swapped with the waiting heap's top in place, instead of a push
+//!   and a pop.
 //! * **Two sorted queues.** The post pool starts as the dedicated
 //!   processors (free at 0) followed by the disbanded processors in
 //!   disband order — non-decreasing. Posts are ready in completion
@@ -51,14 +60,14 @@
 //!   unused initial processors and a FIFO of post finish times, and
 //!   the earliest-free processor is the smaller of the two fronts.
 //!
-//! Both steps choose exactly what a full heap would, and every float
+//! Each step chooses exactly what a full heap would, and every float
 //! operation happens in the same order, so the five [`Estimate`]
 //! fields are bitwise those of the textbook loop (pinned by
 //! `tests/estimate_equivalence.rs`).
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
 
@@ -67,7 +76,6 @@ use oa_platform::timing::TimingTable;
 use crate::grouping::{Grouping, GroupingError};
 use crate::params::Instance;
 use crate::planner::Planner;
-use crate::time::{time_key, Time, TimeKey};
 
 /// Reusable event-loop state. Heuristic searches call [`estimate`]
 /// thousands of times per sweep point; keeping the heaps and arenas in
@@ -77,14 +85,13 @@ use crate::time::{time_key, Time, TimeKey};
 /// shares nothing.
 #[derive(Default)]
 struct Scratch {
-    /// Per-group main duration, `T[sizes[i]]`.
-    durs: Vec<f64>,
-    /// Group indices in first-assignment order: largest size first,
+    /// Size classes with a live group, in group index order.
+    classes: Vec<Class>,
+    /// Class indices in first-assignment order: largest size first,
     /// ties to the higher index.
     order: Vec<usize>,
-    /// Busy groups: (finish time, group). Min-heap on the shared key.
-    busy: BinaryHeap<TimeKey<usize>>,
-    /// Which scenario each busy group is running.
+    /// The scenario each live group runs: class `c`'s live groups, in
+    /// index order, are `running[c.start..c.start + c.live]`.
     running: Vec<u32>,
     /// Waiting scenarios: least months first. Min-heap via `Reverse`.
     waiting: BinaryHeap<Reverse<(u32, u32)>>,
@@ -95,6 +102,24 @@ struct Scratch {
     post_ready: Vec<f64>,
     /// Initial post pool: when each processor first serves posts.
     pool: Vec<f64>,
+}
+
+/// A maximal run of equal adjacent group sizes: groups that free,
+/// re-arm and finish together.
+#[derive(Clone, Copy)]
+struct Class {
+    /// The next finish instant of every live group of the class.
+    clock: f64,
+    /// Main-task duration of one group.
+    dur: f64,
+    /// Processor-seconds of one main task, `dur · size`.
+    work: f64,
+    /// Processors per group.
+    size: u32,
+    /// First slot of the class in [`Scratch::running`].
+    start: usize,
+    /// Live groups of the class.
+    live: usize,
 }
 
 thread_local! {
@@ -217,45 +242,57 @@ pub(crate) fn simulate(
 ) -> Estimate {
     SCRATCH.with(|cell| {
         let scratch = &mut *cell.borrow_mut();
-        scratch.durs.clear();
-        scratch
-            .durs
-            .extend(grouping.groups().iter().map(|&g| dur(g)));
-        run(inst, grouping, tp, scratch)
+        scratch.classes.clear();
+        let mut start = 0;
+        for same in grouping.groups().chunk_by(|a, b| a == b) {
+            let (size, d) = (same[0], dur(same[0]));
+            scratch.classes.push(Class {
+                clock: d,
+                dur: d,
+                work: d * f64::from(size),
+                size,
+                start,
+                live: same.len(),
+            });
+            start += same.len();
+        }
+        run(inst, grouping.post_procs, tp, scratch)
     })
 }
 
-/// The event loop proper, on pre-validated input and reusable state.
-fn run(inst: Instance, grouping: &Grouping, tp: f64, scratch: &mut Scratch) -> Estimate {
-    let (sizes, post_procs) = (grouping.groups(), grouping.post_procs);
+/// The event loop proper, on pre-validated input and reusable state
+/// whose classes are set up, each with every group live.
+fn run(inst: Instance, post_procs: u32, tp: f64, scratch: &mut Scratch) -> Estimate {
     let (chains, units) = (inst.ns, inst.nm);
     let Scratch {
-        durs,
+        classes,
         order,
-        busy,
         running,
         waiting,
         months_done,
         post_ready,
         pool,
     } = scratch;
-    let durs: &[f64] = durs;
-    debug_assert!(!sizes.is_empty() && sizes.len() <= chains as usize);
+    let groups = classes.last().map_or(0, |c| c.start + c.live);
+    debug_assert!(groups > 0 && groups <= chains as usize);
 
     // t = 0: groups take scenarios 0, 1, … largest group first (ties to
     // the higher index); the remaining scenarios wait.
     order.clear();
-    order.extend(0..sizes.len());
-    order.sort_unstable_by_key(|&g| Reverse((sizes[g], g)));
-    busy.clear();
+    order.extend(0..classes.len());
+    order.sort_unstable_by_key(|&c| Reverse((classes[c].size, c)));
     running.clear();
-    running.resize(sizes.len(), 0);
-    for (s, &g) in (0u32..).zip(order.iter()) {
-        running[g] = s;
-        busy.push(time_key(durs[g], g));
+    running.resize(groups, 0);
+    let mut next_scenario = 0u32;
+    for &c in order.iter() {
+        let Class { start, live, .. } = classes[c];
+        for slot in running[start..start + live].iter_mut().rev() {
+            *slot = next_scenario;
+            next_scenario += 1;
+        }
     }
     waiting.clear();
-    waiting.extend((sizes.len() as u32..chains).map(|s| Reverse((0, s))));
+    waiting.extend((groups as u32..chains).map(|s| Reverse((0, s))));
     months_done.clear();
     months_done.resize(chains as usize, 0);
     post_ready.clear();
@@ -265,34 +302,58 @@ fn run(inst: Instance, grouping: &Grouping, tp: f64, scratch: &mut Scratch) -> E
 
     let mut main_finish = 0.0f64;
     let mut main_busy = 0.0f64;
-    while let Some(mut top) = busy.peek_mut() {
-        let Reverse((Time(t), g)) = *top;
-        let s = running[g];
-        months_done[s as usize] += 1;
-        let m = months_done[s as usize];
-        main_finish = t;
-        main_busy += durs[g] * sizes[g] as f64;
-        post_ready.push(t);
-        let next = if m < units {
-            // `s` waits again; the least advanced waiting scenario is
-            // `s` itself unless the waiting top is further behind.
-            match waiting.peek_mut() {
-                Some(mut w) if w.0 < (m, s) => {
-                    let Reverse((_, behind)) = std::mem::replace(&mut *w, Reverse((m, s)));
-                    Some(behind)
-                }
-                _ => Some(s),
+    while !classes.is_empty() {
+        // The class with the least (clock, class index) steps: its live
+        // groups free in index order, then re-arm together.
+        let mut c = 0;
+        for (i, class) in classes.iter().enumerate().skip(1) {
+            if class.clock.total_cmp(&classes[c].clock).is_lt() {
+                c = i;
             }
+        }
+        let Class {
+            clock: t,
+            dur,
+            work,
+            size,
+            start,
+            live,
+        } = classes[c];
+        main_finish = t;
+        let mut kept = start;
+        for i in start..start + live {
+            let s = running[i];
+            months_done[s as usize] += 1;
+            let m = months_done[s as usize];
+            main_busy += work;
+            post_ready.push(t);
+            let next = if m < units {
+                // `s` waits again; the least advanced waiting scenario
+                // is `s` itself unless the waiting top is further
+                // behind.
+                match waiting.peek_mut() {
+                    Some(mut w) if w.0 < (m, s) => {
+                        let Reverse((_, behind)) = std::mem::replace(&mut *w, Reverse((m, s)));
+                        Some(behind)
+                    }
+                    _ => Some(s),
+                }
+            } else {
+                waiting.pop().map(|Reverse((_, s))| s)
+            };
+            if let Some(next) = next {
+                running[kept] = next;
+                kept += 1;
+            } else {
+                // Scenario done and none waits: the group is surplus.
+                pool.extend(std::iter::repeat_n(t, size as usize));
+            }
+        }
+        if kept == start {
+            classes.remove(c);
         } else {
-            waiting.pop().map(|Reverse((_, s))| s)
-        };
-        if let Some(next) = next {
-            running[g] = next;
-            *top = time_key(t + durs[g], g);
-        } else {
-            // Scenario done and none waits: `g` is the surplus group.
-            PeekMut::pop(top);
-            pool.extend(std::iter::repeat_n(t, sizes[g] as usize));
+            classes[c].live = kept - start;
+            classes[c].clock = t + dur;
         }
     }
     debug_assert!(waiting.is_empty());

@@ -11,11 +11,14 @@
 
 use serde::{Deserialize, Serialize};
 
+use oa_knapsack::DpTable;
 use oa_par::Pool;
 use oa_platform::cluster::ClusterId;
 use oa_platform::grid::Grid;
+use oa_platform::timing::TimingTable;
 
 use crate::heuristics::Heuristic;
+use crate::memo::{priced, vector_dp};
 use crate::params::Instance;
 
 /// The per-cluster performance vector: `makespans[k]` is the predicted
@@ -54,7 +57,7 @@ impl PerformanceVector {
 pub fn performance_vector(
     cluster: ClusterId,
     resources: u32,
-    table: &oa_platform::timing::TimingTable,
+    table: &TimingTable,
     heuristic: Heuristic,
     ns: u32,
     nm: u32,
@@ -75,21 +78,24 @@ pub fn performance_vector(
 /// its scenario count and results are stitched back in count order, so
 /// the vector is bit-identical at any job count — this is the
 /// single-cluster entry point an online scheduler uses when a cluster
-/// joins an already-running grid.
+/// joins an already-running grid. The knapsack heuristic builds one
+/// DP table for all `ns` counts, and answers each from it bitwise as
+/// its own `solve_dp` would.
 pub fn performance_vector_with(
     cluster: ClusterId,
     resources: u32,
-    table: &oa_platform::timing::TimingTable,
+    table: &TimingTable,
     heuristic: Heuristic,
     ns: u32,
     nm: u32,
     pool: &Pool,
 ) -> PerformanceVector {
     let counts: Vec<u32> = (1..=ns).collect();
+    let dp = vector_dp(heuristic, table, resources, ns);
     let makespans = pool.par_map(&counts, |&k| {
         let inst = Instance::new(k, nm, resources);
         // Too-small clusters price themselves out of Algorithm 1.
-        heuristic.makespan(inst, table).unwrap_or(f64::INFINITY)
+        priced(heuristic, dp.as_ref(), inst, table)
     });
     PerformanceVector { cluster, makespans }
 }
@@ -109,7 +115,8 @@ pub fn grid_performance(
 /// independent heuristic evaluations — fanned out on `pool`. Each
 /// point is a pure function of its (cluster, k) pair and the results
 /// are stitched back in (cluster, k) order, so the vectors are
-/// bit-identical at any job count.
+/// bit-identical at any job count. As in [`performance_vector_with`],
+/// the knapsack heuristic builds one DP table per cluster.
 pub fn grid_performance_with(
     grid: &Grid,
     heuristic: Heuristic,
@@ -117,9 +124,12 @@ pub fn grid_performance_with(
     nm: u32,
     pool: &Pool,
 ) -> Vec<PerformanceVector> {
-    let clusters: Vec<(ClusterId, u32, &oa_platform::timing::TimingTable)> = grid
+    let clusters: Vec<(ClusterId, u32, &TimingTable, Option<DpTable>)> = grid
         .iter()
-        .map(|(id, c)| (id, c.resources, &c.timing))
+        .map(|(id, c)| {
+            let dp = vector_dp(heuristic, &c.timing, c.resources, ns);
+            (id, c.resources, &c.timing, dp)
+        })
         .collect();
     // Flatten (cluster, k) with k varying fastest, so uneven
     // per-cluster costs balance across workers.
@@ -129,14 +139,14 @@ pub fn grid_performance_with(
         .flat_map(|(ci, _)| (1..=ns).map(move |k| (ci, k)))
         .collect();
     let makespans = pool.par_map(&pairs, |&(ci, k)| {
-        let (_, resources, table) = clusters[ci];
+        let (_, resources, table, ref dp) = clusters[ci];
         let inst = Instance::new(k, nm, resources);
-        heuristic.makespan(inst, table).unwrap_or(f64::INFINITY)
+        priced(heuristic, dp.as_ref(), inst, table)
     });
     clusters
         .iter()
         .enumerate()
-        .map(|(ci, &(id, _, _))| PerformanceVector {
+        .map(|(ci, &(id, ..))| PerformanceVector {
             cluster: id,
             makespans: makespans[ci * ns as usize..(ci + 1) * ns as usize].to_vec(),
         })
@@ -412,6 +422,49 @@ mod tests {
                     v.makespans[k - 1]
                 );
             }
+        }
+    }
+
+    #[test]
+    fn knapsack_vectors_build_one_table_per_cluster() {
+        let (ns, nm) = (10, 60);
+        let serial = Pool::serial();
+        let builds = || crate::memo::DP_BUILDS.with(std::cell::Cell::get);
+        let bits = |v: &PerformanceVector| -> Vec<u64> {
+            v.makespans.iter().map(|m| m.to_bits()).collect()
+        };
+        // One group at most, saturated at NS > R / 4, and the paper's R.
+        for resources in [5u32, 20, 53] {
+            let grid = benchmark_grid(resources);
+            let before = builds();
+            let vectors = grid_performance_with(&grid, Heuristic::Knapsack, ns, nm, &serial);
+            assert_eq!(builds() - before, grid.len() as u64);
+            for (v, (id, c)) in vectors.iter().zip(grid.iter()) {
+                let before = builds();
+                let single = performance_vector_with(
+                    id,
+                    c.resources,
+                    &c.timing,
+                    Heuristic::Knapsack,
+                    ns,
+                    nm,
+                    &serial,
+                );
+                assert_eq!(builds() - before, 1);
+                let want: Vec<u64> = (1..=ns)
+                    .map(|k| {
+                        let inst = Instance::new(k, nm, c.resources);
+                        let ms = Heuristic::Knapsack.makespan(inst, &c.timing);
+                        ms.unwrap_or(f64::INFINITY).to_bits()
+                    })
+                    .collect();
+                assert_eq!(bits(v), want, "R {resources}");
+                assert_eq!(bits(&single), want, "R {resources}");
+            }
+            // Heuristics that solve no knapsack build no table.
+            let before = builds();
+            grid_performance_with(&grid, Heuristic::Basic, ns, nm, &serial);
+            assert_eq!(builds(), before);
         }
     }
 

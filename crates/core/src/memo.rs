@@ -146,12 +146,9 @@ impl PlanMemo {
             return f64::from_bits(bits);
         }
         self.stats.misses += 1;
-        let ms = if heuristic == Heuristic::Knapsack {
-            let dp = retained_dp(dp, table, inst.r, &mut self.stats);
-            knapsack_makespan_from(dp, inst, table)
-        } else {
-            heuristic.makespan(inst, table).unwrap_or(f64::INFINITY)
-        };
+        let dp = (heuristic == Heuristic::Knapsack)
+            .then(|| retained_dp(dp, table, inst.r, &mut self.stats));
+        let ms = priced(heuristic, dp, inst, table);
         makespans.insert(key, ms.to_bits());
         ms
     }
@@ -183,11 +180,7 @@ impl PlanMemo {
             let dp = (heuristic == Heuristic::Knapsack)
                 .then(|| retained_dp(dp, table, resources, &mut self.stats));
             let computed = pool.par_map(&misses, |&k| {
-                let inst = Instance::new(k, nm, resources);
-                match dp {
-                    Some(dp) => knapsack_makespan_from(dp, inst, table),
-                    None => heuristic.makespan(inst, table).unwrap_or(f64::INFINITY),
-                }
+                priced(heuristic, dp, Instance::new(k, nm, resources), table)
             });
             for (&k, &ms) in misses.iter().zip(&computed) {
                 makespans.insert(key(k), ms.to_bits());
@@ -212,14 +205,57 @@ fn retained_dp<'a>(
 ) -> &'a DpTable {
     let built = slot.as_ref().map_or(0, DpTable::capacity);
     if slot.is_none() || built < resources {
-        let cap = resources.max(built);
-        let planner = Planner::pcr(table);
-        let card = cap / planner.range.min_procs;
-        let items = planner.items(card.max(1));
         stats.dp_builds += 1;
-        return slot.insert(DpTable::build(items, cap, card));
+        return slot.insert(build_dp(table, resources.max(built), u32::MAX));
     }
     slot.as_ref().expect("covers the request")
+}
+
+/// The knapsack table a performance vector of `1..=ns` scenarios on
+/// `resources` processors reads, or `None` for every heuristic but
+/// [`Heuristic::Knapsack`]: one table for every count, where a plain
+/// [`Heuristic::makespan`] would solve one knapsack per count.
+pub(crate) fn vector_dp(
+    heuristic: Heuristic,
+    table: &TimingTable,
+    resources: u32,
+    ns: u32,
+) -> Option<DpTable> {
+    (heuristic == Heuristic::Knapsack).then(|| build_dp(table, resources, ns))
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Knapsack tables built on this thread, for the tests that pin how
+    /// many a pricing pass builds.
+    pub(crate) static DP_BUILDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// A knapsack table over `table`'s items on `cap` processors, its
+/// cardinality axis at `max_items` or at the saturation point
+/// `cap / min_cost`, whichever is smaller: no selection holds more
+/// copies, and [`DpTable::solve_clamped`] maps any larger bound there.
+fn build_dp(table: &TimingTable, cap: u32, max_items: u32) -> DpTable {
+    #[cfg(test)]
+    DP_BUILDS.with(|n| n.set(n.get() + 1));
+    let planner = Planner::pcr(table);
+    let card = (cap / planner.range.min_procs).min(max_items);
+    DpTable::build(planner.items(card.max(1)), cap, card)
+}
+
+/// `heuristic`'s makespan for `inst` (`+∞` when the cluster is priced
+/// out): the knapsack's grouping answered from `dp` when one is given,
+/// bitwise [`Heuristic::makespan`] either way.
+pub(crate) fn priced(
+    heuristic: Heuristic,
+    dp: Option<&DpTable>,
+    inst: Instance,
+    table: &TimingTable,
+) -> f64 {
+    match dp {
+        Some(dp) => knapsack_makespan_from(dp, inst, table),
+        None => heuristic.makespan(inst, table).unwrap_or(f64::INFINITY),
+    }
 }
 
 /// `Heuristic::Knapsack.grouping` answered from a retained table.

@@ -1,11 +1,10 @@
 //! The totally ordered `f64` heap key shared by every executor.
 //!
-//! All the discrete-event loops in the workspace — the fast estimator
-//! here, the campaign engine in `oa-sim`,
-//! the generic-workload estimator, and the moldable list scheduler in
-//! `oa-baselines` — keep min-heaps of event times. `f64` is not `Ord`,
-//! so each of them used to carry its own newtype; this is the single
-//! shared copy. [`TimeKey`] extends it to the `(instant, payload)`
+//! The discrete-event loops of `oa-sim` — the campaign engine and the
+//! workflow-IR executor — keep min-heaps of event times. (The planning
+//! estimator steps one clock per size class instead.) `f64` is not
+//! `Ord`, so each of them used to carry its own newtype; this is the
+//! single shared copy. [`TimeKey`] extends it to the `(instant, payload)`
 //! min-heap keys those loops actually store, and the tick helpers
 //! ([`exact_ticks`], [`is_tick_exact`]) decide when every clock value
 //! of a run is an exact integer, the gate of `oa-sim`'s fast-forward

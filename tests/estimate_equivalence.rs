@@ -16,6 +16,14 @@
 //! through the `oa-sim` engine, whose makespan, main finish and post
 //! finish must be the same bits.
 //!
+//! The estimator steps one size class (a run of equal adjacent group
+//! sizes) at a time, so the order of two classes that finish at the
+//! same instant matters. Random fractional tables almost never make
+//! two classes meet, so a deterministic sweep runs tables whose
+//! durations are commensurate — integral and dyadic, where `T[8]` and
+//! `T[7]` meet every third and second month — on mixed groupings with
+//! scenarios waiting, and on groupings whose sizes are not sorted.
+//!
 //! Debug builds run 32 random cases per property; release builds
 //! (CI's differential job) run 256.
 
@@ -402,4 +410,56 @@ fn figure8_candidates_are_bitwise_the_heap_loop() {
         }
     }
     assert!(checked > 5 * 110 * 4, "only {checked} groupings replayed");
+}
+
+/// `T[G]` for `G = 4..=11` in units of `scale`: every two durations
+/// have a small common multiple, so classes of different sizes finish
+/// together every few months (`T[8] = 1000`, `T[7] = 1500`: every
+/// 3000).
+fn commensurate(scale: f64) -> TimingTable {
+    let main = [3000.0, 3000.0, 2000.0, 1500.0, 1000.0, 1000.0, 750.0, 600.0];
+    TimingTable::new(main.map(|t| t * scale), 250.0 * scale).expect("non-increasing")
+}
+
+/// Mixed groupings on integral and dyadic commensurate tables, with
+/// `NS` from the group count to three times it, so that classes meet
+/// while scenarios wait; and serde-built groupings whose sizes are not
+/// sorted, whose equal sizes form separate classes.
+#[test]
+fn classes_that_meet_are_bitwise_the_heap_loop() {
+    let sorted: [&[u32]; 6] = [
+        &[8, 7],
+        &[8, 8, 7],
+        &[8, 8, 8, 7, 7, 7, 7],
+        &[11, 8, 7, 4],
+        &[10, 8, 8, 6, 6, 6],
+        &[9, 9, 7, 7, 4, 4],
+    ];
+    let unsorted: [&[u32]; 4] = [&[7, 8, 7], &[7, 8, 8, 7], &[4, 11, 4, 8, 8], &[7, 7, 8, 7]];
+    let groupings: Vec<Grouping> = sorted
+        .iter()
+        .map(|sizes| Grouping::new(sizes.to_vec(), 1))
+        .chain(unsorted.iter().map(|sizes| {
+            let json = format!(r#"{{"groups":{sizes:?},"post_procs":1}}"#);
+            let g: Grouping = serde_json::from_str(&json).expect("a grouping");
+            assert_eq!(g.groups(), *sizes, "serde keeps the order");
+            g
+        }))
+        .collect();
+    let mut checked = 0;
+    for scale in [1.0, 1.0 / 64.0, 0.375] {
+        let table = commensurate(scale);
+        for grouping in &groupings {
+            let n = grouping.group_count() as u32;
+            let r = u32::try_from(grouping.total_procs()).expect("small");
+            for ns in [n, n + 1, n + 2, 2 * n + 1, 3 * n] {
+                for nm in [1, 2, 3, 7, 12, 25] {
+                    let inst = Instance::new(ns, nm, r);
+                    check(inst, &table, grouping).unwrap_or_else(|e| panic!("{e}"));
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(checked, 3 * 10 * 5 * 6);
 }
