@@ -19,12 +19,9 @@
 //!    `KernelOpts`, is rule `CT002` — the static model and the engine
 //!    have drifted.
 //!
-//! The certifier deliberately does **not** call into `oa-sim` (the
-//! simulator depends on this crate for its debug-mode oracles, so the
-//! dependency cannot point back). It mirrors the engine's duration and
-//! gate arithmetic *bitwise* instead, and the root-level
-//! `tests/certify_properties.rs` plus the `oa audit certify` CLI keep
-//! the mirror honest against the real engine on every preset.
+//! The durations and the gate are `oa_sched::kernel`'s, the functions
+//! the engine itself runs, so the verdict cannot drift from the
+//! engine's arithmetic; `CT002` still compares it with a real run.
 //!
 //! # Why the bounds are sound
 //!
@@ -32,14 +29,9 @@
 //! of group `i` (`k` groups), `rate = Σ 1/d_i`, `P` for the grouping's
 //! total processors and `w` for the per-month post work.
 //!
-//! *Lower bounds* (each holds under any fault plan, because faults only
-//! destroy work):
-//! * chain: some scenario serialises `NM` months, none faster than
-//!   `d_min`, and its last post trails → `NM·d_min + w`;
-//! * throughput: `N` month completions at aggregate rate at most
-//!   `rate` → `N/rate + w`;
-//! * area: total work is at least `N·min_i(g_i·d_i) + N·w`
-//!   processor-seconds on at most `P` processors.
+//! *Lower bound*: `oa_sched::estimate::makespan_floor`, the largest of
+//! its chain, throughput and area terms, each of which holds under any
+//! fault plan because faults only destroy work.
 //!
 //! *Upper bound* (fault-free): the engine is greedy — an idle group
 //! either receives a ready scenario at the same event or disbands, so
@@ -54,10 +46,10 @@
 use oa_platform::timing::TimingTable;
 use oa_sched::estimate::{makespan_floor, FLOOR_SLACK};
 use oa_sched::grouping::Grouping;
+use oa_sched::kernel::{kernel_gate, main_dur, max_dur_ticks, post_model, push_durs};
 use oa_sched::params::Instance;
-use oa_sched::policy::{CampaignConfig, FaultPlan, Granularity};
-use oa_sched::time::{exact_ticks, is_tick_exact, TimeInterval, MAX_EXACT_SECS};
-use oa_workflow::task::{CD_SECS, COF_SECS, EMF_SECS, FUSED_POST_SECS, FUSED_PRE_SECS, MIN_PROCS};
+use oa_sched::policy::{CampaignConfig, FaultPlan};
+use oa_sched::time::TimeInterval;
 
 use crate::diag::{Diagnostic, Report, RuleCode};
 
@@ -87,36 +79,6 @@ impl Certificate {
     }
 }
 
-/// The per-size main duration and the post-step triple, computed
-/// exactly as the engine computes them (bitwise: the unfused
-/// `(t − pre) + pre` round-trip is deliberate — tick-exactness must be
-/// judged on the *same float* the event loop will add to its clock).
-fn durations<'a>(
-    table: &'a TimingTable,
-    config: &CampaignConfig,
-) -> (impl Fn(u32) -> f64 + 'a, [f64; 3]) {
-    let tp = table.post_secs();
-    let granularity = config.granularity;
-    let (steps, pre) = match granularity {
-        Granularity::Fused => ([tp, 0.0, 0.0], 0.0),
-        Granularity::Unfused => {
-            let speed = tp / FUSED_POST_SECS;
-            (
-                [COF_SECS * speed, EMF_SECS * speed, CD_SECS * speed],
-                FUSED_PRE_SECS * speed,
-            )
-        }
-    };
-    let dur = move |g: u32| {
-        let t = table.main_array()[(g - MIN_PROCS) as usize];
-        match granularity {
-            Granularity::Fused => t,
-            Granularity::Unfused => (t - pre) + pre,
-        }
-    };
-    (dur, steps)
-}
-
 /// Certifies one campaign: static makespan bounds plus the
 /// integer-kernel verdict.
 ///
@@ -135,8 +97,11 @@ pub fn certify(
     grouping
         .validate(inst)
         .expect("certify requires a valid grouping");
-    let (dur, steps) = durations(table, config);
-    let durs: Vec<f64> = grouping.groups().iter().map(|&g| dur(g)).collect();
+    let (steps, pre, _) = post_model(config.granularity, table.post_secs());
+    let trow = table.main_array();
+    let dur = |g| main_dur(trow, g, config.granularity, pre);
+    let mut durs = Vec::with_capacity(grouping.group_count());
+    push_durs(&mut durs, grouping.groups(), trow, config.granularity, pre);
     let k = durs.len() as f64;
     let n = inst.nbtasks() as f64;
     let nm = f64::from(inst.nm);
@@ -153,32 +118,10 @@ pub fn certify(
         TimeInterval::at_least(lo)
     };
 
-    // The kernel gate, mirrored from the engine: integral durations,
-    // integral failure instants, and a serial-work horizon comfortably
-    // below 2^53.
-    let mut max_dur_ticks = 0u64;
-    let mut durs_ticky = true;
-    for &d in &durs {
-        match exact_ticks(d) {
-            Some(ticks) if ticks > 0 => max_dur_ticks = max_dur_ticks.max(ticks),
-            _ => {
-                durs_ticky = false;
-                break;
-            }
-        }
-    }
-    let faults_ticky = plan.failures.iter().all(|&(_, t)| is_tick_exact(t));
-    let max_fault = plan.failures.iter().fold(0.0f64, |a, &(_, t)| a.max(t));
-    let horizon = max_fault
-        + (nm + 1.0)
-            * (f64::from(inst.ns) + plan.failures.len() as f64 + 1.0)
-            * (max_dur_ticks as f64 + w + 1.0);
-    let integer_kernel = durs_ticky && faults_ticky && horizon < MAX_EXACT_SECS / 2.0;
-
     Certificate {
         bounds,
-        integer_kernel,
-        max_dur_ticks: durs_ticky.then_some(max_dur_ticks),
+        integer_kernel: kernel_gate(&durs, &plan.failures, inst, w),
+        max_dur_ticks: max_dur_ticks(&durs),
         fault_count: plan.failures.len(),
     }
 }

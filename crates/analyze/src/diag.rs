@@ -6,6 +6,7 @@
 //! violation instead of failing on the first one, so a single pass over
 //! a corrupted schedule reports all of its problems.
 
+use oa_sched::read;
 use serde::{Serialize, Value};
 
 /// How bad a finding is.
@@ -186,10 +187,10 @@ impl RuleCode {
     ];
 
     /// The stable `OAxxx` code.
-    pub fn code(self) -> &'static str {
+    pub const fn code(self) -> &'static str {
         match self {
             RuleCode::DagCycle => "OA001",
-            RuleCode::IncompleteChain => "OA002",
+            RuleCode::IncompleteChain => read::EMPTY_CAMPAIGN,
             RuleCode::FusionInconsistent => "OA003",
             RuleCode::GroupSizeOutOfRange => "OA004",
             RuleCode::OverSubscribed => "OA005",
@@ -203,7 +204,7 @@ impl RuleCode {
             RuleCode::ScheduledGroupSize => "OA013",
             RuleCode::IdleGap => "OA014",
             RuleCode::PostStarvation => "OA015",
-            RuleCode::ClusterSanity => "OA016",
+            RuleCode::ClusterSanity => read::CLUSTER_INSANE,
             RuleCode::BandwidthInfeasible => "OA017",
             RuleCode::CampaignConfigSanity => "OA018",
             RuleCode::IrStructureInvalid => "OA019",

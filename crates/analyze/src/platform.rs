@@ -10,7 +10,7 @@
 //! OA017 asks whether the 120 MB handed from month `n` to month `n+1`
 //! can hide inside a month's compute time on a given link.
 
-use oa_platform::cluster::Cluster;
+use oa_platform::cluster::{check_procs, Cluster, ProcsError};
 use oa_platform::presets::{FASTEST_T11, SLOWEST_T11};
 use oa_workflow::data::INTER_MONTH_TRANSFER;
 
@@ -28,16 +28,11 @@ pub const ENVELOPE_SLACK: f64 = 0.005;
 /// Runs OA016 over a cluster description, collecting every finding.
 pub fn check_cluster(cluster: &Cluster) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    if cluster.resources < 4 {
+    if let Err(e @ ProcsError::TooFew(_)) = check_procs(cluster.resources) {
+        let message = format!("cluster {:?} has {e}", cluster.name);
         out.push(
-            Diagnostic::new(
-                RuleCode::ClusterSanity,
-                format!(
-                    "cluster {:?} has {} processor(s); the smallest legal group needs 4",
-                    cluster.name, cluster.resources
-                ),
-            )
-            .with("resources", f64::from(cluster.resources)),
+            Diagnostic::new(RuleCode::ClusterSanity, message)
+                .with("resources", f64::from(cluster.resources)),
         );
     }
     // Re-validate the timing table: deserialized tables bypass

@@ -35,9 +35,6 @@ fn main() {
             ProtocolEvent::PerfReceived { cluster } => {
                 format!("(3) {} returned its vector", name(&grid, *cluster))
             }
-            ProtocolEvent::PerfMissing { cluster } => {
-                format!("(3) {} did not answer - excluded", name(&grid, *cluster))
-            }
             ProtocolEvent::RepartitionComputed { nb_dags } => {
                 format!("(4) client computed the repartition: {nb_dags:?}")
             }

@@ -74,10 +74,12 @@ where
 
 /// Number of sweep workers: the `--jobs N` flag when present, the
 /// `OA_JOBS` environment variable otherwise, and the machine's
-/// available parallelism as the default. Every figure binary sizes
-/// its sweeps with this.
+/// available parallelism as the default, read by `oa_sched::read::jobs`
+/// (a value over its cap aborts). Every figure binary sizes its sweeps
+/// with this.
 pub fn jobs() -> usize {
-    oa_par::resolve_jobs(jobs_flag())
+    let explicit = flag("jobs").and_then(|v| v.parse().ok());
+    oa_sched::read::jobs(explicit).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The worker pool every figure binary fans its sweep out on, sized
@@ -86,15 +88,16 @@ pub fn pool() -> oa_par::Pool {
     oa_par::Pool::new(jobs())
 }
 
-/// Parses an explicit `--jobs N` from the binary's argv, if any.
-fn jobs_flag() -> Option<usize> {
+/// The value of `--NAME V` or `--NAME=V` in the binary's argv, if any.
+fn flag(name: &str) -> Option<String> {
+    let (long, eq) = (format!("--{name}"), format!("--{name}="));
     let mut args = std::env::args();
     while let Some(a) = args.next() {
-        if a == "--jobs" {
-            return args.next().and_then(|v| v.parse().ok());
+        if a == long {
+            return args.next();
         }
-        if let Some(v) = a.strip_prefix("--jobs=") {
-            return v.parse().ok();
+        if let Some(v) = a.strip_prefix(&eq) {
+            return Some(v.to_string());
         }
     }
     None
@@ -107,25 +110,9 @@ fn jobs_flag() -> Option<usize> {
 /// unknown name aborts loudly rather than silently benchmarking the
 /// wrong policy.
 pub fn policy_flag() -> oa_sched::policy::ScenarioPolicy {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        let value = if a == "--policy" {
-            args.next()
-        } else {
-            a.strip_prefix("--policy=").map(str::to_string)
-        };
-        if let Some(v) = value {
-            return oa_sched::policy::ScenarioPolicy::parse(&v)
-                .unwrap_or_else(|| panic!("unknown --policy {v:?}; see `oa help`"));
-        }
-    }
-    oa_sched::policy::ScenarioPolicy::LeastAdvanced
-}
-
-/// Number of sweep workers, honouring `--jobs` / `OA_JOBS`. Alias of
-/// [`jobs`] kept for the original figure-binary spelling.
-pub fn default_workers() -> usize {
-    jobs()
+    flag("policy").map_or(oa_sched::policy::ScenarioPolicy::LeastAdvanced, |v| {
+        oa_sched::read::policy(&v).unwrap_or_else(|e| panic!("{e}; see `oa help`"))
+    })
 }
 
 /// Wall-clock recorder behind `results/BENCH_sweeps.json`: each figure
@@ -328,13 +315,7 @@ pub fn fast_mode() -> bool {
 /// argument, or the `OA_TRACE` environment variable when the flag is
 /// absent. `None` (the default) keeps the figure binaries untraced.
 pub fn trace_path() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            return args.next();
-        }
-    }
-    std::env::var("OA_TRACE").ok().filter(|p| !p.is_empty())
+    flag("trace").or_else(|| std::env::var("OA_TRACE").ok().filter(|p| !p.is_empty()))
 }
 
 /// Writes a recorded event stream as JSON Lines (the `oa trace`

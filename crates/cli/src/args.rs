@@ -110,44 +110,37 @@ impl Args {
         })
     }
 
+    /// A flag parsed as `T` if given; `expect` names the accepted
+    /// values in the error.
+    fn parsed<T: std::str::FromStr>(
+        &self,
+        flag: &str,
+        expect: &'static str,
+    ) -> Result<Option<T>, ArgError> {
+        let Some(value) = self.flags.get(flag) else {
+            return Ok(None);
+        };
+        value.parse().map(Some).map_err(|_| ArgError::BadValue {
+            flag: flag.to_string(),
+            value: value.clone(),
+            expect,
+        })
+    }
+
     /// A `u32` flag with a default.
     pub fn u32_or(&self, flag: &str, default: u32) -> Result<u32, ArgError> {
-        match self.flags.get(flag) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ArgError::BadValue {
-                flag: flag.to_string(),
-                value: v.clone(),
-                expect: "a positive integer",
-            }),
-        }
+        Ok(self.parsed(flag, "a positive integer")?.unwrap_or(default))
     }
 
     /// An `f64` flag with a default.
     pub fn f64_or(&self, flag: &str, default: f64) -> Result<f64, ArgError> {
-        match self.flags.get(flag) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ArgError::BadValue {
-                flag: flag.to_string(),
-                value: v.clone(),
-                expect: "a number",
-            }),
-        }
+        Ok(self.parsed(flag, "a number")?.unwrap_or(default))
     }
 
     /// The `--jobs N` worker-count flag, when given. `None` lets the
     /// caller fall back to `OA_JOBS` / available parallelism.
     pub fn jobs_opt(&self) -> Result<Option<usize>, ArgError> {
-        match self.flags.get("jobs") {
-            None => Ok(None),
-            Some(v) => v
-                .parse::<usize>()
-                .map(Some)
-                .map_err(|_| ArgError::BadValue {
-                    flag: "jobs".to_string(),
-                    value: v.clone(),
-                    expect: "a positive integer",
-                }),
-        }
+        self.parsed("jobs", "a positive integer")
     }
 
     /// A string flag if given.

@@ -6,8 +6,12 @@ use oa_sched::prelude::*;
 use oa_sim::prelude::*;
 use oa_trace::prelude::*;
 
+use std::io::Read;
+
+use oa_sched::read::{self, ReadError};
+use oa_service::wire::MAX_LINE_BYTES;
 use oa_workflow::chain::ExperimentShape;
-use oa_workflow::task::MIN_PROCS;
+use oa_workflow::ir::{classify_spec, IrClass};
 
 use crate::args::{ArgError, Args};
 
@@ -18,7 +22,8 @@ pub enum CliError {
     Args(ArgError),
     /// The command word is not known.
     UnknownCommand(String),
-    /// A domain error (infeasible instance, unknown cluster, …).
+    /// A domain error (infeasible instance, unreadable file, …); a
+    /// field the campaign reader refuses reads `CODE: message`.
     Domain(String),
     /// `oa analyze` found error-severity diagnostics; the payload is
     /// the fully rendered report (text or JSON). Carried as an error so
@@ -43,6 +48,17 @@ impl From<ArgError> for CliError {
     fn from(e: ArgError) -> Self {
         CliError::Args(e)
     }
+}
+
+impl From<ReadError> for CliError {
+    fn from(e: ReadError) -> Self {
+        domain(e)
+    }
+}
+
+/// A domain error carrying `e`'s message.
+fn domain(e: impl std::fmt::Display) -> CliError {
+    CliError::Domain(e.to_string())
 }
 
 /// Entry point: dispatches `argv` (without program name) to a command.
@@ -148,109 +164,114 @@ CLUSTERS:   reference (default), sagittaire, capricorne, chinqchint,
             grillon, grelon
 JOBS:       --jobs N sizes the deterministic worker pool (default: the
             OA_JOBS environment variable, then available parallelism);
-            any N produces bit-identical output
+            any N up to 256 produces bit-identical output
+ERRORS:     a refused value exits 2 as `oa: CODE: message` (docs/PROTOCOL.md):
+            OA002 empty shape, OA016 under 4 processors, PROTO003 unknown
+            name or bad --kill, PROTO011 over a cap (NS × NM 1048576 months,
+            1024 processors, --jobs 256, --width 1000, 16 MiB spec files)
 "
     .to_string()
 }
 
-fn heuristic_of(name: &str) -> Result<Heuristic, CliError> {
-    Heuristic::parse(name).ok_or_else(|| CliError::Domain(format!("unknown heuristic {name:?}")))
+fn heuristic_of(args: &Args) -> Result<Heuristic, CliError> {
+    Ok(read::heuristic(&args.str_or("heuristic", "knapsack"))?)
 }
 
-fn policy_of(args: &Args) -> Result<ScenarioPolicy, CliError> {
-    let name = args.str_or("policy", "least-advanced");
-    ScenarioPolicy::parse(&name).ok_or_else(|| {
-        CliError::Domain(format!(
-            "unknown policy {name:?}; try least-advanced, round-robin or most-advanced"
-        ))
-    })
-}
-
-fn recovery_of(args: &Args) -> Result<Recovery, CliError> {
-    let name = args.str_or("recovery", "checkpoint");
-    Recovery::parse(&name).ok_or_else(|| {
-        CliError::Domain(format!(
-            "unknown recovery {name:?}; try checkpoint or restart"
-        ))
-    })
-}
-
-/// Parses `--kill G@T,G@T,...` into a [`FaultPlan`].
-fn fault_plan_of(args: &Args) -> Result<FaultPlan, CliError> {
-    let mut plan = FaultPlan::none();
-    if let Some(spec) = args.str_opt("kill") {
-        for part in spec.split(',').filter(|p| !p.is_empty()) {
-            let bad = || {
-                CliError::Domain(format!(
-                    "bad --kill entry {part:?}; expected GROUP@SECONDS (e.g. 0@1500)"
-                ))
-            };
-            let (g, t) = part.split_once('@').ok_or_else(bad)?;
-            let g: usize = g.trim().parse().map_err(|_| bad())?;
-            let t: f64 = t.trim().parse().map_err(|_| bad())?;
-            plan = plan.kill(g, t);
-        }
+fn granularity_of(args: &Args) -> Granularity {
+    if args.switch("unfused") {
+        Granularity::Unfused
+    } else {
+        Granularity::Fused
     }
-    Ok(plan)
+}
+
+/// The engine configuration of `--policy` and `--recovery` at
+/// `granularity`.
+fn config_of(args: &Args, granularity: Granularity) -> Result<CampaignConfig, CliError> {
+    Ok(CampaignConfig {
+        policy: read::policy(&args.str_or("policy", "least-advanced"))?,
+        granularity,
+        recovery: read::recovery(&args.str_or("recovery", "checkpoint"))?,
+    })
+}
+
+/// Reads `--kill G@T,G@T,...` into a [`FaultPlan`].
+fn fault_plan_of(args: &Args) -> Result<FaultPlan, CliError> {
+    Ok(read::kills(args.str_opt("kill").unwrap_or(""))?)
 }
 
 /// Resolves the worker pool for commands that accept `--jobs N`:
 /// explicit flag, then the `OA_JOBS` environment variable, then the
-/// machine's available parallelism. Parallel runs produce bit-identical
-/// output to `--jobs 1`.
+/// machine's available parallelism, refused over `oa_par::MAX_JOBS`.
+/// Parallel runs produce bit-identical output to `--jobs 1`.
 fn pool_of(args: &Args) -> Result<oa_par::Pool, CliError> {
-    Ok(oa_par::Pool::new(oa_par::resolve_jobs(args.jobs_opt()?)))
+    Ok(oa_par::Pool::new(read::jobs(args.jobs_opt()?)?))
 }
 
 /// Reads the campaign shape `--ns`/`--nm` (defaulting to `ns`/`nm`).
-/// Every subcommand reads it here, so a zero is answered the way the
-/// service's admission answers it (OA002), before any command builds a
-/// mesh or an instance from it.
 fn shape_of(args: &Args, ns: u32, nm: u32) -> Result<(u32, u32), CliError> {
-    let (ns, nm) = (args.u32_or("ns", ns)?, args.u32_or("nm", nm)?);
-    if ns == 0 || nm == 0 {
-        return Err(CliError::Domain(format!(
-            "empty campaign shape: ns={ns}, nm={nm}"
-        )));
-    }
-    Ok((ns, nm))
+    Ok(read::shape(args.u32_or("ns", ns)?, args.u32_or("nm", nm)?)?)
 }
 
-/// Reads a processor-count flag (`--r`, `--resources`): a cluster
-/// needs at least [`MIN_PROCS`] processors to run any `pcr`.
-fn procs_of(args: &Args, flag: &str, default: u32) -> Result<u32, CliError> {
-    let procs = args.u32_or(flag, default)?;
-    if procs < MIN_PROCS {
-        return Err(CliError::Domain(format!(
-            "a cluster needs at least {MIN_PROCS} processors to run any pcr, got {procs}"
-        )));
-    }
-    Ok(procs)
+/// Reads the preset cluster `name` on `r` processors.
+fn cluster_of(name: &str, r: u32) -> Result<Cluster, CliError> {
+    Ok(read::cluster(name, name, r)?)
 }
 
-fn cluster_of(name: &str, resources: u32) -> Result<Cluster, CliError> {
-    if name == "reference" {
-        return Ok(reference_cluster(resources));
+/// Reads `--cluster` (default `reference`) on `--r` processors
+/// (default `r`).
+fn campaign_cluster(args: &Args, r: u32) -> Result<Cluster, CliError> {
+    cluster_of(&args.str_or("cluster", "reference"), args.u32_or("r", r)?)
+}
+
+/// The widest chart `--width` may ask for: wider than any terminal,
+/// and a bound on the rows the renderers allocate.
+const MAX_WIDTH: u32 = 1000;
+
+/// Reads the `--width` of a Gantt chart; `PROTO011` over [`MAX_WIDTH`].
+fn width_of(args: &Args) -> Result<usize, CliError> {
+    let width = args.u32_or("width", 76)?;
+    if width > MAX_WIDTH {
+        let message = format!("--width {width} is over the cap of {MAX_WIDTH} columns");
+        return Err(ReadError::new(read::OVER_SIZE_CAP, message).into());
     }
-    if PRESET_CLUSTERS.iter().any(|(n, _, _, _)| *n == name) {
-        return Ok(preset_cluster(name, resources));
+    Ok(width as usize)
+}
+
+/// Reads a spec file (`--workflow`, `--batch`, `oa import --file`): at
+/// most [`MAX_LINE_BYTES`], the size of the one request line that
+/// carries the same spec to the daemon, and `PROTO011` past it.
+fn read_spec(path: &str) -> Result<String, CliError> {
+    let cannot = |e: &dyn std::fmt::Display| domain(format!("cannot read {path}: {e}"));
+    let mut bytes = Vec::new();
+    std::fs::File::open(path)
+        .and_then(|file| file.take(MAX_LINE_BYTES as u64 + 1).read_to_end(&mut bytes))
+        .map_err(|e| cannot(&e))?;
+    // The length first: the cut may split a character.
+    if bytes.len() > MAX_LINE_BYTES {
+        let message = format!("{path} is over the cap of {MAX_LINE_BYTES} bytes");
+        return Err(ReadError::new(read::OVER_SIZE_CAP, message).into());
     }
-    Err(CliError::Domain(format!(
-        "unknown cluster {name:?} (try reference, sagittaire, …, grelon)"
-    )))
+    String::from_utf8(bytes).map_err(|e| cannot(&e))
+}
+
+/// Reads a JSON spec file through [`read_spec`].
+fn read_json(path: &str) -> Result<serde_json::Value, CliError> {
+    serde_json::from_str(&read_spec(path)?)
+        .map_err(|e| CliError::Domain(format!("{path} is not JSON: {e}")))
 }
 
 fn plan(args: &Args) -> Result<String, CliError> {
     args.check_known(&["ns", "nm", "r", "cluster", "heuristic", "all", "json"])?;
     let (ns, nm) = shape_of(args, 10, 1800)?;
-    let r = procs_of(args, "r", 53)?;
-    let cluster = cluster_of(&args.str_or("cluster", "reference"), r)?;
+    let cluster = campaign_cluster(args, 53)?;
+    let r = cluster.resources;
     let inst = Instance::new(ns, nm, r);
 
     let heuristics: Vec<Heuristic> = if args.switch("all") {
         Heuristic::PAPER.to_vec()
     } else {
-        vec![heuristic_of(&args.str_or("heuristic", "knapsack"))?]
+        vec![heuristic_of(args)?]
     };
 
     let mut out = format!(
@@ -259,11 +280,8 @@ fn plan(args: &Args) -> Result<String, CliError> {
     );
     let mut rows = Vec::new();
     for h in heuristics {
-        let grouping = h
-            .grouping(inst, &cluster.timing)
-            .map_err(|e| CliError::Domain(e.to_string()))?;
-        let est = estimate(inst, &cluster.timing, &grouping)
-            .map_err(|e| CliError::Domain(e.to_string()))?;
+        let grouping = h.grouping(inst, &cluster.timing).map_err(domain)?;
+        let est = estimate(inst, &cluster.timing, &grouping).map_err(domain)?;
         out.push_str(&format!(
             "{:<26} {:<26} {:>10.1} h  util {:>5.1}%\n",
             h.label(),
@@ -289,7 +307,8 @@ fn plan(args: &Args) -> Result<String, CliError> {
 /// Builds the workflow IR behind `oa sim --workflow SPEC`: the literal
 /// `preset` lowers the ocean-atmosphere mesh of `shape` (fused unless
 /// `--unfused`); anything else is a path to a JSON workflow spec in
-/// the `oa_workflow::ir::from_value` format.
+/// the `oa_workflow::ir::from_value` format, whose preset header's
+/// shape is read before its mesh is lowered.
 fn workflow_of(
     args: &Args,
     spec: &str,
@@ -302,10 +321,13 @@ fn workflow_of(
             oa_workflow::ir::lower_fused(shape)
         });
     }
-    let text = std::fs::read_to_string(spec)
-        .map_err(|e| CliError::Domain(format!("cannot read {spec}: {e}")))?;
-    let value: serde_json::Value = serde_json::from_str(&text)
-        .map_err(|e| CliError::Domain(format!("{spec} is not JSON: {e}")))?;
+    let value = read_json(spec)?;
+    // Classifying a preset-form spec reads its header alone.
+    if value.get("preset").is_some() {
+        if let Ok(IrClass::FusedMesh(s) | IrClass::UnfusedMesh(s)) = classify_spec(&value) {
+            read::shape(s.scenarios, s.months)?;
+        }
+    }
     oa_workflow::ir::from_value(&value).map_err(|e| CliError::Domain(format!("{spec}: {e}")))
 }
 
@@ -320,8 +342,8 @@ fn sim_general(
     config: &CampaignConfig,
     plan: &FaultPlan,
 ) -> Result<String, CliError> {
-    let outcome = simulate_ir(ir, &cluster.timing, r, h, config, plan, &mut NullTracer)
-        .map_err(|e| CliError::Domain(e.to_string()))?;
+    let outcome =
+        simulate_ir(ir, &cluster.timing, r, h, config, plan, &mut NullTracer).map_err(domain)?;
     let schedule = match outcome {
         IrOutcome::Generic(s) => s,
         IrOutcome::Campaign(_) => unreachable!("general workflows stay on the IR engine"),
@@ -347,11 +369,7 @@ fn sim_general(
 
 /// `oa sim --batch spec.json`: the mass-batch variant engine.
 fn sim_batch(args: &Args, path: &str) -> Result<String, CliError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::Domain(format!("cannot read {path}: {e}")))?;
-    let value: serde_json::Value = serde_json::from_str(&text)
-        .map_err(|e| CliError::Domain(format!("{path} is not JSON: {e}")))?;
-    let spec = BatchSpec::from_json(&value).map_err(|e| CliError::Domain(e.to_string()))?;
+    let spec = BatchSpec::from_json(&read_json(path)?).map_err(domain)?;
     let pool = pool_of(args)?;
     let naive = args.switch("naive");
     let report = if naive {
@@ -359,7 +377,7 @@ fn sim_batch(args: &Args, path: &str) -> Result<String, CliError> {
     } else {
         run_batch(&spec, &pool)
     }
-    .map_err(|e| CliError::Domain(e.to_string()))?;
+    .map_err(domain)?;
     let s = report.summary();
     if args.switch("json") {
         #[derive(serde::Serialize)]
@@ -441,15 +459,11 @@ fn sim_cmd(args: &Args) -> Result<String, CliError> {
         return sim_batch(args, path);
     }
     let (mut ns, mut nm) = shape_of(args, 10, 120)?;
-    let r = procs_of(args, "r", 53)?;
-    let cluster = cluster_of(&args.str_or("cluster", "reference"), r)?;
-    let h = heuristic_of(&args.str_or("heuristic", "knapsack"))?;
+    let cluster = campaign_cluster(args, 53)?;
+    let r = cluster.resources;
+    let h = heuristic_of(args)?;
     let pool = pool_of(args)?;
-    let mut granularity = if args.switch("unfused") {
-        Granularity::Unfused
-    } else {
-        Granularity::Fused
-    };
+    let mut granularity = granularity_of(args);
     let plan = fault_plan_of(args)?;
 
     // The IR front end: `--workflow` (or bare `--dot`) lifts the
@@ -464,34 +478,26 @@ fn sim_cmd(args: &Args) -> Result<String, CliError> {
             return Ok(oa_workflow::dot::ir_dot(&ir, "workflow"));
         }
         match oa_workflow::ir::recognize(&ir) {
-            oa_workflow::ir::IrClass::FusedMesh(shape) => {
+            IrClass::FusedMesh(shape) => {
                 (ns, nm) = (shape.scenarios, shape.months);
                 granularity = Granularity::Fused;
             }
-            oa_workflow::ir::IrClass::UnfusedMesh(shape) => {
+            IrClass::UnfusedMesh(shape) => {
                 (ns, nm) = (shape.scenarios, shape.months);
                 granularity = Granularity::Unfused;
             }
-            oa_workflow::ir::IrClass::General => {
-                let config = CampaignConfig {
-                    policy: policy_of(args)?,
-                    granularity,
-                    recovery: recovery_of(args)?,
-                };
+            IrClass::General => {
+                let config = config_of(args, granularity)?;
                 return sim_general(args, &ir, &cluster, r, h, &config, &plan);
             }
         }
     }
 
-    let config = CampaignConfig {
-        policy: policy_of(args)?,
-        granularity,
-        recovery: recovery_of(args)?,
-    };
+    let config = config_of(args, granularity)?;
     let inst = Instance::new(ns, nm, r);
     let grouping = h
         .grouping_with(inst, &cluster.timing, &pool)
-        .map_err(|e| CliError::Domain(e.to_string()))?;
+        .map_err(domain)?;
 
     // Pre-flight the configuration (OA018) so a malformed fault plan
     // fails as a diagnostic report, not as the engine's panic.
@@ -509,7 +515,7 @@ fn sim_cmd(args: &Args) -> Result<String, CliError> {
         &plan,
         &mut NullTracer,
     )
-    .map_err(|e| CliError::Domain(e.to_string()))?;
+    .map_err(domain)?;
 
     if args.switch("json") {
         let mut json =
@@ -598,9 +604,9 @@ fn analyze_cmd(args: &Args) -> Result<String, CliError> {
         // workflow rules by construction (`oa_analyze::ir`'s tests pin
         // it), so the layers start at the platform.
         let (ns, nm) = shape_of(args, 10, 1800)?;
-        let r = procs_of(args, "r", 53)?;
-        let cluster = cluster_of(&args.str_or("cluster", "reference"), r)?;
-        let h = heuristic_of(&args.str_or("heuristic", "knapsack"))?;
+        let cluster = campaign_cluster(args, 53)?;
+        let r = cluster.resources;
+        let h = heuristic_of(args)?;
         let pool = pool_of(args)?;
         let inst = Instance::new(ns, nm, r);
         scope = format!(
@@ -613,7 +619,7 @@ fn analyze_cmd(args: &Args) -> Result<String, CliError> {
 
         let grouping = h
             .grouping_with(inst, &cluster.timing, &pool)
-            .map_err(|e| CliError::Domain(e.to_string()))?;
+            .map_err(domain)?;
         report.extend(oa_analyze::scheduling::check_grouping(
             inst,
             &cluster.timing,
@@ -630,8 +636,7 @@ fn analyze_cmd(args: &Args) -> Result<String, CliError> {
             bandwidth, latency, month_secs,
         ));
 
-        let schedule = execute_default(inst, &cluster.timing, &grouping)
-            .map_err(|e| CliError::Domain(e.to_string()))?;
+        let schedule = execute_default(inst, &cluster.timing, &grouping).map_err(domain)?;
         report.extend(schedule.analyze().diagnostics);
     }
 
@@ -712,9 +717,7 @@ fn certify_one(
     config: &CampaignConfig,
     plan: &FaultPlan,
 ) -> Result<(oa_analyze::Report, String, serde_json::Value), CliError> {
-    let grouping = h
-        .grouping(inst, &cluster.timing)
-        .map_err(|e| CliError::Domain(e.to_string()))?;
+    let grouping = h.grouping(inst, &cluster.timing).map_err(domain)?;
     let mut report = oa_analyze::Report::from_diagnostics(oa_analyze::scheduling::check_campaign(
         config, plan, &grouping,
     ));
@@ -722,10 +725,6 @@ fn certify_one(
         return Err(CliError::AnalysisFailed(report.render_text()));
     }
     let cert = oa_analyze::certify::certify(inst, &cluster.timing, &grouping, config, plan);
-
-    // The engine's own static gate must agree with the certifier's
-    // mirrored one before anything even runs.
-    let static_eligible = kernel_eligibility(inst, &cluster.timing, &grouping, config, plan);
     let opts = KernelOpts::default();
     let (outcome, kernel) = simulate_campaign_kernel(
         inst,
@@ -736,18 +735,9 @@ fn certify_one(
         opts,
         &mut NullTracer,
     )
-    .map_err(|e| CliError::Domain(e.to_string()))?;
+    .map_err(domain)?;
     let makespan = outcome.completed().map(|run| run.makespan);
     report.extend(oa_analyze::certify::verify(&cert, makespan, kernel.integer_time).diagnostics);
-    if static_eligible != cert.integer_kernel {
-        report.extend(vec![oa_analyze::Diagnostic::new(
-            oa_analyze::RuleCode::KernelVerdictMismatch,
-            format!(
-                "engine's kernel_eligibility says {static_eligible}, certifier says {}",
-                cert.integer_kernel
-            ),
-        )]);
-    }
 
     let simulated = makespan.map_or_else(|| "stranded".to_string(), |m| format!("{m:.0} s"));
     let row = format!(
@@ -792,9 +782,7 @@ fn audit_certify(args: &Args) -> Result<String, CliError> {
         "matrix",
     ])?;
     let (ns, nm) = shape_of(args, 10, 120)?;
-    let r = procs_of(args, "r", 53)?;
-    let h = heuristic_of(&args.str_or("heuristic", "knapsack"))?;
-    let inst = Instance::new(ns, nm, r);
+    let h = heuristic_of(args)?;
     let plan = fault_plan_of(args)?;
 
     let cells: Vec<(Cluster, CampaignConfig)> = if args.switch("matrix") {
@@ -803,20 +791,16 @@ fn audit_certify(args: &Args) -> Result<String, CliError> {
                 "--matrix sweeps every policy and granularity; drop --policy/--unfused".into(),
             ));
         }
+        let r = args.u32_or("r", 53)?;
         let names =
             std::iter::once("reference").chain(PRESET_CLUSTERS.iter().map(|(n, _, _, _)| *n));
         let mut cells = Vec::new();
         for name in names {
             for policy in ScenarioPolicy::ALL {
-                for unfused in [false, true] {
+                for granularity in [Granularity::Fused, Granularity::Unfused] {
                     let config = CampaignConfig {
                         policy,
-                        granularity: if unfused {
-                            Granularity::Unfused
-                        } else {
-                            Granularity::Fused
-                        },
-                        recovery: recovery_of(args)?,
+                        ..config_of(args, granularity)?
                     };
                     cells.push((cluster_of(name, r)?, config));
                 }
@@ -824,17 +808,13 @@ fn audit_certify(args: &Args) -> Result<String, CliError> {
         }
         cells
     } else {
-        let config = CampaignConfig {
-            policy: policy_of(args)?,
-            granularity: if args.switch("unfused") {
-                Granularity::Unfused
-            } else {
-                Granularity::Fused
-            },
-            recovery: recovery_of(args)?,
-        };
-        vec![(cluster_of(&args.str_or("cluster", "reference"), r)?, config)]
+        vec![(
+            campaign_cluster(args, 53)?,
+            config_of(args, granularity_of(args))?,
+        )]
     };
+    let r = cells[0].0.resources;
+    let inst = Instance::new(ns, nm, r);
 
     let mut report = oa_analyze::Report::new();
     let mut scope = format!(
@@ -869,19 +849,13 @@ fn audit_certify(args: &Args) -> Result<String, CliError> {
 fn gantt(args: &Args) -> Result<String, CliError> {
     args.check_known(&["ns", "nm", "r", "cluster", "heuristic", "width", "per-proc"])?;
     let (ns, nm) = shape_of(args, 4, 12)?;
-    let r = procs_of(args, "r", 26)?;
-    let width = args.u32_or("width", 76)? as usize;
-    let cluster = cluster_of(&args.str_or("cluster", "reference"), r)?;
-    let h = heuristic_of(&args.str_or("heuristic", "knapsack"))?;
-    let inst = Instance::new(ns, nm, r);
-    let grouping = h
-        .grouping(inst, &cluster.timing)
-        .map_err(|e| CliError::Domain(e.to_string()))?;
-    let schedule = execute_default(inst, &cluster.timing, &grouping)
-        .map_err(|e| CliError::Domain(e.to_string()))?;
-    schedule
-        .validate()
-        .map_err(|e| CliError::Domain(e.to_string()))?;
+    let cluster = campaign_cluster(args, 26)?;
+    let width = width_of(args)?;
+    let h = heuristic_of(args)?;
+    let inst = Instance::new(ns, nm, cluster.resources);
+    let grouping = h.grouping(inst, &cluster.timing).map_err(domain)?;
+    let schedule = execute_default(inst, &cluster.timing, &grouping).map_err(domain)?;
+    schedule.validate().map_err(domain)?;
     Ok(format!(
         "{h} → {grouping}\n{}",
         render(
@@ -907,6 +881,8 @@ fn table_cmd(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// The first `clusters` preset clusters, each on `resources`
+/// processors.
 fn preset_grid(clusters: u32, resources: u32) -> Result<Grid, CliError> {
     if clusters == 0 || clusters > PRESET_CLUSTERS.len() as u32 {
         return Err(CliError::Domain(format!(
@@ -914,15 +890,19 @@ fn preset_grid(clusters: u32, resources: u32) -> Result<Grid, CliError> {
             PRESET_CLUSTERS.len()
         )));
     }
-    Ok(benchmark_grid(resources).take(clusters as usize))
+    let clusters = PRESET_CLUSTERS[..clusters as usize]
+        .iter()
+        .map(|(name, ..)| cluster_of(name, resources))
+        .collect::<Result<_, _>>()?;
+    Ok(Grid::from_clusters(clusters))
 }
 
 fn grid_cmd(args: &Args) -> Result<String, CliError> {
     args.check_known(&["ns", "nm", "clusters", "resources", "heuristic", "staging"])?;
     let (ns, nm) = shape_of(args, 10, 1800)?;
     let clusters = args.u32_or("clusters", 5)?;
-    let resources = procs_of(args, "resources", 30)?;
-    let h = heuristic_of(&args.str_or("heuristic", "knapsack"))?;
+    let resources = args.u32_or("resources", 30)?;
+    let h = heuristic_of(args)?;
     let grid = preset_grid(clusters, resources)?;
 
     let config = GridConfig {
@@ -932,8 +912,7 @@ fn grid_cmd(args: &Args) -> Result<String, CliError> {
         }),
         ..GridConfig::default()
     };
-    let outcome = run_grid(&grid, h, ns, nm, &config, &mut NullTracer)
-        .map_err(|e| CliError::Domain(e.to_string()))?;
+    let outcome = run_grid(&grid, h, ns, nm, &config, &mut NullTracer).map_err(domain)?;
 
     let mut out = format!(
         "grid of {clusters} × {resources} processors · {} · NS = {ns} · NM = {nm}\n",
@@ -959,13 +938,12 @@ fn campaign(args: &Args) -> Result<String, CliError> {
     args.check_known(&["ns", "nm", "clusters", "resources", "heuristic"])?;
     let (ns, nm) = shape_of(args, 10, 120)?;
     let clusters = args.u32_or("clusters", 5)?;
-    let resources = procs_of(args, "resources", 30)?;
-    let h = heuristic_of(&args.str_or("heuristic", "knapsack"))?;
+    let resources = args.u32_or("resources", 30)?;
+    let h = heuristic_of(args)?;
     let grid = preset_grid(clusters, resources)?;
 
-    let jobs = oa_par::resolve_jobs(None);
-    let report = oa_service::protocol::run_protocol(&grid, h, ns, nm, jobs)
-        .map_err(|r| CliError::Domain(r.to_string()))?;
+    let jobs = read::jobs(None)?;
+    let report = oa_service::protocol::run_protocol(&grid, h, ns, nm, jobs).map_err(domain)?;
     let mut out = format!("campaign #{} through the daemon:\n", report.request);
     for e in &report.trace {
         out.push_str(&format!("  {e:?}\n"));
@@ -989,15 +967,20 @@ fn campaign(args: &Args) -> Result<String, CliError> {
 
 fn import(args: &Args) -> Result<String, CliError> {
     args.check_known(&["file", "ns", "nm", "heuristic"])?;
-    let path = args.str_or("file", "");
-    if path.is_empty() {
-        return Err(CliError::Domain("--file is required".into()));
-    }
+    let path = args
+        .str_opt("file")
+        .ok_or_else(|| domain("--file is required"))?;
     let (ns, nm) = shape_of(args, 10, 120)?;
-    let h = heuristic_of(&args.str_or("heuristic", "knapsack"))?;
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| CliError::Domain(format!("cannot read {path:?}: {e}")))?;
-    let grid = parse_grid(&text).map_err(|e| CliError::Domain(e.to_string()))?;
+    let h = heuristic_of(args)?;
+    // Every stanza's processors pass the reader's range before any
+    // planning.
+    let grid = parse_grid(&read_spec(path)?).map_err(|e| match e {
+        ImportError::BadTable {
+            cluster,
+            problem: StanzaProblem::Procs(procs),
+        } => ReadError::procs(&cluster, procs).into(),
+        e => CliError::Domain(e.to_string()),
+    })?;
 
     let mut out = format!("imported {} cluster(s) from {path}\n", grid.len());
     for (_, c) in grid.iter() {
@@ -1008,8 +991,8 @@ fn import(args: &Args) -> Result<String, CliError> {
             c.timing.main_secs(11)
         ));
     }
-    let outcome = run_grid(&grid, h, ns, nm, &GridConfig::default(), &mut NullTracer)
-        .map_err(|e| CliError::Domain(e.to_string()))?;
+    let outcome =
+        run_grid(&grid, h, ns, nm, &GridConfig::default(), &mut NullTracer).map_err(domain)?;
     out.push_str(&format!(
         "campaign NS = {ns}, NM = {nm} via {}: makespan {:.1} h\n",
         h.label(),
@@ -1021,15 +1004,12 @@ fn import(args: &Args) -> Result<String, CliError> {
 fn profile_cmd(args: &Args) -> Result<String, CliError> {
     args.check_known(&["ns", "nm", "r", "cluster", "heuristic"])?;
     let (ns, nm) = shape_of(args, 10, 24)?;
-    let r = procs_of(args, "r", 53)?;
-    let cluster = cluster_of(&args.str_or("cluster", "reference"), r)?;
-    let h = heuristic_of(&args.str_or("heuristic", "knapsack"))?;
+    let cluster = campaign_cluster(args, 53)?;
+    let r = cluster.resources;
+    let h = heuristic_of(args)?;
     let inst = Instance::new(ns, nm, r);
-    let grouping = h
-        .grouping(inst, &cluster.timing)
-        .map_err(|e| CliError::Domain(e.to_string()))?;
-    let schedule = execute_default(inst, &cluster.timing, &grouping)
-        .map_err(|e| CliError::Domain(e.to_string()))?;
+    let grouping = h.grouping(inst, &cluster.timing).map_err(domain)?;
+    let schedule = execute_default(inst, &cluster.timing, &grouping).map_err(domain)?;
     let p = oa_sim::profile::profile(&schedule);
     let mut out = format!(
         "occupancy of {} on {} procs (makespan {:.1} h)\n",
@@ -1067,24 +1047,24 @@ const TRACE_CAMPAIGN_FLAGS: &[&str] = &["ns", "nm", "r", "cluster", "heuristic",
 /// and returns a scope line plus the recorded event stream.
 fn trace_campaign(args: &Args) -> Result<(String, Vec<TraceEvent>), CliError> {
     let (ns, nm) = shape_of(args, 10, 120)?;
-    let r = procs_of(args, "r", 53)?;
-    let cluster = cluster_of(&args.str_or("cluster", "reference"), r)?;
-    let h = heuristic_of(&args.str_or("heuristic", "knapsack"))?;
+    let cluster = campaign_cluster(args, 53)?;
+    let r = cluster.resources;
+    let h = heuristic_of(args)?;
     let pool = pool_of(args)?;
     let inst = Instance::new(ns, nm, r);
     let grouping = h
         .grouping_with(inst, &cluster.timing, &pool)
-        .map_err(|e| CliError::Domain(e.to_string()))?;
+        .map_err(domain)?;
     let mut sink = VecTracer::new();
     simulate_campaign(
         inst,
         &cluster.timing,
         &grouping,
-        &CampaignConfig::fused(policy_of(args)?),
+        &config_of(args, Granularity::Fused)?,
         &FaultPlan::none(),
         &mut sink,
     )
-    .map_err(|e| CliError::Domain(e.to_string()))?;
+    .map_err(domain)?;
     let scope = format!(
         "campaign on {}: NS = {ns}, NM = {nm}, R = {r}, heuristic {}\n",
         cluster.name,
@@ -1152,16 +1132,13 @@ fn trace_export(args: &Args) -> Result<String, CliError> {
     let (_, events) = trace_events_from(args)?;
     match args.str_or("format", "chrome").as_str() {
         "chrome" => Ok(chrome_trace_string(&events) + "\n"),
-        "gantt" => {
-            let width = args.u32_or("width", 76)? as usize;
-            Ok(render_events(
-                &events,
-                GanttOptions {
-                    width,
-                    by_group: !args.switch("per-proc"),
-                },
-            ))
-        }
+        "gantt" => Ok(render_events(
+            &events,
+            GanttOptions {
+                width: width_of(args)?,
+                by_group: !args.switch("per-proc"),
+            },
+        )),
         "jsonl" => Ok(to_jsonl(&events)),
         other => Err(CliError::Domain(format!(
             "unknown trace format {other:?}; try chrome, gantt or jsonl"
@@ -1196,12 +1173,18 @@ fn serve_cmd(args: &Args) -> Result<String, CliError> {
         "capacity",
         "planning-nm",
     ])?;
+    // Every join prices campaigns of up to `capacity × planning_nm`
+    // months, so the pair is read as a campaign shape.
+    let (capacity, planning_nm) = read::shape(
+        args.u32_or("capacity", 256)?,
+        args.u32_or("planning-nm", 60)?,
+    )?;
     let cfg = oa_service::daemon::ServiceConfig {
-        capacity: args.u32_or("capacity", 256)?,
-        planning_nm: args.u32_or("planning-nm", 60)?,
+        capacity,
+        planning_nm,
         ..Default::default()
     };
-    let jobs = oa_par::resolve_jobs(args.jobs_opt()?);
+    let jobs = read::jobs(args.jobs_opt()?)?;
     let mut service = oa_service::daemon::Service::new(cfg, jobs);
     if let Some(path) = args.str_opt("script") {
         let script = std::fs::read_to_string(path)
@@ -1251,15 +1234,10 @@ fn submit_cmd(args: &Args) -> Result<String, CliError> {
         .str_opt("session")
         .ok_or_else(|| CliError::Domain("submit needs --session NAME".to_string()))?
         .to_string();
-    let (ns, nm) = shape_of(args, 10, 1800)?;
+    let (ns, nm) = (args.u32_or("ns", 10)?, args.u32_or("nm", 1800)?);
     let heuristic = args.str_or("heuristic", "knapsack");
     let policy = args.str_or("policy", "least-advanced");
-    let granularity = if args.switch("unfused") {
-        "unfused"
-    } else {
-        "fused"
-    }
-    .to_string();
+    let granularity = granularity_of(args).label().to_string();
     let recovery = args.str_or("recovery", "checkpoint");
     let kills = args.str_or("kill", "");
     let deadline = args.f64_or("deadline", 0.0)?;
@@ -1275,7 +1253,7 @@ fn submit_cmd(args: &Args) -> Result<String, CliError> {
         &kills,
         deadline,
     )
-    .map_err(|r| CliError::Domain(format!("[{}] {}", r.code, r.message)))?;
+    .map_err(domain)?;
     let req = oa_service::wire::Request::Submit {
         session,
         ns,
@@ -2002,12 +1980,13 @@ mod tests {
     /// (a zero shape reached `Instance::new` or `ExperimentShape::new`,
     /// a cluster under 4 processors reached `Cluster::new`); the rest
     /// pin that every subcommand answers the same way. Each row must be
-    /// a domain error carrying the shape or processor reader's message.
+    /// a domain error carrying the campaign reader's `CODE: message`.
     #[test]
     fn zero_and_tiny_flags_are_errors_not_panics() {
-        let empty = |ns: u32, nm: u32| format!("empty campaign shape: ns={ns}, nm={nm}");
-        let small =
-            |r: u32| format!("a cluster needs at least 4 processors to run any pcr, got {r}");
+        let empty = |ns: u32, nm: u32| format!("OA002: empty campaign shape: ns={ns}, nm={nm}");
+        let small = |cluster: &str, r: u32| {
+            format!("OA016: cluster {cluster:?} has {r} processors; the smallest group needs 4")
+        };
         let probes: Vec<(&[&str], String)> = vec![
             (&["plan", "--ns", "0"], empty(0, 1800)),
             (&["plan", "--nm", "0"], empty(10, 0)),
@@ -2032,17 +2011,17 @@ mod tests {
             (&["campaign", "--nm", "0"], empty(10, 0)),
             (&["import", "--file", "x.bench", "--ns", "0"], empty(0, 120)),
             (&["submit", "--session", "s", "--nm", "0"], empty(10, 0)),
-            (&["audit", "certify", "--r", "0"], small(0)),
-            (&["grid", "--resources", "3"], small(3)),
-            (&["campaign", "--resources", "0"], small(0)),
-            (&["plan", "--r", "3"], small(3)),
+            (&["audit", "certify", "--r", "0"], small("reference", 0)),
+            (&["grid", "--resources", "3"], small("sagittaire", 3)),
+            (&["campaign", "--resources", "0"], small("sagittaire", 0)),
+            (&["plan", "--r", "3"], small("reference", 3)),
             (
                 &["sim", "--recovery", "bogus"],
-                "unknown recovery \"bogus\"; try checkpoint or restart".to_string(),
+                "PROTO003: unknown recovery \"bogus\"".to_string(),
             ),
             (
                 &["submit", "--session", "s", "--recovery", "bogus"],
-                "[PROTO003] unknown recovery \"bogus\"".to_string(),
+                "PROTO003: unknown recovery \"bogus\"".to_string(),
             ),
             (
                 &[
@@ -2073,6 +2052,178 @@ mod tests {
                 Err(_) => panic!("{words:?} panicked"),
             }
         }
+    }
+
+    /// Every size probe that once aborted `oa` on a huge allocation,
+    /// panicked or ran until killed is a coded refusal before anything
+    /// is sized by it: the shape and processor caps of the campaign
+    /// reader, the `--width` cap, a preset header's shape read before
+    /// lowering, an imported stanza's processors, the daemon's
+    /// `(capacity, planning-nm)` pair and the `--jobs` cap.
+    #[test]
+    fn size_probes_are_coded_refusals() {
+        let dir = std::env::temp_dir().join(format!("oa-cli-probes-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let wf = dir.join("preset.json");
+        std::fs::write(
+            &wf,
+            r#"{"preset":{"ns":100000,"nm":100000,"granularity":"fused"}}"#,
+        )
+        .unwrap();
+        let bench = dir.join("big.bench");
+        let mut stanza = String::from("cluster b 4000000000\n");
+        for g in 4..=11 {
+            stanza.push_str(&format!("main {g} {}\n", 2000 - 10 * g));
+        }
+        stanza.push_str("post 180\n");
+        std::fs::write(&bench, stanza).unwrap();
+        let script = dir.join("join.jsonl");
+        std::fs::write(
+            &script,
+            "{\"Hello\":{\"version\":1}}\n\
+             {\"ClusterJoin\":{\"name\":\"ref\",\"preset\":\"reference\",\"resources\":53}}\n",
+        )
+        .unwrap();
+        let (wf, bench, script) = (
+            wf.to_str().unwrap(),
+            bench.to_str().unwrap(),
+            script.to_str().unwrap(),
+        );
+        let months = |ns: u64, nm: u64| {
+            format!(
+                "PROTO011: campaign exceeds the size cap: ns={ns}, nm={nm} is {} months, \
+                 over 1048576",
+                ns * nm
+            )
+        };
+        let huge = ["--ns", "1", "--nm", "2000000000", "--r", "53"];
+        let knapsack = ["--heuristic", "knapsack"];
+        let width = "PROTO011: --width 4000000000 is over the cap of 1000 columns".to_string();
+        let probes: Vec<(Vec<&str>, String)> = vec![
+            ([&["plan"][..], &huge].concat(), months(1, 2_000_000_000)),
+            (
+                [&["analyze"][..], &huge, &knapsack].concat(),
+                months(1, 2_000_000_000),
+            ),
+            (
+                [&["sim"][..], &huge, &knapsack].concat(),
+                months(1, 2_000_000_000),
+            ),
+            (
+                [&["gantt"][..], &huge, &knapsack, &["--width", "80"]].concat(),
+                months(1, 2_000_000_000),
+            ),
+            (
+                vec!["plan", "--ns", "10", "--nm", "1800", "--r", "4000000000"],
+                "PROTO011: cluster \"reference\" has 4000000000 processors, over the cap of 1024"
+                    .to_string(),
+            ),
+            (
+                vec!["dot", "--ns", "100000", "--nm", "100000"],
+                months(100_000, 100_000),
+            ),
+            (
+                vec!["sim", "--workflow", wf, "--r", "53"],
+                months(100_000, 100_000),
+            ),
+            (
+                vec!["import", "--file", bench],
+                "PROTO011: cluster \"b\" has 4000000000 processors, over the cap of 1024"
+                    .to_string(),
+            ),
+            (
+                vec![
+                    "gantt",
+                    "--ns",
+                    "10",
+                    "--nm",
+                    "10",
+                    "--r",
+                    "53",
+                    "--heuristic",
+                    "knapsack",
+                    "--width",
+                    "4000000000",
+                ],
+                width.clone(),
+            ),
+            (
+                vec![
+                    "trace",
+                    "export",
+                    "--ns",
+                    "10",
+                    "--nm",
+                    "10",
+                    "--r",
+                    "53",
+                    "--format",
+                    "gantt",
+                    "--width",
+                    "4000000000",
+                ],
+                width,
+            ),
+            (
+                vec![
+                    "grid",
+                    "--ns",
+                    "1000",
+                    "--nm",
+                    "2000000",
+                    "--clusters",
+                    "3",
+                    "--resources",
+                    "50",
+                ],
+                months(1000, 2_000_000),
+            ),
+            (
+                vec!["serve", "--script", script, "--capacity", "4000000000"],
+                months(4_000_000_000, 60),
+            ),
+            (
+                vec!["serve", "--script", script, "--planning-nm", "2000000000"],
+                months(256, 2_000_000_000),
+            ),
+            (
+                vec!["serve", "--script", script, "--planning-nm", "0"],
+                "OA002: empty campaign shape: ns=256, nm=0".to_string(),
+            ),
+            (
+                vec!["sim", "--nm", "12", "--jobs", "4000000000"],
+                "PROTO011: 4000000000 jobs, over the cap of 256".to_string(),
+            ),
+        ];
+        for (words, want) in probes {
+            match std::panic::catch_unwind(|| oa(&words)) {
+                Ok(Err(CliError::Domain(msg))) => assert_eq!(msg, want, "{words:?}"),
+                Ok(other) => panic!("{words:?}: expected a coded refusal, got {other:?}"),
+                Err(_) => panic!("{words:?} panicked"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A spec file one byte over the daemon's line cap is `PROTO011`
+    /// for all three readers, before it is decoded or parsed.
+    #[test]
+    fn spec_files_over_the_line_cap_are_proto011() {
+        let path = std::env::temp_dir().join(format!("oa-cli-big-{}.json", std::process::id()));
+        std::fs::write(&path, " ".repeat(MAX_LINE_BYTES + 1)).unwrap();
+        let p = path.to_str().unwrap();
+        let want = format!("PROTO011: {p} is over the cap of 16777216 bytes");
+        for words in [
+            ["sim", "--workflow", p],
+            ["sim", "--batch", p],
+            ["import", "--file", p],
+        ] {
+            match oa(&words) {
+                Err(CliError::Domain(msg)) => assert_eq!(msg, want, "{words:?}"),
+                other => panic!("{words:?}: {other:?}"),
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

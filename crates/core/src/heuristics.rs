@@ -289,6 +289,38 @@ mod tests {
         Instance::new(10, 1800, 53)
     }
 
+    /// Knapsack values are `1/T`: on a table scaled by `2^k` they
+    /// shrink by `2^k`, and a tolerance with an absolute floor once
+    /// tied every selection with the empty one (from `k = 40` on the
+    /// preset tables). Scaling by a power of two is exact, so the
+    /// grouping must not move and the makespan must scale bit for bit.
+    #[test]
+    fn knapsack_is_scale_free_on_every_preset_table() {
+        use oa_platform::presets::{preset_cluster, reference_cluster, PRESET_CLUSTERS};
+        let inst = Instance::new(10, 120, 53);
+        let clusters = std::iter::once(reference_cluster(53))
+            .chain(PRESET_CLUSTERS.iter().map(|(n, ..)| preset_cluster(n, 53)));
+        for table in clusters.map(|c| c.timing) {
+            let grouping = Heuristic::Knapsack.grouping(inst, &table).unwrap();
+            let makespan = Heuristic::Knapsack.makespan(inst, &table).unwrap();
+            for k in [0, 20, 40, 600] {
+                let scale = 2f64.powi(k);
+                let scaled = TimingTable::new(
+                    table.main_array().map(|t| t * scale),
+                    table.post_secs() * scale,
+                )
+                .unwrap();
+                let h = Heuristic::Knapsack;
+                assert_eq!(h.grouping(inst, &scaled).unwrap(), grouping, "2^{k}");
+                assert_eq!(
+                    h.makespan(inst, &scaled).unwrap(),
+                    makespan * scale,
+                    "2^{k}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn basic_reproduces_paper_example() {
         let g = Heuristic::Basic.grouping(inst53(), &table()).unwrap();

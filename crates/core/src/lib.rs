@@ -18,6 +18,7 @@
 //!   chains of identical moldable units (the paper's future work);
 //! * [`hetero`] — per-cluster performance vectors and the greedy
 //!   scenario repartition of Algorithm 1;
+//! * [`kernel`] — the integer-time gate `oa-sim` and its certifier share;
 //! * [`incremental`] — Algorithm 1 as an online scheduler: arrivals,
 //!   departures and cluster churn over cached performance vectors,
 //!   bitwise-equal to the batch greedy (the planning core of
@@ -29,6 +30,8 @@
 //! * [`policy`] — campaign policy knobs shared by every event loop:
 //!   scenario-selection queues, task granularity, fault plans and
 //!   recovery models (the configuration of `oa-sim::engine`);
+//! * [`read`] — the one reader of campaign fields from outside the
+//!   program, each refusal with its stable code;
 //! * [`time`] — the shared totally-ordered `f64` heap key every
 //!   discrete-event loop in the workspace uses.
 //!
@@ -60,10 +63,12 @@ pub mod grouping;
 pub mod hetero;
 pub mod heuristics;
 pub mod incremental;
+pub mod kernel;
 pub mod memo;
 pub mod params;
 mod planner;
 pub mod policy;
+pub mod read;
 pub mod time;
 
 /// One-stop imports for downstream crates.

@@ -15,20 +15,11 @@ use serde::{Deserialize, Serialize};
 /// The most months (`NS × NM`) one requested campaign may ask for:
 /// 2^20 = 1,048,576, above a capacity-512 request at the paper's
 /// `NM = 1800` (921,600 months). The engine sizes its record arena and
-/// completion chain by the month count, so `oa-service` admission and
-/// `oa-sim` batch specs both check this before anything is sized by
-/// the request.
+/// completion chain by the month count, so [`crate::read::shape`]
+/// checks this before anything is sized by the request.
 pub const MAX_CAMPAIGN_MONTHS: u64 = 1 << 20;
 
-/// The most processors one requested cluster may have: 1,024, well
-/// above the paper's largest `R` of 120. Planners and engines size
-/// tables and pools by `R`: the knapsack DP's cardinality saturates at
-/// `R/4`, so a cluster at the cap builds a table of at most 1,025 ×
-/// 257 cells per group size whatever the requested scenario count,
-/// and the engine's post pool holds at most `R` entries. `oa-service`
-/// refuses a larger `ClusterJoin` and `oa-sim` batch specs a larger
-/// `r` entry, before anything is sized by them.
-pub const MAX_CLUSTER_PROCS: u32 = 1024;
+pub use oa_platform::cluster::MAX_CLUSTER_PROCS;
 
 use oa_workflow::chain::ExperimentShape;
 

@@ -248,6 +248,13 @@ impl Granularity {
             Granularity::Unfused => "unfused",
         }
     }
+
+    /// Parses a [`Self::label`] back into a granularity.
+    pub fn parse(s: &str) -> Option<Self> {
+        [Granularity::Fused, Granularity::Unfused]
+            .into_iter()
+            .find(|g| g.label() == s)
+    }
 }
 
 /// Full configuration of one campaign run: the three orthogonal knobs

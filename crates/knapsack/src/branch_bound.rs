@@ -6,6 +6,7 @@
 //! per item, pruned with the fractional (LP) upper bound of the
 //! remaining subproblem, seeded with the greedy solution.
 
+use crate::dp::exceeds;
 use crate::greedy::solve_greedy;
 use crate::problem::{Problem, Solution};
 
@@ -59,13 +60,12 @@ struct Search<'a> {
     counts: Vec<u32>,
     best_value: f64,
     best_counts: Vec<u32>,
-    /// Tolerance mirroring the DP's EPS so both solvers agree on ties.
-    eps: f64,
 }
 
 impl Search<'_> {
     fn dfs(&mut self, depth: usize, cap: u32, card: u32, value: f64) {
-        if value > self.best_value + self.eps * (1.0 + self.best_value.abs()) {
+        // The DP's comparison, so both solvers agree on ties.
+        if exceeds(value, self.best_value) {
             self.best_value = value;
             self.best_counts.clone_from(&self.counts);
         }
@@ -74,7 +74,7 @@ impl Search<'_> {
         }
         let bound =
             value + fractional_bound(self.p, &self.order, depth, f64::from(cap), f64::from(card));
-        if bound <= self.best_value + self.eps * (1.0 + self.best_value.abs()) {
+        if !exceeds(bound, self.best_value) {
             return;
         }
         let i = self.order[depth];
@@ -111,7 +111,6 @@ pub fn solve_branch_bound(p: &Problem) -> Solution {
         counts: vec![0u32; p.items.len()],
         best_value: seed.value,
         best_counts: seed.counts.clone(),
-        eps: 1e-12,
     };
     search.dfs(0, p.capacity, p.max_items, 0.0);
     Solution::from_counts(p, search.best_counts).expect("search only visits feasible states")

@@ -15,21 +15,24 @@
 
 use crate::problem::{Item, Problem, Solution};
 
-/// Tolerance for value comparisons: `1/T` values differ by parts in
-/// `1e-4`, accumulated over ≤ a few dozen copies, so `1e-12` relative
-/// is far below signal while absorbing float associativity.
+/// Relative tolerance for value comparisons: `1/T` values differ by
+/// parts in `1e-4`, accumulated over ≤ a few dozen copies, so `1e-12`
+/// of the larger value is far below signal while absorbing float
+/// associativity, at every scale (a `1e300` s table has values near
+/// `1e-300`).
 const EPS: f64 = 1e-12;
+
+/// Whether `value` beats `best` by more than [`EPS`] of the larger:
+/// the comparison both exact solvers use.
+#[inline]
+pub(crate) fn exceeds(value: f64, best: f64) -> bool {
+    value > best + EPS * value.abs().max(best.abs())
+}
 
 #[inline]
 fn better(value: f64, cost: u32, copies: u32, best: (f64, u32, u32)) -> bool {
     let (bv, bc, bk) = best;
-    if value > bv + EPS * (1.0 + bv.abs()) {
-        return true;
-    }
-    if value < bv - EPS * (1.0 + bv.abs()) {
-        return false;
-    }
-    (cost, copies) < (bc, bk)
+    exceeds(value, bv) || (!exceeds(bv, value) && (cost, copies) < (bc, bk))
 }
 
 /// Solves the instance exactly. Always returns a feasible solution

@@ -43,18 +43,18 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Name of the environment variable overriding the default job count.
 pub const JOBS_ENV: &str = "OA_JOBS";
 
+/// The most workers a pool is asked for: a map spawns `min(jobs, n)`
+/// scoped threads, so a larger request on a long candidate list would
+/// ask the OS for that many threads. [`resolve_jobs`] clamps the
+/// available parallelism to it, and `oa` refuses a larger `--jobs` or
+/// `OA_JOBS`.
+pub const MAX_JOBS: usize = 256;
+
 /// A fixed-width worker pool. Cheap to construct (no threads live
 /// between calls); clone-free to share (take it by reference).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool {
     jobs: usize,
-}
-
-impl Default for Pool {
-    /// Same as [`Pool::from_env`].
-    fn default() -> Self {
-        Self::from_env()
-    }
 }
 
 impl Pool {
@@ -68,13 +68,6 @@ impl Pool {
     /// nested fan-out would only oversubscribe the machine.
     pub fn serial() -> Self {
         Self::new(1)
-    }
-
-    /// Resolves the job count from the environment: `OA_JOBS` when set
-    /// to a positive integer, otherwise the machine's available
-    /// parallelism.
-    pub fn from_env() -> Self {
-        Self::new(env_jobs().unwrap_or_else(available_jobs))
     }
 
     /// Number of concurrent workers this pool runs.
@@ -182,13 +175,13 @@ pub fn env_jobs() -> Option<usize> {
 }
 
 /// Resolves a job count: an explicit request (e.g. a `--jobs` flag)
-/// wins, then `OA_JOBS`, then the available parallelism.
+/// wins, then `OA_JOBS`, then the available parallelism clamped to
+/// [`MAX_JOBS`].
 pub fn resolve_jobs(explicit: Option<usize>) -> usize {
     explicit
         .filter(|&j| j > 0)
         .or_else(env_jobs)
-        .unwrap_or_else(available_jobs)
-        .max(1)
+        .unwrap_or_else(|| available_jobs().min(MAX_JOBS))
 }
 
 #[cfg(test)]

@@ -6,8 +6,53 @@
 
 use serde::{Deserialize, Serialize};
 
+use oa_workflow::task::MIN_PROCS;
+
 use crate::speedup::PcrModel;
 use crate::timing::{TimingError, TimingTable};
+
+/// The most processors one requested cluster may have: 1,024, well
+/// above the paper's largest `R` of 120. Planners and engines size
+/// tables and pools by `R`: the knapsack DP's cardinality saturates at
+/// `R/4`, so a cluster at the cap builds a table of at most 1,025 ×
+/// 257 cells per group size whatever the requested scenario count,
+/// and the engine's post pool holds at most `R` entries.
+pub const MAX_CLUSTER_PROCS: u32 = 1024;
+
+/// A requested processor count outside
+/// `MIN_PROCS..=`[`MAX_CLUSTER_PROCS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProcsError {
+    /// Fewer processors than the smallest group.
+    TooFew(u32),
+    /// More processors than [`MAX_CLUSTER_PROCS`].
+    OverCap(u32),
+}
+
+impl std::fmt::Display for ProcsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ProcsError::TooFew(r) => {
+                write!(f, "{r} processors; the smallest group needs {MIN_PROCS}")
+            }
+            ProcsError::OverCap(r) => {
+                write!(f, "{r} processors, over the cap of {MAX_CLUSTER_PROCS}")
+            }
+        }
+    }
+}
+
+/// The one range check on a requested cluster's processor count, run
+/// before anything is built or sized by it: every front end reads a
+/// cluster through it (`oa_sched::read`, and [`crate::import`] for
+/// benchmark files). [`Cluster::new`] asserts the floor.
+pub fn check_procs(resources: u32) -> Result<u32, ProcsError> {
+    match resources {
+        r if r < MIN_PROCS => Err(ProcsError::TooFew(r)),
+        r if r > MAX_CLUSTER_PROCS => Err(ProcsError::OverCap(r)),
+        r => Ok(r),
+    }
+}
 
 /// Identifier of a cluster inside a [`crate::grid::Grid`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]

@@ -23,9 +23,9 @@
 use oa_workflow::moldable::MoldableSpec;
 use oa_workflow::task::NUM_GROUP_SIZES;
 
-use crate::cluster::Cluster;
+use crate::cluster::{check_procs, Cluster, ProcsError};
 use crate::grid::Grid;
-use crate::timing::TimingTable;
+use crate::timing::{TimingError, TimingTable};
 
 /// Parse errors with line numbers.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,12 +49,14 @@ pub enum ImportError {
         /// What the stanza lacks.
         missing: String,
     },
-    /// The resulting table is invalid (non-positive, non-monotone…).
+    /// The stanza cannot make a cluster: its table is invalid
+    /// (non-positive, non-monotone…) or its processor count fails
+    /// [`check_procs`].
     BadTable {
         /// Cluster concerned.
         cluster: String,
-        /// Human-readable detail.
-        message: String,
+        /// What is wrong.
+        problem: StanzaProblem,
     },
     /// No stanza at all.
     Empty,
@@ -70,8 +72,8 @@ impl std::fmt::Display for ImportError {
             ImportError::Incomplete { cluster, missing } => {
                 write!(f, "cluster {cluster:?}: missing {missing}")
             }
-            ImportError::BadTable { cluster, message } => {
-                write!(f, "cluster {cluster:?}: {message}")
+            ImportError::BadTable { cluster, problem } => {
+                write!(f, "cluster {cluster:?}: {problem}")
             }
             ImportError::Empty => write!(f, "no cluster stanza found"),
         }
@@ -79,6 +81,24 @@ impl std::fmt::Display for ImportError {
 }
 
 impl std::error::Error for ImportError {}
+
+/// Why a complete stanza cannot make a cluster.
+#[derive(Debug, Clone, PartialEq)]
+pub enum StanzaProblem {
+    /// The timing table is invalid.
+    Table(TimingError),
+    /// The processor count is out of range.
+    Procs(ProcsError),
+}
+
+impl std::fmt::Display for StanzaProblem {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StanzaProblem::Table(e) => write!(f, "{e}"),
+            StanzaProblem::Procs(e) => write!(f, "{e}"),
+        }
+    }
+}
 
 #[derive(Default)]
 struct Stanza {
@@ -102,16 +122,12 @@ impl Stanza {
             cluster: self.name.clone(),
             missing: "post".into(),
         })?;
-        let timing = TimingTable::new(main, post).map_err(|e| ImportError::BadTable {
+        let bad = |problem| ImportError::BadTable {
             cluster: self.name.clone(),
-            message: e.to_string(),
-        })?;
-        if self.resources < 4 {
-            return Err(ImportError::BadTable {
-                cluster: self.name.clone(),
-                message: format!("{} processors cannot run any group", self.resources),
-            });
-        }
+            problem,
+        };
+        let timing = TimingTable::new(main, post).map_err(|e| bad(StanzaProblem::Table(e)))?;
+        check_procs(self.resources).map_err(|e| bad(StanzaProblem::Procs(e)))?;
         Ok(Cluster::new(self.name, self.resources, timing))
     }
 }

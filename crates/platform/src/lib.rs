@@ -44,7 +44,7 @@ pub mod prelude {
     pub use crate::benchmarks::{run_campaign, BenchmarkConfig, CampaignResult, Sample};
     pub use crate::cluster::{Cluster, ClusterId};
     pub use crate::grid::Grid;
-    pub use crate::import::{parse_grid, render_grid, ImportError};
+    pub use crate::import::{parse_grid, render_grid, ImportError, StanzaProblem};
     pub use crate::presets::{
         benchmark_grid, preset_cluster, reference_cluster, DEFAULT_RESOURCES, FASTEST_T11,
         PRESET_CLUSTERS, SLOWEST_T11,

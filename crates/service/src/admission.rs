@@ -3,9 +3,10 @@
 //! The daemon admits nothing it has not statically checked. A
 //! submission passes through, in order:
 //!
-//! 1. **shape** — `ns`/`nm` positive (`OA002`), `ns × nm` within
-//!    [`MAX_CAMPAIGN_MONTHS`] (`PROTO011`), and every enum label
-//!    parsable (`PROTO003`);
+//! 1. **shape** — the campaign reader `oa_sched::read`: `ns`/`nm`
+//!    positive (`OA002`), `ns × nm` within [`MAX_CAMPAIGN_MONTHS`]
+//!    (`PROTO011`), and every label and the kill plan parsable
+//!    (`PROTO003`);
 //! 2. **placement** — the incremental Algorithm 1 must find a slot for
 //!    every scenario (`OA005` when the grid is full or priced out);
 //! 3. **grouping** — each target cluster groups its portion under the
@@ -43,7 +44,8 @@ use oa_platform::timing::TimingTable;
 use oa_sched::grouping::Grouping;
 use oa_sched::heuristics::Heuristic;
 use oa_sched::params::Instance;
-use oa_sched::policy::{CampaignConfig, FaultPlan, Granularity, Recovery, ScenarioPolicy};
+use oa_sched::policy::{CampaignConfig, FaultPlan};
+use oa_sched::read::{self, ReadError};
 
 use crate::wire::codes;
 
@@ -64,6 +66,12 @@ impl Refusal {
             code: code.to_string(),
             message: message.into(),
         }
+    }
+}
+
+impl From<ReadError> for Refusal {
+    fn from(e: ReadError) -> Self {
+        Self::new(e.code, e.message)
     }
 }
 
@@ -92,10 +100,10 @@ pub struct Submission {
     pub deadline: Option<f64>,
 }
 
-/// Parses the wire-level `Submit` fields into a [`Submission`],
-/// classifying each failure: empty shape is `OA002`, a shape over
-/// [`MAX_CAMPAIGN_MONTHS`] is `PROTO011`, everything else malformed is
-/// `PROTO003`.
+/// Parses the wire-level `Submit` fields into a [`Submission`]: the
+/// shape, labels and kill plan through `oa_sched::read` (`OA002`,
+/// `PROTO011`, `PROTO003`), then the session name and the deadline
+/// (`PROTO003`).
 #[allow(clippy::too_many_arguments)]
 pub fn parse_submission(
     session: &str,
@@ -111,40 +119,14 @@ pub fn parse_submission(
     if session.is_empty() {
         return Err(Refusal::new(codes::BAD_FIELD, "empty session name"));
     }
-    if ns == 0 || nm == 0 {
-        return Err(Refusal::new(
-            codes::EMPTY_CAMPAIGN,
-            format!("empty campaign shape: ns={ns}, nm={nm}"),
-        ));
-    }
-    let months = u64::from(ns) * u64::from(nm);
-    if months > MAX_CAMPAIGN_MONTHS {
-        return Err(Refusal::new(
-            codes::OVER_SIZE_CAP,
-            format!(
-                "campaign exceeds the size cap: ns={ns}, nm={nm} is {months} months, \
-                 over {MAX_CAMPAIGN_MONTHS}"
-            ),
-        ));
-    }
-    let heuristic = Heuristic::parse(heuristic).ok_or_else(|| {
-        Refusal::new(codes::BAD_FIELD, format!("unknown heuristic {heuristic:?}"))
-    })?;
-    let policy = ScenarioPolicy::parse(policy)
-        .ok_or_else(|| Refusal::new(codes::BAD_FIELD, format!("unknown policy {policy:?}")))?;
-    let granularity = match granularity {
-        "fused" => Granularity::Fused,
-        "unfused" => Granularity::Unfused,
-        other => {
-            return Err(Refusal::new(
-                codes::BAD_FIELD,
-                format!("unknown granularity {other:?}"),
-            ))
-        }
+    let (ns, nm) = read::shape(ns, nm)?;
+    let heuristic = read::heuristic(heuristic)?;
+    let config = CampaignConfig {
+        policy: read::policy(policy)?,
+        granularity: read::granularity(granularity)?,
+        recovery: read::recovery(recovery)?,
     };
-    let recovery = Recovery::parse(recovery)
-        .ok_or_else(|| Refusal::new(codes::BAD_FIELD, format!("unknown recovery {recovery:?}")))?;
-    let plan = parse_kills(kills)?;
+    let plan = read::kills(kills)?;
     if !deadline.is_finite() || deadline < 0.0 {
         return Err(Refusal::new(
             codes::BAD_FIELD,
@@ -156,35 +138,10 @@ pub fn parse_submission(
         ns,
         nm,
         heuristic,
-        config: CampaignConfig {
-            policy,
-            granularity,
-            recovery,
-        },
+        config,
         plan,
         deadline: (deadline > 0.0).then_some(deadline),
     })
-}
-
-/// Parses a `"G@T,G@T"` fault-plan spec (empty string = no faults).
-pub fn parse_kills(spec: &str) -> Result<FaultPlan, Refusal> {
-    let mut plan = FaultPlan::none();
-    for part in spec.split(',').filter(|p| !p.is_empty()) {
-        let (g, t) = part.split_once('@').ok_or_else(|| {
-            Refusal::new(
-                codes::BAD_FIELD,
-                format!("bad kill {part:?}: expected GROUP@TIME"),
-            )
-        })?;
-        let g: usize = g
-            .parse()
-            .map_err(|_| Refusal::new(codes::BAD_FIELD, format!("bad kill group {g:?}")))?;
-        let t: f64 = t
-            .parse()
-            .map_err(|_| Refusal::new(codes::BAD_FIELD, format!("bad kill time {t:?}")))?;
-        plan = plan.kill(g, t);
-    }
-    Ok(plan)
 }
 
 /// Statically checks one portion of an admitted-to-be session: the
@@ -209,6 +166,7 @@ pub fn admit_portion(
 mod tests {
     use super::*;
     use oa_platform::speedup::PcrModel;
+    use oa_sched::policy::{Granularity, Recovery, ScenarioPolicy};
 
     #[test]
     fn labels_parse_into_domain_types() {

@@ -29,21 +29,21 @@ use std::io::{self, BufRead, Write};
 
 use oa_par::Pool;
 use oa_platform::cluster::{Cluster, ClusterId};
-use oa_platform::presets::{preset_cluster, reference_cluster, PRESET_CLUSTERS};
 use oa_sched::heuristics::Heuristic;
 use oa_sched::incremental::IncrementalRepartition;
 use oa_sched::memo::PlanMemo;
 use oa_sched::params::Instance;
 use oa_sched::policy::FaultPlan;
+use oa_sched::read;
 use oa_sim::batch::{run_batch_with, BatchError, BatchSpec};
 use oa_sim::driver::{SessionDriver, SessionState};
 use oa_trace::metrics::{self, MetricsRegistry};
 use oa_workflow::ir::{classify_spec, IrClass, SpecError};
 
-use crate::admission::{admit_portion, parse_submission, Refusal, Submission, MAX_CLUSTER_PROCS};
+use crate::admission::{admit_portion, parse_submission, Refusal, Submission};
 use crate::protocol::{CampaignReport, ExecReport, ProtocolEvent, PROTOCOL_VERSION};
 use crate::wire::{
-    codes, parse_request, render_response, ClusterLoad, ParseError, PortionInfo, Response,
+    codes, line_over_cap, parse_request, render_response, ClusterLoad, PortionInfo, Response,
     MAX_LINE_BYTES,
 };
 
@@ -248,7 +248,7 @@ impl Service {
     pub fn handle_line(&mut self, line: &str) -> Vec<Response> {
         match parse_request(line) {
             Ok(req) => self.handle(req),
-            Err(e) => vec![refusal(e)],
+            Err(e) => Self::error(e.code, e.message),
         }
     }
 
@@ -275,17 +275,20 @@ impl Service {
                 recovery,
                 kills,
                 deadline,
-            } => self.submit(
-                &session,
-                ns,
-                nm,
-                &heuristic,
-                &policy,
-                &granularity,
-                &recovery,
-                &kills,
-                deadline,
-            ),
+            } => {
+                let admitted = self.submit(
+                    &session,
+                    ns,
+                    nm,
+                    &heuristic,
+                    &policy,
+                    &granularity,
+                    &recovery,
+                    &kills,
+                    deadline,
+                );
+                self.answer(&session, admitted)
+            }
             Request::SubmitWorkflow {
                 session,
                 workflow,
@@ -294,9 +297,12 @@ impl Service {
                 recovery,
                 kills,
                 deadline,
-            } => self.submit_workflow(
-                &session, &workflow, &heuristic, &policy, &recovery, &kills, deadline,
-            ),
+            } => {
+                let admitted = self.submit_workflow(
+                    &session, &workflow, &heuristic, &policy, &recovery, &kills, deadline,
+                );
+                self.answer(&session, admitted)
+            }
             Request::VariantSweep { spec } => self.variant_sweep(&spec),
             Request::Status { session } => self.status(&session),
             Request::Advance { to } => self.advance(to),
@@ -358,29 +364,10 @@ impl Service {
                 format!("cluster {name:?} already joined"),
             );
         }
-        if resources < 4 {
-            return Self::error(
-                codes::CLUSTER_INSANE,
-                format!("cluster {name:?} has {resources} processors; the smallest group needs 4"),
-            );
-        }
-        if resources > MAX_CLUSTER_PROCS {
-            return Self::error(
-                codes::OVER_SIZE_CAP,
-                format!(
-                    "cluster {name:?} has {resources} processors, over the cap of {MAX_CLUSTER_PROCS}"
-                ),
-            );
-        }
-        let known = PRESET_CLUSTERS.iter().any(|(n, ..)| *n == preset);
-        let template = if preset == "reference" {
-            reference_cluster(resources)
-        } else if known {
-            preset_cluster(preset, resources)
-        } else {
-            return Self::error(codes::BAD_FIELD, format!("unknown preset {preset:?}"));
+        let cluster = match read::cluster(name, preset, resources) {
+            Ok(cluster) => cluster,
+            Err(e) => return Self::error(e.code, e.message),
         };
-        let cluster = Cluster::new(name, resources, template.timing);
         let id = self.next_cluster_id;
         self.next_cluster_id += 1;
         let vector = self.memo.performance_vector(
@@ -429,6 +416,21 @@ impl Service {
         }]
     }
 
+    /// The answer to a submission: its responses, or a counted
+    /// `Rejected`.
+    fn answer(&mut self, session: &str, admitted: Result<Vec<Response>, Refusal>) -> Vec<Response> {
+        admitted.unwrap_or_else(|refusal| {
+            self.metrics.inc(metrics::keys::SESSIONS_REJECTED, 1);
+            vec![Response::Rejected {
+                session: session.to_string(),
+                code: refusal.code,
+                message: refusal.message,
+            }]
+        })
+    }
+
+    /// The admission pipeline of one `Submit`, atomic: a refusal at any
+    /// stage rolls the placement back in full.
     #[allow(clippy::too_many_arguments)]
     fn submit(
         &mut self,
@@ -441,22 +443,12 @@ impl Service {
         recovery: &str,
         kills: &str,
         deadline: f64,
-    ) -> Vec<Response> {
-        let reject = |code: &str, message: String| {
-            vec![Response::Rejected {
-                session: session.to_string(),
-                code: code.to_string(),
-                message,
-            }]
-        };
+    ) -> Result<Vec<Response>, Refusal> {
         if self.index.contains_key(session) {
-            self.metrics.inc(metrics::keys::SESSIONS_REJECTED, 1);
-            return reject(
-                codes::DUPLICATE_ID,
-                format!("session {session:?} already exists"),
-            );
+            let message = format!("session {session:?} already exists");
+            return Err(Refusal::new(codes::DUPLICATE_ID, message));
         }
-        let sub = match parse_submission(
+        let sub = parse_submission(
             session,
             ns,
             nm,
@@ -466,59 +458,39 @@ impl Service {
             recovery,
             kills,
             deadline,
-        ) {
-            Ok(sub) => sub,
-            Err(Refusal { code, message }) => {
-                self.metrics.inc(metrics::keys::SESSIONS_REJECTED, 1);
-                return reject(&code, message);
-            }
-        };
+        )?;
         if ns > self.cfg.capacity {
-            self.metrics.inc(metrics::keys::SESSIONS_REJECTED, 1);
-            return reject(
-                codes::OVER_CAPACITY,
-                format!("ns={ns} exceeds the service capacity {}", self.cfg.capacity),
-            );
+            let message = format!("ns={ns} exceeds the service capacity {}", self.cfg.capacity);
+            return Err(Refusal::new(codes::OVER_CAPACITY, message));
         }
 
-        // Placement: one greedy step per scenario, rolled back in full
-        // on any later refusal — admission is atomic.
+        // Placement: one greedy step per scenario.
         let mut choices: Vec<ClusterId> = Vec::with_capacity(ns as usize);
         for _ in 0..ns {
-            match self.rep.push() {
-                Some(c) => choices.push(c),
-                None => {
-                    self.rollback(choices.len());
-                    self.metrics.inc(metrics::keys::SESSIONS_REJECTED, 1);
-                    return reject(
-                        codes::OVER_CAPACITY,
-                        format!("no cluster can take scenario {} of {ns}", choices.len() + 1),
-                    );
-                }
-            }
+            let Some(c) = self.rep.push() else {
+                self.rollback(choices.len());
+                let message = format!("no cluster can take scenario {} of {ns}", choices.len() + 1);
+                return Err(Refusal::new(codes::OVER_CAPACITY, message));
+            };
+            choices.push(c);
         }
 
-        match self.build_portions(&sub, &choices, self.now, &sub.plan) {
+        let built = self
+            .build_portions(&sub, &choices, self.now, &sub.plan)
+            .and_then(|(portions, lo, hi, kernel)| match sub.deadline {
+                Some(deadline) if lo > deadline => Err(Refusal::new(
+                    codes::DEADLINE_UNREACHABLE,
+                    format!("certified lower bound {lo:.1}s misses the deadline {deadline:.1}s"),
+                )),
+                _ => Ok((portions, lo, hi, kernel)),
+            });
+        match built {
             Ok((portions, bound_lo, bound_hi, integer_kernel)) => {
-                if let Some(deadline) = sub.deadline {
-                    if bound_lo > deadline {
-                        self.rollback(choices.len());
-                        self.metrics.inc(metrics::keys::SESSIONS_REJECTED, 1);
-                        return reject(
-                            codes::DEADLINE_UNREACHABLE,
-                            format!(
-                                "certified lower bound {bound_lo:.1}s misses the deadline \
-                                 {deadline:.1}s"
-                            ),
-                        );
-                    }
-                }
-                self.commit(sub, portions, bound_lo, bound_hi, integer_kernel)
+                Ok(self.commit(sub, portions, bound_lo, bound_hi, integer_kernel))
             }
-            Err(Refusal { code, message }) => {
+            Err(refusal) => {
                 self.rollback(choices.len());
-                self.metrics.inc(metrics::keys::SESSIONS_REJECTED, 1);
-                reject(&code, message)
+                Err(refusal)
             }
         }
     }
@@ -541,33 +513,23 @@ impl Service {
         recovery: &str,
         kills: &str,
         deadline: f64,
-    ) -> Vec<Response> {
-        let reject = |code: &str, message: String| {
-            vec![Response::Rejected {
-                session: session.to_string(),
-                code: code.to_string(),
-                message,
-            }]
-        };
+    ) -> Result<Vec<Response>, Refusal> {
         let (shape, granularity) = match classify_spec(workflow) {
             Ok(IrClass::FusedMesh(shape)) => (shape, "fused"),
             Ok(IrClass::UnfusedMesh(shape)) => (shape, "unfused"),
             Ok(IrClass::General) => {
-                self.metrics.inc(metrics::keys::SESSIONS_REJECTED, 1);
-                return reject(
+                return Err(Refusal::new(
                     codes::BAD_FIELD,
                     "the service admits only the ocean-atmosphere preset meshes; \
-                     run general workflows through `oa sim --workflow`"
-                        .to_string(),
-                );
+                     run general workflows through `oa sim --workflow`",
+                ));
             }
             Err(e) => {
-                self.metrics.inc(metrics::keys::SESSIONS_REJECTED, 1);
                 let code = match &e {
                     SpecError::Malformed(_) => codes::MALFORMED_WORKFLOW,
                     SpecError::BadField(_) => codes::BAD_FIELD,
                 };
-                return reject(code, e.to_string());
+                return Err(Refusal::new(code, e.to_string()));
             }
         };
         self.submit(
@@ -1097,14 +1059,6 @@ impl Service {
     }
 }
 
-/// The error response to a line the parser refused.
-fn refusal(e: ParseError) -> Response {
-    Response::Error {
-        code: e.code.to_string(),
-        message: e.message,
-    }
-}
-
 /// Reads the next line of `input` into `buf` without its `\n` (or
 /// `\r\n`), buffering at most [`MAX_LINE_BYTES`] of it. Returns `None`
 /// at end of input, `Some(false)` for a line within the cap and
@@ -1155,7 +1109,8 @@ pub fn run_pipe<R: BufRead, W: Write>(
     let mut buf = Vec::new();
     while let Some(over) = read_line_capped(&mut input, &mut buf)? {
         let responses = if over {
-            vec![refusal(ParseError::line_over_cap())]
+            let e = line_over_cap();
+            Service::error(e.code, e.message)
         } else {
             let line = std::str::from_utf8(&buf)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;

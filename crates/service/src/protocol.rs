@@ -109,12 +109,6 @@ pub enum ProtocolEvent {
         /// Cluster concerned.
         cluster: ClusterId,
     },
-    /// Step 3 (degraded): a cluster failed to answer; excluded. Kept so
-    /// that reports recorded by earlier revisions still parse.
-    PerfMissing {
-        /// Cluster concerned.
-        cluster: ClusterId,
-    },
     /// Step 4: repartition computed, `nb_dags[cluster]` counts.
     RepartitionComputed {
         /// Scenarios per cluster.

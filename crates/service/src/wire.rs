@@ -21,6 +21,7 @@
 //! assert_eq!(err.code, "PROTO002");
 //! ```
 
+use oa_sched::read::ReadError;
 use serde::{Deserialize, Serialize};
 
 use crate::protocol::CampaignReport;
@@ -30,14 +31,19 @@ use crate::protocol::CampaignReport;
 /// `PROTO…` codes are transport-level (malformed or unacceptable
 /// requests); admission rejections reuse the analyzer rule ids
 /// (`OA…`/`CT…`) of the `oa-analyze` rule that refused the submission,
-/// so an operator can look the failure up in `oa analyze --rules`.
+/// so an operator can look the failure up in `oa analyze --rules`. The
+/// four codes of the campaign reader (`PROTO003`, `PROTO011`, `OA002`,
+/// `OA016`) are `oa_sched::read`'s; a request line over
+/// [`MAX_LINE_BYTES`] is `PROTO011` too.
 pub mod codes {
+    use oa_analyze::RuleCode;
+
+    pub use oa_sched::read::{BAD_FIELD, CLUSTER_INSANE, EMPTY_CAMPAIGN, OVER_SIZE_CAP};
+
     /// The line is not valid JSON.
     pub const BAD_JSON: &str = "PROTO001";
     /// The line is JSON but not a known request kind.
     pub const UNKNOWN_MESSAGE: &str = "PROTO002";
-    /// A known request with missing, mistyped or unparsable fields.
-    pub const BAD_FIELD: &str = "PROTO003";
     /// `Hello` announced an incompatible protocol version.
     pub const VERSION_MISMATCH: &str = "PROTO004";
     /// A session or cluster name is already taken.
@@ -55,32 +61,16 @@ pub mod codes {
     /// empty axis, zero axis entry or variant count, or an infeasible
     /// shape.
     pub const BAD_SWEEP: &str = "PROTO010";
-    /// `Submit`/`SubmitWorkflow`: the campaign exceeds the size cap,
-    /// `ns × nm` above
-    /// [`MAX_CAMPAIGN_MONTHS`](crate::admission::MAX_CAMPAIGN_MONTHS);
-    /// `VariantSweep`: the spec has such a shape, an `r` entry above
-    /// [`MAX_CLUSTER_PROCS`](crate::admission::MAX_CLUSTER_PROCS), or
-    /// enumerates more than
-    /// [`MAX_BATCH_VARIANTS`](oa_sim::batch::MAX_BATCH_VARIANTS)
-    /// variants; `ClusterJoin`: `resources` above
-    /// [`MAX_CLUSTER_PROCS`](crate::admission::MAX_CLUSTER_PROCS); any
-    /// request line longer than
-    /// [`MAX_LINE_BYTES`](crate::wire::MAX_LINE_BYTES).
-    pub const OVER_SIZE_CAP: &str = "PROTO011";
 
-    /// Admission: the campaign shape is empty (`ns` or `nm` is zero).
-    pub const EMPTY_CAMPAIGN: &str = "OA002";
     /// Admission: a target cluster cannot group the portion.
-    pub const NO_GROUPING: &str = "OA004";
+    pub const NO_GROUPING: &str = RuleCode::GroupSizeOutOfRange.code();
     /// Admission: the grid has no capacity left for the submission.
-    pub const OVER_CAPACITY: &str = "OA005";
-    /// Cluster join: the cluster fails the platform sanity rule.
-    pub const CLUSTER_INSANE: &str = "OA016";
+    pub const OVER_CAPACITY: &str = RuleCode::OverSubscribed.code();
     /// Admission: the fault plan violates the campaign checks.
-    pub const BAD_FAULT_PLAN: &str = "OA018";
+    pub const BAD_FAULT_PLAN: &str = RuleCode::CampaignConfigSanity.code();
     /// Admission: the certified lower bound already misses the
     /// requested deadline.
-    pub const DEADLINE_UNREACHABLE: &str = "CT001";
+    pub const DEADLINE_UNREACHABLE: &str = RuleCode::BoundsViolated.code();
 }
 
 /// Everything a client can send, one JSON object per line.
@@ -437,24 +427,14 @@ pub enum Response {
 /// parsed, and the pipe and socket readers never buffer past the cap.
 pub const MAX_LINE_BYTES: usize = 1 << 24;
 
-/// A transport-level parse failure: which [`codes`] entry fired, and
-/// why.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// `PROTO001`, `PROTO002`, `PROTO003` or `PROTO011`.
-    pub code: &'static str,
-    /// Human-readable reason.
-    pub message: String,
-}
+/// A transport-level parse failure: the campaign reader's coded error
+/// with `PROTO001`, `PROTO002`, `PROTO003` or `PROTO011`.
+pub type ParseError = ReadError;
 
-impl ParseError {
-    /// The refusal of a request line longer than [`MAX_LINE_BYTES`].
-    pub(crate) fn line_over_cap() -> Self {
-        Self {
-            code: codes::OVER_SIZE_CAP,
-            message: format!("request line over the cap of {MAX_LINE_BYTES} bytes"),
-        }
-    }
+/// The refusal of a request line longer than [`MAX_LINE_BYTES`].
+pub(crate) fn line_over_cap() -> ParseError {
+    let message = format!("request line over the cap of {MAX_LINE_BYTES} bytes");
+    ReadError::new(codes::OVER_SIZE_CAP, message)
 }
 
 /// Parses one request line, classifying failures into the transport
@@ -464,33 +444,22 @@ impl ParseError {
 /// kind (`PROTO003`).
 pub fn parse_request(line: &str) -> Result<Request, ParseError> {
     if line.len() > MAX_LINE_BYTES {
-        return Err(ParseError::line_over_cap());
+        return Err(line_over_cap());
     }
-    let value: serde::Value = serde_json::from_str(line).map_err(|e| ParseError {
-        code: codes::BAD_JSON,
-        message: format!("invalid JSON: {e}"),
-    })?;
-    match &value {
-        serde::Value::Object(pairs) if pairs.len() == 1 => {
-            let kind = pairs[0].0.as_str();
-            if !REQUEST_KINDS.contains(&kind) {
-                return Err(ParseError {
-                    code: codes::UNKNOWN_MESSAGE,
-                    message: format!("unknown request kind {kind:?}"),
-                });
-            }
-        }
+    let value: serde::Value = serde_json::from_str(line)
+        .map_err(|e| ReadError::new(codes::BAD_JSON, format!("invalid JSON: {e}")))?;
+    let kind = match &value {
+        serde::Value::Object(pairs) if pairs.len() == 1 => pairs[0].0.as_str(),
         _ => {
-            return Err(ParseError {
-                code: codes::UNKNOWN_MESSAGE,
-                message: "a request is a single-key JSON object".to_string(),
-            })
+            let message = "a request is a single-key JSON object";
+            return Err(ReadError::new(codes::UNKNOWN_MESSAGE, message));
         }
+    };
+    if !REQUEST_KINDS.contains(&kind) {
+        let message = format!("unknown request kind {kind:?}");
+        return Err(ReadError::new(codes::UNKNOWN_MESSAGE, message));
     }
-    Request::from_value(&value).map_err(|e| ParseError {
-        code: codes::BAD_FIELD,
-        message: e.to_string(),
-    })
+    Request::from_value(&value).map_err(|e| ReadError::new(codes::BAD_FIELD, e.to_string()))
 }
 
 /// Serializes one response as a single JSON line (no trailing

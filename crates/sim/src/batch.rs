@@ -38,8 +38,9 @@ use oa_sched::estimate::estimate;
 use oa_sched::grouping::Grouping;
 use oa_sched::heuristics::Heuristic;
 use oa_sched::memo::{MemoStats, PlanMemo};
-use oa_sched::params::{Instance, MAX_CAMPAIGN_MONTHS, MAX_CLUSTER_PROCS};
+use oa_sched::params::Instance;
 use oa_sched::policy::{CampaignConfig, FaultPlan, Granularity, Recovery, ScenarioPolicy};
+use oa_sched::read::{self, ReadError};
 use oa_trace::NullTracer;
 
 use crate::engine::{
@@ -84,11 +85,13 @@ pub struct BatchSpec {
 /// Why a [`BatchSpec`] could not be parsed or expanded.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BatchError {
-    /// Malformed or out-of-range JSON.
+    /// Malformed or out-of-range JSON, or a field `oa_sched::read`
+    /// refuses below a cap (a zero shape, an unknown label, an `r`
+    /// entry under 4).
     Parse(String),
     /// The spec enumerates more than [`MAX_BATCH_VARIANTS`] variants,
-    /// one of its shapes more than [`MAX_CAMPAIGN_MONTHS`] months, or
-    /// an `r` entry above [`MAX_CLUSTER_PROCS`] processors.
+    /// or `oa_sched::read` refuses one of its shapes or `r` entries
+    /// over a cap.
     OverSizeCap(String),
     /// A grid shape cannot be planned at all.
     InfeasibleShape {
@@ -105,7 +108,7 @@ impl fmt::Display for BatchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BatchError::Parse(why) => write!(f, "bad batch spec: {why}"),
-            BatchError::OverSizeCap(why) => write!(f, "batch spec exceeds the size cap: {why}"),
+            BatchError::OverSizeCap(why) => write!(f, "batch spec over a size cap: {why}"),
             BatchError::InfeasibleShape { r, ns, why } => {
                 write!(f, "infeasible shape (r={r}, ns={ns}): {why}")
             }
@@ -114,6 +117,18 @@ impl fmt::Display for BatchError {
 }
 
 impl std::error::Error for BatchError {}
+
+impl From<ReadError> for BatchError {
+    /// A field the reader refuses: over a cap is
+    /// [`BatchError::OverSizeCap`], anything else malformed.
+    fn from(e: ReadError) -> Self {
+        if e.code == read::OVER_SIZE_CAP {
+            BatchError::OverSizeCap(e.message)
+        } else {
+            BatchError::Parse(e.message)
+        }
+    }
+}
 
 /// The most variants one spec may enumerate: 2^20 result rows, about
 /// 47 MB of [`BatchSoA`] columns.
@@ -166,8 +181,7 @@ fn u32_axis(v: &Value, key: &str, default: u32) -> Result<Vec<u32>, BatchError> 
     let one = |x: &Value| {
         val_u64(x)
             .and_then(|n| u32::try_from(n).ok())
-            .filter(|&n| n > 0)
-            .ok_or_else(|| parse_err(format!("{key} entries must be positive u32")))
+            .ok_or_else(|| parse_err(format!("{key} entries must be u32")))
     };
     let axis = match field {
         Value::Array(items) => items.iter().map(one).collect::<Result<Vec<_>, _>>()?,
@@ -183,15 +197,14 @@ fn str_axis<T: Copy>(
     v: &Value,
     key: &str,
     default: T,
-    parse: impl Fn(&str) -> Option<T>,
+    read: fn(&str) -> Result<T, ReadError>,
 ) -> Result<Vec<T>, BatchError> {
     let Some(field) = v.get(key) else {
         return Ok(vec![default]);
     };
-    let one = |x: &Value| {
-        val_str(x)
-            .and_then(&parse)
-            .ok_or_else(|| parse_err(format!("unknown {key} entry {x:?}")))
+    let one = |x: &Value| match val_str(x) {
+        Some(name) => Ok(read(name)?),
+        None => Err(parse_err(format!("{key} entries must be strings"))),
     };
     let axis = match field {
         Value::Array(items) => items.iter().map(one).collect::<Result<Vec<_>, _>>()?,
@@ -236,10 +249,11 @@ impl BatchSpec {
     }
 
     /// Parses the JSON form. Every field is optional; the defaults are
-    /// [`BatchSpec::reference_mc`] with 10⁴ variants and seed 42. A
-    /// spec over [`MAX_BATCH_VARIANTS`] variants, with a shape over
-    /// [`MAX_CAMPAIGN_MONTHS`] months or with an `r` entry over
-    /// [`MAX_CLUSTER_PROCS`] is [`BatchError::OverSizeCap`], refused
+    /// [`BatchSpec::reference_mc`] with 10⁴ variants and seed 42. Labels,
+    /// shapes and `r` entries go through `oa_sched::read`. A spec over
+    /// [`MAX_BATCH_VARIANTS`] variants, with a shape over
+    /// `MAX_CAMPAIGN_MONTHS` months or with an `r` entry over
+    /// `MAX_CLUSTER_PROCS` is [`BatchError::OverSizeCap`], refused
     /// before anything is planned or allocated for it.
     pub fn from_json(v: &Value) -> Result<Self, BatchError> {
         if !matches!(v, Value::Object(_)) {
@@ -268,27 +282,19 @@ impl BatchSpec {
         spec.rs = u32_axis(v, "r", 53)?;
         spec.nss = u32_axis(v, "ns", 10)?;
         spec.nms = u32_axis(v, "nm", 1800)?;
-        spec.policies = str_axis(v, "policies", ScenarioPolicy::LeastAdvanced, |s| {
-            ScenarioPolicy::parse(s)
-        })?;
-        spec.granularities = str_axis(v, "granularities", Granularity::Fused, |s| match s {
-            "fused" => Some(Granularity::Fused),
-            "unfused" => Some(Granularity::Unfused),
-            _ => None,
-        })?;
+        spec.policies = str_axis(v, "policies", ScenarioPolicy::LeastAdvanced, read::policy)?;
+        spec.granularities = str_axis(v, "granularities", Granularity::Fused, read::granularity)?;
         if let Some(h) = v.get("heuristic") {
             let name = val_str(h).ok_or_else(|| parse_err("heuristic must be a string"))?;
             // The `Submit` names first, then the canonical labels, so
             // specs read like wire requests and like `Heuristic` docs
             // alike.
-            spec.heuristic = Heuristic::parse(name)
-                .or_else(|| HEURISTICS.into_iter().find(|c| c.label() == name))
-                .ok_or_else(|| parse_err(format!("unknown heuristic {name}")))?;
+            let label = HEURISTICS.into_iter().find(|c| c.label() == name);
+            spec.heuristic = read::heuristic(name).or_else(|e| label.ok_or(e))?;
         }
         if let Some(r) = v.get("recovery") {
-            spec.recovery = val_str(r)
-                .and_then(Recovery::parse)
-                .ok_or_else(|| parse_err(format!("unknown recovery {r:?}")))?;
+            let name = val_str(r).ok_or_else(|| parse_err("recovery must be a string"))?;
+            spec.recovery = read::recovery(name)?;
         }
         if let Some(n) = v.get("variants") {
             spec.variants_per_shape = val_u64(n)
@@ -309,33 +315,22 @@ impl BatchSpec {
                 .filter(|&x| x > 0.0 && x.is_finite())
                 .ok_or_else(|| parse_err("fault_resolution must be a positive number"))?;
         }
-        spec.check_size_caps()?;
-        Ok(spec)
-    }
-
-    /// Refuses a spec whose enumeration, largest shape or largest
-    /// cluster is over its cap.
-    fn check_size_caps(&self) -> Result<(), BatchError> {
-        if self.variant_count() > MAX_BATCH_VARIANTS {
+        if spec.variant_count() > MAX_BATCH_VARIANTS {
             return Err(BatchError::OverSizeCap(format!(
                 "more than {MAX_BATCH_VARIANTS} variants"
             )));
         }
-        let ns = self.nss.iter().copied().max().unwrap_or(0);
-        let nm = self.nms.iter().copied().max().unwrap_or(0);
-        let months = u64::from(ns) * u64::from(nm);
-        if months > MAX_CAMPAIGN_MONTHS {
-            return Err(BatchError::OverSizeCap(format!(
-                "ns={ns}, nm={nm} is {months} months, over {MAX_CAMPAIGN_MONTHS}"
-            )));
+        // The axes are a full cross product, so their extreme entries
+        // are shapes of the sweep: the smallest catch a zero, the
+        // largest the month cap.
+        let lo = |axis: &[u32]| axis.iter().copied().min().unwrap_or(0);
+        let hi = |axis: &[u32]| axis.iter().copied().max().unwrap_or(0);
+        read::shape(lo(&spec.nss), lo(&spec.nms))?;
+        read::shape(hi(&spec.nss), hi(&spec.nms))?;
+        for &r in &spec.rs {
+            read::procs(r)?;
         }
-        let r = self.rs.iter().copied().max().unwrap_or(0);
-        if r > MAX_CLUSTER_PROCS {
-            return Err(BatchError::OverSizeCap(format!(
-                "r={r} processors, over {MAX_CLUSTER_PROCS}"
-            )));
-        }
-        Ok(())
+        Ok(spec)
     }
 
     /// Total variants the spec enumerates, saturating at `u64::MAX`.

@@ -104,14 +104,13 @@ use serde::{Deserialize, Serialize};
 
 use oa_platform::timing::TimingTable;
 use oa_sched::grouping::{Grouping, GroupingError};
+use oa_sched::kernel::{kernel_gate, post_model, push_durs};
 use oa_sched::params::Instance;
 use oa_sched::policy::{CampaignConfig, FaultPlan, Granularity, Recovery, ScenarioQueue};
-use oa_sched::time::{exact_ticks, is_tick_exact, time_key, Time, TimeKey, MAX_EXACT_SECS};
+use oa_sched::time::{is_tick_exact, time_key, Time, TimeKey};
 use oa_trace::{EventKind, TraceEvent, Tracer};
 use oa_workflow::fusion::FusedTask;
-use oa_workflow::task::{
-    TaskKind, CD_SECS, COF_SECS, EMF_SECS, FUSED_POST_SECS, FUSED_PRE_SECS, MIN_PROCS,
-};
+use oa_workflow::task::TaskKind;
 
 use crate::ffwd::{
     pool_match, pool_snapshot, Detector, LogEv, PoolSnap, PostPeriodic, SnapView, MAX_POOL_SNAPS,
@@ -120,98 +119,10 @@ use crate::post_pool::PostPool;
 use crate::schedule::{ProcRange, Schedule, TaskRecord};
 
 pub use crate::ffwd::{KernelOpts, KernelReport};
+pub use oa_sched::kernel::kernel_eligibility;
 
 /// Post-chain step kinds at unfused granularity, in chain order.
 const STEP_KINDS: [TaskKind; 3] = [TaskKind::Cof, TaskKind::Emf, TaskKind::Cd];
-
-/// The post model for one granularity: step durations, the pre rescale
-/// folded into the group span, and the index of the last chain step.
-/// Fused runs one `tp` step; unfused runs the Figure 1 chain with the
-/// constants rescaled by the table's post/180 cluster-speed ratio.
-fn post_model(granularity: Granularity, tp: f64) -> ([f64; 3], f64, usize) {
-    match granularity {
-        Granularity::Fused => ([tp, 0.0, 0.0], 0.0, 0),
-        Granularity::Unfused => {
-            let speed = tp / FUSED_POST_SECS;
-            (
-                [COF_SECS * speed, EMF_SECS * speed, CD_SECS * speed],
-                FUSED_PRE_SECS * speed,
-                2,
-            )
-        }
-    }
-}
-
-/// Appends the per-group main durations for `sizes` onto `durs`,
-/// exactly as the event loop will add them to its clock. `trow` is
-/// `table.main_array()`. At unfused granularity the table's duration
-/// includes the pre tasks already; the scaled pre is subtracted and
-/// added back so the group span equals the fused duration *bitwise*.
-fn push_durs(durs: &mut Vec<f64>, sizes: &[u32], trow: &[f64], granularity: Granularity, pre: f64) {
-    match granularity {
-        Granularity::Fused => durs.extend(sizes.iter().map(|&g| trow[(g - MIN_PROCS) as usize])),
-        Granularity::Unfused => durs.extend(
-            sizes
-                .iter()
-                .map(|&g| (trow[(g - MIN_PROCS) as usize] - pre) + pre),
-        ),
-    }
-}
-
-/// The integer-time gate: whether a run over `durs` and `failures`
-/// may fast-forward. Integer time is sound when every clock value the
-/// run can produce is an exactly-represented integer: integral task
-/// durations, integral failure instants, and a total horizon with
-/// comfortable headroom below 2^53.
-fn kernel_gate(durs: &[f64], failures: &[(usize, f64)], inst: Instance, steps_sum: f64) -> bool {
-    let mut max_dur_ticks = 0u64;
-    for &d in durs {
-        match exact_ticks(d) {
-            Some(ticks) if ticks > 0 => max_dur_ticks = max_dur_ticks.max(ticks),
-            _ => return false,
-        }
-    }
-    if !failures.iter().all(|&(_, t)| is_tick_exact(t)) {
-        return false;
-    }
-    let max_fault = failures.iter().fold(0.0f64, |a, &(_, t)| a.max(t));
-    // Loose serial-work bound on the final clock value; restarts can
-    // re-execute at most one campaign's worth of months per failure.
-    let horizon = max_fault
-        + (f64::from(inst.nm) + 1.0)
-            * (f64::from(inst.ns) + failures.len() as f64 + 1.0)
-            * (max_dur_ticks as f64 + steps_sum + 1.0);
-    horizon < MAX_EXACT_SECS / 2.0
-}
-
-/// Whether a campaign qualifies for the integer-time kernel — the
-/// engine's gate, decided without running the event loop. This is the
-/// value [`KernelReport::integer_time`] will report whenever `opts`
-/// requests fast-forward; with it off the engine never enters integer
-/// time.
-///
-/// `oa-analyze`'s static certifier mirrors this decision independently
-/// (it cannot depend on this crate); rule `CT002` cross-checks the two
-/// against each other and against the report of a real run.
-#[must_use]
-pub fn kernel_eligibility(
-    inst: Instance,
-    table: &TimingTable,
-    grouping: &Grouping,
-    config: &CampaignConfig,
-    plan: &FaultPlan,
-) -> bool {
-    let (steps, pre, _) = post_model(config.granularity, table.post_secs());
-    let mut durs = Vec::with_capacity(grouping.group_count());
-    push_durs(
-        &mut durs,
-        grouping.groups(),
-        table.main_array(),
-        config.granularity,
-        pre,
-    );
-    kernel_gate(&durs, &plan.failures, inst, steps.iter().sum())
-}
 
 /// Aggregates of a completed campaign run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

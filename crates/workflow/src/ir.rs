@@ -252,22 +252,6 @@ impl std::fmt::Display for IrError {
 
 impl std::error::Error for IrError {}
 
-impl IrError {
-    /// Whether this error is in the *malformed DAG* class (empty
-    /// graph, cycle, dangling edge) — the service's `PROTO009`.
-    pub fn is_malformed_dag(&self) -> bool {
-        matches!(
-            self,
-            IrError::Empty
-                | IrError::Cyclic
-                | IrError::DanglingFlow { .. }
-                | IrError::DuplicateName(_)
-                | IrError::UnknownEndpoint(_)
-                | IrError::Graph(_)
-        )
-    }
-}
-
 impl WorkflowIr {
     /// An empty workflow.
     pub fn new() -> Self {

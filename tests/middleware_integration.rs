@@ -23,7 +23,6 @@ fn golden_line(head: &str, report: &CampaignReport) -> String {
             ProtocolEvent::RequestReceived { request, ns, nm } => format!("1:{request}/{ns}/{nm}"),
             ProtocolEvent::PerfQueried { cluster } => format!("2:{}", cluster.0),
             ProtocolEvent::PerfReceived { cluster } => format!("3:{}", cluster.0),
-            ProtocolEvent::PerfMissing { cluster } => format!("3x:{}", cluster.0),
             ProtocolEvent::RepartitionComputed { nb_dags } => format!("4:{nb_dags:?}"),
             ProtocolEvent::ExecSent { cluster, scenarios } => {
                 format!("5:{}/{scenarios}", cluster.0)
@@ -113,7 +112,7 @@ fn protocol_trace_has_all_six_steps_in_order() {
     let step = |e: &ProtocolEvent| match e {
         ProtocolEvent::RequestReceived { .. } => 1,
         ProtocolEvent::PerfQueried { .. } => 2,
-        ProtocolEvent::PerfReceived { .. } | ProtocolEvent::PerfMissing { .. } => 3,
+        ProtocolEvent::PerfReceived { .. } => 3,
         ProtocolEvent::RepartitionComputed { .. } => 4,
         ProtocolEvent::ExecSent { .. } => 5,
         ProtocolEvent::ReportReceived { .. } => 6,
