@@ -649,10 +649,10 @@ mod tests {
     #[test]
     fn source_locations_render_as_file_line() {
         let d = Diagnostic::new(RuleCode::UnstableMapOrder, "unstable iteration order")
-            .at(Location::source("crates/sim/src/persist.rs", 105));
+            .at(Location::source("crates/sim/src/profile.rs", 105));
         let line = d.render();
         assert!(line.contains("error[ND001]"), "{line}");
-        assert!(line.contains("crates/sim/src/persist.rs:105"), "{line}");
+        assert!(line.contains("crates/sim/src/profile.rs:105"), "{line}");
         assert!(line.contains("(source layer)"), "{line}");
         assert!(!Location::source("x.rs", 1).is_empty());
     }

@@ -122,7 +122,7 @@ fn main() {
          the ensemble (more groups to mix), but at NS = 2 it can go\n\
          *negative*: with two chains the raw throughput objective pins each\n\
          chain to one group and a slow small group becomes the critical\n\
-         path — the same pitfall oa_sched::generic::balanced_generic fixes."
+         path — the same pitfall oa_sched::chains::ChainPlan::balanced fixes."
     );
     write_json("sensitivity", &out);
     rec.finish();

@@ -583,9 +583,9 @@ fn analyze_cmd(args: &Args) -> Result<String, CliError> {
     let scope: String;
 
     if let Some(path) = args.str_opt("file") {
-        // Analyze a persisted schedule. Deliberately *not* persist::load,
-        // which re-validates fail-fast: the whole point here is to load
-        // a possibly-corrupted schedule and report every defect.
+        // Analyze a saved schedule. It is read without validation,
+        // which would stop at the first defect: the whole point here is
+        // to load a possibly-corrupted schedule and report every defect.
         let text = std::fs::read_to_string(path)
             .map_err(|e| CliError::Domain(format!("cannot read {path}: {e}")))?;
         let schedule: Schedule = serde_json::from_str(&text)
@@ -1187,9 +1187,15 @@ fn serve_cmd(args: &Args) -> Result<String, CliError> {
     let jobs = read::jobs(args.jobs_opt()?)?;
     let mut service = oa_service::daemon::Service::new(cfg, jobs);
     if let Some(path) = args.str_opt("script") {
-        let script = std::fs::read_to_string(path)
+        // Streamed like `--pipe`, so each line is read through the cap.
+        let mut log = Vec::new();
+        std::fs::File::open(path)
+            .and_then(|file| {
+                let input = std::io::BufReader::new(file);
+                oa_service::daemon::run_pipe(&mut service, input, &mut log)
+            })
             .map_err(|e| CliError::Domain(format!("cannot read {path:?}: {e}")))?;
-        return Ok(oa_service::daemon::run_script(&mut service, &script));
+        return Ok(String::from_utf8(log).expect("responses render as UTF-8"));
     }
     if args.switch("pipe") {
         let stdin = std::io::stdin();
@@ -1423,6 +1429,29 @@ mod tests {
         for flag in ["--workflow", "--batch"] {
             let err = oa(&["sim", flag, p]).unwrap_err();
             assert!(matches!(err, CliError::Domain(_)), "{flag}: {err:?}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// An edge volume that rounds to no byte, or past `u64::MAX` bytes,
+    /// is a bad spec field.
+    #[test]
+    fn edge_volumes_outside_a_byte_count_are_bad_specs() {
+        let path = std::env::temp_dir().join(format!("oa-cli-volume-{}.json", std::process::id()));
+        for mb in ["1e-7", "1e300"] {
+            std::fs::write(
+                &path,
+                format!(
+                    r#"{{"nodes":[{{"name":"a","procs":1,"secs":1.0}},{{"name":"b","procs":1,"secs":1.0}}],
+                        "edges":[{{"from":"a","to":"b","mb":{mb}}}]}}"#
+                ),
+            )
+            .unwrap();
+            let err = oa(&["sim", "--r", "4", "--workflow", path.to_str().unwrap()]).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Domain(m) if m.contains("bad workflow spec: mb must")),
+                "mb {mb}: {err:?}"
+            );
         }
         std::fs::remove_file(&path).ok();
     }
@@ -1974,6 +2003,21 @@ mod tests {
         }
         // No transport is an invocation error.
         assert!(matches!(oa(&["serve"]), Err(CliError::Domain(_))));
+    }
+
+    /// `--script` streams its file through the pipe loop: a line that
+    /// is not UTF-8 ends the run as a read error, as it does in
+    /// `--pipe` mode.
+    #[test]
+    fn serve_script_refuses_a_line_that_is_not_utf8() {
+        let path = std::env::temp_dir().join(format!("oa-serve-utf8-{}.jsonl", std::process::id()));
+        std::fs::write(&path, b"{\"Hello\": {\"version\": 1}}\n\xff\xfe\n").unwrap();
+        let err = oa(&["serve", "--script", path.to_str().unwrap(), "--jobs", "1"]).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(
+            matches!(&err, CliError::Domain(m) if m.starts_with("cannot read") && m.contains("utf-8")),
+            "{err:?}"
+        );
     }
 
     /// No flag value can panic `oa`. Most rows once aborted the process

@@ -25,7 +25,8 @@
 //!
 //! The knapsack, balanced and scored searches run in the crate's one
 //! planner, over the `pcr` range and the table's `T[G]` row;
-//! [`crate::generic`] runs the same searches over its own workloads.
+//! [`crate::chains`] runs the same searches over workflows of chains of
+//! identical units.
 
 use serde::{Deserialize, Serialize};
 

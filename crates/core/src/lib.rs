@@ -14,8 +14,9 @@
 //! * [`heuristics`] — the basic heuristic and its three improvements
 //!   (idle redistribution, no post reservation, exact knapsack), plus
 //!   a greedy-knapsack ablation and the balanced refinement;
-//! * [`generic`] — the same planner over any workload of independent
-//!   chains of identical moldable units (the paper's future work);
+//! * [`chains`] — the same planner over any workflow of independent
+//!   chains of identical units of moldable tasks (the paper's future
+//!   work), read off the workflow IR;
 //! * [`hetero`] — per-cluster performance vectors and the greedy
 //!   scenario repartition of Algorithm 1;
 //! * [`kernel`] — the integer-time gate `oa-sim` and its certifier share;
@@ -57,8 +58,8 @@
 #![warn(missing_docs)]
 
 pub mod analytic;
+pub mod chains;
 pub mod estimate;
-pub mod generic;
 pub mod grouping;
 pub mod hetero;
 pub mod heuristics;
@@ -74,8 +75,8 @@ pub mod time;
 /// One-stop imports for downstream crates.
 pub mod prelude {
     pub use crate::analytic::{best_group, best_group_with, Breakdown};
+    pub use crate::chains::ChainPlan;
     pub use crate::estimate::{estimate, Estimate};
-    pub use crate::generic;
     pub use crate::grouping::{Grouping, GroupingError};
     pub use crate::hetero::{
         grid_performance, grid_performance_with, performance_vector, performance_vector_with,

@@ -5,11 +5,11 @@
 //! [`Planner`]: the legal group sizes, the per-unit time of a group of
 //! each size, and the single-processor trailing work each unit leaves.
 //! The paper's heuristics ([`crate::heuristics`]) plan over the `pcr`
-//! range `4..=11`, a timing table's `T[G]` row and `TP`; a generic
-//! workload ([`crate::generic`]) over its own range, unit times and
-//! trailing time. Both reach the same estimator, knapsack
-//! reconstruction, uniform sweep and candidate reduction here, so each
-//! planning answer has one implementation.
+//! range `4..=11`, a timing table's `T[G]` row and `TP`; a workflow of
+//! chains of identical units ([`crate::chains`]) over the range, unit
+//! times and trailing time read off its IR. Both reach the same
+//! estimator, knapsack reconstruction, uniform sweep and candidate
+//! reduction here, so each planning answer has one implementation.
 
 use std::collections::BTreeSet;
 

@@ -1131,25 +1131,15 @@ pub fn run_pipe<R: BufRead, W: Write>(
 }
 
 /// Feeds a scripted transcript (one request per line; blank lines
-/// ignored) and returns the full response log as one string — the
-/// deterministic-replay entry point the tests and `oa serve --script`
-/// use.
+/// ignored) through [`run_pipe`] and returns the full response log as
+/// one string — the deterministic-replay entry point of the tests.
 #[must_use]
 pub fn run_script(service: &mut Service, script: &str) -> String {
-    let mut out = String::new();
-    for line in script.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        for resp in service.handle_line(line) {
-            out.push_str(&render_response(&resp));
-            out.push('\n');
-        }
-        if service.is_shut_down() {
-            break;
-        }
-    }
-    out
+    let mut out = Vec::new();
+    // Lines split from a `str` at `\n` are UTF-8, and writing to a
+    // `Vec` cannot fail.
+    run_pipe(service, script.as_bytes(), &mut out).expect("in-memory I/O on UTF-8 lines");
+    String::from_utf8(out).expect("responses render as UTF-8")
 }
 
 #[cfg(test)]

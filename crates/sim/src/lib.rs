@@ -73,7 +73,6 @@ pub mod grid_exec;
 pub mod grid_failures;
 pub mod ir_exec;
 pub mod metrics;
-pub mod persist;
 pub(crate) mod post_pool;
 pub mod profile;
 pub mod schedule;
@@ -103,7 +102,6 @@ pub mod prelude {
         execute_ir, simulate_ir, IrExecError, IrOutcome, IrRecord, IrSchedule, IrSimError,
     };
     pub use crate::metrics::{metrics, metrics_from_events, Metrics};
-    pub use crate::persist::{compare, load, save, PersistError, ScheduleDiff};
     pub use crate::profile::{profile, Profile, Step};
     pub use crate::schedule::{ProcRange, Schedule, ScheduleError, TaskRecord};
     pub use crate::tracing::{events_of, ClusterTag};

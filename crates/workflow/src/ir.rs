@@ -19,7 +19,9 @@
 //! mesh shapes — downstream schedulers use it to route recognized
 //! meshes through the campaign engine and everything else through the
 //! generic IR executor. [`classify_spec`] gives the same class straight
-//! from a JSON spec, without lowering a preset.
+//! from a JSON spec, without lowering a preset. [`read_chains`] reads
+//! any workflow of independent chains of identical units — the
+//! workload the paper's conclusion names — for the chain planner.
 //!
 //! Durations that depend on the platform resolve through the
 //! [`Durations`] trait (implemented by `oa-platform`'s `TimingTable`
@@ -553,6 +555,153 @@ pub fn recognize(ir: &WorkflowIr) -> IrClass {
     IrClass::General
 }
 
+/// A workflow of independent chains of identical units, as
+/// [`read_chains`] reads it: the shape, and the two paths of the first
+/// unit of the first chain.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChainUnits {
+    /// Independent chains (`NS`).
+    pub chains: u32,
+    /// Units per chain (`NM`).
+    pub units: u32,
+    /// The unit's blocking path `b1 → … → bp`, which gates the next
+    /// unit of its chain.
+    pub blocking: Vec<NodeId>,
+    /// The unit's trailing path `t1 → … → tj` off `bp`, which gates
+    /// nothing; empty when the unit has none.
+    pub trailing: Vec<NodeId>,
+}
+
+/// Reads a workflow as independent chains of identical units — the
+/// workload the paper's conclusion names, "independent chains of
+/// identical DAGs composed of moldable tasks" — or `None` when it is
+/// not one (or fails [`WorkflowIr::validate`]).
+///
+/// Each chain is a weakly connected component with one source, and its
+/// units follow each other: a unit is a blocking path `b1 → … → bp`
+/// with an optional trailing path `t1 → … → tj` off `bp`, and one
+/// hand-off edge `bp → b1` joins each unit to the next. There is no
+/// other edge. Every unit of every chain is the same, node for node, in
+/// [`IrTaskKind`] and [`DurationModel`]; names, origins and data flows
+/// are ignored. The reader follows edges, so the order in which a spec
+/// lists its nodes does not matter.
+///
+/// The graph alone cannot tell a trailing path from blocking work when
+/// nothing branches off a chain: with one unit per chain, or with no
+/// trailing work, every node blocks, and the unit is the chain's
+/// shortest repeating block.
+pub fn read_chains(ir: &WorkflowIr) -> Option<ChainUnits> {
+    ir.validate().ok()?;
+    let dag = &ir.dag;
+    if dag.node_ids().any(|v| dag.in_degree(v) > 1) {
+        return None;
+    }
+    let sources = dag.sources();
+    let first = *sources.first()?;
+    // The first chain up to its first branch, which ends a unit, or to
+    // its sink when nothing branches.
+    let (mut blocking, mut v) = (vec![first], first);
+    let trailing = loop {
+        match dag.successors(v) {
+            [next] => {
+                v = *next;
+                blocking.push(v);
+            }
+            [] => {
+                let n = blocking.len();
+                let p = (1..=n)
+                    .find(|&p| {
+                        n.is_multiple_of(p)
+                            && blocking.chunks(p).all(|c| same(ir, c, &blocking[..p]))
+                    })
+                    .expect("the whole path repeats once");
+                blocking.truncate(p);
+                break Vec::new();
+            }
+            // The trailing branch runs to a sink; the hand-off branch
+            // branches again or, in the last unit, runs further.
+            [a, b] => {
+                let paths = [*a, *b].into_iter().filter_map(|t| pure_path(ir, t));
+                break paths.min_by_key(Vec::len)?;
+            }
+            _ => return None,
+        }
+    };
+    let units = units_of(ir, first, &blocking, &trailing)?;
+    for &source in &sources[1..] {
+        if units_of(ir, source, &blocking, &trailing)? != units {
+            return None;
+        }
+    }
+    Some(ChainUnits {
+        chains: u32::try_from(sources.len()).ok()?,
+        units,
+        blocking,
+        trailing,
+    })
+}
+
+/// Whether two paths have the same kinds and duration models, node for
+/// node.
+fn same(ir: &WorkflowIr, a: &[NodeId], b: &[NodeId]) -> bool {
+    let node = |v: &NodeId| {
+        let n = ir.dag.node(*v);
+        (n.kind, &n.duration)
+    };
+    a.len() == b.len() && a.iter().map(node).eq(b.iter().map(node))
+}
+
+/// The path from `v` to a sink, when no node on it branches.
+fn pure_path(ir: &WorkflowIr, mut v: NodeId) -> Option<Vec<NodeId>> {
+    let mut path = vec![v];
+    loop {
+        match ir.dag.successors(v) {
+            [] => return Some(path),
+            [next] => {
+                v = *next;
+                path.push(v);
+            }
+            _ => return None,
+        }
+    }
+}
+
+/// The number of units of the chain from `source` when each is
+/// `blocking` then `trailing` node for node, and one hand-off edge
+/// joins each unit to the next.
+fn units_of(
+    ir: &WorkflowIr,
+    source: NodeId,
+    blocking: &[NodeId],
+    trailing: &[NodeId],
+) -> Option<u32> {
+    let dag = &ir.dag;
+    let trails = |v: NodeId| pure_path(ir, v).is_some_and(|path| same(ir, &path, trailing));
+    let (mut v, mut units) = (source, 0u32);
+    loop {
+        let mut unit = vec![v];
+        while unit.len() < blocking.len() {
+            let [next] = dag.successors(v) else {
+                return None;
+            };
+            v = *next;
+            unit.push(v);
+        }
+        if !same(ir, &unit, blocking) {
+            return None;
+        }
+        units += 1;
+        match (trailing.is_empty(), dag.successors(v)) {
+            (true, []) => return Some(units),
+            (false, [t]) if trails(*t) => return Some(units),
+            (true, [next]) => v = *next,
+            // Either successor may head the trailing path.
+            (false, [t, next] | [next, t]) if trails(*t) => v = *next,
+            _ => return None,
+        }
+    }
+}
+
 /// Errors from the JSON workflow-spec front-end.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SpecError {
@@ -789,11 +938,17 @@ fn explicit_spec(doc: &Value) -> Result<WorkflowIr, SpecError> {
             let (from, to) = (endpoint("from")?, endpoint("to")?);
             let added = match edge.get("mb") {
                 Some(mb) => {
-                    let mb = spec_f64(mb, "mb")?;
-                    if mb <= 0.0 {
-                        return Err(SpecError::BadField("mb must be positive".into()));
+                    // A volume is a byte count: at least one byte, and
+                    // no more than a `u64` holds (2^64 is the first
+                    // float past `u64::MAX`).
+                    let bytes = (spec_f64(mb, "mb")? * 1e6).round();
+                    if !(1.0..u64::MAX as f64).contains(&bytes) {
+                        return Err(SpecError::BadField(format!(
+                            "mb must round to between 1 and {} bytes",
+                            u64::MAX
+                        )));
                     }
-                    ir.add_flow(from, to, DataVolume((mb * 1e6).round() as u64))
+                    ir.add_flow(from, to, DataVolume(bytes as u64))
                 }
                 None => ir.add_dep(from, to),
             };
@@ -1078,6 +1233,36 @@ mod tests {
                 "ghost".into()
             )))
         );
+    }
+
+    /// An edge volume is a byte count: `mb` must round to at least one
+    /// byte and fit a `u64`, so every flow the reader keeps renders back
+    /// into a spec it reads again.
+    #[test]
+    fn edge_volumes_are_byte_counts() {
+        let spec = |mb: f64| {
+            let (nodes, mut edges) = chain_spec(2);
+            let Value::Object(edge) = &mut edges[0] else {
+                unreachable!("chain edges are objects");
+            };
+            edge.push(("mb".into(), Value::F64(mb)));
+            spec_of(nodes, edges)
+        };
+        for mb in [1e-7, 1e300, 0.0, -1.0, 18_446_744_073_709.55] {
+            assert!(
+                matches!(from_value(&spec(mb)), Err(SpecError::BadField(_))),
+                "mb {mb}"
+            );
+        }
+        for (mb, bytes) in [(1e-6, 1), (120.0, 120_000_000)] {
+            let ir = from_value(&spec(mb)).unwrap();
+            assert_eq!(ir.total_flow(), DataVolume(bytes), "mb {mb}");
+            assert_eq!(from_value(&to_spec_value(&ir)).unwrap(), ir, "mb {mb}");
+        }
+        // The largest `mb` whose byte count stays below 2^64 fits; the
+        // next float up is refused above.
+        let top = from_value(&spec(18_446_744_073_709.547)).unwrap();
+        assert_eq!(top.total_flow(), DataVolume(18_446_744_073_709_547_520));
     }
 
     #[test]

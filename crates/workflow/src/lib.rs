@@ -18,7 +18,8 @@
 //! * the typed workflow IR, the one graph model every layer reads —
 //!   arbitrary DAGs of moldable/rigid tasks with duration models and
 //!   data-flow edge payloads, plus the lowering of the ocean-atmosphere
-//!   presets into it ([`ir`]) and its Graphviz rendering ([`dot`]).
+//!   presets into it, the reader of independent chains of identical
+//!   units out of it ([`ir`]) and its Graphviz rendering ([`dot`]).
 //!
 //! The crate is deliberately free of scheduling policy: it describes
 //! *what* must run and in which order, nothing about *where* or *when*.
@@ -60,8 +61,9 @@ pub mod prelude {
     pub use crate::dot::ir_dot;
     pub use crate::fusion::{fused_main_secs, fused_post_secs, FusedTask};
     pub use crate::ir::{
-        lower_experiment, lower_fused, recognize, DataFlow, DurationModel, Durations, IrClass,
-        IrError, IrNode, IrProfile, IrTaskKind, ReferenceDurations, SpecError, WorkflowIr,
+        lower_experiment, lower_fused, read_chains, recognize, ChainUnits, DataFlow, DurationModel,
+        Durations, IrClass, IrError, IrNode, IrProfile, IrTaskKind, ReferenceDurations, SpecError,
+        WorkflowIr,
     };
     pub use crate::moldable::MoldableSpec;
     pub use crate::task::{Phase, TaskId, TaskKind, MAX_PROCS, MIN_PROCS, NUM_GROUP_SIZES};

@@ -1,14 +1,12 @@
 //! The paper's future work in action: scheduling a *different*
-//! application with the generic heuristic — independent chains of
+//! application with the chain planner — independent chains of
 //! identical DAGs of moldable tasks (here: a molecular-dynamics-style
-//! pipeline with a wide 2..=16 allocation range).
+//! pipeline with a wide 2..=16 allocation range), described as a
+//! workflow IR like any spec file.
 //!
 //! Run: `cargo run --release --example generic_workflow`
 
 use ocean_atmosphere::prelude::*;
-use ocean_atmosphere::sched::generic::{
-    balanced_generic, basic_generic, estimate_generic, knapsack_generic, Phase, PhaseTime, Workload,
-};
 
 fn main() {
     // A replica-exchange MD campaign: 8 replicas × 500 exchange windows.
@@ -23,38 +21,49 @@ fn main() {
         .allocations()
         .map(|p| 30.0 + 2500.0 / p as f64 + 2.5 * p as f64)
         .collect();
-    let workload = Workload::new(
-        8,
-        500,
-        vec![
-            Phase {
-                name: "dynamics".into(),
-                time: PhaseTime::Moldable {
-                    range,
-                    table: dynamics,
-                },
-                blocking: true,
-            },
-            Phase {
-                name: "exchange".into(),
-                time: PhaseTime::Sequential(8.0),
-                blocking: true,
-            },
-            Phase {
-                name: "trajectory".into(),
-                time: PhaseTime::Sequential(20.0),
-                blocking: false,
-            },
-        ],
-    )
-    .expect("well-formed workload");
+    let mut ir = WorkflowIr::new();
+    for replica in 0..8 {
+        let mut barrier: Option<NodeId> = None;
+        for window in 0..500 {
+            let step = ir.add_task(
+                &format!("dynamics r{replica} w{window}"),
+                IrTaskKind::Moldable(range),
+                DurationModel::PerAllocation(dynamics.clone()),
+            );
+            let exchange = ir.add_task(
+                &format!("exchange r{replica} w{window}"),
+                IrTaskKind::Rigid(1),
+                DurationModel::Fixed(8.0),
+            );
+            let trajectory = ir.add_task(
+                &format!("trajectory r{replica} w{window}"),
+                IrTaskKind::Rigid(1),
+                DurationModel::Fixed(20.0),
+            );
+            for (from, to) in [
+                (barrier, step),
+                (Some(step), exchange),
+                (Some(exchange), trajectory),
+            ] {
+                if let Some(from) = from {
+                    ir.add_dep(from, to).expect("forward edge");
+                }
+            }
+            barrier = Some(exchange);
+        }
+    }
+    let table = PcrModel::reference().table(1.0).expect("reference table");
+    let plan = ChainPlan::of(&ir, &table).expect("chains of identical units");
+    let row = plan.row();
     println!(
-        "workload: {} chains × {} units; unit on 2 procs {:.0} s, on 16 procs {:.0} s, trailing {:.0} s",
-        workload.chains,
-        workload.units,
-        workload.unit_secs(2),
-        workload.unit_secs(16),
-        workload.trailing_secs()
+        "workload: {} chains × {} units; unit on {} procs {:.0} s, on {} procs {:.0} s, trailing {:.0} s",
+        plan.chains(),
+        plan.units(),
+        plan.range().min_procs,
+        row[0],
+        plan.range().max_procs,
+        row[row.len() - 1],
+        plan.trailing_secs()
     );
 
     println!(
@@ -62,15 +71,11 @@ fn main() {
         "R", "basic(h)", "knapsack(h)", "balanced(h)"
     );
     for r in [9u32, 13, 19, 27, 42, 70, 101, 121] {
-        let basic = basic_generic(&workload, r).expect("fits");
-        let knap = knapsack_generic(&workload, r).expect("fits");
-        let (bal_groups, bal) = balanced_generic(&workload, r).expect("fits");
-        let bm = estimate_generic(&workload, r, &basic)
-            .expect("valid")
-            .makespan;
-        let km = estimate_generic(&workload, r, &knap)
-            .expect("valid")
-            .makespan;
+        let basic = plan.basic(r).expect("fits");
+        let knap = plan.knapsack(r).expect("fits");
+        let (bal_groups, bal) = plan.balanced(r).expect("fits");
+        let bm = plan.estimate(r, &basic).expect("valid").makespan;
+        let km = plan.estimate(r, &knap).expect("valid").makespan;
         println!(
             "{:<6} {:>12.1} {:>12.1} {:>12.1}  {:?}+pool{}",
             r,
@@ -84,7 +89,7 @@ fn main() {
 
     println!(
         "\nnote: the raw knapsack can lose to uniform groups on wide ranges (the\n\
-         per-chain bottleneck documented in oa_sched::generic); the balanced\n\
+         per-chain bottleneck documented in oa_sched::chains); the balanced\n\
          heuristic sweeps group counts and never loses to either."
     );
 }

@@ -10,8 +10,8 @@
 //! preset clusters (whose `T[G]` and `TP` are mostly fractional),
 //! `NS` from 1 to 64 plus service-sized shapes at 512, one group per
 //! scenario, uniform and mixed group sizes, and post pools empty or
-//! not. The generic-workload estimator runs the same loop and is
-//! checked against the oracle on every case too. A deterministic
+//! not. Every case is also planned through the chain planner, from the
+//! fused mesh of its shape, and checked against the oracle too. A deterministic
 //! sweep replays every candidate grouping of Figure 8, each also run
 //! through the `oa-sim` engine, whose makespan, main finish and post
 //! finish must be the same bits.
@@ -33,7 +33,6 @@ use std::ops::RangeInclusive;
 
 use ocean_atmosphere::platform::presets::{benchmark_grid, DEFAULT_RESOURCES};
 use ocean_atmosphere::prelude::*;
-use ocean_atmosphere::sched::generic::{estimate_generic, Workload};
 use ocean_atmosphere::sched::heuristics::no_post_candidates;
 use ocean_atmosphere::sched::time::{time_key, TimeKey};
 use ocean_atmosphere::workflow::task::MIN_PROCS;
@@ -240,8 +239,20 @@ fn bits(e: &Estimate) -> [u64; 5] {
     .map(f64::to_bits)
 }
 
-/// `estimate` and `estimate_generic` against the oracle, bit for bit.
-fn check(inst: Instance, table: &TimingTable, grouping: &Grouping) -> Result<(), TestCaseError> {
+/// The chain plan of the fused mesh of `inst`'s shape on `table`.
+fn mesh_plan(inst: Instance, table: &TimingTable) -> ChainPlan {
+    let mesh = lower_fused(ExperimentShape::new(inst.ns, inst.nm));
+    ChainPlan::of(&mesh, table).expect("a fused mesh is a chain workload")
+}
+
+/// `estimate` and the chain planner's `plan` of `inst`'s mesh against
+/// the oracle, bit for bit.
+fn check(
+    inst: Instance,
+    table: &TimingTable,
+    grouping: &Grouping,
+    plan: &ChainPlan,
+) -> Result<(), TestCaseError> {
     let want = oracle(inst, table, grouping);
     let got = estimate(inst, table, grouping).expect("valid grouping");
     prop_assert_eq!(
@@ -253,15 +264,15 @@ fn check(inst: Instance, table: &TimingTable, grouping: &Grouping) -> Result<(),
         got,
         want
     );
-    let workload = Workload::ocean_atmosphere(inst.ns, inst.nm, table);
-    let generic = estimate_generic(&workload, inst.r, grouping).expect("valid grouping");
+    prop_assert_eq!((plan.chains(), plan.units()), (inst.ns, inst.nm));
+    let planned = plan.estimate(inst.r, grouping).expect("valid grouping");
     prop_assert_eq!(
-        bits(&generic),
+        bits(&planned),
         bits(&want),
-        "generic {} on {:?}: {:?}, heap loop {:?}",
+        "chain plan {} on {:?}: {:?}, heap loop {:?}",
         grouping,
         inst,
-        generic,
+        planned,
         want
     );
     Ok(())
@@ -341,7 +352,7 @@ proptest! {
         (inst, grouping) in arb_case(1..=64, 40),
         table in arb_table(),
     ) {
-        check(inst, &table, &grouping)?;
+        check(inst, &table, &grouping, &mesh_plan(inst, &table))?;
     }
 }
 
@@ -355,7 +366,7 @@ proptest! {
         (inst, grouping) in arb_case(512..=512, 6),
         table in arb_table(),
     ) {
-        check(inst, &table, &grouping)?;
+        check(inst, &table, &grouping, &mesh_plan(inst, &table))?;
     }
 }
 
@@ -391,6 +402,7 @@ fn check_engine(inst: Instance, table: &TimingTable, grouping: &Grouping) {
 fn figure8_candidates_are_bitwise_the_heap_loop() {
     let mut checked = 0;
     for table in preset_tables() {
+        let plan = mesh_plan(Instance::new(10, FIG8_NM, 11), &table);
         for r in 11..=120 {
             let planned = Instance::new(10, 1800, r);
             let mut cands = no_post_candidates(planned);
@@ -403,7 +415,7 @@ fn figure8_candidates_are_bitwise_the_heap_loop() {
             }
             let inst = Instance::new(10, FIG8_NM, r);
             for grouping in &cands {
-                check(inst, &table, grouping).unwrap_or_else(|e| panic!("{e}"));
+                check(inst, &table, grouping, &plan).unwrap_or_else(|e| panic!("{e}"));
                 check_engine(inst, &table, grouping);
             }
             checked += cands.len();
@@ -455,7 +467,8 @@ fn classes_that_meet_are_bitwise_the_heap_loop() {
             for ns in [n, n + 1, n + 2, 2 * n + 1, 3 * n] {
                 for nm in [1, 2, 3, 7, 12, 25] {
                     let inst = Instance::new(ns, nm, r);
-                    check(inst, &table, grouping).unwrap_or_else(|e| panic!("{e}"));
+                    let plan = mesh_plan(inst, &table);
+                    check(inst, &table, grouping, &plan).unwrap_or_else(|e| panic!("{e}"));
                     checked += 1;
                 }
             }

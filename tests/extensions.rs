@@ -1,12 +1,10 @@
-//! Integration tests for the beyond-the-paper extensions: the generic
-//! heuristic, the baselines, fusion and staging — exercised through
-//! the facade crate as a user would.
+//! Integration tests for the beyond-the-paper extensions: the chain
+//! planner, the baselines, fusion and staging — exercised through the
+//! facade crate as a user would.
 
 use ocean_atmosphere::baselines::{cpr, cpr_batched, one_dag_at_a_time};
 use ocean_atmosphere::prelude::*;
-use ocean_atmosphere::sched::generic::{
-    balanced_generic, basic_generic, estimate_generic, knapsack_generic, Phase, PhaseTime, Workload,
-};
+use ocean_atmosphere::workflow::ir::{from_value, to_spec_value};
 
 /// The paper's grid run, untraced.
 fn plain_grid(grid: &Grid, ns: u32, nm: u32) -> GridOutcome {
@@ -14,20 +12,36 @@ fn plain_grid(grid: &Grid, ns: u32, nm: u32) -> GridOutcome {
     run_grid(grid, Heuristic::Knapsack, ns, nm, &config, &mut NullTracer).expect("ok")
 }
 
-/// The generic path specializes exactly to the Ocean-Atmosphere path.
+/// The chain planner specializes exactly to the Ocean-Atmosphere path:
+/// a fused mesh stripped of its origins is a general workflow, read off
+/// the graph alone, and with two months or more it plans as the table
+/// does, bit for bit.
 #[test]
 fn generic_specializes_to_oa() {
     let table = reference_cluster(77).timing;
     for (ns, nm, r) in [(10u32, 36u32, 53u32), (4, 60, 77), (7, 12, 30)] {
-        let w = Workload::ocean_atmosphere(ns, nm, &table);
+        let shape = ExperimentShape::new(ns, nm);
+        let stripped =
+            from_value(&to_spec_value(&lower_fused(shape))).expect("a lowered mesh round-trips");
+        assert_eq!(recognize(&stripped), IrClass::General);
+        let plan = ChainPlan::of(&stripped, &table).expect("a chain workload");
+        assert_eq!((plan.chains(), plan.units()), (ns, nm));
+        assert_eq!(plan.range(), MoldableSpec::pcr());
+        assert_eq!(
+            plan.row().iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
+            table.main_array().map(f64::to_bits)
+        );
+        assert_eq!(plan.trailing_secs().to_bits(), table.post_secs().to_bits());
         let inst = Instance::new(ns, nm, r);
         let oa = Heuristic::Knapsack
             .grouping(inst, &table)
             .expect("feasible");
-        let gen = knapsack_generic(&w, r).expect("feasible");
+        let gen = plan.knapsack(r).expect("feasible");
         assert_eq!(oa, gen);
+        let balanced = Heuristic::Balanced.grouping(inst, &table);
+        assert_eq!(plan.balanced(r).map(|(g, _)| g), balanced);
         let oa_e = estimate(inst, &table, &oa).expect("valid");
-        let gen_e = estimate_generic(&w, r, &gen).expect("valid");
+        let gen_e = plan.estimate(r, &gen).expect("valid");
         assert_eq!(
             [gen_e.makespan, gen_e.main_finish, gen_e.post_finish].map(f64::to_bits),
             [oa_e.makespan, oa_e.main_finish, oa_e.post_finish].map(f64::to_bits),
@@ -36,61 +50,84 @@ fn generic_specializes_to_oa() {
     }
 }
 
-/// The workloads `tests/golden/generic_plans.txt` pins, each with the
+/// One node of a unit: its processor shape and duration model.
+type Node = (IrTaskKind, DurationModel);
+
+/// `chains` chains of `units` units, each the path `blocking` then
+/// `trailing`, joined by a hand-off edge from the last blocking node
+/// to the next unit's first.
+fn chains(chains: u32, units: u32, blocking: &[Node], trailing: &[Node]) -> WorkflowIr {
+    let mut ir = WorkflowIr::new();
+    for c in 0..chains {
+        let mut hand_off = None;
+        for u in 0..units {
+            let mut prev = hand_off;
+            for (i, (kind, duration)) in blocking.iter().chain(trailing).enumerate() {
+                let node = ir.add_task(&format!("c{c}u{u}n{i}"), *kind, duration.clone());
+                if let Some(prev) = prev {
+                    ir.add_dep(prev, node).expect("forward edge");
+                }
+                if i + 1 == blocking.len() {
+                    hand_off = Some(node);
+                }
+                prev = Some(node);
+            }
+        }
+    }
+    ir
+}
+
+/// The workflows `tests/golden/generic_plans.txt` pins, each with the
 /// processor counts it is planned at.
-fn golden_workloads() -> Vec<(&'static str, Workload, Vec<u32>)> {
-    let moldable = |range: MoldableSpec, unit: &dyn Fn(f64) -> f64| Phase {
-        name: "solve".into(),
-        time: PhaseTime::Moldable {
-            range,
-            table: range.allocations().map(|p| unit(f64::from(p))).collect(),
-        },
-        blocking: true,
+fn golden_workloads() -> Vec<(&'static str, ChainPlan, Vec<u32>)> {
+    let moldable = |range: MoldableSpec, unit: &dyn Fn(f64) -> f64| {
+        let secs = range.allocations().map(|p| unit(f64::from(p))).collect();
+        (
+            IrTaskKind::Moldable(range),
+            DurationModel::PerAllocation(secs),
+        )
     };
-    let sequential = |secs: f64, blocking: bool| Phase {
-        name: "step".into(),
-        time: PhaseTime::Sequential(secs),
-        blocking,
-    };
+    let sequential = |secs: f64| (IrTaskKind::Rigid(1), DurationModel::Fixed(secs));
     let wide = MoldableSpec {
         min_procs: 2,
         max_procs: 16,
     };
+    let table = PcrModel::reference().table(1.0).expect("reference table");
+    let plan = |ir: WorkflowIr| ChainPlan::of(&ir, &table).expect("a chain workload");
     // The `generic_workflow` example's replica-exchange campaign.
-    let exchange = Workload::new(
+    let exchange = chains(
         8,
         500,
-        vec![
+        &[
             moldable(wide, &|p| 30.0 + 2500.0 / p + 2.5 * p),
-            sequential(8.0, true),
-            sequential(20.0, false),
+            sequential(8.0),
         ],
-    )
-    .expect("well-formed");
+        &[sequential(20.0)],
+    );
     // A molecular-dynamics chain: near-linear scaling, then saturation.
-    let md = Workload::new(
+    let md = chains(
         6,
         200,
-        vec![
-            moldable(wide, &|p| 40.0 + 4000.0 / p + 3.0 * p),
-            sequential(25.0, false),
-        ],
-    )
-    .expect("well-formed");
-    let sequential_only = Workload::new(4, 6, vec![sequential(10.0, true)]).expect("well-formed");
-    let table = PcrModel::reference().table(1.0).expect("reference table");
+        &[moldable(wide, &|p| 40.0 + 4000.0 / p + 3.0 * p)],
+        &[sequential(25.0)],
+    );
+    let sequential_only = chains(4, 6, &[sequential(10.0)], &[]);
     vec![
-        ("exchange", exchange, vec![9, 13, 19, 27, 42, 70, 101, 121]),
+        (
+            "exchange",
+            plan(exchange),
+            vec![9, 13, 19, 27, 42, 70, 101, 121],
+        ),
         // R = 1 fits no group of 2, so every heuristic answers `none`.
         (
             "md",
-            md,
+            plan(md),
             std::iter::once(1).chain((4..=120).step_by(3)).collect(),
         ),
-        ("sequential", sequential_only, (1..=6).collect()),
+        ("sequential", plan(sequential_only), (1..=6).collect()),
         (
             "ocean-atmosphere",
-            Workload::ocean_atmosphere(10, 48, &table),
+            plan(lower_fused(ExperimentShape::new(10, 48))),
             (11..=120).step_by(9).collect(),
         ),
     ]
@@ -121,20 +158,20 @@ fn golden_line(
 }
 
 /// Every basic, knapsack and balanced plan of the golden workloads,
-/// byte for byte.
+/// each read off its workflow IR, byte for byte.
 #[test]
 fn generic_plans_match_the_golden() {
     let mut got = String::new();
     for (name, w, rs) in golden_workloads() {
         for r in rs {
             let scored = |g: Grouping| {
-                let e = estimate_generic(&w, r, &g).expect("heuristic plans are valid");
+                let e = w.estimate(r, &g).expect("heuristic plans are valid");
                 (g, e)
             };
             for (heuristic, plan) in [
-                ("basic", basic_generic(&w, r).ok().map(scored)),
-                ("knapsack", knapsack_generic(&w, r).ok().map(scored)),
-                ("balanced", balanced_generic(&w, r).ok()),
+                ("basic", w.basic(r).ok().map(scored)),
+                ("knapsack", w.knapsack(r).ok().map(scored)),
+                ("balanced", w.balanced(r).ok()),
             ] {
                 let plan = plan.as_ref().map(|(g, e)| {
                     (
@@ -159,13 +196,14 @@ fn generic_plans_match_the_golden() {
 #[test]
 fn balanced_never_loses_on_oa_workloads() {
     let table = reference_cluster(120).timing;
+    let mesh = lower_fused(ExperimentShape::new(10, 48));
+    let plan = ChainPlan::of(&mesh, &table).expect("a fused mesh is a chain workload");
     for r in (11..=120).step_by(7) {
-        let w = Workload::ocean_atmosphere(10, 48, &table);
         let inst = Instance::new(10, 48, r);
         let knap = Heuristic::Knapsack
             .makespan(inst, &table)
             .expect("feasible");
-        let (_, bal) = balanced_generic(&w, r).expect("feasible");
+        let (_, bal) = plan.balanced(r).expect("feasible");
         assert!(
             bal.makespan <= knap + 1e-6,
             "R={r}: balanced {} vs knapsack {knap}",
