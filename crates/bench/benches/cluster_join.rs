@@ -1,70 +1,34 @@
-//! `ClusterJoin` pricing benchmarks: the cost of building one
-//! cluster's performance vector cold versus answering it from the
-//! daemon's planning memo.
+//! `ClusterJoin` benchmarks: a cold daemon joins one cluster and
+//! admits its first `Submit`.
 //!
-//! A join prices `capacity` scenario counts through the planning
-//! heuristic, so large capacities make cold joins expensive — the
-//! motivating case for the memo is a churny grid where clusters of
-//! the same timing rectangle join repeatedly. `capacity = 1536` is
-//! the stress point (6× the default 256); the memoized join must be
-//! orders of magnitude cheaper and stays bitwise-equal to the cold
-//! path (pinned by the `oa-sched` memo proptests).
+//! Placement prices performance-vector entries on demand, so the join
+//! itself prices nothing and the first submission prices the joined
+//! cluster's entries up to its planned count plus one — whatever the
+//! capacity. `capacity = 1536` is the stress point (6× the default
+//! 256) at which a join used to price every entry up front; both
+//! capacities must now cost the same.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use oa_par::Pool;
-use oa_platform::cluster::ClusterId;
-use oa_platform::presets::reference_cluster;
-use oa_sched::hetero::performance_vector_with;
-use oa_sched::heuristics::Heuristic;
-use oa_sched::memo::PlanMemo;
+use oa_service::daemon::{run_script, Service, ServiceConfig};
 
-const R: u32 = 53;
-const PLANNING_NM: u32 = 60;
+const SCRIPT: &str = r#"{"ClusterJoin":{"name":"ref","preset":"reference","resources":53}}
+{"Submit":{"session":"s","ns":3,"nm":60,"heuristic":"knapsack","policy":"least-advanced","granularity":"fused","recovery":"checkpoint","kills":"","deadline":0.0}}"#;
+
+fn service(capacity: u32) -> Service {
+    let cfg = ServiceConfig {
+        capacity,
+        ..ServiceConfig::default()
+    };
+    Service::new(cfg, 1)
+}
 
 fn bench_cluster_join(c: &mut Criterion) {
-    let table = reference_cluster(R).timing;
-    let pool = Pool::serial();
     let mut group = c.benchmark_group("cluster_join");
     for capacity in [384u32, 1536] {
         group.bench_with_input(BenchmarkId::new("cold", capacity), &capacity, |b, &cap| {
-            b.iter(|| {
-                black_box(performance_vector_with(
-                    ClusterId(0),
-                    R,
-                    &table,
-                    Heuristic::Knapsack,
-                    cap,
-                    PLANNING_NM,
-                    &pool,
-                ));
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("memo", capacity), &capacity, |b, &cap| {
-            let mut memo = PlanMemo::new();
-            // Warm: the first join of this timing rectangle pays the
-            // DP build; every later identical join replays it.
-            let _ = memo.performance_vector(
-                ClusterId(0),
-                R,
-                &table,
-                Heuristic::Knapsack,
-                cap,
-                PLANNING_NM,
-                &pool,
-            );
-            b.iter(|| {
-                black_box(memo.performance_vector(
-                    ClusterId(0),
-                    R,
-                    &table,
-                    Heuristic::Knapsack,
-                    cap,
-                    PLANNING_NM,
-                    &pool,
-                ));
-            });
+            b.iter(|| black_box(run_script(&mut service(cap), SCRIPT)));
         });
     }
     group.finish();

@@ -1,5 +1,5 @@
 //! Solver micro-benchmarks: the exact DP must stay interactive (the
-//! daemon prices every joining cluster), and the greedy /
+//! daemon prices every cluster its placement reads), and the greedy /
 //! branch-and-bound alternatives bound the cost of exactness.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

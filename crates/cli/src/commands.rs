@@ -1173,7 +1173,7 @@ fn serve_cmd(args: &Args) -> Result<String, CliError> {
         "capacity",
         "planning-nm",
     ])?;
-    // Every join prices campaigns of up to `capacity × planning_nm`
+    // Placement prices campaigns of up to `capacity × planning_nm`
     // months, so the pair is read as a campaign shape.
     let (capacity, planning_nm) = read::shape(
         args.u32_or("capacity", 256)?,

@@ -8,6 +8,12 @@
 //! step 2 of Figure 9). The client then assigns scenarios greedily:
 //! each scenario goes to the cluster whose makespan after receiving it
 //! is smallest (Algorithm 1).
+//!
+//! The greedy reads cluster `i`'s vector only at `nbDags[i] + 1`
+//! (`greedy_step`, the one strict-`<` scan), so no caller needs a
+//! whole vector: [`repartition_with`] runs Algorithm 1 over a pricer
+//! that computes an entry the first time it is read, and
+//! [`repartition_grid`] prices a grid's vectors that way.
 
 use serde::{Deserialize, Serialize};
 
@@ -226,26 +232,83 @@ pub fn repartition_n(vectors: &[PerformanceVector], ns: usize) -> Repartition {
         ns <= cap,
         "repartition of {ns} scenarios exceeds vector coverage {cap}"
     );
-    let n = vectors.len();
-    let mut nb_dags = vec![0u32; n];
+    let clusters: Vec<ClusterId> = vectors.iter().map(|v| v.cluster).collect();
+    repartition_with(&clusters, ns, |i, k| vectors[i].of(k))
+}
+
+/// Algorithm 1 over a pricer: `price(i, k)` is the predicted makespan
+/// of `k` scenarios on `clusters[i]`, read only at `k = nb_dags[i] + 1`
+/// (see `greedy_step`) and asked once per `(i, k)`, so a pricer that
+/// computes on demand computes no entry twice and none past a
+/// cluster's final count plus one. A step on which every cluster
+/// prices `+∞` goes to the first position, as the pseudocode's initial
+/// `cluster_min` does.
+///
+/// Panics if `clusters` is empty.
+pub fn repartition_with(
+    clusters: &[ClusterId],
+    ns: usize,
+    mut price: impl FnMut(usize, u32) -> f64,
+) -> Repartition {
+    assert!(
+        !clusters.is_empty(),
+        "repartition needs at least one cluster"
+    );
+    let mut nb_dags = vec![0u32; clusters.len()];
+    // Entry `nb_dags[i] + 1` of each cluster, once asked for: only the
+    // chosen cluster's entry changes between steps.
+    let mut next: Vec<Option<f64>> = vec![None; clusters.len()];
     let mut assignment = Vec::with_capacity(ns);
     for _dag in 0..ns {
-        let mut ms_min = f64::INFINITY;
-        let mut cluster_min = 0usize;
-        for (i, v) in vectors.iter().enumerate() {
-            let temp = v.of(nb_dags[i] + 1);
-            if temp < ms_min {
-                ms_min = temp;
-                cluster_min = i;
-            }
-        }
-        nb_dags[cluster_min] += 1;
-        assignment.push(vectors[cluster_min].cluster);
+        let i =
+            greedy_step(&nb_dags, |i, k| *next[i].get_or_insert_with(|| price(i, k))).unwrap_or(0);
+        nb_dags[i] += 1;
+        next[i] = None;
+        assignment.push(clusters[i]);
     }
     Repartition {
         assignment,
         nb_dags,
     }
+}
+
+/// Algorithm 1 over `grid`'s performance vectors, each entry priced the
+/// first time the greedy reads it: bitwise
+/// `repartition(&grid_performance(grid, heuristic, ns, nm))`, but a
+/// cluster is priced up to its final count plus one instead of `1..=ns`.
+/// As in [`grid_performance_with`], the knapsack heuristic builds one DP
+/// table per cluster.
+pub fn repartition_grid(grid: &Grid, heuristic: Heuristic, ns: u32, nm: u32) -> Repartition {
+    let dps: Vec<Option<DpTable>> = grid
+        .iter()
+        .map(|(_, c)| vector_dp(heuristic, &c.timing, c.resources, ns))
+        .collect();
+    let ids: Vec<ClusterId> = grid.iter().map(|(id, _)| id).collect();
+    repartition_with(&ids, ns as usize, |i, k| {
+        let c = &grid.clusters()[i];
+        let inst = Instance::new(k, nm, c.resources);
+        priced(heuristic, dps[i].as_ref(), inst, &c.timing)
+    })
+}
+
+/// One step of Algorithm 1: the position whose makespan with one more
+/// scenario, `price(i, counts[i] + 1)`, is smallest under the
+/// pseudocode's strict `<` (ties to the lowest position). `None` when
+/// no entry is below `+∞`.
+pub(crate) fn greedy_step(
+    counts: &[u32],
+    mut price: impl FnMut(usize, u32) -> f64,
+) -> Option<usize> {
+    let mut ms_min = f64::INFINITY;
+    let mut cluster_min = None;
+    for (i, &k) in counts.iter().enumerate() {
+        let temp = price(i, k + 1);
+        if temp < ms_min {
+            ms_min = temp;
+            cluster_min = Some(i);
+        }
+    }
+    cluster_min
 }
 
 /// Exact scenario repartition by dynamic programming: minimizes the
@@ -465,6 +528,36 @@ mod tests {
             let before = builds();
             grid_performance_with(&grid, Heuristic::Basic, ns, nm, &serial);
             assert_eq!(builds(), before);
+        }
+    }
+
+    #[test]
+    fn greedy_prices_each_entry_once_up_to_the_final_count_plus_one() {
+        let v = vectors(&[&[5.0, 11.0, 18.0, 26.0], &[7.0, 15.0, 24.0, 34.0]]);
+        let ids = [ClusterId(0), ClusterId(1)];
+        let mut asked = Vec::new();
+        let plan = repartition_with(&ids, 3, |i, k| {
+            asked.push((i, k));
+            v[i].of(k)
+        });
+        assert_eq!(plan, repartition_n(&v, 3));
+        // [2, 1]: the last step chose cluster 0 at entry 2, so neither
+        // cluster was read past entry 2.
+        assert_eq!(plan.nb_dags, vec![2, 1]);
+        assert_eq!(asked, [(0, 1), (1, 1), (0, 2), (1, 2)]);
+    }
+
+    #[test]
+    fn grid_repartition_is_the_whole_vector_plan() {
+        for resources in [5u32, 20, 53] {
+            let grid = benchmark_grid(resources);
+            for h in Heuristic::PAPER {
+                for ns in [1u32, 10, 23] {
+                    let want = repartition(&grid_performance(&grid, h, ns, 36));
+                    let got = repartition_grid(&grid, h, ns, 36);
+                    assert_eq!(got, want, "{h:?} R={resources} ns={ns}");
+                }
+            }
         }
     }
 

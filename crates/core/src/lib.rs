@@ -27,7 +27,7 @@
 //! * [`memo`] — the cross-variant planning memo: retained knapsack DP
 //!   tables and a makespan cache keyed by timing table, bitwise
 //!   equal to the uncached heuristics (the pricing core of mass-batch
-//!   sweeps and `oa-service` `ClusterJoin`);
+//!   sweeps and `oa-service` placement);
 //! * [`policy`] — campaign policy knobs shared by every event loop:
 //!   scenario-selection queues, task granularity, fault plans and
 //!   recovery models (the configuration of `oa-sim::engine`);

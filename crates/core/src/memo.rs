@@ -1,11 +1,13 @@
 //! Cross-variant planning memo: knapsack solutions and G-selection
 //! scans cached across `(cluster table, R, capacity)` keys.
 //!
-//! Mass-batch studies (and the service's `ClusterJoin` pricing) solve
+//! Mass-batch studies (and the service's placement pricing) solve
 //! the *same* planning instances over and over: a performance vector
-//! prices `1..=capacity` scenario counts against one timing table, a
-//! parameter grid re-asks neighbouring `(R, NS)` cells, and every new
-//! cluster with the same hardware profile repeats all of it. Two layers
+//! prices scenario counts against one timing table, a parameter grid
+//! re-asks neighbouring `(R, NS)` cells, and every new cluster with the
+//! same hardware profile repeats all of it. Algorithm 1 prices through
+//! [`PlanMemo::makespan`] and [`PlanMemo::makespans`] one entry (or one
+//! wave of entries) at a time, the first time it reads them. Two layers
 //! of sharing remove the redundancy without changing a single bit:
 //!
 //! 1. **A retained knapsack table per timing table** —
@@ -31,6 +33,7 @@
 //! [`crate::hetero::performance_vector_with`].
 
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 
 use oa_knapsack::DpTable;
 use oa_par::Pool;
@@ -153,11 +156,10 @@ impl PlanMemo {
         ms
     }
 
-    /// The cluster's performance vector through the memo: cached
-    /// scenario counts replay their bits, the missing counts fan out on
-    /// `pool` and are stitched back in count order. Bitwise-identical
-    /// to [`crate::hetero::performance_vector_with`] for any query
-    /// history and any job count.
+    /// The cluster's performance vector through the memo: entries
+    /// `1..=ns` of [`PlanMemo::makespans`]. Bitwise-identical to
+    /// [`crate::hetero::performance_vector_with`] for any query history
+    /// and any job count.
     #[allow(clippy::too_many_arguments)]
     pub fn performance_vector(
         &mut self,
@@ -169,12 +171,32 @@ impl PlanMemo {
         nm: u32,
         pool: &Pool,
     ) -> PerformanceVector {
+        let makespans = self.makespans(heuristic, resources, table, 1..=ns, nm, pool);
+        PerformanceVector { cluster, makespans }
+    }
+
+    /// The heuristic's makespans of `ks` scenarios of `nm` months on
+    /// `resources` processors (`+∞` where the cluster is priced out),
+    /// in count order: cached counts replay their bits, the missing
+    /// ones fan out on `pool` and are stitched back in count order.
+    /// Each entry is bitwise what [`PlanMemo::makespan`] answers for
+    /// its count, for any query history and any job count.
+    pub fn makespans(
+        &mut self,
+        heuristic: Heuristic,
+        resources: u32,
+        table: &TimingTable,
+        ks: RangeInclusive<u32>,
+        nm: u32,
+        pool: &Pool,
+    ) -> Vec<f64> {
         let TableMemo { dp, makespans } = self.tables.entry(table_key(table)).or_default();
         let key = |k| (heuristic_tag(heuristic), resources, k, nm);
-        let misses: Vec<u32> = (1..=ns)
+        let misses: Vec<u32> = ks
+            .clone()
             .filter(|&k| !makespans.contains_key(&key(k)))
             .collect();
-        self.stats.hits += u64::from(ns) - misses.len() as u64;
+        self.stats.hits += ks.clone().count() as u64 - misses.len() as u64;
         self.stats.misses += misses.len() as u64;
         if !misses.is_empty() {
             let dp = (heuristic == Heuristic::Knapsack)
@@ -186,10 +208,7 @@ impl PlanMemo {
                 makespans.insert(key(k), ms.to_bits());
             }
         }
-        let makespans = (1..=ns)
-            .map(|k| f64::from_bits(makespans[&key(k)]))
-            .collect();
-        PerformanceVector { cluster, makespans }
+        ks.map(|k| f64::from_bits(makespans[&key(k)])).collect()
     }
 }
 
@@ -341,6 +360,30 @@ mod tests {
                 assert_eq!(gb, wb, "{h:?} r={r}");
             }
         }
+    }
+
+    #[test]
+    fn makespans_in_waves_match_the_plain_vector() {
+        let t = table();
+        let mut memo = PlanMemo::new();
+        for (h, jobs) in [(Heuristic::Knapsack, 1), (Heuristic::Basic, 2)] {
+            let pool = Pool::new(jobs);
+            let want = performance_vector_with(ClusterId(0), 53, &t, h, 24, 60, &pool);
+            // Overlapping waves out of order: the second half first,
+            // then a wave that straddles it, then the rest.
+            let mut got = vec![0u64; 24];
+            for ks in [13..=24, 9..=16, 1..=9] {
+                let from = *ks.start() as usize - 1;
+                for (i, ms) in memo.makespans(h, 53, &t, ks, 60, &pool).iter().enumerate() {
+                    got[from + i] = ms.to_bits();
+                }
+            }
+            let wb: Vec<u64> = want.makespans.iter().map(|m| m.to_bits()).collect();
+            assert_eq!(got, wb, "{h:?}");
+        }
+        // 24 distinct counts per heuristic were computed, the overlaps hit.
+        assert_eq!(memo.stats().misses, 48);
+        assert_eq!(memo.stats().hits, 2 * (4 + 1));
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! * **determinism** — the daemon never reads a wall clock, spawns a
 //!   thread, or iterates an unordered map, so a scripted transcript
 //!   produces a byte-identical session log on every run and at every
-//!   `--jobs` setting (the worker pool only builds performance
-//!   vectors, which `oa-par` keeps bit-identical).
+//!   `--jobs` setting (the worker pool only prices performance-vector
+//!   entries, which `oa-par` keeps bit-identical).
 //!
 //! Planning versus execution: scenario *placement* uses a
 //! service-wide planning model (knapsack vectors at a fixed
@@ -23,9 +23,16 @@
 //! session's own heuristic, policy, granularity, recovery and fault
 //! plan. The plan decides *where* scenarios go; the session decides
 //! *how* they run there.
+//!
+//! Planning prices on demand: a `ClusterJoin` prices nothing, and a
+//! greedy step that reads a cluster's entry `k` for the first time
+//! prices it through the service's [`PlanMemo`] (see `pricer`). A
+//! cluster is therefore priced up to its largest planned count plus
+//! one, whatever the `capacity`.
 
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, Write};
+use std::ops::RangeInclusive;
 
 use oa_par::Pool;
 use oa_platform::cluster::{Cluster, ClusterId};
@@ -52,9 +59,10 @@ use crate::wire::{
 pub struct ServiceConfig {
     /// Grid-wide concurrent-scenario capacity: the coverage of every
     /// performance vector, hence the most scenarios that can be
-    /// planned at once. Each cluster join prices `capacity` scenario
-    /// counts through the planning heuristic (parallelised over the
-    /// worker pool), so very large capacities make joins expensive.
+    /// planned at once. Entries are priced on demand, so a join costs
+    /// nothing whatever the capacity; a greedy step prices a cluster's
+    /// next entry the first time it reads it, so a population that
+    /// reaches `capacity` prices up to `capacity` entries per cluster.
     pub capacity: u32,
     /// Months-per-scenario the *planning* vectors assume. Sessions
     /// execute with their own `nm`; this one only shapes placement.
@@ -183,7 +191,7 @@ pub struct Service {
     index: BTreeMap<String, usize>,
     next_seq: u64,
     /// The planning memo: knapsack DP tables and makespan scans shared
-    /// by `ClusterJoin` pricing and `VariantSweep` execution.
+    /// by placement pricing and `VariantSweep` execution.
     memo: PlanMemo,
     metrics: MetricsRegistry,
     shut_down: bool,
@@ -201,7 +209,7 @@ impl Service {
             now: 0.0,
             clusters: Vec::new(),
             next_cluster_id: 0,
-            rep: IncrementalRepartition::new(Vec::new()),
+            rep: IncrementalRepartition::new(cfg.capacity),
             sessions: Vec::new(),
             index: BTreeMap::new(),
             next_seq: 1,
@@ -370,21 +378,15 @@ impl Service {
         };
         let id = self.next_cluster_id;
         self.next_cluster_id += 1;
-        let vector = self.memo.performance_vector(
-            ClusterId(id),
-            resources,
-            &cluster.timing,
-            self.cfg.planning_heuristic,
-            self.cfg.capacity,
-            self.cfg.planning_nm,
-            &self.pool,
-        );
-        self.rep.join(vector);
         self.clusters.push(ClusterState {
             id,
             cluster,
             free_at: self.now,
         });
+        self.rep.join(
+            ClusterId(id),
+            pricer(&mut self.memo, &self.clusters, &self.pool, self.cfg),
+        );
         self.metrics
             .set(metrics::keys::CLUSTERS_LIVE, self.clusters.len() as f64);
         vec![Response::ClusterUp {
@@ -406,8 +408,24 @@ impl Service {
                 format!("cluster {name:?} still holds planned scenarios; drain or fail it"),
             );
         }
-        self.rep.leave(ClusterId(id));
+        // A departure can relabel the plan's count off the cluster that
+        // physically runs a portion (`remove_from`'s one migration), so
+        // the sessions are asked too.
+        let runs_a_portion = self.sessions.iter().any(|s| {
+            matches!(s.lifecycle, Lifecycle::Active)
+                && s.portions.iter().any(|p| p.cluster_id == id && !p.released)
+        });
+        if runs_a_portion {
+            return Self::error(
+                codes::BUSY,
+                format!("cluster {name:?} still runs a session portion; drain or fail it"),
+            );
+        }
         self.clusters.remove(pos);
+        self.rep.leave(
+            ClusterId(id),
+            pricer(&mut self.memo, &self.clusters, &self.pool, self.cfg),
+        );
         self.metrics
             .set(metrics::keys::CLUSTERS_LIVE, self.clusters.len() as f64);
         vec![Response::ClusterGone {
@@ -467,7 +485,8 @@ impl Service {
         // Placement: one greedy step per scenario.
         let mut choices: Vec<ClusterId> = Vec::with_capacity(ns as usize);
         for _ in 0..ns {
-            let Some(c) = self.rep.push() else {
+            let price = pricer(&mut self.memo, &self.clusters, &self.pool, self.cfg);
+            let Some(c) = self.rep.push(price) else {
                 self.rollback(choices.len());
                 let message = format!("no cluster can take scenario {} of {ns}", choices.len() + 1);
                 return Err(Refusal::new(codes::OVER_CAPACITY, message));
@@ -878,8 +897,8 @@ impl Service {
     }
 
     /// Renders a finished session as a campaign report: the busy
-    /// clusters only, with protocol steps 1 and 4–6 (steps 2–3 happened
-    /// at each `ClusterJoin`).
+    /// clusters only, with protocol steps 1 and 4–6 (steps 2–3, the
+    /// pricing, happened on demand inside the placement greedy).
     fn completion_report(s: &Session) -> CampaignReport {
         let mut trace = vec![ProtocolEvent::RequestReceived {
             request: s.seq,
@@ -960,8 +979,11 @@ impl Service {
         }
 
         let pos = self.cluster_pos(name).expect("no mutation removed it yet");
-        self.rep.leave(ClusterId(dead_id));
         self.clusters.remove(pos);
+        self.rep.leave(
+            ClusterId(dead_id),
+            pricer(&mut self.memo, &self.clusters, &self.pool, self.cfg),
+        );
         self.metrics
             .set(metrics::keys::CLUSTERS_LIVE, self.clusters.len() as f64);
         out.push(Response::ClusterFailed {
@@ -987,7 +1009,8 @@ impl Service {
             let mut choices = Vec::with_capacity(lost);
             let mut ok = true;
             for _ in 0..lost {
-                match self.rep.push() {
+                let price = pricer(&mut self.memo, &self.clusters, &self.pool, self.cfg);
+                match self.rep.push(price) {
                     Some(c) => choices.push(c),
                     None => {
                         ok = false;
@@ -1056,6 +1079,38 @@ impl Service {
             });
         }
         out
+    }
+}
+
+/// The placement pricer over the live `clusters`: entry `k` of a
+/// cluster's performance vector is [`PlanMemo::makespans`] under the
+/// planning heuristic at `planning_nm`, priced together with the
+/// entries after it, up to `pool.jobs()` of them in one `par_map`
+/// and never past the coverage — exactly on demand at `--jobs 1`,
+/// and the same bits at every job count, because entries are pure.
+fn pricer<'a>(
+    memo: &'a mut PlanMemo,
+    clusters: &'a [ClusterState],
+    pool: &'a Pool,
+    cfg: ServiceConfig,
+) -> impl FnMut(ClusterId, RangeInclusive<u32>) -> Vec<f64> + 'a {
+    move |id, ks| {
+        let c = &clusters
+            .iter()
+            .find(|c| c.id == id.0)
+            .expect("the plan prices live clusters")
+            .cluster;
+        let from = *ks.start();
+        let wave = u32::try_from(pool.jobs()).unwrap_or(u32::MAX);
+        let to = from.saturating_add(wave - 1).min(*ks.end());
+        memo.makespans(
+            cfg.planning_heuristic,
+            c.resources,
+            &c.timing,
+            from..=to,
+            cfg.planning_nm,
+            pool,
+        )
     }
 }
 
@@ -1145,6 +1200,7 @@ pub fn run_script(service: &mut Service, script: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oa_sched::memo::MemoStats;
 
     fn small() -> Service {
         let cfg = ServiceConfig {
@@ -1185,21 +1241,47 @@ mod tests {
         assert_eq!(s.now(), 0.0);
     }
 
-    /// `ClusterJoin` pricing flows through the planning memo: joining
-    /// identical clusters replays cached vectors, and the plan is the
-    /// same as the uncached service's.
+    /// Placement prices through the planning memo, on demand: five
+    /// joins at capacity 512 price nothing, and a `Submit` of three
+    /// scenarios then prices at most each cluster's count plus one
+    /// entries (one wave of `--jobs` entries past it at `--jobs 2`),
+    /// with the same transcript at either job count.
     #[test]
-    fn cluster_join_pricing_replays_from_the_memo() {
-        let script = "{\"Hello\": {\"version\": 1}}\n\
-            {\"ClusterJoin\": {\"name\": \"a\", \"preset\": \"reference\", \"resources\": 53}}\n\
-            {\"ClusterJoin\": {\"name\": \"b\", \"preset\": \"reference\", \"resources\": 53}}\n\
-            {\"ClusterJoin\": {\"name\": \"c\", \"preset\": \"grillon\", \"resources\": 47}}\n";
-        let log = run_script(&mut small(), script);
-        assert_eq!(log.matches("\"ClusterUp\"").count(), 3, "log:\n{log}");
-        // Replaying the same joins yields a byte-identical plan: the
-        // memoized vectors are bitwise the uncached ones.
-        let replay = run_script(&mut small(), script);
-        assert_eq!(log, replay);
+    fn joins_price_nothing_and_submits_price_on_demand() {
+        let mut script = String::from("{\"Hello\": {\"version\": 1}}\n");
+        for p in [
+            "sagittaire",
+            "capricorne",
+            "chinqchint",
+            "grillon",
+            "grelon",
+        ] {
+            script.push_str(&format!(
+                "{{\"ClusterJoin\": {{\"name\": \"{p}\", \"preset\": \"{p}\", \"resources\": 64}}}}\n"
+            ));
+        }
+        let mut logs = Vec::new();
+        for jobs in [1u32, 2] {
+            let cfg = ServiceConfig {
+                capacity: 512,
+                ..Default::default()
+            };
+            let mut s = Service::new(cfg, jobs as usize);
+            let log = run_script(&mut s, &script);
+            assert_eq!(log.matches("\"ClusterUp\"").count(), 5, "log:\n{log}");
+            assert_eq!(s.memo.stats(), MemoStats::default(), "a join priced");
+            let admit = run_script(&mut s, &submit_line("s", 3));
+            assert!(admit.contains("\"Admitted\""), "log:\n{admit}");
+            let bound: u32 = s.rep.counts().iter().map(|&k| k + jobs).sum();
+            assert!(
+                s.memo.stats().misses <= u64::from(bound),
+                "{:?} for counts {:?}",
+                s.memo.stats(),
+                s.rep.counts()
+            );
+            logs.push(log + &admit);
+        }
+        assert_eq!(logs[0], logs[1], "the plan varies with --jobs");
     }
 
     #[test]

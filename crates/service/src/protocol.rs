@@ -12,9 +12,11 @@
 //! 5. the client sends each cluster its set of simulations;
 //! 6. each cluster executes its assignment.
 //!
-//! [`run_protocol`] walks those steps as one daemon session: steps 2–3
-//! happen at each `ClusterJoin`, step 1 at `Submit`, and steps 4–6 at
-//! `Submit` and `Drain`. The report types here are also the payload of
+//! [`run_protocol`] walks those steps as one daemon session: step 1 at
+//! `Submit`, steps 2–4 inside its placement (Algorithm 1 prices each
+//! cluster's vector entry the first time it reads it, so a
+//! `ClusterJoin` prices nothing), and steps 5–6 at `Submit` and
+//! `Drain`. The report types here are also the payload of
 //! the daemon's `Completed` response, so a campaign completed over the
 //! wire reads exactly like one completed in process.
 //! [`PROTOCOL_VERSION`] names the wire revision (see `docs/PROTOCOL.md`

@@ -696,7 +696,7 @@ pub fn run_batch(spec: &BatchSpec, pool: &Pool) -> Result<BatchReport, BatchErro
 /// [`run_batch`] against a caller-owned planning memo, so the sweep
 /// shares knapsack DP tables and makespan scans with other planning
 /// work (the service daemon routes `VariantSweep` requests through
-/// its `ClusterJoin` pricing memo). The report's [`BatchReport::memo`]
+/// its placement pricing memo). The report's [`BatchReport::memo`]
 /// counters are the delta this sweep contributed.
 pub fn run_batch_with(
     spec: &BatchSpec,

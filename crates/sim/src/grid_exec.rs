@@ -11,13 +11,14 @@
 //! used cluster gets a heuristic grouping, a `Decision` event and one
 //! [`simulate_campaign`] call under its [`ClusterCampaign`] knobs. A
 //! [`GridConfig`] carries those knobs plus optional wide-area
-//! [`Staging`]; [`run_grid`] plans the repartition first.
+//! [`Staging`]; [`run_grid`] plans the repartition first, pricing each
+//! cluster's performance-vector entries only as Algorithm 1 reads them.
 
 use serde::{Deserialize, Serialize};
 
 use oa_platform::cluster::ClusterId;
 use oa_platform::grid::Grid;
-use oa_sched::hetero::{grid_performance, repartition, Repartition};
+use oa_sched::hetero::{repartition_grid, Repartition};
 use oa_sched::heuristics::{Heuristic, HeuristicError};
 use oa_sched::params::Instance;
 use oa_sched::policy::{CampaignConfig, FaultPlan};
@@ -104,7 +105,8 @@ pub struct GridOutcome {
 
 /// Plans (via Algorithm 1 on `heuristic`'s performance vectors) and
 /// executes `ns` scenarios of `nm` months on `grid`; see
-/// [`execute_repartition`].
+/// [`execute_repartition`]. The plan is [`repartition_grid`]'s, which
+/// prices each vector entry the first time Algorithm 1 reads it.
 pub fn run_grid<T: Tracer>(
     grid: &Grid,
     heuristic: Heuristic,
@@ -113,7 +115,7 @@ pub fn run_grid<T: Tracer>(
     config: &GridConfig,
     tracer: &mut T,
 ) -> Result<GridOutcome, HeuristicError> {
-    let plan = repartition(&grid_performance(grid, heuristic, ns, nm));
+    let plan = repartition_grid(grid, heuristic, ns, nm);
     execute_repartition(grid, &plan, heuristic, nm, config, tracer)
 }
 
@@ -247,6 +249,7 @@ pub fn execute_repartition<T: Tracer>(
 mod tests {
     use super::*;
     use oa_platform::presets::benchmark_grid;
+    use oa_sched::hetero::{grid_performance, repartition};
     use oa_sched::policy::{Granularity, Recovery, ScenarioPolicy};
     use oa_trace::prelude::*;
 

@@ -18,10 +18,13 @@
 //! adopted months into surviving clusters' tails could only improve on
 //! the numbers reported here.
 
+use std::collections::BTreeMap;
+
 use serde::{Deserialize, Serialize};
 
 use oa_platform::cluster::ClusterId;
 use oa_platform::grid::Grid;
+use oa_sched::hetero::repartition_with;
 use oa_sched::heuristics::{Heuristic, HeuristicError};
 use oa_sched::params::Instance;
 use oa_trace::NullTracer;
@@ -161,63 +164,37 @@ pub fn run_grid_with_cluster_failure(
             complete: false,
         }),
         ClusterFailurePolicy::Replan => {
-            // Greedily adopt victims: each goes to the survivor whose
-            // completion time grows the least. A survivor adopting k
-            // scenarios runs them as a fresh campaign of the *longest*
-            // remaining chain (conservative: remaining months differ by
-            // at most one here, and the estimator needs one nm).
+            // Greedily adopt victims through Algorithm 1: each goes to
+            // the survivor whose completion time grows the least. A
+            // survivor adopting k scenarios runs them as a fresh
+            // campaign of the *longest* remaining chain (conservative:
+            // remaining months differ by at most one here, and the
+            // estimator needs one nm). The dead cluster prices at +∞.
+            assert!(grid.len() > 1, "at least one survivor");
             let longest_left = (remaining.div_ceil(victim_scenarios.len() as u64) as u32).max(1);
-            let mut adopted = vec![0u32; grid.len()];
-            let completion: Vec<f64> = (0..grid.len())
-                .map(|i| {
-                    if i == failed.index() {
-                        f64::INFINITY
-                    } else {
-                        base.clusters[i].makespan().max(failed_at)
-                    }
-                })
-                .collect();
             let migration = migration_secs(link);
-            for _ in &victim_scenarios {
-                // Completion if survivor i adopts one more scenario.
-                let best = (0..grid.len())
-                    .filter(|&i| i != failed.index())
-                    .min_by(|&a, &b| {
-                        let ca = adoption_completion(
-                            grid,
-                            heuristic,
-                            a,
-                            adopted[a] + 1,
-                            longest_left,
-                            &completion,
-                            migration,
-                        );
-                        let cb = adoption_completion(
-                            grid,
-                            heuristic,
-                            b,
-                            adopted[b] + 1,
-                            longest_left,
-                            &completion,
-                            migration,
-                        );
-                        ca.total_cmp(&cb)
-                    })
-                    .expect("at least one survivor");
-                adopted[best] += 1;
-            }
+            // Priced once per (survivor, k): the greedy, then the
+            // closing makespan, read the same entries.
+            let mut memo: BTreeMap<(usize, u32), f64> = BTreeMap::new();
+            let mut adoption = |i: usize, k: u32| {
+                if i == failed.index() {
+                    return f64::INFINITY;
+                }
+                *memo.entry((i, k)).or_insert_with(|| {
+                    let cluster = &grid.clusters()[i];
+                    let inst = Instance::new(k, longest_left, cluster.resources);
+                    let extra = heuristic
+                        .makespan(inst, &cluster.timing)
+                        .expect("survivors priced the campaign, so they fit groups");
+                    base.clusters[i].makespan().max(failed_at) + migration + extra
+                })
+            };
+            let ids: Vec<ClusterId> = grid.iter().map(|(id, _)| id).collect();
+            let adopted = repartition_with(&ids, victim_scenarios.len(), &mut adoption).nb_dags;
             let mut makespan = survivors_finish;
             for (i, &k) in adopted.iter().enumerate() {
                 if k > 0 {
-                    makespan = makespan.max(adoption_completion(
-                        grid,
-                        heuristic,
-                        i,
-                        k,
-                        longest_left,
-                        &completion,
-                        migration,
-                    ));
+                    makespan = makespan.max(adoption(i, k));
                 }
             }
             Ok(GridFailureOutcome {
@@ -230,25 +207,6 @@ pub fn run_grid_with_cluster_failure(
             })
         }
     }
-}
-
-/// Completion time of survivor `i` adopting `k` scenarios of
-/// `months_left` months after its own assignment and one migration.
-fn adoption_completion(
-    grid: &Grid,
-    heuristic: Heuristic,
-    i: usize,
-    k: u32,
-    months_left: u32,
-    completion: &[f64],
-    migration: f64,
-) -> f64 {
-    let cluster = &grid.clusters()[i];
-    let inst = Instance::new(k, months_left, cluster.resources);
-    let extra = heuristic
-        .makespan(inst, &cluster.timing)
-        .expect("survivors priced the campaign, so they fit groups");
-    completion[i] + migration + extra
 }
 
 #[cfg(test)]

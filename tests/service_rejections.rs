@@ -378,6 +378,44 @@ fn busy_cluster_leave_is_proto007() {
     assert!(drained.contains("\"ClusterGone\""), "{drained}");
 }
 
+/// A cluster that still runs a session portion refuses to leave with
+/// PROTO007 even when the plan counts nothing on it: `short`'s release
+/// relabels the plan's one remaining scenario onto `a`, while `long`
+/// keeps running on `b`. After the drain `b` leaves.
+#[test]
+fn cluster_running_a_portion_cannot_leave() {
+    let cfg = ServiceConfig {
+        capacity: 16,
+        planning_nm: 12,
+        ..Default::default()
+    };
+    let mut s = Service::new(cfg, 1);
+    let log = run_script(
+        &mut s,
+        &[
+            r#"{"ClusterJoin":{"name":"a","preset":"sagittaire","resources":16}}"#,
+            r#"{"ClusterJoin":{"name":"b","preset":"sagittaire","resources":16}}"#,
+            &submit("short", 1, 12, "knapsack", "", 0.0),
+            &submit("long", 1, 1200, "knapsack", "", 0.0),
+            r#"{"Advance":{"to":100000.0}}"#,
+            r#"{"ClusterLeave":{"name":"b"}}"#,
+        ]
+        .join("\n"),
+    );
+    let leave = log.lines().last().unwrap_or_default();
+    assert!(leave.contains("\"PROTO007\""), "{log}");
+    let drained = run_script(
+        &mut s,
+        "{\"Drain\":{}}\n{\"ClusterLeave\":{\"name\":\"b\"}}",
+    );
+    assert!(
+        drained.contains("\"Completed\":{\"session\":\"long\""),
+        "{drained}"
+    );
+    let leave = drained.lines().last().unwrap_or_default();
+    assert!(leave.contains("\"ClusterGone\""), "{drained}");
+}
+
 /// A cluster of exactly `MAX_CLUSTER_PROCS` processors joins, and the
 /// daemon goes on answering.
 #[test]
