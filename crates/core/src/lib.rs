@@ -190,7 +190,7 @@ mod proptests {
             let pool = oa_par::Pool::serial();
             for _ in 0..2 { // second lap replays from the cache
                 prop_assert_eq!(
-                    memo.knapsack_grouping(inst, &table),
+                    memo.grouping(Heuristic::Knapsack, inst, &table),
                     Heuristic::Knapsack.grouping(inst, &table)
                 );
                 for h in [Heuristic::Knapsack, Heuristic::Basic] {
@@ -208,7 +208,7 @@ mod proptests {
             for r in [inst.r.saturating_sub(1).max(4), inst.r + 1] {
                 let d = Instance::new(inst.ns, inst.nm, r);
                 prop_assert_eq!(
-                    memo.knapsack_grouping(d, &table),
+                    memo.grouping(Heuristic::Knapsack, d, &table),
                     Heuristic::Knapsack.grouping(d, &table)
                 );
             }

@@ -7,8 +7,10 @@
 //! re-asks neighbouring `(R, NS)` cells, and every new cluster with the
 //! same hardware profile repeats all of it. Algorithm 1 prices through
 //! [`PlanMemo::makespan`] and [`PlanMemo::makespans`] one entry (or one
-//! wave of entries) at a time, the first time it reads them. Two layers
-//! of sharing remove the redundancy without changing a single bit:
+//! wave of entries) at a time, the first time it reads them; batch
+//! expansion and service admission take their groupings from
+//! [`PlanMemo::grouping`]. Two layers of sharing remove the redundancy
+//! without changing a single bit:
 //!
 //! 1. **A retained knapsack table per timing table** —
 //!    [`oa_knapsack::DpTable`] runs the exact bounded-cardinality DP
@@ -124,14 +126,20 @@ impl PlanMemo {
         self.stats = MemoStats::default();
     }
 
-    /// The knapsack heuristic's grouping for `inst`, answered from the
-    /// retained DP table — bitwise-identical to
-    /// `Heuristic::Knapsack.grouping(inst, table)`.
-    pub fn knapsack_grouping(
+    /// The heuristic's grouping for `inst`, equal to
+    /// [`Heuristic::grouping`]: [`Heuristic::Knapsack`] answered from
+    /// the retained DP table (built first unless it covers `inst.r`),
+    /// every other heuristic directly. The makespan counters do not
+    /// move.
+    pub fn grouping(
         &mut self,
+        heuristic: Heuristic,
         inst: Instance,
         table: &TimingTable,
     ) -> Result<Grouping, HeuristicError> {
+        if heuristic != Heuristic::Knapsack {
+            return heuristic.grouping(inst, table);
+        }
         let memo = self.tables.entry(table_key(table)).or_default();
         let dp = retained_dp(&mut memo.dp, table, inst.r, &mut self.stats);
         knapsack_grouping_from(dp, inst, table)
@@ -333,16 +341,29 @@ mod tests {
     fn memo_grouping_matches_heuristic() {
         let t = table();
         let mut memo = PlanMemo::new();
-        for r in [4u32, 11, 23, 53, 100, 256] {
-            for ns in [1u32, 3, 10, 17] {
-                let inst = Instance::new(ns, 1800, r);
-                assert_eq!(
-                    memo.knapsack_grouping(inst, &t),
-                    Heuristic::Knapsack.grouping(inst, &t),
-                    "r={r} ns={ns}"
-                );
+        for h in [
+            Heuristic::Basic,
+            Heuristic::RedistributeIdle,
+            Heuristic::NoPostReservation,
+            Heuristic::Knapsack,
+            Heuristic::KnapsackGreedy,
+            Heuristic::Balanced,
+        ] {
+            for r in [4u32, 11, 23, 53, 100, 256] {
+                for ns in [1u32, 3, 10, 17] {
+                    let inst = Instance::new(ns, 1800, r);
+                    assert_eq!(
+                        memo.grouping(h, inst, &t),
+                        h.grouping(inst, &t),
+                        "{h:?} r={r} ns={ns}"
+                    );
+                }
             }
         }
+        // Only the knapsack reads the table: built at R = 4, then
+        // rebuilt for each larger R; no makespan was asked for.
+        let stats = memo.stats();
+        assert_eq!((stats.hits, stats.misses, stats.dp_builds), (0, 0, 6));
     }
 
     #[test]
@@ -419,7 +440,7 @@ mod tests {
         let mut memo = PlanMemo::new();
         let inst = Instance::new(2, 12, 3);
         assert_eq!(
-            memo.knapsack_grouping(inst, &t),
+            memo.grouping(Heuristic::Knapsack, inst, &t),
             Err(HeuristicError::ClusterTooSmall { resources: 3 })
         );
         assert_eq!(memo.makespan(Heuristic::Knapsack, inst, &t), f64::INFINITY);

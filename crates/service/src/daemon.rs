@@ -24,6 +24,17 @@
 //! plan. The plan decides *where* scenarios go; the session decides
 //! *how* they run there.
 //!
+//! Sessions:
+//!
+//! * **admission runs each portion once** — its grouping comes through
+//!   the [`PlanMemo`] (the knapsack's from the table placement already
+//!   built), and a [`SessionDriver`] simulates it unrecorded and pins
+//!   it to the portion's start instant;
+//! * **memory is per active month** — a driver keeps 8 bytes per month
+//!   of main finish offsets for `Status` to count from, and drops them
+//!   when its session completes: a completed session answers `Status`
+//!   from its finish and `ns × nm` alone.
+//!
 //! Planning prices on demand: a `ClusterJoin` prices nothing, and a
 //! greedy step that reads a cluster's entry `k` for the first time
 //! prices it through the service's [`PlanMemo`] (see `pricer`). A
@@ -572,9 +583,11 @@ impl Service {
 
     /// Groups placement choices into per-cluster portions and runs the
     /// static admission pipeline on each. Returns the portions plus
-    /// the session-level certified bracket and CT002 verdict.
+    /// the session-level certified bracket and CT002 verdict. Groupings
+    /// come through the planning memo, whose knapsack table placement
+    /// already built at each placed cluster's `R`.
     fn build_portions(
-        &self,
+        &mut self,
         sub: &Submission,
         choices: &[ClusterId],
         at: f64,
@@ -595,9 +608,9 @@ impl Service {
                 continue;
             }
             let inst = Instance::new(scenarios.len() as u32, sub.nm, cs.cluster.resources);
-            let grouping = sub
-                .heuristic
-                .grouping(inst, &cs.cluster.timing)
+            let grouping = self
+                .memo
+                .grouping(sub.heuristic, inst, &cs.cluster.timing)
                 .map_err(|e| {
                     Refusal::new(
                         codes::NO_GROUPING,
@@ -875,6 +888,11 @@ impl Service {
         let mut out = Vec::new();
         for (finish, _, i) in done {
             self.sessions[i].lifecycle = Lifecycle::Completed;
+            // The clock never returns before `finish`, where `Status`
+            // answers from the finish and `ns × nm` alone.
+            for p in &mut self.sessions[i].portions {
+                p.driver.release_offsets();
+            }
             self.completed_total += 1;
             self.metrics.inc(metrics::keys::SESSIONS_COMPLETED, 1);
             self.metrics.add(metrics::keys::SESSIONS_ACTIVE, -1.0);
@@ -1343,6 +1361,59 @@ mod tests {
             "leaked slots:\n{log}"
         );
         assert!(!log.contains("PROTO007"), "leaked slots:\n{log}");
+    }
+
+    /// A completed session keeps no per-month finish offset, and
+    /// `Status` answers it at every later instant from its finish and
+    /// `ns × nm`; a session still active keeps its offsets.
+    #[test]
+    fn completed_sessions_drop_their_offsets() {
+        let mut s = small();
+        let setup = "{\"Hello\": {\"version\": 1}}\n\
+             {\"ClusterJoin\": {\"name\": \"ref\", \"preset\": \"reference\", \"resources\": 53}}\n\
+             {\"ClusterJoin\": {\"name\": \"cap\", \"preset\": \"capricorne\", \"resources\": 64}}\n";
+        let _ = run_script(&mut s, setup);
+        for (name, ns) in [("early", 3), ("late", 5)] {
+            let log = run_script(&mut s, &submit_line(name, ns));
+            assert!(log.contains("\"Admitted\""), "log:\n{log}");
+        }
+        let session = |s: &Service, name: &str| s.index[name];
+        let held = |s: &Service, name: &str| -> Vec<usize> {
+            s.sessions[session(s, name)]
+                .portions
+                .iter()
+                .map(|p| p.driver.offsets_held())
+                .collect()
+        };
+        let early = s.sessions[session(&s, "early")]
+            .finish()
+            .expect("fault-free");
+        let late = s.sessions[session(&s, "late")]
+            .finish()
+            .expect("fault-free");
+        assert!(early < late, "the later session queues behind the first");
+        assert_eq!(held(&s, "early").iter().sum::<usize>(), 3 * 12);
+
+        // While running, progress comes from the offsets.
+        let running = run_script(&mut s, "{\"Status\": {\"session\": \"early\"}}\n");
+        assert!(running.contains("\"months_done\":0"), "log:\n{running}");
+
+        for t in [early, early + 1.0, late.next_down()] {
+            let _ = run_script(&mut s, &format!("{{\"Advance\": {{\"to\": {t:?}}}}}\n"));
+            assert!(held(&s, "early").iter().all(|&n| n == 0));
+            assert_eq!(held(&s, "late").iter().sum::<usize>(), 5 * 12);
+            let got = run_script(&mut s, "{\"Status\": {\"session\": \"early\"}}\n");
+            let want = render_response(&Response::State {
+                session: "early".to_string(),
+                at: t,
+                lifecycle: "completed".to_string(),
+                months_done: Some(3 * 12),
+                finish: Some(early),
+            });
+            assert_eq!(got, want + "\n");
+        }
+        let _ = run_script(&mut s, "{\"Drain\": {}}\n");
+        assert!(held(&s, "late").iter().all(|&n| n == 0));
     }
 
     fn submit_line(session: &str, ns: u32) -> String {

@@ -387,16 +387,13 @@ pub fn expand_shapes(spec: &BatchSpec, memo: &mut PlanMemo) -> Result<Vec<ShapeP
                 for &policy in &spec.policies {
                     for &granularity in &spec.granularities {
                         let inst = Instance::new(ns, nm, r);
-                        let grouping = if spec.heuristic == Heuristic::Knapsack {
-                            memo.knapsack_grouping(inst, &spec.table)
-                        } else {
-                            spec.heuristic.grouping(inst, &spec.table)
-                        }
-                        .map_err(|e| BatchError::InfeasibleShape {
-                            r,
-                            ns,
-                            why: e.to_string(),
-                        })?;
+                        let grouping =
+                            memo.grouping(spec.heuristic, inst, &spec.table)
+                                .map_err(|e| BatchError::InfeasibleShape {
+                                    r,
+                                    ns,
+                                    why: e.to_string(),
+                                })?;
                         let makespan = estimate(inst, &spec.table, &grouping)
                             .map_err(|e| BatchError::InfeasibleShape {
                                 r,

@@ -5,18 +5,23 @@
 //! when its cluster frees up, and the daemon later asks "where is this
 //! session *now*?" as the clock advances. The engine itself answers
 //! only the batch question (one full run, one outcome), so this module
-//! wraps [`simulate_campaign`] in a [`SessionDriver`]: simulate once
-//! at admission, pin the result to a virtual start instant, and
-//! resolve any later instant to a [`SessionState`] — no re-simulation,
-//! no drift between queries.
+//! wraps the engine in a [`SessionDriver`]: simulate once at admission,
+//! pin the result to a virtual start instant, and resolve any later
+//! instant to a [`SessionState`] — no re-simulation, no drift between
+//! queries.
 //!
-//! A driver keeps only what a query reads, so a live session costs
-//! memory per month, not per recorded task: the makespan, the months
-//! lost, the stranded count, and — for a run that recorded its
-//! schedule (fused, fault-free) — the sorted finish offsets of its
-//! main tasks, 8 bytes per month. A month-progress query counts the
-//! offsets `end <= t − start` by binary search, the same comparisons a
-//! scan of the recorded schedule makes.
+//! The admission run records no schedule and traces nothing, so its
+//! fused drain may fast-forward by availability (see the engine's
+//! module docs, "The post drain"). A driver keeps only what a query
+//! reads, so a live session costs memory per month, not per task: the
+//! makespan, the months lost, the stranded count, and — for a fused
+//! fault-free run — the finish offsets of its main tasks, 8 bytes per
+//! month, read off the engine's completion chain, which holds them in
+//! completion order and so already sorted. A month-progress query
+//! counts the offsets `end <= t − start` by binary search, the same
+//! comparisons a scan of a recorded schedule makes. Once the clock has
+//! passed the finish, no query reads the offsets, and
+//! [`SessionDriver::release_offsets`] drops them.
 //!
 //! Everything here is virtual-time arithmetic over the engine's
 //! deterministic output, so a driver query is itself deterministic:
@@ -27,10 +32,8 @@ use oa_platform::timing::TimingTable;
 use oa_sched::grouping::{Grouping, GroupingError};
 use oa_sched::params::Instance;
 use oa_sched::policy::{CampaignConfig, FaultPlan};
-use oa_trace::prelude::NullTracer;
-use oa_workflow::task::TaskKind;
 
-use crate::engine::{simulate_campaign, CampaignOutcome};
+use crate::engine::{simulate_unrecorded, CampaignOutcome, MainEnds};
 
 /// Where a session stands at a queried virtual instant.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,8 +42,9 @@ pub enum SessionState {
     Pending,
     /// Running: months whose fused main task has completed by the
     /// instant, counted from the main finish offsets the driver kept
-    /// (`None` for faulted or unfused runs, which record no
-    /// replayable schedule).
+    /// (`None` for faulted or unfused runs, whose months do not map
+    /// onto one finish each, and after
+    /// [`SessionDriver::release_offsets`]).
     Running {
         /// Completed months, when resolvable.
         months_done: Option<u32>,
@@ -63,9 +67,9 @@ enum Kept {
     Completed {
         makespan: f64,
         months_lost: u32,
-        /// Main-task finish offsets in ascending order, when the run
-        /// recorded its schedule.
-        main_ends: Option<Box<[f64]>>,
+        /// Main-task finish offsets in ascending order, for a fused
+        /// fault-free run until [`SessionDriver::release_offsets`].
+        main_ends: Option<MainEnds>,
     },
     Stranded {
         completed_months: u64,
@@ -102,8 +106,11 @@ pub struct SessionDriver {
 }
 
 impl SessionDriver {
-    /// Simulates the campaign once through the generic engine and pins
-    /// the result to virtual instant `start`.
+    /// Simulates the campaign once through the generic engine, with
+    /// nothing recorded, and pins the result to virtual instant
+    /// `start`. Its makespan, months lost and stranded count are
+    /// bitwise those of [`crate::engine::simulate_campaign`] on the
+    /// same input.
     pub fn new(
         start: f64,
         inst: Instance,
@@ -112,27 +119,39 @@ impl SessionDriver {
         config: &CampaignConfig,
         plan: &FaultPlan,
     ) -> Result<Self, GroupingError> {
-        let kept = match simulate_campaign(inst, table, grouping, config, plan, &mut NullTracer)? {
+        let (outcome, main_ends) = simulate_unrecorded(inst, table, grouping, config, plan)?;
+        let kept = match outcome {
             CampaignOutcome::Completed(run) => Kept::Completed {
                 makespan: run.makespan,
                 months_lost: run.months_lost,
-                main_ends: run.schedule.map(|schedule| {
-                    // One main per month, so the slice is exact.
-                    let mut ends = Vec::with_capacity(inst.shape().total_months() as usize);
-                    ends.extend(
-                        schedule
-                            .records
-                            .iter()
-                            .filter(|r| r.task.kind == TaskKind::FusedMain)
-                            .map(|r| r.end),
-                    );
-                    ends.sort_unstable_by(f64::total_cmp);
-                    ends.into_boxed_slice()
-                }),
+                main_ends,
             },
             CampaignOutcome::Stranded { completed_months } => Kept::Stranded { completed_months },
         };
         Ok(Self { start, kept })
+    }
+
+    /// Drops the main finish offsets. A caller whose clock has reached
+    /// [`SessionDriver::finish`] never asks for month progress again:
+    /// [`SessionDriver::state_at`] of any instant at or after the
+    /// finish answers `Completed` without them. An earlier instant then
+    /// answers `Running { months_done: None }`.
+    pub fn release_offsets(&mut self) {
+        if let Kept::Completed { main_ends, .. } = &mut self.kept {
+            *main_ends = None;
+        }
+    }
+
+    /// How many main finish offsets the driver holds, 8 bytes each.
+    #[must_use]
+    pub fn offsets_held(&self) -> usize {
+        match &self.kept {
+            Kept::Completed {
+                main_ends: Some(ends),
+                ..
+            } => ends.len(),
+            _ => 0,
+        }
     }
 
     /// The virtual instant the session's work begins.
@@ -268,6 +287,22 @@ mod tests {
             SessionState::Completed { .. } => {} // half-point may already be done
             other => panic!("unexpected state {other:?}"),
         }
+    }
+
+    #[test]
+    fn released_offsets_leave_completion_answers_alone() {
+        let mut d = driver(40.0, FaultPlan::none());
+        assert_eq!(d.offsets_held(), 3 * 10, "one offset per month");
+        let finish = d.finish().unwrap();
+        let before = [finish, finish + 1.0, 1e12].map(|t| d.state_at(t));
+        d.release_offsets();
+        assert_eq!(d.offsets_held(), 0);
+        assert_eq!([finish, finish + 1.0, 1e12].map(|t| d.state_at(t)), before);
+        assert_eq!(
+            d.state_at(finish / 2.0),
+            SessionState::Running { months_done: None }
+        );
+        assert_eq!(d.finish(), Some(finish));
     }
 
     #[test]

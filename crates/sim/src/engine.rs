@@ -25,7 +25,10 @@
 //! makespan and phase finishes, the damage a fault plan did, and — for
 //! fused fault-free runs — the full [`Schedule`]
 //! ([`CampaignOutcome::into_schedule`]; [`execute_default`] is the
-//! paper's default run with that projection).
+//! paper's default run with that projection). Every public entry point
+//! records that schedule; the session driver ([`crate::driver`]) runs
+//! the same loop with recording off and reads the main finish instants
+//! off the completion chain instead.
 //!
 //! # The simulation kernel
 //!
@@ -84,17 +87,51 @@
 //! resume's prefix adoption change pool entries in place, then re-sort
 //! the pool into its start queue.
 //!
+//! The fused drain's fast-forward snapshots the pool at the cycle
+//! boundaries of the periodic chain region the main phase handed over,
+//! and replays whole cycles once two snapshots split the pool into a
+//! part shifted by the boundary delta and a stable part above it. How
+//! snapshots compare depends on whether anything observes the run:
+//!
+//! * **observed** (a recorded schedule or an enabled tracer): by
+//!   processor id, because the replay stamps each post's processor from
+//!   the template. A processor whose availability did not move was
+//!   never popped, so the stable part is inert.
+//! * **unobserved**: by availability. Without records or a tracer the
+//!   drain's values depend only on the availability multiset — pop the
+//!   least, push `max(avail, ready) + TP` — so the two sorted snapshots
+//!   pair rank by rank, and the replay keeps only the post finish, the
+//!   template's largest end shifted. Equal ends re-enter in id order, so
+//!   on a pool whose posts end together the id → availability map keeps
+//!   permuting and only this comparison matches. The stable part is
+//!   proved inert by the guard "the last availability popped before the
+//!   boundary lies below every stable value": pops are non-decreasing,
+//!   so no stable entry was ever popped. A resumed batch variant that
+//!   adopts the head's drain prefix seeds its last pop with the prefix's
+//!   `maxpop`.
+//!
+//! In both modes the replay cap keeps every shifted value strictly
+//! below every stable one for the whole replay, and the cycle shift
+//! moves exactly the entries below the least stable value.
+//!
 //! # Equivalence guarantees
 //!
 //! A knob that does not apply changes no bit: with an empty fault plan
 //! both recovery models give the same floats, record order and event
 //! stream, and any tracer, including none, leaves every output
 //! unchanged. The fast-forward keeps the same contract:
-//! fast-forwarded runs are bitwise identical to event-by-event runs.
-//! `tests/engine_equivalence.rs`, `tests/kernel_equivalence.rs` and the
-//! tracked `results/*.json` enforce this; `tests/drain_equivalence.rs`
-//! pins both post drains to a heap-drain oracle, and a proptest of the
-//! pool pins every take to a `BinaryHeap` pool's.
+//! fast-forwarded runs are bitwise identical to event-by-event runs,
+//! matched by processor id when observed (records and trace events
+//! included) and by availability when not (makespan and phase
+//! finishes). An unobserved fast-forwarded run may leave processor ids
+//! in the pool that an event-by-event run would not, but no output
+//! reads them. `tests/engine_equivalence.rs`,
+//! `tests/kernel_equivalence.rs` (unobserved drains under kills among
+//! them), `tests/driver_equivalence.rs` (the unrecorded driver against
+//! a recorded run) and the tracked `results/*.json` enforce this;
+//! `tests/drain_equivalence.rs` pins both post drains to a heap-drain
+//! oracle, and a proptest of the pool pins every take to a
+//! `BinaryHeap` pool's.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -113,7 +150,8 @@ use oa_workflow::fusion::FusedTask;
 use oa_workflow::task::TaskKind;
 
 use crate::ffwd::{
-    pool_match, pool_snapshot, Detector, LogEv, PoolSnap, PostPeriodic, SnapView, MAX_POOL_SNAPS,
+    pool_match, pool_snapshot, Detector, LogEv, PoolKey, PoolSnap, PostPeriodic, SnapView,
+    MAX_POOL_SNAPS,
 };
 use crate::post_pool::PostPool;
 use crate::schedule::{ProcRange, Schedule, TaskRecord};
@@ -538,6 +576,68 @@ pub fn simulate_campaign_kernel<T: Tracer>(
     opts: KernelOpts,
     tracer: &mut T,
 ) -> Result<(CampaignOutcome, KernelReport), GroupingError> {
+    validate(inst, grouping, plan)?;
+    SCRATCH.with(|cell| {
+        Ok(run(
+            inst,
+            table,
+            grouping,
+            config,
+            plan,
+            opts,
+            true,
+            tracer,
+            &mut cell.borrow_mut(),
+            Batch::Off,
+        ))
+    })
+}
+
+/// Main finish instants of a run, in completion order.
+pub(crate) type MainEnds = Box<[f64]>;
+
+/// The session driver's run ([`crate::driver`]): [`simulate_campaign`]
+/// with nothing recorded and nothing traced. Returns the outcome, whose
+/// `schedule` is `None`, and for a completed fused fault-free run the
+/// main finish instants read off the completion chain. The chain holds
+/// them in completion order, which is chronological, so they are the
+/// `end`s of a recorded schedule's `FusedMain` records, sorted.
+pub(crate) fn simulate_unrecorded(
+    inst: Instance,
+    table: &TimingTable,
+    grouping: &Grouping,
+    config: &CampaignConfig,
+    plan: &FaultPlan,
+) -> Result<(CampaignOutcome, Option<MainEnds>), GroupingError> {
+    validate(inst, grouping, plan)?;
+    SCRATCH.with(|cell| {
+        let scratch = &mut *cell.borrow_mut();
+        let (outcome, _) = run(
+            inst,
+            table,
+            grouping,
+            config,
+            plan,
+            KernelOpts::default(),
+            false,
+            &mut oa_trace::NullTracer,
+            scratch,
+            Batch::Off,
+        );
+        let ends: Option<MainEnds> = (matches!(outcome, CampaignOutcome::Completed(_))
+            && config.granularity == Granularity::Fused
+            && plan.failures.is_empty())
+        .then(|| scratch.chain[0].iter().map(|&(t, _, _)| t).collect());
+        debug_assert!(ends
+            .as_deref()
+            .is_none_or(|e| e.windows(2).all(|w| w[0] <= w[1])));
+        Ok((outcome, ends))
+    })
+}
+
+/// Checks `grouping` against `inst` and the fault plan against the
+/// grouping (see [`simulate_campaign`]'s panics).
+fn validate(inst: Instance, grouping: &Grouping, plan: &FaultPlan) -> Result<(), GroupingError> {
     grouping.validate(inst)?;
     for &(g, t) in &plan.failures {
         assert!(
@@ -550,19 +650,7 @@ pub fn simulate_campaign_kernel<T: Tracer>(
             "failure time must be a finite non-negative instant"
         );
     }
-    SCRATCH.with(|cell| {
-        Ok(run(
-            inst,
-            table,
-            grouping,
-            config,
-            plan,
-            opts,
-            tracer,
-            &mut cell.borrow_mut(),
-            Batch::Off,
-        ))
-    })
+    Ok(())
 }
 
 /// Runs the fault-free head of a batch: fused granularity, integer
@@ -594,6 +682,7 @@ pub(crate) fn run_batch_head(
             config,
             &plan,
             KernelOpts::event_by_event(),
+            false,
             &mut oa_trace::NullTracer,
             &mut cell.borrow_mut(),
             Batch::Capture(&mut head),
@@ -631,6 +720,7 @@ pub(crate) fn run_batch_variant(
             config,
             &plan,
             opts,
+            false,
             &mut tracer,
             &mut cell.borrow_mut(),
             Batch::Resume { head, ck, failures },
@@ -639,6 +729,8 @@ pub(crate) fn run_batch_variant(
 }
 
 /// The event loop proper, on pre-validated input and reusable state.
+/// `record` asks for the schedule, which the run keeps only when it is
+/// fused and fault-free.
 #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 fn run<T: Tracer>(
     inst: Instance,
@@ -647,6 +739,7 @@ fn run<T: Tracer>(
     config: &CampaignConfig,
     plan: &FaultPlan,
     opts: KernelOpts,
+    record: bool,
     tracer: &mut T,
     scratch: &mut Scratch,
     batch: Batch<'_>,
@@ -747,11 +840,13 @@ fn run<T: Tracer>(
         ));
     }
 
-    // Records become a `Schedule` only when every task provably runs
-    // exactly once: fused granularity, nothing to inject. The arena is
-    // then the one allocation of the run, pre-sized to its exact final
-    // length. A batch head keeps checkpoints, not records.
-    let record = config.granularity == Granularity::Fused
+    // Records become a `Schedule` only when the caller asks for one and
+    // every task provably runs exactly once: fused granularity, nothing
+    // to inject. The arena is then the one allocation of the run,
+    // pre-sized to its exact final length. A batch head keeps
+    // checkpoints, not records.
+    let record = record
+        && config.granularity == Granularity::Fused
         && failures.is_empty()
         && resume_ck.is_none()
         && capture.is_none();
@@ -1241,7 +1336,13 @@ fn run<T: Tracer>(
             // and once the pool shape recurs at a cycle boundary
             // (relative to the boundary instant, bitwise), the drain
             // stamps whole cycles from the template. Sound only when
-            // the post duration is integral too.
+            // the post duration is integral too. An observed run's
+            // replay stamps processor ids, so its pool must recur by
+            // id; a run nothing observes needs only the availability
+            // multiset to recur (module docs, "The post drain").
+            let observed = record || tracer.enabled();
+            // The availability of the latest pop, the largest so far.
+            let mut last_pop = f64::NEG_INFINITY;
             let tail: &[(f64, u32, u32)] = &chain[0];
             if let Some(head) = capture.as_deref_mut() {
                 head.chain.clear();
@@ -1277,6 +1378,7 @@ fn run<T: Tracer>(
                         post_pool.push(a, pp);
                     }
                     post_finish = dck.post_finish;
+                    last_pop = dck.maxpop;
                     i = head_prefix.len();
                 }
             }
@@ -1318,7 +1420,12 @@ fn run<T: Tracer>(
                             }
                             let (prev, slot) = pool_snaps.split_at_mut(n_pool_snaps);
                             let snap = &mut slot[0];
-                            pool_snapshot(snap, c, t_b, post_pool.iter());
+                            let key = if observed {
+                                PoolKey::ById
+                            } else {
+                                PoolKey::ByAvail { last_pop }
+                            };
+                            pool_snapshot(snap, c, t_b, key, post_pool.iter());
                             let hit = prev[..n_pool_snaps]
                                 .iter()
                                 .rev()
@@ -1352,7 +1459,7 @@ fn run<T: Tracer>(
                                     let w0 =
                                         usize::try_from(ps.cycle).expect("cycle index") * p.len;
                                     let w1 = usize::try_from(c).expect("cycle index") * p.len;
-                                    if !record && !tracer.enabled() {
+                                    if !observed {
                                         // Nothing observes the replayed
                                         // tasks: only the final clock
                                         // matters, and shifted ends are
@@ -1451,6 +1558,7 @@ fn run<T: Tracer>(
                 }
                 let (ready, s, month) = entries.at(i);
                 let (avail, proc, start, end) = post_pool.take(ready, steps[0]);
+                last_pop = avail;
                 if capture.is_some() {
                     if avail > dck_maxpop {
                         dck_maxpop = avail;
@@ -1606,4 +1714,64 @@ fn run<T: Tracer>(
         }),
         report,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use oa_platform::presets::preset_cluster;
+
+    /// One run of `run` with the given recording wish and kernel
+    /// options, untraced.
+    fn go(
+        inst: Instance,
+        table: &TimingTable,
+        grouping: &Grouping,
+        record: bool,
+        opts: KernelOpts,
+    ) -> (CampaignRun, KernelReport) {
+        let (outcome, report) = SCRATCH.with(|cell| {
+            run(
+                inst,
+                table,
+                grouping,
+                &CampaignConfig::default(),
+                &FaultPlan::none(),
+                opts,
+                record,
+                &mut oa_trace::NullTracer,
+                &mut cell.borrow_mut(),
+                Batch::Off,
+            )
+        });
+        let CampaignOutcome::Completed(run) = outcome else {
+            panic!("fault-free runs with post processors complete");
+        };
+        (run, report)
+    }
+
+    /// Capricorne at R 64, three scenarios on `3×11 | post:31`: three
+    /// posts per 1290 s cycle end together, so the pool's processor-id
+    /// map keeps permuting and the by-id detector never matches. The
+    /// availability multiset recurs once the fresh processors are used
+    /// up, so the unobserved drain replays nearly every cycle. All three
+    /// runs keep the event-by-event bits.
+    #[test]
+    fn an_unobserved_drain_fast_forwards_by_availability() {
+        let table = preset_cluster("capricorne", 64).timing;
+        assert_eq!((table.main_secs(11), table.post_secs()), (1290.0, 184.0));
+        let inst = Instance::new(3, 120, 64);
+        let grouping = Grouping::uniform(11, 3, 31);
+        let (base, base_rep) = go(inst, &table, &grouping, true, KernelOpts::event_by_event());
+        let (recorded, recorded_rep) = go(inst, &table, &grouping, true, KernelOpts::default());
+        let (unobserved, rep) = go(inst, &table, &grouping, false, KernelOpts::default());
+        assert_eq!(base_rep.post_cycles_skipped, 0);
+        assert!(recorded_rep.main_cycles_skipped > 0, "{recorded_rep:?}");
+        assert_eq!(recorded_rep.post_cycles_skipped, 0, "{recorded_rep:?}");
+        assert!(rep.post_cycles_skipped >= 100, "{rep:?}");
+        assert!(recorded.schedule.is_some() && unobserved.schedule.is_none());
+        let bits = |r: &CampaignRun| [r.makespan, r.main_finish, r.post_finish].map(f64::to_bits);
+        assert_eq!(bits(&recorded), bits(&base));
+        assert_eq!(bits(&unobserved), bits(&base));
+    }
 }

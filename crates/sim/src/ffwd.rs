@@ -371,7 +371,7 @@ impl Detector {
 /// fast-forward to the drain: chain entries
 /// `[start_idx, start_idx + cycles·len)` repeat with period `len`
 /// entries / `d` seconds. The drain runs its own pool-shape detector
-/// over the cycle boundaries (see `engine::drain_fused`).
+/// over the cycle boundaries (engine module docs, "The post drain").
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PostPeriodic {
     /// First chain index of the periodic region.
@@ -385,21 +385,48 @@ pub(crate) struct PostPeriodic {
     pub d: f64,
 }
 
+/// How a pool snapshot identifies its entries.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum PoolKey {
+    /// By processor id, for an observed run (a recorded schedule or an
+    /// enabled tracer): its replay stamps processor ids, so the pool
+    /// must recur processor by processor.
+    ById,
+    /// By availability alone, for a run nothing observes: pop the
+    /// least availability, push `max(avail, ready) + TP`, so the drain's
+    /// values depend only on the availability multiset. Carries the
+    /// availability of the last pop before the boundary, the largest
+    /// popped so far (pops are non-decreasing).
+    ByAvail {
+        /// Last availability popped, `-∞` before the first pop.
+        last_pop: f64,
+    },
+}
+
 /// One pool snapshot at a post-phase cycle boundary: the *absolute*
-/// availability of every processor (exact bits), sorted by processor
-/// id. Absolute, not boundary-relative, because the pool mixes two
-/// populations: the reserved post processors cycle with the chain
-/// (their availabilities recur relative to the boundary), while the
-/// main-phase processors sit parked at the instant they will finish
-/// their last main task — a *constant* availability far in the future
-/// that a relative encoding would smear across every boundary.
+/// availability of every processor (exact bits). Absolute, not
+/// boundary-relative, because the pool mixes two populations: the
+/// reserved post processors cycle with the chain (their availabilities
+/// recur relative to the boundary), while the main-phase processors sit
+/// parked at the instant they will finish their last main task — a
+/// *constant* availability far in the future that a relative encoding
+/// would smear across every boundary.
+///
+/// Keyed [`PoolKey::ById`], entries are `(processor id, bits)` sorted
+/// by id. Keyed [`PoolKey::ByAvail`], ids are erased to 0 and entries
+/// are sorted by availability: equal ends re-enter the pool in id
+/// order, so the id → availability map of a recurring multiset keeps
+/// permuting, and only the multiset can match.
 #[derive(Debug, Default)]
 pub(crate) struct PoolSnap {
     /// Cycle index within the periodic region.
     pub cycle: u64,
     /// Boundary instant (first ready time of the cycle).
     pub t_b: f64,
-    /// (processor id, absolute availability bits), sorted by id.
+    /// The last availability popped before the boundary, for an
+    /// id-free snapshot; `None` when keyed by id.
+    pub last_pop: Option<f64>,
+    /// (processor id or 0, absolute availability bits), sorted.
     pub avails: Vec<(u32, u64)>,
 }
 
@@ -425,26 +452,46 @@ pub(crate) struct PoolShift {
 pub(crate) const MAX_POOL_SNAPS: usize = 64;
 
 /// Builds a pool snapshot into `snap` from `(avail, proc)` pairs at
-/// boundary instant `t_b`.
+/// boundary instant `t_b`, keyed by `key`. Availabilities are
+/// non-negative, where bit order is numeric order.
 pub(crate) fn pool_snapshot(
     snap: &mut PoolSnap,
     cycle: u64,
     t_b: f64,
+    key: PoolKey,
     pool: impl Iterator<Item = (f64, u32)>,
 ) {
     snap.cycle = cycle;
     snap.t_b = t_b;
+    snap.last_pop = match key {
+        PoolKey::ById => None,
+        PoolKey::ByAvail { last_pop } => Some(last_pop),
+    };
+    let by_id = snap.last_pop.is_none();
     snap.avails.clear();
-    snap.avails
-        .extend(pool.map(|(avail, p)| (p, avail.to_bits())));
-    snap.avails.sort_unstable_by_key(|&(p, _)| p);
+    snap.avails.extend(pool.map(|(avail, p)| {
+        debug_assert!(avail >= 0.0, "negative availability {avail}");
+        (if by_id { p } else { 0 }, avail.to_bits())
+    }));
+    // Ids are distinct, so keyed by id this sorts by id alone.
+    snap.avails.sort_unstable();
 }
 
-/// Tests whether `cur` is a recurrence of `prev`: same processor set,
-/// each one either stable or shifted by exactly the boundary delta.
-/// Stability over a window proves the processor was never popped in it
-/// (a pop re-enters strictly later), so during a shifted replay the
-/// stable set is inert as long as no shifted availability crosses it.
+/// Tests whether `cur` is a recurrence of `prev`, pairing their entries
+/// in order: each pair either stable or shifted by exactly the boundary
+/// delta.
+///
+/// Keyed by id, the pairs are processors. Stability over a window
+/// proves the processor was never popped in it (a pop re-enters
+/// strictly later), so during a shifted replay the stable set is inert
+/// as long as no shifted availability crosses it.
+///
+/// Keyed by availability, the pairs are the ranks of the two sorted
+/// multisets, and the guard `last_pop < min_stable` proves the stable
+/// part inert: pops are non-decreasing, so no entry at or above the
+/// least stable value was ever popped. Under the replay cap (every
+/// shifted value below every stable one) the pool then splits into a
+/// low part shifted by the delta and a high part never touched.
 pub(crate) fn pool_match(prev: &PoolSnap, cur: &PoolSnap) -> Option<PoolShift> {
     if prev.avails.len() != cur.avails.len() {
         return None;
@@ -469,7 +516,7 @@ pub(crate) fn pool_match(prev: &PoolSnap, cur: &PoolSnap) -> Option<PoolShift> {
             return None;
         }
     }
-    if !any_shifted {
+    if !any_shifted || cur.last_pop.is_some_and(|popped| popped >= min_stable) {
         return None;
     }
     Some(PoolShift {
@@ -616,12 +663,14 @@ mod tests {
             &mut a,
             0,
             100.0,
+            PoolKey::ById,
             [(90.0, 2), (9000.0, 5), (110.0, 0)].into_iter(),
         );
         pool_snapshot(
             &mut b,
             3,
             400.0,
+            PoolKey::ById,
             [(410.0, 0), (390.0, 2), (9000.0, 5)].into_iter(),
         );
         let m = pool_match(&a, &b).expect("stable + uniformly shifted must match");
@@ -636,6 +685,7 @@ mod tests {
             &mut c,
             3,
             400.0,
+            PoolKey::ById,
             [(410.0, 0), (395.0, 2), (9000.0, 5)].into_iter(),
         );
         assert!(pool_match(&a, &c).is_none());
@@ -646,8 +696,64 @@ mod tests {
             &mut d,
             3,
             400.0,
+            PoolKey::ById,
             [(110.0, 0), (90.0, 2), (9000.0, 5)].into_iter(),
         );
         assert!(pool_match(&a, &d).is_none());
+    }
+
+    /// Equal ends re-enter in id order, so a recurring pool can come
+    /// back with its availabilities on other processors: keyed by id it
+    /// never matches, keyed by availability it does.
+    #[test]
+    fn an_id_permuted_recurrence_matches_by_availability() {
+        let prev = [(100.0, 0), (100.0, 1), (300.0, 2), (9000.0, 3)];
+        let cur = [(400.0, 2), (400.0, 0), (600.0, 1), (9000.0, 3)];
+        let snap = |key, cycle, t_b, pool: &[(f64, u32)]| {
+            let mut s = PoolSnap::default();
+            pool_snapshot(&mut s, cycle, t_b, key, pool.iter().copied());
+            s
+        };
+        let by_id = |cycle, t_b, pool| snap(PoolKey::ById, cycle, t_b, pool);
+        assert!(pool_match(&by_id(0, 50.0, &prev), &by_id(1, 350.0, &cur)).is_none());
+
+        let last_pop = PoolKey::ByAvail { last_pop: 300.0 };
+        let a = snap(PoolKey::ByAvail { last_pop: 0.0 }, 0, 50.0, &prev);
+        let b = snap(last_pop, 1, 350.0, &cur);
+        let m = pool_match(&a, &b).expect("the multiset recurs shifted by 300");
+        assert_eq!(m.delta, 300.0);
+        assert_eq!(m.max_shifted, 600.0);
+        assert_eq!(m.min_stable, Some(9000.0));
+    }
+
+    /// A "stable" value that was popped and re-created with the same
+    /// value is refused: the last pop before the boundary reached it, so
+    /// nothing proves the high part inert.
+    #[test]
+    fn a_popped_stable_value_is_refused_by_the_guard() {
+        let prev = [(0.0, 0), (100.0, 1), (500.0, 2)];
+        let cur = [(200.0, 2), (300.0, 0), (500.0, 1)];
+        let snap = |last_pop, cycle, t_b, pool: &[(f64, u32)]| {
+            let mut s = PoolSnap::default();
+            pool_snapshot(
+                &mut s,
+                cycle,
+                t_b,
+                PoolKey::ByAvail { last_pop },
+                pool.iter().copied(),
+            );
+            s
+        };
+        let a = snap(f64::NEG_INFINITY, 0, 0.0, &prev);
+        // Ranks 0 and 1 shift by 200 and rank 2 keeps 500: a match while
+        // every pop stayed below 500 ...
+        let m = pool_match(&a, &snap(300.0, 1, 200.0, &cur)).expect("guard holds");
+        assert_eq!(m.min_stable, Some(500.0));
+        // ... refused once the last pop took the 500 itself.
+        assert!(pool_match(&a, &snap(500.0, 1, 200.0, &cur)).is_none());
+        assert!(pool_match(&a, &snap(700.0, 1, 200.0, &cur)).is_none());
+        // With no stable part there is nothing to guard.
+        let all = [(200.0, 0), (300.0, 1), (700.0, 2)];
+        assert!(pool_match(&a, &snap(600.0, 1, 200.0, &all)).is_some());
     }
 }

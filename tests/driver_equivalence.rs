@@ -1,9 +1,12 @@
-//! Session-driver equivalence: a `SessionDriver` keeps only the sorted
-//! main-task finish offsets of a recorded run, plus its makespan,
-//! months lost and stranded count, and counts finished months by
-//! binary search. The oracle kept below is the seed query over the
-//! whole `simulate_campaign` outcome: it counts the `FusedMain`
-//! records of the recorded schedule whose `end <= t − start`.
+//! Session-driver equivalence: a `SessionDriver` runs the engine with
+//! nothing recorded, keeps the main finish offsets off the completion
+//! chain, plus its makespan, months lost and stranded count, and counts
+//! finished months by binary search. The oracle kept below is the seed
+//! query over the whole recorded `simulate_campaign` outcome: it counts
+//! the `FusedMain` records of the recorded schedule whose
+//! `end <= t − start`. The oracle's run is observed, so its fused drain
+//! fast-forwards only by processor id; the driver's run is not, so its
+//! drain may fast-forward by availability.
 //!
 //! Every case compares `state_at` at each instant of interest, the
 //! bits of `makespan` and `finish`, and `months_lost`, against the
@@ -20,6 +23,13 @@
 //!
 //! Debug builds run 32 random cases; release builds (CI's differential
 //! job) run 256.
+//!
+//! Deterministic service-shaped cases cover what `oa serve` admits:
+//! the five preset clusters at R 64 under their knapsack grouping,
+//! `NS` 1–3 and `NM` 12, 120 and 1800 (1800 in release builds only),
+//! fused and unfused, with no fault and with one kill. Among them is
+//! capricorne's `3×11 | post:31`, whose drain the by-id detector never
+//! matches and the by-availability one does.
 
 use ocean_atmosphere::prelude::*;
 use proptest::prelude::*;
@@ -192,6 +202,40 @@ fn arb_table() -> impl Strategy<Value = TimingTable> {
             }
             k => table_from(t11, &bumps, tp, k == 1),
         })
+}
+
+/// Months of the deterministic service-shaped cases.
+const SERVICE_NMS: &[u32] = if cfg!(debug_assertions) {
+    &[12, 120]
+} else {
+    &[12, 120, 1800]
+};
+
+#[test]
+fn service_shaped_sessions_are_the_seed_record_scan() {
+    for (name, ..) in PRESET_CLUSTERS {
+        let table = preset_cluster(name, 64).timing;
+        for ns in 1u32..=3 {
+            for &nm in SERVICE_NMS {
+                let inst = Instance::new(ns, nm, 64);
+                let grouping = Heuristic::Knapsack
+                    .grouping(inst, &table)
+                    .expect("R 64 groups every preset");
+                for granularity in [Granularity::Fused, Granularity::Unfused] {
+                    let config = CampaignConfig {
+                        granularity,
+                        ..CampaignConfig::default()
+                    };
+                    for plan in [FaultPlan::none(), FaultPlan::none().kill(0, 3600.0)] {
+                        for start in [0.0, 4.0e6] {
+                            check(start, inst, &table, &grouping, &config, &plan)
+                                .unwrap_or_else(|e| panic!("{name}: {e}"));
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 proptest! {

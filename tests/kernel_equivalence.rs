@@ -221,6 +221,29 @@ proptest! {
         }
     }
 
+    /// Unobserved fused drains: a kill keeps the run from recording,
+    /// and with no tracer nothing observes the drain, so its pool
+    /// fast-forwards by availability. Equal groups ahead of 30–40
+    /// dedicated post processors end posts together, which keeps the
+    /// processor-id map permuting while the availability multiset
+    /// recurs. Kill instants are integral, so the run keeps integer
+    /// time.
+    #[test]
+    fn unobserved_drains_are_bitwise_on_wide_pools(
+        table in arb_integral_table(),
+        (ns, nm) in (1u32..=4, 12u32..=150),
+        (size, post) in (4u32..=11, 30u32..=40),
+        (group, frac) in (0usize..4, 0.0f64..1.2),
+    ) {
+        let grouping = Grouping::uniform(size, ns, post);
+        let inst = Instance::new(ns, nm, size * ns + post);
+        let clean = estimate(inst, &table, &grouping).expect("valid grouping").makespan;
+        let plan = FaultPlan::none().kill(group % ns as usize, (frac * clean).floor());
+        let config = CampaignConfig::default();
+        let rep = assert_bitwise(inst, &table, &grouping, &config, &plan)?;
+        prop_assert!(rep.integer_time, "integral kills keep integer time");
+    }
+
     /// The kernel composes with `oa-par` exactly like plain execution:
     /// sweeps are bit-invariant in the worker count.
     #[test]
@@ -275,6 +298,45 @@ fn long_months_take_integer_time_and_fast_forward() {
     assert!(kernel_eligibility(inst, &table, &grouping, &config, &plan));
     let cert = ocean_atmosphere::analyze::certify::certify(inst, &table, &grouping, &config, &plan);
     assert!(cert.integer_kernel);
+}
+
+/// Capricorne's `3×11 | post:31` after a kill: the surviving groups
+/// settle into a new steady state, and the unobserved drain replays
+/// its cycles by availability, bitwise equal to event-by-event runs.
+#[test]
+fn a_killed_run_fast_forwards_its_drain_by_availability() {
+    let table = preset_cluster("capricorne", 64).timing;
+    let inst = Instance::new(3, 120, 64);
+    let grouping = Grouping::uniform(11, 3, 31);
+    let plan = FaultPlan::none().kill(0, 3600.0);
+    let rep = assert_bitwise(inst, &table, &grouping, &CampaignConfig::default(), &plan)
+        .expect("bitwise");
+    assert!(rep.main_cycles_skipped > 0, "{rep:?}");
+    assert!(rep.post_cycles_skipped > 0, "{rep:?}");
+}
+
+/// The replay cap holds on an unobserved drain. Two scenarios on two
+/// groups of 8 with no dedicated post processor; the kill leaves one
+/// group, whose 8 processors join the pool only when it disbands, after
+/// every post is ready. Two posts per 796 s boundary, each lasting
+/// 796 s: at one boundary the pool reads `[X, X, Y × 6]`, at the next
+/// `[Y × 8]` with `Y = X + 796`, a recurrence whose shifted values reach
+/// the stable one. The cap refuses it; replaying would pop the stable
+/// processors as if they were cycling.
+#[test]
+fn a_saturated_unobserved_drain_is_capped() {
+    let mut main = [0.0f64; 8];
+    for (i, slot) in main.iter_mut().enumerate() {
+        *slot = 438.0 - 10.0 * i as f64;
+    }
+    let table = TimingTable::new(main, 796.0).expect("non-increasing");
+    let inst = Instance::new(2, 30, 16);
+    let grouping = Grouping::uniform(8, 2, 0);
+    let plan = FaultPlan::none().kill(0, 4042.0);
+    let rep = assert_bitwise(inst, &table, &grouping, &CampaignConfig::default(), &plan)
+        .expect("bitwise");
+    assert!(rep.main_cycles_skipped > 0, "{rep:?}");
+    assert_eq!(rep.post_cycles_skipped, 0, "{rep:?}");
 }
 
 /// A pending failure must hold the fast-forward off: replaying cycles
