@@ -1,7 +1,7 @@
 //! Diagnostic primitives: rule codes, severities, locations, reports.
 //!
 //! Modeled on rustc's lint machinery: every finding is a [`Diagnostic`]
-//! with a stable [`RuleCode`] (`OA001`…), a [`Severity`], a structured
+//! with a stable [`RuleCode`] (`OA002`…), a [`Severity`], a structured
 //! [`Location`] and a human-readable message. Checkers *collect* every
 //! violation instead of failing on the first one, so a single pass over
 //! a corrupted schedule reports all of its problems.
@@ -33,7 +33,7 @@ impl std::fmt::Display for Severity {
 /// Which layer of the stack a rule inspects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Layer {
-    /// The fused application DAG (structure of the workload).
+    /// The shape of the workload: its scenarios and months.
     Workflow,
     /// Groupings and their accounting against an [`oa_sched::params::Instance`].
     Scheduling,
@@ -65,15 +65,13 @@ impl std::fmt::Display for Layer {
 /// Stable identifiers of every rule the engine knows.
 ///
 /// Codes are append-only: a rule keeps its code forever, even if its
-/// implementation changes, so downstream tooling can match on them.
+/// implementation changes, and a retired rule's code is never given to
+/// another rule, so downstream tooling can match on them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RuleCode {
-    /// OA001: the fused DAG contains a cycle.
-    DagCycle,
-    /// OA002: the mesh is incomplete (a `(scenario, month)` has no task).
-    IncompleteChain,
-    /// OA003: fusion invariants broken (wrong edges or degrees).
-    FusionInconsistent,
+    /// OA002: the campaign is empty (`ns` or `nm` is zero), so it has
+    /// no `(scenario, month)` to run.
+    EmptyCampaign,
     /// OA004: a group size is outside `4..=11`.
     GroupSizeOutOfRange,
     /// OA005: a grouping claims more processors than the cluster has.
@@ -109,18 +107,6 @@ pub enum RuleCode {
     /// OA018: a campaign configuration (policy × granularity ×
     /// recovery + fault plan) is unrunnable or self-defeating.
     CampaignConfigSanity,
-    /// OA019: a workflow IR fails structural validation (empty graph,
-    /// cycle, dangling data flow, duplicate task names, impossible
-    /// allocation range or duration model).
-    IrStructureInvalid,
-    /// OA020: every node carries a preset origin annotation, yet the
-    /// graph is not the canonical lowering of that preset — the
-    /// annotations lie about where the IR came from.
-    IrPresetDrift,
-    /// OA021: a data-flow payload is degenerate (zero volume) or the
-    /// annotated mesh's total volume disagrees with the 120 MB
-    /// inter-month hand-off it declares.
-    IrFlowMismatch,
     /// ND001: an order-unstable map/set (`HashMap`/`HashSet`) in code
     /// whose iteration can feed records or serialized output.
     UnstableMapOrder,
@@ -153,10 +139,8 @@ impl RuleCode {
     /// Every rule, in code order: the data-level `OA` rules, then the
     /// determinism auditor's `ND` rules, then the certifier's `CT`
     /// rules.
-    pub const ALL: [RuleCode; 30] = [
-        RuleCode::DagCycle,
-        RuleCode::IncompleteChain,
-        RuleCode::FusionInconsistent,
+    pub const ALL: [RuleCode; 25] = [
+        RuleCode::EmptyCampaign,
         RuleCode::GroupSizeOutOfRange,
         RuleCode::OverSubscribed,
         RuleCode::GroupAccounting,
@@ -172,9 +156,6 @@ impl RuleCode {
         RuleCode::ClusterSanity,
         RuleCode::BandwidthInfeasible,
         RuleCode::CampaignConfigSanity,
-        RuleCode::IrStructureInvalid,
-        RuleCode::IrPresetDrift,
-        RuleCode::IrFlowMismatch,
         RuleCode::UnstableMapOrder,
         RuleCode::WallClockRead,
         RuleCode::PartialCmpUnwrap,
@@ -189,9 +170,7 @@ impl RuleCode {
     /// The stable `OAxxx` code.
     pub const fn code(self) -> &'static str {
         match self {
-            RuleCode::DagCycle => "OA001",
-            RuleCode::IncompleteChain => read::EMPTY_CAMPAIGN,
-            RuleCode::FusionInconsistent => "OA003",
+            RuleCode::EmptyCampaign => read::EMPTY_CAMPAIGN,
             RuleCode::GroupSizeOutOfRange => "OA004",
             RuleCode::OverSubscribed => "OA005",
             RuleCode::GroupAccounting => "OA006",
@@ -207,9 +186,6 @@ impl RuleCode {
             RuleCode::ClusterSanity => read::CLUSTER_INSANE,
             RuleCode::BandwidthInfeasible => "OA017",
             RuleCode::CampaignConfigSanity => "OA018",
-            RuleCode::IrStructureInvalid => "OA019",
-            RuleCode::IrPresetDrift => "OA020",
-            RuleCode::IrFlowMismatch => "OA021",
             RuleCode::UnstableMapOrder => "ND001",
             RuleCode::WallClockRead => "ND002",
             RuleCode::PartialCmpUnwrap => "ND003",
@@ -225,12 +201,7 @@ impl RuleCode {
     /// The layer this rule inspects.
     pub fn layer(self) -> Layer {
         match self {
-            RuleCode::DagCycle
-            | RuleCode::IncompleteChain
-            | RuleCode::FusionInconsistent
-            | RuleCode::IrStructureInvalid
-            | RuleCode::IrPresetDrift
-            | RuleCode::IrFlowMismatch => Layer::Workflow,
+            RuleCode::EmptyCampaign => Layer::Workflow,
             RuleCode::GroupSizeOutOfRange
             | RuleCode::OverSubscribed
             | RuleCode::GroupAccounting
@@ -259,9 +230,7 @@ impl RuleCode {
     /// One-line summary for the rule catalog.
     pub fn summary(self) -> &'static str {
         match self {
-            RuleCode::DagCycle => "fused DAG must be acyclic",
-            RuleCode::IncompleteChain => "every (scenario, month) needs its main and post node",
-            RuleCode::FusionInconsistent => "fused edges must be main→post and main→next-main only",
+            RuleCode::EmptyCampaign => "ns and nm must both be nonzero",
             RuleCode::GroupSizeOutOfRange => "group sizes must lie in 4..=11",
             RuleCode::OverSubscribed => "groupings may not claim more processors than R",
             RuleCode::GroupAccounting => "1..=NS groups (surplus groups can never work)",
@@ -279,9 +248,6 @@ impl RuleCode {
             RuleCode::ClusterSanity => "clusters need >=4 procs and a sane timing table",
             RuleCode::BandwidthInfeasible => "the 120 MB inter-month transfer must fit in a month",
             RuleCode::CampaignConfigSanity => "fault plans must target live groups at finite times",
-            RuleCode::IrStructureInvalid => "workflow IRs must pass structural validation",
-            RuleCode::IrPresetDrift => "preset-annotated IRs must match their canonical lowering",
-            RuleCode::IrFlowMismatch => "data flows need positive volume matching the hand-off",
             RuleCode::UnstableMapOrder => {
                 "no HashMap/HashSet where iteration order can reach output"
             }
@@ -615,18 +581,17 @@ mod tests {
     #[test]
     fn codes_are_stable_and_unique() {
         let mut codes: Vec<&str> = RuleCode::ALL.iter().map(|r| r.code()).collect();
-        assert_eq!(codes.len(), 30);
+        assert_eq!(codes.len(), 25);
         codes.sort_unstable();
         codes.dedup();
-        assert_eq!(codes.len(), 30, "duplicate rule code");
-        assert_eq!(RuleCode::ALL[0].code(), "OA001");
-        assert_eq!(RuleCode::ALL[17].code(), "OA018");
-        assert_eq!(RuleCode::ALL[18].code(), "OA019");
-        assert_eq!(RuleCode::ALL[20].code(), "OA021");
-        assert_eq!(RuleCode::ALL[21].code(), "ND001");
-        assert_eq!(RuleCode::ALL[27].code(), "ND007");
-        assert_eq!(RuleCode::ALL[28].code(), "CT001");
-        assert_eq!(RuleCode::ALL[29].code(), "CT002");
+        assert_eq!(codes.len(), 25, "duplicate rule code");
+        assert_eq!(RuleCode::ALL[0].code(), "OA002");
+        assert_eq!(RuleCode::ALL[1].code(), "OA004");
+        assert_eq!(RuleCode::ALL[15].code(), "OA018");
+        assert_eq!(RuleCode::ALL[16].code(), "ND001");
+        assert_eq!(RuleCode::ALL[22].code(), "ND007");
+        assert_eq!(RuleCode::ALL[23].code(), "CT001");
+        assert_eq!(RuleCode::ALL[24].code(), "CT002");
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! `oa-analyze` — static diagnostics for the ocean-atmosphere scheduler.
 //!
 //! A rule-based verification engine modeled on rustc's lints: every
-//! check has a stable code (`OA001`…), a severity, a structured
+//! check has a stable code (`OA002`…), a severity, a structured
 //! location and a human-readable message, and every checker *collects*
 //! all violations in one pass instead of failing fast. The rules cover
 //! six layers of the stack:
 //!
 //! | Layer      | Rules               | What they verify                                  |
 //! |------------|---------------------|---------------------------------------------------|
-//! | workflow   | OA001–OA003, OA019–OA021 | workflow IRs: fused-mesh acyclicity, chain completeness, fusion edges; IR validity, preset drift, data-flow payloads ([`ir`]) |
+//! | workflow   | OA002               | the campaign shape: `ns` and `nm` nonzero (refused by `oa_sched::read`) |
 //! | scheduling | OA004–OA007, OA018  | group sizes, accounting, estimator cross-checks, campaign configs |
 //! | schedule   | OA008–OA015         | multiplicity, dependences, exclusivity, idleness  |
 //! | platform   | OA016–OA017         | cluster sanity, inter-month bandwidth feasibility |
@@ -18,10 +18,12 @@
 //! The simulator (`oa-sim`) rebuilds its `Schedule::validate` API on
 //! top of [`schedule::check_schedule`]; the `oa analyze` CLI subcommand
 //! runs the platform, scheduling and schedule layers over a planned
-//! campaign (its mesh is the preset lowering, which the workflow rules
-//! pass by construction — [`ir`]'s tests pin that), and `oa audit`
-//! runs the [`audit`] source scan and the [`certify`] pass. Both exit
-//! nonzero when any error-severity diagnostic fires.
+//! campaign (its shape has passed OA002 in `oa_sched::read`, and its
+//! mesh is the preset lowering), and `oa audit` runs the [`audit`]
+//! source scan and the [`certify`] pass. Both exit nonzero when any
+//! error-severity diagnostic fires. A workflow spec needs no rule
+//! here: `oa_workflow::ir::from_value` answers a spec with a preset
+//! lowering or an IR that has passed `WorkflowIr::validate`.
 //!
 //! # Examples
 //!
@@ -50,7 +52,6 @@
 pub mod audit;
 pub mod certify;
 pub mod diag;
-pub mod ir;
 pub mod platform;
 pub mod schedule;
 pub mod scheduling;
@@ -60,7 +61,7 @@ pub use diag::{Diagnostic, Layer, Location, Quantity, Report, RuleCode, Severity
 /// One row of the rule catalog.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
-    /// Stable code (`OA001`…).
+    /// Stable code (`OA002`…).
     pub code: &'static str,
     /// Layer the rule inspects.
     pub layer: Layer,
@@ -106,7 +107,7 @@ mod tests {
     #[test]
     fn catalog_covers_all_rules_and_layers() {
         let cat = catalog();
-        assert_eq!(cat.len(), 30);
+        assert_eq!(cat.len(), 25);
         for layer in [
             Layer::Workflow,
             Layer::Scheduling,
@@ -118,8 +119,7 @@ mod tests {
             assert!(cat.iter().any(|r| r.layer == layer));
         }
         let text = render_catalog();
-        assert!(text.contains("OA001") && text.contains("OA018"), "{text}");
-        assert!(text.contains("OA019") && text.contains("OA021"), "{text}");
+        assert!(text.contains("OA002") && text.contains("OA018"), "{text}");
         assert!(text.contains("ND001") && text.contains("CT002"), "{text}");
     }
 }

@@ -113,10 +113,8 @@ COMMANDS
             the spec is optional (defaults: the 10^4-variant
             reference sweep)
   analyze   statically verify a planned campaign: platform, grouping and
-            schedule rules; its mesh is the preset lowering, clean under
-            the workflow rules by construction (tests pin it); exits
-            nonzero on errors; --rules prints all 30 rules (OA001..OA021,
-            ND001..ND007, CT001..CT002)
+            schedule rules; exits nonzero on errors; --rules prints all
+            25 rules (OA002..OA018, ND001..ND007, CT001..CT002)
             --ns N --nm N --r N --cluster NAME --heuristic H [--json]
             [--file SCHEDULE.json] [--bandwidth MB/s --latency S] [--rules]
             [--jobs N]
@@ -238,9 +236,10 @@ fn width_of(args: &Args) -> Result<usize, CliError> {
     Ok(width as usize)
 }
 
-/// Reads a spec file (`--workflow`, `--batch`, `oa import --file`): at
-/// most [`MAX_LINE_BYTES`], the size of the one request line that
-/// carries the same spec to the daemon, and `PROTO011` past it.
+/// Reads a spec file (`--workflow`, `--batch`, `oa import --file`,
+/// `oa audit --allow`): at most [`MAX_LINE_BYTES`], the size of the one
+/// request line that carries the same spec to the daemon, and
+/// `PROTO011` past it.
 fn read_spec(path: &str) -> Result<String, CliError> {
     let cannot = |e: &dyn std::fmt::Display| domain(format!("cannot read {path}: {e}"));
     let mut bytes = Vec::new();
@@ -600,9 +599,8 @@ fn analyze_cmd(args: &Args) -> Result<String, CliError> {
         report.extend(schedule.analyze().diagnostics);
     } else {
         // Analyze a planned campaign end to end, one layer at a time.
-        // Its mesh is the preset lowering of the shape, clean under the
-        // workflow rules by construction (`oa_analyze::ir`'s tests pin
-        // it), so the layers start at the platform.
+        // Its shape has passed the reader (OA002) and its mesh is the
+        // preset lowering, so the layers start at the platform.
         let (ns, nm) = shape_of(args, 10, 1800)?;
         let cluster = campaign_cluster(args, 53)?;
         let r = cluster.resources;
@@ -680,8 +678,7 @@ fn audit_scan(args: &Args) -> Result<String, CliError> {
         .str_opt("allow")
         .map_or_else(|| root.join("audit.allow"), std::path::PathBuf::from);
     let allow = if allow_path.is_file() {
-        let text = std::fs::read_to_string(&allow_path)
-            .map_err(|e| CliError::Domain(format!("cannot read {}: {e}", allow_path.display())))?;
+        let text = read_spec(&allow_path.to_string_lossy())?;
         oa_analyze::audit::allow::Allowlist::parse(&text).map_err(CliError::Domain)?
     } else if args.str_opt("allow").is_some() {
         return Err(CliError::Domain(format!(
@@ -1570,14 +1567,14 @@ mod tests {
     #[test]
     fn analyze_prints_rule_catalog() {
         let out = oa(&["analyze", "--rules"]).unwrap();
-        for code in ["OA001", "OA008", "OA017"] {
+        for code in ["OA002", "OA008", "OA017"] {
             assert!(out.contains(code), "{out}");
         }
         for layer in ["workflow", "scheduling", "schedule", "platform"] {
             assert!(out.contains(layer), "{out}");
         }
-        // All 30 rules, one line each under the header.
-        assert_eq!(out.lines().count(), 1 + 30, "{out}");
+        // All 25 rules, one line each under the header.
+        assert_eq!(out.lines().count(), 1 + 25, "{out}");
         assert_eq!(out, include_str!("../../../tests/golden/analyze_rules.txt"));
     }
 
@@ -2103,7 +2100,8 @@ mod tests {
     /// is sized by it: the shape and processor caps of the campaign
     /// reader, the `--width` cap, a preset header's shape read before
     /// lowering, an imported stanza's processors, the daemon's
-    /// `(capacity, planning-nm)` pair and the `--jobs` cap.
+    /// `(capacity, planning-nm)` pair, the `--jobs` cap and the spec
+    /// file cap on an `--allow` list.
     #[test]
     fn size_probes_are_coded_refusals() {
         let dir = std::env::temp_dir().join(format!("oa-cli-probes-{}", std::process::id()));
@@ -2128,10 +2126,16 @@ mod tests {
              {\"ClusterJoin\":{\"name\":\"ref\",\"preset\":\"reference\",\"resources\":53}}\n",
         )
         .unwrap();
-        let (wf, bench, script) = (
+        // Sparse: one byte over the cap takes no disk.
+        let allow = dir.join("big.allow");
+        std::fs::File::create(&allow)
+            .and_then(|file| file.set_len(MAX_LINE_BYTES as u64 + 1))
+            .unwrap();
+        let (wf, bench, script, allow) = (
             wf.to_str().unwrap(),
             bench.to_str().unwrap(),
             script.to_str().unwrap(),
+            allow.to_str().unwrap(),
         );
         let months = |ns: u64, nm: u64| {
             format!(
@@ -2237,6 +2241,10 @@ mod tests {
             (
                 vec!["sim", "--nm", "12", "--jobs", "4000000000"],
                 "PROTO011: 4000000000 jobs, over the cap of 256".to_string(),
+            ),
+            (
+                vec!["audit", "--allow", allow],
+                format!("PROTO011: {allow} is over the cap of 16777216 bytes"),
             ),
         ];
         for (words, want) in probes {

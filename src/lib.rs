@@ -16,7 +16,7 @@
 //! | [`knapsack`] | exact bounded knapsack with cardinality constraint (+ greedy, B&B) |
 //! | [`sched`] | Equations 1–5, the basic heuristic and Improvements 1–3, Algorithm 1 |
 //! | [`par`] | deterministic scoped worker pool: order-preserving `par_map` / `par_sweep` |
-//! | [`analyze`] | rule-based static diagnostics: OA001–OA021 over the workflow, scheduling, schedule and platform layers, ND001–ND007 over sources, CT001–CT002 certifying campaigns |
+//! | [`analyze`] | rule-based static diagnostics: OA002 and OA004–OA018 over the workflow, scheduling, schedule and platform layers, ND001–ND007 over sources, CT001–CT002 certifying campaigns |
 //! | [`sim`] | discrete-event executor, schedule validation, Gantt, metrics, grid runs |
 //! | [`trace`] | structured event tracing, metrics registry, Chrome/Gantt exporters |
 //! | [`service`] | campaign-as-a-service daemon: line-delimited JSON protocol, admission, virtual time, and the paper's six-step grid protocol as a daemon session |

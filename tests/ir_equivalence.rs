@@ -578,17 +578,38 @@ proptest! {
     /// `classify_spec` reads a preset spec's header without building
     /// its mesh, and must still classify every document, errors
     /// included, exactly as lowering it and recognizing the result.
+    /// Every IR `from_value` returns is also one no workflow check
+    /// downstream could refuse: it passes `validate`, a preset spec is
+    /// its canonical lowering, and an explicit spec's nodes carry no
+    /// preset origin while each of its flows moves at least one byte.
     #[test]
     fn classify_spec_is_recognize_of_from_value((doc, header) in arb_spec()) {
         let classified = classify_spec(&doc);
+        let lifted = from_value(&doc);
         prop_assert_eq!(
             &classified,
-            &from_value(&doc).map(|ir| recognize(&ir)),
+            &lifted.clone().map(|ir| recognize(&ir)),
             "{:?}",
             doc
         );
         if let Some(class) = header {
             prop_assert_eq!(classified, Ok(class));
+        }
+        if let Ok(ir) = lifted {
+            prop_assert_eq!(ir.validate(), Ok(()), "{:?}", doc);
+            if doc.get("preset").is_some() {
+                let lowered = match header {
+                    Some(IrClass::FusedMesh(shape)) => oa_workflow::ir::lower_fused(shape),
+                    Some(IrClass::UnfusedMesh(shape)) => oa_workflow::ir::lower_experiment(shape),
+                    other => {
+                        return Err(TestCaseError::fail(format!("{doc:?} lifted, class {other:?}")))
+                    }
+                };
+                prop_assert_eq!(ir, lowered, "{:?}", doc);
+            } else {
+                prop_assert!(ir.dag.iter().all(|(_, n)| n.origin.is_none()), "{:?}", doc);
+                prop_assert!(ir.flows.iter().all(|fl| fl.volume.0 >= 1), "{:?}", doc);
+            }
         }
     }
 
