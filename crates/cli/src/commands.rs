@@ -589,6 +589,10 @@ fn analyze_cmd(args: &Args) -> Result<String, CliError> {
             .map_err(|e| CliError::Domain(format!("cannot read {path}: {e}")))?;
         let schedule: Schedule = serde_json::from_str(&text)
             .map_err(|e| CliError::Domain(format!("{path} is not a schedule: {e}")))?;
+        // The checks size their tables by the schedule's own instance,
+        // so it passes the reader's shape and processor caps first.
+        read::shape(schedule.instance.ns, schedule.instance.nm)?;
+        read::procs(schedule.instance.r)?;
         scope = format!(
             "schedule {path}: NS = {}, NM = {}, R = {}, {} record(s)\n",
             schedule.instance.ns,
@@ -2100,8 +2104,8 @@ mod tests {
     /// is sized by it: the shape and processor caps of the campaign
     /// reader, the `--width` cap, a preset header's shape read before
     /// lowering, an imported stanza's processors, the daemon's
-    /// `(capacity, planning-nm)` pair, the `--jobs` cap and the spec
-    /// file cap on an `--allow` list.
+    /// `(capacity, planning-nm)` pair, the `--jobs` cap, the spec file
+    /// cap on an `--allow` list and the instance of a saved schedule.
     #[test]
     fn size_probes_are_coded_refusals() {
         let dir = std::env::temp_dir().join(format!("oa-cli-probes-{}", std::process::id()));
@@ -2126,15 +2130,29 @@ mod tests {
              {\"ClusterJoin\":{\"name\":\"ref\",\"preset\":\"reference\",\"resources\":53}}\n",
         )
         .unwrap();
+        let sched = dir.join("huge_sched.json");
+        std::fs::write(
+            &sched,
+            r#"{"instance":{"ns":100000,"nm":100000,"r":53},"records":[],"makespan":1.0}"#,
+        )
+        .unwrap();
+        let wide = dir.join("wide_sched.json");
+        std::fs::write(
+            &wide,
+            r#"{"instance":{"ns":10,"nm":10,"r":4000000000},"records":[],"makespan":1.0}"#,
+        )
+        .unwrap();
         // Sparse: one byte over the cap takes no disk.
         let allow = dir.join("big.allow");
         std::fs::File::create(&allow)
             .and_then(|file| file.set_len(MAX_LINE_BYTES as u64 + 1))
             .unwrap();
-        let (wf, bench, script, allow) = (
+        let (wf, bench, script, sched, wide, allow) = (
             wf.to_str().unwrap(),
             bench.to_str().unwrap(),
             script.to_str().unwrap(),
+            sched.to_str().unwrap(),
+            wide.to_str().unwrap(),
             allow.to_str().unwrap(),
         );
         let months = |ns: u64, nm: u64| {
@@ -2245,6 +2263,11 @@ mod tests {
             (
                 vec!["audit", "--allow", allow],
                 format!("PROTO011: {allow} is over the cap of 16777216 bytes"),
+            ),
+            (vec!["analyze", "--file", sched], months(100_000, 100_000)),
+            (
+                vec!["analyze", "--file", wide],
+                "PROTO011: 4000000000 processors, over the cap of 1024".to_string(),
             ),
         ];
         for (words, want) in probes {

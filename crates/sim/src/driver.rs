@@ -11,10 +11,12 @@
 //! queries.
 //!
 //! The admission run records no schedule and traces nothing, so its
-//! fused drain may fast-forward by availability (see the engine's
-//! module docs, "The post drain"). A driver keeps only what a query
-//! reads, so a live session costs memory per month, not per task: the
-//! makespan, the months lost, the stranded count, and — for a fused
+//! fused drain may fast-forward by availability, and a drain whose post
+//! pool keeps pace with the groups is skipped for its closed form (see
+//! the engine's module docs, "The post drain" and "The closed-form
+//! drain"). A driver keeps only what a query reads, so a live session
+//! costs memory per month, not per task: the makespan, the months lost,
+//! the stranded count, the run's [`KernelReport`], and — for a fused
 //! fault-free run — the finish offsets of its main tasks, 8 bytes per
 //! month, read off the engine's completion chain, which holds them in
 //! completion order and so already sorted. A month-progress query
@@ -33,7 +35,7 @@ use oa_sched::grouping::{Grouping, GroupingError};
 use oa_sched::params::Instance;
 use oa_sched::policy::{CampaignConfig, FaultPlan};
 
-use crate::engine::{simulate_unrecorded, CampaignOutcome, MainEnds};
+use crate::engine::{simulate_unrecorded, CampaignOutcome, KernelReport, MainEnds};
 
 /// Where a session stands at a queried virtual instant.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,6 +105,7 @@ enum Kept {
 pub struct SessionDriver {
     start: f64,
     kept: Kept,
+    kernel: KernelReport,
 }
 
 impl SessionDriver {
@@ -119,7 +122,8 @@ impl SessionDriver {
         config: &CampaignConfig,
         plan: &FaultPlan,
     ) -> Result<Self, GroupingError> {
-        let (outcome, main_ends) = simulate_unrecorded(inst, table, grouping, config, plan)?;
+        let (outcome, kernel, main_ends) =
+            simulate_unrecorded(inst, table, grouping, config, plan)?;
         let kept = match outcome {
             CampaignOutcome::Completed(run) => Kept::Completed {
                 makespan: run.makespan,
@@ -128,7 +132,19 @@ impl SessionDriver {
             },
             CampaignOutcome::Stranded { completed_months } => Kept::Stranded { completed_months },
         };
-        Ok(Self { start, kept })
+        Ok(Self {
+            start,
+            kept,
+            kernel,
+        })
+    }
+
+    /// What the simulation kernel did in the admission run. A portion
+    /// whose post pool keeps pace with its groups skips the post drain
+    /// ([`KernelReport::drain_closed_form`]).
+    #[must_use]
+    pub fn kernel_report(&self) -> KernelReport {
+        self.kernel
     }
 
     /// Drops the main finish offsets. A caller whose clock has reached

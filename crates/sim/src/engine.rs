@@ -56,7 +56,10 @@
 //!
 //! # The post drain
 //!
-//! Ready post work is held as one FIFO queue per chain step. Main
+//! An unobserved run whose post pool keeps pace with the groups skips
+//! everything in this section for its closed form (see "The
+//! closed-form drain" below). Ready post work is held as one FIFO queue
+//! per chain step. Main
 //! completions push `(t, scenario, month)` onto queue 0 in completion
 //! order, which is chronological. The fused drain reads queue 0 in
 //! order. The unfused drain pops the earliest queue front, ties going
@@ -114,6 +117,56 @@
 //! below every stable one for the whole replay, and the cycle shift
 //! moves exactly the entries below the least stable value.
 //!
+//! # The closed-form drain
+//!
+//! Section 4.1 of the paper names the regime where the post processors
+//! keep pace with the groups: no post outlives its cycle, and the
+//! makespan is the last main completion plus `TP`. A run skips its
+//! drain for that closed form when fast-forward is on, nothing
+//! observes the run (no schedule, no enabled tracer), it is not a batch
+//! head capture, and the pool keeps pace: with `G` groups of main
+//! durations `durs`,
+//!
+//! * `post_procs ≥ G`, and
+//! * fused: `TP ≤ min(durs)`; unfused: `Σ steps + 4ε·(main_finish +
+//!   min(durs)) < min(durs)`, with `ε` the `f64` epsilon.
+//!
+//! The post finish is then the last chain entry's ready time plus each
+//! step duration, added in chain order (for a resumed batch variant
+//! whose own chain is empty, the head prefix's last entry). The pool,
+//! its sort, both snapshot detectors and the resume's prefix adoption
+//! are skipped, and [`KernelReport::drain_closed_form`] says so. Why
+//! that is bitwise the drain's value:
+//!
+//! * **A group's completions are a main apart.** Completions `r < r'`
+//!   of one group satisfy `r' = fl(s + T_g)` for a start `s ≥ r`, so
+//!   `r' ≥ fl(r + T_g) ≥ fl(r + min(durs))`: `fl` is monotone. Dead
+//!   groups never complete again.
+//! * **Fused: no post waits.** A post ready at `r` ends at `fl(r + TP)
+//!   ≤ fl(r + min(durs)) ≤ r'`, so at any ready instant each group has
+//!   at most one post still running, and none for the group whose
+//!   completion is ready. At most `G − 1` dedicated processors are busy,
+//!   so each take finds one free (`avail ≤ ready`) and the post starts
+//!   at its ready time. Disbanded processors only add capacity.
+//! * **Fused: the value is exact.** Ready times are chronological and
+//!   `fl` is monotone, so the largest end is `fl(r_last + TP)`: bitwise
+//!   the value the drain keeps.
+//! * **Unfused.** A month's chain holds at most one processor at a
+//!   time. Each of its three additions rounds with a relative error of
+//!   at most `ε/2`, so the strict inequality with its margin ends the
+//!   chain strictly before `fl(r + min(durs))`, hence before the
+//!   group's next completion. The chain's last step is then popped before the next
+//!   chain's first (the tie that a group completes again exactly at
+//!   its previous chain's end would otherwise pop the next chain first,
+//!   ties going to the lower step), every pop finds at most `G − 1`
+//!   chains holding a processor, and each step starts at its ready
+//!   time. The last chain ends last, at its steps added in order.
+//!
+//! The gate is on [`KernelOpts::fast_forward`], so
+//! [`KernelOpts::event_by_event`] still runs the real drain and reports
+//! [`KernelReport::default`]: every differential test pins the closed
+//! form.
+//!
 //! # Equivalence guarantees
 //!
 //! A knob that does not apply changes no bit: with an empty fault plan
@@ -124,11 +177,13 @@
 //! matched by processor id when observed (records and trace events
 //! included) and by availability when not (makespan and phase
 //! finishes). An unobserved fast-forwarded run may leave processor ids
-//! in the pool that an event-by-event run would not, but no output
-//! reads them. `tests/engine_equivalence.rs`,
-//! `tests/kernel_equivalence.rs` (unobserved drains under kills among
-//! them), `tests/driver_equivalence.rs` (the unrecorded driver against
-//! a recorded run) and the tracked `results/*.json` enforce this;
+//! in the pool that an event-by-event run would not, or skip the drain
+//! for its closed form, but no output reads the pool.
+//! `tests/engine_equivalence.rs`, `tests/kernel_equivalence.rs`
+//! (unobserved drains under kills among them, and the closed form's
+//! premise at its boundary), `tests/driver_equivalence.rs` (the
+//! unrecorded driver against a recorded run) and the tracked
+//! `results/*.json` enforce this;
 //! `tests/drain_equivalence.rs` pins both post drains to a heap-drain
 //! oracle, and a proptest of the pool pins every take to a
 //! `BinaryHeap` pool's.
@@ -269,6 +324,29 @@ fn busy_ticks(busy: &BinaryHeap<TimeKey<usize>>, out: &mut Vec<(u64, usize)>) {
         (t as u64, g)
     }));
     out.sort_unstable();
+}
+
+/// The closed-form drain's premise (module docs, "The closed-form
+/// drain"): at least one dedicated post processor per group, and a
+/// month's post chain that ends before its group can complete again.
+/// `durs` are the groups' main durations, `steps` the post chain's
+/// steps, `main_finish` the last main completion.
+fn keeps_pace(
+    durs: &[f64],
+    steps: &[f64; 3],
+    granularity: Granularity,
+    grouping: &Grouping,
+    main_finish: f64,
+) -> bool {
+    let min_dur = durs.iter().copied().fold(f64::INFINITY, f64::min);
+    grouping.post_procs as usize >= grouping.group_count()
+        && match granularity {
+            Granularity::Fused => steps[0] <= min_dur,
+            Granularity::Unfused => {
+                let chain_secs: f64 = steps.iter().sum();
+                chain_secs + 4.0 * f64::EPSILON * (main_finish + min_dur) < min_dur
+            }
+        }
 }
 
 /// The fused drain's view of the completion chain: an optional
@@ -598,21 +676,22 @@ pub(crate) type MainEnds = Box<[f64]>;
 
 /// The session driver's run ([`crate::driver`]): [`simulate_campaign`]
 /// with nothing recorded and nothing traced. Returns the outcome, whose
-/// `schedule` is `None`, and for a completed fused fault-free run the
-/// main finish instants read off the completion chain. The chain holds
-/// them in completion order, which is chronological, so they are the
-/// `end`s of a recorded schedule's `FusedMain` records, sorted.
+/// `schedule` is `None`, what the kernel did, and for a completed fused
+/// fault-free run the main finish instants read off the completion
+/// chain. The chain holds them in completion order, which is
+/// chronological, so they are the `end`s of a recorded schedule's
+/// `FusedMain` records, sorted.
 pub(crate) fn simulate_unrecorded(
     inst: Instance,
     table: &TimingTable,
     grouping: &Grouping,
     config: &CampaignConfig,
     plan: &FaultPlan,
-) -> Result<(CampaignOutcome, Option<MainEnds>), GroupingError> {
+) -> Result<(CampaignOutcome, KernelReport, Option<MainEnds>), GroupingError> {
     validate(inst, grouping, plan)?;
     SCRATCH.with(|cell| {
         let scratch = &mut *cell.borrow_mut();
-        let (outcome, _) = run(
+        let (outcome, report) = run(
             inst,
             table,
             grouping,
@@ -631,7 +710,7 @@ pub(crate) fn simulate_unrecorded(
         debug_assert!(ends
             .as_deref()
             .is_none_or(|e| e.windows(2).all(|w| w[0] <= w[1])));
-        Ok((outcome, ends))
+        Ok((outcome, report, ends))
     })
 }
 
@@ -1328,8 +1407,23 @@ fn run<T: Tracer>(
     if post_pool.is_empty() {
         stranded!();
     }
+    let observed = record || tracer.enabled();
+    let closed_form = opts.fast_forward
+        && !observed
+        && capture.is_none()
+        && keeps_pace(durs, &steps, config.granularity, grouping, main_finish);
     let mut post_finish = 0.0f64;
     match config.granularity {
+        _ if closed_form => {
+            // No step waits, so the last month's chain ends last: its
+            // ready time plus each step, added in chain order (module
+            // docs, "The closed-form drain").
+            let last = chain[0].last().or(head_prefix.last());
+            if let Some(&(ready, _, _)) = last {
+                post_finish = steps[..=last_step].iter().fold(ready, |t, &d| t + d);
+            }
+            report.drain_closed_form = true;
+        }
         Granularity::Fused => {
             // Fused drain, with its own steady-state fast-forward: the
             // main-phase replay hands over the periodic chain region,
@@ -1340,7 +1434,6 @@ fn run<T: Tracer>(
             // replay stamps processor ids, so its pool must recur by
             // id; a run nothing observes needs only the availability
             // multiset to recur (module docs, "The post drain").
-            let observed = record || tracer.enabled();
             // The availability of the latest pop, the largest so far.
             let mut last_pop = f64::NEG_INFINITY;
             let tail: &[(f64, u32, u32)] = &chain[0];
@@ -1750,28 +1843,51 @@ mod tests {
         (run, report)
     }
 
-    /// Capricorne at R 64, three scenarios on `3×11 | post:31`: three
-    /// posts per 1290 s cycle end together, so the pool's processor-id
-    /// map keeps permuting and the by-id detector never matches. The
-    /// availability multiset recurs once the fresh processors are used
-    /// up, so the unobserved drain replays nearly every cycle. All three
-    /// runs keep the event-by-event bits.
-    #[test]
-    fn an_unobserved_drain_fast_forwards_by_availability() {
-        let table = preset_cluster("capricorne", 64).timing;
-        assert_eq!((table.main_secs(11), table.post_secs()), (1290.0, 184.0));
-        let inst = Instance::new(3, 120, 64);
-        let grouping = Grouping::uniform(11, 3, 31);
-        let (base, base_rep) = go(inst, &table, &grouping, true, KernelOpts::event_by_event());
-        let (recorded, recorded_rep) = go(inst, &table, &grouping, true, KernelOpts::default());
-        let (unobserved, rep) = go(inst, &table, &grouping, false, KernelOpts::default());
-        assert_eq!(base_rep.post_cycles_skipped, 0);
-        assert!(recorded_rep.main_cycles_skipped > 0, "{recorded_rep:?}");
-        assert_eq!(recorded_rep.post_cycles_skipped, 0, "{recorded_rep:?}");
-        assert!(rep.post_cycles_skipped >= 100, "{rep:?}");
+    /// One fault-free campaign run three ways: event by event and
+    /// recorded, fast-forwarded and recorded, fast-forwarded and
+    /// unobserved. Every run keeps the event-by-event makespan, main
+    /// and post finish bits. Returns the last two runs' kernel reports.
+    fn three_ways(inst: Instance, table: &TimingTable, grouping: &Grouping) -> [KernelReport; 2] {
+        let (base, base_rep) = go(inst, table, grouping, true, KernelOpts::event_by_event());
+        let (recorded, recorded_rep) = go(inst, table, grouping, true, KernelOpts::default());
+        let (unobserved, rep) = go(inst, table, grouping, false, KernelOpts::default());
+        assert_eq!(base_rep, KernelReport::default());
         assert!(recorded.schedule.is_some() && unobserved.schedule.is_none());
         let bits = |r: &CampaignRun| [r.makespan, r.main_finish, r.post_finish].map(f64::to_bits);
         assert_eq!(bits(&recorded), bits(&base));
         assert_eq!(bits(&unobserved), bits(&base));
+        [recorded_rep, rep]
+    }
+
+    /// Capricorne at R 64, three scenarios on `3×11 | post:31`: 31
+    /// dedicated post processors keep pace with three groups (184 s
+    /// posts on 1290 s mains), so the unobserved run skips its drain for
+    /// the closed form and replays no post cycle.
+    ///
+    /// Outside that premise, `3×8 | post:37` with 3883 s posts on 543 s
+    /// mains: three posts per cycle end together, so the pool's
+    /// processor-id map keeps permuting and the by-id detector never
+    /// matches. The availability multiset recurs once the fresh
+    /// processors are used up, so the unobserved drain replays nearly
+    /// every cycle.
+    #[test]
+    fn an_unobserved_drain_fast_forwards_by_availability() {
+        let table = preset_cluster("capricorne", 64).timing;
+        assert_eq!((table.main_secs(11), table.post_secs()), (1290.0, 184.0));
+        let grouping = Grouping::uniform(11, 3, 31);
+        let [recorded, unobserved] = three_ways(Instance::new(3, 120, 64), &table, &grouping);
+        assert!(recorded.main_cycles_skipped > 0, "{recorded:?}");
+        assert!(!recorded.drain_closed_form, "{recorded:?}");
+        assert!(unobserved.drain_closed_form, "{unobserved:?}");
+        assert_eq!(unobserved.post_cycles_skipped, 0, "{unobserved:?}");
+
+        let main = [1500.0, 1321.0, 1201.0, 904.0, 543.0, 390.0, 376.0, 247.0];
+        let table = TimingTable::new(main, 3883.0).expect("non-increasing");
+        let grouping = Grouping::uniform(8, 3, 37);
+        let [recorded, unobserved] = three_ways(Instance::new(3, 128, 61), &table, &grouping);
+        assert!(recorded.main_cycles_skipped > 0, "{recorded:?}");
+        assert_eq!(recorded.post_cycles_skipped, 0, "{recorded:?}");
+        assert!(!unobserved.drain_closed_form, "{unobserved:?}");
+        assert!(unobserved.post_cycles_skipped >= 100, "{unobserved:?}");
     }
 }

@@ -6,7 +6,8 @@
 //! the `FusedMain` records of the recorded schedule whose
 //! `end <= t − start`. The oracle's run is observed, so its fused drain
 //! fast-forwards only by processor id; the driver's run is not, so its
-//! drain may fast-forward by availability.
+//! drain may fast-forward by availability or be skipped for its closed
+//! form.
 //!
 //! Every case compares `state_at` at each instant of interest, the
 //! bits of `makespan` and `finish`, and `months_lost`, against the
@@ -27,9 +28,12 @@
 //! Deterministic service-shaped cases cover what `oa serve` admits:
 //! the five preset clusters at R 64 under their knapsack grouping,
 //! `NS` 1–3 and `NM` 12, 120 and 1800 (1800 in release builds only),
-//! fused and unfused, with no fault and with one kill. Among them is
-//! capricorne's `3×11 | post:31`, whose drain the by-id detector never
-//! matches and the by-availability one does.
+//! fused and unfused, with no fault and with one kill. Every such
+//! portion has at least one dedicated post processor per group and
+//! posts far shorter than its mains, so every one that completes skips
+//! its drain for the closed form (the engine's module docs, "The
+//! closed-form drain"). Among them is capricorne's `3×11 | post:31`,
+//! whose drain the by-id detector never matches.
 
 use ocean_atmosphere::prelude::*;
 use proptest::prelude::*;
@@ -101,8 +105,8 @@ fn bits(state: SessionState) -> Bits {
 
 // ---- Checks ----
 
-/// Pins one campaign at `start` and checks the driver against the
-/// seed query over the same campaign's outcome.
+/// Pins one campaign at `start`, checks the driver against the seed
+/// query over the same campaign's outcome, and returns the driver.
 fn check(
     start: f64,
     inst: Instance,
@@ -110,7 +114,7 @@ fn check(
     grouping: &Grouping,
     config: &CampaignConfig,
     plan: &FaultPlan,
-) -> Result<(), TestCaseError> {
+) -> Result<SessionDriver, TestCaseError> {
     let outcome = simulate_campaign(inst, table, grouping, config, plan, &mut NullTracer)
         .expect("valid grouping");
     let driver =
@@ -165,7 +169,7 @@ fn check(
             t
         );
     }
-    Ok(())
+    Ok(driver)
 }
 
 /// A non-increasing table from `T[11]`, per-step bumps and `TP`, all
@@ -228,8 +232,13 @@ fn service_shaped_sessions_are_the_seed_record_scan() {
                     };
                     for plan in [FaultPlan::none(), FaultPlan::none().kill(0, 3600.0)] {
                         for start in [0.0, 4.0e6] {
-                            check(start, inst, &table, &grouping, &config, &plan)
+                            let driver = check(start, inst, &table, &grouping, &config, &plan)
                                 .unwrap_or_else(|e| panic!("{name}: {e}"));
+                            let kernel = driver.kernel_report();
+                            assert!(
+                                driver.makespan().is_none() || kernel.drain_closed_form,
+                                "{name}: {grouping} on {inst:?}, {config:?}, {plan:?}: {kernel:?}"
+                            );
                         }
                     }
                 }

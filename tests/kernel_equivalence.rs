@@ -12,6 +12,7 @@
 
 use ocean_atmosphere::par::Pool;
 use ocean_atmosphere::prelude::*;
+use ocean_atmosphere::sched::kernel::{main_dur, post_model};
 use proptest::prelude::*;
 
 const CASES: u32 = if cfg!(debug_assertions) { 24 } else { 256 };
@@ -74,6 +75,32 @@ fn arb_fractional_table() -> impl Strategy<Value = TimingTable> {
 
 fn arb_instance() -> impl Strategy<Value = Instance> {
     (1u32..=8, 1u32..=60, 11u32..=120).prop_map(|(ns, nm, r)| Instance::new(ns, nm, r))
+}
+
+/// The closed-form drain's premise, re-derived from the table (engine
+/// module docs, "The closed-form drain"): at least one dedicated post
+/// processor per group, and a post chain that ends before its group can
+/// complete again — fused, `TP` at most the shortest main; unfused, the
+/// step sum plus a rounding margin strictly below it.
+fn keeps_pace(
+    table: &TimingTable,
+    grouping: &Grouping,
+    granularity: Granularity,
+    main_finish: f64,
+) -> bool {
+    let (steps, pre, _) = post_model(granularity, table.post_secs());
+    let min_dur = grouping
+        .groups()
+        .iter()
+        .map(|&g| main_dur(table.main_array(), g, granularity, pre))
+        .fold(f64::INFINITY, f64::min);
+    let chain_fits = match granularity {
+        Granularity::Fused => table.post_secs() <= min_dur,
+        Granularity::Unfused => {
+            steps.iter().sum::<f64>() + 4.0 * f64::EPSILON * (main_finish + min_dur) < min_dur
+        }
+    };
+    grouping.post_procs as usize >= grouping.group_count() && chain_fits
 }
 
 /// Runs one configuration twice — kernel on, kernel off — and asserts
@@ -244,6 +271,77 @@ proptest! {
         prop_assert!(rep.integer_time, "integral kills keep integer time");
     }
 
+    /// The closed-form drain at the edge of its premise. Up to three
+    /// groups on `G − 1`, `G` or `G + k` dedicated post processors;
+    /// `TP` a second short of the shortest main, equal to it, a second
+    /// over, an ulp either side, or up to 4096 ulps short, where the
+    /// unfused rounding margin decides; integral and fractional tables;
+    /// no fault or one kill. Every run equals the event-by-event run
+    /// bitwise, and skips its drain for the closed form exactly when it
+    /// completes unobserved (a fused fault-free run records its
+    /// schedule) and the premise holds.
+    #[test]
+    fn the_closed_form_drain_takes_exactly_its_premise(
+        (integral, fractional, pick) in (arb_integral_table(), arb_fractional_table(), 0u32..2),
+        sizes in proptest::collection::vec(4u32..=11, 1..=3),
+        (ns_extra, nm, k) in (0u32..=2, 1u32..=40, 1u32..=8),
+        (ulps, group, frac) in (1u32..=4096, 0usize..3, 0.0f64..1.2),
+    ) {
+        let main = *if pick == 0 { &integral } else { &fractional }.main_array();
+        let g = sizes.len() as u32;
+        let ns = g + ns_extra;
+        let shortest = sizes
+            .iter()
+            .map(|&size| main[(size - 4) as usize])
+            .fold(f64::INFINITY, f64::min);
+        let below = shortest - f64::from(ulps) * (shortest.next_up() - shortest);
+        let tps = [
+            shortest - 1.0,
+            shortest,
+            shortest + 1.0,
+            shortest.next_down(),
+            shortest.next_up(),
+            below,
+        ];
+        for post in [g - 1, g, g + k] {
+            let grouping = Grouping::new(sizes.clone(), post);
+            let inst = Instance::new(ns, nm, grouping.total_procs() as u32);
+            for tp in tps {
+                let table = TimingTable::new(main, tp).expect("non-increasing");
+                for granularity in [Granularity::Fused, Granularity::Unfused] {
+                    let config = CampaignConfig { granularity, ..CampaignConfig::default() };
+                    let clean = simulate_campaign(
+                        inst, &table, &grouping, &config, &FaultPlan::none(), &mut NullTracer,
+                    )
+                    .expect("valid grouping")
+                    .makespan()
+                    .unwrap_or(0.0);
+                    let kill = FaultPlan::none().kill(group % sizes.len(), (frac * clean).floor());
+                    for plan in [FaultPlan::none(), kill] {
+                        let rep = assert_bitwise(inst, &table, &grouping, &config, &plan)?;
+                        let (outcome, _) = simulate_campaign_kernel(
+                            inst, &table, &grouping, &config, &plan,
+                            KernelOpts::default(), &mut NullTracer,
+                        )
+                        .expect("valid grouping");
+                        let observed =
+                            granularity == Granularity::Fused && plan.failures.is_empty();
+                        let closed_form = !observed
+                            && outcome.completed().is_some_and(|run| {
+                                keeps_pace(&table, &grouping, granularity, run.main_finish)
+                            });
+                        prop_assert_eq!(
+                            rep.drain_closed_form,
+                            closed_form,
+                            "{} on {:?}, TP {}, {:?}, {:?}: {:?}",
+                            grouping, inst, tp, granularity, plan, rep
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     /// The kernel composes with `oa-par` exactly like plain execution:
     /// sweeps are bit-invariant in the worker count.
     #[test]
@@ -300,9 +398,17 @@ fn long_months_take_integer_time_and_fast_forward() {
     assert!(cert.integer_kernel);
 }
 
-/// Capricorne's `3×11 | post:31` after a kill: the surviving groups
-/// settle into a new steady state, and the unobserved drain replays
-/// its cycles by availability, bitwise equal to event-by-event runs.
+/// Capricorne's `3×11 | post:31` after a kill: 31 dedicated post
+/// processors keep pace with the three groups (184 s posts on 1290 s
+/// mains), so the unobserved run skips its drain for the closed form,
+/// bitwise equal to event-by-event runs.
+///
+/// Outside that premise, `3×8 | post:37` with 3883 s posts on 543 s
+/// mains, after a kill: the surviving groups settle into a new steady
+/// state, and the unobserved drain replays its cycles by availability.
+/// A traced run of the same plan is observed, and its by-id match never
+/// engages: three posts per cycle end together, so the pool's
+/// processor-id map keeps permuting.
 #[test]
 fn a_killed_run_fast_forwards_its_drain_by_availability() {
     let table = preset_cluster("capricorne", 64).timing;
@@ -312,7 +418,32 @@ fn a_killed_run_fast_forwards_its_drain_by_availability() {
     let rep = assert_bitwise(inst, &table, &grouping, &CampaignConfig::default(), &plan)
         .expect("bitwise");
     assert!(rep.main_cycles_skipped > 0, "{rep:?}");
+    assert!(rep.drain_closed_form, "{rep:?}");
+    assert_eq!(rep.post_cycles_skipped, 0, "{rep:?}");
+
+    let main = [1500.0, 1321.0, 1201.0, 904.0, 543.0, 390.0, 376.0, 247.0];
+    let table = TimingTable::new(main, 3883.0).expect("non-increasing");
+    let inst = Instance::new(3, 128, 61);
+    let grouping = Grouping::uniform(8, 3, 37);
+    let config = CampaignConfig::default();
+    let rep = assert_bitwise(inst, &table, &grouping, &config, &plan).expect("bitwise");
+    assert!(rep.main_cycles_skipped > 0, "{rep:?}");
+    assert!(!rep.drain_closed_form, "{rep:?}");
     assert!(rep.post_cycles_skipped > 0, "{rep:?}");
+    let (traced, traced_rep) = simulate_campaign_kernel(
+        inst,
+        &table,
+        &grouping,
+        &config,
+        &plan,
+        KernelOpts::default(),
+        &mut VecTracer::new(),
+    )
+    .expect("valid grouping");
+    let untraced = simulate_campaign(inst, &table, &grouping, &config, &plan, &mut NullTracer)
+        .expect("valid grouping");
+    assert_eq!(traced, untraced);
+    assert_eq!(traced_rep.post_cycles_skipped, 0, "{traced_rep:?}");
 }
 
 /// The replay cap holds on an unobserved drain. Two scenarios on two
