@@ -9,6 +9,7 @@ use oa_trace::prelude::*;
 use std::io::Read;
 
 use oa_sched::read::{self, ReadError};
+use oa_service::daemon::read_line_capped;
 use oa_service::wire::MAX_LINE_BYTES;
 use oa_workflow::chain::ExperimentShape;
 use oa_workflow::ir::{classify_spec, IrClass};
@@ -166,7 +167,8 @@ JOBS:       --jobs N sizes the deterministic worker pool (default: the
 ERRORS:     a refused value exits 2 as `oa: CODE: message` (docs/PROTOCOL.md):
             OA002 empty shape, OA016 under 4 processors, PROTO003 unknown
             name or bad --kill, PROTO011 over a cap (NS × NM 1048576 months,
-            1024 processors, --jobs 256, --width 1000, 16 MiB spec files)
+            1024 processors, --jobs 256, --width 1000, 16 MiB spec files
+            and trace lines)
 "
     .to_string()
 }
@@ -1078,13 +1080,37 @@ fn trace_campaign(args: &Args) -> Result<(String, Vec<TraceEvent>), CliError> {
 /// running the campaign described by the flags.
 fn trace_events_from(args: &Args) -> Result<(String, Vec<TraceEvent>), CliError> {
     if let Some(path) = args.str_opt("file") {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| CliError::Domain(format!("cannot read {path}: {e}")))?;
-        let events = read_jsonl(&text).map_err(|e| CliError::Domain(format!("{path}: {e}")))?;
+        let events = read_trace(path)?;
         Ok((format!("trace {path}: {} event(s)\n", events.len()), events))
     } else {
         trace_campaign(args)
     }
+}
+
+/// Reads a JSON Lines trace line by line through the daemon's capped
+/// line reader: a line over [`MAX_LINE_BYTES`] is `PROTO011`, refused
+/// without being buffered. Blank lines are skipped. Each read may take
+/// one byte past the cap: a line within it fits with its `\n`, and a
+/// longer one is refused before the rest of it is read.
+fn read_trace(path: &str) -> Result<Vec<TraceEvent>, CliError> {
+    let cannot = |e: &dyn std::fmt::Display| domain(format!("cannot read {path}: {e}"));
+    let file = std::fs::File::open(path).map_err(|e| cannot(&e))?;
+    let mut input = std::io::BufReader::new(file);
+    let (mut line, mut events) = (Vec::new(), Vec::new());
+    let cap = MAX_LINE_BYTES as u64 + 1;
+    while let Some(over) =
+        read_line_capped(&mut (&mut input).take(cap), &mut line).map_err(|e| cannot(&e))?
+    {
+        if over {
+            let message = format!("{path} has a line over the cap of {MAX_LINE_BYTES} bytes");
+            return Err(ReadError::new(read::OVER_SIZE_CAP, message).into());
+        }
+        let text = std::str::from_utf8(&line).map_err(|e| cannot(&e))?;
+        if !text.trim().is_empty() {
+            events.push(serde_json::from_str(text).map_err(|e| domain(format!("{path}: {e}")))?);
+        }
+    }
+    Ok(events)
 }
 
 /// Serializes events as JSON Lines, one compact object per line.
@@ -1769,6 +1795,40 @@ mod tests {
         assert!(sum.contains("makespan_secs"), "{sum}");
     }
 
+    /// A trace line of exactly the cap is read (blank, so skipped), with
+    /// `\n` or `\r\n`; one byte more is `PROTO011`, wherever it sits.
+    #[test]
+    fn trace_lines_past_the_cap_are_proto011() {
+        let path = std::env::temp_dir().join(format!("oa-cli-cap-{}.jsonl", std::process::id()));
+        let p = path.to_str().unwrap();
+        let event = r#"{"t":0.0,"cluster":null,"kind":{"CampaignEnd":{"makespan":0.0}}}"#;
+        let at_cap = " ".repeat(MAX_LINE_BYTES);
+        let over = " ".repeat(MAX_LINE_BYTES + 1);
+        let cases = [
+            (format!("{at_cap}\n{event}\n"), true),
+            (format!("{event}\n{}\r\n{event}", &at_cap[1..]), true),
+            (format!("{event}\n{over}\n{event}\n"), false),
+            (format!("{event}\n{at_cap}\r\n"), false),
+            (over, false),
+        ];
+        for (i, (text, ok)) in cases.into_iter().enumerate() {
+            std::fs::write(&path, text).unwrap();
+            match oa(&["trace", "summarize", "--file", p]) {
+                Ok(out) => assert!(ok && out.contains("makespan_secs"), "case {i}: {out}"),
+                Err(CliError::Domain(msg)) => assert_eq!(
+                    (ok, msg),
+                    (
+                        false,
+                        format!("PROTO011: {p} has a line over the cap of 16777216 bytes")
+                    ),
+                    "case {i}"
+                ),
+                Err(e) => panic!("case {i}: {e:?}"),
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn trace_record_without_out_streams_jsonl() {
         let out = oa(&["trace", "record", "--ns", "2", "--nm", "3", "--r", "12"]).unwrap();
@@ -2147,13 +2207,19 @@ mod tests {
         std::fs::File::create(&allow)
             .and_then(|file| file.set_len(MAX_LINE_BYTES as u64 + 1))
             .unwrap();
-        let (wf, bench, script, sched, wide, allow) = (
+        // A sparse trace whose one line runs a byte over the cap.
+        let trace = dir.join("big.trace");
+        std::fs::File::create(&trace)
+            .and_then(|file| file.set_len(MAX_LINE_BYTES as u64 + 1))
+            .unwrap();
+        let (wf, bench, script, sched, wide, allow, trace) = (
             wf.to_str().unwrap(),
             bench.to_str().unwrap(),
             script.to_str().unwrap(),
             sched.to_str().unwrap(),
             wide.to_str().unwrap(),
             allow.to_str().unwrap(),
+            trace.to_str().unwrap(),
         );
         let months = |ns: u64, nm: u64| {
             format!(
@@ -2263,6 +2329,10 @@ mod tests {
             (
                 vec!["audit", "--allow", allow],
                 format!("PROTO011: {allow} is over the cap of 16777216 bytes"),
+            ),
+            (
+                vec!["trace", "summarize", "--file", trace],
+                format!("PROTO011: {trace} has a line over the cap of 16777216 bytes"),
             ),
             (vec!["analyze", "--file", sched], months(100_000, 100_000)),
             (

@@ -88,6 +88,36 @@ impl ScenarioQueue {
         }
     }
 
+    /// Enqueues scenario `s`, which has `months_done` completed months,
+    /// and dequeues the scenario the policy then prefers: the answer and
+    /// the remaining content of [`Self::push`] followed by [`Self::pop`],
+    /// with at most one sift. Heap keys are distinct (each scenario
+    /// waits at most once), so the queue's later pops depend only on
+    /// that content.
+    pub fn push_pop(&mut self, months_done: u32, s: u32) -> u32 {
+        match self {
+            ScenarioQueue::Least(h) => match h.peek_mut() {
+                Some(mut top) if top.0 < (months_done, s) => {
+                    std::mem::replace(&mut *top, Reverse((months_done, s))).0 .1
+                }
+                _ => s,
+            },
+            ScenarioQueue::Fifo(q) => match q.pop_front() {
+                Some(first) => {
+                    q.push_back(s);
+                    first
+                }
+                None => s,
+            },
+            ScenarioQueue::Most(h) => match h.peek_mut() {
+                Some(mut top) if *top > (months_done, s) => {
+                    std::mem::replace(&mut *top, (months_done, s)).1
+                }
+                _ => s,
+            },
+        }
+    }
+
     /// Dequeues the scenario the policy prefers.
     pub fn pop(&mut self) -> Option<u32> {
         match self {
@@ -375,6 +405,63 @@ mod tests {
         f.push(7, 3);
         f.push(1, 1);
         assert_eq!(f.canonical_content(), vec![(0, 3), (0, 1)]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 64 } else { 256 }
+        ))]
+
+        /// `push_pop` is a push followed by a pop under every policy:
+        /// the same answer, the same canonical content after every
+        /// operation, and the same pops once both queues drain. Each op
+        /// is a push, a pop or a push-pop; a pushed scenario is one not
+        /// waiting, so keys stay distinct as the engine keeps them.
+        #[test]
+        fn push_pop_is_a_push_then_a_pop(
+            ops in proptest::collection::vec((0u32..3, 0u32..16, 0u32..6), 1..=80),
+        ) {
+            for policy in ScenarioPolicy::ALL {
+                let mut fused = ScenarioQueue::new(policy, 4);
+                let mut split = ScenarioQueue::new(policy, 4);
+                let mut waiting: Vec<bool> = (0..16).map(|s| s < 4).collect();
+                for &(op, s, months) in &ops {
+                    if op == 1 {
+                        let got = fused.pop();
+                        proptest::prop_assert_eq!(got, split.pop(), "{}", policy);
+                        if let Some(g) = got {
+                            waiting[g as usize] = false;
+                        }
+                    } else if !waiting[s as usize] {
+                        let got = if op == 0 {
+                            fused.push(months, s);
+                            split.push(months, s);
+                            None
+                        } else {
+                            split.push(months, s);
+                            let want = split.pop();
+                            let got = fused.push_pop(months, s);
+                            proptest::prop_assert_eq!(Some(got), want, "{}", policy);
+                            want
+                        };
+                        waiting[s as usize] = true;
+                        if let Some(g) = got {
+                            waiting[g as usize] = false;
+                        }
+                    }
+                    proptest::prop_assert_eq!(
+                        fused.canonical_content(),
+                        split.canonical_content(),
+                        "{}",
+                        policy
+                    );
+                }
+                while let Some(s) = split.pop() {
+                    proptest::prop_assert_eq!(fused.pop(), Some(s), "{}", policy);
+                }
+                proptest::prop_assert!(fused.is_empty());
+            }
+        }
     }
 
     #[test]

@@ -1136,7 +1136,9 @@ fn pricer<'a>(
 /// `\r\n`), buffering at most [`MAX_LINE_BYTES`] of it. Returns `None`
 /// at end of input, `Some(false)` for a line within the cap and
 /// `Some(true)` for a longer one, whose bytes are read and dropped.
-fn read_line_capped<R: BufRead>(input: &mut R, buf: &mut Vec<u8>) -> io::Result<Option<bool>> {
+/// The daemon's line loop reads every request through it, and `oa
+/// trace --file` every line of a trace.
+pub fn read_line_capped<R: BufRead>(input: &mut R, buf: &mut Vec<u8>) -> io::Result<Option<bool>> {
     buf.clear();
     let (mut over, mut any) = (false, false);
     loop {

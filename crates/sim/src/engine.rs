@@ -33,7 +33,13 @@
 //! # The simulation kernel
 //!
 //! The busy set is one `BinaryHeap` of [`TimeKey`]s, `(finish time,
-//! group)` in pop order, with at most one entry per group. On top of
+//! group)` in pop order, with at most one entry per group. When a
+//! completion frees the only idle group and a scenario is ready for it,
+//! the loop re-keys the busy top in place and swaps the freed scenario
+//! with the policy queue's top ([`ScenarioQueue::push_pop`]) instead of
+//! popping both and pushing both back. Each structure holds distinct
+//! keys (one per group, one per waiting scenario), so its pops depend
+//! only on its key set, which is the same either way. On top of
 //! the generic loop sits the steady-state fast-forward, controlled by
 //! [`KernelOpts`] and reported by [`KernelReport`]. A fault-free
 //! campaign repeats the same event pattern every cycle once the
@@ -58,9 +64,10 @@
 //!
 //! An unobserved run whose post pool keeps pace with the groups skips
 //! everything in this section for its closed form (see "The
-//! closed-form drain" below). Ready post work is held as one FIFO queue
-//! per chain step. Main
-//! completions push `(t, scenario, month)` onto queue 0 in completion
+//! closed-form drain" below), and an unobserved fused drain whose pool
+//! saturates stops taking posts and counts the rest (see "The saturated
+//! drain"). Ready post work is held as one FIFO queue per chain step.
+//! Main completions push `(t, scenario, month)` onto queue 0 in completion
 //! order, which is chronological. The fused drain reads queue 0 in
 //! order. The unfused drain pops the earliest queue front, ties going
 //! to the lower step, and pushes the next step onto the following
@@ -167,6 +174,52 @@
 //! [`KernelReport::default`]: every differential test pins the closed
 //! form.
 //!
+//! # The saturated drain
+//!
+//! The other regime of Section 4.1, and Improvement 2's: with too few
+//! post processors (none at all when `R2 = 0`), posts queue up, and
+//! most of them run after the last main completion. A fused drain stops
+//! taking posts when all of these hold:
+//!
+//! * nothing observes the run, and it is not a batch head capture;
+//! * fast-forward is on, the run is in integer time, and `TP` is a
+//!   positive tick-exact value;
+//! * the pool's earliest availability, the one the next take would pop,
+//!   is at or after the last post's ready time `r_last`.
+//!
+//! The drain checks before every take, so it stops at the first take
+//! the premise covers; a run the closed form skips never drains. With
+//! `K` posts left, the post finish is the larger of the one so far and
+//! `x_K + TP`, where `x_K` is the `K`-th least term of the progressions
+//! `a + j·TP` (`j ≥ 0`) over the pool's availabilities `a`, and
+//! [`KernelReport::posts_closed_form`] reports `K`. The pool finds `x_K`
+//! by bisection on the count `Σ_a max(0, ⌊(x − a)/TP⌋ + 1) ≥ K`, in
+//! `O(P · log(a_max − a_min))` for `P` processors instead of `K` takes.
+//! Why that is bitwise the drain's value:
+//!
+//! * **Every remaining post starts at its pop.** Pops are non-decreasing
+//!   ("The post drain"), so every later pop is at least this one, hence
+//!   at least `r_last`, which is at least every ready time: the chain is
+//!   chronological. A take then starts at `max(avail, ready) = avail` and
+//!   re-enters its processor at `avail + TP`.
+//! * **The pops are the merged progressions.** "Pop the least `a`, push
+//!   `a + TP`", `K` times, pops the `K` least terms of `a + j·TP` over
+//!   the pool, in order; processor ids only order equal values.
+//! * **The values are exact.** In integer time every availability is a
+//!   whole tick and so is `TP`, and the horizon bound of the gate keeps
+//!   every term far below 2^53. The event loop's repeated additions `a +
+//!   TP + … + TP` are then the integers `a + j·TP`, and `x_K + TP` is the
+//!   `f64` the last take computes.
+//! * **The last take ends last.** Its start `x_K` is the largest pop, so
+//!   `x_K + TP` is the largest remaining end. Earlier ends are already in
+//!   the post finish.
+//!
+//! The premise reads the last ready time, not the current one: a post
+//! ready after its pop waits, and the count would miss the wait. Like
+//! the closed form, the gate is on [`KernelOpts::fast_forward`]:
+//! [`KernelOpts::event_by_event`] still drains every post through the
+//! pool, so every differential test pins the count.
+//!
 //! # Equivalence guarantees
 //!
 //! A knob that does not apply changes no bit: with an empty fault plan
@@ -177,11 +230,12 @@
 //! matched by processor id when observed (records and trace events
 //! included) and by availability when not (makespan and phase
 //! finishes). An unobserved fast-forwarded run may leave processor ids
-//! in the pool that an event-by-event run would not, or skip the drain
-//! for its closed form, but no output reads the pool.
-//! `tests/engine_equivalence.rs`, `tests/kernel_equivalence.rs`
-//! (unobserved drains under kills among them, and the closed form's
-//! premise at its boundary), `tests/driver_equivalence.rs` (the
+//! in the pool that an event-by-event run would not, skip the drain for
+//! its closed form, or count its saturated posts off the pool, but no
+//! output reads the pool. `tests/engine_equivalence.rs`,
+//! `tests/kernel_equivalence.rs` (unobserved drains under kills among
+//! them, and the premises of the closed form and of the saturated drain
+//! at their boundaries), `tests/driver_equivalence.rs` (the
 //! unrecorded driver against a recorded run) and the tracked
 //! `results/*.json` enforce this;
 //! `tests/drain_equivalence.rs` pins both post drains to a heap-drain
@@ -199,7 +253,7 @@ use oa_sched::grouping::{Grouping, GroupingError};
 use oa_sched::kernel::{kernel_gate, post_model, push_durs};
 use oa_sched::params::Instance;
 use oa_sched::policy::{CampaignConfig, FaultPlan, Granularity, Recovery, ScenarioQueue};
-use oa_sched::time::{is_tick_exact, time_key, Time, TimeKey};
+use oa_sched::time::{exact_ticks, is_tick_exact, time_key, Time, TimeKey};
 use oa_trace::{EventKind, TraceEvent, Tracer};
 use oa_workflow::fusion::FusedTask;
 use oa_workflow::task::TaskKind;
@@ -999,6 +1053,45 @@ fn run<T: Tracer>(
         main_finish = ck.main_finish;
     }
 
+    // Starts scenario `s` on group `g` at `now`: its running slot, and
+    // the dispatch's journal entry and trace events. The caller keys the
+    // group's busy entry.
+    macro_rules! dispatch {
+        ($g:expr, $s:expr, $now:expr) => {{
+            let (g, s, now): (usize, u32, f64) = ($g, $s, $now);
+            running[g] = Some((s, now));
+            if ff_on && det.armed() && tracer.enabled() {
+                det.log.push(LogEv::Dispatch {
+                    t: now,
+                    g: g as u32,
+                    s,
+                    month: months_done[s as usize],
+                    queue_depth: waiting.len() as u32,
+                });
+            }
+            if tracer.enabled() {
+                let task = FusedTask::main(s, months_done[s as usize]);
+                tracer.record(TraceEvent::at(
+                    now,
+                    EventKind::TaskDispatch {
+                        task,
+                        group: Some(g as u32),
+                        queue_depth: waiting.len() as u32,
+                    },
+                ));
+                tracer.record(TraceEvent::at(
+                    now,
+                    EventKind::TaskStart {
+                        task,
+                        first_proc: bases[g],
+                        procs: sizes[g],
+                        group: Some(g as u32),
+                    },
+                ));
+            }
+        }};
+    }
+
     // One assignment + disband pass; mirrors `oa_sched::estimate`.
     macro_rules! assign {
         ($now:expr) => {{
@@ -1006,37 +1099,8 @@ fn run<T: Tracer>(
             while !idle.is_empty() && !waiting.is_empty() {
                 let g = idle.pop().expect("non-empty"); // largest idle group
                 let s = waiting.pop().expect("non-empty");
-                running[g] = Some((s, now));
                 busy.push(time_key(now + durs[g], g));
-                if ff_on && det.armed() && tracer.enabled() {
-                    det.log.push(LogEv::Dispatch {
-                        t: now,
-                        g: g as u32,
-                        s,
-                        month: months_done[s as usize],
-                        queue_depth: waiting.len() as u32,
-                    });
-                }
-                if tracer.enabled() {
-                    let task = FusedTask::main(s, months_done[s as usize]);
-                    tracer.record(TraceEvent::at(
-                        now,
-                        EventKind::TaskDispatch {
-                            task,
-                            group: Some(g as u32),
-                            queue_depth: waiting.len() as u32,
-                        },
-                    ));
-                    tracer.record(TraceEvent::at(
-                        now,
-                        EventKind::TaskStart {
-                            task,
-                            first_proc: bases[g],
-                            procs: sizes[g],
-                            group: Some(g as u32),
-                        },
-                    ));
-                }
+                dispatch!(g, s, now);
             }
             while !idle.is_empty() && alive > unfinished {
                 let g = idle.remove(0); // smallest idle group disbands
@@ -1186,8 +1250,9 @@ fn run<T: Tracer>(
                 assign!(tf);
             }
             (Some(_), _) => {
-                let Reverse((Time(t), g)) = busy.pop().expect("peeked");
+                let Reverse((Time(t), g)) = *busy.peek().expect("peeked");
                 if dead[g] {
+                    busy.pop();
                     continue; // stale completion of a crashed group
                 }
                 let (s, started) = running[g].take().expect("busy group has a scenario");
@@ -1228,17 +1293,37 @@ fn run<T: Tracer>(
                         },
                     ));
                 }
-                if months_done[s as usize] == nm {
+                let again = months_done[s as usize] < nm;
+                if !again {
                     unfinished -= 1;
-                } else {
-                    waiting.push(months_done[s as usize], s);
                 }
-                let pos = idle
-                    .binary_search_by_key(&(sizes[g], g), |&x| (sizes[x], x))
-                    .unwrap_err();
-                idle.insert(pos, g);
-                assign!(t);
-                if completions.is_multiple_of(u64::from(inst.ns)) {
+                if idle.is_empty() && (again || !waiting.is_empty()) {
+                    // The freed group is the only idle one and a scenario
+                    // is ready for it: the assignment pass would pop it
+                    // straight back. Re-key the busy top and swap with
+                    // the queue's top instead. Both hold distinct keys
+                    // (one per group, one per waiting scenario), so their
+                    // pops depend only on the content, which is the same.
+                    let next = if again {
+                        waiting.push_pop(months_done[s as usize], s)
+                    } else {
+                        waiting.pop().expect("non-empty")
+                    };
+                    *busy.peek_mut().expect("peeked") = time_key(t + durs[g], g);
+                    dispatch!(g, next, t);
+                } else {
+                    busy.pop();
+                    if again {
+                        waiting.push(months_done[s as usize], s);
+                    }
+                    let pos = idle
+                        .binary_search_by_key(&(sizes[g], g), |&x| (sizes[x], x))
+                        .unwrap_err();
+                    idle.insert(pos, g);
+                    assign!(t);
+                }
+                let boundary = completions.is_multiple_of(u64::from(inst.ns));
+                if boundary {
                     capture_ck!(t);
                 }
 
@@ -1246,11 +1331,7 @@ fn run<T: Tracer>(
                 // completions once the fault plan is exhausted. A
                 // cycle always spans NS·dm completions, so this
                 // cadence cannot miss the period.
-                if ff_on
-                    && det.active()
-                    && next_failure == failures.len()
-                    && completions.is_multiple_of(u64::from(inst.ns))
-                {
+                if ff_on && det.active() && next_failure == failures.len() && boundary {
                     busy_ticks(busy, busy_buf);
                     let t_tick = t as u64;
                     snap_busy.clear();
@@ -1476,6 +1557,15 @@ fn run<T: Tracer>(
                 }
             }
             post_pool.sort();
+            // An unobserved run in integer time with a tick-exact `TP`
+            // counts its remaining posts off the pool once no processor
+            // frees before the last post is ready (module docs, "The
+            // saturated drain"). The chain is chronological, so its last
+            // entry is ready last.
+            let last_ready = entries.len().checked_sub(1).map(|l| entries.at(l).0);
+            let saturable = exact_ticks(steps[0])
+                .filter(|&tp| tp > 0 && ff_on && !observed && capture.is_none())
+                .zip(last_ready);
             // Capture-side drain bookkeeping: one `DrainCk` per main
             // checkpoint, recorded when the drain reaches that
             // checkpoint's chain offset.
@@ -1501,6 +1591,17 @@ fn run<T: Tracer>(
             }
             while i < entries.len() {
                 capture_dck!();
+                if let Some((tp, last_ready)) = saturable {
+                    if post_pool.first_avail().is_some_and(|a| a >= last_ready) {
+                        let k = (entries.len() - i) as u64;
+                        let end = post_pool.saturated_pop(k, tp) as f64 + steps[0];
+                        if end > post_finish {
+                            post_finish = end;
+                        }
+                        report.posts_closed_form = k;
+                        break;
+                    }
+                }
                 if let Some(p) = pd {
                     if i >= p.start_idx && (i - p.start_idx).is_multiple_of(p.len) {
                         let c = ((i - p.start_idx) / p.len) as u64;

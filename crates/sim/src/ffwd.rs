@@ -85,6 +85,12 @@ pub struct KernelReport {
     /// plus the post chain (engine module docs, "The closed-form
     /// drain"). Such a run replays no post cycle.
     pub drain_closed_form: bool,
+    /// Posts the fused drain did not pop because its pool saturated:
+    /// from the first take whose processor frees at or after the last
+    /// post's ready time, the post finish is counted off the pool
+    /// (engine module docs, "The saturated drain"). Zero when that
+    /// drain did not run.
+    pub posts_closed_form: u64,
 }
 
 /// Snapshots kept before the detector gives up. 64 snapshots at one

@@ -128,6 +128,60 @@ impl PostPool {
         self.fifo.reserve(self.start.len());
     }
 
+    /// The availability the next take pops, `None` when the pool is
+    /// empty. Queue order must hold (after a [`PostPool::sort`]).
+    #[inline]
+    pub(crate) fn first_avail(&self) -> Option<f64> {
+        match (self.start.get(self.next), self.fifo.front()) {
+            (Some(s), Some(f)) => Some(s.0.min(f.0)),
+            (Some(s), None) => Some(s.0),
+            (None, Some(f)) => Some(f.0),
+            (None, None) => None,
+        }
+    }
+
+    /// The availability the `k`-th of `k ≥ 1` saturated takes pops. A
+    /// take is saturated when its processor is free no earlier than its
+    /// step is ready: it starts at its pop and re-enters `tp` later, so
+    /// `k` such takes pop the `k` least terms of the progressions `a +
+    /// j·tp` over the pool's availabilities `a`. Every availability and
+    /// `tp > 0` are whole ticks, so the answer is the least `x` that
+    /// counts `Σ_a max(0, ⌊(x − a)/tp⌋ + 1) ≥ k` terms at or below it,
+    /// found by bisection instead of `k` takes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pool is empty.
+    pub(crate) fn saturated_pop(&self, k: u64, tp: u64) -> u64 {
+        debug_assert!(k >= 1 && tp >= 1);
+        let ticks = || {
+            self.iter().map(|(a, _)| {
+                debug_assert!(a >= 0.0 && a.fract() == 0.0, "non-integral tick {a}");
+                a as u64
+            })
+        };
+        let (lo_a, hi_a, procs) = ticks().fold((u64::MAX, 0, 0u64), |(lo, hi, n), a| {
+            (lo.min(a), hi.max(a), n + 1)
+        });
+        assert!(procs > 0, "post pool is empty");
+        let terms = |x: u64| -> u64 { ticks().filter(|&a| a <= x).map(|a| (x - a) / tp + 1).sum() };
+        // No processor yields more than `⌈k/P⌉ − 1` terms below `lo`;
+        // the earliest yields `k` by `a_min + (k − 1)·tp`, and every one
+        // `⌈k/P⌉` by `a_max + (⌈k/P⌉ − 1)·tp`.
+        let rounds = k.div_ceil(procs) - 1;
+        let mut lo = lo_a + rounds * tp;
+        let mut hi = (lo_a + (k - 1) * tp).min(hi_a + rounds * tp);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if terms(mid) >= k {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
+    }
+
     /// Takes the earliest-available processor for a step ready at
     /// `ready` lasting `dur`, and re-enters it at the step's end:
     /// returns `(avail, proc, start, end)`.
@@ -299,6 +353,33 @@ mod tests {
             let mut want: Vec<PoolEntry> = heap.into_iter().map(|Reverse((Time(a), p))| (a, p)).collect();
             want.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             prop_assert_eq!(left, want);
+        }
+
+        /// Saturated takes pop what the count says: after `k` heap takes
+        /// that each start at their pop (ready 0), the `k`-th popped
+        /// availability is [`PostPool::saturated_pop`]. Few distinct
+        /// availabilities, so many tie; `k` up to several rounds of the
+        /// pool.
+        #[test]
+        fn saturated_pops_are_the_heap_takes(
+            avails in proptest::collection::vec((0u32..6, 0u32..40), 1..=24),
+            (k, tp) in (1u32..=300, 1u32..=50),
+        ) {
+            let mut pool = PostPool::default();
+            pool.clear(avails.len());
+            let mut heap: BinaryHeap<TimeKey<u32>> = BinaryHeap::new();
+            for (proc, &(coarse, fine)) in avails.iter().enumerate() {
+                let a = f64::from(coarse * tp * 3 + fine);
+                pool.push(a, proc as u32);
+                heap.push(time_key(a, proc as u32));
+            }
+            pool.sort();
+            let mut last = 0.0;
+            for _ in 0..k {
+                last = heap_take(&mut heap, 0.0, f64::from(tp)).0;
+            }
+            let got = pool.saturated_pop(u64::from(k), u64::from(tp));
+            prop_assert_eq!(got as f64, last, "{:?}", avails);
         }
     }
 

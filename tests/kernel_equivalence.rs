@@ -10,6 +10,9 @@
 //! Debug builds run 24 random cases; release builds (CI's differential
 //! job) run 256.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use ocean_atmosphere::par::Pool;
 use ocean_atmosphere::prelude::*;
 use ocean_atmosphere::sched::kernel::{main_dur, post_model};
@@ -101,6 +104,46 @@ fn keeps_pace(
         }
     };
     grouping.post_procs as usize >= grouping.group_count() && chain_fits
+}
+
+/// The saturated drain's premise on the pool, re-derived from a traced
+/// run (engine module docs, "The saturated drain"). The fused drain is
+/// replayed over availabilities alone: the dedicated processors free at
+/// 0, each `GroupDisband` adds its processors at its instant, and the
+/// posts are ready at the main `TaskFinish` instants, in order. Returns
+/// how many posts remain at the first take whose processor frees at or
+/// after the last ready time, or 0 when no take's does.
+fn saturated_posts(events: &[TraceEvent], post_procs: u32, tp: f64) -> u64 {
+    let mut pool: BinaryHeap<Reverse<Time>> = (0..post_procs).map(|_| Reverse(Time(0.0))).collect();
+    let mut readies = Vec::new();
+    for ev in events {
+        match ev.kind {
+            EventKind::TaskFinish { group: Some(_), .. } => readies.push(ev.t),
+            EventKind::GroupDisband { procs, .. } => {
+                pool.extend((0..procs).map(|_| Reverse(Time(ev.t))));
+            }
+            _ => {}
+        }
+    }
+    let Some(&last) = readies.last() else {
+        return 0;
+    };
+    for (j, &ready) in readies.iter().enumerate() {
+        let Reverse(Time(avail)) = pool.pop().expect("a completed run has a post pool");
+        if avail >= last {
+            return (readies.len() - j) as u64;
+        }
+        pool.push(Reverse(Time(avail.max(ready) + tp)));
+    }
+    0
+}
+
+/// The bits a run's outcome must keep: makespan, main and post finish,
+/// and the work lost to crashes (`None` when stranded).
+fn outcome_bits(outcome: &CampaignOutcome) -> Option<[u64; 4]> {
+    outcome
+        .completed()
+        .map(|r| [r.makespan, r.main_finish, r.post_finish, r.lost_proc_secs].map(f64::to_bits))
 }
 
 /// Runs one configuration twice — kernel on, kernel off — and asserts
@@ -342,6 +385,135 @@ proptest! {
         }
     }
 
+    /// The saturated drain at the edge of its premise. Up to three
+    /// groups on 0, 1, `G − 1` or `G + k` dedicated post processors,
+    /// after one kill. A fused run's main phase does not read `TP`, so
+    /// one traced event-by-event run fixes the ready times and the pool,
+    /// and a bisection over the replay of [`saturated_posts`] finds the
+    /// least whole `TP*` whose drain saturates: there the last take's
+    /// processor often frees exactly at the last ready time, and at
+    /// `TP* − 1` often a tick before it. Runs at `TP*`, `TP* ± 1`, an
+    /// ulp over `TP*`, `TP* + 0.5` and one drawn `TP` each equal the
+    /// event-by-event run bitwise, and count exactly the posts the
+    /// replay leaves when the premise holds: integer time (integral
+    /// mains and kill instant), a tick-exact `TP`, and a pool that does
+    /// not keep pace (that drain is skipped for its own closed form).
+    /// Otherwise they count none, so fractional mains, a half-second
+    /// kill, the ulp and the half decline. Then a batch on the case's
+    /// mains resumes its variants from shared heads, and each equals
+    /// its event-by-event run bitwise.
+    #[test]
+    fn the_saturated_drain_takes_exactly_its_premise(
+        (integral, fractional, pick) in (arb_integral_table(), arb_fractional_table(), 0u32..4),
+        sizes in proptest::collection::vec(4u32..=11, 1..=3),
+        (ns_extra, nm, k) in (0u32..=2, 1u32..=30, 1u32..=8),
+        (group, frac, half, drawn) in (0usize..3, 0.0f64..1.0, 0u32..4, 1u32..=3000),
+        (r, seed, faults) in (11u32..=90, 0u32..1000, 1u32..=3),
+    ) {
+        let main = *if pick == 0 { &fractional } else { &integral }.main_array();
+        let g = sizes.len() as u32;
+        let ns = g + ns_extra;
+        let config = CampaignConfig::default();
+        let mut posts = vec![0, 1, g - 1, g + k];
+        posts.sort_unstable();
+        posts.dedup();
+        for post in posts {
+            let grouping = Grouping::new(sizes.clone(), post);
+            let inst = Instance::new(ns, nm, grouping.total_procs() as u32);
+            let table = TimingTable::new(main, f64::from(drawn)).expect("non-increasing");
+            let clean = simulate_campaign(
+                inst, &table, &grouping, &config, &FaultPlan::none(), &mut NullTracer,
+            )
+            .expect("valid grouping");
+            let Some(clean) = clean.completed() else { continue };
+            let at = (frac * clean.main_finish).floor() + if half == 0 { 0.5 } else { 0.0 };
+            let plan = FaultPlan::none().kill(group % sizes.len(), at);
+            let mut tracer = VecTracer::new();
+            let (traced, _) = simulate_campaign_kernel(
+                inst, &table, &grouping, &config, &plan, KernelOpts::event_by_event(), &mut tracer,
+            )
+            .expect("valid grouping");
+            let Some(traced) = traced.completed() else { continue };
+            let events = tracer.into_events();
+            let saturates = |tp: u32| saturated_posts(&events, post, f64::from(tp)) > 0;
+            let top = traced.main_finish.ceil() as u32 + 1;
+            let threshold = saturates(top).then(|| {
+                let (mut lo, mut hi) = (1u32, top);
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    if saturates(mid) {
+                        hi = mid;
+                    } else {
+                        lo = mid + 1;
+                    }
+                }
+                f64::from(lo)
+            });
+            let mut tps = vec![f64::from(drawn)];
+            if let Some(t) = threshold {
+                tps.extend([t, t + 1.0, t.next_up(), t + 0.5]);
+                if t > 1.0 {
+                    tps.push(t - 1.0);
+                }
+            }
+            for tp in tps {
+                let table = TimingTable::new(main, tp).expect("non-increasing");
+                let run = |opts: KernelOpts| {
+                    simulate_campaign_kernel(
+                        inst, &table, &grouping, &config, &plan, opts, &mut NullTracer,
+                    )
+                    .expect("valid grouping")
+                };
+                let (fast, rep) = run(KernelOpts::default());
+                let (base, base_rep) = run(KernelOpts::event_by_event());
+                prop_assert_eq!(base_rep, KernelReport::default());
+                prop_assert_eq!(outcome_bits(&fast), outcome_bits(&base), "{} on {:?}, TP {}, {:?}: {:?}", grouping, inst, tp, plan, rep);
+                prop_assert_eq!(&fast, &base);
+                let premise = kernel_eligibility(inst, &table, &grouping, &config, &plan)
+                    && tp.fract() == 0.0
+                    && !keeps_pace(&table, &grouping, Granularity::Fused, traced.main_finish);
+                let want = if premise { saturated_posts(&events, post, tp) } else { 0 };
+                // A post-phase replay may carry the drain past the take
+                // where its premise first holds, so it counts fewer.
+                if rep.post_cycles_skipped == 0 {
+                    prop_assert_eq!(rep.posts_closed_form, want, "{} on {:?}, TP {}, {:?}: {:?}", grouping, inst, tp, plan, rep);
+                } else {
+                    prop_assert!(rep.posts_closed_form <= want, "{} on {:?}, TP {}, {:?}: {:?}", grouping, inst, tp, plan, rep);
+                }
+            }
+        }
+
+        let mut spec = BatchSpec::reference_mc(6, u64::from(seed));
+        spec.table = TimingTable::new(main, f64::from(drawn)).expect("non-increasing");
+        spec.heuristic = if pick % 2 == 0 { Heuristic::Knapsack } else { Heuristic::Basic };
+        spec.rs = vec![r];
+        spec.nss = vec![ns];
+        spec.nms = vec![nm];
+        spec.policies = POLICIES.to_vec();
+        spec.max_faults = faults;
+        let Ok(shapes) = expand_shapes(&spec, &mut PlanMemo::new()) else { return Ok(()) };
+        let report = run_batch(&spec, &Pool::new(1)).expect("the shapes expanded");
+        let per_shape = spec.variants_per_shape as usize;
+        let mut failures = Vec::new();
+        for shape in &shapes {
+            for v in 0..per_shape {
+                faults_for(&spec, shape, v as u64, &mut failures);
+                let plan = FaultPlan { failures: failures.clone() };
+                let (base, _) = simulate_campaign_kernel(
+                    shape.inst, &spec.table, &shape.grouping, &shape.config, &plan,
+                    KernelOpts::event_by_event(), &mut NullTracer,
+                )
+                .expect("valid grouping");
+                let want = VariantOut::of(&base, shape.inst);
+                let got = report.outs.at(shape.shape_idx * per_shape + v);
+                let bits = |o: &VariantOut| {
+                    (o.completed, [o.makespan, o.main_finish, o.post_finish, o.lost_proc_secs].map(f64::to_bits), o.months_lost)
+                };
+                prop_assert_eq!(bits(&got), bits(&want), "{} on {:?}, {:?}", shape.grouping, shape.inst, plan);
+            }
+        }
+    }
+
     /// The kernel composes with `oa-par` exactly like plain execution:
     /// sweeps are bit-invariant in the worker count.
     #[test]
@@ -468,6 +640,57 @@ fn a_saturated_unobserved_drain_is_capped() {
         .expect("bitwise");
     assert!(rep.main_cycles_skipped > 0, "{rep:?}");
     assert_eq!(rep.post_cycles_skipped, 0, "{rep:?}");
+}
+
+/// The three `oabench` shapes without dedicated post processors, on the
+/// reference table at `NS = 10`, `NM = 1800`: basic `5×8` at R 40 and
+/// `10×8` at R 80, knapsack `4×8 + 3×7` at R 53. Every post waits for
+/// the groups to disband. After a kill nothing observes the run. Under
+/// the two policies the `mc_*` workloads sweep, the scenarios finish
+/// together, so the groups disband at the end of the campaign and the
+/// drain saturates early: the run counts more than 14,000 of its 18,000
+/// posts off the pool (17,496–17,882 under least-advanced, and 14,836
+/// for the knapsack under round-robin). Every policy's run counts exactly as
+/// many as the replay of its traced twin leaves (most-advanced finishes
+/// scenarios one after another, so its groups disband early and its
+/// pool keeps up), bitwise equal to the event-by-event run.
+#[test]
+fn post_free_shapes_count_their_drain_off_the_pool() {
+    let table = BatchSpec::reference_mc(1, 0).table;
+    let shapes = [
+        (Heuristic::Basic, 40, vec![8; 5]),
+        (Heuristic::Basic, 80, vec![8; 10]),
+        (Heuristic::Knapsack, 53, vec![8, 8, 8, 8, 7, 7, 7]),
+    ];
+    for (heuristic, r, sizes) in shapes {
+        let inst = Instance::new(10, 1800, r);
+        let grouping = heuristic.grouping(inst, &table).expect("feasible");
+        assert_eq!((grouping.groups(), grouping.post_procs), (&sizes[..], 0));
+        let plan = FaultPlan::none().kill(1, 1_000_000.0);
+        for policy in POLICIES {
+            let config = CampaignConfig {
+                policy,
+                ..CampaignConfig::default()
+            };
+            let rep = assert_bitwise(inst, &table, &grouping, &config, &plan).expect("bitwise");
+            let mut tracer = VecTracer::new();
+            simulate_campaign_kernel(
+                inst,
+                &table,
+                &grouping,
+                &config,
+                &plan,
+                KernelOpts::event_by_event(),
+                &mut tracer,
+            )
+            .expect("valid grouping");
+            let want = saturated_posts(&tracer.into_events(), 0, table.post_secs());
+            assert_eq!(rep.posts_closed_form, want, "{grouping} under {policy}");
+            if policy != ScenarioPolicy::MostAdvanced {
+                assert!(want > 14_000, "{grouping} under {policy}: {rep:?}");
+            }
+        }
+    }
 }
 
 /// A pending failure must hold the fast-forward off: replaying cycles
