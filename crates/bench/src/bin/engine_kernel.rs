@@ -11,9 +11,12 @@
 //! configuration replaces its entry and leaves the others). Every
 //! entry carries `nproc`, the recording host's available parallelism.
 //! The deterministic fields — `integer_time`, the skipped-cycle
-//! counts, batch `heads` and `checksum`, and the IR's `nodes` — are a
-//! regression signal of their own: CI re-runs this binary without
-//! `--big` and diffs them against the committed file.
+//! counts, `drain_closed_form`, `posts_closed_form`, batch `heads` and
+//! `checksum`, and the IR's `nodes` — are a regression signal of their
+//! own: CI re-runs this binary without `--big` and diffs them against
+//! the committed file. Besides the recorded kernel rows, three rows run
+//! unobserved (one kill each), so the drain regimes that only such runs
+//! reach show up as counts too.
 //!
 //! Run: `cargo run --release -p oa-bench --bin engine_kernel [--smoke]`
 //!
@@ -35,6 +38,7 @@ use std::time::Instant;
 
 use oa_bench::write_json;
 use oa_platform::presets::reference_cluster;
+use oa_sched::grouping::Grouping;
 use oa_sched::heuristics::Heuristic;
 use oa_sched::params::Instance;
 use oa_sched::policy::{CampaignConfig, FaultPlan, Granularity, Recovery, ScenarioPolicy};
@@ -47,13 +51,69 @@ const NS: u32 = 10;
 const R: u32 = 53;
 const NMS: [u32; 3] = [120, 1800, 18000];
 
+/// Runs that nothing observes, where the drain's unobserved regimes
+/// engage: one kill of group 2 at 3,000,000 s keeps each run from
+/// recording a schedule (reference table, `NS = 10`, `NM = 1800`). By
+/// row: `(key, R, granularity, group sizes, post processors)`. The
+/// fused `7×7 | post:4` replays its drain by availability and counts
+/// its last posts off the pool, the fused knapsack `4×8 + 3×7 | post:0`
+/// counts nearly all of its posts off the pool, and the unfused
+/// `7×7 | post:7` keeps pace, so it takes the closed form.
+const UNOBSERVED: [(&str, u32, Granularity, &[u32], u32); 3] = [
+    (
+        "unobserved_fused_7x7_post4",
+        53,
+        Granularity::Fused,
+        &[7; 7],
+        4,
+    ),
+    (
+        "unobserved_fused_knapsack_post0",
+        53,
+        Granularity::Fused,
+        &[8, 8, 8, 8, 7, 7, 7],
+        0,
+    ),
+    (
+        "unobserved_unfused_7x7_post7",
+        56,
+        Granularity::Unfused,
+        &[7; 7],
+        7,
+    ),
+];
+
+/// The kernel report's counters as ledger fields.
+fn counter_fields(rep: &KernelReport) -> Vec<(String, Value)> {
+    vec![
+        ("integer_time".into(), Value::Bool(rep.integer_time)),
+        (
+            "main_cycles_skipped".into(),
+            Value::U64(rep.main_cycles_skipped),
+        ),
+        (
+            "post_cycles_skipped".into(),
+            Value::U64(rep.post_cycles_skipped),
+        ),
+        (
+            "drain_closed_form".into(),
+            Value::Bool(rep.drain_closed_form),
+        ),
+        (
+            "posts_closed_form".into(),
+            Value::U64(rep.posts_closed_form),
+        ),
+    ]
+}
+
 /// Best-of-N wall-clock of one configuration, with the report of the
 /// last run (the report is identical across repetitions).
 fn time_config(
     inst: Instance,
     table: &oa_platform::timing::TimingTable,
-    grouping: &oa_sched::grouping::Grouping,
+    grouping: &Grouping,
     config: &CampaignConfig,
+    plan: &FaultPlan,
     opts: KernelOpts,
     reps: usize,
 ) -> (f64, KernelReport) {
@@ -61,18 +121,11 @@ fn time_config(
     let mut report = KernelReport::default();
     for _ in 0..reps {
         let t = Instant::now();
-        let (out, rep) = simulate_campaign_kernel(
-            inst,
-            table,
-            grouping,
-            config,
-            &FaultPlan::none(),
-            opts,
-            &mut NullTracer,
-        )
-        .expect("valid grouping");
+        let (out, rep) =
+            simulate_campaign_kernel(inst, table, grouping, config, plan, opts, &mut NullTracer)
+                .expect("valid grouping");
         let secs = t.elapsed().as_secs_f64();
-        assert!(out.completed().is_some(), "fault-free runs complete");
+        assert!(out.completed().is_some(), "the ledger's runs complete");
         std::hint::black_box(&out);
         best = best.min(secs);
         report = rep;
@@ -140,8 +193,15 @@ fn main() {
         let grouping = Heuristic::Basic.grouping(inst, &table).expect("feasible");
         let config = CampaignConfig::default();
         let t = Instant::now();
-        let (secs, report) =
-            time_config(inst, &table, &grouping, &config, KernelOpts::default(), 3);
+        let (secs, report) = time_config(
+            inst,
+            &table,
+            &grouping,
+            &config,
+            &FaultPlan::none(),
+            KernelOpts::default(),
+            3,
+        );
         assert!(
             report.integer_time,
             "reference cluster must take the integer-time path"
@@ -181,11 +241,13 @@ fn main() {
                 recovery: Recovery::MonthlyCheckpoint,
             };
             let reps = if nm >= 18000 { 3 } else { 7 };
+            let plan = FaultPlan::none();
             let (base, base_rep) = time_config(
                 inst,
                 &table,
                 &grouping,
                 &config,
+                &plan,
                 KernelOpts::event_by_event(),
                 reps,
             );
@@ -199,17 +261,14 @@ fn main() {
                 &table,
                 &grouping,
                 &config,
+                &plan,
                 KernelOpts::default(),
                 reps,
             );
             let speedup = base / fast;
-            // The post-skip column only exists at fused granularity:
-            // the unfused drain merges its step queues event by event
-            // with no fast-forward wiring, so its counter is
-            // structurally zero — printing (or recording) it would
-            // read as "the kernel found nothing to skip" when there is
-            // nothing to look for (see DESIGN.md, "Unfused post phase").
-            let fused = granularity == Granularity::Fused;
+            // Unfused, the post counters read zero: the drain's replays
+            // and its saturated count need a one-step chain (see
+            // DESIGN.md, "Unfused post phase").
             println!(
                 "{:>8} {:>9} {:>13.5}s {:>11.5}s {:>8.2}x {:>13} {:>13}",
                 granularity.label(),
@@ -218,11 +277,7 @@ fn main() {
                 fast,
                 speedup,
                 rep.main_cycles_skipped,
-                if fused {
-                    rep.post_cycles_skipped.to_string()
-                } else {
-                    "—".into()
-                }
+                rep.post_cycles_skipped,
             );
             let mut fields = vec![
                 ("granularity".into(), Value::Str(granularity.label().into())),
@@ -230,23 +285,58 @@ fn main() {
                 ("event_by_event_secs".into(), Value::F64(base)),
                 ("kernel_secs".into(), Value::F64(fast)),
                 ("speedup".into(), Value::F64(speedup)),
-                ("integer_time".into(), Value::Bool(rep.integer_time)),
-                (
-                    "main_cycles_skipped".into(),
-                    Value::U64(rep.main_cycles_skipped),
-                ),
             ];
-            if fused {
-                fields.push((
-                    "post_cycles_skipped".into(),
-                    Value::U64(rep.post_cycles_skipped),
-                ));
-            }
+            fields.extend(counter_fields(&rep));
             entries.push((
                 format!("{}_nm{}", granularity.label(), nm),
                 Value::Object(fields),
             ));
         }
+    }
+
+    // The unobserved rows: the counters the recorded rows above never
+    // reach, each run's best of 7 wall-clock alongside.
+    println!("\n== Unobserved runs, one kill of group 2: NS = {NS}, NM = 1800 ==");
+    println!(
+        "{:>38} {:>9} {:>13} {:>13} {:>6} {:>8}",
+        "run", "kernel", "main-skipped", "post-skipped", "closed", "counted"
+    );
+    for (key, r, granularity, groups, post) in UNOBSERVED {
+        let table = reference_cluster(r).timing;
+        let inst = Instance::new(NS, 1800, r);
+        let grouping = Grouping::new(groups.to_vec(), post);
+        let config = CampaignConfig {
+            granularity,
+            ..CampaignConfig::default()
+        };
+        let plan = FaultPlan::none().kill(2, 3_000_000.0);
+        let (secs, rep) = time_config(
+            inst,
+            &table,
+            &grouping,
+            &config,
+            &plan,
+            KernelOpts::default(),
+            7,
+        );
+        println!(
+            "{:>38} {:>8.5}s {:>13} {:>13} {:>6} {:>8}",
+            format!("{} {grouping}, R = {r}", granularity.label()),
+            secs,
+            rep.main_cycles_skipped,
+            rep.post_cycles_skipped,
+            rep.drain_closed_form,
+            rep.posts_closed_form
+        );
+        let mut fields = vec![
+            ("granularity".into(), Value::Str(granularity.label().into())),
+            ("grouping".into(), Value::Str(grouping.to_string())),
+            ("r".into(), Value::U64(u64::from(r))),
+            ("nm".into(), Value::U64(1800)),
+            ("kernel_secs".into(), Value::F64(secs)),
+        ];
+        fields.extend(counter_fields(&rep));
+        entries.push((key.into(), Value::Object(fields)));
     }
 
     // The workflow-IR front-end at full campaign scale: lowering the
