@@ -62,16 +62,14 @@
 //!
 //! # The post drain
 //!
-//! An unobserved run whose post pool keeps pace with the groups skips
-//! everything in this section for its closed form (see "The
-//! closed-form drain" below), and an unobserved fused drain whose pool
-//! saturates stops taking posts and counts the rest (see "The saturated
-//! drain"). Ready post work is held as one FIFO queue per chain step.
-//! Main completions push `(t, scenario, month)` onto queue 0 in completion
-//! order, which is chronological. The fused drain reads queue 0 in
-//! order. The unfused drain pops the earliest queue front, ties going
-//! to the lower step, and pushes the next step onto the following
-//! queue.
+//! The post chain has `k` steps: the fused post of Figure 2 (`k = 1`)
+//! or Figure 1's `cof → emf → cd` (`k = 3`). Ready post work is held as
+//! one FIFO queue per step. Main completions push `(t, scenario, month)`
+//! onto queue 0 in completion order, which is chronological; a resumed
+//! batch variant reads the head's chain prefix ahead of its own. One
+//! drain serves both granularities: each take pops the earliest queue
+//! front, ties going to the lower step, and pushes the month's next step
+//! onto the following queue. With one step, it reads queue 0 in order.
 //!
 //! Each pop takes the earliest-available processor from the post pool,
 //! which is two sorted queues of `(avail, proc)`, as in the planning
@@ -97,11 +95,27 @@
 //! resume's prefix adoption change pool entries in place, then re-sort
 //! the pool into its start queue.
 //!
-//! The fused drain's fast-forward snapshots the pool at the cycle
-//! boundaries of the periodic chain region the main phase handed over,
-//! and replays whole cycles once two snapshots split the pool into a
-//! part shifted by the boundary delta and a stable part above it. How
-//! snapshots compare depends on whether anything observes the run:
+//! Each shortcut of the drain sits behind one premise function:
+//!
+//! * the closed form skips the drain (`keeps_pace`, "The closed-form
+//!   drain" below);
+//! * the saturated count stops taking posts and counts the rest off the
+//!   pool (`saturable`, "The saturated drain");
+//! * the replays skip whole cycles (`replayable`, below);
+//! * a batch head records the drain's state at its checkpoints, and a
+//!   resumed variant adopts the head's drain of its chain prefix (batch
+//!   heads are fused).
+//!
+//! Only the closed form holds for a `k`-step chain. The other proofs
+//! take every ready time from the main phase, while a later step's
+//! ready time is set by the drain itself, so their premises require one
+//! step: an unfused drain that does not keep pace runs event by event.
+//!
+//! The replays snapshot the pool at the cycle boundaries of the
+//! periodic chain region the main phase handed over, and replay whole
+//! cycles once two snapshots split the pool into a part shifted by the
+//! boundary delta and a stable part above it. How snapshots compare
+//! depends on whether anything observes the run:
 //!
 //! * **observed** (a recorded schedule or an enabled tracer): by
 //!   processor id, because the replay stamps each post's processor from
@@ -242,9 +256,12 @@
 //! oracle, and a proptest of the pool pins every take to a
 //! `BinaryHeap` pool's.
 
+#![warn(clippy::too_many_lines)]
+
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -259,8 +276,8 @@ use oa_workflow::fusion::FusedTask;
 use oa_workflow::task::TaskKind;
 
 use crate::ffwd::{
-    pool_match, pool_snapshot, Detector, LogEv, PoolKey, PoolSnap, PostPeriodic, SnapView,
-    MAX_POOL_SNAPS,
+    pool_match, pool_snapshot, CycleMatch, Detector, LogEv, PoolKey, PoolSnap, PostPeriodic,
+    SnapView, MAX_POOL_SNAPS,
 };
 use crate::post_pool::PostPool;
 use crate::schedule::{ProcRange, Schedule, TaskRecord};
@@ -328,6 +345,7 @@ impl CampaignOutcome {
 
 /// What one processed failure actually destroyed — the damage
 /// assessment the trace layer reports as a `FailureDetect` event.
+#[derive(Default)]
 struct FailureImpact {
     /// The scenario whose in-flight month died, with the month it will
     /// resume from (`None` when the group was idle).
@@ -385,27 +403,21 @@ fn busy_ticks(busy: &BinaryHeap<TimeKey<usize>>, out: &mut Vec<(u64, usize)>) {
 /// month's post chain that ends before its group can complete again.
 /// `durs` are the groups' main durations, `steps` the post chain's
 /// steps, `main_finish` the last main completion.
-fn keeps_pace(
-    durs: &[f64],
-    steps: &[f64; 3],
-    granularity: Granularity,
-    grouping: &Grouping,
-    main_finish: f64,
-) -> bool {
+fn keeps_pace(durs: &[f64], steps: &[f64], grouping: &Grouping, main_finish: f64) -> bool {
     let min_dur = durs.iter().copied().fold(f64::INFINITY, f64::min);
     grouping.post_procs as usize >= grouping.group_count()
-        && match granularity {
-            Granularity::Fused => steps[0] <= min_dur,
-            Granularity::Unfused => {
+        && match steps {
+            [tp] => *tp <= min_dur,
+            _ => {
                 let chain_secs: f64 = steps.iter().sum();
                 chain_secs + 4.0 * f64::EPSILON * (main_finish + min_dur) < min_dur
             }
         }
 }
 
-/// The fused drain's view of the completion chain: an optional
-/// borrowed prefix (the shared head chain of a batch resume) followed
-/// by this run's own completions. Indexing is chain-absolute, so the
+/// The drain's view of the chain's queue 0: an optional borrowed
+/// prefix (the shared head chain of a batch resume) followed by this
+/// run's own completions. Indexing is chain-absolute, so the
 /// fast-forward bookkeeping (`PostPeriodic::start_idx`, template
 /// windows) is oblivious to where the prefix ends.
 struct Entries<'a> {
@@ -550,11 +562,22 @@ pub(crate) enum Batch<'a> {
 /// preserved) makes each run allocation-free apart from the returned
 /// record arena and the bounded buffers of the fast-forward detector.
 /// Thread-local, so every `oa-par` worker owns its own.
+#[derive(Default)]
 struct Scratch {
     /// Per-group main duration.
     durs: Vec<f64>,
-    /// First processor id of each group.
-    bases: Vec<u32>,
+    /// Each group's processors.
+    procs: Vec<ProcRange>,
+    /// Failure sort buffer: the plan in time order, reused run to run.
+    fail_buf: Vec<(usize, f64)>,
+    /// The main phase's collections.
+    groups: Groups,
+    /// The post phase's collections.
+    posts: Posts,
+}
+
+/// The main phase's collections (see [`Scratch`]).
+struct Groups {
     /// Busy groups: `(finish time, group)`, at most one per group.
     busy: BinaryHeap<TimeKey<usize>>,
     /// Per-group (scenario, start time) while running.
@@ -567,50 +590,30 @@ struct Scratch {
     idle: Vec<usize>,
     /// `dead[g]`: group `g` crashed and never returns.
     dead: Vec<bool>,
-    /// Ready post work: one FIFO queue of `(ready, scenario, month)`
-    /// per chain step, read through cursors. Mains fill queue 0; the
-    /// unfused drain feeds queues 1 and 2 (module docs, "The post
-    /// drain").
-    chain: [Vec<(f64, u32, u32)>; 3],
-    /// Post-processor pool: two sorted queues of (availability,
-    /// processor id) (module docs, "The post drain").
-    post_pool: PostPool,
     /// Steady-state cycle detector (snapshots + event journal).
     det: Detector,
-    /// Snapshot build buffer: busy as (tick offset, group).
+    /// Snapshot build buffers: busy as (tick offset, group), running as
+    /// (group, scenario, age ticks), idle groups, and waiting scenario
+    /// ids in canonical order.
     snap_busy: Vec<(u64, u32)>,
-    /// Snapshot build buffer: running as (group, scenario, age ticks).
     snap_running: Vec<(u32, u32, u64)>,
-    /// Snapshot build buffer: idle groups.
     snap_idle: Vec<u32>,
-    /// Snapshot build buffer: waiting scenario ids, canonical order.
     snap_wait: Vec<u32>,
     /// Waiting-queue canonical content buffer.
     wait_buf: Vec<(u32, u32)>,
     /// Busy-set content in pop order (snapshots and checkpoints).
     busy_buf: Vec<(u64, usize)>,
-    /// Post-drain boundary snapshots of the pool shape.
-    pool_snaps: Vec<PoolSnap>,
-    /// Post-drain replay template: (processor, start, end) per entry
-    /// of the periodic chain region.
-    tmpl: Vec<(u32, f64, f64)>,
-    /// Failure sort buffer: the plan in time order, reused run to run.
-    fail_buf: Vec<(usize, f64)>,
 }
 
-impl Default for Scratch {
+impl Default for Groups {
     fn default() -> Self {
         Self {
-            durs: Vec::new(),
-            bases: Vec::new(),
             busy: BinaryHeap::new(),
             running: Vec::new(),
             waiting: ScenarioQueue::Least(BinaryHeap::new()),
             months_done: Vec::new(),
             idle: Vec::new(),
             dead: Vec::new(),
-            chain: Default::default(),
-            post_pool: PostPool::default(),
             det: Detector::default(),
             snap_busy: Vec::new(),
             snap_running: Vec::new(),
@@ -618,11 +621,25 @@ impl Default for Scratch {
             snap_wait: Vec::new(),
             wait_buf: Vec::new(),
             busy_buf: Vec::new(),
-            pool_snaps: Vec::new(),
-            tmpl: Vec::new(),
-            fail_buf: Vec::new(),
         }
     }
+}
+
+/// The post phase's collections (see [`Scratch`]).
+#[derive(Default)]
+struct Posts {
+    /// Ready post work: one FIFO queue of `(ready, scenario, month)`
+    /// per chain step. Mains fill queue 0; the drain feeds the later
+    /// steps' queues (module docs, "The post drain").
+    chain: [Vec<(f64, u32, u32)>; 3],
+    /// Post-processor pool: two sorted queues of (availability,
+    /// processor id) (module docs, "The post drain").
+    pool: PostPool,
+    /// Post-drain boundary snapshots of the pool shape.
+    snaps: Vec<PoolSnap>,
+    /// Post-drain replay template: (processor, start, end) per entry
+    /// of the periodic chain region.
+    tmpl: Vec<(u32, f64, f64)>,
 }
 
 thread_local! {
@@ -760,7 +777,7 @@ pub(crate) fn simulate_unrecorded(
         let ends: Option<MainEnds> = (matches!(outcome, CampaignOutcome::Completed(_))
             && config.granularity == Granularity::Fused
             && plan.failures.is_empty())
-        .then(|| scratch.chain[0].iter().map(|&(t, _, _)| t).collect());
+        .then(|| scratch.posts.chain[0].iter().map(|&(t, _, _)| t).collect());
         debug_assert!(ends
             .as_deref()
             .is_none_or(|e| e.windows(2).all(|w| w[0] <= w[1])));
@@ -861,10 +878,11 @@ pub(crate) fn run_batch_variant(
     })
 }
 
-/// The event loop proper, on pre-validated input and reusable state.
-/// `record` asks for the schedule, which the run keeps only when it is
-/// fused and fault-free.
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+/// The event loop proper, on pre-validated input and reusable state:
+/// the main phase ([`Main`]), then the post phase. `record` asks for
+/// the schedule, which the run keeps only when it is fused and
+/// fault-free.
+#[allow(clippy::too_many_arguments)]
 fn run<T: Tracer>(
     inst: Instance,
     table: &TimingTable,
@@ -877,102 +895,57 @@ fn run<T: Tracer>(
     scratch: &mut Scratch,
     batch: Batch<'_>,
 ) -> (CampaignOutcome, KernelReport) {
-    let (capture, head_prefix, resume_ck, resume_failures) = match batch {
-        Batch::Off => (None, &[][..], None, None),
-        Batch::Capture(h) => (Some(h), &[][..], None, None),
+    let (capture, prefix, resume) = match batch {
+        Batch::Off => (None, &[][..], None),
+        Batch::Capture(head) => (Some(head), &[][..], None),
         Batch::Resume { head, ck, failures } => (
             None,
             &head.chain[..head.checkpoints[ck].completions as usize],
-            Some((&head.checkpoints[ck], &head.drain_cks[ck])),
-            Some(failures),
+            Some((&head.checkpoints[ck], &head.drain_cks[ck], failures)),
         ),
     };
-    let mut capture = capture;
     let sizes: &[u32] = grouping.groups();
-    // The `T[G]` row, indexed by `G - 4` — one array load per group
-    // instead of a spec lookup per `main_secs` call.
-    let trow = table.main_array();
-    let tp = table.post_secs();
-    let nm = inst.nm;
-
-    let (steps, pre, last_step) = post_model(config.granularity, tp);
-
-    let Scratch {
-        durs,
-        bases,
-        busy,
-        running,
-        waiting,
-        months_done,
-        idle,
-        dead,
-        chain,
-        post_pool,
-        det,
-        snap_busy,
-        snap_running,
-        snap_idle,
-        snap_wait,
-        wait_buf,
-        busy_buf,
-        pool_snaps,
-        tmpl,
-        fail_buf,
-    } = scratch;
+    let (steps, pre, last_step) = post_model(config.granularity, table.post_secs());
+    let durs = &mut scratch.durs;
     durs.clear();
-    push_durs(durs, sizes, trow, config.granularity, pre);
-    let durs: &[f64] = durs;
-
+    push_durs(durs, sizes, table.main_array(), config.granularity, pre);
     // Processor layout: groups first (descending sizes, canonical),
     // then the dedicated post pool; any remainder stays idle forever.
-    bases.clear();
-    let mut acc = 0u32;
-    for &g in sizes {
-        bases.push(acc);
-        acc += g;
+    let procs = &mut scratch.procs;
+    procs.clear();
+    let mut first = 0u32;
+    for &count in sizes {
+        procs.push(ProcRange { first, count });
+        first += count;
     }
-    let bases: &[u32] = bases;
-    let post_base = acc;
-
     // Failures in time order; ties keep plan order (stable sort). A
     // batch resume brings its own pre-sorted slice.
-    let failures: &[(usize, f64)] = match resume_failures {
-        Some(f) => f,
+    let failures: &[(usize, f64)] = match resume {
+        Some((_, _, failures)) => failures,
         None => {
-            fail_buf.clear();
-            fail_buf.extend_from_slice(&plan.failures);
-            fail_buf.sort_by(|a, b| a.1.total_cmp(&b.1));
-            fail_buf
+            let buf = &mut scratch.fail_buf;
+            buf.clear();
+            buf.extend_from_slice(&plan.failures);
+            buf.sort_by(|a, b| a.1.total_cmp(&b.1));
+            buf
         }
     };
-    let mut next_failure = 0usize;
 
     // Integer time gates the fast-forward, and a capture run's
     // tick-valued checkpoints — see [`kernel_gate`].
-    let mut report = KernelReport::default();
     let integer_time = (opts.fast_forward || capture.is_some())
         && kernel_gate(durs, failures, inst, steps.iter().sum());
-    report.integer_time = integer_time;
-    let ff_on = opts.fast_forward && integer_time;
-    det.reset_run();
     debug_assert!(
         capture.is_none() || integer_time,
         "capture implies integer time"
     );
-
-    if tracer.enabled() {
-        tracer.record(TraceEvent::at(
-            0.0,
-            EventKind::CampaignBegin {
-                ns: inst.ns,
-                nm: inst.nm,
-                r: inst.r,
-                groups: sizes.to_vec(),
-                post_procs: grouping.post_procs,
-            },
-        ));
-    }
-
+    // The post chain: one step fused, three unfused.
+    let steps = &steps[..=last_step];
+    let kinds: &[TaskKind] = match config.granularity {
+        Granularity::Fused => &[TaskKind::FusedPost],
+        Granularity::Unfused => &STEP_KINDS,
+    };
+    debug_assert!(last_step == 0 || resume.is_none(), "batch heads are fused");
     // Records become a `Schedule` only when the caller asks for one and
     // every task provably runs exactly once: fused granularity, nothing
     // to inject. The arena is then the one allocation of the run,
@@ -981,933 +954,954 @@ fn run<T: Tracer>(
     let record = record
         && config.granularity == Granularity::Fused
         && failures.is_empty()
-        && resume_ck.is_none()
+        && resume.is_none()
         && capture.is_none();
-    let mut records: Vec<TaskRecord> = if record {
-        Vec::with_capacity(inst.nbtasks() as usize * 2)
-    } else {
-        Vec::new()
+    let records = record.then(|| Vec::with_capacity(inst.nbtasks() as usize * 2));
+
+    let mut main = Main {
+        inst,
+        config,
+        sizes,
+        procs,
+        durs,
+        failures,
+        next_failure: 0,
+        groups: &mut scratch.groups,
+        posts: &mut scratch.posts,
+        stamp: Stamp { tracer, records },
+        alive: sizes.len(),
+        unfinished: inst.ns as usize,
+        completions: 0,
+        main_finish: 0.0,
+        lost_proc_secs: 0.0,
+        months_lost: 0,
+        ff_on: opts.fast_forward && integer_time,
+        report: KernelReport {
+            integer_time,
+            ..KernelReport::default()
+        },
+        post_periodic: None,
+        capture,
+        steps,
+        kinds,
+        prefix,
     };
-
-    busy.clear();
-    busy.reserve(sizes.len());
-    running.clear();
-    running.resize(sizes.len(), None); // (scenario, start)
-    waiting.reset(config.policy, inst.ns);
-    months_done.clear();
-    months_done.resize(inst.ns as usize, 0);
-    let mut unfinished = inst.ns as usize;
-    idle.clear();
-    idle.extend(0..sizes.len());
-    idle.sort_unstable_by_key(|&g| (sizes[g], g));
-    let mut alive = sizes.len();
-    dead.clear();
-    dead.resize(sizes.len(), false);
-
-    // Each queue in use receives one entry per main completion.
-    for (step, q) in chain.iter_mut().enumerate() {
-        q.clear();
-        if step <= last_step {
-            q.reserve(inst.nbtasks() as usize);
-        }
+    main.start(grouping.post_procs, resume.map(|(ck, _, _)| ck));
+    // If the pool is empty every group died without disbanding: no
+    // post capacity exists.
+    if !main.run() || main.posts.pool.is_empty() {
+        let completed_months = main.groups.months_done.iter().map(|&m| u64::from(m)).sum();
+        return (CampaignOutcome::Stranded { completed_months }, main.report);
     }
-    // Every processor of a group or of the reserve may enter the pool.
-    let pool_procs = (post_base + grouping.post_procs) as usize;
-    post_pool.clear(pool_procs);
-    for p in 0..grouping.post_procs {
-        post_pool.push(0.0, post_base + p);
-    }
+    let closed_form = opts.fast_forward
+        && !main.stamp.observed()
+        && main.capture.is_none()
+        && keeps_pace(durs, steps, grouping, main.main_finish);
+    let adopt = resume.map(|(_, dck, _)| dck);
+    let post_finish = main.post_phase(adopt, closed_form);
+    main.outcome(post_finish)
+}
 
-    let mut lost_proc_secs = 0.0f64;
-    let mut months_lost = 0u32;
-    let mut completions: u64 = 0;
-    let mut post_periodic: Option<PostPeriodic> = None;
-    let mut main_finish = 0.0f64;
+/// Where a run's task records and trace events go. Each task kind is
+/// stamped here once, for the live loop and the fast-forward replays
+/// alike.
+struct Stamp<'a, T: Tracer> {
+    tracer: &'a mut T,
+    /// The schedule's records, when the run keeps them.
+    records: Option<Vec<TaskRecord>>,
+}
 
-    // A batch resume re-enters the loop mid-run: install the chosen
-    // checkpoint's canonical state over the t=0 layout. The checkpoint
-    // precedes the variant's first fault, so the history up to here is
-    // bitwise the fault-free head's — losses stay zero and the skipped
-    // prefix of the completion chain is `head_prefix`.
-    if let Some((ck, _)) = resume_ck {
-        for &(tick, bg) in &ck.busy {
-            busy.push(time_key(tick as f64, bg as usize));
-        }
-        running.clear();
-        running.extend_from_slice(&ck.running);
-        months_done.clear();
-        months_done.extend_from_slice(&ck.months_done);
-        unfinished = ck.unfinished;
-        idle.clear();
-        idle.extend(ck.idle.iter().map(|&g| g as usize));
-        alive = ck.alive;
-        waiting.reset(config.policy, 0);
-        for &ws in &ck.waiting {
-            waiting.push(months_done[ws as usize], ws);
-        }
-        post_pool.clear(pool_procs);
-        for &(a, pp) in &ck.pool {
-            post_pool.push(a, pp);
-        }
-        completions = ck.completions;
-        main_finish = ck.main_finish;
+impl<T: Tracer> Stamp<'_, T> {
+    /// Whether anything observes the run: a recorded schedule or an
+    /// enabled tracer.
+    fn observed(&self) -> bool {
+        self.records.is_some() || self.tracer.enabled()
     }
 
-    // Starts scenario `s` on group `g` at `now`: its running slot, and
-    // the dispatch's journal entry and trace events. The caller keys the
-    // group's busy entry.
-    macro_rules! dispatch {
-        ($g:expr, $s:expr, $now:expr) => {{
-            let (g, s, now): (usize, u32, f64) = ($g, $s, $now);
-            running[g] = Some((s, now));
-            if ff_on && det.armed() && tracer.enabled() {
-                det.log.push(LogEv::Dispatch {
+    /// A main dispatched onto group `g`'s `procs` at `now`, leaving
+    /// `depth` scenarios waiting.
+    fn dispatch(&mut self, task: FusedTask, g: usize, procs: ProcRange, now: f64, depth: u32) {
+        if self.tracer.enabled() {
+            let group = Some(g as u32);
+            self.tracer.record(TraceEvent::at(
+                now,
+                EventKind::TaskDispatch {
+                    task,
+                    group,
+                    queue_depth: depth,
+                },
+            ));
+            self.tracer.record(TraceEvent::at(
+                now,
+                EventKind::TaskStart {
+                    task,
+                    first_proc: procs.first,
+                    procs: procs.count,
+                    group,
+                },
+            ));
+        }
+    }
+
+    /// A task that ran on `procs` over `start..end`, on group `g` (`None`
+    /// for a post step): its record, when the run keeps them, and its
+    /// finish event. A main's start event is its dispatch's.
+    #[inline]
+    fn finish(&mut self, task: FusedTask, procs: ProcRange, g: Option<u32>, start: f64, end: f64) {
+        if let Some(records) = &mut self.records {
+            records.push(TaskRecord {
+                task,
+                procs,
+                start,
+                end,
+                group: g,
+            });
+        }
+        if self.tracer.enabled() {
+            self.tracer.record(TraceEvent::at(
+                end,
+                EventKind::TaskFinish {
+                    task,
+                    first_proc: procs.first,
+                    procs: procs.count,
+                    group: g,
+                    secs: end - start,
+                },
+            ));
+        }
+    }
+
+    /// Post step `kind` of `(s, month)` on processor `proc` over
+    /// `start..end`: its start event, then [`Stamp::finish`].
+    #[inline]
+    fn post(&mut self, kind: TaskKind, s: u32, month: u32, proc: u32, start: f64, end: f64) {
+        let task = FusedTask {
+            scenario: s,
+            month,
+            kind,
+        };
+        if self.tracer.enabled() {
+            self.tracer.record(TraceEvent::at(
+                start,
+                EventKind::TaskStart {
+                    task,
+                    first_proc: proc,
+                    procs: 1,
+                    group: None,
+                },
+            ));
+        }
+        self.finish(task, ProcRange::single(proc), None, start, end);
+    }
+}
+
+/// The main phase: groups run scenario months under the policy until
+/// every scenario has finished, faults strike, and idle groups disband
+/// into the post pool. Completions fill the chain's queue 0 in
+/// completion order.
+struct Main<'a, T: Tracer> {
+    inst: Instance,
+    config: &'a CampaignConfig,
+    sizes: &'a [u32],
+    procs: &'a [ProcRange],
+    durs: &'a [f64],
+    /// The fault plan in time order, and the index of the next failure.
+    failures: &'a [(usize, f64)],
+    next_failure: usize,
+    groups: &'a mut Groups,
+    posts: &'a mut Posts,
+    stamp: Stamp<'a, T>,
+    /// Groups not yet disbanded or dead.
+    alive: usize,
+    /// Scenarios with months still to run.
+    unfinished: usize,
+    /// Main completions so far, a batch resume's prefix included.
+    completions: u64,
+    /// The last main completion.
+    main_finish: f64,
+    /// Work destroyed by crashes (see [`CampaignRun`]).
+    lost_proc_secs: f64,
+    months_lost: u32,
+    /// Fast-forward on, in integer time.
+    ff_on: bool,
+    report: KernelReport,
+    /// The chain's periodic region, once cycles were replayed; the
+    /// drain's replays start from it.
+    post_periodic: Option<PostPeriodic>,
+    /// A batch head run's capture.
+    capture: Option<&'a mut BatchHead>,
+    /// The post chain's step durations and task kinds.
+    steps: &'a [f64],
+    kinds: &'a [TaskKind],
+    /// The head chain prefix a batch resume reads ahead of queue 0.
+    prefix: &'a [(f64, u32, u32)],
+}
+
+impl<T: Tracer> Main<'_, T> {
+    /// Lays the run out at `t = 0` and runs the first assignment pass,
+    /// or installs a batch resume's checkpoint instead. The checkpoint
+    /// precedes the variant's first fault, so the history up to it is
+    /// bitwise the fault-free head's: losses stay zero and the chain's
+    /// skipped prefix is the head's. Each chain queue in use receives
+    /// one entry per main completion, and every processor of a group or
+    /// of the reserve may enter the pool.
+    fn start(&mut self, post_procs: u32, resume: Option<&Checkpoint>) {
+        let (n, ns, sizes) = (self.sizes.len(), self.inst.ns, self.sizes);
+        if self.stamp.tracer.enabled() {
+            self.stamp.tracer.record(TraceEvent::at(
+                0.0,
+                EventKind::CampaignBegin {
+                    ns,
+                    nm: self.inst.nm,
+                    r: self.inst.r,
+                    groups: sizes.to_vec(),
+                    post_procs,
+                },
+            ));
+        }
+        let post_base: u32 = sizes.iter().sum();
+        let chain = &mut self.posts.chain;
+        chain.iter_mut().for_each(Vec::clear);
+        for q in &mut chain[..self.steps.len()] {
+            q.reserve(self.inst.nbtasks() as usize);
+        }
+        self.posts.pool.clear((post_base + post_procs) as usize);
+        let gs = &mut *self.groups;
+        gs.det.reset_run();
+        gs.busy.clear();
+        gs.busy.reserve(n);
+        gs.running.clear();
+        gs.months_done.clear();
+        gs.idle.clear();
+        gs.dead.clear();
+        gs.dead.resize(n, false);
+        let Some(ck) = resume else {
+            gs.running.resize(n, None);
+            gs.months_done.resize(ns as usize, 0);
+            gs.idle.extend(0..n);
+            gs.idle.sort_unstable_by_key(|&g| (sizes[g], g));
+            gs.waiting.reset(self.config.policy, ns);
+            for p in post_base..post_base + post_procs {
+                self.posts.pool.push(0.0, p);
+            }
+            self.assign(0.0);
+            self.capture_ck(0.0);
+            return;
+        };
+        for &(tick, g) in &ck.busy {
+            gs.busy.push(time_key(tick as f64, g as usize));
+        }
+        gs.running.extend_from_slice(&ck.running);
+        gs.months_done.extend_from_slice(&ck.months_done);
+        gs.idle.extend(ck.idle.iter().map(|&g| g as usize));
+        gs.waiting.reset(self.config.policy, 0);
+        for &s in &ck.waiting {
+            gs.waiting.push(gs.months_done[s as usize], s);
+        }
+        for &(a, p) in &ck.pool {
+            self.posts.pool.push(a, p);
+        }
+        self.alive = ck.alive;
+        self.unfinished = ck.unfinished;
+        self.completions = ck.completions;
+        self.main_finish = ck.main_finish;
+    }
+
+    /// Runs the main phase to its end, one event at a time: the next
+    /// failure, or the earliest completion (a failure first at an equal
+    /// instant). Returns whether every scenario finished; `false` when
+    /// every group died with months still unscheduled.
+    fn run(&mut self) -> bool {
+        loop {
+            let completion = self.groups.busy.peek().map(|&Reverse((Time(t), g))| (t, g));
+            match (completion, self.failures.get(self.next_failure).copied()) {
+                (c, Some((g, tf))) if c.is_none_or(|(tc, _)| tf <= tc) => {
+                    // With no completion pending, a kill that leaves no
+                    // group alive makes the assignment a no-op, and the
+                    // run strands below.
+                    let impact = self.kill(g, tf);
+                    if self.stamp.tracer.enabled() {
+                        emit_failure(self.stamp.tracer, (g, tf), impact.as_ref());
+                    }
+                    self.next_failure += 1;
+                    self.groups.det.disturb();
+                    self.assign(tf);
+                }
+                (Some((_, g)), _) if self.groups.dead[g] => {
+                    self.groups.busy.pop();
+                    continue; // stale completion of a crashed group
+                }
+                (Some((t, g)), _) => self.complete(t, g),
+                (None, _) => return self.unfinished == 0,
+            }
+            if self.unfinished > 0 && self.alive == 0 && self.groups.busy.is_empty() {
+                return false;
+            }
+        }
+    }
+
+    /// Starts scenario `s` on group `g` at `now`: its running slot, and
+    /// the dispatch's journal entry and trace events. The caller keys
+    /// the group's busy entry.
+    #[inline]
+    fn dispatch(&mut self, g: usize, s: u32, now: f64) {
+        self.groups.running[g] = Some((s, now));
+        if self.stamp.tracer.enabled() {
+            let gs = &mut *self.groups;
+            let (month, queue_depth) = (gs.months_done[s as usize], gs.waiting.len() as u32);
+            if self.ff_on && gs.det.armed() {
+                gs.det.log.push(LogEv::Dispatch {
                     t: now,
                     g: g as u32,
                     s,
-                    month: months_done[s as usize],
-                    queue_depth: waiting.len() as u32,
+                    month,
+                    queue_depth,
                 });
             }
-            if tracer.enabled() {
-                let task = FusedTask::main(s, months_done[s as usize]);
-                tracer.record(TraceEvent::at(
+            let task = FusedTask::main(s, month);
+            self.stamp
+                .dispatch(task, g, self.procs[g], now, queue_depth);
+        }
+    }
+
+    /// One assignment + disband pass; mirrors `oa_sched::estimate`.
+    #[inline]
+    fn assign(&mut self, now: f64) {
+        while !self.groups.idle.is_empty() && !self.groups.waiting.is_empty() {
+            let g = self.groups.idle.pop().expect("non-empty"); // largest idle group
+            let s = self.groups.waiting.pop().expect("non-empty");
+            self.groups.busy.push(time_key(now + self.durs[g], g));
+            self.dispatch(g, s, now);
+        }
+        while !self.groups.idle.is_empty() && self.alive > self.unfinished {
+            let g = self.groups.idle.remove(0); // smallest idle group disbands
+            self.alive -= 1;
+            let procs = self.procs[g];
+            for p in procs.first..procs.first + procs.count {
+                self.posts.pool.push(now, p);
+            }
+            if self.stamp.tracer.enabled() {
+                self.stamp.tracer.record(TraceEvent::at(
                     now,
-                    EventKind::TaskDispatch {
-                        task,
-                        group: Some(g as u32),
-                        queue_depth: waiting.len() as u32,
+                    EventKind::GroupDisband {
+                        group: g as u32,
+                        procs: procs.count,
                     },
                 ));
-                tracer.record(TraceEvent::at(
-                    now,
-                    EventKind::TaskStart {
-                        task,
-                        first_proc: bases[g],
-                        procs: sizes[g],
-                        group: Some(g as u32),
-                    },
-                ));
             }
-        }};
+        }
     }
 
-    // One assignment + disband pass; mirrors `oa_sched::estimate`.
-    macro_rules! assign {
-        ($now:expr) => {{
-            let now: f64 = $now;
-            while !idle.is_empty() && !waiting.is_empty() {
-                let g = idle.pop().expect("non-empty"); // largest idle group
-                let s = waiting.pop().expect("non-empty");
-                busy.push(time_key(now + durs[g], g));
-                dispatch!(g, s, now);
-            }
-            while !idle.is_empty() && alive > unfinished {
-                let g = idle.remove(0); // smallest idle group disbands
-                alive -= 1;
-                for p in 0..sizes[g] {
-                    post_pool.push(now, bases[g] + p);
-                }
-                if tracer.enabled() {
-                    tracer.record(TraceEvent::at(
-                        now,
-                        EventKind::GroupDisband {
-                            group: g as u32,
-                            procs: sizes[g],
-                        },
-                    ));
-                }
-            }
-        }};
+    /// Records the loop state in canonical form for later batch resumes.
+    /// Only capture runs (fused, integer time, fault-free) record, at
+    /// instants where `completions` is a multiple of `NS` — the offsets
+    /// batch variants look up by their first fault time. Every container
+    /// is stored in an order that makes its pop sequence a pure function
+    /// of content, so a rebuilt queue replays bitwise.
+    fn capture_ck(&mut self, now: f64) {
+        let Some(head) = self.capture.as_deref_mut() else {
+            return;
+        };
+        let gs = &mut *self.groups;
+        busy_ticks(&gs.busy, &mut gs.busy_buf);
+        gs.waiting.canonical_content_into(&mut gs.wait_buf);
+        head.checkpoints.push(Checkpoint {
+            t: now,
+            main_finish: self.main_finish,
+            completions: self.completions,
+            busy: gs.busy_buf.iter().map(|&(t, g)| (t, g as u32)).collect(),
+            running: gs.running.clone(),
+            months_done: gs.months_done.clone(),
+            idle: gs.idle.iter().map(|&g| g as u32).collect(),
+            waiting: gs.wait_buf.iter().map(|&(_, s)| s).collect(),
+            pool: self.posts.pool.sorted(|_| true),
+            alive: self.alive,
+            unfinished: self.unfinished,
+        });
     }
 
-    // Records the loop state in canonical form for later batch resumes.
-    // Only reached in capture runs (fused, integer time, fault-free), at
-    // instants where `completions` is a multiple of `NS` — the offsets
-    // batch variants look up by their first fault time. Every container
-    // is stored in an order that makes its pop sequence a pure function
-    // of content, so a rebuilt queue replays bitwise.
-    macro_rules! capture_ck {
-        ($now:expr) => {{
-            if let Some(head) = capture.as_deref_mut() {
-                let now: f64 = $now;
-                busy_ticks(busy, busy_buf);
-                waiting.canonical_content_into(wait_buf);
-                head.checkpoints.push(Checkpoint {
-                    t: now,
-                    main_finish,
-                    completions,
-                    busy: busy_buf
-                        .iter()
-                        .map(|&(tick, bg)| (tick, bg as u32))
-                        .collect(),
-                    running: running.clone(),
-                    months_done: months_done.clone(),
-                    idle: idle.iter().map(|&g| g as u32).collect(),
-                    waiting: wait_buf.iter().map(|&(_, ws)| ws).collect(),
-                    pool: post_pool.sorted(|_| true),
-                    alive,
-                    unfinished,
-                });
+    /// Applies the failure of group `g` at `tf` under the configured
+    /// recovery, charging destroyed work to the loss accumulators. A
+    /// double kill, or a kill of a group that already disbanded (its
+    /// processors belong to the post pool now), is a no-op (`None`); a
+    /// kill that lands returns its damage assessment.
+    fn kill(&mut self, g: usize, tf: f64) -> Option<FailureImpact> {
+        let (gs, sizes) = (&mut *self.groups, self.sizes);
+        if gs.dead[g] {
+            return None;
+        }
+        let impact = if let Some((s, started)) = gs.running[g].take() {
+            // In-flight month lost.
+            let lost = (tf - started).max(0.0) * sizes[g] as f64;
+            self.lost_proc_secs += lost;
+            self.months_lost += 1;
+            if self.config.recovery == Recovery::RestartScenario {
+                gs.months_done[s as usize] = 0;
             }
-        }};
+            gs.waiting.push(gs.months_done[s as usize], s);
+            FailureImpact {
+                victim: Some((s, gs.months_done[s as usize])),
+                lost_proc_secs: lost,
+                months_lost: 1,
+            }
+        } else {
+            let pos = gs
+                .idle
+                .binary_search_by_key(&(sizes[g], g), |&x| (sizes[x], x))
+                .ok()?;
+            gs.idle.remove(pos);
+            FailureImpact::default()
+        };
+        gs.dead[g] = true;
+        self.alive -= 1;
+        Some(impact)
     }
 
-    // Applies one `(group, time)` failure under the configured
-    // recovery, charging destroyed work to the loss accumulators.
-    // Double kills and failures of already-disbanded groups are no-ops
-    // (`None`); a kill that lands returns its damage assessment.
-    macro_rules! process_failure {
-        ($g:expr, $tf:expr) => {{
-            let (g, tf): (usize, f64) = ($g, $tf);
-            if dead[g] {
-                None // double kill: no-op
-            } else if let Some((s, started)) = running[g].take() {
-                // In-flight month lost.
-                let lost = (tf - started).max(0.0) * sizes[g] as f64;
-                lost_proc_secs += lost;
-                months_lost += 1;
-                if config.recovery == Recovery::RestartScenario {
-                    months_done[s as usize] = 0;
-                }
-                waiting.push(months_done[s as usize], s);
-                dead[g] = true;
-                alive -= 1;
-                Some(FailureImpact {
-                    victim: Some((s, months_done[s as usize])),
-                    lost_proc_secs: lost,
-                    months_lost: 1,
-                })
+    /// Completes group `g`'s month at `t`, the busy top: the freed
+    /// group takes the next scenario, and at every `NS`-completion
+    /// boundary a capture run records a checkpoint and the detector is
+    /// offered a snapshot.
+    #[inline]
+    fn complete(&mut self, t: f64, g: usize) {
+        let (gs, sizes) = (&mut *self.groups, self.sizes);
+        let (s, started) = gs.running[g].take().expect("busy group has a scenario");
+        let month = gs.months_done[s as usize];
+        gs.months_done[s as usize] += 1;
+        let again = gs.months_done[s as usize] < self.inst.nm;
+        if self.ff_on && gs.det.armed() {
+            gs.det.log.push(LogEv::Finish {
+                t,
+                g: g as u32,
+                s,
+                month,
+            });
+        }
+        if !again {
+            self.unfinished -= 1;
+        }
+        self.completions += 1;
+        self.finish_main(g, s, month, started, t);
+        let gs = &mut *self.groups;
+        if gs.idle.is_empty() && (again || !gs.waiting.is_empty()) {
+            // The freed group is the only idle one and a scenario is
+            // ready for it: the assignment pass would pop it straight
+            // back. Re-key the busy top and swap with the queue's top
+            // instead. Both hold distinct keys (one per group, one per
+            // waiting scenario), so their pops depend only on the
+            // content, which is the same.
+            let next = if again {
+                gs.waiting.push_pop(gs.months_done[s as usize], s)
             } else {
-                // A group that already disbanded is not in `idle` nor
-                // `running`; its processors belong to the post pool now
-                // — ignore (documented in `failures`).
-                let key = (sizes[g], g);
-                let pos = match idle.binary_search_by_key(&key, |&x| (sizes[x], x)) {
-                    Ok(p) | Err(p) => p,
-                };
-                if pos < idle.len() && idle[pos] == g {
-                    idle.remove(pos);
-                    dead[g] = true;
-                    alive -= 1;
-                    Some(FailureImpact {
-                        victim: None,
-                        lost_proc_secs: 0.0,
-                        months_lost: 0,
-                    })
-                } else {
-                    None
-                }
+                gs.waiting.pop().expect("non-empty")
+            };
+            *gs.busy.peek_mut().expect("peeked") = time_key(t + self.durs[g], g);
+            self.dispatch(g, next, t);
+        } else {
+            gs.busy.pop();
+            if again {
+                gs.waiting.push(gs.months_done[s as usize], s);
             }
-        }};
+            let pos = gs
+                .idle
+                .binary_search_by_key(&(sizes[g], g), |&x| (sizes[x], x))
+                .unwrap_err();
+            gs.idle.insert(pos, g);
+            self.assign(t);
+        }
+        if self.completions.is_multiple_of(u64::from(self.inst.ns)) {
+            self.capture_ck(t);
+            if self.ff_on && self.groups.det.active() && self.next_failure == self.failures.len() {
+                self.fast_forward(t);
+            }
+        }
     }
 
-    macro_rules! stranded {
-        () => {{
-            let completed: u64 = months_done.iter().map(|&m| u64::from(m)).sum();
-            return (
-                CampaignOutcome::Stranded {
-                    completed_months: completed,
-                },
-                report,
-            );
-        }};
+    /// A main completion of `(s, month)` on group `g` over `start..end`:
+    /// the main finish, the chain entry, and the task's record and trace
+    /// event.
+    #[inline]
+    fn finish_main(&mut self, g: usize, s: u32, month: u32, start: f64, end: f64) {
+        self.main_finish = end;
+        self.posts.chain[0].push((end, s, month));
+        let (task, group) = (FusedTask::main(s, month), Some(g as u32));
+        self.stamp.finish(task, self.procs[g], group, start, end);
     }
 
-    if resume_ck.is_none() {
-        assign!(0.0);
-        capture_ck!(0.0);
+    /// Steady-state detection at the `NS`-completion boundary `t`, once
+    /// the fault plan is exhausted. A cycle always spans `NS·dm`
+    /// completions, so this cadence cannot miss the period. On a match
+    /// the cycle is replayed.
+    fn fast_forward(&mut self, t: f64) {
+        let gs = &mut *self.groups;
+        busy_ticks(&gs.busy, &mut gs.busy_buf);
+        let now = t as u64;
+        gs.snap_busy.clear();
+        gs.snap_busy
+            .extend(gs.busy_buf.iter().map(|&(b, g)| (b - now, g as u32)));
+        gs.snap_running.clear();
+        for (g, slot) in gs.running.iter().enumerate() {
+            if let Some((s, start)) = slot {
+                gs.snap_running.push((g as u32, *s, (t - start) as u64));
+            }
+        }
+        gs.snap_idle.clear();
+        gs.snap_idle.extend(gs.idle.iter().map(|&g| g as u32));
+        gs.waiting.canonical_content_into(&mut gs.wait_buf);
+        gs.snap_wait.clear();
+        gs.snap_wait.extend(gs.wait_buf.iter().map(|&(_, s)| s));
+        let view = SnapView {
+            t,
+            completions: self.completions,
+            chain_len: self.prefix.len() + self.posts.chain[0].len(),
+            months: &gs.months_done,
+            busy: &gs.snap_busy,
+            running: &gs.snap_running,
+            idle: &gs.snap_idle,
+            waiting: &gs.snap_wait,
+        };
+        if let Some(m) = gs.det.observe(&view, self.inst.nm) {
+            self.replay(m);
+        }
     }
 
-    loop {
-        // Choose the next event: completion or failure.
-        let completion_time = busy.peek().map(|&Reverse((Time(t), _))| t);
-        let failure_time = failures.get(next_failure).map(|&(_, t)| t);
-        match (completion_time, failure_time) {
-            (None, None) => break,
-            (Some(tc), Some(tf)) if tf <= tc => {
-                let failure = failures[next_failure];
-                let impact = process_failure!(failure.0, failure.1);
-                if tracer.enabled() {
-                    emit_failure(tracer, failure, impact.as_ref());
-                }
-                next_failure += 1;
-                det.disturb();
-                assign!(tf);
-            }
-            (None, Some(tf)) => {
-                let failure = failures[next_failure];
-                let impact = process_failure!(failure.0, failure.1);
-                if tracer.enabled() {
-                    emit_failure(tracer, failure, impact.as_ref());
-                }
-                next_failure += 1;
-                det.disturb();
-                if alive == 0 && unfinished > 0 {
-                    // Nothing can run the remaining months.
-                    stranded!();
-                }
-                assign!(tf);
-            }
-            (Some(_), _) => {
-                let Reverse((Time(t), g)) = *busy.peek().expect("peeked");
-                if dead[g] {
-                    busy.pop();
-                    continue; // stale completion of a crashed group
-                }
-                let (s, started) = running[g].take().expect("busy group has a scenario");
-                let month = months_done[s as usize];
-                months_done[s as usize] += 1;
-                main_finish = t;
-                completions += 1;
-                if record {
-                    records.push(TaskRecord {
-                        task: FusedTask::main(s, month),
-                        procs: ProcRange {
-                            first: bases[g],
-                            count: sizes[g],
-                        },
-                        start: started,
-                        end: t,
-                        group: Some(g as u32),
-                    });
-                }
-                chain[0].push((t, s, month));
-                if ff_on && det.armed() {
-                    det.log.push(LogEv::Finish {
+    /// Replays the matched cycle `m.k` times from the journal, then
+    /// shifts the live state `k` cycles forward. Every sum is
+    /// integer-exact, so every stamped value is bitwise what
+    /// event-by-event simulation would compute.
+    fn replay(&mut self, m: CycleMatch) {
+        for j in 1..=m.k {
+            let shift = (j as f64) * m.d;
+            let dmj = u32::try_from(j).expect("k < NM") * m.dm;
+            for e in m.log_start..m.log_end {
+                match self.groups.det.log[e] {
+                    LogEv::Finish { t, g, s, month } => {
+                        let (g, end) = (g as usize, t + shift);
+                        self.finish_main(g, s, month + dmj, end - self.durs[g], end);
+                    }
+                    // Journaled only when tracing.
+                    LogEv::Dispatch {
                         t,
-                        g: g as u32,
+                        g,
                         s,
                         month,
-                    });
-                }
-                if tracer.enabled() {
-                    tracer.record(TraceEvent::at(
-                        t,
-                        EventKind::TaskFinish {
-                            task: FusedTask::main(s, month),
-                            first_proc: bases[g],
-                            procs: sizes[g],
-                            group: Some(g as u32),
-                            secs: t - started,
-                        },
-                    ));
-                }
-                let again = months_done[s as usize] < nm;
-                if !again {
-                    unfinished -= 1;
-                }
-                if idle.is_empty() && (again || !waiting.is_empty()) {
-                    // The freed group is the only idle one and a scenario
-                    // is ready for it: the assignment pass would pop it
-                    // straight back. Re-key the busy top and swap with
-                    // the queue's top instead. Both hold distinct keys
-                    // (one per group, one per waiting scenario), so their
-                    // pops depend only on the content, which is the same.
-                    let next = if again {
-                        waiting.push_pop(months_done[s as usize], s)
-                    } else {
-                        waiting.pop().expect("non-empty")
-                    };
-                    *busy.peek_mut().expect("peeked") = time_key(t + durs[g], g);
-                    dispatch!(g, next, t);
-                } else {
-                    busy.pop();
-                    if again {
-                        waiting.push(months_done[s as usize], s);
-                    }
-                    let pos = idle
-                        .binary_search_by_key(&(sizes[g], g), |&x| (sizes[x], x))
-                        .unwrap_err();
-                    idle.insert(pos, g);
-                    assign!(t);
-                }
-                let boundary = completions.is_multiple_of(u64::from(inst.ns));
-                if boundary {
-                    capture_ck!(t);
-                }
-
-                // Steady-state detection: offer a snapshot every NS
-                // completions once the fault plan is exhausted. A
-                // cycle always spans NS·dm completions, so this
-                // cadence cannot miss the period.
-                if ff_on && det.active() && next_failure == failures.len() && boundary {
-                    busy_ticks(busy, busy_buf);
-                    let t_tick = t as u64;
-                    snap_busy.clear();
-                    snap_busy.extend(
-                        busy_buf
-                            .iter()
-                            .map(|&(tick, bg)| (tick - t_tick, bg as u32)),
-                    );
-                    snap_running.clear();
-                    for (rg, slot) in running.iter().enumerate() {
-                        if let Some((rs, start)) = slot {
-                            snap_running.push((rg as u32, *rs, (t - start) as u64));
-                        }
-                    }
-                    snap_idle.clear();
-                    snap_idle.extend(idle.iter().map(|&ig| ig as u32));
-                    waiting.canonical_content_into(wait_buf);
-                    snap_wait.clear();
-                    snap_wait.extend(wait_buf.iter().map(|&(_, ws)| ws));
-                    let view = SnapView {
-                        t,
-                        completions,
-                        chain_len: head_prefix.len() + chain[0].len(),
-                        months: months_done,
-                        busy: snap_busy,
-                        running: snap_running,
-                        idle: snap_idle,
-                        waiting: snap_wait,
-                    };
-                    if let Some(m) = det.observe(&view, nm) {
-                        // Replay the matched cycle k times from the
-                        // journal: all sums below are integer-exact,
-                        // so every stamped value is bitwise what
-                        // event-by-event simulation would compute.
-                        for j in 1..=m.k {
-                            let shift = (j as f64) * m.d;
-                            let dmj = u32::try_from(j).expect("k < NM") * m.dm;
-                            for ev in &det.log[m.log_start..m.log_end] {
-                                match *ev {
-                                    LogEv::Finish {
-                                        t: te,
-                                        g: eg,
-                                        s: es,
-                                        month: em,
-                                    } => {
-                                        let eg = eg as usize;
-                                        let t2 = te + shift;
-                                        let m2 = em + dmj;
-                                        main_finish = t2;
-                                        if record {
-                                            records.push(TaskRecord {
-                                                task: FusedTask::main(es, m2),
-                                                procs: ProcRange {
-                                                    first: bases[eg],
-                                                    count: sizes[eg],
-                                                },
-                                                start: t2 - durs[eg],
-                                                end: t2,
-                                                group: Some(eg as u32),
-                                            });
-                                        }
-                                        chain[0].push((t2, es, m2));
-                                        if tracer.enabled() {
-                                            tracer.record(TraceEvent::at(
-                                                t2,
-                                                EventKind::TaskFinish {
-                                                    task: FusedTask::main(es, m2),
-                                                    first_proc: bases[eg],
-                                                    procs: sizes[eg],
-                                                    group: Some(eg as u32),
-                                                    secs: durs[eg],
-                                                },
-                                            ));
-                                        }
-                                    }
-                                    LogEv::Dispatch {
-                                        t: te,
-                                        g: eg,
-                                        s: es,
-                                        month: em,
-                                        queue_depth,
-                                    } => {
-                                        // Journaled only when tracing.
-                                        let t2 = te + shift;
-                                        let task = FusedTask::main(es, em + dmj);
-                                        tracer.record(TraceEvent::at(
-                                            t2,
-                                            EventKind::TaskDispatch {
-                                                task,
-                                                group: Some(eg),
-                                                queue_depth,
-                                            },
-                                        ));
-                                        tracer.record(TraceEvent::at(
-                                            t2,
-                                            EventKind::TaskStart {
-                                                task,
-                                                first_proc: bases[eg as usize],
-                                                procs: sizes[eg as usize],
-                                                group: Some(eg),
-                                            },
-                                        ));
-                                    }
-                                }
-                            }
-                        }
-                        // Shift the live state k cycles forward. One exact
-                        // addition to every key keeps the heap order.
-                        let total = (m.k as f64) * m.d;
-                        let mut keys = std::mem::take(busy).into_vec();
-                        for Reverse((Time(tb), _)) in &mut keys {
-                            *tb += total;
-                        }
-                        *busy = BinaryHeap::from(keys);
-                        for slot in running.iter_mut().flatten() {
-                            slot.1 += total;
-                        }
-                        let dm_total = u32::try_from(m.k).expect("k < NM") * m.dm;
-                        for md in months_done.iter_mut() {
-                            *md += dm_total;
-                        }
-                        waiting.canonical_content_into(wait_buf);
-                        waiting.reset(config.policy, 0);
-                        for &(_, ws) in wait_buf.iter() {
-                            waiting.push(months_done[ws as usize], ws);
-                        }
-                        completions += m.k * m.cycle_completions;
-                        report.main_cycles_skipped = m.k;
-                        if config.granularity == Granularity::Fused {
-                            post_periodic = Some(PostPeriodic {
-                                start_idx: m.chain_start,
-                                cycles: m.k + 1,
-                                len: m.cycle_completions as usize,
-                                d: m.d,
-                            });
-                        }
+                        queue_depth,
+                    } => {
+                        let (g, task) = (g as usize, FusedTask::main(s, month + dmj));
+                        let procs = self.procs[g];
+                        self.stamp.dispatch(task, g, procs, t + shift, queue_depth);
                     }
                 }
             }
         }
-        if unfinished > 0 && alive == 0 && busy.is_empty() {
-            stranded!();
+        // One exact addition to every key keeps the heap order.
+        let total = (m.k as f64) * m.d;
+        let gs = &mut *self.groups;
+        let mut keys = std::mem::take(&mut gs.busy).into_vec();
+        for Reverse((Time(tb), _)) in &mut keys {
+            *tb += total;
         }
+        gs.busy = BinaryHeap::from(keys);
+        for slot in gs.running.iter_mut().flatten() {
+            slot.1 += total;
+        }
+        let dm_total = u32::try_from(m.k).expect("k < NM") * m.dm;
+        for md in &mut gs.months_done {
+            *md += dm_total;
+        }
+        gs.waiting.canonical_content_into(&mut gs.wait_buf);
+        gs.waiting.reset(self.config.policy, 0);
+        for &(_, s) in &gs.wait_buf {
+            gs.waiting.push(gs.months_done[s as usize], s);
+        }
+        self.completions += m.k * m.cycle_completions;
+        self.report.main_cycles_skipped = m.k;
+        self.post_periodic = Some(PostPeriodic {
+            start_idx: m.chain_start,
+            cycles: m.k + 1,
+            len: m.cycle_completions as usize,
+            d: m.d,
+        });
     }
 
-    if unfinished > 0 {
-        stranded!();
-    }
-
-    // Posts: the ready chain drains through the pool, earliest-ready
-    // first, each step taking the earliest-available processor (module
-    // docs, "The post drain"). If the pool is empty every group died
-    // without disbanding: no post capacity exists.
-    if post_pool.is_empty() {
-        stranded!();
-    }
-    let observed = record || tracer.enabled();
-    let closed_form = opts.fast_forward
-        && !observed
-        && capture.is_none()
-        && keeps_pace(durs, &steps, config.granularity, grouping, main_finish);
-    let mut post_finish = 0.0f64;
-    match config.granularity {
-        _ if closed_form => {
+    /// The post phase: the chain drains through the pool, or the run
+    /// takes its `closed_form` (module docs, "The closed-form drain").
+    /// A batch resume may `adopt` the head's drain of its prefix.
+    /// Returns the post finish.
+    fn post_phase(&mut self, adopt: Option<&DrainCk>, closed_form: bool) -> f64 {
+        let (steps, prefix) = (self.steps, self.prefix);
+        let (queue0, later) = self.posts.chain[..steps.len()]
+            .split_first_mut()
+            .expect("a chain has steps");
+        if closed_form {
             // No step waits, so the last month's chain ends last: its
-            // ready time plus each step, added in chain order (module
-            // docs, "The closed-form drain").
-            let last = chain[0].last().or(head_prefix.last());
-            if let Some(&(ready, _, _)) = last {
-                post_finish = steps[..=last_step].iter().fold(ready, |t, &d| t + d);
-            }
-            report.drain_closed_form = true;
+            // ready time plus each step, added in chain order.
+            self.report.drain_closed_form = true;
+            let last = queue0.last().or(prefix.last());
+            return last.map_or(0.0, |&(ready, _, _)| {
+                steps.iter().fold(ready, |t, &d| t + d)
+            });
         }
-        Granularity::Fused => {
-            // Fused drain, with its own steady-state fast-forward: the
-            // main-phase replay hands over the periodic chain region,
-            // and once the pool shape recurs at a cycle boundary
-            // (relative to the boundary instant, bitwise), the drain
-            // stamps whole cycles from the template. Sound only when
-            // the post duration is integral too. An observed run's
-            // replay stamps processor ids, so its pool must recur by
-            // id; a run nothing observes needs only the availability
-            // multiset to recur (module docs, "The post drain").
-            // The availability of the latest pop, the largest so far.
-            let mut last_pop = f64::NEG_INFINITY;
-            let tail: &[(f64, u32, u32)] = &chain[0];
-            if let Some(head) = capture.as_deref_mut() {
-                head.chain.clear();
-                head.chain.extend_from_slice(tail);
-            }
-            let entries = Entries {
-                prefix: head_prefix,
-                tail,
-            };
-            let mut pd =
-                post_periodic.filter(|p| is_tick_exact(steps[0]) && p.len > 0 && p.cycles >= 2);
-            let mut n_pool_snaps = 0usize;
-            tmpl.clear();
-            let mut i = 0usize;
-            // A resumed variant re-drains the head's chain prefix. When
-            // the head's own drain of that prefix never popped a
-            // disbanded-group processor, and none of the variant's
-            // disbanded entries can preempt a pop the head made (every
-            // one strictly later than the latest availability the head
-            // popped), the pool evolution over the prefix is bitwise
-            // the head's: adopt its recorded result and start at the
-            // tail. Otherwise fall back to the full event-by-event
-            // drain, which is always correct.
-            if let Some((_, dck)) = resume_ck {
-                let min_disband = post_pool
-                    .iter()
-                    .filter(|&(_, pp)| pp < post_base)
-                    .map(|(a, _)| a)
-                    .fold(f64::INFINITY, f64::min);
-                if dck.valid && !head_prefix.is_empty() && min_disband > dck.maxpop {
-                    post_pool.retain(|pp| pp < post_base);
-                    for &(a, pp) in &dck.pool {
-                        post_pool.push(a, pp);
-                    }
-                    post_finish = dck.post_finish;
-                    last_pop = dck.maxpop;
-                    i = head_prefix.len();
-                }
-            }
-            post_pool.sort();
-            // An unobserved run in integer time with a tick-exact `TP`
-            // counts its remaining posts off the pool once no processor
-            // frees before the last post is ready (module docs, "The
-            // saturated drain"). The chain is chronological, so its last
-            // entry is ready last.
-            let last_ready = entries.len().checked_sub(1).map(|l| entries.at(l).0);
-            let saturable = exact_ticks(steps[0])
-                .filter(|&tp| tp > 0 && ff_on && !observed && capture.is_none())
-                .zip(last_ready);
-            // Capture-side drain bookkeeping: one `DrainCk` per main
-            // checkpoint, recorded when the drain reaches that
-            // checkpoint's chain offset.
-            let mut next_dck = 0usize;
-            let mut dck_maxpop = 0.0f64;
-            let mut dck_valid = true;
-            macro_rules! capture_dck {
-                () => {{
-                    if let Some(head) = capture.as_deref_mut() {
-                        while next_dck < head.checkpoints.len()
-                            && head.checkpoints[next_dck].completions as usize == i
-                        {
-                            head.drain_cks.push(DrainCk {
-                                valid: dck_valid,
-                                maxpop: dck_maxpop,
-                                post_finish,
-                                pool: post_pool.sorted(|pp| pp >= post_base),
-                            });
-                            next_dck += 1;
-                        }
-                    }
-                }};
-            }
-            while i < entries.len() {
-                capture_dck!();
-                if let Some((tp, last_ready)) = saturable {
-                    if post_pool.first_avail().is_some_and(|a| a >= last_ready) {
-                        let k = (entries.len() - i) as u64;
-                        let end = post_pool.saturated_pop(k, tp) as f64 + steps[0];
-                        if end > post_finish {
-                            post_finish = end;
-                        }
-                        report.posts_closed_form = k;
-                        break;
-                    }
-                }
-                if let Some(p) = pd {
-                    if i >= p.start_idx && (i - p.start_idx).is_multiple_of(p.len) {
-                        let c = ((i - p.start_idx) / p.len) as u64;
-                        if c >= p.cycles {
-                            pd = None; // past the periodic region
-                        } else {
-                            let t_b = entries.at(i).0;
-                            if n_pool_snaps == pool_snaps.len() {
-                                pool_snaps.push(PoolSnap::default());
-                            }
-                            let (prev, slot) = pool_snaps.split_at_mut(n_pool_snaps);
-                            let snap = &mut slot[0];
-                            let key = if observed {
-                                PoolKey::ById
-                            } else {
-                                PoolKey::ByAvail { last_pop }
-                            };
-                            pool_snapshot(snap, c, t_b, key, post_pool.iter());
-                            let hit = prev[..n_pool_snaps]
-                                .iter()
-                                .rev()
-                                .find_map(|ps| pool_match(ps, snap).map(|sh| (ps, sh)));
-                            if let Some((ps, sh)) = hit {
-                                let q = c - ps.cycle;
-                                // The handed-over region spaces boundaries
-                                // exactly `d` apart; anything else means the
-                                // chain is not actually periodic here.
-                                debug_assert_eq!(sh.delta, (q as f64) * p.d);
-                                let mut n = if sh.delta == (q as f64) * p.d {
-                                    (p.cycles - c) / q
-                                } else {
-                                    0
-                                };
-                                if let Some(min_stable) = sh.min_stable {
-                                    // A replayed window may only pop shifted
-                                    // (cycling) processors: cap n so the
-                                    // largest shifted availability, advancing
-                                    // `delta` per window, stays strictly
-                                    // below every parked one.
-                                    let room = min_stable - sh.max_shifted - 1.0;
-                                    let cap = if room < 0.0 {
-                                        0.0
-                                    } else {
-                                        (room / sh.delta).floor()
-                                    };
-                                    n = n.min(cap as u64);
-                                }
-                                if n >= 1 {
-                                    let w0 =
-                                        usize::try_from(ps.cycle).expect("cycle index") * p.len;
-                                    let w1 = usize::try_from(c).expect("cycle index") * p.len;
-                                    if !observed {
-                                        // Nothing observes the replayed
-                                        // tasks: only the final clock
-                                        // matters, and shifted ends are
-                                        // monotone in both the window
-                                        // entry and the replay index —
-                                        // the max is the window max
-                                        // shifted the full n·q cycles,
-                                        // the same f64 the loop below
-                                        // would keep.
-                                        let mut en_max = f64::NEG_INFINITY;
-                                        for &(_, _, en) in &tmpl[w0..w1] {
-                                            if en > en_max {
-                                                en_max = en;
-                                            }
-                                        }
-                                        let end = en_max + ((n * q) as f64) * p.d;
-                                        if end > post_finish {
-                                            post_finish = end;
-                                        }
-                                    } else {
-                                        for r in 1..=n {
-                                            let shift_secs = ((r * q) as f64) * p.d;
-                                            let stride = usize::try_from(r * q)
-                                                .expect("cycle stride")
-                                                * p.len;
-                                            for (off, &(proc, st, en)) in
-                                                tmpl[w0..w1].iter().enumerate()
-                                            {
-                                                let ci = p.start_idx + w0 + stride + off;
-                                                let (er, es, em) = entries.at(ci);
-                                                debug_assert_eq!(
-                                                    er,
-                                                    entries.at(p.start_idx + w0 + off).0
-                                                        + shift_secs,
-                                                    "replayed chain entry off the periodic lattice"
-                                                );
-                                                let start = st + shift_secs;
-                                                let end = en + shift_secs;
-                                                let task = FusedTask::post(es, em);
-                                                if record {
-                                                    records.push(TaskRecord {
-                                                        task,
-                                                        procs: ProcRange::single(proc),
-                                                        start,
-                                                        end,
-                                                        group: None,
-                                                    });
-                                                }
-                                                if tracer.enabled() {
-                                                    tracer.record(TraceEvent::at(
-                                                        start,
-                                                        EventKind::TaskStart {
-                                                            task,
-                                                            first_proc: proc,
-                                                            procs: 1,
-                                                            group: None,
-                                                        },
-                                                    ));
-                                                    tracer.record(TraceEvent::at(
-                                                        end,
-                                                        EventKind::TaskFinish {
-                                                            task,
-                                                            first_proc: proc,
-                                                            procs: 1,
-                                                            group: None,
-                                                            secs: end - start,
-                                                        },
-                                                    ));
-                                                }
-                                                if end > post_finish {
-                                                    post_finish = end;
-                                                }
-                                            }
-                                        }
-                                    }
-                                    // Advance the cycling processors n·q
-                                    // cycles; the parked ones kept their
-                                    // absolute availabilities throughout.
-                                    let total = ((n * q) as f64) * p.d;
-                                    let cutoff = sh.min_stable.unwrap_or(f64::INFINITY);
-                                    post_pool.shift_below(cutoff, total);
-                                    report.post_cycles_skipped = n * q;
-                                    i += usize::try_from(n * q).expect("cycle stride") * p.len;
-                                    pd = None;
-                                    continue;
-                                }
-                                pd = None; // matched too late to skip
-                            } else {
-                                n_pool_snaps += 1;
-                                if n_pool_snaps == MAX_POOL_SNAPS {
-                                    pd = None; // pool never settled
-                                }
-                            }
-                        }
-                    }
-                }
-                let (ready, s, month) = entries.at(i);
-                let (avail, proc, start, end) = post_pool.take(ready, steps[0]);
-                last_pop = avail;
-                if capture.is_some() {
-                    if avail > dck_maxpop {
-                        dck_maxpop = avail;
-                    }
-                    if proc < post_base {
-                        dck_valid = false;
-                    }
-                }
-                if let Some(p) = pd {
-                    if i >= p.start_idx {
-                        tmpl.push((proc, start, end));
-                    }
-                }
-                let task = FusedTask::post(s, month);
-                if record {
-                    records.push(TaskRecord {
-                        task,
-                        procs: ProcRange::single(proc),
-                        start,
-                        end,
-                        group: None,
-                    });
-                }
-                if tracer.enabled() {
-                    tracer.record(TraceEvent::at(
-                        start,
-                        EventKind::TaskStart {
-                            task,
-                            first_proc: proc,
-                            procs: 1,
-                            group: None,
-                        },
-                    ));
-                    tracer.record(TraceEvent::at(
-                        end,
-                        EventKind::TaskFinish {
-                            task,
-                            first_proc: proc,
-                            procs: 1,
-                            group: None,
-                            secs: end - start,
-                        },
-                    ));
-                }
-                if end > post_finish {
-                    post_finish = end;
-                }
-                i += 1;
-            }
-            // The final checkpoint sits at the end of the chain.
-            capture_dck!();
-        }
-        Granularity::Unfused => {
-            // Unfused drain, event by event: a merge of the per-step
-            // queues. The earliest front goes first, ties to the lower
-            // step; its next step joins the following queue.
-            debug_assert!(head_prefix.is_empty(), "batch heads are fused");
-            post_pool.sort();
-            let mut next = [0usize; 3];
-            loop {
-                let mut step = usize::MAX;
-                let mut ready = 0.0f64;
-                for (k, q) in chain.iter().enumerate() {
-                    if let Some(&(r, _, _)) = q.get(next[k]) {
-                        if step == usize::MAX || r < ready {
-                            step = k;
-                            ready = r;
-                        }
-                    }
-                }
-                if step == usize::MAX {
-                    break;
-                }
-                let (_, s, month) = chain[step][next[step]];
-                next[step] += 1;
-                let (_, proc, start, end) = post_pool.take(ready, steps[step]);
-                let task = FusedTask {
-                    scenario: s,
-                    month,
-                    kind: STEP_KINDS[step],
-                };
-                if tracer.enabled() {
-                    tracer.record(TraceEvent::at(
-                        start,
-                        EventKind::TaskStart {
-                            task,
-                            first_proc: proc,
-                            procs: 1,
-                            group: None,
-                        },
-                    ));
-                    tracer.record(TraceEvent::at(
-                        end,
-                        EventKind::TaskFinish {
-                            task,
-                            first_proc: proc,
-                            procs: 1,
-                            group: None,
-                            secs: end - start,
-                        },
-                    ));
-                }
-                if step < last_step {
-                    chain[step + 1].push((end, s, month));
-                } else {
-                    post_finish = post_finish.max(end);
-                }
-            }
-        }
-    }
-
-    let makespan = main_finish.max(post_finish);
-    if tracer.enabled() {
-        tracer.record(TraceEvent::at(
-            makespan,
-            EventKind::CampaignEnd { makespan },
-        ));
-    }
-
-    let schedule = if record {
-        let schedule = Schedule {
-            instance: inst,
-            records,
-            makespan,
+        let entries = Entries {
+            prefix,
+            tail: queue0,
         };
-        // In debug builds, run the full schedule-layer rule set (OA008–
-        // OA015) over every schedule the engine produces: a cheap,
-        // always-on oracle that any future change to the event loop
-        // still respects multiplicity, dependences and processor
-        // exclusivity.
-        #[cfg(debug_assertions)]
-        {
-            let report = schedule.analyze();
-            debug_assert!(
-                !report.has_errors(),
-                "engine produced an invalid schedule:\n{}",
-                report.render_text()
-            );
-        }
-        Some(schedule)
-    } else {
-        None
-    };
+        let unobserved = self.ff_on && !self.stamp.observed() && self.capture.is_none();
+        let drain = Drain {
+            saturable: saturable(steps, unobserved, &entries),
+            periodic: replayable(self.post_periodic, steps),
+            entries,
+            later,
+            pool: &mut self.posts.pool,
+            steps,
+            kinds: self.kinds,
+            stamp: &mut self.stamp,
+            report: &mut self.report,
+            post_finish: 0.0,
+            last_pop: f64::NEG_INFINITY,
+            snaps: &mut self.posts.snaps,
+            n_snaps: 0,
+            tmpl: &mut self.posts.tmpl,
+            capture: self.capture.as_deref_mut(),
+            dck: DrainCk {
+                valid: true,
+                ..DrainCk::default()
+            },
+            post_base: self.sizes.iter().sum(),
+        };
+        drain.run(adopt)
+    }
 
-    (
-        CampaignOutcome::Completed(CampaignRun {
+    /// The completed run's outcome, given its post finish.
+    fn outcome(self, post_finish: f64) -> (CampaignOutcome, KernelReport) {
+        let makespan = self.main_finish.max(post_finish);
+        if self.stamp.tracer.enabled() {
+            self.stamp.tracer.record(TraceEvent::at(
+                makespan,
+                EventKind::CampaignEnd { makespan },
+            ));
+        }
+        let schedule = self.stamp.records.map(|records| {
+            let schedule = Schedule {
+                instance: self.inst,
+                records,
+                makespan,
+            };
+            // In debug builds, run the full schedule-layer rule set
+            // (OA008–OA015) over every schedule the engine produces: a
+            // cheap, always-on oracle that any future change to the
+            // event loop still respects multiplicity, dependences and
+            // processor exclusivity.
+            #[cfg(debug_assertions)]
+            {
+                let report = schedule.analyze();
+                debug_assert!(
+                    !report.has_errors(),
+                    "engine produced an invalid schedule:\n{}",
+                    report.render_text()
+                );
+            }
+            schedule
+        });
+        let run = CampaignRun {
             schedule,
             makespan,
-            main_finish,
+            main_finish: self.main_finish,
             post_finish,
-            lost_proc_secs,
-            months_lost,
-        }),
-        report,
-    )
+            lost_proc_secs: self.lost_proc_secs,
+            months_lost: self.months_lost,
+        };
+        (CampaignOutcome::Completed(run), self.report)
+    }
+}
+
+/// The saturated count's premise (module docs, "The saturated drain"),
+/// less the pool check the drain makes before each take: a one-step
+/// chain whose step is a positive whole number of ticks, in an
+/// `unobserved` run (fast-forward on in integer time, nothing observes
+/// it, no batch head capture). Returns the step in ticks and the last
+/// post's ready time.
+fn saturable(steps: &[f64], unobserved: bool, entries: &Entries<'_>) -> Option<(u64, f64)> {
+    let [tp] = steps else { return None };
+    let tp = exact_ticks(*tp).filter(|&tp| tp > 0 && unobserved)?;
+    // The chain is chronological, so its last entry is ready last.
+    Some((tp, entries.at(entries.len().checked_sub(1)?).0))
+}
+
+/// The drain replays' premise (module docs, "The post drain"): the
+/// periodic `region` the main phase handed over, kept for a one-step
+/// chain whose step is a whole number of ticks, when the region spans
+/// at least two cycles.
+fn replayable(region: Option<PostPeriodic>, steps: &[f64]) -> Option<PostPeriodic> {
+    let [tp] = steps else { return None };
+    region.filter(|p| is_tick_exact(*tp) && p.len > 0 && p.cycles >= 2)
+}
+
+/// The post phase's one drain (module docs, "The post drain"), over
+/// the chain's step queues: queue 0 through [`Entries`], the later
+/// steps' queues fed by the drain itself. The one-step regimes (the
+/// saturated count, the replays, a batch head's drain checkpoints and
+/// a resume's prefix adoption) stay off unless their premise holds.
+struct Drain<'a, 'b, T: Tracer> {
+    entries: Entries<'a>,
+    /// Queues 1 to `steps.len() − 1`.
+    later: &'a mut [Vec<(f64, u32, u32)>],
+    pool: &'a mut PostPool,
+    /// Each step's duration and task kind.
+    steps: &'a [f64],
+    kinds: &'a [TaskKind],
+    stamp: &'a mut Stamp<'b, T>,
+    report: &'a mut KernelReport,
+    post_finish: f64,
+    /// The availability of the latest pop, the largest so far.
+    last_pop: f64,
+    /// The saturated count's premise ([`saturable`]).
+    saturable: Option<(u64, f64)>,
+    /// The periodic region still to replay ([`replayable`]), the pool
+    /// snapshots at its cycle boundaries (`n_snaps` in use), and its
+    /// template.
+    periodic: Option<PostPeriodic>,
+    snaps: &'a mut Vec<PoolSnap>,
+    n_snaps: usize,
+    tmpl: &'a mut Vec<(u32, f64, f64)>,
+    /// A batch head run's capture, with its drain checkpoint in
+    /// progress: whether no pop so far took a processor below
+    /// `post_base`, and the largest availability popped.
+    capture: Option<&'a mut BatchHead>,
+    dck: DrainCk,
+    post_base: u32,
+}
+
+impl<T: Tracer> Drain<'_, '_, T> {
+    /// Drains the queues: each take pops the earliest queue front, ties
+    /// going to the lower step, onto the earliest-available processor,
+    /// and the month's next step joins the following queue. A batch
+    /// resume starts past the prefix it `adopt`s. Before each take, a
+    /// one-step drain records batch checkpoints, counts its saturated
+    /// rest or replays cycles. Returns the post finish.
+    fn run(mut self, adopt: Option<&DrainCk>) -> f64 {
+        if let Some(head) = self.capture.as_deref_mut() {
+            head.chain.clear();
+            head.chain.extend_from_slice(self.entries.tail);
+        }
+        self.tmpl.clear();
+        // Each queue's cursor; queue 0's is a chain index.
+        let mut next = [self.adopt(adopt), 0, 0];
+        self.pool.sort();
+        loop {
+            let mut step = 0;
+            let mut front = (next[0] < self.entries.len()).then(|| self.entries.at(next[0]));
+            for (k, q) in self.later.iter().enumerate() {
+                if let Some(&e) = q.get(next[k + 1]) {
+                    if front.is_none_or(|f| e.0 < f.0) {
+                        (step, front) = (k + 1, Some(e));
+                    }
+                }
+            }
+            let Some((ready, s, month)) = front else {
+                break;
+            };
+            if self.later.is_empty() {
+                self.capture_dck(next[0]);
+                if self.saturated(next[0]) {
+                    break;
+                }
+                if let Some(i) = self.replay(next[0]) {
+                    next[0] = i;
+                    continue;
+                }
+            }
+            let i = next[step];
+            next[step] += 1;
+            let (avail, proc, start, end) = self.pool.take(ready, self.steps[step]);
+            self.last_pop = avail;
+            if self.capture.is_some() {
+                self.dck.maxpop = self.dck.maxpop.max(avail);
+                self.dck.valid &= proc >= self.post_base;
+            }
+            if self.periodic.is_some_and(|p| i >= p.start_idx) {
+                self.tmpl.push((proc, start, end));
+            }
+            self.stamp
+                .post(self.kinds[step], s, month, proc, start, end);
+            match self.later.get_mut(step) {
+                Some(q) => q.push((end, s, month)),
+                None => self.post_finish = self.post_finish.max(end),
+            }
+        }
+        // The last drain checkpoint sits at the end of the chain.
+        self.capture_dck(next[0]);
+        self.post_finish
+    }
+
+    /// A resumed variant re-drains the head's chain prefix. When the
+    /// head's own drain of that prefix never popped a disbanded-group
+    /// processor, and none of the variant's disbanded entries can
+    /// preempt a pop the head made (every one strictly later than the
+    /// latest availability the head popped), the pool evolution over the
+    /// prefix is bitwise the head's: adopt its recorded result and
+    /// return the tail's chain index. Otherwise the drain starts at 0,
+    /// event by event, which is always correct.
+    fn adopt(&mut self, dck: Option<&DrainCk>) -> usize {
+        let Some(dck) = dck else { return 0 };
+        let post_base = self.post_base;
+        let min_disband = self
+            .pool
+            .iter()
+            .filter(|&(_, p)| p < post_base)
+            .map(|(a, _)| a)
+            .fold(f64::INFINITY, f64::min);
+        if !dck.valid || self.entries.prefix.is_empty() || min_disband <= dck.maxpop {
+            return 0;
+        }
+        self.pool.retain(|p| p < post_base);
+        for &(a, p) in &dck.pool {
+            self.pool.push(a, p);
+        }
+        self.post_finish = dck.post_finish;
+        self.last_pop = dck.maxpop;
+        self.entries.prefix.len()
+    }
+
+    /// A batch head's drain checkpoints: one per main checkpoint, taken
+    /// when the drain reaches that checkpoint's chain index `i`.
+    #[inline]
+    fn capture_dck(&mut self, i: usize) {
+        let Some(head) = self.capture.as_deref_mut() else {
+            return;
+        };
+        let post_base = self.post_base;
+        while head
+            .checkpoints
+            .get(head.drain_cks.len())
+            .is_some_and(|ck| ck.completions as usize == i)
+        {
+            head.drain_cks.push(DrainCk {
+                post_finish: self.post_finish,
+                pool: self.pool.sorted(|p| p >= post_base),
+                ..self.dck
+            });
+        }
+    }
+
+    /// The saturated count (module docs, "The saturated drain"): once
+    /// the pool's earliest availability is at or after the last ready
+    /// time, the posts from chain index `i` on are counted off the pool.
+    /// Returns whether it counted.
+    #[inline]
+    fn saturated(&mut self, i: usize) -> bool {
+        let Some((tp, last_ready)) = self.saturable else {
+            return false;
+        };
+        if !self.pool.first_avail().is_some_and(|a| a >= last_ready) {
+            return false;
+        }
+        let k = (self.entries.len() - i) as u64;
+        let end = self.pool.saturated_pop(k, tp) as f64 + self.steps[0];
+        self.post_finish = self.post_finish.max(end);
+        self.report.posts_closed_form = k;
+        true
+    }
+
+    /// The drain's fast-forward (module docs, "The post drain"): at
+    /// each cycle boundary `i` of the periodic region, snapshot the
+    /// pool; once two snapshots split it into a part shifted by the
+    /// boundary delta and a stable part above it, replay whole cycles.
+    /// Returns the chain index past the replay.
+    fn replay(&mut self, i: usize) -> Option<usize> {
+        let p = self.periodic?;
+        if i < p.start_idx || !(i - p.start_idx).is_multiple_of(p.len) {
+            return None;
+        }
+        let c = ((i - p.start_idx) / p.len) as u64;
+        if c >= p.cycles {
+            self.periodic = None; // past the periodic region
+            return None;
+        }
+        if self.n_snaps == self.snaps.len() {
+            self.snaps.push(PoolSnap::default());
+        }
+        let (prev, slot) = self.snaps.split_at_mut(self.n_snaps);
+        let last_pop = self.last_pop;
+        let key = if self.stamp.observed() {
+            PoolKey::ById
+        } else {
+            PoolKey::ByAvail { last_pop }
+        };
+        pool_snapshot(&mut slot[0], c, self.entries.at(i).0, key, self.pool.iter());
+        let hit = prev
+            .iter()
+            .rev()
+            .find_map(|ps| pool_match(ps, &slot[0]).map(|sh| (ps.cycle, sh)));
+        let Some((prev_cycle, sh)) = hit else {
+            self.n_snaps += 1;
+            if self.n_snaps == MAX_POOL_SNAPS {
+                self.periodic = None; // pool never settled
+            }
+            return None;
+        };
+        // One match ends the region, replayed or matched too late.
+        self.periodic = None;
+        let q = c - prev_cycle;
+        // The handed-over region spaces boundaries exactly `d` apart;
+        // anything else means the chain is not actually periodic here.
+        debug_assert_eq!(sh.delta, (q as f64) * p.d);
+        let mut n = if sh.delta == (q as f64) * p.d {
+            (p.cycles - c) / q
+        } else {
+            0
+        };
+        if let Some(min_stable) = sh.min_stable {
+            // A replayed window may only pop shifted (cycling)
+            // processors: cap n so the largest shifted availability,
+            // advancing `delta` per window, stays strictly below every
+            // parked one. A negative room casts to a cap of 0.
+            let room = min_stable - sh.max_shifted - 1.0;
+            n = n.min((room / sh.delta).floor() as u64);
+        }
+        if n == 0 {
+            return None;
+        }
+        let cycle_start = |cycle: u64| usize::try_from(cycle).expect("cycle index") * p.len;
+        self.stamp_replay(p, cycle_start(prev_cycle)..cycle_start(c), n, q);
+        // Advance the cycling processors n·q cycles; the parked ones
+        // kept their absolute availabilities throughout.
+        let cutoff = sh.min_stable.unwrap_or(f64::INFINITY);
+        self.pool.shift_below(cutoff, ((n * q) as f64) * p.d);
+        self.report.post_cycles_skipped = n * q;
+        Some(i + cycle_start(n * q))
+    }
+
+    /// Stamps `n` replays of the template `window`, `q` cycles of the
+    /// region `p` apart. When nothing observes the replayed tasks only
+    /// the post finish moves: shifted ends are monotone in both the
+    /// window entry and the replay index, so the largest is the
+    /// window's largest shifted the full `n·q` cycles, the same `f64`
+    /// the event loop would keep.
+    fn stamp_replay(&mut self, p: PostPeriodic, window: Range<usize>, n: u64, q: u64) {
+        if !self.stamp.observed() {
+            let ends = self.tmpl[window].iter().map(|&(_, _, end)| end);
+            let end = ends.fold(f64::NEG_INFINITY, f64::max) + ((n * q) as f64) * p.d;
+            self.post_finish = self.post_finish.max(end);
+            return;
+        }
+        for r in 1..=n {
+            let shift = ((r * q) as f64) * p.d;
+            let stride = usize::try_from(r * q).expect("cycle stride") * p.len;
+            for off in window.clone() {
+                let (proc, start, end) = self.tmpl[off];
+                let (ready, s, month) = self.entries.at(p.start_idx + stride + off);
+                debug_assert_eq!(
+                    ready,
+                    self.entries.at(p.start_idx + off).0 + shift,
+                    "replayed chain entry off the periodic lattice"
+                );
+                let (start, end) = (start + shift, end + shift);
+                self.stamp
+                    .post(TaskKind::FusedPost, s, month, proc, start, end);
+                self.post_finish = self.post_finish.max(end);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
