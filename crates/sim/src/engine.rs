@@ -356,35 +356,6 @@ struct FailureImpact {
     months_lost: u32,
 }
 
-/// Emits the inject/detect/recover event triple for one processed
-/// failure (inject always; detect and recover only if the kill landed).
-fn emit_failure<T: Tracer>(tracer: &mut T, failure: (usize, f64), impact: Option<&FailureImpact>) {
-    let (g, tf) = failure;
-    tracer.record(TraceEvent::at(
-        tf,
-        EventKind::FailureInject { group: g as u32 },
-    ));
-    let Some(im) = impact else { return };
-    tracer.record(TraceEvent::at(
-        tf,
-        EventKind::FailureDetect {
-            group: g as u32,
-            victim: im.victim.map(|(s, _)| s),
-            lost_proc_secs: im.lost_proc_secs,
-            months_lost: im.months_lost,
-        },
-    ));
-    if let Some((s, m)) = im.victim {
-        tracer.record(TraceEvent::at(
-            tf,
-            EventKind::Recover {
-                scenario: s,
-                resume_month: m,
-            },
-        ));
-    }
-}
-
 /// Writes the busy set's content into `out` in pop order: `(finish
 /// tick, group)` ascending. Only called in integer time, where every
 /// finish is an exact integral second; the heap holds at most one entry
@@ -1018,29 +989,29 @@ impl<T: Tracer> Stamp<'_, T> {
         self.records.is_some() || self.tracer.enabled()
     }
 
+    /// Records the event `kind` builds at `t`, when the tracer is on.
+    #[inline]
+    fn event(&mut self, t: f64, kind: impl FnOnce() -> EventKind) {
+        if self.tracer.enabled() {
+            self.tracer.record(TraceEvent::at(t, kind()));
+        }
+    }
+
     /// A main dispatched onto group `g`'s `procs` at `now`, leaving
     /// `depth` scenarios waiting.
     fn dispatch(&mut self, task: FusedTask, g: usize, procs: ProcRange, now: f64, depth: u32) {
-        if self.tracer.enabled() {
-            let group = Some(g as u32);
-            self.tracer.record(TraceEvent::at(
-                now,
-                EventKind::TaskDispatch {
-                    task,
-                    group,
-                    queue_depth: depth,
-                },
-            ));
-            self.tracer.record(TraceEvent::at(
-                now,
-                EventKind::TaskStart {
-                    task,
-                    first_proc: procs.first,
-                    procs: procs.count,
-                    group,
-                },
-            ));
-        }
+        let group = Some(g as u32);
+        self.event(now, || EventKind::TaskDispatch {
+            task,
+            group,
+            queue_depth: depth,
+        });
+        self.event(now, || EventKind::TaskStart {
+            task,
+            first_proc: procs.first,
+            procs: procs.count,
+            group,
+        });
     }
 
     /// A task that ran on `procs` over `start..end`, on group `g` (`None`
@@ -1057,18 +1028,13 @@ impl<T: Tracer> Stamp<'_, T> {
                 group: g,
             });
         }
-        if self.tracer.enabled() {
-            self.tracer.record(TraceEvent::at(
-                end,
-                EventKind::TaskFinish {
-                    task,
-                    first_proc: procs.first,
-                    procs: procs.count,
-                    group: g,
-                    secs: end - start,
-                },
-            ));
-        }
+        self.event(end, || EventKind::TaskFinish {
+            task,
+            first_proc: procs.first,
+            procs: procs.count,
+            group: g,
+            secs: end - start,
+        });
     }
 
     /// Post step `kind` of `(s, month)` on processor `proc` over
@@ -1080,18 +1046,33 @@ impl<T: Tracer> Stamp<'_, T> {
             month,
             kind,
         };
-        if self.tracer.enabled() {
-            self.tracer.record(TraceEvent::at(
-                start,
-                EventKind::TaskStart {
-                    task,
-                    first_proc: proc,
-                    procs: 1,
-                    group: None,
-                },
-            ));
-        }
+        self.event(start, || EventKind::TaskStart {
+            task,
+            first_proc: proc,
+            procs: 1,
+            group: None,
+        });
         self.finish(task, ProcRange::single(proc), None, start, end);
+    }
+
+    /// The inject/detect/recover event triple of group `g`'s failure at
+    /// `tf` (inject always; detect and recover only if the kill landed).
+    fn failure(&mut self, g: usize, tf: f64, impact: Option<&FailureImpact>) {
+        let group = g as u32;
+        self.event(tf, || EventKind::FailureInject { group });
+        let Some(im) = impact else { return };
+        self.event(tf, || EventKind::FailureDetect {
+            group,
+            victim: im.victim.map(|(s, _)| s),
+            lost_proc_secs: im.lost_proc_secs,
+            months_lost: im.months_lost,
+        });
+        if let Some((scenario, resume_month)) = im.victim {
+            self.event(tf, || EventKind::Recover {
+                scenario,
+                resume_month,
+            });
+        }
     }
 }
 
@@ -1147,18 +1128,13 @@ impl<T: Tracer> Main<'_, T> {
     /// of the reserve may enter the pool.
     fn start(&mut self, post_procs: u32, resume: Option<&Checkpoint>) {
         let (n, ns, sizes) = (self.sizes.len(), self.inst.ns, self.sizes);
-        if self.stamp.tracer.enabled() {
-            self.stamp.tracer.record(TraceEvent::at(
-                0.0,
-                EventKind::CampaignBegin {
-                    ns,
-                    nm: self.inst.nm,
-                    r: self.inst.r,
-                    groups: sizes.to_vec(),
-                    post_procs,
-                },
-            ));
-        }
+        self.stamp.event(0.0, || EventKind::CampaignBegin {
+            ns,
+            nm: self.inst.nm,
+            r: self.inst.r,
+            groups: sizes.to_vec(),
+            post_procs,
+        });
         let post_base: u32 = sizes.iter().sum();
         let chain = &mut self.posts.chain;
         chain.iter_mut().for_each(Vec::clear);
@@ -1220,9 +1196,7 @@ impl<T: Tracer> Main<'_, T> {
                     // group alive makes the assignment a no-op, and the
                     // run strands below.
                     let impact = self.kill(g, tf);
-                    if self.stamp.tracer.enabled() {
-                        emit_failure(self.stamp.tracer, (g, tf), impact.as_ref());
-                    }
+                    self.stamp.failure(g, tf, impact.as_ref());
                     self.next_failure += 1;
                     self.groups.det.disturb();
                     self.assign(tf);
@@ -1280,15 +1254,10 @@ impl<T: Tracer> Main<'_, T> {
             for p in procs.first..procs.first + procs.count {
                 self.posts.pool.push(now, p);
             }
-            if self.stamp.tracer.enabled() {
-                self.stamp.tracer.record(TraceEvent::at(
-                    now,
-                    EventKind::GroupDisband {
-                        group: g as u32,
-                        procs: procs.count,
-                    },
-                ));
-            }
+            self.stamp.event(now, || EventKind::GroupDisband {
+                group: g as u32,
+                procs: procs.count,
+            });
         }
     }
 
@@ -1572,14 +1541,10 @@ impl<T: Tracer> Main<'_, T> {
     }
 
     /// The completed run's outcome, given its post finish.
-    fn outcome(self, post_finish: f64) -> (CampaignOutcome, KernelReport) {
+    fn outcome(mut self, post_finish: f64) -> (CampaignOutcome, KernelReport) {
         let makespan = self.main_finish.max(post_finish);
-        if self.stamp.tracer.enabled() {
-            self.stamp.tracer.record(TraceEvent::at(
-                makespan,
-                EventKind::CampaignEnd { makespan },
-            ));
-        }
+        self.stamp
+            .event(makespan, || EventKind::CampaignEnd { makespan });
         let schedule = self.stamp.records.map(|records| {
             let schedule = Schedule {
                 instance: self.inst,
@@ -1687,6 +1652,9 @@ impl<T: Tracer> Drain<'_, '_, T> {
         // Each queue's cursor; queue 0's is a chain index.
         let mut next = [self.adopt(adopt), 0, 0];
         self.pool.sort();
+        // The one-step regimes, on only where their premises held.
+        let shortcuts =
+            self.saturable.is_some() || self.periodic.is_some() || self.capture.is_some();
         loop {
             let mut step = 0;
             let mut front = (next[0] < self.entries.len()).then(|| self.entries.at(next[0]));
@@ -1700,12 +1668,12 @@ impl<T: Tracer> Drain<'_, '_, T> {
             let Some((ready, s, month)) = front else {
                 break;
             };
-            if self.later.is_empty() {
+            if shortcuts {
                 self.capture_dck(next[0]);
                 if self.saturated(next[0]) {
                     break;
                 }
-                if let Some(i) = self.replay(next[0]) {
+                if let Some(i) = self.periodic.and_then(|p| self.replay(p, next[0])) {
                     next[0] = i;
                     continue;
                 }
@@ -1713,13 +1681,15 @@ impl<T: Tracer> Drain<'_, '_, T> {
             let i = next[step];
             next[step] += 1;
             let (avail, proc, start, end) = self.pool.take(ready, self.steps[step]);
-            self.last_pop = avail;
-            if self.capture.is_some() {
-                self.dck.maxpop = self.dck.maxpop.max(avail);
-                self.dck.valid &= proc >= self.post_base;
-            }
-            if self.periodic.is_some_and(|p| i >= p.start_idx) {
-                self.tmpl.push((proc, start, end));
+            if shortcuts {
+                self.last_pop = avail;
+                if self.capture.is_some() {
+                    self.dck.maxpop = self.dck.maxpop.max(avail);
+                    self.dck.valid &= proc >= self.post_base;
+                }
+                if self.periodic.is_some_and(|p| i >= p.start_idx) {
+                    self.tmpl.push((proc, start, end));
+                }
             }
             self.stamp
                 .post(self.kinds[step], s, month, proc, start, end);
@@ -1803,12 +1773,11 @@ impl<T: Tracer> Drain<'_, '_, T> {
     }
 
     /// The drain's fast-forward (module docs, "The post drain"): at
-    /// each cycle boundary `i` of the periodic region, snapshot the
+    /// each cycle boundary `i` of the periodic region `p`, snapshot the
     /// pool; once two snapshots split it into a part shifted by the
     /// boundary delta and a stable part above it, replay whole cycles.
     /// Returns the chain index past the replay.
-    fn replay(&mut self, i: usize) -> Option<usize> {
-        let p = self.periodic?;
+    fn replay(&mut self, p: PostPeriodic, i: usize) -> Option<usize> {
         if i < p.start_idx || !(i - p.start_idx).is_multiple_of(p.len) {
             return None;
         }
