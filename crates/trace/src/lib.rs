@@ -70,5 +70,5 @@ pub mod prelude {
     pub use crate::event::{EventKind, TraceEvent, TransferKind};
     pub use crate::gantt::{render_events, render_events_default, GanttOptions};
     pub use crate::metrics::{phase_totals, MetricsRegistry, MetricsSnapshot, PhaseTotals};
-    pub use crate::tracer::{read_jsonl, JsonlTracer, Metered, NullTracer, Tracer, VecTracer};
+    pub use crate::tracer::{JsonlTracer, Metered, NullTracer, Tracer, VecTracer};
 }

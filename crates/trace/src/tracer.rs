@@ -172,15 +172,6 @@ impl<W: Write> Tracer for JsonlTracer<W> {
     }
 }
 
-/// Parses a JSON Lines trace (as produced by [`JsonlTracer`]) back
-/// into events. Blank lines are ignored.
-pub fn read_jsonl(text: &str) -> Result<Vec<TraceEvent>, serde::Error> {
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(serde_json::from_str)
-        .collect()
-}
-
 /// Wraps any sink with a live [`MetricsRegistry`]: every event updates
 /// the registry *and* flows to the inner sink, so counters and
 /// histograms are snapshotable mid-run while the full event stream is
@@ -273,7 +264,10 @@ mod tests {
         let bytes = t.finish().unwrap();
         let text = String::from_utf8(bytes).unwrap();
         assert_eq!(text.lines().count(), 2);
-        let back = read_jsonl(&text).unwrap();
+        let back: Vec<TraceEvent> = text
+            .lines()
+            .map(|line| serde_json::from_str(line).unwrap())
+            .collect();
         assert_eq!(back.len(), 2);
         assert_eq!(back[1].t, 2.5);
     }
