@@ -193,11 +193,11 @@
 //! The other regime of Section 4.1, and Improvement 2's: with too few
 //! post processors (none at all when `R2 = 0`), posts queue up, and
 //! most of them run after the last main completion. A fused drain stops
-//! taking posts when all of these hold:
+//! taking posts when all of these hold (the first two are `saturable`):
 //!
 //! * nothing observes the run, and it is not a batch head capture;
-//! * fast-forward is on, the run is in integer time, and `TP` is a
-//!   positive tick-exact value;
+//! * fast-forward is on, the run is in integer time, and the chain's
+//!   one step `TP` is a positive tick-exact value;
 //! * the pool's earliest availability, the one the next take would pop,
 //!   is at or after the last post's ready time `r_last`.
 //!
@@ -252,9 +252,9 @@
 //! at their boundaries), `tests/driver_equivalence.rs` (the
 //! unrecorded driver against a recorded run) and the tracked
 //! `results/*.json` enforce this;
-//! `tests/drain_equivalence.rs` pins both post drains to a heap-drain
-//! oracle, and a proptest of the pool pins every take to a
-//! `BinaryHeap` pool's.
+//! `tests/drain_equivalence.rs` pins the drain at both granularities
+//! to a heap-drain oracle, and a proptest of the pool pins every take
+//! to a `BinaryHeap` pool's.
 
 #![warn(clippy::too_many_lines)]
 
