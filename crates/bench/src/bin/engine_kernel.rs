@@ -41,7 +41,8 @@ use oa_platform::presets::reference_cluster;
 use oa_sched::grouping::Grouping;
 use oa_sched::heuristics::Heuristic;
 use oa_sched::params::Instance;
-use oa_sched::policy::{CampaignConfig, FaultPlan, Granularity, Recovery, ScenarioPolicy};
+use oa_sched::policy::Granularity::{self, Fused, Unfused};
+use oa_sched::policy::{CampaignConfig, FaultPlan, Recovery, ScenarioPolicy};
 use oa_sim::batch::{run_batch, run_naive, BatchSpec};
 use oa_sim::engine::{simulate_campaign_kernel, KernelOpts, KernelReport};
 use oa_trace::NullTracer;
@@ -54,56 +55,29 @@ const NMS: [u32; 3] = [120, 1800, 18000];
 /// Runs that nothing observes, where the drain's unobserved regimes
 /// engage: one kill of group 2 at 3,000,000 s keeps each run from
 /// recording a schedule (reference table, `NS = 10`, `NM = 1800`). By
-/// row: `(key, R, granularity, group sizes, post processors)`. The
+/// row: `(name, R, granularity, group sizes, post processors)`. The
 /// fused `7×7 | post:4` replays its drain by availability and counts
 /// its last posts off the pool, the fused knapsack `4×8 + 3×7 | post:0`
 /// counts nearly all of its posts off the pool, and the unfused
 /// `7×7 | post:7` keeps pace, so it takes the closed form.
 const UNOBSERVED: [(&str, u32, Granularity, &[u32], u32); 3] = [
-    (
-        "unobserved_fused_7x7_post4",
-        53,
-        Granularity::Fused,
-        &[7; 7],
-        4,
-    ),
-    (
-        "unobserved_fused_knapsack_post0",
-        53,
-        Granularity::Fused,
-        &[8, 8, 8, 8, 7, 7, 7],
-        0,
-    ),
-    (
-        "unobserved_unfused_7x7_post7",
-        56,
-        Granularity::Unfused,
-        &[7; 7],
-        7,
-    ),
+    ("7x7_post4", 53, Fused, &[7; 7], 4),
+    ("knapsack_post0", 53, Fused, &[8, 8, 8, 8, 7, 7, 7], 0),
+    ("7x7_post7", 56, Unfused, &[7; 7], 7),
 ];
 
 /// The kernel report's counters as ledger fields.
 fn counter_fields(rep: &KernelReport) -> Vec<(String, Value)> {
-    vec![
-        ("integer_time".into(), Value::Bool(rep.integer_time)),
-        (
-            "main_cycles_skipped".into(),
-            Value::U64(rep.main_cycles_skipped),
-        ),
-        (
-            "post_cycles_skipped".into(),
-            Value::U64(rep.post_cycles_skipped),
-        ),
-        (
-            "drain_closed_form".into(),
-            Value::Bool(rep.drain_closed_form),
-        ),
-        (
-            "posts_closed_form".into(),
-            Value::U64(rep.posts_closed_form),
-        ),
+    [
+        ("integer_time", Value::Bool(rep.integer_time)),
+        ("main_cycles_skipped", Value::U64(rep.main_cycles_skipped)),
+        ("post_cycles_skipped", Value::U64(rep.post_cycles_skipped)),
+        ("drain_closed_form", Value::Bool(rep.drain_closed_form)),
+        ("posts_closed_form", Value::U64(rep.posts_closed_form)),
     ]
+    .into_iter()
+    .map(|(key, value)| (key.into(), value))
+    .collect()
 }
 
 /// Best-of-N wall-clock of one configuration, with the report of the
@@ -231,7 +205,7 @@ fn main() {
     );
 
     let mut entries: Vec<(String, Value)> = Vec::new();
-    for granularity in [Granularity::Fused, Granularity::Unfused] {
+    for granularity in [Fused, Unfused] {
         for nm in NMS {
             let inst = Instance::new(NS, nm, R);
             let grouping = Heuristic::Basic.grouping(inst, &table).expect("feasible");
@@ -301,7 +275,7 @@ fn main() {
         "{:>38} {:>9} {:>13} {:>13} {:>6} {:>8}",
         "run", "kernel", "main-skipped", "post-skipped", "closed", "counted"
     );
-    for (key, r, granularity, groups, post) in UNOBSERVED {
+    for (name, r, granularity, groups, post) in UNOBSERVED {
         let table = reference_cluster(r).timing;
         let inst = Instance::new(NS, 1800, r);
         let grouping = Grouping::new(groups.to_vec(), post);
@@ -336,7 +310,8 @@ fn main() {
             ("kernel_secs".into(), Value::F64(secs)),
         ];
         fields.extend(counter_fields(&rep));
-        entries.push((key.into(), Value::Object(fields)));
+        let key = format!("unobserved_{}_{name}", granularity.label());
+        entries.push((key, Value::Object(fields)));
     }
 
     // The workflow-IR front-end at full campaign scale: lowering the
