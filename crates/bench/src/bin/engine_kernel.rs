@@ -14,9 +14,10 @@
 //! counts, `drain_closed_form`, `posts_closed_form`, batch `heads` and
 //! `checksum`, and the IR's `nodes` — are a regression signal of their
 //! own: CI re-runs this binary without `--big` and diffs them against
-//! the committed file. Besides the recorded kernel rows, three rows run
-//! unobserved (one kill each), so the drain regimes that only such runs
-//! reach show up as counts too.
+//! the committed file. Besides the recorded kernel rows, four rows run
+//! unobserved (killed runs), so the drain regimes that only such runs
+//! reach, and the main-phase replay between faults, show up as counts
+//! too.
 //!
 //! Run: `cargo run --release -p oa-bench --bin engine_kernel [--smoke]`
 //!
@@ -52,19 +53,49 @@ const NS: u32 = 10;
 const R: u32 = 53;
 const NMS: [u32; 3] = [120, 1800, 18000];
 
+/// An unobserved row: `(name, R, granularity, group sizes, post
+/// processors, kills)`.
+type Unobserved = (
+    &'static str,
+    u32,
+    Granularity,
+    &'static [u32],
+    u32,
+    &'static [(usize, f64)],
+);
+
 /// Runs that nothing observes, where the drain's unobserved regimes
-/// engage: one kill of group 2 at 3,000,000 s keeps each run from
-/// recording a schedule (reference table, `NS = 10`, `NM = 1800`). By
-/// row: `(name, R, granularity, group sizes, post processors)`. The
-/// fused `7×7 | post:4` replays its drain by availability and counts
-/// its last posts off the pool, the fused knapsack `4×8 + 3×7 | post:0`
-/// counts nearly all of its posts off the pool, and the unfused
-/// `7×7 | post:7` keeps pace, so it takes the closed form.
-const UNOBSERVED: [(&str, u32, Granularity, &[u32], u32); 3] = [
-    ("7x7_post4", 53, Fused, &[7; 7], 4),
-    ("knapsack_post0", 53, Fused, &[8, 8, 8, 8, 7, 7, 7], 0),
-    ("7x7_post7", 56, Unfused, &[7; 7], 7),
+/// engage: a kill keeps each run from recording a schedule (reference
+/// table, `NS = 10`, `NM = 1800`). The fused `7×7 | post:4`
+/// replays its drain by availability and counts its last posts off the
+/// pool, the fused knapsack `4×8 + 3×7 | post:0` counts nearly all of
+/// its posts off the pool, and the unfused `7×7 | post:7` keeps pace, so
+/// it takes the closed form. Each replays main-phase cycles before and
+/// after its kill; the second `7×7 | post:4` row, killed twice, also
+/// between its kills.
+const UNOBSERVED: [Unobserved; 4] = [
+    ("7x7_post4", 53, Fused, &[7; 7], 4, ONE_KILL),
+    (
+        "knapsack_post0",
+        53,
+        Fused,
+        &[8, 8, 8, 8, 7, 7, 7],
+        0,
+        ONE_KILL,
+    ),
+    ("7x7_post7", 56, Unfused, &[7; 7], 7, ONE_KILL),
+    (
+        "7x7_post4_two_kills",
+        53,
+        Fused,
+        &[7; 7],
+        4,
+        &[(2, 1_000_000.0), (5, 3_000_000.0)],
+    ),
 ];
+
+/// The unobserved rows' one kill: group 2 at 3,000,000 s.
+const ONE_KILL: &[(usize, f64)] = &[(2, 3_000_000.0)];
 
 /// The kernel report's counters as ledger fields.
 fn counter_fields(rep: &KernelReport) -> Vec<(String, Value)> {
@@ -270,12 +301,12 @@ fn main() {
 
     // The unobserved rows: the counters the recorded rows above never
     // reach, each run's best of 7 wall-clock alongside.
-    println!("\n== Unobserved runs, one kill of group 2: NS = {NS}, NM = 1800 ==");
+    println!("\n== Unobserved runs, killed: NS = {NS}, NM = 1800 ==");
     println!(
-        "{:>38} {:>9} {:>13} {:>13} {:>6} {:>8}",
+        "{:>46} {:>9} {:>13} {:>13} {:>6} {:>8}",
         "run", "kernel", "main-skipped", "post-skipped", "closed", "counted"
     );
-    for (name, r, granularity, groups, post) in UNOBSERVED {
+    for (name, r, granularity, groups, post, kills) in UNOBSERVED {
         let table = reference_cluster(r).timing;
         let inst = Instance::new(NS, 1800, r);
         let grouping = Grouping::new(groups.to_vec(), post);
@@ -283,7 +314,9 @@ fn main() {
             granularity,
             ..CampaignConfig::default()
         };
-        let plan = FaultPlan::none().kill(2, 3_000_000.0);
+        let plan = FaultPlan {
+            failures: kills.to_vec(),
+        };
         let (secs, rep) = time_config(
             inst,
             &table,
@@ -294,8 +327,12 @@ fn main() {
             7,
         );
         println!(
-            "{:>38} {:>8.5}s {:>13} {:>13} {:>6} {:>8}",
-            format!("{} {grouping}, R = {r}", granularity.label()),
+            "{:>46} {:>8.5}s {:>13} {:>13} {:>6} {:>8}",
+            format!(
+                "{} {grouping}, R = {r}, {} kill(s)",
+                granularity.label(),
+                kills.len()
+            ),
             secs,
             rep.main_cycles_skipped,
             rep.post_cycles_skipped,

@@ -508,12 +508,13 @@ fn sim_cmd(args: &Args) -> Result<String, CliError> {
         return Err(CliError::AnalysisFailed(lint.render_text()));
     }
 
-    let outcome = simulate_campaign(
+    let (outcome, kernel) = simulate_campaign_kernel(
         inst,
         &cluster.timing,
         &grouping,
         &config,
         &plan,
+        KernelOpts::default(),
         &mut NullTracer,
     )
     .map_err(domain)?;
@@ -524,15 +525,23 @@ fn sim_cmd(args: &Args) -> Result<String, CliError> {
         json.push('\n');
         return Ok(json);
     }
+    let yes_no = |b: bool| if b { "yes" } else { "no" };
     let mut out = format!(
         "campaign on {}: NS = {ns}, NM = {nm}, R = {r}, heuristic {}\n\
          engine: policy {}, {} granularity, {} kill(s)\n\
+         kernel: integer time {}, cycles replayed {} main / {} post, \
+         closed-form drain {}, posts counted {}\n\
          grouping {grouping}\n",
         cluster.name,
         h.label(),
         config.policy,
         config.granularity.label(),
         plan.failures.len(),
+        yes_no(kernel.integer_time),
+        kernel.main_cycles_skipped,
+        kernel.post_cycles_skipped,
+        yes_no(kernel.drain_closed_form),
+        kernel.posts_closed_form,
     );
     for d in &lint.diagnostics {
         out.push_str(&format!("{}\n", d.render()));
@@ -1563,6 +1572,40 @@ mod tests {
             oa(&["sim", "--kill", "zero@ten"]),
             Err(CliError::Domain(_))
         ));
+    }
+
+    /// The text output says what the kernel did. Two kills on the
+    /// reference campaign: the main phase replays cycles before, between
+    /// and after them, the drain replays by availability, and nothing
+    /// observes the run. The JSON output carries only the outcome.
+    #[test]
+    fn sim_reports_the_kernel() {
+        let argv = [
+            "sim",
+            "--ns",
+            "10",
+            "--nm",
+            "1800",
+            "--r",
+            "53",
+            "--heuristic",
+            "basic",
+            "--kill",
+            "2@1000000,5@3000000",
+        ];
+        let out = oa(&argv).unwrap();
+        let line = out.lines().nth(2).unwrap_or_default();
+        assert_eq!(
+            line,
+            "kernel: integer time yes, cycles replayed 990 main / 706 post, \
+             closed-form drain no, posts counted 0",
+            "{out}"
+        );
+        let json = oa(&[&argv[..], &["--json"]].concat()).unwrap();
+        assert!(
+            !json.contains("kernel") && !json.contains("cycles"),
+            "{json}"
+        );
     }
 
     #[test]

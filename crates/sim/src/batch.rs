@@ -12,8 +12,7 @@
 //!   *head* run ([`crate::engine`] in capture mode) records the
 //!   campaign's canonical state at every `NS`-completion boundary;
 //!   every fault variant then resumes from the last checkpoint before
-//!   its first fault instead of replaying the fault-free prefix
-//!   event by event;
+//!   its first fault instead of re-simulating the fault-free prefix;
 //! * **SoA streaming** — variant results land in [`BatchSoA`]
 //!   (structure-of-arrays columns), and workers reuse thread-local
 //!   fault buffers plus the engine's thread-local scratch, so the
@@ -224,7 +223,8 @@ impl BatchSpec {
     ///
     /// The basic grouping is deliberate: its uniform month duration
     /// lets the steady-state detector lock, so resumed variants skip
-    /// both the post-fault main cycles and the periodic drain region.
+    /// the main cycles between and after their faults and the periodic
+    /// drain region.
     /// Mixed-size knapsack groupings (e.g. `4×8 + 3×7` here) produce
     /// an aperiodic busy pattern the detector cannot fold, capping
     /// sharing at checkpoint-resume alone; select them via the spec's

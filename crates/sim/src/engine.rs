@@ -41,17 +41,21 @@
 //! keys (one per group, one per waiting scenario), so its pops depend
 //! only on its key set, which is the same either way. On top of
 //! the generic loop sits the steady-state fast-forward, controlled by
-//! [`KernelOpts`] and reported by [`KernelReport`]. A fault-free
-//! campaign repeats the same event pattern every cycle once the
-//! pipeline fills. The detector in the private `ffwd` module spots the
-//! recurrence (same busy/running/idle/waiting shape modulo a constant
-//! time offset and a uniform month shift), and the engine then
-//! *replays* the cycle's journal arithmetically — records, chain
-//! entries and trace events stamped from the template with `t + j·D` —
-//! instead of re-simulating it. The fused post drain runs the same
-//! trick over the processor pool. Both fall back to event-by-event
-//! execution around faults, cluster transitions and the campaign
-//! head/tail.
+//! [`KernelOpts`] and reported by [`KernelReport`]. A campaign repeats
+//! the same event pattern every cycle once the pipeline fills, and
+//! between two faults it does so exactly as a fault-free run. The
+//! detector in the private `ffwd` module spots the recurrence (same
+//! busy/running/idle/waiting shape modulo a constant time offset and a
+//! uniform month shift), and the engine then *replays* the cycle's
+//! journal arithmetically — records, chain entries and trace events
+//! stamped from the template with `t + j·D` — instead of re-simulating
+//! it. The fused post drain runs the same trick over the processor
+//! pool. Both fall back to event-by-event execution around faults,
+//! cluster transitions and the campaign head/tail: a pending fault caps
+//! the main-phase replay so that every replayed completion lies
+//! strictly before it, and each processed fault starts a new stretch in
+//! which the detector looks again. The drain replays the newest
+//! stretch's periodic region.
 //!
 //! Integer time is the fast-forward's gate and nothing else: the
 //! stamped additions are exact only when every task duration and every
@@ -1143,7 +1147,7 @@ impl<T: Tracer> Main<'_, T> {
         }
         self.posts.pool.clear((post_base + post_procs) as usize);
         let gs = &mut *self.groups;
-        gs.det.reset_run();
+        gs.det.disturb(); // a run starts its first fault-free stretch
         gs.busy.clear();
         gs.busy.reserve(n);
         gs.running.clear();
@@ -1379,7 +1383,7 @@ impl<T: Tracer> Main<'_, T> {
         }
         if self.completions.is_multiple_of(u64::from(self.inst.ns)) {
             self.capture_ck(t);
-            if self.ff_on && self.groups.det.active() && self.next_failure == self.failures.len() {
+            if self.ff_on && self.groups.det.active() {
                 self.fast_forward(t);
             }
         }
@@ -1396,11 +1400,13 @@ impl<T: Tracer> Main<'_, T> {
         self.stamp.finish(task, self.procs[g], group, start, end);
     }
 
-    /// Steady-state detection at the `NS`-completion boundary `t`, once
-    /// the fault plan is exhausted. A cycle always spans `NS·dm`
-    /// completions, so this cadence cannot miss the period. On a match
-    /// the cycle is replayed.
+    /// Steady-state detection at the `NS`-completion boundary `t`. A
+    /// cycle always spans `NS·dm` completions, so this cadence cannot
+    /// miss the period. On a match the cycle is replayed, at most up to
+    /// the next pending failure (`ffwd` module docs, "When detection is
+    /// sound").
     fn fast_forward(&mut self, t: f64) {
+        let fault = self.failures.get(self.next_failure).map(|&(_, tf)| tf);
         let gs = &mut *self.groups;
         busy_ticks(&gs.busy, &mut gs.busy_buf);
         let now = t as u64;
@@ -1428,7 +1434,7 @@ impl<T: Tracer> Main<'_, T> {
             idle: &gs.snap_idle,
             waiting: &gs.snap_wait,
         };
-        if let Some(m) = gs.det.observe(&view, self.inst.nm) {
+        if let Some(m) = gs.det.observe(&view, self.inst.nm, fault) {
             self.replay(m);
         }
     }
@@ -1436,7 +1442,9 @@ impl<T: Tracer> Main<'_, T> {
     /// Replays the matched cycle `m.k` times from the journal, then
     /// shifts the live state `k` cycles forward. Every sum is
     /// integer-exact, so every stamped value is bitwise what
-    /// event-by-event simulation would compute.
+    /// event-by-event simulation would compute. Each fault-free stretch
+    /// adds its cycles to the report; the drain gets the newest
+    /// periodic region.
     fn replay(&mut self, m: CycleMatch) {
         for j in 1..=m.k {
             let shift = (j as f64) * m.d;
@@ -1483,7 +1491,7 @@ impl<T: Tracer> Main<'_, T> {
             gs.waiting.push(gs.months_done[s as usize], s);
         }
         self.completions += m.k * m.cycle_completions;
-        self.report.main_cycles_skipped = m.k;
+        self.report.main_cycles_skipped += m.k;
         self.post_periodic = Some(PostPeriodic {
             start_idx: m.chain_start,
             cycles: m.k + 1,

@@ -27,12 +27,26 @@
 //! task durations (and any failure instants) are integral seconds below
 //! `2^53` (`oa_sched::time::exact_ticks`), so every clock value in the
 //! run is an exactly-represented integer and `f64` addition never
-//! rounds. The detector additionally refuses to operate while a fault
-//! is pending — the engine only arms it once `next_failure` has passed
-//! the end of the plan — and it caps the skip so that no scenario
-//! reaches its final month inside a replayed cycle (completion events
-//! change the state shape: scenarios leave the system and groups
-//! disband, which only the event-by-event path handles).
+//! rounds. Two caps bound the skip:
+//!
+//! * **No scenario reaches its final month inside a replayed cycle.**
+//!   Completion events change the state shape: scenarios leave the
+//!   system and groups disband, which only the event-by-event path
+//!   handles.
+//! * **Every replayed completion lies strictly before the next pending
+//!   failure.** Between two faults the state recurs exactly as in a
+//!   fault-free run, so a stretch replays like one, but a failure goes
+//!   first at an equal instant: with the fault at `tf`, the last
+//!   replayed completion `t + k·D` must stay below it, so in ticks
+//!   `k ≤ (tf − t − 1) / D`. The live state then resumes at
+//!   `t + k·D < tf`, and the event loop processes the fault in its
+//!   place.
+//!
+//! A processed failure changes the state in ways no earlier snapshot
+//! shares, so the engine calls [`Detector::disturb`], which forgets the
+//! snapshots and the journal and re-opens the detector. It fires at
+//! most once per fault-free stretch: after a match, or a cap of zero
+//! cycles, it retires until the next failure.
 
 /// Kernel knobs of [`crate::engine::simulate_campaign_kernel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,7 +89,8 @@ pub struct KernelReport {
     /// the detector was allowed to engage.
     pub integer_time: bool,
     /// Whole main-phase cycles the fast-forward replayed from template
-    /// instead of simulating.
+    /// instead of simulating, summed over the run's fault-free
+    /// stretches (a faulted run replays between its faults too).
     pub main_cycles_skipped: u64,
     /// Whole post-phase cycles replayed from template during the drain.
     pub post_cycles_skipped: u64,
@@ -226,25 +241,19 @@ pub(crate) struct Detector {
     pub(crate) log: Vec<LogEv>,
     /// Whether the journal is being captured.
     armed: bool,
-    /// Gave up or already fired — no further snapshots this run.
+    /// Gave up or already fired — no further snapshots this stretch.
     done: bool,
 }
 
 impl Detector {
-    /// Resets for a new run.
-    pub(crate) fn reset_run(&mut self) {
-        self.n = 0;
-        self.log.clear();
-        self.armed = false;
-        self.done = false;
-    }
-
-    /// A failure was processed: drop all snapshots and the journal.
-    /// (The engine re-arms automatically once the plan is exhausted.)
+    /// Starts a fault-free stretch: at the start of a run, and after
+    /// each processed failure. Drops every snapshot and the journal, and
+    /// re-opens a retired detector.
     pub(crate) fn disturb(&mut self) {
         self.n = 0;
         self.log.clear();
         self.armed = false;
+        self.done = false;
     }
 
     /// Whether the journal should be fed.
@@ -257,11 +266,20 @@ impl Detector {
         !self.done
     }
 
-    /// Offers a snapshot. Returns a verified cycle match, after which
-    /// the detector retires for the rest of the run (the remaining
-    /// months fit in fewer than two cycles, so a second fast-forward
-    /// cannot pay for its detection).
-    pub(crate) fn observe(&mut self, view: &SnapView<'_>, nm: u32) -> Option<CycleMatch> {
+    /// Offers a snapshot; `fault` is the instant of the next pending
+    /// failure, if any, strictly after `view.t`. Returns a verified cycle
+    /// match capped by the months left and by the fault (module docs,
+    /// "When detection is sound"). After any match, fired or capped to
+    /// zero cycles, the detector retires until the next
+    /// [`Detector::disturb`]: the remaining months, or the time left
+    /// before the fault, fit in fewer than two cycles, so a second
+    /// fast-forward in the same stretch cannot pay for its detection.
+    pub(crate) fn observe(
+        &mut self,
+        view: &SnapView<'_>,
+        nm: u32,
+        fault: Option<f64>,
+    ) -> Option<CycleMatch> {
         if self.done {
             return None;
         }
@@ -300,7 +318,7 @@ impl Detector {
             );
             // Cap the skip so every replayed completion still re-queues
             // its scenario: months stay strictly below NM throughout.
-            let k = view
+            let months_cap = view
                 .months
                 .iter()
                 .map(|&m| {
@@ -311,7 +329,15 @@ impl Detector {
                 })
                 .min()
                 .expect("at least one scenario");
-            self.done = true; // one shot per run either way
+            // And so the last replayed completion, `t + k·D`, lies
+            // strictly before the pending fault, which goes first at an
+            // equal instant.
+            let fault_cap = fault.map_or(u64::MAX, |tf| {
+                debug_assert!(tf > view.t, "a pending fault lies ahead");
+                ((tf - view.t) as u64).saturating_sub(1) / d as u64
+            });
+            let k = months_cap.min(fault_cap);
+            self.done = true; // one shot per stretch either way
             if k == 0 {
                 return None;
             }
@@ -570,16 +596,17 @@ mod tests {
     #[test]
     fn detects_a_uniform_shift_and_caps_k() {
         let mut det = Detector::default();
-        det.reset_run();
         let busy = [(100u64, 0u32), (250, 1)];
         let running = [(0u32, 0u32, 50u64), (1, 1, 10)];
         let idle: [u32; 0] = [];
         let waiting = [2u32];
         // ns = 3 scenarios, dm = 2 per cycle, cycle = 6 completions.
         let a = view(1000.0, 6, &[4, 4, 4], &busy, &running, &idle, &waiting);
-        assert!(det.observe(&a, 100).is_none());
+        assert!(det.observe(&a, 100, None).is_none());
         let b = view(1600.0, 12, &[6, 6, 6], &busy, &running, &idle, &waiting);
-        let m = det.observe(&b, 100).expect("periodic state must match");
+        let m = det
+            .observe(&b, 100, None)
+            .expect("periodic state must match");
         assert_eq!(m.dm, 2);
         assert_eq!(m.d, 600.0);
         assert_eq!(m.cycle_completions, 6);
@@ -592,70 +619,128 @@ mod tests {
     #[test]
     fn non_uniform_month_progress_never_matches() {
         let mut det = Detector::default();
-        det.reset_run();
         let busy = [(10u64, 0u32)];
         let running = [(0u32, 0u32, 5u64)];
         let idle: [u32; 0] = [];
         let waiting = [1u32];
         let a = view(10.0, 2, &[1, 1], &busy, &running, &idle, &waiting);
-        assert!(det.observe(&a, 50).is_none());
+        assert!(det.observe(&a, 50, None).is_none());
         // Same shape, but scenario 1 advanced twice as fast.
         let b = view(30.0, 4, &[2, 3], &busy, &running, &idle, &waiting);
-        assert!(det.observe(&b, 50).is_none());
+        assert!(det.observe(&b, 50, None).is_none());
         assert!(det.active(), "a non-match keeps the detector alive");
     }
 
     #[test]
     fn shape_difference_never_matches() {
         let mut det = Detector::default();
-        det.reset_run();
         let running = [(0u32, 0u32, 5u64)];
         let idle: [u32; 0] = [];
         let waiting = [1u32];
         let a = view(10.0, 2, &[1, 1], &[(10, 0)], &running, &idle, &waiting);
-        assert!(det.observe(&a, 50).is_none());
+        assert!(det.observe(&a, 50, None).is_none());
         let b = view(30.0, 4, &[2, 2], &[(11, 0)], &running, &idle, &waiting);
-        assert!(det.observe(&b, 50).is_none());
+        assert!(det.observe(&b, 50, None).is_none());
     }
 
     #[test]
     fn disturb_forgets_everything() {
         let mut det = Detector::default();
-        det.reset_run();
         let busy = [(10u64, 0u32)];
         let running: [(u32, u32, u64); 0] = [];
         let idle = [0u32];
         let waiting: [u32; 0] = [];
         let a = view(10.0, 1, &[1], &busy, &running, &idle, &waiting);
-        assert!(det.observe(&a, 50).is_none());
+        assert!(det.observe(&a, 50, None).is_none());
         assert!(det.armed());
         det.disturb();
         assert!(!det.armed());
         // The exact recurrence of snapshot A no longer matches anything.
         let b = view(20.0, 2, &[2], &busy, &running, &idle, &waiting);
-        assert!(det.observe(&b, 50).is_none());
+        assert!(det.observe(&b, 50, None).is_none());
     }
 
     #[test]
     fn near_tail_match_retires_without_firing() {
         let mut det = Detector::default();
-        det.reset_run();
         let busy = [(10u64, 0u32)];
         let running: [(u32, u32, u64); 0] = [];
         let idle = [0u32];
         let waiting: [u32; 0] = [];
         let a = view(10.0, 1, &[8], &busy, &running, &idle, &waiting);
-        assert!(det.observe(&a, 10).is_none());
+        assert!(det.observe(&a, 10, None).is_none());
         // dm = 1, nm = 10, month 9: (10 - 1 - 9) / 1 = 0 cycles fit.
         let b = view(20.0, 2, &[9], &busy, &running, &idle, &waiting);
-        assert!(det.observe(&b, 10).is_none());
+        assert!(det.observe(&b, 10, None).is_none());
         assert!(!det.active());
+    }
+
+    /// Offers the shape of [`detects_a_uniform_shift_and_caps_k`] twice,
+    /// `D = 600` s apart from `t` on, with every scenario at month `m`
+    /// and then `m + 2` of 100, under the pending `fault`. Returns the
+    /// second offer's answer.
+    fn offer_cycle(det: &mut Detector, t: f64, m: u32, fault: Option<f64>) -> Option<CycleMatch> {
+        let busy = [(100u64, 0u32), (250, 1)];
+        let running = [(0u32, 0u32, 50u64), (1, 1, 10)];
+        let waiting = [2u32];
+        let (before, after) = ([m; 3], [m + 2; 3]);
+        let done = u64::from(m) * 3;
+        let a = view(t, done, &before, &busy, &running, &[], &waiting);
+        assert!(det.observe(&a, 100, fault).is_none());
+        let b = view(t + 600.0, done + 6, &after, &busy, &running, &[], &waiting);
+        det.observe(&b, 100, fault)
+    }
+
+    /// A fault at `t + D` would go first at the instant of the replayed
+    /// cycle's last completion, so no cycle fits: the detector replays
+    /// nothing and retires for the rest of the stretch.
+    #[test]
+    fn a_fault_one_cycle_ahead_replays_nothing() {
+        let mut det = Detector::default();
+        assert!(offer_cycle(&mut det, 1000.0, 4, Some(2200.0)).is_none());
+        assert!(!det.active() && !det.armed(), "a zero cap retires");
+        // Retired: a later recurrence of the stretch is not looked at.
+        assert!(offer_cycle(&mut det, 1000.0, 4, None).is_none());
+    }
+
+    /// One tick later, the cycle's last completion lies strictly before
+    /// the fault: one cycle replays. The month cap still binds when the
+    /// fault is further away than the months left.
+    #[test]
+    fn a_fault_a_tick_later_replays_one_cycle() {
+        let mut det = Detector::default();
+        let m = offer_cycle(&mut det, 1000.0, 4, Some(2201.0)).expect("one cycle fits");
+        assert_eq!((m.k, m.d), (1, 600.0));
+        for (fault, k) in [(2800.0, 1), (2801.0, 2), (1.0e12, 46)] {
+            det.disturb();
+            let m = offer_cycle(&mut det, 1000.0, 4, Some(fault)).expect("a match");
+            assert_eq!(m.k, k, "fault at {fault}");
+        }
+    }
+
+    /// A retired detector stays closed until the next failure re-opens
+    /// it, and then fires again in the new stretch.
+    #[test]
+    fn disturb_reopens_a_retired_detector() {
+        let mut det = Detector::default();
+        assert_eq!(
+            offer_cycle(&mut det, 1000.0, 4, None).map(|m| m.k),
+            Some(46)
+        );
+        assert!(!det.active());
+        assert!(offer_cycle(&mut det, 5000.0, 60, None).is_none());
+        det.disturb();
+        assert!(det.active() && !det.armed());
+        // (100 − 1 − 62) / 2 = 18 cycles stay below month 100.
+        assert_eq!(
+            offer_cycle(&mut det, 5000.0, 60, None).map(|m| m.k),
+            Some(18)
+        );
     }
 
     #[test]
     fn gives_up_after_the_snapshot_cap() {
         let mut det = Detector::default();
-        det.reset_run();
         let running: [(u32, u32, u64); 0] = [];
         let idle = [0u32];
         let waiting: [u32; 0] = [];
@@ -663,7 +748,7 @@ mod tests {
             // Every snapshot has a distinct busy shape: never matches.
             let busy = [(i, 0u32)];
             let v = view(i as f64, i, &[0], &busy, &running, &idle, &waiting);
-            assert!(det.observe(&v, 1000).is_none());
+            assert!(det.observe(&v, 1000, None).is_none());
         }
         assert!(!det.active());
     }

@@ -263,12 +263,21 @@ proptest! {
     }
 
     /// Tracing and metrics see the same story either way: identical
-    /// Chrome export bytes and an identical live metrics fold.
+    /// Chrome export bytes and an identical live metrics fold, with
+    /// 0–3 kills, so the journal replays between faults are pinned too.
     #[test]
     fn kernel_preserves_traces_and_metrics(
         (inst, table) in (arb_instance(), arb_integral_table()),
+        kills in proptest::collection::vec((0usize..4, 0.0f64..1.5), 0..4),
     ) {
         let Ok(grouping) = Heuristic::Basic.grouping(inst, &table) else { return Ok(()) };
+        let clean = estimate(inst, &table, &grouping).expect("valid grouping").makespan;
+        let plan = FaultPlan {
+            failures: kills
+                .iter()
+                .map(|&(g, f)| (g % grouping.group_count().max(1), (f * clean).floor()))
+                .collect(),
+        };
         for granularity in [Granularity::Fused, Granularity::Unfused] {
             let config = CampaignConfig {
                 policy: ScenarioPolicy::LeastAdvanced,
@@ -278,7 +287,7 @@ proptest! {
             let run = |opts: KernelOpts| {
                 let mut sink = Metered::new(VecTracer::new());
                 let (out, _) = simulate_campaign_kernel(
-                    inst, &table, &grouping, &config, &FaultPlan::none(), opts, &mut sink,
+                    inst, &table, &grouping, &config, &plan, opts, &mut sink,
                 )
                 .expect("valid grouping");
                 (out, sink.registry.snapshot(), sink.inner.into_events())
@@ -292,6 +301,72 @@ proptest! {
                 chrome_trace_string(&base_events),
                 "chrome export diverged"
             );
+        }
+    }
+
+    /// The fast-forward's fault cap at its boundary: a replay ends
+    /// strictly before the next pending failure, which goes first at an
+    /// equal instant. The first kill lands on a main completion instant
+    /// of the fault-free event-by-event run, the second on one of the
+    /// once-killed run's after the first kill, each exactly and a tick
+    /// either side. Basic and knapsack groupings, both granularities,
+    /// a drawn policy and recovery, traced and untraced: every run
+    /// equals the event-by-event run in its outcome bits and, traced, in
+    /// every event. Random fault instants almost never land on a
+    /// replayed cycle's last completion, where a cap that lets the
+    /// replay reach the fault (`t + k·D ≤ tf`) differs.
+    #[test]
+    fn the_fault_cap_holds_at_completion_instants(
+        (inst, table) in (arb_instance(), arb_integral_table()),
+        (first, second) in (0.0f64..1.0, 0.0f64..1.0),
+        (g1, g2) in (0usize..8, 0usize..8),
+        (policy, restart) in (0usize..3, 0u32..2),
+    ) {
+        let recovery = if restart == 1 { Recovery::RestartScenario } else { Recovery::MonthlyCheckpoint };
+        for h in [Heuristic::Basic, Heuristic::Knapsack] {
+            let Ok(grouping) = h.grouping(inst, &table) else { continue };
+            let n = grouping.group_count();
+            for granularity in [Granularity::Fused, Granularity::Unfused] {
+                let config = CampaignConfig { policy: POLICIES[policy], granularity, recovery };
+                let traced = |plan: &FaultPlan, opts: KernelOpts| {
+                    let mut tracer = VecTracer::new();
+                    let (out, _) = simulate_campaign_kernel(
+                        inst, &table, &grouping, &config, plan, opts, &mut tracer,
+                    )
+                    .expect("valid grouping");
+                    (out, tracer.into_events())
+                };
+                // Main completion instants from `after` on, in order.
+                let finishes = |plan: &FaultPlan, after: f64| -> Vec<f64> {
+                    let (_, events) = traced(plan, KernelOpts::event_by_event());
+                    events
+                        .iter()
+                        .filter(|ev| ev.t >= after)
+                        .filter_map(|ev| match ev.kind {
+                            EventKind::TaskFinish { group: Some(_), .. } => Some(ev.t),
+                            _ => None,
+                        })
+                        .collect()
+                };
+                let pick = |ts: &[f64], f: f64, or: f64| {
+                    ts.get((f * ts.len() as f64) as usize).copied().unwrap_or(or)
+                };
+                let t1 = pick(&finishes(&FaultPlan::none(), 0.0), first, 0.0);
+                for d1 in [-1.0, 0.0, 1.0] {
+                    let once = FaultPlan::none().kill(g1 % n, (t1 + d1).max(0.0));
+                    let t2 = pick(&finishes(&once, t1 + d1), second, t1);
+                    for d2 in [-1.0, 0.0, 1.0] {
+                        let plan = once.clone().kill(g2 % n, (t2 + d2).max(0.0));
+                        let rep = assert_bitwise(inst, &table, &grouping, &config, &plan)?;
+                        prop_assert!(rep.integer_time, "integral kills keep integer time");
+                        let (fast, fast_events) = traced(&plan, KernelOpts::default());
+                        let (base, base_events) = traced(&plan, KernelOpts::event_by_event());
+                        prop_assert_eq!(outcome_bits(&fast), outcome_bits(&base), "{} {:?}: {:?}", grouping, granularity, plan);
+                        prop_assert_eq!(&fast, &base);
+                        prop_assert!(fast_events == base_events, "{} {:?}: trace diverged under {:?}", grouping, granularity, plan);
+                    }
+                }
+            }
         }
     }
 
@@ -697,12 +772,14 @@ fn post_free_shapes_count_their_drain_off_the_pool() {
     }
 }
 
-/// A pending failure must hold the fast-forward off: replaying cycles
-/// over an unprocessed fault would stamp records the fault should have
-/// interrupted. The detector only arms once the fault plan is fully
-/// drained.
+/// A pending failure caps the fast-forward instead of holding it off:
+/// replaying cycles over an unprocessed fault would stamp records the
+/// fault should have interrupted, so every replayed completion lies
+/// strictly before it. A failure scheduled beyond the campaign end never
+/// fires, so it caps nothing: the run replays the fault-free cycles, 84
+/// main and 84 post, and keeps the fault-free makespan.
 #[test]
-fn pending_fault_holds_the_detector() {
+fn a_pending_fault_caps_the_replay() {
     let table = reference_cluster(53).timing;
     let inst = Instance::new(10, 600, 53);
     let grouping = Heuristic::Basic.grouping(inst, &table).expect("feasible");
@@ -727,25 +804,22 @@ fn pending_fault_holds_the_detector() {
     // Control: the steady-state campaign fast-forwards in both phases.
     let (clean, clean_rep) = run(&FaultPlan::none());
     assert!(clean_rep.integer_time);
-    assert!(
-        clean_rep.main_cycles_skipped > 0,
+    assert_eq!(
+        (clean_rep.main_cycles_skipped, clean_rep.post_cycles_skipped),
+        (84, 84),
         "control must fast-forward"
     );
-    assert!(
-        clean_rep.post_cycles_skipped > 0,
-        "control must fast-forward posts"
-    );
 
-    // A failure scheduled beyond the campaign end never fires, but it
-    // stays *pending* for the whole run — so the detector must never
-    // arm and the engine must replay nothing.
+    // The kill stays pending for the whole run and lies past every
+    // cycle, so the detector replays exactly what the control does.
     let plan = FaultPlan::none().kill(0, 1.0e12);
     let (held, held_rep) = run(&plan);
+    assert!(held_rep.integer_time);
     assert_eq!(
-        held_rep.main_cycles_skipped, 0,
-        "pending fault must hold the detector"
+        (held_rep.main_cycles_skipped, held_rep.post_cycles_skipped),
+        (84, 84),
+        "a fault past the campaign caps nothing"
     );
-    assert_eq!(held_rep.post_cycles_skipped, 0);
 
     // The unfired failure changes nothing observable.
     let c = clean.completed().expect("fault-free runs complete");
