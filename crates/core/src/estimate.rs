@@ -47,11 +47,12 @@
 //!   take a scenario or disband, and its clock then advances once. A
 //!   re-armed group lands strictly later, so this is exactly the
 //!   `(finish, group)` order a heap of busy groups would pop.
-//! * **Distinct keys.** Waiting scenarios are keyed `(months,
-//!   scenario)`, and no two share a key. A binary heap's pop sequence
-//!   is then fixed by its key set alone, so a freed group's scenario is
-//!   swapped with the waiting heap's top in place, instead of a push
-//!   and a pop.
+//! * **Distinct keys.** Waiting scenarios wait in the engine's own
+//!   [`ScenarioQueue`], keyed `(months, scenario)` packed into one
+//!   `u64`, and no two share a key. A binary heap's pop sequence is
+//!   then fixed by its key set alone, so a freed group's scenario is
+//!   swapped with the queue's top in place
+//!   ([`ScenarioQueue::push_pop`]), instead of a push and a pop.
 //! * **Two sorted queues.** The post pool starts as the dedicated
 //!   processors (free at 0) followed by the disbanded processors in
 //!   disband order — non-decreasing. Posts are ready in completion
@@ -64,10 +65,46 @@
 //! operation happens in the same order, so the five [`Estimate`]
 //! fields are bitwise those of the textbook loop (pinned by
 //! `tests/estimate_equivalence.rs`).
+//!
+//! # Steady rotation
+//!
+//! A grouping of one size class (every Basic grouping, and most of
+//! the others a Figure 10 point prices) replays whole cycles of its
+//! loop instead of running them. Every live group frees at the one
+//! clock `t` and re-arms at `t + dur`, so a step's float operations —
+//! `main_finish = t`, then `main_busy += work` and a post ready at `t`
+//! per live group, then `clock = t + dur` — do not depend on which
+//! scenario runs where. Only the bookkeeping (month counts, queue,
+//! running ids) does, and it is what the replay must prove periodic:
+//!
+//! * A **checkpoint** is a step boundary, no group having disbanded,
+//!   where every scenario has done the same `m` months (the check runs
+//!   when the completions are a multiple of `NS`). The queue then holds
+//!   every scenario not running at `(m, s)`, so the bookkeeping is the
+//!   running ids in slot order, with `m`. The start, `m = 0`, is one.
+//! * Until some count reaches `NM`, the step rule reads month counts
+//!   only through their order, and adding one constant to every count
+//!   keeps that order. So if the ids at a checkpoint equal those at the
+//!   previous one, `dm` months and `p` steps earlier, the next `p`
+//!   steps repeat those `p` with every count `dm` higher, and end at a
+//!   checkpoint with the same ids again.
+//! * The counts only grow, so a cycle started at `m'` runs as the
+//!   first one did as long as its last completion stays below `NM`:
+//!   `m' + dm ≤ NM − 1`. The run replays `k = ⌊(NM − 1 − m)/dm⌋`
+//!   cycles — `k·p` steps of the float operations above, in order, so
+//!   every sum is bitwise the loop's — then adds `k·dm` to every count
+//!   and to the queue ([`ScenarioQueue::shift_months`]); the ids do
+//!   not change. The tail, where scenarios finish and groups disband,
+//!   runs event by event.
+//!
+//! Nothing in the argument reads a duration, so the replay is exact on
+//! every table, fractional ones included. Groupings of two or more
+//! classes step as above: their classes drift apart unless the table
+//! is commensurate, and then a rotation would need the clocks' common
+//! period as well.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
 
@@ -76,6 +113,7 @@ use oa_platform::timing::TimingTable;
 use crate::grouping::{Grouping, GroupingError};
 use crate::params::Instance;
 use crate::planner::Planner;
+use crate::policy::{ScenarioPolicy, ScenarioQueue};
 
 /// Reusable event-loop state. Heuristic searches call [`estimate`]
 /// thousands of times per sweep point; keeping the heaps and arenas in
@@ -93,10 +131,12 @@ struct Scratch {
     /// The scenario each live group runs: class `c`'s live groups, in
     /// index order, are `running[c.start..c.start + c.live]`.
     running: Vec<u32>,
-    /// Waiting scenarios: least months first. Min-heap via `Reverse`.
-    waiting: BinaryHeap<Reverse<(u32, u32)>>,
+    /// Waiting scenarios, least advanced first.
+    waiting: ScenarioQueue,
     /// Months completed per scenario.
     months_done: Vec<u32>,
+    /// The running ids at the last checkpoint of a steady rotation.
+    rotation: Vec<u32>,
     /// Main-task finish times in completion order; during the post
     /// phase, entry `i` becomes post `i`'s finish once read.
     post_ready: Vec<f64>,
@@ -270,6 +310,7 @@ fn run(inst: Instance, post_procs: u32, tp: f64, scratch: &mut Scratch) -> Estim
         running,
         waiting,
         months_done,
+        rotation,
         post_ready,
         pool,
     } = scratch;
@@ -281,24 +322,25 @@ fn run(inst: Instance, post_procs: u32, tp: f64, scratch: &mut Scratch) -> Estim
     order.clear();
     order.extend(0..classes.len());
     order.sort_unstable_by_key(|&c| Reverse((classes[c].size, c)));
+    waiting.reset(ScenarioPolicy::LeastAdvanced, chains);
     running.clear();
     running.resize(groups, 0);
-    let mut next_scenario = 0u32;
     for &c in order.iter() {
         let Class { start, live, .. } = classes[c];
         for slot in running[start..start + live].iter_mut().rev() {
-            *slot = next_scenario;
-            next_scenario += 1;
+            *slot = waiting.pop().expect("groups never outnumber scenarios");
         }
     }
-    waiting.clear();
-    waiting.extend((groups as u32..chains).map(|s| Reverse((0, s))));
     months_done.clear();
     months_done.resize(chains as usize, 0);
     post_ready.clear();
     post_ready.reserve(chains as usize * units as usize);
     pool.clear();
     pool.resize(post_procs as usize, 0.0);
+    // A one-class run keeps its last checkpoint's month count, and its
+    // running ids in `rotation` (module docs, "Steady rotation").
+    let mut last = (classes.len() == 1).then_some(0u32);
+    rotation.clone_from(running);
 
     let mut main_finish = 0.0f64;
     let mut main_busy = 0.0f64;
@@ -327,34 +369,63 @@ fn run(inst: Instance, post_procs: u32, tp: f64, scratch: &mut Scratch) -> Estim
             let m = months_done[s as usize];
             main_busy += work;
             post_ready.push(t);
+            // `s` waits again unless it finished; the freed group takes
+            // the least advanced waiting scenario, or disbands as surplus.
             let next = if m < units {
-                // `s` waits again; the least advanced waiting scenario
-                // is `s` itself unless the waiting top is further
-                // behind.
-                match waiting.peek_mut() {
-                    Some(mut w) if w.0 < (m, s) => {
-                        let Reverse((_, behind)) = std::mem::replace(&mut *w, Reverse((m, s)));
-                        Some(behind)
-                    }
-                    _ => Some(s),
-                }
+                Some(waiting.push_pop(m, s))
             } else {
-                waiting.pop().map(|Reverse((_, s))| s)
+                waiting.pop()
             };
             if let Some(next) = next {
                 running[kept] = next;
                 kept += 1;
             } else {
-                // Scenario done and none waits: the group is surplus.
                 pool.extend(std::iter::repeat_n(t, size as usize));
             }
         }
+        #[cfg(test)]
+        STEPS.with(|n| n.set((n.get().0 + 1, n.get().1)));
         if kept == start {
             classes.remove(c);
         } else {
             classes[c].live = kept - start;
             classes[c].clock = t + dur;
         }
+        let Some(m0) = last else { continue };
+        if kept < start + live {
+            last = None; // a disband ends the rotation
+            continue;
+        }
+        // A checkpoint: every scenario has done the same `m` months.
+        let done = post_ready.len() as u64;
+        let m = (done / u64::from(chains)) as u32;
+        if !done.is_multiple_of(u64::from(chains)) || months_done.iter().any(|&d| d != m) {
+            continue;
+        }
+        if running != rotation {
+            rotation.copy_from_slice(running);
+            last = Some(m);
+            continue;
+        }
+        // The ids recur `dm` months on: replay the `k` whole cycles that
+        // keep every count below `NM`, `dm·NS/G` steps each, as the loop
+        // would run them, then move every count on.
+        let (dm, class) = (m - m0, &mut classes[0]);
+        let k = (units - 1 - m) / dm;
+        let steps = u64::from(k * dm) * u64::from(chains) / groups as u64;
+        for _ in 0..steps {
+            main_finish = class.clock;
+            for _ in 0..groups {
+                main_busy += class.work;
+            }
+            post_ready.extend(std::iter::repeat_n(class.clock, groups));
+            class.clock += class.dur;
+        }
+        #[cfg(test)]
+        STEPS.with(|n| n.set((n.get().0, n.get().1 + steps)));
+        months_done.iter_mut().for_each(|d| *d += k * dm);
+        waiting.shift_months(k * dm);
+        last = None;
     }
     debug_assert!(waiting.is_empty());
     debug_assert_eq!(post_ready.len(), chains as usize * units as usize);
@@ -391,6 +462,13 @@ fn run(inst: Instance, post_procs: u32, tp: f64, scratch: &mut Scratch) -> Estim
         main_busy_proc_secs: main_busy,
         post_busy_proc_secs: post_busy,
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Class steps this thread's estimates ran event by event and
+    /// replayed, for the tests that pin where the rotation replays.
+    static STEPS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
 }
 
 #[cfg(test)]
@@ -519,6 +597,26 @@ mod tests {
         let imp1 = estimate(inst, &t, &Grouping::new(vec![8, 8, 8, 7, 7, 7, 7], 1)).unwrap();
         let gain = (basic.makespan - imp1.makespan) / basic.makespan * 100.0;
         assert!(gain > 2.0 && gain < 8.0, "gain was {gain:.2}%");
+    }
+
+    /// Class steps one estimate runs event by event and replays.
+    fn steps(inst: Instance, grouping: &Grouping) -> (u64, u64) {
+        STEPS.with(|n| n.set((0, 0)));
+        estimate(inst, &reference(), grouping).unwrap();
+        STEPS.with(std::cell::Cell::get)
+    }
+
+    #[test]
+    fn one_class_replays_its_rotation_and_two_classes_do_not() {
+        let inst = Instance::new(10, 1800, 53);
+        let (run, replayed) = steps(inst, &Grouping::uniform(7, 7, 4));
+        assert!(
+            replayed * 100 >= 99 * (run + replayed),
+            "7×7 | post:4 replayed {replayed} of {} steps",
+            run + replayed
+        );
+        let imp1 = Grouping::new(vec![8, 8, 8, 7, 7, 7, 7], 1);
+        assert_eq!(steps(inst, &imp1).1, 0, "two classes never replay");
     }
 
     #[test]

@@ -56,15 +56,41 @@ impl std::fmt::Display for ScenarioPolicy {
 }
 
 /// Scenario queue supporting the three policies — the policy *object*
-/// the engine consults at every assignment decision.
+/// both event loops consult at every assignment decision.
+///
+/// The heap-backed policies key a waiting scenario `s` with `m`
+/// completed months as one `u64`, `m << 32 | s`: integer order on the
+/// packed key is the order of the `(m, s)` tuple, so every pop is the
+/// tuple heap's, for one comparison instead of two. Each scenario waits
+/// at most once, so keys are distinct, and a heap's pop sequence is a
+/// function of its key set alone ([`Self::canonical_content`]).
 #[derive(Debug, Clone)]
 pub enum ScenarioQueue {
-    /// Min-heap on `(months done, scenario)`.
-    Least(BinaryHeap<Reverse<(u32, u32)>>),
+    /// Min-heap on packed `(months done, scenario)` keys.
+    Least(BinaryHeap<Reverse<u64>>),
     /// FIFO over readiness events.
     Fifo(VecDeque<u32>),
-    /// Max-heap on `(months done, scenario)`.
-    Most(BinaryHeap<(u32, u32)>),
+    /// Max-heap on packed `(months done, scenario)` keys.
+    Most(BinaryHeap<u64>),
+}
+
+/// The packed heap key of scenario `s` with `months` completed months;
+/// its low half, `k as u32`, is the scenario.
+#[inline]
+fn key(months: u32, s: u32) -> u64 {
+    u64::from(months) << 32 | u64::from(s)
+}
+
+/// The `(months, scenario)` pair a packed key holds.
+fn unpack(k: u64) -> (u32, u32) {
+    ((k >> 32) as u32, k as u32)
+}
+
+/// Empty, under the default (paper) policy.
+impl Default for ScenarioQueue {
+    fn default() -> Self {
+        Self::new(ScenarioPolicy::default(), 0)
+    }
 }
 
 impl ScenarioQueue {
@@ -72,34 +98,36 @@ impl ScenarioQueue {
     pub fn new(policy: ScenarioPolicy, ns: u32) -> Self {
         match policy {
             ScenarioPolicy::LeastAdvanced => {
-                ScenarioQueue::Least((0..ns).map(|s| Reverse((0, s))).collect())
+                ScenarioQueue::Least((0..ns).map(|s| Reverse(key(0, s))).collect())
             }
             ScenarioPolicy::RoundRobin => ScenarioQueue::Fifo((0..ns).collect()),
-            ScenarioPolicy::MostAdvanced => ScenarioQueue::Most((0..ns).map(|s| (0, s)).collect()),
+            ScenarioPolicy::MostAdvanced => {
+                ScenarioQueue::Most((0..ns).map(|s| key(0, s)).collect())
+            }
         }
     }
 
     /// Enqueues scenario `s`, which has `months_done` completed months.
+    #[inline]
     pub fn push(&mut self, months_done: u32, s: u32) {
         match self {
-            ScenarioQueue::Least(h) => h.push(Reverse((months_done, s))),
+            ScenarioQueue::Least(h) => h.push(Reverse(key(months_done, s))),
             ScenarioQueue::Fifo(q) => q.push_back(s),
-            ScenarioQueue::Most(h) => h.push((months_done, s)),
+            ScenarioQueue::Most(h) => h.push(key(months_done, s)),
         }
     }
 
     /// Enqueues scenario `s`, which has `months_done` completed months,
     /// and dequeues the scenario the policy then prefers: the answer and
     /// the remaining content of [`Self::push`] followed by [`Self::pop`],
-    /// with at most one sift. Heap keys are distinct (each scenario
-    /// waits at most once), so the queue's later pops depend only on
-    /// that content.
+    /// with at most one sift. Heap keys are distinct, so the queue's
+    /// later pops depend only on that content.
+    #[inline]
     pub fn push_pop(&mut self, months_done: u32, s: u32) -> u32 {
+        let k = key(months_done, s);
         match self {
             ScenarioQueue::Least(h) => match h.peek_mut() {
-                Some(mut top) if top.0 < (months_done, s) => {
-                    std::mem::replace(&mut *top, Reverse((months_done, s))).0 .1
-                }
+                Some(mut top) if top.0 < k => std::mem::replace(&mut *top, Reverse(k)).0 as u32,
                 _ => s,
             },
             ScenarioQueue::Fifo(q) => match q.pop_front() {
@@ -110,20 +138,39 @@ impl ScenarioQueue {
                 None => s,
             },
             ScenarioQueue::Most(h) => match h.peek_mut() {
-                Some(mut top) if *top > (months_done, s) => {
-                    std::mem::replace(&mut *top, (months_done, s)).1
-                }
+                Some(mut top) if *top > k => std::mem::replace(&mut *top, k) as u32,
                 _ => s,
             },
         }
     }
 
     /// Dequeues the scenario the policy prefers.
+    #[inline]
     pub fn pop(&mut self) -> Option<u32> {
         match self {
-            ScenarioQueue::Least(h) => h.pop().map(|Reverse((_, s))| s),
+            ScenarioQueue::Least(h) => h.pop().map(|Reverse(k)| k as u32),
             ScenarioQueue::Fifo(q) => q.pop_front(),
-            ScenarioQueue::Most(h) => h.pop().map(|(_, s)| s),
+            ScenarioQueue::Most(h) => h.pop().map(|k| k as u32),
+        }
+    }
+
+    /// Adds `dm` to the month count of every waiting scenario, as a
+    /// replay that moves every scenario `dm` months on must. One
+    /// constant added to every count keeps the keys' order, so the heap
+    /// stays a heap and the queue pops as a fresh one of the shifted
+    /// pairs would. The round-robin queue stores no counts and does not
+    /// change.
+    pub fn shift_months(&mut self, dm: u32) {
+        let add = u64::from(dm) << 32;
+        match self {
+            ScenarioQueue::Least(h) => {
+                *h = std::mem::take(h)
+                    .into_iter()
+                    .map(|Reverse(k)| Reverse(k + add))
+                    .collect();
+            }
+            ScenarioQueue::Fifo(_) => {}
+            ScenarioQueue::Most(h) => *h = std::mem::take(h).into_iter().map(|k| k + add).collect(),
         }
     }
 
@@ -166,12 +213,12 @@ impl ScenarioQueue {
         out.clear();
         match self {
             ScenarioQueue::Least(h) => {
-                out.extend(h.iter().map(|Reverse(k)| *k));
+                out.extend(h.iter().map(|&Reverse(k)| unpack(k)));
                 out.sort_unstable();
             }
             ScenarioQueue::Fifo(q) => out.extend(q.iter().map(|&s| (0, s))),
             ScenarioQueue::Most(h) => {
-                out.extend(h.iter().copied());
+                out.extend(h.iter().map(|&k| unpack(k)));
                 out.sort_unstable();
             }
         }
@@ -184,7 +231,7 @@ impl ScenarioQueue {
         match (&mut *self, policy) {
             (ScenarioQueue::Least(h), ScenarioPolicy::LeastAdvanced) => {
                 h.clear();
-                h.extend((0..ns).map(|s| Reverse((0, s))));
+                h.extend((0..ns).map(|s| Reverse(key(0, s))));
             }
             (ScenarioQueue::Fifo(q), ScenarioPolicy::RoundRobin) => {
                 q.clear();
@@ -192,7 +239,7 @@ impl ScenarioQueue {
             }
             (ScenarioQueue::Most(h), ScenarioPolicy::MostAdvanced) => {
                 h.clear();
-                h.extend((0..ns).map(|s| (0, s)));
+                h.extend((0..ns).map(|s| key(0, s)));
             }
             (slot, _) => *slot = ScenarioQueue::new(policy, ns),
         }
@@ -460,6 +507,132 @@ mod tests {
                     proptest::prop_assert_eq!(fused.pop(), Some(s), "{}", policy);
                 }
                 proptest::prop_assert!(fused.is_empty());
+            }
+        }
+    }
+
+    /// The queue keyed by `(months, scenario)` tuples that the packed
+    /// keys replaced, and the rebuild the engine's replay ran before
+    /// [`ScenarioQueue::shift_months`]: the model the packed queue must
+    /// pop as.
+    enum Tuples {
+        Least(BinaryHeap<Reverse<(u32, u32)>>),
+        Fifo(VecDeque<u32>),
+        Most(BinaryHeap<(u32, u32)>),
+    }
+
+    impl Tuples {
+        fn new(policy: ScenarioPolicy, ns: u32) -> Self {
+            match policy {
+                ScenarioPolicy::LeastAdvanced => {
+                    Self::Least((0..ns).map(|s| Reverse((0, s))).collect())
+                }
+                ScenarioPolicy::RoundRobin => Self::Fifo((0..ns).collect()),
+                ScenarioPolicy::MostAdvanced => Self::Most((0..ns).map(|s| (0, s)).collect()),
+            }
+        }
+
+        fn push(&mut self, months: u32, s: u32) {
+            match self {
+                Self::Least(h) => h.push(Reverse((months, s))),
+                Self::Fifo(q) => q.push_back(s),
+                Self::Most(h) => h.push((months, s)),
+            }
+        }
+
+        fn pop(&mut self) -> Option<u32> {
+            match self {
+                Self::Least(h) => h.pop().map(|Reverse((_, s))| s),
+                Self::Fifo(q) => q.pop_front(),
+                Self::Most(h) => h.pop().map(|(_, s)| s),
+            }
+        }
+
+        fn content(&self) -> Vec<(u32, u32)> {
+            let mut out: Vec<(u32, u32)> = match self {
+                Self::Least(h) => h.iter().map(|&Reverse(k)| k).collect(),
+                Self::Fifo(q) => return q.iter().map(|&s| (0, s)).collect(),
+                Self::Most(h) => h.iter().copied().collect(),
+            };
+            out.sort_unstable();
+            out
+        }
+
+        /// Empties the queue and pushes every waiting scenario back
+        /// `dm` months on, in canonical order.
+        fn shift(&mut self, dm: u32) {
+            let content = self.content();
+            match self {
+                Self::Least(h) => h.clear(),
+                Self::Fifo(q) => q.clear(),
+                Self::Most(h) => h.clear(),
+            }
+            for (m, s) in content {
+                self.push(m + dm, s);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 64 } else { 256 }
+        ))]
+
+        /// The packed queue pops as the tuple-keyed one under every
+        /// policy: the same answer to every `pop` and `push_pop`, and
+        /// the same canonical content after every op, a `shift_months`
+        /// included. Month counts and scenario ids reach the top half
+        /// of `u32`, so a key whose halves bled into each other would
+        /// show. A pushed scenario is one not waiting, as in the loops.
+        #[test]
+        fn packed_keys_pop_as_tuples(
+            ops in proptest::collection::vec((0u32..4, 0u32..16, 0u32..12, 0u32..1000), 1..=80),
+        ) {
+            let id = |i: u32| if i < 8 { i } else { u32::MAX - i };
+            for policy in ScenarioPolicy::ALL {
+                let mut packed = ScenarioQueue::new(policy, 4);
+                let mut model = Tuples::new(policy, 4);
+                let mut waiting: Vec<bool> = (0..16).map(|i| i < 4).collect();
+                for &(op, i, months, dm) in &ops {
+                    let (s, months) = (id(i), if months < 6 { months } else { (1 << 31) + months });
+                    let popped = match op {
+                        0 if !waiting[i as usize] => {
+                            packed.push(months, s);
+                            model.push(months, s);
+                            waiting[i as usize] = true;
+                            None
+                        }
+                        1 if !waiting[i as usize] => {
+                            model.push(months, s);
+                            let want = model.pop();
+                            let got = packed.push_pop(months, s);
+                            proptest::prop_assert_eq!(Some(got), want, "{}", policy);
+                            waiting[i as usize] = true;
+                            want
+                        }
+                        2 => {
+                            let want = model.pop();
+                            proptest::prop_assert_eq!(packed.pop(), want, "{}", policy);
+                            want
+                        }
+                        3 => {
+                            packed.shift_months(dm);
+                            model.shift(dm);
+                            None
+                        }
+                        _ => None,
+                    };
+                    if let Some(g) = popped {
+                        waiting[if g < 8 { g } else { u32::MAX - g } as usize] = false;
+                    }
+                    let want = model.content();
+                    proptest::prop_assert_eq!(packed.len(), want.len(), "{}", policy);
+                    proptest::prop_assert_eq!(packed.canonical_content(), want, "{}", policy);
+                }
+                while let Some(s) = model.pop() {
+                    proptest::prop_assert_eq!(packed.pop(), Some(s), "{}", policy);
+                }
+                proptest::prop_assert!(packed.is_empty());
             }
         }
     }

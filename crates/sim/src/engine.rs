@@ -552,6 +552,7 @@ struct Scratch {
 }
 
 /// The main phase's collections (see [`Scratch`]).
+#[derive(Default)]
 struct Groups {
     /// Busy groups: `(finish time, group)`, at most one per group.
     busy: BinaryHeap<TimeKey<usize>>,
@@ -578,26 +579,6 @@ struct Groups {
     wait_buf: Vec<(u32, u32)>,
     /// Busy-set content in pop order (snapshots and checkpoints).
     busy_buf: Vec<(u64, usize)>,
-}
-
-impl Default for Groups {
-    fn default() -> Self {
-        Self {
-            busy: BinaryHeap::new(),
-            running: Vec::new(),
-            waiting: ScenarioQueue::Least(BinaryHeap::new()),
-            months_done: Vec::new(),
-            idle: Vec::new(),
-            dead: Vec::new(),
-            det: Detector::default(),
-            snap_busy: Vec::new(),
-            snap_running: Vec::new(),
-            snap_idle: Vec::new(),
-            snap_wait: Vec::new(),
-            wait_buf: Vec::new(),
-            busy_buf: Vec::new(),
-        }
-    }
 }
 
 /// The post phase's collections (see [`Scratch`]).
@@ -1485,11 +1466,7 @@ impl<T: Tracer> Main<'_, T> {
         for md in &mut gs.months_done {
             *md += dm_total;
         }
-        gs.waiting.canonical_content_into(&mut gs.wait_buf);
-        gs.waiting.reset(self.config.policy, 0);
-        for &(_, s) in &gs.wait_buf {
-            gs.waiting.push(gs.months_done[s as usize], s);
-        }
+        gs.waiting.shift_months(dm_total);
         self.completions += m.k * m.cycle_completions;
         self.report.main_cycles_skipped += m.k;
         self.post_periodic = Some(PostPeriodic {

@@ -24,6 +24,14 @@
 //! `T[7]` meet every third and second month — on mixed groupings with
 //! scenarios waiting, and on groupings whose sizes are not sorted.
 //!
+//! A grouping of one size class replays its steady rotation: whole
+//! cycles of the loop's float operations with no scenario bookkeeping.
+//! A deterministic sweep runs one-class groupings whose group count
+//! equals, divides, does not divide and is one against `NS`, at every
+//! campaign length up to three rotations and two months past, on the
+//! presets and an integral table, so every way a campaign can end in
+//! or after a cycle is checked against the oracle.
+//!
 //! Debug builds run 32 random cases per property; release builds
 //! (CI's differential job) run 256.
 
@@ -43,6 +51,10 @@ const CASES: u32 = if cfg!(debug_assertions) { 32 } else { 256 };
 /// Months per scenario in the Figure 8 replay: the figure's 1800 in
 /// release builds, a shorter 24 in debug ones.
 const FIG8_NM: u32 = if cfg!(debug_assertions) { 24 } else { 1800 };
+
+/// The long campaign of the one-class sweep: the paper's 1800 months
+/// in release builds, a shorter 120 in debug ones.
+const LONG_NM: u32 = if cfg!(debug_assertions) { 120 } else { 1800 };
 
 // ---- Oracle: the heap-based estimator loop, verbatim ----
 
@@ -475,4 +487,61 @@ fn classes_that_meet_are_bitwise_the_heap_loop() {
         }
     }
     assert_eq!(checked, 3 * 10 * 5 * 6);
+}
+
+/// `NS` and the group counts the one-class sweep runs at it: `NS`
+/// itself, a proper divisor, counts that do not divide it (some with a
+/// common factor), and one.
+const ROTATIONS: [(u32, &[u32]); 7] = [
+    (1, &[1]),
+    (2, &[2, 1]),
+    (3, &[3, 2, 1]),
+    (7, &[7, 3, 5, 1]),
+    (10, &[10, 5, 7, 4, 1]),
+    (64, &[64, 16, 7, 48, 1]),
+    (512, &[512, 128, 3, 384, 1]),
+];
+
+/// One-class groupings against the oracle at every `NM` from 1 to
+/// three rotations and two months past (a rotation runs every
+/// scenario `G / gcd(G, NS)` months), and at a long campaign, with and
+/// without a post pool, on the five presets and an integral table.
+#[test]
+fn one_class_rotations_are_bitwise_the_heap_loop() {
+    let gcd = |mut a: u32, mut b: u32| {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    };
+    let mut tables = preset_tables();
+    tables.push(commensurate(1.0));
+    let mut checked = 0;
+    for (t, table) in tables.iter().enumerate() {
+        for (ns, counts) in ROTATIONS {
+            for &g in counts {
+                let size = 4 + (t as u32 + g) % 8;
+                let dm = g / gcd(g, ns);
+                for post in [0, 3] {
+                    let grouping = Grouping::uniform(size, g, post);
+                    let r = size * g + post;
+                    for nm in (1..=3 * dm + 2).chain([LONG_NM]) {
+                        let inst = Instance::new(ns, nm, r);
+                        let want = oracle(inst, table, &grouping);
+                        let got = estimate(inst, table, &grouping).expect("valid grouping");
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "{grouping} on {inst:?}: {got:?}, heap loop {want:?}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        checked > 6 * 2 * 26 * 5,
+        "only {checked} campaigns replayed"
+    );
 }
