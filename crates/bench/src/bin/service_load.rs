@@ -20,12 +20,19 @@
 //! carries the five joins' wall time (`join_secs`), the wall time from
 //! the first join to the last admission (`last_admission_secs`), the
 //! host's `nproc` and the checked-out `commit`.
+//!
+//! After the run, a wire pass times the daemon's codec over the same
+//! traffic: `parse_request` over every request line the run sent and
+//! `render_response` over every response it received, each the median
+//! of [`WIRE_PASSES`] passes, recorded under `wire` as µs per line
+//! together with the line counts and bytes.
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use oa_bench::{commit, write_json};
 use oa_service::daemon::{Service, ServiceConfig};
-use oa_service::wire::{Request, Response};
+use oa_service::wire::{parse_request, render_response, Request, Response};
 use oa_trace::metrics::keys;
 use oa_workflow::chain::ExperimentShape;
 use oa_workflow::ir::preset_value;
@@ -34,6 +41,9 @@ use serde::Value;
 /// Preset `SubmitWorkflow`s admitted after the storm, and their shape.
 const WORKFLOWS: u32 = 30;
 const WORKFLOW_NM: u32 = 1800;
+
+/// Timed passes of the wire codec over the run's traffic.
+const WIRE_PASSES: usize = 5;
 
 /// Exact quantile over a sorted sample set (nearest-rank).
 fn quantile(sorted: &[f64], q: f64) -> f64 {
@@ -53,6 +63,88 @@ fn summary(samples: &mut [f64]) -> Value {
         ("p99".into(), Value::F64(quantile(samples, 0.99))),
         ("max".into(), Value::F64(*samples.last().unwrap())),
     ])
+}
+
+/// The run's traffic: every request sent and every response received.
+#[derive(Default)]
+struct Traffic {
+    sent: Vec<Request>,
+    received: Vec<Response>,
+}
+
+impl Traffic {
+    /// Hands `req` to the daemon, keeping a copy of it and its
+    /// responses; returns the responses and the wall time of `handle`
+    /// alone.
+    fn handle(&mut self, service: &mut Service, req: Request) -> (&[Response], f64) {
+        self.sent.push(req.clone());
+        let t = Instant::now();
+        let responses = service.handle(req);
+        let secs = t.elapsed().as_secs_f64();
+        let from = self.received.len();
+        self.received.extend(responses);
+        (&self.received[from..], secs)
+    }
+
+    /// Times the codec over the traffic: `parse_request` per request
+    /// line and `render_response` per response, median of
+    /// [`WIRE_PASSES`].
+    fn wire_record(&self) -> Value {
+        let lines: Vec<String> = self
+            .sent
+            .iter()
+            .map(|req| serde_json::to_string(req).expect("requests serialize"))
+            .collect();
+        let parse = median_pass(|| {
+            for line in &lines {
+                black_box(parse_request(black_box(line)).expect("sent lines parse"));
+            }
+        });
+        let mut response_bytes = 0;
+        let render = median_pass(|| {
+            response_bytes = 0;
+            for resp in &self.received {
+                response_bytes += black_box(render_response(black_box(resp))).len();
+            }
+        });
+        let per_line = |secs: f64, n: usize| secs / n as f64 * 1e6;
+        let (parse_us, render_us) = (
+            per_line(parse, lines.len()),
+            per_line(render, self.received.len()),
+        );
+        let request_bytes: usize = lines.iter().map(String::len).sum();
+        println!(
+            "  wire: parse {parse_us:.2}us/line over {} lines ({request_bytes} B), \
+             render {render_us:.2}us/line over {} responses ({response_bytes} B)",
+            lines.len(),
+            self.received.len(),
+        );
+        Value::Object(vec![
+            ("passes".into(), Value::U64(WIRE_PASSES as u64)),
+            ("request_lines".into(), Value::U64(lines.len() as u64)),
+            ("request_bytes".into(), Value::U64(request_bytes as u64)),
+            ("parse_us_per_line".into(), Value::F64(parse_us)),
+            (
+                "response_lines".into(),
+                Value::U64(self.received.len() as u64),
+            ),
+            ("response_bytes".into(), Value::U64(response_bytes as u64)),
+            ("render_us_per_line".into(), Value::F64(render_us)),
+        ])
+    }
+}
+
+/// The median wall time of [`WIRE_PASSES`] runs of `pass`.
+fn median_pass(mut pass: impl FnMut()) -> f64 {
+    let mut secs: Vec<f64> = (0..WIRE_PASSES)
+        .map(|_| {
+            let t = Instant::now();
+            pass();
+            t.elapsed().as_secs_f64()
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    secs[WIRE_PASSES / 2]
 }
 
 fn main() {
@@ -77,6 +169,7 @@ fn main() {
         ..Default::default()
     };
     let mut service = Service::new(cfg, oa_par::resolve_jobs(None));
+    let mut traffic = Traffic::default();
 
     println!("== oa-service load: {submissions} sessions over 5 clusters ==");
     let presets = [
@@ -87,18 +180,20 @@ fn main() {
         "grelon",
     ];
     let t0 = Instant::now();
+    let mut join_secs = 0.0;
     for p in presets {
-        let responses = service.handle(Request::ClusterJoin {
+        let join = Request::ClusterJoin {
             name: p.to_string(),
             preset: p.to_string(),
             resources: 64,
-        });
+        };
+        let (responses, secs) = traffic.handle(&mut service, join);
+        join_secs += secs;
         assert!(
             matches!(responses[0], Response::ClusterUp { .. }),
             "join failed: {responses:?}"
         );
     }
-    let join_secs = t0.elapsed().as_secs_f64();
     println!(
         "  joined {} clusters (capacity {capacity}) in {join_secs:.6}s",
         presets.len(),
@@ -122,9 +217,7 @@ fn main() {
             kills: String::new(),
             deadline: 0.0,
         };
-        let t = Instant::now();
-        let responses = service.handle(req);
-        let secs = t.elapsed().as_secs_f64();
+        let (responses, secs) = traffic.handle(&mut service, req);
         admit.push(secs);
         service.observe_latency(keys::ADMIT_LATENCY_SECS, secs);
         if matches!(responses[0], Response::Admitted { .. }) {
@@ -159,9 +252,8 @@ fn main() {
             kills: String::new(),
             deadline: 0.0,
         };
-        let t = Instant::now();
-        let responses = service.handle(req);
-        workflow_admit.push(t.elapsed().as_secs_f64());
+        let (responses, secs) = traffic.handle(&mut service, req);
+        workflow_admit.push(secs);
         assert!(
             matches!(responses[0], Response::Admitted { .. }),
             "workflow {i} not admitted: {responses:?}"
@@ -181,9 +273,7 @@ fn main() {
     let mut completed = 0u64;
     for step in 1..=advance_steps {
         let to = horizon * step as f64 / advance_steps as f64;
-        let t = Instant::now();
-        let responses = service.handle(Request::Advance { to });
-        let secs = t.elapsed().as_secs_f64();
+        let (responses, secs) = traffic.handle(&mut service, Request::Advance { to });
         decide.push(secs);
         service.observe_latency(keys::DECISION_LATENCY_SECS, secs);
         completed += responses
@@ -191,9 +281,7 @@ fn main() {
             .filter(|r| matches!(r, Response::Completed { .. }))
             .count() as u64;
     }
-    let t = Instant::now();
-    let responses = service.handle(Request::Drain {});
-    let secs = t.elapsed().as_secs_f64();
+    let (responses, secs) = traffic.handle(&mut service, Request::Drain {});
     decide.push(secs);
     service.observe_latency(keys::DECISION_LATENCY_SECS, secs);
     completed += responses
@@ -220,6 +308,7 @@ fn main() {
         .and_then(|h| h.quantile(0.99))
         .unwrap_or(0.0);
 
+    let wire = traffic.wire_record();
     let record = Value::Object(vec![
         ("fast".into(), Value::Bool(fast)),
         ("nproc".into(), Value::U64(oa_par::available_jobs() as u64)),
@@ -248,6 +337,7 @@ fn main() {
         ("decision_latency_secs".into(), summary(&mut decide)),
         ("admit_p99_histogram_secs".into(), Value::F64(hist_p99)),
         ("virtual_horizon_secs".into(), Value::F64(service.now())),
+        ("wire".into(), wire),
     ]);
     write_json("BENCH_service", &record);
     println!(

@@ -341,6 +341,26 @@ fn pipe_mode_caps_line_length_and_nesting() {
     }
 }
 
+/// A character outside the Basic Multilingual Plane reads the same
+/// whether it arrives raw or as a `\u` surrogate pair, which is how
+/// Python's `json.dumps` writes it by default; the answer carries it
+/// as raw UTF-8 either way. An unpaired surrogate is `PROTO001`.
+#[test]
+fn surrogate_pair_escapes_name_the_same_session() {
+    let mut s = with_cluster();
+    let admitted = run_script(&mut s, &submit("\u{1f30a}", 2, 12, "knapsack", "", 0.0));
+    assert!(admitted.contains("\"Admitted\""), "{admitted}");
+    let status = |session: &str| format!(r#"{{"Status":{{"session":"{session}"}}}}"#);
+    let raw = run_script(&mut s, &status("\u{1f30a}"));
+    let escaped = run_script(&mut s, &status(r"\ud83c\udf0a"));
+    assert!(escaped.contains("\"session\":\"\u{1f30a}\""), "{escaped}");
+    assert_eq!(escaped, raw);
+    for lone in [r"\ud83c", r"\udf0a", r"\udf0a\ud83c", r"\ud83c\u0041"] {
+        let log = run_script(&mut s, &status(lone));
+        assert!(log.contains("\"PROTO001\""), "{lone}: {log}");
+    }
+}
+
 /// Duplicate names: a second submit under a live session name is
 /// PROTO005, as is a second cluster join under a taken name.
 #[test]
